@@ -8,13 +8,17 @@
 //
 // # Running
 //
-//	bash cmd/backdroidbench/run.sh [-workload NAME|all] [-seed N] [-seconds S] [-trace 0|1] [-rounds R] [-out FILE]
+//	bash cmd/backdroidbench/run.sh [-workload NAME|all] [-seed N] [-seconds S] [-trace 0|1] [-out FILE]
 //
-// run.sh builds the command from the enclosing checkout (this directory
-// is its own Go module, so the repository's `go test ./...` does not run
-// it) with the build cache under .bench_build/ and runs it from the
-// checkout root. -workload all (the default) runs every workload in its
-// own child process, first untraced and then traced. A single-workload
+// run.sh builds the command from the enclosing checkout with the build
+// cache under .bench_build/ and runs it from the checkout root. This
+// directory is a Go module of its own that builds the analysis code of
+// the enclosing checkout through a replace directive, so the
+// repository's `go test ./...` does not run it; build, vet and test it
+// with `go -C cmd/backdroidbench test -short .` (or `go -C
+// cmd/backdroidbench run . ...`) after changing a public API it calls.
+// -workload all (the default) runs every workload in its own child
+// process, first untraced and then traced. A single-workload
 // run prints a readable report and, as its last line, one JSON object
 // {"correct", "attempted", "failed", "metrics"}: the end-to-end metrics
 // with -trace 0, the per-layer metrics with -trace 1. It exits non-zero
@@ -23,28 +27,31 @@
 // # Procedure
 //
 // Every run sets the workload up (three times with -trace 0; setup_s is
-// the median), runs one untimed warm-up round and then R timed rounds
-// (default 5). A round is a fixed number of steps — a corpus pass, a
+// the median), runs one untimed warm-up round and then five timed
+// rounds. A round is a fixed number of steps — a corpus pass, a
 // heavy-tail burst or an update-stream scheduler life — equal to
-// stepsPerSecond * seconds / R, where stepsPerSecond was measured once
+// stepsPerSecond * seconds / 5, where stepsPerSecond was measured once
 // on the commit that introduced the benchmark and is frozen in
-// workloads.go: run length never depends on how fast the code under test
-// is. Each end-to-end metric is computed per round and reported as the
-// median over rounds, with quartiles in the readable report. Load comes
-// from one process: 2 closed-loop clients against a scheduler with 2
-// workers (heavy-tail: a burst against a 2-node fleet), matching the
-// 2-CPU host the step rates were measured on.
+// workloads.go, and -seconds is BENCHMARK.json's run_seconds, which the
+// benchmark harness passes on every run: run length never depends on how
+// fast the code under test is. Each end-to-end metric is computed per
+// round and reported as the median over rounds, with quartiles in the
+// readable report. Load comes from one process: 2 closed-loop clients
+// against a scheduler with 2 workers (heavy-tail: one client submitting
+// a burst to a 2-node fleet), matching the 2-CPU host the step rates
+// were measured on.
 //
 // The calibration host is a 2-vCPU guest whose speed drifts by 20-40%
-// over tens of seconds. Right before every timed stretch (a pass, a
-// burst, an update-stream pass) the benchmark therefore waits for any
-// garbage collection in progress to finish and times one pass of a fixed
-// reference kernel of its own (reference.go); the wall- and CPU-time
-// metrics of a round are divided by the kernel's mean slowdown against
-// its calibration time, and the readable report prints that slowdown.
-// This cut the run-to-run spread of those metrics from 20-45% to 2-9%.
-// The wait lets the collector finish the previous stretch's cycle
-// untimed, like the think time between a client's requests.
+// over seconds. Right before and right after every timed stretch (a
+// pass, a burst, an update-stream pass) the benchmark therefore waits
+// for any garbage collection in progress to finish and times one pass of
+// a fixed reference kernel of its own (reference.go); the wall- and
+// CPU-time metrics of a round are divided by the kernel's mean slowdown
+// against its calibration time, and the readable report prints that
+// slowdown. This cut the run-to-run spread of those metrics from 10-28%
+// to 1.5-8% (CALIBRATION.md). The wait lets the collector finish the
+// previous stretch's cycle untimed, like the think time between a
+// client's requests.
 //
 // The apps are generated by appgen from a fixed corpus seed; -seed
 // permutes the order jobs are submitted in (heavy-tail keeps its fixed
@@ -88,9 +95,9 @@
 //   - apps_per_s: jobs per second of timed work.
 //   - job_p50_ms, job_p90_ms: Submit call to the job's Done callback,
 //     which the scheduler runs right before Wait returns (see drive).
-//     At the default -seconds and -rounds every round has at least 100
-//     jobs, so p90 has at least 10 samples beyond it; the readable report
-//     prints the job count.
+//     At -seconds 10 every round has at least 100 jobs, so p90 has at
+//     least 10 samples beyond it; the readable report prints the job
+//     count.
 //   - cpu_ms_per_app: process user+system CPU time (getrusage) per job.
 //   - sim_units_per_app: charged simtime units, the paper's cost model.
 //   - alloc_mb_per_app: heap bytes allocated (runtime TotalAlloc) per job.
@@ -122,7 +129,8 @@
 //	service.queue_wait_ms (Submit to Source start)  job_p90_ms on heavy-tail, job_p50_ms on update-stream
 //	apk.read_ms (the apk.ReadBytes Source)          job_p50_ms on update-stream, apps_per_s on cold-corpus
 //	core.backslice.*                                apps_per_s on warm-resubmit
-//	core.disassembly.*, core.index-build.*          apps_per_s on cold-corpus; no change on warm-resubmit
+//	core.disassembly.*                              apps_per_s on cold-corpus; no change on warm-resubmit
+//	core.locate-sinks.*                             apps_per_s on cold-corpus, where it holds the index build
 //	core.bundle-load.*                              job_p50_ms on warm-resubmit
 //	core.constprop.*                                job_p90_ms on heavy-tail
 //	core.delta-diff.*, core.delta-reuse.*           job_p90_ms on update-stream
@@ -130,9 +138,12 @@
 //
 // Each core.<phase> has .ms (mean per job), .units (charged units per
 // job) and .ns_per_unit. A phase's ms runs from the job's previous
-// boundary, so it includes the untraced work between phases; the indexed
-// backend builds its index at the first search, so that build is charged
-// and timed inside locate-sinks and index-build reads 0 on cold-corpus.
+// boundary, so it includes the untraced work between phases. The default
+// indexed backend builds its index (cold-corpus) or decodes it from the
+// bundle (warm-resubmit) at the first search, so that work is charged
+// and timed inside locate-sinks: a change to index building shows as
+// core.locate-sinks on cold-corpus. The engine's index-build and
+// index-load spans are empty there and not reported.
 // On heavy-tail, stolen chunks of the outlier run at the same time as
 // the outlier itself and share its recorder: there the ms split is an
 // apportionment of the job's latency, not self time — read .units.

@@ -23,7 +23,7 @@ type config struct {
 	workload string
 	seed     int64
 	seconds  float64 // timed work per run, as seconds of the seed commit
-	rounds   int
+	rounds   int     // timed rounds: the rounds constant, fewer only in tests
 	trace    bool
 	workdir  string // scratch directory for journals ("" = system temp)
 }
@@ -55,9 +55,14 @@ var endToEnd = []struct{ name, unit string }{
 	{"setup_s", "s"},
 }
 
-// setups is how many times a --trace 0 run sets up; setup_s is their
-// median.
-const setups = 3
+const (
+	// setups is how many times a --trace 0 run sets up; setup_s is their
+	// median.
+	setups = 3
+	// rounds is how many timed rounds a run makes; every metric is the
+	// median over them.
+	rounds = 5
+)
 
 func main() {
 	var (
@@ -67,8 +72,7 @@ func main() {
 	)
 	flag.StringVar(&cfg.workload, "workload", "all", "workload to run, or all (each in its own child process, untraced then traced)")
 	flag.Int64Var(&cfg.seed, "seed", 20200523, "seed of the job submission order")
-	flag.Float64Var(&cfg.seconds, "seconds", 10, "timed work per run, in seconds of the calibration commit")
-	flag.IntVar(&cfg.rounds, "rounds", 5, "timed rounds per run; metrics are medians over rounds")
+	flag.Float64Var(&cfg.seconds, "seconds", 10, "timed work per run, in seconds of the calibration commit (BENCHMARK.json's run_seconds)")
 	flag.IntVar(&trace, "trace", 0, "1 = traced run reporting the per-layer metrics")
 	flag.StringVar(&cfg.workdir, "workdir", "", "scratch directory for journals (default: system temp)")
 	flag.StringVar(&out, "out", "", "also write each result JSON line to this file")
@@ -76,10 +80,11 @@ func main() {
 	if trace != 0 && trace != 1 {
 		fatal(fmt.Errorf("-trace must be 0 or 1, got %d", trace))
 	}
-	if cfg.rounds < 1 || cfg.seconds <= 0 {
-		fatal(errors.New("-rounds and -seconds must be positive"))
+	if cfg.seconds <= 0 {
+		fatal(errors.New("-seconds must be positive"))
 	}
 	cfg.trace = trace == 1
+	cfg.rounds = rounds
 
 	var lines []string
 	ok := true
@@ -132,8 +137,7 @@ func runAll(cfg config) ([]string, error) {
 			var buf bytes.Buffer
 			cmd := exec.Command(exe, "-workload", w.name, "-trace", trace,
 				"-seed", strconv.FormatInt(cfg.seed, 10),
-				"-seconds", strconv.FormatFloat(cfg.seconds, 'g', -1, 64),
-				"-rounds", strconv.Itoa(cfg.rounds), "-workdir", cfg.workdir)
+				"-seconds", strconv.FormatFloat(cfg.seconds, 'g', -1, 64), "-workdir", cfg.workdir)
 			cmd.Stdout = io.MultiWriter(os.Stdout, &buf)
 			cmd.Stderr = os.Stderr
 			if err := cmd.Run(); err != nil {
@@ -177,7 +181,7 @@ func run(w io.Writer, cfg config) (*result, error) {
 	}
 	steps := max(1, int(math.Round(wl.stepsPerSecond*cfg.seconds/float64(cfg.rounds))))
 	fmt.Fprintf(w, "backdroidbench workload=%s seed=%d trace=%t rounds=%d steps/round=%d clients=%d workers=%d\n",
-		wl.name, cfg.seed, cfg.trace, cfg.rounds, steps, clients, workers)
+		wl.name, cfg.seed, cfg.trace, cfg.rounds, steps, wl.clients, workers)
 
 	if _, err := b.round(wl, steps, false); err != nil {
 		return nil, err

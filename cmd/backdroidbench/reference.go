@@ -14,11 +14,11 @@ import (
 // load the cores and memory underneath it: back-to-back runs of the same
 // code differed by 20-40% in wall and CPU time, with no steal time
 // reported. The benchmark therefore times one pass of a fixed reference
-// kernel right before every timed stretch and divides the round's wall-
-// and CPU-time metrics by the kernel's slowdown against refNominal; that
-// cut the run-to-run spread of those metrics to a third. The kernel is
-// the benchmark's own code, identical on every commit, map- and
-// sort-heavy like the analysis, and allocation-free.
+// kernel right before and right after every timed stretch and divides
+// the round's wall- and CPU-time metrics by the kernel's mean slowdown
+// against refNominal; that cut the run-to-run spread of those metrics to
+// a third. The kernel is the benchmark's own code, identical on every
+// commit, map- and sort-heavy like the analysis, and allocation-free.
 const (
 	// refNominal is one kernel pass on the calibration host, measured
 	// with the step rates.

@@ -22,9 +22,9 @@ const (
 	// per seed changes app sizes and sink counts, which moves every
 	// per-app metric by more than the bounds this benchmark gates on.
 	corpusSeed = 20200523
-	// clients is the number of closed-loop clients, and workers the
-	// scheduler's workers (or fleet nodes): both match the 2-CPU host the
-	// job counts were calibrated on.
+	// clients is the number of closed-loop clients (heavy-tail: one client
+	// submitting a burst), and workers the scheduler's workers (or fleet
+	// nodes): both match the 2-CPU host the job counts were calibrated on.
 	clients = 2
 	workers = 2
 	// resubmits is how many times update-stream resubmits each app's v2
@@ -94,26 +94,60 @@ func (v *version) job(tr *jobTrace) service.Job {
 // keeps only its Stats, so rounds do not pin every report's slicing
 // graphs in memory.
 type outcome struct {
-	v     *version
-	lat   time.Duration // Submit call to the job's Done callback
-	rep   *core.Report
-	stats core.Stats
-	err   error
-	tr    *jobTrace // nil when untraced
+	v           *version
+	start, done time.Time     // the Submit call and the job's Done callback
+	lat         time.Duration // done - start
+	rep         *core.Report
+	stats       core.Stats
+	err         error
+	tr          *jobTrace // nil when untraced
+}
+
+// submit submits the job of o.v. Its latency ends in its Done callback,
+// which the scheduler runs on the worker right after journaling the
+// job's terminal record, just before Wait returns. The client goroutine
+// itself may wait up to the Go runtime's 10 ms preemption slice for a CPU
+// while both workers are busy; ending at Wait's return made the
+// heavy-tail median jump by that slice from run to run.
+func (o *outcome) submit(s *service.Scheduler, traced bool) (service.JobID, error) {
+	if traced {
+		o.tr = newJobTrace()
+	}
+	job := o.v.job(o.tr)
+	job.Done = func(*service.JobResult, error) {
+		o.done = time.Now()
+		if o.tr != nil {
+			o.tr.mark(layerTail, o.done)
+		}
+	}
+	o.start = time.Now()
+	if o.tr != nil {
+		o.tr.last = o.start
+	}
+	return s.Submit(job)
+}
+
+// wait waits for the job submit returned and records its result.
+func (o *outcome) wait(s *service.Scheduler, id service.JobID, err error) {
+	var res *service.JobResult
+	if err == nil {
+		res, err = s.Wait(id)
+	}
+	if o.done.IsZero() { // never dispatched: Submit failed
+		o.done = time.Now()
+	}
+	o.lat = o.done.Sub(o.start)
+	o.err = err
+	if res != nil {
+		o.rep = res.BackDroid
+	}
 }
 
 // drive runs one job per version through the scheduler from `clients`
 // closed-loop clients: each submits its next job only after Wait
 // returned the previous one. Submits are serialized so jobs enter the
-// scheduler in list order; with clients >= len(vs) the list is one burst.
-//
-// A job's latency ends in its Done callback, which the scheduler runs on
-// the worker right after journaling the job's terminal record, just
-// before Wait returns. The client goroutine itself may wait up to the Go
-// runtime's 10 ms preemption slice for a CPU while both workers are
-// busy; ending at Wait's return made the heavy-tail median jump by that
-// slice from run to run.
-func drive(s *service.Scheduler, vs []*version, clients int, traced bool) []outcome {
+// scheduler in list order.
+func drive(s *service.Scheduler, vs []*version, traced bool) []outcome {
 	outs := make([]outcome, len(vs))
 	var (
 		mu   sync.Mutex // held across Submit: list order is submit order
@@ -133,39 +167,29 @@ func drive(s *service.Scheduler, vs []*version, clients int, traced bool) []outc
 				o := &outs[next]
 				o.v = vs[next]
 				next++
-				if traced {
-					o.tr = newJobTrace()
-				}
-				var done time.Time
-				job := o.v.job(o.tr)
-				job.Done = func(*service.JobResult, error) {
-					done = time.Now()
-					if o.tr != nil {
-						o.tr.mark(layerTail, done)
-					}
-				}
-				start := time.Now()
-				if o.tr != nil {
-					o.tr.last = start
-				}
-				id, err := s.Submit(job)
+				id, err := o.submit(s, traced)
 				mu.Unlock()
-				var res *service.JobResult
-				if err == nil {
-					res, err = s.Wait(id)
-				}
-				if done.IsZero() { // never dispatched: Submit failed
-					done = time.Now()
-				}
-				o.lat = done.Sub(start)
-				o.err = err
-				if res != nil {
-					o.rep = res.BackDroid
-				}
+				o.wait(s, id, err)
 			}
 		}()
 	}
 	wg.Wait()
+	return outs
+}
+
+// burst submits one job per version, in list order, from a single client
+// and then waits for each of them.
+func burst(s *service.Scheduler, vs []*version, traced bool) []outcome {
+	outs := make([]outcome, len(vs))
+	ids := make([]service.JobID, len(vs))
+	errs := make([]error, len(vs))
+	for i, v := range vs {
+		outs[i].v = v
+		ids[i], errs[i] = outs[i].submit(s, traced)
+	}
+	for i := range outs {
+		outs[i].wait(s, ids[i], errs[i])
+	}
 	return outs
 }
 
@@ -190,6 +214,7 @@ type workload struct {
 	// stepsPerSecond * seconds steps, so its work never depends on how
 	// fast the code under test is.
 	stepsPerSecond float64
+	clients        int // clients submitting the jobs
 	setup          func(b *bench) error
 	step           func(b *bench, traced bool, rd *round) error
 }
@@ -197,25 +222,29 @@ type workload struct {
 var workloads = []*workload{
 	{
 		name:           "cold-corpus",
+		clients:        clients,
 		stepsPerSecond: 3,
 		setup:          setupCold,
 		step:           corpusStep,
 	},
 	{
 		name:           "warm-resubmit",
+		clients:        clients,
 		stepsPerSecond: 6.5,
 		setup:          setupWarm,
 		step:           corpusStep,
 	},
 	{
 		name:           "heavy-tail",
+		clients:        1,
 		stepsPerSecond: 11,
 		setup:          setupHeavy,
 		step:           heavyStep,
 	},
 	{
 		name:           "update-stream",
-		stepsPerSecond: 1.6,
+		clients:        clients,
+		stepsPerSecond: 2,
 		setup:          setupUpdate,
 		step:           updateStep,
 	},
@@ -333,7 +362,7 @@ func setupWarm(b *bench) error {
 		return err
 	}
 	b.sched = service.New(service.Config{Workers: workers, Store: service.NewBundleStore(0)})
-	b.verify(drive(b.sched, b.apps, clients, false))
+	b.verify(drive(b.sched, b.apps, false))
 	return nil
 }
 
@@ -341,7 +370,7 @@ func setupWarm(b *bench) error {
 func corpusStep(b *bench, traced bool, rd *round) error {
 	order := b.shuffle(b.apps)
 	rd.win.start()
-	outs := drive(b.sched, order, clients, traced)
+	outs := drive(b.sched, order, traced)
 	rd.win.stop()
 	rd.outs = append(rd.outs, outs...)
 	return nil
@@ -352,11 +381,11 @@ func setupHeavy(b *bench) error {
 	return b.addVersions(&b.apps, specs, nil)
 }
 
-// heavyStep submits the outlier and then the small apps as one burst to
-// a fresh 2-node fleet with partitions disabled and default stealing,
-// and waits for all of them. The order is fixed, not drawn from the
-// seed: which small apps queue first decides the median latency, and a
-// shuffled order moved it by 20% between seeds. For the same reason
+// heavyStep submits the outlier and then the small apps as one burst,
+// from one client, to a fresh 2-node fleet with partitions disabled and
+// default stealing, and waits for all of them. The order is fixed, not
+// drawn from the seed: which small apps queue first decides the median
+// latency, and a shuffled order moved it by 20% between seeds. For the same reason
 // every burst starts from a collected heap: otherwise the previous
 // burst's garbage lands a collection at a random point of the small
 // apps' run, and the median moved by 15% between runs.
@@ -364,7 +393,7 @@ func heavyStep(b *bench, traced bool, rd *round) error {
 	s := service.New(service.Config{Nodes: workers, NodeStoreBudget: -1})
 	runtime.GC()
 	rd.win.start()
-	outs := drive(s, b.apps, len(b.apps), traced)
+	outs := burst(s, b.apps, traced)
 	rd.win.stop()
 	fs := s.FleetStats()
 	s.Close()
@@ -413,12 +442,12 @@ func updateStep(b *bench, traced bool, rd *round) (err error) {
 	s := service.New(service.Config{Workers: workers, Store: service.NewBundleStore(0), Journal: j, Reports: reports})
 	defer s.Close()
 
-	b.verify(drive(s, b.shuffle(b.apps), clients, false))
+	b.verify(drive(s, b.shuffle(b.apps), false))
 	order := b.shuffle(b.next)
 	before := j.Stats()
 	for k := 0; k <= resubmits; k++ {
 		rd.win.start()
-		outs := drive(s, order, clients, traced)
+		outs := drive(s, order, traced)
 		rd.win.stop()
 		rd.outs = append(rd.outs, outs...)
 	}
