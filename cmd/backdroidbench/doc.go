@@ -27,31 +27,37 @@
 // # Procedure
 //
 // Every run sets the workload up (three times with -trace 0; setup_s is
-// the median), runs one untimed warm-up round and then five timed
-// rounds. A round is a fixed number of steps — a corpus pass, a
-// heavy-tail burst or an update-stream scheduler life — equal to
-// stepsPerSecond * seconds / 5, where stepsPerSecond was measured once
-// on the commit that introduced the benchmark and is frozen in
-// workloads.go, and -seconds is BENCHMARK.json's run_seconds, which the
+// the median), runs one untimed warm-up step, which runs every distinct
+// input once, and then five timed rounds. A round is a fixed number of
+// steps — a corpus pass, a heavy-tail burst or an update-stream
+// scheduler life — equal to
+// stepsPerSecond * seconds / 5, where stepsPerSecond is frozen in
+// workloads.go and -seconds is BENCHMARK.json's run_seconds, which the
 // benchmark harness passes on every run: run length never depends on how
-// fast the code under test is. Each end-to-end metric is computed per
+// fast the code under test is. The rates were set on the commit that
+// introduced the benchmark: a round of cold-corpus or heavy-tail takes
+// about 4 s there, one of warm-resubmit or update-stream about 2 s (see
+// workloads.go for why). Each end-to-end metric is computed per
 // round and reported as the median over rounds, with quartiles in the
 // readable report. Load comes from one process: 2 closed-loop clients
 // against a scheduler with 2 workers (heavy-tail: one client submitting
 // a burst to a 2-node fleet), matching the 2-CPU host the step rates
 // were measured on.
 //
-// The calibration host is a 2-vCPU guest whose speed drifts by 20-40%
-// over seconds. Right before and right after every timed stretch (a
-// pass, a burst, an update-stream pass) the benchmark therefore waits
-// for any garbage collection in progress to finish and times one pass of
-// a fixed reference kernel of its own (reference.go); the wall- and
-// CPU-time metrics of a round are divided by the kernel's mean slowdown
-// against its calibration time, and the readable report prints that
-// slowdown. This cut the run-to-run spread of those metrics from 10-28%
-// to 1.5-8% (CALIBRATION.md). The wait lets the collector finish the
-// previous stretch's cycle untimed, like the think time between a
-// client's requests.
+// The calibration host is a 2-vCPU guest whose speed drifts by tens of
+// percent over seconds. Right before and right after every timed stretch
+// (a pass, a burst, an update-stream pass, a set-up) the benchmark
+// therefore waits for any garbage collection in progress to finish and
+// times one pass of a fixed reference kernel of its own (reference.go).
+// A pass gives a CPU slowdown (its process CPU time against calibration)
+// and a wall slowdown (its wall time, which also counts the time the
+// guest's CPUs were stolen). A round's CPU-time metric is divided by the
+// kernel's mean CPU slowdown and its wall-time metrics by its mean wall
+// slowdown; the readable report prints both divisors as slowdown_cpu and
+// slowdown_wall. This cut the run-to-run spread of those metrics from
+// 15-30% to a few percent (reference.go, CALIBRATION.md). The wait lets
+// the collector finish the previous stretch's cycle untimed, like the
+// think time between a client's requests.
 //
 // The apps are generated by appgen from a fixed corpus seed; -seed
 // permutes the order jobs are submitted in (heavy-tail keeps its fixed
@@ -98,14 +104,15 @@
 //     At -seconds 10 every round has at least 100 jobs, so p90 has at
 //     least 10 samples beyond it; the readable report prints the job
 //     count.
-//   - cpu_ms_per_app: process user+system CPU time (getrusage) per job.
+//   - cpu_ms_per_app: process user+system CPU time (getrusage) per job,
+//     divided by the CPU slowdown.
 //   - sim_units_per_app: charged simtime units, the paper's cost model.
 //   - alloc_mb_per_app: heap bytes allocated (runtime TotalAlloc) per job.
 //   - peak_mem_mb: the peak, over a round's stretch ends, of the memory
 //     the Go runtime holds from the OS; steadier than the process's
 //     one-off VmHWM, which moved by 15% between runs with GC timing.
 //   - setup_s: generation, encoding, reference runs and priming, divided
-//     by the host slowdown sampled around it.
+//     by the wall-time slowdown sampled right before and after it.
 //
 // Failed and wrong-verdict jobs are the result's "failed" count out of
 // "attempted"; the readable report prints their share as fail_rate.

@@ -15,14 +15,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // config is one benchmark invocation.
 type config struct {
 	workload string
 	seed     int64
-	seconds  float64 // timed work per run, as seconds of the seed commit
+	seconds  float64 // run length: each workload makes stepsPerSecond steps per second
 	rounds   int     // timed rounds: the rounds constant, fewer only in tests
 	trace    bool
 	workdir  string // scratch directory for journals ("" = system temp)
@@ -72,7 +71,7 @@ func main() {
 	)
 	flag.StringVar(&cfg.workload, "workload", "all", "workload to run, or all (each in its own child process, untraced then traced)")
 	flag.Int64Var(&cfg.seed, "seed", 20200523, "seed of the job submission order")
-	flag.Float64Var(&cfg.seconds, "seconds", 10, "timed work per run, in seconds of the calibration commit (BENCHMARK.json's run_seconds)")
+	flag.Float64Var(&cfg.seconds, "seconds", 10, "run length: each workload makes a frozen number of steps per second of it (BENCHMARK.json's run_seconds)")
 	flag.IntVar(&trace, "trace", 0, "1 = traced run reporting the per-layer metrics")
 	flag.StringVar(&cfg.workdir, "workdir", "", "scratch directory for journals (default: system temp)")
 	flag.StringVar(&out, "out", "", "also write each result JSON line to this file")
@@ -151,7 +150,7 @@ func runAll(cfg config) ([]string, error) {
 	return lines, errors.Join(errs...)
 }
 
-// run sets the workload up, runs one untimed warm-up round and then the
+// run sets the workload up, runs one untimed warm-up step and then the
 // timed rounds, untraced (--trace 0) or alternating untraced and traced
 // rounds followed by the layer probes (--trace 1). It prints a readable
 // report to w and returns the result; a job that failed or reported a
@@ -171,19 +170,20 @@ func run(w io.Writer, cfg config) (*result, error) {
 	var setupS []float64
 	for i := 0; i < n; i++ {
 		b.reset()
-		before := b.ref.slowdown()
-		t0 := time.Now()
+		win := window{ref: b.ref}
+		win.start()
 		if err := wl.setup(b); err != nil {
 			return nil, fmt.Errorf("%s setup: %w", wl.name, err)
 		}
-		d := time.Since(t0).Seconds()
-		setupS = append(setupS, d/((before+b.ref.slowdown())/2))
+		win.stop()
+		setupS = append(setupS, win.wall.Seconds()/win.slowdown().wall)
 	}
 	steps := max(1, int(math.Round(wl.stepsPerSecond*cfg.seconds/float64(cfg.rounds))))
 	fmt.Fprintf(w, "backdroidbench workload=%s seed=%d trace=%t rounds=%d steps/round=%d clients=%d workers=%d\n",
 		wl.name, cfg.seed, cfg.trace, cfg.rounds, steps, wl.clients, workers)
 
-	if _, err := b.round(wl, steps, false); err != nil {
+	// One untimed step runs every distinct input once before timing.
+	if _, err := b.round(wl, 1, false); err != nil {
 		return nil, err
 	}
 	var plain, traced []*round
@@ -231,9 +231,11 @@ func run(w io.Writer, cfg config) (*result, error) {
 			metrics[e.name] = metric{med, e.unit}
 			fmt.Fprintf(w, "%-18s %12.4f %12.4f %12.4f  %s\n", e.name, med, quantile(xs, 0.25), quantile(xs, 0.75), e.unit)
 		}
-		slow := perRound(plain, "slowdown")
-		fmt.Fprintf(w, "%-18s %12.4f %12.4f %12.4f  (host against calibration; time metrics are divided by it)\n",
-			"slowdown", quantile(slow, 0.5), quantile(slow, 0.25), quantile(slow, 0.75))
+		for _, name := range []string{"slowdown_cpu", "slowdown_wall"} {
+			slow := perRound(plain, name)
+			fmt.Fprintf(w, "%-18s %12.4f %12.4f %12.4f  (host against calibration; times of its kind are divided by it)\n",
+				name, quantile(slow, 0.5), quantile(slow, 0.25), quantile(slow, 0.75))
+		}
 	}
 	fmt.Fprintf(w, "fail_rate=%g (%d failed of %d attempted jobs)\n",
 		ratio(int64(b.failed), int64(b.attempted)), b.failed, b.attempted)
@@ -261,17 +263,19 @@ func (b *bench) round(wl *workload, steps int, traced bool) (*round, error) {
 }
 
 // perRound computes one per-round metric for every round; wall- and
-// CPU-time metrics are divided by the round's host slowdown.
+// CPU-time metrics are divided by the round's host slowdown for them.
 func perRound(rounds []*round, name string) []float64 {
 	xs := make([]float64, len(rounds))
 	for i, rd := range rounds {
 		n := float64(len(rd.outs))
 		slow := rd.win.slowdown()
 		switch name {
-		case "slowdown":
-			xs[i] = slow
+		case "slowdown_cpu":
+			xs[i] = slow.cpu
+		case "slowdown_wall":
+			xs[i] = slow.wall
 		case "apps_per_s":
-			xs[i] = n / rd.win.wall.Seconds() * slow
+			xs[i] = n / rd.win.wall.Seconds() * slow.wall
 		case "job_p50_ms", "job_p90_ms":
 			lat := make([]float64, len(rd.outs))
 			for j, o := range rd.outs {
@@ -281,9 +285,9 @@ func perRound(rounds []*round, name string) []float64 {
 			if name == "job_p90_ms" {
 				q = 0.9
 			}
-			xs[i] = quantile(lat, q) / slow
+			xs[i] = quantile(lat, q) / slow.wall
 		case "cpu_ms_per_app":
-			xs[i] = float64(rd.win.cpu.Nanoseconds()) / 1e6 / n / slow
+			xs[i] = float64(rd.win.cpu.Nanoseconds()) / 1e6 / n / slow.cpu
 		case "sim_units_per_app":
 			var units int64
 			for _, o := range rd.outs {

@@ -32,7 +32,7 @@ type window struct {
 	ref       *reference
 	wall, cpu time.Duration
 	alloc     uint64
-	slow      float64 // summed over samples
+	slow      slowdown // summed over samples
 	samples   int
 	peak      uint64
 
@@ -61,7 +61,9 @@ func (w *window) stop() {
 // in paired runs it cut the per-round spread of the normalized time
 // metrics by 10-15%.
 func (w *window) sample() {
-	w.slow += w.ref.slowdown()
+	s := w.ref.measure()
+	w.slow.wall += s.wall
+	w.slow.cpu += s.cpu
 	w.samples++
 }
 
@@ -78,7 +80,10 @@ func heldBytes() uint64 {
 }
 
 // slowdown is the mean host slowdown over the window's samples.
-func (w *window) slowdown() float64 { return w.slow / float64(w.samples) }
+func (w *window) slowdown() slowdown {
+	n := float64(w.samples)
+	return slowdown{wall: w.slow.wall / n, cpu: w.slow.cpu / n}
+}
 
 // cpuTime is the user+system CPU time the process has used so far.
 func cpuTime() time.Duration {

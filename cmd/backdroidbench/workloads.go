@@ -209,10 +209,15 @@ type round struct {
 // update-stream scheduler life.
 type workload struct {
 	name string
-	// stepsPerSecond is how many steps the seed commit completed per
-	// second of timed work on a 2-CPU host. It is frozen: a run does
-	// stepsPerSecond * seconds steps, so its work never depends on how
-	// fast the code under test is.
+	// stepsPerSecond is how many steps a run makes per second of
+	// -seconds. It is frozen: a run does stepsPerSecond * seconds steps,
+	// so its work never depends on how fast the code under test is. At
+	// the calibration commit, on a 2-CPU host, cold-corpus and heavy-tail
+	// make two seconds of timed work per second of -seconds: at one, the
+	// spread of their latency medians over ten runs reached 9-11%, at two
+	// 3-4%. warm-resubmit and update-stream make one, where their spreads
+	// were already under 5%; update-stream's untimed priming makes its
+	// runs as long as those of cold-corpus even so.
 	stepsPerSecond float64
 	clients        int // clients submitting the jobs
 	setup          func(b *bench) error
@@ -223,7 +228,7 @@ var workloads = []*workload{
 	{
 		name:           "cold-corpus",
 		clients:        clients,
-		stepsPerSecond: 3,
+		stepsPerSecond: 6,
 		setup:          setupCold,
 		step:           corpusStep,
 	},
@@ -237,7 +242,7 @@ var workloads = []*workload{
 	{
 		name:           "heavy-tail",
 		clients:        1,
-		stepsPerSecond: 11,
+		stepsPerSecond: 22,
 		setup:          setupHeavy,
 		step:           heavyStep,
 	},
