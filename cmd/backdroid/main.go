@@ -4,9 +4,8 @@
 // Usage:
 //
 //	backdroid [-subclass-sinks] [-timeout MIN] [-ssg] [-backend B] [-workers W]
-//	          [-shards N] [-index-cache DIR] [-parallel-lookups]
-//	          [-auto-parallel-lookups] [-store-budget BYTES] [-stats=false]
-//	          [-delta] [-nodes N] [-faults SPEC] [-trace FILE]
+//	          [-shards N] [-index-cache DIR] [-store-budget BYTES]
+//	          [-stats=false] [-delta] [-nodes N] [-faults SPEC] [-trace FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE] app.apk...
 //
 // -nodes N analyzes the corpus on a fault-tolerant fleet of N worker
@@ -26,10 +25,7 @@
 // order and are identical for any W. -shards overrides the sharded
 // backend's shard count (0 = auto). -index-cache persists each app's
 // dump+index bundle in DIR so re-analyses skip disassembly and
-// tokenization entirely (a fully warm start). -parallel-lookups fans
-// hot-token postings fetches out per shard (sharded backend; results are
-// identical); -auto-parallel-lookups derives the hot-token gate from each
-// app's own postings distribution instead of the fixed default.
+// tokenization entirely (a fully warm start).
 // -store-budget shares an in-memory content-addressed bundle store across
 // the listed apps (listing an app twice makes the second analysis fully
 // warm with zero disk I/O); cmd/backdroidd keeps such a store alive
@@ -83,23 +79,21 @@ import (
 
 // config carries the parsed CLI flags.
 type config struct {
-	subclassSinks   bool
-	timeout         float64
-	showSSG         bool
-	backend         string
-	workers         int
-	shards          int
-	indexCache      string
-	parallelLookups bool
-	autoParallel    bool
-	storeBudget     int64
-	stats           bool
-	delta           bool
-	nodes           int
-	faults          string
-	trace           string
-	cpuprofile      string
-	memprofile      string
+	subclassSinks bool
+	timeout       float64
+	showSSG       bool
+	backend       string
+	workers       int
+	shards        int
+	indexCache    string
+	storeBudget   int64
+	stats         bool
+	delta         bool
+	nodes         int
+	faults        string
+	trace         string
+	cpuprofile    string
+	memprofile    string
 }
 
 func main() {
@@ -115,10 +109,6 @@ func main() {
 		"index shard count for -backend sharded (0 = auto: per classesN.dex)")
 	flag.StringVar(&cfg.indexCache, "index-cache", "",
 		"directory for persistent dump+index bundles (empty = disabled)")
-	flag.BoolVar(&cfg.parallelLookups, "parallel-lookups", false,
-		"fan hot-token shard lookups out on the worker pool (sharded backend)")
-	flag.BoolVar(&cfg.autoParallel, "auto-parallel-lookups", false,
-		"derive the hot-token fan-out gate from each app's postings distribution")
 	flag.Int64Var(&cfg.storeBudget, "store-budget", -1,
 		"share an in-memory content-addressed bundle store across the listed apps,\nwith this byte budget (0 = unlimited, -1 = disabled)")
 	flag.BoolVar(&cfg.stats, "stats", true,
@@ -161,8 +151,6 @@ func run(paths []string, cfg config) error {
 	opts.TimeoutMinutes = cfg.timeout
 	opts.IndexShards = cfg.shards
 	opts.IndexCacheDir = cfg.indexCache
-	opts.ParallelLookups = cfg.parallelLookups
-	opts.AutoParallelLookups = cfg.autoParallel
 	var store *service.BundleStore
 	if cfg.storeBudget >= 0 && cfg.nodes == 0 {
 		// One content-addressed store for the whole invocation: listing
@@ -355,7 +343,7 @@ func runFleet(paths []string, cfg config, opts core.Options, trace *obs.Trace) e
 // runDelta analyzes the listed containers as one app's version chain:
 // the first runs cold, every later one incrementally against its
 // predecessor's bundle and report. A version whose base proves unusable
-// (timed out, evicted, legacy bundle) silently runs full — never wrong,
+// (timed out, evicted, damaged bundle) silently runs full — never wrong,
 // at worst cold.
 func runDelta(paths []string, cfg config, opts core.Options, store *service.BundleStore, trace *obs.Trace) error {
 	var prev *core.DeltaBase
@@ -470,10 +458,6 @@ func printReport(r *core.Report, cfg config) {
 		fmt.Printf("  delta: %d/%d shards unchanged; %d sinks reused, %d re-run; %d dump lines at reuse rate\n",
 			st.ShardsUnchanged, st.ShardsUnchanged+st.ShardsChanged,
 			st.SinksReused, st.SinksRerun, st.DeltaReusedLines)
-	}
-	if st.Search.ParallelLookups > 0 {
-		fmt.Printf("  parallel lookups: %d hot tokens fanned out (gate %d)\n",
-			st.Search.ParallelLookups, st.Search.ParallelLookupMin)
 	}
 	if st.CancelPolls > 0 {
 		fmt.Printf("  cancellation: %d checkpoint polls\n", st.CancelPolls)

@@ -114,18 +114,10 @@ func TestRunStatsSuppressed(t *testing.T) {
 	}
 }
 
-func TestRunParallelLookups(t *testing.T) {
-	path := fixturePath(t)
-	cfg := config{backend: "sharded", workers: 1, parallelLookups: true, stats: true}
-	if err := run([]string{path}, cfg); err != nil {
-		t.Fatalf("run with parallel lookups: %v", err)
-	}
-}
-
 func TestRunWarmBundle(t *testing.T) {
 	path := fixturePath(t)
 	dir := t.TempDir()
-	cfg := config{backend: "sharded", workers: 1, indexCache: dir, parallelLookups: true, stats: true}
+	cfg := config{backend: "sharded", workers: 1, indexCache: dir, stats: true}
 	// Cold run writes the bundle; warm run must load dump and index.
 	if err := run([]string{path}, cfg); err != nil {
 		t.Fatalf("cold bundle run: %v", err)

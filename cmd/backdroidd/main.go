@@ -15,8 +15,7 @@
 //	backdroidd [-workers N] [-queue N] [-store-budget BYTES] [-backend B]
 //	           [-index-cache DIR] [-journal DIR] [-tenants SPEC]
 //	           [-report-budget BYTES] [-http ADDR] [-nodes N] [-faults SPEC]
-//	           [-trace FILE] [-parallel-lookups] [-auto-parallel-lookups]
-//	           [-stats] [-cpuprofile FILE] [-memprofile FILE]
+//	           [-trace FILE] [-stats] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -nodes N runs the scheduler as a coordinator over a fault-tolerant
 // fleet of N worker nodes: every dispatch takes a lease, bundles are
@@ -118,8 +117,6 @@ type config struct {
 	nodes        int
 	faults       string
 	trace        string
-	parallel     bool
-	autoParallel bool
 	stats        bool
 	cpuprofile   string
 	memprofile   string
@@ -148,10 +145,6 @@ func main() {
 		"deterministic fault plan, e.g. 'kill:node=2@50000,beat-drop:node=3@8000'")
 	flag.StringVar(&cfg.trace, "trace", "",
 		"write a Chrome trace-event JSON timeline of every job to this file on exit")
-	flag.BoolVar(&cfg.parallel, "parallel-lookups", false,
-		"fan hot-token shard lookups out on the worker pool")
-	flag.BoolVar(&cfg.autoParallel, "auto-parallel-lookups", false,
-		"derive the hot-token gate from each app's postings distribution")
 	flag.BoolVar(&cfg.stats, "stats", true, "append cost counters to done lines")
 	flag.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.memprofile, "memprofile", "",
@@ -209,8 +202,6 @@ func serve(in io.Reader, out io.Writer, cfg config) error {
 	}
 	opts := core.DefaultOptions()
 	opts.SearchBackend = backend
-	opts.ParallelLookups = cfg.parallel
-	opts.AutoParallelLookups = cfg.autoParallel
 
 	var faults *faultinject.Plan
 	if cfg.faults != "" {

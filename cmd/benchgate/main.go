@@ -1,18 +1,18 @@
 // Command benchgate is the CI bench-regression gate for the bytecode
 // search stack. It analyzes the scaled benchmark corpus once per search
-// backend (linear, indexed, sharded), once with shard-parallel lookups,
-// cold+warm against the persistent bundle cache, and twice through the
-// batch service scheduler with an in-memory bundle store; emits the
-// charged-work measurements as JSON (BENCH_search.json, the warm-path
-// trajectory BENCH_warm.json and the batch-reuse leg BENCH_service.json),
-// and fails when charged work regresses beyond the tolerance against a
-// checked-in baseline.
+// backend (linear, indexed, sharded), cold+warm against the persistent
+// bundle cache, and twice through the batch service scheduler with an
+// in-memory bundle store; emits the charged-work measurements as JSON
+// (BENCH_search.json, the warm-path trajectory BENCH_warm.json and the
+// batch-reuse leg BENCH_service.json), and fails when charged work
+// regresses beyond the tolerance against a checked-in baseline.
 //
 // Hard invariants enforced on every run, baseline or not:
 //   - index backends must beat the linear scan (speedup > 1);
 //   - a warm run must charge zero index builds AND zero disassembly
 //     (every app loads both bundle sections);
-//   - shard-parallel lookups must not change a single detection verdict;
+//   - every backend and the warm bundle run must reproduce the linear
+//     scan's detection output bit for bit;
 //   - the batch-reuse second pass must charge zero index builds and zero
 //     disassembly (every app a bundle-store hit), beat the first pass,
 //     and both scheduler passes must reproduce the plain RunCorpus
@@ -49,9 +49,9 @@
 // Usage:
 //
 //	benchgate [-apps N] [-scale F] [-seed N] [-baseline FILE] [-out FILE]
-//	          [-warm-out FILE] [-service-out FILE] [-delta-out FILE]
-//	          [-settled-out FILE] [-fleet-out FILE] [-steal-out FILE]
-//	          [-tolerance F] [-write-baseline]
+//	          [-warm-out FILE] [-service-out FILE] [-tenant-out FILE]
+//	          [-delta-out FILE] [-settled-out FILE] [-fleet-out FILE]
+//	          [-steal-out FILE] [-tolerance F] [-write-baseline]
 //
 // Charged work is simulated time (deterministic for a given corpus), so
 // the gate is immune to runner noise: a regression means the search stack
@@ -95,7 +95,6 @@ type BackendCost struct {
 	DumpCacheHits   int     `json:"dump_cache_hits"`
 	BundleStoreHits int     `json:"bundle_store_hits"`
 	DumpLinesCold   int64   `json:"dump_lines_disassembled"`
-	ParallelLookups int     `json:"parallel_lookups"`
 	ForwardMemoHits int64   `json:"forward_memo_hits"`
 	WorkUnits       int64   `json:"work_units"`
 	SimMinutes      float64 `json:"sim_minutes"`
@@ -327,7 +326,6 @@ type WarmReport struct {
 	Corpus            CorpusMeta  `json:"corpus"`
 	ColdSharded       BackendCost `json:"cold_sharded"`
 	Warm              BackendCost `json:"warm"`
-	WarmParallel      BackendCost `json:"warm_parallel"`
 	SpeedupWarmVsCold float64     `json:"speedup_warm_vs_cold"`
 	BaselineWarmUnits int64       `json:"baseline_warm_work_units,omitempty"`
 	SpeedupVsBaseline float64     `json:"speedup_vs_baseline_warm,omitempty"`
@@ -363,7 +361,7 @@ func run(apps int, scale float64, seed int64, baselinePath, outPath, warmOutPath
 
 	detections := make(map[string]string)
 	for _, kind := range []bcsearch.BackendKind{bcsearch.BackendLinear, bcsearch.BackendIndexed, bcsearch.BackendSharded} {
-		cost, det, err := measure(meta, kind, "", false)
+		cost, det, err := measure(meta, kind, "")
 		if err != nil {
 			return err
 		}
@@ -373,42 +371,24 @@ func run(apps int, scale float64, seed int64, baselinePath, outPath, warmOutPath
 			kind, cost.WorkUnits, cost.LinesScanned, cost.PostingsScanned)
 	}
 
-	// Parity matrix leg: shard-parallel lookups must not change one
-	// detection verdict while their charged work is tracked like a
-	// backend of its own.
-	parCost, parDet, err := measure(meta, bcsearch.BackendSharded, "", true)
-	if err != nil {
-		return err
-	}
-	report.Backends["sharded-parallel"] = parCost
-	fmt.Fprintf(os.Stderr, "%-16s %10d units, %d lookups fanned out\n",
-		"sharded-par", parCost.WorkUnits, parCost.ParallelLookups)
 	for name, det := range detections {
 		if det != detections["linear"] {
 			return fmt.Errorf("backend %q detection output diverges from linear", name)
 		}
 	}
-	if parDet != detections["sharded"] {
-		return fmt.Errorf("parallel lookups changed the detection output")
-	}
 
 	// Warm persistent-bundle runs: the first pass populates the cache
-	// directory, the second must load every dump and index section, the
-	// third re-checks the fully-warm path with parallel lookups on.
+	// directory, the second must load every dump and index section.
 	cacheDir, err := os.MkdirTemp("", "benchgate-idx-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(cacheDir)
-	coldSharded, _, err := measure(meta, bcsearch.BackendSharded, cacheDir, false)
+	coldSharded, _, err := measure(meta, bcsearch.BackendSharded, cacheDir)
 	if err != nil {
 		return err
 	}
-	warm, warmDet, err := measure(meta, bcsearch.BackendSharded, cacheDir, false)
-	if err != nil {
-		return err
-	}
-	warmPar, warmParDet, err := measure(meta, bcsearch.BackendSharded, cacheDir, true)
+	warm, warmDet, err := measure(meta, bcsearch.BackendSharded, cacheDir)
 	if err != nil {
 		return err
 	}
@@ -485,8 +465,8 @@ func run(apps int, scale float64, seed int64, baselinePath, outPath, warmOutPath
 	if warm.DumpCacheHits != apps {
 		return fmt.Errorf("warm run loaded %d cached dumps, want %d (one per app)", warm.DumpCacheHits, apps)
 	}
-	if warmDet != detections["sharded"] || warmParDet != detections["sharded"] {
-		return fmt.Errorf("warm bundle runs changed the detection output")
+	if warmDet != detections["sharded"] {
+		return fmt.Errorf("warm bundle run changed the detection output")
 	}
 	if report.SpeedupIndexed <= 1 || report.SpeedupSharded <= 1 {
 		return fmt.Errorf("index speedups %.2fx/%.2fx not >1 — index backends charge more than the linear scan",
@@ -693,7 +673,6 @@ func run(apps int, scale float64, seed int64, baselinePath, outPath, warmOutPath
 			Corpus:            meta,
 			ColdSharded:       coldSharded,
 			Warm:              warm,
-			WarmParallel:      warmPar,
 			SpeedupWarmVsCold: report.SpeedupWarm,
 		}
 		if baselinePath != "" {
@@ -775,10 +754,9 @@ func (p *phaseRecorder) snapshot() map[string]obs.HistSnapshot {
 // measure runs BackDroid over the corpus with the given backend and sums
 // the charged search work; the returned string is a deterministic
 // detection summary (app, sink, verdict, values) used for parity checks.
-func measure(meta CorpusMeta, kind bcsearch.BackendKind, cacheDir string, parallelLookups bool) (BackendCost, string, error) {
+func measure(meta CorpusMeta, kind bcsearch.BackendKind, cacheDir string) (BackendCost, string, error) {
 	opts := core.DefaultOptions()
 	opts.SearchBackend = kind
-	opts.ParallelLookups = parallelLookups
 	var rec phaseRecorder
 	rec.install(&opts)
 	cost, det, err := measureWith(meta, experiments.RunConfig{
@@ -811,7 +789,6 @@ func measureWith(meta CorpusMeta, cfg experiments.RunConfig) (BackendCost, strin
 		c.DumpCacheHits += s.DumpCacheHits
 		c.BundleStoreHits += s.BundleStoreHits
 		c.DumpLinesCold += s.DumpLinesDisassembled
-		c.ParallelLookups += s.Search.ParallelLookups
 		c.ForwardMemoHits += s.ForwardMemoHits
 		c.WorkUnits += s.WorkUnits
 		c.SimMinutes += s.SimMinutes

@@ -1,11 +1,12 @@
 // Command benchrun regenerates every table and figure of the paper's
-// evaluation and prints them with paper-vs-measured annotations. The
-// results also land in EXPERIMENTS.md.
+// evaluation and prints them with paper-vs-measured annotations: each
+// rendered table carries the paper's value beside the measured one, and
+// DESIGN.md Sec. 5 documents the simulated-time cost model behind them.
 //
 // Usage:
 //
 //	benchrun [-apps N] [-scale F] [-seed N] [-exp NAME] [-backend B] [-workers W]
-//	         [-shards N] [-index-cache DIR] [-parallel-lookups]
+//	         [-shards N] [-index-cache DIR] [-q]
 //
 // where NAME is one of: table1, fig1, fig7, fig8, fig9, headline,
 // detection, cachestats, clinit, all (default); B selects the bytecode
@@ -14,8 +15,7 @@
 // many apps are analyzed concurrently (default: all CPUs; results are
 // identical for any W). -index-cache persists per-app dump+index bundles
 // in DIR so repeated corpus runs skip disassembly and tokenization
-// entirely; -parallel-lookups fans hot-token shard lookups out on the
-// worker pool (sharded backend, identical results).
+// entirely; -q suppresses the per-app progress lines on stderr.
 package main
 
 import (
@@ -41,18 +41,16 @@ func main() {
 		workers    = flag.Int("workers", runtime.NumCPU(), "concurrent app analyses (results are worker-count independent)")
 		shards     = flag.Int("shards", 0, "index shard count for -backend sharded (0 = auto)")
 		indexCache = flag.String("index-cache", "", "directory for persistent dump+index bundles")
-		parallel   = flag.Bool("parallel-lookups", false, "fan hot-token shard lookups out on the worker pool")
-		autoPar    = flag.Bool("auto-parallel-lookups", false, "derive the hot-token gate from each app's postings distribution")
 		quiet      = flag.Bool("q", false, "suppress per-app progress")
 	)
 	flag.Parse()
-	if err := run(*apps, *scale, *seed, *exp, *backend, *workers, *shards, *indexCache, *parallel, *autoPar, *quiet); err != nil {
+	if err := run(*apps, *scale, *seed, *exp, *backend, *workers, *shards, *indexCache, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(apps int, scale float64, seed int64, exp, backend string, workers, shards int, indexCache string, parallelLookups, autoParallel bool, quiet bool) error {
+func run(apps int, scale float64, seed int64, exp, backend string, workers, shards int, indexCache string, quiet bool) error {
 	if exp == "table1" {
 		fmt.Print(experiments.Table1(seed).Render())
 		return nil
@@ -65,8 +63,6 @@ func run(apps int, scale float64, seed int64, exp, backend string, workers, shar
 	bdOpts := core.DefaultOptions()
 	bdOpts.SearchBackend = kind
 	bdOpts.IndexShards = shards
-	bdOpts.ParallelLookups = parallelLookups
-	bdOpts.AutoParallelLookups = autoParallel
 
 	opts := appgen.CorpusOptions{Apps: apps, Seed: seed, SizeScale: scale}
 	cfg := experiments.RunConfig{

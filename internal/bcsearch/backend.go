@@ -2,7 +2,6 @@ package bcsearch
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"backdroid/internal/dexdump"
@@ -56,7 +55,6 @@ type Cost struct {
 	Lines          int64 // dump lines visited by a full scan
 	Postings       int64 // index postings visited
 	Merged         int64 // postings merged across shard lists
-	ParallelFanout bool  // the lookup fanned out per shard on the pool
 	IndexBuilt     bool  // this command triggered the one-time index build
 	IndexLoaded    bool  // the index came from the persistent cache instead
 	IndexCacheMiss bool  // a cache probe failed (missing/stale/corrupt file)
@@ -83,16 +81,10 @@ func NewSearcher(text *dexdump.Text, cfg Config) Searcher {
 	s.buildWorkers = cfg.BuildWorkers
 	s.fingerprint = cfg.AppFingerprint
 	s.refreshBundle = cfg.RefreshBundle
-	s.parallelLookups = cfg.ParallelLookups
-	s.parallelMin = cfg.ParallelLookupMin
-	s.autoParallelMin = cfg.AutoParallelLookupMin
 	s.storeBundle = cfg.StoreBundle
 	s.deltaBuild = cfg.DeltaBuild
 	s.deltaLines = cfg.DeltaIndexLines
 	s.deltaReuseLines = cfg.DeltaReuseIndexLines
-	if s.parallelMin <= 0 {
-		s.parallelMin = DefaultParallelLookupMin
-	}
 	if cfg.Backend == BackendSharded {
 		s.plan = cfg.Plan
 		if s.plan == nil {
@@ -190,9 +182,6 @@ type IndexedSearcher struct {
 	buildWorkers    int                // shard build concurrency (wall-clock only)
 	fingerprint     uint64             // app fingerprint stored in written bundles
 	refreshBundle   bool               // rewrite the bundle even on an index cache hit
-	parallelLookups bool               // fan hot-token lookups out per shard
-	parallelMin     int                // postings threshold for fanning out
-	autoParallelMin bool               // derive parallelMin from the postings distribution
 	storeBundle     func(data []byte)  // in-memory bundle store capture seam
 	deltaBuild      bool               // charge index builds at the delta model
 	deltaLines      int                // dump lines of changed+added classes
@@ -203,19 +192,6 @@ type IndexedSearcher struct {
 // backend is selected without an explicit plan. Fixed (never derived from
 // the machine) so simulated time stays deterministic.
 const DefaultShards = 4
-
-// DefaultParallelLookupMin is the total-postings threshold above which a
-// parallel-lookup searcher fans a sharded lookup out on the worker pool.
-// Below it the fan-out coordination would cost more than the sequential
-// visit saves, so cold tokens keep the lazy sequential path. Fixed so
-// charged work stays deterministic.
-const DefaultParallelLookupMin = 64
-
-// AutoParallelLookupFloor is the lowest fan-out threshold the auto-tuned
-// gate (Config.AutoParallelLookupMin) will derive: below it the flat
-// fan-out overhead always outweighs the critical-path saving, no matter
-// how flat the app's postings distribution is.
-const AutoParallelLookupFloor = 8
 
 // NewIndexedSearcher builds the single-index backend; the index itself is
 // built lazily. Use NewSearcher to configure sharding and caching.
@@ -237,9 +213,6 @@ func (s *IndexedSearcher) Run(cmd Command) ([]Hit, Cost, error) {
 			return nil, cost, err
 		}
 	}
-	if sharded, ok := s.src.(*dexdump.ShardedIndex); ok && s.parallelLookups && sharded.ShardCount() > 1 {
-		return s.runParallel(cmd, sharded, cost)
-	}
 	candidates := s.lookup(cmd)
 	cost.Postings = int64(len(candidates))
 	if err := s.meter.ChargePostings(len(candidates)); err != nil {
@@ -255,46 +228,6 @@ func (s *IndexedSearcher) Run(cmd Command) ([]Hit, Cost, error) {
 	return collect(s.text, cmd, candidates), cost, nil
 }
 
-// runParallel resolves one command against a sharded index with the
-// per-shard fetches fanned out on the worker pool. Results are bitwise
-// identical to the sequential lazy path — the per-shard lists are merged
-// in shard order — only the cost model changes: for hot tokens (total
-// postings >= the threshold) the visit charge is the max per-shard list
-// plus a flat fan-out overhead, modeling the fetches running concurrently;
-// the cross-shard merge stays charged at its critical path exactly as on
-// the lazy path. Cold tokens fall back to sequential charging so the
-// fan-out overhead never makes a cheap lookup dearer.
-func (s *IndexedSearcher) runParallel(cmd Command, sharded *dexdump.ShardedIndex, cost Cost) ([]Hit, Cost, error) {
-	get := shardGetter(cmd)
-	if get == nil {
-		return nil, cost, fmt.Errorf("bcsearch: no shard getter for command kind %v", cmd.Kind)
-	}
-	workers := s.buildWorkers
-	lists := sharded.LookupShards(get, workers)
-	total, maxPer := 0, 0
-	for _, p := range lists {
-		total += len(p)
-		if len(p) > maxPer {
-			maxPer = len(p)
-		}
-	}
-	cost.Postings = int64(total)
-	if total >= s.parallelMin {
-		cost.ParallelFanout = true
-		if err := s.meter.ChargeParallelLookup(maxPer); err != nil {
-			return nil, cost, err
-		}
-	} else if err := s.meter.ChargePostings(total); err != nil {
-		return nil, cost, err
-	}
-	candidates := dexdump.MergeShardLists(lists)
-	cost.Merged = int64(len(candidates))
-	if err := s.meter.ChargeShardMerge(len(candidates)); err != nil {
-		return nil, cost, err
-	}
-	return collect(s.text, cmd, candidates), cost, nil
-}
-
 // acquire obtains the postings source: persistent bundle first (any
 // invalid index section — missing, truncated, stale hash, unknown
 // version, or a shard layout other than the one this searcher was
@@ -302,8 +235,8 @@ func (s *IndexedSearcher) runParallel(cmd Command, sharded *dexdump.ShardedIndex
 // to the bundle best-effort so the next analysis of the same dump starts
 // warm. When the engine signalled that its dump probe missed
 // (refreshBundle), an index cache hit still rewrites the file as a full
-// bundle, upgrading legacy index-only files and self-healing damaged dump
-// sections so the next run can skip disassembly too.
+// bundle, self-healing a damaged dump section so the next run can skip
+// disassembly too.
 func (s *IndexedSearcher) acquire(cost *Cost) error {
 	if s.cachePath != "" || len(s.bundleBytes) != 0 {
 		if src, err := s.loadCachedIndex(); err == nil && src.ShardCount() == s.wantShards() {
@@ -322,7 +255,6 @@ func (s *IndexedSearcher) acquire(cost *Cost) error {
 				// engine's dump probe hit on them); share them as-is.
 				s.storeBundle(s.bundleBytes)
 			}
-			s.deriveParallelMin()
 			return nil
 		}
 		cost.IndexCacheMiss = true
@@ -338,7 +270,6 @@ func (s *IndexedSearcher) acquire(cost *Cost) error {
 	cost.IndexBuilt = true
 	cost.Shards = s.src.ShardCount()
 	s.publishBundle()
-	s.deriveParallelMin()
 	return nil
 }
 
@@ -394,27 +325,6 @@ func (s *IndexedSearcher) publishBundle() {
 	}
 }
 
-// deriveParallelMin recomputes the hot-token fan-out gate from the
-// acquired index's per-token postings distribution: the p95 list length,
-// floored at AutoParallelLookupFloor so tiny apps keep the sequential
-// path. Depends only on the index contents, so charged work stays
-// deterministic across runs and machines.
-func (s *IndexedSearcher) deriveParallelMin() {
-	if !s.autoParallelMin || s.src == nil {
-		return
-	}
-	lengths := s.src.TokenListLengths()
-	if len(lengths) == 0 {
-		return
-	}
-	sort.Ints(lengths)
-	gate := lengths[len(lengths)*95/100]
-	if gate < AutoParallelLookupFloor {
-		gate = AutoParallelLookupFloor
-	}
-	s.parallelMin = gate
-}
-
 // loadCachedIndex decodes the bundle's index section — from the bytes the
 // engine already read for its dump probe when available, from disk
 // otherwise.
@@ -468,33 +378,6 @@ func LookupCandidates(src dexdump.Source, cmd Command) []int32 {
 		return src.InvokeByName(cmd.Arg)
 	case CmdInvokeNamePrefix:
 		return src.InvokeByNamePrefix(cmd.Arg)
-	}
-	return nil
-}
-
-// shardGetter maps the command to the per-shard lookup the parallel path
-// fans out — the same per-shard methods the lazy ShardedIndex lookups
-// visit sequentially, so the two paths cannot diverge.
-func shardGetter(cmd Command) func(*dexdump.Index) []int32 {
-	switch cmd.Kind {
-	case CmdInvoke:
-		return func(i *dexdump.Index) []int32 { return i.InvokeBySig(cmd.Arg) }
-	case CmdCtor:
-		return func(i *dexdump.Index) []int32 { return i.CtorByPrefix(cmd.Arg) }
-	case CmdNewInstance:
-		return func(i *dexdump.Index) []int32 { return i.NewInstance(cmd.Arg) }
-	case CmdConstClass:
-		return func(i *dexdump.Index) []int32 { return i.ConstClass(cmd.Arg) }
-	case CmdConstString:
-		return func(i *dexdump.Index) []int32 { return i.ConstString(cmd.Arg) }
-	case CmdFieldAccess:
-		return func(i *dexdump.Index) []int32 { return i.FieldBySig(cmd.Arg) }
-	case CmdClassUse:
-		return func(i *dexdump.Index) []int32 { return i.ClassUse(cmd.Arg) }
-	case CmdInvokeName:
-		return func(i *dexdump.Index) []int32 { return i.InvokeByName(cmd.Arg) }
-	case CmdInvokeNamePrefix:
-		return func(i *dexdump.Index) []int32 { return i.InvokeByNamePrefix(cmd.Arg) }
 	}
 	return nil
 }

@@ -50,20 +50,11 @@ type Stats struct {
 	// through lazy cross-shard merges. IndexCacheHits/IndexCacheMisses
 	// count persistent-cache probes: a hit replaces the tokenization pass
 	// entirely, a miss (missing, truncated, stale or version-bumped file)
-	// falls back to a charged build. ParallelLookups counts commands whose
-	// per-shard postings fetches fanned out on the worker pool (hot tokens
-	// under Config.ParallelLookups).
+	// falls back to a charged build.
 	ShardCount       int
 	MergedPostings   int64
 	IndexCacheHits   int
 	IndexCacheMisses int
-	ParallelLookups  int
-
-	// ParallelLookupMin is the hot-token fan-out gate in effect — the
-	// fixed default, an explicit override, or (under AutoParallelLookupMin)
-	// the threshold derived from the app's postings distribution once the
-	// index is acquired.
-	ParallelLookupMin int
 }
 
 // Rate returns the cache hit rate in [0,1].
@@ -112,26 +103,9 @@ type Config struct {
 	BundleBytes []byte
 	// RefreshBundle forces a bundle rewrite even when the index section
 	// loads from the cache. The engine sets it after its dump probe missed
-	// on an otherwise valid file (legacy index-only layout, or a damaged
-	// dump section), so the file self-heals and the next run skips
-	// disassembly.
+	// on an otherwise valid file (a damaged dump section), so the file
+	// self-heals and the next run skips disassembly.
 	RefreshBundle bool
-	// ParallelLookups fans the per-shard postings fetches of hot tokens
-	// out on the worker pool (sharded backend only). Results are bitwise
-	// identical — lists merge in shard order — and the simulated charge
-	// becomes the max per-shard visit plus the merge critical path.
-	ParallelLookups bool
-	// ParallelLookupMin overrides the total-postings threshold above which
-	// a lookup fans out; 0 uses DefaultParallelLookupMin.
-	ParallelLookupMin int
-	// AutoParallelLookupMin derives the fan-out threshold from the
-	// acquired index's own postings distribution (the p95 per-token list
-	// length, floored at AutoParallelLookupFloor) instead of the fixed
-	// DefaultParallelLookupMin, so apps with unusually hot or unusually
-	// flat token distributions both gate correctly. Overrides
-	// ParallelLookupMin once the index is acquired; deterministic — the
-	// threshold depends only on the index contents.
-	AutoParallelLookupMin bool
 	// StoreBundle, when non-nil, receives the encoded bundle bytes as soon
 	// as the index is acquired: the freshly encoded bundle after a build or
 	// a refresh, or the validated on-disk file content on a persistent
@@ -199,13 +173,7 @@ func New(text *dexdump.Text, meter *simtime.Meter, enableCache bool) *Engine {
 }
 
 // Stats returns the cache and work statistics so far.
-func (e *Engine) Stats() Stats {
-	st := e.stats
-	if s, ok := e.backend.(*IndexedSearcher); ok {
-		st.ParallelLookupMin = s.parallelMin
-	}
-	return st
-}
+func (e *Engine) Stats() Stats { return e.stats }
 
 // Backend returns the kind of the active backend.
 func (e *Engine) Backend() BackendKind { return e.backend.Kind() }
@@ -239,9 +207,6 @@ func (e *Engine) Run(cmd Command) ([]Hit, error) {
 	e.stats.LinesScanned += cost.Lines
 	e.stats.PostingsScanned += cost.Postings
 	e.stats.MergedPostings += cost.Merged
-	if cost.ParallelFanout {
-		e.stats.ParallelLookups++
-	}
 	if cost.IndexBuilt {
 		e.stats.IndexBuilds++
 		e.stats.IndexLines += int64(e.text.LineCount())

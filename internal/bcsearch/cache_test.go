@@ -83,9 +83,10 @@ func TestPersistentCacheWarmRun(t *testing.T) {
 }
 
 // TestPersistentCacheInvalidation pins the rebuild-on-invalid behavior:
-// truncated files, corrupted payloads, stale content hashes and codec
-// version bumps all fall back to a clean rebuild — silently, with
-// identical search results — and repair the file on disk.
+// truncated files, corrupted payloads, stale content hashes, codec
+// version bumps and retired versions all fall back to a clean rebuild —
+// silently, with identical search results — and repair the file on disk
+// at the current codec version.
 func TestPersistentCacheInvalidation(t *testing.T) {
 	text := searchFixture(t)
 	dir := t.TempDir()
@@ -106,7 +107,9 @@ func TestPersistentCacheInvalidation(t *testing.T) {
 	staleHash[9] ^= 0xff
 	versionBump := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint16(versionBump[4:6], dexdump.CodecVersion+1)
-	// The index payload starts right after the 28-byte v2 header; flip and
+	legacyV2 := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint16(legacyV2[4:6], 2)
+	// The index payload starts right after the 28-byte header; flip and
 	// truncate inside it (damage past it lands in the dump section, which
 	// by design does not invalidate the index — see
 	// TestPersistentCacheDumpSectionDamage).
@@ -119,6 +122,7 @@ func TestPersistentCacheInvalidation(t *testing.T) {
 		"garbage":      []byte("not a cache file at all"),
 		"stale-hash":   staleHash,
 		"version-bump": versionBump,
+		"legacy-v2":    legacyV2,
 		"payload-flip": payloadFlip,
 	}
 	for name, data := range cases {
@@ -136,7 +140,15 @@ func TestPersistentCacheInvalidation(t *testing.T) {
 			if !hitsEqual(hits, wantHits) {
 				t.Errorf("rebuild after %s cache returned different hits", name)
 			}
-			// The invalid file was repaired: a fresh engine now loads it.
+			// The invalid file was repaired: it carries the current codec
+			// version and a fresh engine now loads it.
+			repaired, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(repaired) < 6 || binary.LittleEndian.Uint16(repaired[4:6]) != dexdump.CodecVersion {
+				t.Errorf("repaired file after %s is not at codec version %d", name, dexdump.CodecVersion)
+			}
 			again := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendSharded))
 			runFixtureQueries(t, again)
 			if st := again.Stats(); st.IndexCacheHits != 1 || st.IndexBuilds != 0 {

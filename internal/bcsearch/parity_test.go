@@ -134,18 +134,17 @@ func TestBackendParityOnGeneratedCorpus(t *testing.T) {
 					Meter: simtime.NewMeter(), Backend: BackendSharded, Plan: plan, BuildWorkers: 2,
 				})
 			}
-			// Warm-bundle + parallel-lookup variants: the index loads from
-			// a pre-written bundle and every lookup fans out per shard —
-			// the acceptance composition of the warm-start fast path.
+			// Warm-bundle variants: the index loads from a pre-written
+			// bundle — the warm-start fast path.
 			for _, shards := range []int{2, 7} {
 				plan := dexdump.PackagePrefixPlan(text, shards)
 				path := dexdump.CachePath(t.TempDir(), fmt.Sprintf("bundle-%d", shards))
 				if err := dexdump.WriteBundle(path, text, dexdump.BuildShardedIndex(text, plan, 2), 0, plan); err != nil {
 					t.Fatal(err)
 				}
-				variants[fmt.Sprintf("bundle-par-%d", shards)] = NewEngine(text, Config{
+				variants[fmt.Sprintf("bundle-%d", shards)] = NewEngine(text, Config{
 					Meter: simtime.NewMeter(), Backend: BackendSharded, Plan: plan, BuildWorkers: 2,
-					CachePath: path, ParallelLookups: true, ParallelLookupMin: 1,
+					CachePath: path,
 				})
 			}
 

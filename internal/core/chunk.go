@@ -94,9 +94,9 @@ func MergeReports(parts ...*Report) *Report {
 }
 
 // addStats folds one chunk's Stats into the merge: counters sum, the
-// loop map unions by summing, and the two configuration-shaped fields
-// (shard count, parallel-lookup gate) take the maximum — every chunk of
-// one job runs the same configuration, so max is the shared value.
+// loop map unions by summing, and the configuration-shaped shard count
+// takes the maximum — every chunk of one job runs the same configuration,
+// so max is the shared value.
 func addStats(dst, src *Stats) {
 	dst.Search.Commands += src.Search.Commands
 	dst.Search.CacheHits += src.Search.CacheHits
@@ -107,12 +107,8 @@ func addStats(dst, src *Stats) {
 	dst.Search.MergedPostings += src.Search.MergedPostings
 	dst.Search.IndexCacheHits += src.Search.IndexCacheHits
 	dst.Search.IndexCacheMisses += src.Search.IndexCacheMisses
-	dst.Search.ParallelLookups += src.Search.ParallelLookups
 	if src.Search.ShardCount > dst.Search.ShardCount {
 		dst.Search.ShardCount = src.Search.ShardCount
-	}
-	if src.Search.ParallelLookupMin > dst.Search.ParallelLookupMin {
-		dst.Search.ParallelLookupMin = src.Search.ParallelLookupMin
 	}
 
 	dst.SinkCallsTotal += src.SinkCallsTotal

@@ -60,17 +60,8 @@ type Options struct {
 	// same app load both — a warm engine run performs zero disassembly
 	// and zero tokenization, charging the cheap cache-load rates instead.
 	// Corrupt, stale or version-bumped cache files are detected and
-	// rebuilt silently; legacy index-only files still serve their index
-	// and are upgraded to full bundles in place.
+	// rebuilt silently.
 	IndexCacheDir string
-
-	// DumpProvider overrides the warm-start dump seam: before
-	// disassembling, the engine asks the provider for a previously
-	// rendered dump of the app. Nil uses the default provider, which
-	// probes the IndexCacheDir bundle (and is inert when no cache
-	// directory is configured). A provider miss falls back to disassembly
-	// transparently.
-	DumpProvider DumpProvider
 
 	// Bundles is the in-memory content-addressed bundle seam of the batch
 	// service: before touching the on-disk cache the engine asks it for an
@@ -83,24 +74,11 @@ type Options struct {
 	// implementation.
 	Bundles BundleCache
 
-	// AutoParallelLookups derives the hot-token fan-out gate of
-	// ParallelLookups from the app's own postings distribution (p95
-	// per-token list length) instead of the fixed
-	// bcsearch.DefaultParallelLookupMin. Results are unchanged; only which
-	// lookups fan out — and thus the charged critical path — moves.
-	AutoParallelLookups bool
-
 	// MemoizeForwardPass caches constprop method evaluations keyed by
 	// (callee, argument facts) within one forward pass, so callees shared
 	// by many call edges are evaluated once per distinct fact environment.
 	// Results are identical with the cache on or off; on by default.
 	MemoizeForwardPass bool
-
-	// ParallelLookups fans the per-shard postings fetches of hot search
-	// tokens out on the worker pool (BackendSharded only). Detection
-	// results are bitwise identical; the simulated charge becomes the max
-	// per-shard visit plus the lazy-merge critical path.
-	ParallelLookups bool
 
 	// EnableSinkCache caches per-method reachability so repeated sink
 	// calls in the same unreachable method are skipped (Sec. IV-F).
@@ -334,10 +312,11 @@ type Stats struct {
 	WallTime        time.Duration
 
 	// Warm-start dump cache accounting. DumpCacheHits / DumpCacheMisses
-	// count dump-provider probes (at most one each per engine; both zero
-	// when no provider is configured). On a hit the engine performed zero
-	// disassembly and charged DumpCacheUnits at the cheap
-	// simtime.ChargeDumpCacheLoad rate; on a miss (or without a provider)
+	// count bundle dump-section probes (at most one each per engine; both
+	// zero when no bundle store or cache directory is configured). On a
+	// hit the engine performed zero disassembly and charged DumpCacheUnits
+	// at the cheap simtime.ChargeDumpCacheLoad rate; on a miss (or without
+	// a bundle)
 	// DumpLinesDisassembled records the lines rendered and charged at the
 	// full disassembly rate.
 	DumpCacheHits         int
@@ -496,39 +475,10 @@ type Engine struct {
 	deltaReusedLines int64
 }
 
-// DumpProvider is the warm-start seam of the engine: it may supply a
-// previously disassembled dump for the app, skipping the disassembly pass
-// entirely. Implementations must only return dumps that are valid for the
-// app's current bytecode (the default bundle provider validates via
-// dexdump.AppFingerprint); returning ok=false falls back to disassembly.
-type DumpProvider interface {
-	ProvideDump(app *apk.App) (*dexdump.Text, bool)
-}
-
-// bundleDumpProvider probes an already-read persistent .bdx bundle for a
-// serialized dump section matching the app's fingerprint. The engine
-// reads the bundle file once and shares the bytes with the searcher, so
-// a warm start costs a single disk read for both sections.
-type bundleDumpProvider struct {
-	data        []byte
-	fingerprint uint64
-}
-
-func (p bundleDumpProvider) ProvideDump(app *apk.App) (*dexdump.Text, bool) {
-	if len(p.data) == 0 {
-		return nil, false
-	}
-	t, err := dexdump.DecodeBundleDump(p.data, p.fingerprint)
-	if err != nil {
-		return nil, false
-	}
-	return t, true
-}
-
 // New preprocesses the app (paper Sec. III step 1): merges multidex,
 // obtains the bytecode plaintext and builds the search and IR
-// infrastructure. With a persistent bundle configured (IndexCacheDir) the
-// dump provider is probed first: a valid cached dump makes this a warm
+// infrastructure. With a bundle available (from Bundles or IndexCacheDir)
+// its dump section is probed first: a valid cached dump makes this a warm
 // start — zero disassembly, charged at the cheap ChargeDumpCacheLoad rate
 // — while any invalid or absent dump section falls back to disassembly
 // transparently and self-heals the bundle.
@@ -573,18 +523,15 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 			storeHit = true
 		}
 	}
-	provider := opts.DumpProvider
-	if provider == nil && (storeHit || cachePath != "") {
-		if !storeHit && cachePath != "" {
-			if data, err := os.ReadFile(cachePath); err == nil {
-				bundleBytes = data
-			}
+	probed := storeHit || cachePath != ""
+	if !storeHit && cachePath != "" {
+		if data, err := os.ReadFile(cachePath); err == nil {
+			bundleBytes = data
 		}
-		provider = bundleDumpProvider{data: bundleBytes, fingerprint: fingerprint}
 	}
 	var dump *dexdump.Text
-	if provider != nil {
-		if t, ok := provider.ProvideDump(app); ok && t != nil {
+	if probed {
+		if t, err := dexdump.DecodeBundleDump(bundleBytes, fingerprint); err == nil {
 			dump = t
 		}
 	}
@@ -639,7 +586,7 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		e.prog.SetObserver(func(ref dex.MethodRef) { e.rec.class(ref.Class) })
 	}
 	if d := opts.DeltaFrom; d != nil && !opts.PerAppSSG && opts.ChunkRange == nil && d.Report != nil && !d.Report.TimedOut {
-		// A base bundle without a decodable manifest (legacy version,
+		// A base bundle without a decodable manifest (other codec version,
 		// damaged section) silently disables the delta path; the run is
 		// then an ordinary full analysis.
 		if om, ok := dexdump.DecodeManifest(d.Bundle); ok {
@@ -668,7 +615,7 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 			e.phaseSpan(name, -1, before)
 		}
 	} else {
-		if provider != nil {
+		if probed {
 			e.dumpCacheMisses = 1
 		}
 		dump = dexdump.Disassemble(merged)
@@ -735,17 +682,15 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 	e.preTimedOut = preErr != nil
 
 	searchCfg := bcsearch.Config{
-		Meter:                 meter,
-		Backend:               opts.SearchBackend,
-		EnableCache:           opts.EnableSearchCache,
-		CachePath:             cachePath,
-		BundleBytes:           bundleBytes,
-		AppFingerprint:        fingerprint,
-		ParallelLookups:       opts.ParallelLookups,
-		AutoParallelLookupMin: opts.AutoParallelLookups,
-		// A dump miss on a configured cache means the bundle is absent,
-		// legacy or damaged: have the searcher rewrite it even on an index
-		// cache hit, so the next run starts fully warm.
+		Meter:          meter,
+		Backend:        opts.SearchBackend,
+		EnableCache:    opts.EnableSearchCache,
+		CachePath:      cachePath,
+		BundleBytes:    bundleBytes,
+		AppFingerprint: fingerprint,
+		// A dump miss on a configured cache means the bundle is absent or
+		// damaged: have the searcher rewrite it even on an index cache
+		// hit, so the next run starts fully warm.
 		RefreshBundle: cachePath != "" && e.dumpCacheMisses > 0,
 	}
 	if opts.Bundles != nil && !storeHit && fingerprint != 0 {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"backdroid/internal/android"
-	"backdroid/internal/apk"
 	"backdroid/internal/appgen"
 	"backdroid/internal/bcsearch"
 	"backdroid/internal/dexdump"
@@ -141,40 +140,4 @@ func TestWarmEngineStaleFingerprintMisses(t *testing.T) {
 	if as := again.Stats; as.DumpCacheHits != 1 {
 		t.Errorf("rewritten bundle did not warm the new app: %+v", as)
 	}
-}
-
-// TestDumpProviderSeam pins the Options.DumpProvider seam: a custom
-// provider (the batch-analysis service's in-memory cache, say) replaces
-// disassembly without any cache directory configured, and a miss falls
-// back transparently.
-func TestDumpProviderSeam(t *testing.T) {
-	app, err := testapps.Fixture()
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := app.MergedDex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := dexdump.Disassemble(merged)
-
-	opts := DefaultOptions()
-	opts.DumpProvider = staticProvider{text: pre}
-	r := analyzeApp(t, app, opts)
-	if s := r.Stats; s.DumpCacheHits != 1 || s.DumpLinesDisassembled != 0 {
-		t.Errorf("custom provider ignored: %+v", s)
-	}
-
-	opts.DumpProvider = staticProvider{} // always misses
-	miss := analyzeApp(t, app, opts)
-	if s := miss.Stats; s.DumpCacheHits != 0 || s.DumpCacheMisses != 1 || s.DumpLinesDisassembled == 0 {
-		t.Errorf("provider miss did not fall back to disassembly: %+v", s)
-	}
-	assertSameVerdicts(t, "provider hit vs miss", r, miss)
-}
-
-type staticProvider struct{ text *dexdump.Text }
-
-func (p staticProvider) ProvideDump(app *apk.App) (*dexdump.Text, bool) {
-	return p.text, p.text != nil
 }

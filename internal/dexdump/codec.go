@@ -15,8 +15,8 @@ import (
 
 // Persistent cache codec. A serialized bundle lives next to the APK (or in
 // a configured cache directory) so repeated analyses of the same app skip
-// tokenization — and, since codec version 2, disassembly itself. The file
-// is a versioned multi-section bundle:
+// tokenization and disassembly. The file is a versioned multi-section
+// bundle:
 //
 //	offset  size  field
 //	0       4     magic "BDIX"
@@ -25,23 +25,15 @@ import (
 //	8       8     FNV-64a content hash of the full dump text
 //	16      4     dump line count
 //	20      4     IEEE CRC-32 of the index payload
-//	24      4     index payload length (version >= 2 only)
+//	24      4     index payload length
 //	28      ...   index payload: per shard, every postings map and side list
 //	...     8     app fingerprint (FNV-64a over the encoded dex files)
 //	...     4     IEEE CRC-32 of the dump payload
 //	...     4     dump payload length
 //	...     ...   dump payload: the serialized dexdump.Text
-//	...     4     IEEE CRC-32 of the manifest payload (version >= 3 only)
+//	...     4     IEEE CRC-32 of the manifest payload
 //	...     4     manifest payload length
 //	...     ...   manifest payload: the serialized shard Manifest
-//
-// Version 1 files (PR 2) end after the index payload, which then runs to
-// EOF; the decoder still reads their index section, so upgrading the
-// binary never invalidates existing caches — it only leaves the dump
-// section absent until the next rewrite. Version 2 files end after the
-// dump payload: their index and dump sections remain fully readable, only
-// the shard manifest is absent, which disables delta analysis until the
-// next rewrite, never correctness.
 //
 // Postings maps are encoded with sorted keys and delta-varint line lists,
 // so files are deterministic for a given index. Every validation failure —
@@ -53,24 +45,12 @@ import (
 // "run the full analysis" — the manifest can only ever save work.
 
 // CodecVersion is the on-disk format version. Bump it whenever the
-// payload layout or the token families change; old files then decode as
-// stale and are rebuilt silently. Version 2 added the dump section (and
-// the index payload length that delimits it); version 3 added the shard
-// manifest section. Version-1 index sections and version-2 dump sections
-// remain readable.
+// payload layout or the token families change; a file of any other
+// version is a silent miss, rebuilt and overwritten like a stale one.
 const CodecVersion = 3
-
-// codecVersionNoManifest is the PR 3 layout: index + dump sections, no
-// shard manifest; the dump payload runs to EOF.
-const codecVersionNoManifest = 2
-
-// codecVersionIndexOnly is the PR 2 layout: no index-length field, no dump
-// section, index payload running to EOF.
-const codecVersionIndexOnly = 1
 
 const (
 	codecMagic                = "BDIX"
-	codecHeaderSizeV1         = 24
 	codecHeaderSize           = 28
 	dumpSectionHeaderSize     = 16 // fingerprint u64 + CRC u32 + length u32
 	manifestSectionHeaderSize = 8  // CRC u32 + length u32
@@ -170,38 +150,38 @@ func EncodeBundle(t *Text, src Source, fingerprint uint64, plan *ShardPlan) ([]b
 	return append(buf, manifestPayload...), nil
 }
 
-// indexSection validates the common header fields and returns the index
-// payload of a v1, v2 or v3 file, without touching the later sections.
-func indexSection(data []byte) ([]byte, error) {
-	if len(data) < codecHeaderSizeV1 {
-		return nil, fmt.Errorf("dexdump: bundle truncated: %d bytes", len(data))
+// checkHeader validates the magic, version and length of the fixed
+// header shared by every section decoder.
+func checkHeader(data []byte) error {
+	if len(data) < codecHeaderSize {
+		return fmt.Errorf("dexdump: bundle truncated: %d bytes", len(data))
 	}
 	if string(data[0:4]) != codecMagic {
-		return nil, fmt.Errorf("dexdump: bundle bad magic %q", data[0:4])
+		return fmt.Errorf("dexdump: bundle bad magic %q", data[0:4])
 	}
-	switch v := binary.LittleEndian.Uint16(data[4:6]); v {
-	case codecVersionIndexOnly:
-		return data[codecHeaderSizeV1:], nil
-	case codecVersionNoManifest, CodecVersion:
-		if len(data) < codecHeaderSize {
-			return nil, fmt.Errorf("dexdump: bundle header truncated: %d bytes", len(data))
-		}
-		n := int(binary.LittleEndian.Uint32(data[24:28]))
-		if n > len(data)-codecHeaderSize {
-			return nil, fmt.Errorf("dexdump: index section claims %d bytes, %d remain", n, len(data)-codecHeaderSize)
-		}
-		return data[codecHeaderSize : codecHeaderSize+n], nil
-	default:
-		return nil, fmt.Errorf("dexdump: bundle version %d, want %d (or legacy %d/%d)",
-			v, CodecVersion, codecVersionIndexOnly, codecVersionNoManifest)
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != CodecVersion {
+		return fmt.Errorf("dexdump: bundle version %d, want %d", v, CodecVersion)
 	}
+	return nil
 }
 
-// DecodeIndexFile parses the index section of a bundle (or of a legacy
-// index-only file) and validates it against the dump text. A one-shard
-// section decodes to a plain *Index, a multi-shard section to a
-// *ShardedIndex. Any validation failure returns an error; the caller
-// rebuilds from the dump.
+// indexSection validates the header and returns the index payload,
+// without touching the later sections.
+func indexSection(data []byte) ([]byte, error) {
+	if err := checkHeader(data); err != nil {
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(data[24:28]))
+	if n > len(data)-codecHeaderSize {
+		return nil, fmt.Errorf("dexdump: index section claims %d bytes, %d remain", n, len(data)-codecHeaderSize)
+	}
+	return data[codecHeaderSize : codecHeaderSize+n], nil
+}
+
+// DecodeIndexFile parses the index section of a bundle and validates it
+// against the dump text. A one-shard section decodes to a plain *Index, a
+// multi-shard section to a *ShardedIndex. Any validation failure returns
+// an error; the caller rebuilds from the dump.
 func DecodeIndexFile(data []byte, t *Text) (Source, error) {
 	payload, err := indexSection(data)
 	if err != nil {
@@ -246,18 +226,10 @@ func DecodeIndexFile(data []byte, t *Text) (Source, error) {
 // its entire point — so it validates against itself and against the app:
 // the stored fingerprint must equal the caller's (computed from the app's
 // dex files), the payload CRC must match, and the decoded text must hash
-// back to the header's dump hash and line count. Legacy index-only files
-// have no dump section and always miss.
+// back to the header's dump hash and line count.
 func DecodeBundleDump(data []byte, fingerprint uint64) (*Text, error) {
-	if len(data) < codecHeaderSize {
-		return nil, fmt.Errorf("dexdump: bundle truncated: %d bytes", len(data))
-	}
-	if string(data[0:4]) != codecMagic {
-		return nil, fmt.Errorf("dexdump: bundle bad magic %q", data[0:4])
-	}
-	v := binary.LittleEndian.Uint16(data[4:6])
-	if v != CodecVersion && v != codecVersionNoManifest {
-		return nil, fmt.Errorf("dexdump: bundle version %d has no dump section", v)
+	if err := checkHeader(data); err != nil {
+		return nil, err
 	}
 	indexLen := int(binary.LittleEndian.Uint32(data[24:28]))
 	if indexLen > len(data)-codecHeaderSize-dumpSectionHeaderSize {
@@ -275,19 +247,15 @@ func DecodeBundleDump(data []byte, fingerprint uint64) (*Text, error) {
 		return nil, fmt.Errorf("dexdump: dump payload claims %d bytes, %d remain", n, len(sec)-dumpSectionHeaderSize)
 	}
 	payload := sec[dumpSectionHeaderSize : dumpSectionHeaderSize+n]
-	switch trailing := sec[dumpSectionHeaderSize+n:]; {
-	case v == codecVersionNoManifest && len(trailing) != 0:
-		return nil, fmt.Errorf("dexdump: bundle has %d trailing bytes", len(trailing))
-	case v == CodecVersion && len(trailing) < manifestSectionHeaderSize:
+	// Frame the manifest section so appended garbage still decodes as an
+	// error; its payload integrity is DecodeManifest's concern.
+	trailing := sec[dumpSectionHeaderSize+n:]
+	if len(trailing) < manifestSectionHeaderSize {
 		return nil, fmt.Errorf("dexdump: bundle has no room for a manifest section")
-	case v == CodecVersion:
-		// Frame the manifest section so appended garbage still decodes as
-		// an error; its payload integrity is DecodeManifest's concern.
-		mlen := int(binary.LittleEndian.Uint32(trailing[4:8]))
-		if len(trailing) != manifestSectionHeaderSize+mlen {
-			return nil, fmt.Errorf("dexdump: manifest section claims %d bytes, %d remain",
-				mlen, len(trailing)-manifestSectionHeaderSize)
-		}
+	}
+	if mlen := int(binary.LittleEndian.Uint32(trailing[4:8])); len(trailing) != manifestSectionHeaderSize+mlen {
+		return nil, fmt.Errorf("dexdump: manifest section claims %d bytes, %d remain",
+			mlen, len(trailing)-manifestSectionHeaderSize)
 	}
 	if crc := binary.LittleEndian.Uint32(sec[8:12]); crc != crc32.ChecksumIEEE(payload) {
 		return nil, fmt.Errorf("dexdump: dump payload CRC mismatch")
@@ -373,10 +341,7 @@ func LoadBundleDump(path string, fingerprint uint64) (*Text, error) {
 // and the total line count against the bundle header, so a manifest that
 // decodes ok is internally consistent with its bundle.
 func DecodeManifest(data []byte) (*Manifest, bool) {
-	if len(data) < codecHeaderSize || string(data[0:4]) != codecMagic {
-		return nil, false
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != CodecVersion {
+	if checkHeader(data) != nil {
 		return nil, false
 	}
 	indexLen := int(binary.LittleEndian.Uint32(data[24:28]))

@@ -3,7 +3,6 @@ package dexdump
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -167,7 +166,7 @@ func TestAppFingerprintDeterministicAndSensitive(t *testing.T) {
 }
 
 // indexPayloadBounds returns the [start,end) byte range of the index
-// payload in a v2 bundle.
+// payload in a bundle.
 func indexPayloadBounds(data []byte) (int, int) {
 	n := int(binary.LittleEndian.Uint32(data[24:28]))
 	return codecHeaderSize, codecHeaderSize + n
@@ -193,6 +192,12 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 		"bad magic":               corrupt(func(d []byte) []byte { d[0] = 'X'; return d }),
 		"version bump": corrupt(func(d []byte) []byte {
 			binary.LittleEndian.PutUint16(d[4:6], CodecVersion+1)
+			return d
+		}),
+		// An otherwise valid bundle labelled with a retired version is a
+		// miss like any other version mismatch, never a legacy decode.
+		"legacy version 2": corrupt(func(d []byte) []byte {
+			binary.LittleEndian.PutUint16(d[4:6], 2)
 			return d
 		}),
 		"stale hash": corrupt(func(d []byte) []byte { d[9] ^= 0xff; return d }),
@@ -330,7 +335,7 @@ func TestCodecBundleCorruptionFuzz(t *testing.T) {
 	}
 	// Truncation at every boundary and a sweep inside each section.
 	_, ipEnd := indexPayloadBounds(good)
-	cuts := []int{0, 3, codecHeaderSizeV1, codecHeaderSize, ipEnd - 1, ipEnd,
+	cuts := []int{0, 3, 24, codecHeaderSize, ipEnd - 1, ipEnd,
 		ipEnd + 7, ipEnd + dumpSectionHeaderSize, len(good) - 1}
 	for _, cut := range cuts {
 		if cut < 0 || cut > len(good) {
@@ -340,54 +345,6 @@ func TestCodecBundleCorruptionFuzz(t *testing.T) {
 	}
 	// Trailing garbage.
 	check("trailing", append(append([]byte(nil), good...), 0xAB))
-}
-
-// encodeLegacyIndexFile reproduces the PR 2 (version 1) index-only layout:
-// 24-byte header, index payload to EOF, no dump section.
-func encodeLegacyIndexFile(t *testing.T, text *Text, src Source) []byte {
-	t.Helper()
-	shards, err := shardsOf(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payload []byte
-	for _, sh := range shards {
-		payload = appendShard(payload, sh)
-	}
-	buf := make([]byte, codecHeaderSizeV1, codecHeaderSizeV1+len(payload))
-	copy(buf[0:4], codecMagic)
-	binary.LittleEndian.PutUint16(buf[4:6], codecVersionIndexOnly)
-	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(shards)))
-	binary.LittleEndian.PutUint64(buf[8:16], DumpHash(text))
-	binary.LittleEndian.PutUint32(buf[16:20], uint32(text.LineCount()))
-	binary.LittleEndian.PutUint32(buf[20:24], crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
-// TestCodecMixedVersion pins forward compatibility: an old index-only file
-// still serves its index section under the new decoder (upgrading the
-// binary never cold-starts existing caches), while its absent dump section
-// is a clean miss, and corrupting the legacy payload is still rejected.
-func TestCodecMixedVersion(t *testing.T) {
-	_, text := shardFixture(t)
-	sharded := BuildShardedIndex(text, PackagePrefixPlan(text, 3), 1)
-	legacy := encodeLegacyIndexFile(t, text, sharded)
-
-	dec, err := DecodeIndexFile(legacy, text)
-	if err != nil {
-		t.Fatalf("new decoder rejected a valid v1 index file: %v", err)
-	}
-	assertSameLookups(t, sharded, dec, "legacy")
-
-	if _, err := DecodeBundleDump(legacy, testFingerprint); err == nil {
-		t.Error("v1 file has no dump section; probe must miss")
-	}
-
-	corrupt := append([]byte(nil), legacy...)
-	corrupt[len(corrupt)-1] ^= 0x01
-	if _, err := DecodeIndexFile(corrupt, text); err == nil {
-		t.Error("corrupt v1 payload accepted")
-	}
 }
 
 func TestCodecStaleAgainstDifferentDump(t *testing.T) {

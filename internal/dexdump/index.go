@@ -55,12 +55,6 @@ type Source interface {
 	Lines() int
 	Postings() int
 	ShardCount() int
-	// TokenListLengths returns the total postings-list length of every
-	// distinct (token family, token) pair of the source — for a sharded
-	// source the per-shard lists of one token are summed, since a lookup
-	// visits them all. The order is unspecified; callers sort. The search
-	// layer derives per-app parallel-lookup gates from this distribution.
-	TokenListLengths() []int
 }
 
 func newIndex(lines int) *Index {
@@ -295,16 +289,3 @@ func (x *Index) Postings() int { return x.postings }
 
 // ShardCount returns 1: a single merged Index is one shard.
 func (x *Index) ShardCount() int { return 1 }
-
-// TokenListLengths returns the postings-list length of every token across
-// all token maps (families are distinct lookups, so their tokens count
-// separately even when the key strings collide).
-func (x *Index) TokenListLengths() []int {
-	var out []int
-	for _, m := range x.maps() {
-		for _, p := range *m {
-			out = append(out, len(p))
-		}
-	}
-	return out
-}

@@ -81,24 +81,6 @@ func TestManifestRoundtrip(t *testing.T) {
 	}
 }
 
-// TestManifestAbsentFromLegacyBundles pins the compatibility contract: a
-// pre-manifest bundle yields ok=false — the delta engine then silently
-// performs a full analysis — while its index still serves.
-func TestManifestAbsentFromLegacyBundles(t *testing.T) {
-	_, text := shardFixture(t)
-	idx := BuildShardedIndex(text, PackagePrefixPlan(text, 2), 1)
-	legacy := encodeLegacyIndexFile(t, text, idx)
-	if _, ok := DecodeManifest(legacy); ok {
-		t.Error("v1 index-only file claims a manifest")
-	}
-	if _, _, ok := ShardPayloads(legacy); ok {
-		t.Error("v1 index-only file yields shard payloads")
-	}
-	if _, err := DecodeIndexFile(legacy, text); err != nil {
-		t.Errorf("legacy index no longer decodes: %v", err)
-	}
-}
-
 // TestShardFingerprintsDedupAcrossVersions pins the cross-version
 // property of the shard store key: two versions differing in one class
 // share every shard fingerprint except the changed class's shard.

@@ -153,45 +153,18 @@ func BuildShardedIndex(t *Text, plan *ShardPlan, workers int) *ShardedIndex {
 	return &ShardedIndex{shards: shards, lines: len(t.lines)}
 }
 
-// lookup merges one postings list per shard, lazily at query time — the
-// sequential twin of LookupShards + MergeShardLists, sharing the merge so
-// the two paths cannot diverge.
+// lookup merges one postings list per shard (ascending, duplicate-free,
+// disjoint across shards) into one ascending list in shard order, lazily
+// at query time.
 func (x *ShardedIndex) lookup(get func(*Index) []int32) []int32 {
-	lists := make([][]int32, len(x.shards))
-	for i, sh := range x.shards {
-		lists[i] = get(sh)
-	}
-	return MergeShardLists(lists)
-}
-
-// LookupShards fetches one postings list per shard, fanning the per-shard
-// fetches out over a bounded worker pool (workers <= 1 fetches
-// sequentially). The lists come back indexed by shard — the same order the
-// sequential lazy lookup visits — so MergeShardLists over the result is
-// bitwise identical to lookup() for any worker count. This is the
-// wall-clock half of the parallel-lookup fast path; the caller charges the
-// simulated-time model (max per-shard list + merge critical path).
-func (x *ShardedIndex) LookupShards(get func(*Index) []int32, workers int) [][]int32 {
-	lists := make([][]int32, len(x.shards))
-	pool.ForEach(len(x.shards), workers, func(s int) error {
-		lists[s] = get(x.shards[s])
-		return nil
-	})
-	return lists
-}
-
-// MergeShardLists merges per-shard postings lists (ascending,
-// duplicate-free, disjoint across shards) into one ascending list in shard
-// order — deterministically, regardless of how the lists were fetched.
-func MergeShardLists(lists [][]int32) []int32 {
 	var merged []int32
-	first := true
-	for _, p := range lists {
+	for _, sh := range x.shards {
+		p := get(sh)
 		if len(p) == 0 {
 			continue
 		}
-		if first {
-			merged, first = p, false
+		if merged == nil {
+			merged = p
 			continue
 		}
 		merged = mergePostings(merged, p)
@@ -258,30 +231,6 @@ func (x *ShardedIndex) Postings() int {
 
 // ShardCount returns the number of shards.
 func (x *ShardedIndex) ShardCount() int { return len(x.shards) }
-
-// TokenListLengths returns the per-token total postings-list lengths of
-// the sharded index: a lookup for one token visits its list in every
-// shard, so the per-shard lengths of one (family, token) pair are summed.
-func (x *ShardedIndex) TokenListLengths() []int {
-	if len(x.shards) == 0 {
-		return nil
-	}
-	// Family maps are in the fixed codec order on every shard, so the
-	// family index disambiguates colliding key strings across maps.
-	totals := make(map[string]int)
-	for _, sh := range x.shards {
-		for fi, m := range sh.maps() {
-			for token, p := range *m {
-				totals[string(rune('0'+fi))+token] += len(p)
-			}
-		}
-	}
-	out := make([]int, 0, len(totals))
-	for _, n := range totals {
-		out = append(out, n)
-	}
-	return out
-}
 
 // Shard returns shard i (for the codec and tests).
 func (x *ShardedIndex) Shard(i int) *Index { return x.shards[i] }

@@ -20,10 +20,9 @@
 //
 //   - ClassNeutral: the field moves work between cache layers or wires
 //     control-plane callbacks and provably cannot change the report:
-//     warm-start seams (IndexCacheDir, DumpProvider, Bundles) and
-//     shard-parallel lookups are pinned bitwise-identical by the CI
-//     parity matrix; Cancel/Heartbeat/SinkObserver only abort or
-//     observe;
+//     the warm-start seams (IndexCacheDir, Bundles) are pinned
+//     bitwise-identical by the CI parity matrix; Cancel/Heartbeat/
+//     SinkObserver only abort or observe;
 //     DeltaFrom's incremental reuse is pinned bitwise-identical to a
 //     cold run by the five delta guards and the BENCH_delta gate, and
 //     the scheduler keys settled lookups before injecting a delta base,
@@ -76,18 +75,15 @@ var OptionsFingerprintFields = map[string]FingerprintClass{
 	"MaxDepth":              ClassHashed,
 	"TimeoutMinutes":        ClassHashed,
 
-	"IndexCacheDir":       ClassNeutral,
-	"DumpProvider":        ClassNeutral,
-	"Bundles":             ClassNeutral,
-	"ParallelLookups":     ClassNeutral,
-	"AutoParallelLookups": ClassNeutral,
-	"Cancel":              ClassNeutral,
-	"Heartbeat":           ClassNeutral,
-	"SinkObserver":        ClassNeutral,
-	"DeltaFrom":           ClassNeutral,
-	"SinkChunk":           ClassNeutral,
-	"ChunkRange":          ClassNeutral,
-	"SinkProgress":        ClassNeutral,
+	"IndexCacheDir": ClassNeutral,
+	"Bundles":       ClassNeutral,
+	"Cancel":        ClassNeutral,
+	"Heartbeat":     ClassNeutral,
+	"SinkObserver":  ClassNeutral,
+	"DeltaFrom":     ClassNeutral,
+	"SinkChunk":     ClassNeutral,
+	"ChunkRange":    ClassNeutral,
+	"SinkProgress":  ClassNeutral,
 	// Observability hooks only watch charged-unit boundaries the engine
 	// reaches anyway; they never charge and never touch a verdict — the
 	// trace-parity test pins a traced run's report bitwise-identical to

@@ -5,15 +5,9 @@ import (
 	"testing"
 
 	"backdroid/internal/android"
-	"backdroid/internal/apk"
 	"backdroid/internal/bcsearch"
 	"backdroid/internal/core"
-	"backdroid/internal/dexdump"
 )
-
-type stubDumpProvider struct{}
-
-func (stubDumpProvider) ProvideDump(app *apk.App) (*dexdump.Text, bool) { return nil, false }
 
 // fingerprintMutators changes exactly one core.Options field per entry,
 // to a value observably different from core.DefaultOptions(). The
@@ -37,20 +31,17 @@ var fingerprintMutators = map[string]func(o *core.Options){
 	"MaxDepth":              func(o *core.Options) { o.MaxDepth += 7 },
 	"TimeoutMinutes":        func(o *core.Options) { o.TimeoutMinutes += 1.5 },
 
-	"IndexCacheDir":       func(o *core.Options) { o.IndexCacheDir = "/somewhere/else" },
-	"DumpProvider":        func(o *core.Options) { o.DumpProvider = stubDumpProvider{} },
-	"Bundles":             func(o *core.Options) { o.Bundles = NewBundleStore(0) },
-	"ParallelLookups":     func(o *core.Options) { o.ParallelLookups = !o.ParallelLookups },
-	"AutoParallelLookups": func(o *core.Options) { o.AutoParallelLookups = !o.AutoParallelLookups },
-	"Cancel":              func(o *core.Options) { o.Cancel = func() bool { return false } },
-	"Heartbeat":           func(o *core.Options) { o.Heartbeat = func(int64) bool { return false } },
-	"SinkObserver":        func(o *core.Options) { o.SinkObserver = func(*core.SinkReport) {} },
-	"DeltaFrom":           func(o *core.Options) { o.DeltaFrom = &core.DeltaBase{Fingerprint: 1} },
-	"SinkChunk":           func(o *core.Options) { o.SinkChunk += 5 },
-	"ChunkRange":          func(o *core.Options) { o.ChunkRange = &core.ChunkRange{From: 0, To: 3} },
-	"SinkProgress":        func(o *core.Options) { o.SinkProgress = func(int, int) bool { return false } },
-	"PhaseSpan":           func(o *core.Options) { o.PhaseSpan = func(string, int, int64, int64) {} },
-	"MeterCheckpoint":     func(o *core.Options) { o.MeterCheckpoint = func(int64, int64) {} },
+	"IndexCacheDir":   func(o *core.Options) { o.IndexCacheDir = "/somewhere/else" },
+	"Bundles":         func(o *core.Options) { o.Bundles = NewBundleStore(0) },
+	"Cancel":          func(o *core.Options) { o.Cancel = func() bool { return false } },
+	"Heartbeat":       func(o *core.Options) { o.Heartbeat = func(int64) bool { return false } },
+	"SinkObserver":    func(o *core.Options) { o.SinkObserver = func(*core.SinkReport) {} },
+	"DeltaFrom":       func(o *core.Options) { o.DeltaFrom = &core.DeltaBase{Fingerprint: 1} },
+	"SinkChunk":       func(o *core.Options) { o.SinkChunk += 5 },
+	"ChunkRange":      func(o *core.Options) { o.ChunkRange = &core.ChunkRange{From: 0, To: 3} },
+	"SinkProgress":    func(o *core.Options) { o.SinkProgress = func(int, int) bool { return false } },
+	"PhaseSpan":       func(o *core.Options) { o.PhaseSpan = func(string, int, int64, int64) {} },
+	"MeterCheckpoint": func(o *core.Options) { o.MeterCheckpoint = func(int64, int64) {} },
 }
 
 // TestOptionsFingerprintClassProperty is the field-by-field soundness

@@ -1673,10 +1673,15 @@ func (s *Scheduler) analyze(st *jobState, node, attempt int) (*JobResult, *chunk
 					name:       res.Name,
 				}
 				s.mu.Lock()
-				if st.chunk == nil {
-					s.chunkJobs++
+				// A fenced node's stale attempt can get here after the
+				// job already settled; counting it then would leak
+				// chunkJobs (finish never runs again) and wedge Close.
+				if !st.settled {
+					if st.chunk == nil {
+						s.chunkJobs++
+					}
+					st.chunk = cs
 				}
-				st.chunk = cs
 				s.mu.Unlock()
 				stRef, csRef := st, cs
 				o.SinkProgress = func(next, total int) bool {

@@ -7,7 +7,8 @@
 //
 // Absolute times on a synthetic substrate are meaningless; ratios and
 // distribution shapes (speedup factors, timeout rates, histogram buckets)
-// are calibration-independent, which is what EXPERIMENTS.md compares.
+// are calibration-independent, which is what cmd/benchrun's
+// paper-vs-measured tables compare (DESIGN.md Sec. 5 has the constants).
 package simtime
 
 import (
@@ -71,13 +72,6 @@ const (
 	// on-disk dump-cache load rate. The batch service charges this for every
 	// re-analysis of a known app fingerprint.
 	BundleStoreLoadLinesPerUnit = 800
-
-	// ParallelLookupOverheadUnits is the fixed fan-out coordination cost of
-	// one shard-parallel postings lookup: dispatching the per-shard fetches
-	// to the worker pool and collecting the lists back in shard order. Flat
-	// (never per shard) so tiny shard counts are not penalized; the gate
-	// that only hot tokens fan out keeps the overhead amortized.
-	ParallelLookupOverheadUnits = 1
 
 	// CancelCheckpointUnits is how often a meter with a cancellation poll
 	// installed re-checks it: at most this many units of work are charged
@@ -426,20 +420,6 @@ func (m *Meter) ChargeSteal() error {
 // entirely.
 func (m *Meter) ChargeSettledLookup() error {
 	return m.Charge(SettledLookupUnits)
-}
-
-// ChargeParallelLookup charges for a shard-parallel postings lookup whose
-// largest per-shard list holds maxShardPostings entries. The per-shard
-// fetches run concurrently, so the visit charge is the critical path (the
-// hottest shard) plus a flat fan-out overhead; the cross-shard merge is
-// charged separately via ChargeShardMerge, exactly as on the lazy
-// sequential path. The charge depends only on postings sizes — never on
-// worker count — so simulated time stays deterministic.
-func (m *Meter) ChargeParallelLookup(maxShardPostings int) error {
-	if err := m.Charge(ParallelLookupOverheadUnits); err != nil {
-		return err
-	}
-	return m.ChargePostings(maxShardPostings)
 }
 
 // ChargePostings charges for visiting n inverted-index postings.

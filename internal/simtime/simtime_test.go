@@ -268,30 +268,6 @@ func TestChargeBundleStoreLoad(t *testing.T) {
 	}
 }
 
-func TestChargeParallelLookup(t *testing.T) {
-	// Fanning out must never charge more than visiting the same postings
-	// sequentially would, once the lists are big enough to matter.
-	const perShard, shards = 4000, 4
-	seq := NewMeter()
-	if err := seq.ChargePostings(perShard * shards); err != nil {
-		t.Fatal(err)
-	}
-	par := NewMeter()
-	if err := par.ChargeParallelLookup(perShard); err != nil {
-		t.Fatal(err)
-	}
-	if par.Units() >= seq.Units() {
-		t.Errorf("parallel lookup charged %d units, sequential visit %d — fan-out must be cheaper on hot tokens",
-			par.Units(), seq.Units())
-	}
-	// The budget still applies to the fan-out overhead itself.
-	m := NewMeterWithTimeout(UnitsToMinutes(0))
-	m.SetBudget(1)
-	if err := m.ChargeParallelLookup(1 << 20); err != ErrTimeout {
-		t.Errorf("exhausted budget should abort the parallel lookup, got %v", err)
-	}
-}
-
 // TestCancelCheckpoint pins the cooperative-cancellation contract: once
 // the poll turns true, Charge fails within one checkpoint
 // (CancelCheckpointUnits of additional work), the cancellation latches,
