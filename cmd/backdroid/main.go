@@ -68,7 +68,6 @@ import (
 	"backdroid/internal/apk"
 	"backdroid/internal/bcsearch"
 	"backdroid/internal/core"
-	"backdroid/internal/dexdump"
 	"backdroid/internal/faultinject"
 	"backdroid/internal/obs"
 	"backdroid/internal/pool"
@@ -352,7 +351,7 @@ func runDelta(paths []string, cfg config, opts core.Options, store *service.Bund
 		if err != nil {
 			return err
 		}
-		fp := dexdump.AppFingerprint(app.Dexes)
+		fp := app.Fingerprint()
 		o := opts
 		traceEngine(&o, trace, int64(i+1))
 		if prev != nil && prev.Fingerprint != fp {
@@ -389,7 +388,7 @@ func analyze(path string, opts core.Options, store *service.BundleStore) (*core.
 		// scheduler: with the same app listed twice and workers > 1, the
 		// first analysis performs the only cold build and the second
 		// waits, then runs fully warm off the shared entry.
-		fp := dexdump.AppFingerprint(app.Dexes)
+		fp := app.Fingerprint()
 		if !store.Contains(fp) {
 			release := store.LockFingerprint(fp)
 			defer release()

@@ -189,18 +189,23 @@ func TestServeCrashRecoveryParity(t *testing.T) {
 	jdir := t.TempDir()
 	cfg := config{workers: 1, storeBudget: -1, backend: "sharded", stats: true}
 
+	// The three submissions are one app, so whichever job runs first is
+	// the cold analysis and the other two are settled hits. Both runs
+	// therefore hold jobs 2 and 3 back until job 1's done line, which
+	// fixes job 1 as the cold one in every life.
+	first := fmt.Sprintf("submit %s\n", path)
+	rest := fmt.Sprintf("submit tenant=acme %s\nsubmit %s\n", path, path)
+
 	// Reference: uninterrupted run over its own journal.
 	refCfg := cfg
 	refCfg.journalDir = t.TempDir()
-	script := fmt.Sprintf("submit %s\nsubmit tenant=acme %s\nsubmit %s\nquit\n", path, path, path)
-	want := resultLines(serveLines(t, script, refCfg))
+	want := resultLines(serveAfterFirstDone(t, first, rest+"quit\n", refCfg))
 	sort.Strings(want)
 
 	// Life 1: same submissions, then die without draining.
 	crashCfg := cfg
 	crashCfg.journalDir = jdir
-	crashScript := fmt.Sprintf("submit %s\nsubmit tenant=acme %s\nsubmit %s\ndie\n", path, path, path)
-	life1 := serveLines(t, crashScript, crashCfg)
+	life1 := serveAfterFirstDone(t, first, rest+"die\n", crashCfg)
 
 	// Life 2: restart over the journal; the startup replay re-enqueues
 	// the abandoned jobs under their original ids.
@@ -224,6 +229,32 @@ func TestServeCrashRecoveryParity(t *testing.T) {
 	if got := grepLines(life3, `^stats journal records=\d+ bytes=\d+ pending=0 `); len(got) == 0 {
 		t.Fatalf("missing journal stats line:\n%s", strings.Join(life3, "\n"))
 	}
+}
+
+// serveAfterFirstDone runs serve on first, waits for job 1's done line,
+// then feeds rest and returns the whole output.
+func serveAfterFirstDone(t *testing.T, first, rest string, cfg config) []string {
+	t.Helper()
+	w := &notifyWriter{pattern: regexp.MustCompile(`(?m)^done id=1 `), signal: make(chan struct{})}
+	pr, pw := io.Pipe()
+	errc := make(chan error, 1)
+	go func() { errc <- serve(pr, w, cfg) }()
+	if _, err := io.WriteString(pw, first); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-w.signal:
+	case err := <-errc:
+		t.Fatalf("serve exited before job 1 finished: %v\noutput:\n%s", err, strings.Join(w.lines(), "\n"))
+	}
+	if _, err := io.WriteString(pw, rest); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if err := <-errc; err != nil {
+		t.Fatalf("serve: %v\noutput:\n%s", err, strings.Join(w.lines(), "\n"))
+	}
+	return w.lines()
 }
 
 // TestServeRecoverWithoutJournal pins the protocol error.

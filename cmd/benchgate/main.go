@@ -76,7 +76,6 @@ import (
 	"backdroid/internal/appgen"
 	"backdroid/internal/bcsearch"
 	"backdroid/internal/core"
-	"backdroid/internal/dexdump"
 	"backdroid/internal/experiments"
 	"backdroid/internal/faultinject"
 	"backdroid/internal/obs"
@@ -1455,7 +1454,7 @@ func measureDelta(seed int64) (DeltaReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		fp := dexdump.AppFingerprint(base.Dexes)
+		fp := base.Fingerprint()
 		bundle, ok := store.GetBundle(fp)
 		if !ok {
 			return rep, fmt.Errorf("delta leg %q: base bundle missing from store", m)

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"backdroid/internal/dex"
 	"backdroid/internal/manifest"
@@ -24,11 +25,37 @@ type App struct {
 	Name     string // market-style identifier, e.g. "com.lge.app1"
 	Manifest *manifest.Manifest
 	Dexes    []*dex.File
+
+	fpOnce sync.Once // guards fp and dexBytes (see Fingerprint)
+	fp     uint64
+	// dexBytes holds each classesN.dex entry as read by Read, in Dexes
+	// order, until Fingerprint hashes and releases them; nil for apps
+	// built with New.
+	dexBytes [][]byte
 }
 
 // New builds an app from a manifest and dex files.
 func New(name string, m *manifest.Manifest, dexes ...*dex.File) *App {
 	return &App{Name: name, Manifest: m, Dexes: dexes}
+}
+
+// Fingerprint returns the app's content fingerprint, dex.Fingerprint of
+// its encoded dex files — the same value as dexdump.AppFingerprint(Dexes).
+// It is computed once: an app read from a container hashes the dex bytes
+// as read and then lets go of them; an app built with New encodes its dex
+// files on the first call, so it must not be modified after that call.
+func (a *App) Fingerprint() uint64 {
+	a.fpOnce.Do(func() {
+		encoded := a.dexBytes
+		if encoded == nil {
+			for _, d := range a.Dexes {
+				encoded = append(encoded, dex.Encode(d))
+			}
+		}
+		a.fp = dex.Fingerprint(encoded)
+		a.dexBytes = nil
+	})
+	return a.fp
 }
 
 // MergedDex merges the multidex files into a single dex view — the
@@ -160,6 +187,7 @@ func Read(name string, r io.ReaderAt, size int64) (*App, error) {
 			return nil, fmt.Errorf("apk: %s: %w", de.file.Name, err)
 		}
 		app.Dexes = append(app.Dexes, d)
+		app.dexBytes = append(app.dexBytes, data)
 	}
 	return app, nil
 }

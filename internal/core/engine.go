@@ -515,7 +515,7 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		cachePath = dexdump.CachePath(opts.IndexCacheDir, app.Name)
 	}
 	if opts.IndexCacheDir != "" || opts.Bundles != nil {
-		fingerprint = dexdump.AppFingerprint(app.Dexes)
+		fingerprint = app.Fingerprint()
 	}
 	if opts.Bundles != nil {
 		if data, ok := opts.Bundles.GetBundle(fingerprint); ok && len(data) != 0 {

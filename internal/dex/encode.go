@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 )
 
 // Binary container format ("GDEX"): a compact dex-like serialization with a
@@ -86,6 +87,26 @@ func (e *encoder) instruction(in *Instruction) {
 		e.varint(int64(a))
 	}
 	e.varint(int64(in.Target))
+}
+
+// Fingerprint hashes the encoded dex files of an app: FNV-64a over the
+// file count, then each file's size and bytes. It is the app identity
+// every content-addressed store keys on (see dexdump.AppFingerprint and
+// apk.App.Fingerprint). 0 is reserved for "unknown" and never returned.
+func Fingerprint(encoded [][]byte) uint64 {
+	h := fnv.New64a()
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(encoded)))
+	h.Write(n[:])
+	for _, b := range encoded {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
+		h.Write(n[:])
+		h.Write(b)
+	}
+	if fp := h.Sum64(); fp != 0 {
+		return fp
+	}
+	return 1
 }
 
 // Encode serializes the dex file to its binary form.

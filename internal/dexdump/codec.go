@@ -60,36 +60,33 @@ const (
 const CacheFileExt = ".bdx"
 
 // DumpHash returns the FNV-64a content hash of the dump text — the
-// staleness check of the persistent cache.
+// staleness check of the persistent cache. A Text is immutable, so the
+// hash is computed once and memoized: a bundle-store hit validates the
+// same text in DecodeBundleDump and again in DecodeIndexFile.
 func DumpHash(t *Text) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(t.full))
-	return h.Sum64()
+	t.hashOnce.Do(func() {
+		h := fnv.New64a()
+		h.Write([]byte(t.full))
+		t.hash = h.Sum64()
+	})
+	return t.hash
 }
 
-// AppFingerprint hashes the encoded dex files of an app (FNV-64a over
-// count, sizes and bytes). It is the staleness check of the bundle's dump
-// section: unlike DumpHash it can be computed without disassembling, which
-// is what lets a warm engine run validate a cached dump before — instead
-// of — rendering one. Encoding is deterministic, so the fingerprint is
-// stable across runs and machines. 0 is reserved for "unknown" and never
-// matches.
+// AppFingerprint hashes the encoded dex files of an app (dex.Fingerprint:
+// FNV-64a over count, sizes and bytes). It is the staleness check of the
+// bundle's dump section: unlike DumpHash it can be computed without
+// disassembling, which is what lets a warm engine run validate a cached
+// dump before — instead of — rendering one. Encoding is deterministic, so
+// the fingerprint is stable across runs and machines. 0 is reserved for
+// "unknown" and never matches. Jobs call apk.App.Fingerprint instead,
+// which hashes the dex bytes as read once per app and yields the same
+// value.
 func AppFingerprint(dexes []*dex.File) uint64 {
-	h := fnv.New64a()
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(dexes)))
-	h.Write(n[:])
-	for _, d := range dexes {
-		b := dex.Encode(d)
-		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
-		h.Write(n[:])
-		h.Write(b)
+	encoded := make([][]byte, len(dexes))
+	for i, d := range dexes {
+		encoded[i] = dex.Encode(d)
 	}
-	fp := h.Sum64()
-	if fp == 0 {
-		fp = 1
-	}
-	return fp
+	return dex.Fingerprint(encoded)
 }
 
 // shardsOf flattens a Source into its shard list.
@@ -320,16 +317,6 @@ func LoadIndexCache(path string, t *Text) (Source, error) {
 		return nil, err
 	}
 	return DecodeIndexFile(data, t)
-}
-
-// LoadBundleDump reads a bundle and validates + reconstructs its dump
-// section for the app with the given fingerprint.
-func LoadBundleDump(path string, fingerprint uint64) (*Text, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBundleDump(data, fingerprint)
 }
 
 // DecodeManifest parses and validates the shard-manifest section of a

@@ -3,8 +3,10 @@ package dexdump
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"backdroid/internal/dex"
@@ -360,6 +362,61 @@ func TestCodecStaleAgainstDifferentDump(t *testing.T) {
 	}
 }
 
+// TestDumpHashMemoKeepsIndexChecks pins that memoizing DumpHash removed
+// no validation: once a successful DecodeBundleDump has hashed the text,
+// DecodeIndexFile still compares the header's dump hash, line count and
+// CRC against it.
+func TestDumpHashMemoKeepsIndexChecks(t *testing.T) {
+	_, text := shardFixture(t)
+	good, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeBundleDump(good, testFingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeIndexFile(good, dec); err != nil {
+		t.Fatalf("good bundle rejected: %v", err)
+	}
+	corrupt := map[string]func(b []byte){
+		"dump hash":  func(b []byte) { b[8] ^= 0x01 },
+		"line count": func(b []byte) { binary.LittleEndian.PutUint32(b[16:20], uint32(dec.LineCount()+1)) },
+		"index crc":  func(b []byte) { b[20] ^= 0x01 },
+	}
+	for name, mutate := range corrupt {
+		bad := append([]byte(nil), good...)
+		mutate(bad)
+		if _, err := DecodeIndexFile(bad, dec); err == nil {
+			t.Errorf("%s: wrong header accepted against an already-hashed dump", name)
+		}
+	}
+}
+
+// TestDumpHashConcurrent asks several goroutines at once for the hash of
+// one text, as engines sharing a decoded dump do.
+func TestDumpHashConcurrent(t *testing.T) {
+	_, text := shardFixture(t)
+	h := fnv.New64a()
+	h.Write([]byte(text.full))
+	want := h.Sum64()
+	got := make([]uint64, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = DumpHash(text)
+		}()
+	}
+	wg.Wait()
+	for i, v := range got {
+		if v != want {
+			t.Errorf("goroutine %d: DumpHash = %#x, want FNV-64a %#x", i, v, want)
+		}
+	}
+}
+
 func TestWriteLoadBundle(t *testing.T) {
 	_, text := shardFixture(t)
 	sharded := BuildShardedIndex(text, PackagePrefixPlan(text, 2), 1)
@@ -373,7 +430,11 @@ func TestWriteLoadBundle(t *testing.T) {
 	}
 	assertSameLookups(t, sharded, dec, "file roundtrip")
 
-	dump, err := LoadBundleDump(path, testFingerprint)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump, err := DecodeBundleDump(data, testFingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +452,7 @@ func TestWriteLoadBundle(t *testing.T) {
 	if _, err := LoadIndexCache(filepath.Join(t.TempDir(), "missing.bdx"), text); err == nil {
 		t.Error("loading a missing bundle must error")
 	}
-	if _, err := LoadBundleDump(filepath.Join(t.TempDir(), "missing.bdx"), testFingerprint); err == nil {
+	if _, err := DecodeBundleDump(nil, testFingerprint); err == nil {
 		t.Error("probing a missing bundle must error")
 	}
 }

@@ -8,6 +8,7 @@ package dexdump
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"backdroid/internal/dex"
 )
@@ -21,6 +22,9 @@ type Text struct {
 	methods      []dex.MethodRef
 	spans        []ClassSpan
 	full         string
+
+	hashOnce sync.Once // guards hash (see DumpHash)
+	hash     uint64
 }
 
 // ClassSpan is the contiguous line range one class occupies in the dump.

@@ -9,7 +9,6 @@ import (
 
 	"backdroid/internal/apk"
 	"backdroid/internal/core"
-	"backdroid/internal/dexdump"
 	"backdroid/internal/faultinject"
 	"backdroid/internal/obs"
 	"backdroid/internal/service/journal"
@@ -1585,7 +1584,7 @@ func (s *Scheduler) analyze(st *jobState, node, attempt int) (*JobResult, *chunk
 		}
 		var fp uint64
 		if store != nil || s.cfg.Reports != nil {
-			fp = dexdump.AppFingerprint(app.Dexes)
+			fp = app.Fingerprint()
 		}
 		// Settled-result fast path. The key is taken before the delta
 		// base, bundle cache or observer wiring is injected — all
