@@ -2,6 +2,7 @@ package bcsearch
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"backdroid/internal/dexdump"
@@ -74,17 +75,19 @@ func NewSearcher(text *dexdump.Text, cfg Config) Searcher {
 	if cfg.Backend == BackendLinear {
 		return NewLinearScanner(text, cfg.Meter)
 	}
-	s := NewIndexedSearcher(text, cfg.Meter)
-	s.kind = cfg.Backend
-	s.cachePath = cfg.CachePath
-	s.bundleBytes = cfg.BundleBytes
-	s.buildWorkers = cfg.BuildWorkers
-	s.fingerprint = cfg.AppFingerprint
-	s.refreshBundle = cfg.RefreshBundle
-	s.storeBundle = cfg.StoreBundle
-	s.deltaBuild = cfg.DeltaBuild
-	s.deltaLines = cfg.DeltaIndexLines
-	s.deltaReuseLines = cfg.DeltaReuseIndexLines
+	s := &IndexedSearcher{
+		text:            text,
+		meter:           cfg.Meter,
+		kind:            cfg.Backend,
+		cachePath:       cfg.CachePath,
+		bundleBytes:     cfg.BundleBytes,
+		fingerprint:     cfg.AppFingerprint,
+		refreshBundle:   cfg.RefreshBundle,
+		storeBundle:     cfg.StoreBundle,
+		deltaBuild:      cfg.DeltaBuild,
+		deltaLines:      cfg.DeltaIndexLines,
+		deltaReuseLines: cfg.DeltaReuseIndexLines,
+	}
 	if cfg.Backend == BackendSharded {
 		s.plan = cfg.Plan
 		if s.plan == nil {
@@ -161,10 +164,10 @@ func scanAll(text *dexdump.Text, meter *simtime.Meter, cmd Command) ([]Hit, Cost
 // text: each command touches only its postings list, O(hits) instead of
 // O(lines). The index is acquired lazily on the first indexable command —
 // loaded from the persistent cache when one is configured and valid,
-// otherwise built (as a single merged index, or as per-shard indexes
-// constructed concurrently when a shard plan is set) and charged to the
-// meter then, so apps that are never searched pay nothing. Raw substring
-// commands cannot be indexed and fall back to a full scan.
+// otherwise built (one shard, or the shard plan's shards constructed
+// concurrently) and charged to the meter then, so apps that are never
+// searched pay nothing. Raw substring commands cannot be indexed and fall
+// back to a full scan.
 //
 // An IndexedSearcher is not safe for concurrent use — like the Engine on
 // top of it, it is a per-app object (the corpus pipeline gives every
@@ -173,13 +176,12 @@ func scanAll(text *dexdump.Text, meter *simtime.Meter, cmd Command) ([]Hit, Cost
 type IndexedSearcher struct {
 	text  *dexdump.Text
 	meter *simtime.Meter
-	src   dexdump.Source
+	src   *dexdump.Index
 
 	kind            BackendKind
 	plan            *dexdump.ShardPlan // non-nil selects a sharded build
 	cachePath       string             // non-empty enables the persistent cache
 	bundleBytes     []byte             // pre-read bundle content (avoids a second read)
-	buildWorkers    int                // shard build concurrency (wall-clock only)
 	fingerprint     uint64             // app fingerprint stored in written bundles
 	refreshBundle   bool               // rewrite the bundle even on an index cache hit
 	storeBundle     func(data []byte)  // in-memory bundle store capture seam
@@ -192,12 +194,6 @@ type IndexedSearcher struct {
 // backend is selected without an explicit plan. Fixed (never derived from
 // the machine) so simulated time stays deterministic.
 const DefaultShards = 4
-
-// NewIndexedSearcher builds the single-index backend; the index itself is
-// built lazily. Use NewSearcher to configure sharding and caching.
-func NewIndexedSearcher(text *dexdump.Text, meter *simtime.Meter) *IndexedSearcher {
-	return &IndexedSearcher{text: text, meter: meter, kind: BackendIndexed}
-}
 
 // Kind identifies the backend.
 func (s *IndexedSearcher) Kind() BackendKind { return s.kind }
@@ -213,7 +209,7 @@ func (s *IndexedSearcher) Run(cmd Command) ([]Hit, Cost, error) {
 			return nil, cost, err
 		}
 	}
-	candidates := s.lookup(cmd)
+	candidates := LookupCandidates(s.src, cmd)
 	cost.Postings = int64(len(candidates))
 	if err := s.meter.ChargePostings(len(candidates)); err != nil {
 		return nil, cost, err
@@ -262,11 +258,9 @@ func (s *IndexedSearcher) acquire(cost *Cost) error {
 	if err := s.chargeBuild(); err != nil {
 		return err
 	}
-	if s.plan != nil {
-		s.src = dexdump.BuildShardedIndex(s.text, s.plan, s.buildWorkers)
-	} else {
-		s.src = dexdump.BuildIndex(s.text)
-	}
+	// Shards tokenize concurrently; the index is identical for any
+	// worker count, so only wall-clock time depends on the machine.
+	s.src = dexdump.BuildShardedIndex(s.text, s.plan, runtime.NumCPU())
 	cost.IndexBuilt = true
 	cost.Shards = s.src.ShardCount()
 	s.publishBundle()
@@ -328,7 +322,7 @@ func (s *IndexedSearcher) publishBundle() {
 // loadCachedIndex decodes the bundle's index section — from the bytes the
 // engine already read for its dump probe when available, from disk
 // otherwise.
-func (s *IndexedSearcher) loadCachedIndex() (dexdump.Source, error) {
+func (s *IndexedSearcher) loadCachedIndex() (*dexdump.Index, error) {
 	if len(s.bundleBytes) != 0 {
 		return dexdump.DecodeIndexFile(s.bundleBytes, s.text)
 	}
@@ -347,18 +341,13 @@ func (s *IndexedSearcher) wantShards() int {
 	return 1
 }
 
-// lookup maps the command to its postings list.
-func (s *IndexedSearcher) lookup(cmd Command) []int32 {
-	return LookupCandidates(s.src, cmd)
-}
-
 // LookupCandidates maps a command to its candidate postings in the given
-// source — the single lookup shared by the indexed backend and the core
+// index — the single lookup shared by the indexed backend and the core
 // engine's delta replay probe (which resolves a prior run's recorded
 // commands against a partial index over just the changed classes).
 // Candidates over-approximate; callers verify each line against
 // cmd.Match. CmdRaw has no postings and returns nil.
-func LookupCandidates(src dexdump.Source, cmd Command) []int32 {
+func LookupCandidates(src *dexdump.Index, cmd Command) []int32 {
 	switch cmd.Kind {
 	case CmdInvoke:
 		return src.InvokeBySig(cmd.Arg)

@@ -45,7 +45,7 @@ type Stats struct {
 	IndexLines      int64
 
 	// Sharded-index and persistent-cache accounting. ShardCount is the
-	// shard count of the acquired index (1 for the single merged index, 0
+	// shard count of the acquired index (1 for the unsharded index, 0
 	// until an index exists). MergedPostings counts postings streamed
 	// through lazy cross-shard merges. IndexCacheHits/IndexCacheMisses
 	// count persistent-cache probes: a hit replaces the tokenization pass
@@ -80,10 +80,6 @@ type Config struct {
 	// per classesN.dex of the app. Nil with BackendSharded falls back to
 	// DefaultShards package-prefix shards. Ignored by other backends.
 	Plan *dexdump.ShardPlan
-	// BuildWorkers bounds how many shards are tokenized concurrently
-	// during a sharded build; <= 1 builds sequentially. Affects wall
-	// clock only — charged work and results are identical for any value.
-	BuildWorkers int
 	// CachePath, when non-empty, enables the persistent bundle cache: the
 	// built index (and the dump text) is serialized there and later
 	// engines over the same dump load it instead of re-tokenizing.

@@ -131,7 +131,7 @@ func TestBackendParityOnGeneratedCorpus(t *testing.T) {
 			for _, shards := range []int{1, 2, 3, 7} {
 				plan := dexdump.PackagePrefixPlan(text, shards)
 				variants[fmt.Sprintf("sharded-%d", shards)] = NewEngine(text, Config{
-					Meter: simtime.NewMeter(), Backend: BackendSharded, Plan: plan, BuildWorkers: 2,
+					Meter: simtime.NewMeter(), Backend: BackendSharded, Plan: plan,
 				})
 			}
 			// Warm-bundle variants: the index loads from a pre-written
@@ -143,7 +143,7 @@ func TestBackendParityOnGeneratedCorpus(t *testing.T) {
 					t.Fatal(err)
 				}
 				variants[fmt.Sprintf("bundle-%d", shards)] = NewEngine(text, Config{
-					Meter: simtime.NewMeter(), Backend: BackendSharded, Plan: plan, BuildWorkers: 2,
+					Meter: simtime.NewMeter(), Backend: BackendSharded, Plan: plan,
 					CachePath: path,
 				})
 			}

@@ -16,7 +16,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"backdroid/internal/android"
@@ -685,6 +684,7 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		Meter:          meter,
 		Backend:        opts.SearchBackend,
 		EnableCache:    opts.EnableSearchCache,
+		Plan:           plan,
 		CachePath:      cachePath,
 		BundleBytes:    bundleBytes,
 		AppFingerprint: fingerprint,
@@ -699,10 +699,6 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		// never change).
 		store, fp := opts.Bundles, fingerprint
 		searchCfg.StoreBundle = func(data []byte) { store.PutBundle(fp, data) }
-	}
-	if plan != nil {
-		searchCfg.Plan = plan
-		searchCfg.BuildWorkers = runtime.NumCPU()
 	}
 	if e.deltaDiff != nil {
 		// Index-build charge follows the same delta model as the dump:

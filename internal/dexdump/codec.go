@@ -21,12 +21,13 @@ import (
 //	offset  size  field
 //	0       4     magic "BDIX"
 //	4       2     codec version (little endian)
-//	6       2     shard count
+//	6       2     shard count (1..65535)
 //	8       8     FNV-64a content hash of the full dump text
 //	16      4     dump line count
 //	20      4     IEEE CRC-32 of the index payload
 //	24      4     index payload length
-//	28      ...   index payload: per shard, every postings map and side list
+//	28      ...   index payload: per Index shard, in shard order, its
+//	              lines/postings counters, nine postings maps, four side lists
 //	...     8     app fingerprint (FNV-64a over the encoded dex files)
 //	...     4     IEEE CRC-32 of the dump payload
 //	...     4     dump payload length
@@ -35,8 +36,12 @@ import (
 //	...     4     manifest payload length
 //	...     ...   manifest payload: the serialized shard Manifest
 //
-// Postings maps are encoded with sorted keys and delta-varint line lists,
-// so files are deterministic for a given index. Every validation failure —
+// The index section is the shard list of one Index: the unsharded index
+// is simply the one-shard case, so BuildIndex and a one-shard
+// BuildShardedIndex encode to the same bytes, and DecodeIndexFile returns
+// an Index of as many shards as the file holds. Postings maps are encoded
+// with sorted keys and delta-varint line lists, so files are
+// deterministic for a given index. Every validation failure —
 // wrong magic, unknown version, stale content hash or fingerprint,
 // line-count mismatch, CRC mismatch, truncation — is an error the caller
 // treats as a cache miss: rebuild from the app and overwrite the file,
@@ -89,34 +94,19 @@ func AppFingerprint(dexes []*dex.File) uint64 {
 	return dex.Fingerprint(encoded)
 }
 
-// shardsOf flattens a Source into its shard list.
-func shardsOf(src Source) ([]*Index, error) {
-	switch s := src.(type) {
-	case *Index:
-		return []*Index{s}, nil
-	case *ShardedIndex:
-		return s.shards, nil
-	}
-	return nil, fmt.Errorf("dexdump: cannot encode index source %T", src)
-}
-
-// EncodeBundle serializes the dump text, its index (single or sharded)
-// and its shard manifest into the bundle format. fingerprint identifies
+// EncodeBundle serializes the dump text, its index (every shard) and its
+// shard manifest into the bundle format. fingerprint identifies
 // the app the dump was rendered from (see AppFingerprint); 0 marks it
 // unknown, in which case the dump section is written but will never
 // validate on probe. plan is the shard plan the index was built with and
 // determines the manifest's span-to-shard assignment; nil (or a plan for
 // a different dump) records a single-shard manifest.
-func EncodeBundle(t *Text, src Source, fingerprint uint64, plan *ShardPlan) ([]byte, error) {
-	shards, err := shardsOf(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(shards) > 0xffff {
-		return nil, fmt.Errorf("dexdump: %d shards exceed the codec limit", len(shards))
+func EncodeBundle(t *Text, x *Index, fingerprint uint64, plan *ShardPlan) ([]byte, error) {
+	if len(x.shards) > 0xffff {
+		return nil, fmt.Errorf("dexdump: %d shards exceed the codec limit", len(x.shards))
 	}
 	var indexPayload []byte
-	for _, sh := range shards {
+	for _, sh := range x.shards {
 		indexPayload = appendShard(indexPayload, sh)
 	}
 	dumpPayload := appendDump(nil, t)
@@ -126,7 +116,7 @@ func EncodeBundle(t *Text, src Source, fingerprint uint64, plan *ShardPlan) ([]b
 		dumpSectionHeaderSize+len(dumpPayload)+manifestSectionHeaderSize+len(manifestPayload))
 	copy(buf[0:4], codecMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], CodecVersion)
-	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(shards)))
+	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(x.shards)))
 	binary.LittleEndian.PutUint64(buf[8:16], DumpHash(t))
 	binary.LittleEndian.PutUint32(buf[16:20], uint32(t.LineCount()))
 	binary.LittleEndian.PutUint32(buf[20:24], crc32.ChecksumIEEE(indexPayload))
@@ -175,11 +165,10 @@ func indexSection(data []byte) ([]byte, error) {
 	return data[codecHeaderSize : codecHeaderSize+n], nil
 }
 
-// DecodeIndexFile parses the index section of a bundle and validates it
-// against the dump text. A one-shard section decodes to a plain *Index, a
-// multi-shard section to a *ShardedIndex. Any validation failure returns
-// an error; the caller rebuilds from the dump.
-func DecodeIndexFile(data []byte, t *Text) (Source, error) {
+// DecodeIndexFile parses the index section of a bundle, one shard per
+// encoded shard, and validates it against the dump text. Any validation
+// failure returns an error; the caller rebuilds from the dump.
+func DecodeIndexFile(data []byte, t *Text) (*Index, error) {
 	payload, err := indexSection(data)
 	if err != nil {
 		return nil, err
@@ -197,24 +186,17 @@ func DecodeIndexFile(data []byte, t *Text) (Source, error) {
 	if crc := binary.LittleEndian.Uint32(data[20:24]); crc != crc32.ChecksumIEEE(payload) {
 		return nil, fmt.Errorf("dexdump: index payload CRC mismatch")
 	}
-	shards := make([]*Index, shardCount)
+	x := &Index{shards: make([]*shard, shardCount), lines: t.LineCount()}
 	rest := payload
-	var err2 error
-	for i := range shards {
-		shards[i], rest, err2 = decodeShard(rest, t.LineCount())
-		if err2 != nil {
-			return nil, fmt.Errorf("dexdump: index section shard %d: %w", i, err2)
+	for i := range x.shards {
+		if x.shards[i], rest, err = decodeShard(rest, t.LineCount()); err != nil {
+			return nil, fmt.Errorf("dexdump: index section shard %d: %w", i, err)
 		}
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("dexdump: index section has %d trailing bytes", len(rest))
 	}
-	if shardCount == 1 {
-		idx := shards[0]
-		idx.lines = t.LineCount()
-		return idx, nil
-	}
-	return &ShardedIndex{shards: shards, lines: t.LineCount()}, nil
+	return x, nil
 }
 
 // DecodeBundleDump parses and validates the dump section of a bundle,
@@ -278,8 +260,8 @@ func CachePath(dir, appName string) string {
 // WriteBundle atomically persists the dump, its index and its shard
 // manifest next to path (temp file + rename), creating the directory if
 // needed.
-func WriteBundle(path string, t *Text, src Source, fingerprint uint64, plan *ShardPlan) error {
-	data, err := EncodeBundle(t, src, fingerprint, plan)
+func WriteBundle(path string, t *Text, x *Index, fingerprint uint64, plan *ShardPlan) error {
+	data, err := EncodeBundle(t, x, fingerprint, plan)
 	if err != nil {
 		return err
 	}
@@ -311,7 +293,7 @@ func WriteBundleBytes(path string, data []byte) error {
 
 // LoadIndexCache reads a bundle and validates its index section against
 // the dump text.
-func LoadIndexCache(path string, t *Text) (Source, error) {
+func LoadIndexCache(path string, t *Text) (*Index, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -616,7 +598,7 @@ func readString(buf []byte) (string, []byte, error) {
 
 // appendShard encodes one shard: the lines/postings counters, all nine
 // postings maps (sorted keys, delta-varint lists) and the four side lists.
-func appendShard(buf []byte, x *Index) []byte {
+func appendShard(buf []byte, x *shard) []byte {
 	buf = binary.AppendUvarint(buf, uint64(x.lines))
 	buf = binary.AppendUvarint(buf, uint64(x.postings))
 	for _, m := range x.maps() {
@@ -629,7 +611,7 @@ func appendShard(buf []byte, x *Index) []byte {
 }
 
 // maps returns the postings maps in fixed codec order.
-func (x *Index) maps() []*map[string][]int32 {
+func (x *shard) maps() []*map[string][]int32 {
 	return []*map[string][]int32{
 		&x.invokeBySig, &x.invokeByName, &x.invokeByNameP, &x.ctorByPrefix,
 		&x.newInstance, &x.constClass, &x.constString, &x.fieldBySig, &x.classUse,
@@ -637,7 +619,7 @@ func (x *Index) maps() []*map[string][]int32 {
 }
 
 // sideLists returns the side lists in fixed codec order.
-func (x *Index) sideLists() []*[]int32 {
+func (x *shard) sideLists() []*[]int32 {
 	return []*[]int32{&x.oddStrings, &x.oddFields, &x.oddCtors, &x.oddInvokes}
 }
 
@@ -667,8 +649,8 @@ func appendPostings(buf []byte, p []int32) []byte {
 	return buf
 }
 
-func decodeShard(buf []byte, maxLines int) (*Index, []byte, error) {
-	x := newIndex(0)
+func decodeShard(buf []byte, maxLines int) (*shard, []byte, error) {
+	x := &shard{}
 	lines, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, nil, err
@@ -697,10 +679,16 @@ func decodeShard(buf []byte, maxLines int) (*Index, []byte, error) {
 	return x, buf, nil
 }
 
+// decodeMap rebuilds one postings map. Every entry takes at least two
+// bytes (a key-length varint and a postings-count varint), so a count
+// beyond half the remaining bytes is rejected before it sizes the map.
 func decodeMap(buf []byte, maxLines int) (map[string][]int32, []byte, error) {
 	count, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, nil, err
+	}
+	if count > uint64(len(buf)/2) {
+		return nil, nil, fmt.Errorf("map claims %d keys, %d bytes remain", count, len(buf))
 	}
 	m := make(map[string][]int32, count)
 	for i := uint64(0); i < count; i++ {

@@ -3,9 +3,11 @@ package dexdump
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -16,7 +18,7 @@ import (
 // non-zero value works since encode and probe agree on it.
 const testFingerprint uint64 = 0xfeedface
 
-func roundtrip(t *testing.T, text *Text, src Source) Source {
+func roundtrip(t *testing.T, text *Text, src *Index) *Index {
 	t.Helper()
 	data, err := EncodeBundle(text, src, testFingerprint, nil)
 	if err != nil {
@@ -29,7 +31,7 @@ func roundtrip(t *testing.T, text *Text, src Source) Source {
 	return dec
 }
 
-func assertSameLookups(t *testing.T, want, got Source, label string) {
+func assertSameLookups(t *testing.T, want, got *Index, label string) {
 	t.Helper()
 	w, g := lookups(want), lookups(got)
 	for name := range w {
@@ -77,8 +79,8 @@ func TestCodecRoundtripSingleIndex(t *testing.T) {
 	_, text := shardFixture(t)
 	idx := BuildIndex(text)
 	dec := roundtrip(t, text, idx)
-	if _, ok := dec.(*Index); !ok {
-		t.Fatalf("one-shard file decoded to %T, want *Index", dec)
+	if n := dec.ShardCount(); n != 1 {
+		t.Fatalf("one-shard file decoded to %d shards, want 1", n)
 	}
 	assertSameLookups(t, idx, dec, "single")
 }
@@ -87,8 +89,8 @@ func TestCodecRoundtripShardedIndex(t *testing.T) {
 	_, text := shardFixture(t)
 	sharded := BuildShardedIndex(text, PackagePrefixPlan(text, 3), 2)
 	dec := roundtrip(t, text, sharded)
-	if _, ok := dec.(*ShardedIndex); !ok {
-		t.Fatalf("multi-shard file decoded to %T, want *ShardedIndex", dec)
+	if n := dec.ShardCount(); n != 3 {
+		t.Fatalf("three-shard file decoded to %d shards, want 3", n)
 	}
 	assertSameLookups(t, sharded, dec, "sharded")
 }
@@ -187,6 +189,19 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 		data := append([]byte(nil), good...)
 		return mutate(data)
 	}
+	// hugeMap is a small bundle with a valid header, CRC and dump hash
+	// whose first postings map claims 2^22 keys; only ~200 bytes follow.
+	hugeMap := func() []byte {
+		var payload []byte
+		payload = binary.AppendUvarint(payload, uint64(text.LineCount()))
+		payload = binary.AppendUvarint(payload, 0)
+		payload = binary.AppendUvarint(payload, 1<<22)
+		payload = append(payload, make([]byte, 200)...)
+		data := append([]byte(nil), good[:codecHeaderSize]...)
+		binary.LittleEndian.PutUint32(data[20:24], crc32.ChecksumIEEE(payload))
+		binary.LittleEndian.PutUint32(data[24:28], uint32(len(payload)))
+		return append(data, payload...)
+	}
 	cases := map[string][]byte{
 		"empty":                   {},
 		"truncated header":        good[:10],
@@ -211,10 +226,20 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 			binary.LittleEndian.PutUint32(d[24:28], uint32(len(d)))
 			return d
 		}),
+		"map count beyond payload": hugeMap(),
 	}
 	for name, data := range cases {
-		if _, err := DecodeIndexFile(data, text); err == nil {
+		// A rejected section must be rejected cheaply: no count read
+		// from the file may size an allocation the payload cannot fill.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeIndexFile(data, text)
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("%s: index decode succeeded, want error", name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 8<<20 {
+			t.Errorf("%s: index decode allocated %d MB before failing", name, d>>20)
 		}
 		// The dump section is validated independently; it may survive
 		// index-side damage, but never yield a different text.
@@ -347,6 +372,74 @@ func TestCodecBundleCorruptionFuzz(t *testing.T) {
 	}
 	// Trailing garbage.
 	check("trailing", append(append([]byte(nil), good...), 0xAB))
+}
+
+// FuzzDecodeIndexFile feeds arbitrary bundles to the index decoder,
+// seeded with the fixture's one-shard and three-shard bundles. Decoding
+// must never panic, and a decoded index must answer every lookup with
+// strictly ascending postings inside the dump. Each input is also tried
+// resealed — header hash, line count and index CRC recomputed for the
+// fixture dump — so mutations reach the payload decoders instead of
+// stopping at a checksum.
+func FuzzDecodeIndexFile(f *testing.F) {
+	_, text := shardFixture(f)
+	for _, x := range []*Index{BuildIndex(text), BuildShardedIndex(text, PackagePrefixPlan(text, 3), 1)} {
+		data, err := EncodeBundle(text, x, testFingerprint, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodedIndex(t, data, text)
+		if payload, err := indexSection(data); err == nil {
+			sealed := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint64(sealed[8:16], DumpHash(text))
+			binary.LittleEndian.PutUint32(sealed[16:20], uint32(text.LineCount()))
+			binary.LittleEndian.PutUint32(sealed[20:24], crc32.ChecksumIEEE(payload))
+			checkDecodedIndex(t, sealed, text)
+		}
+	})
+}
+
+// checkDecodedIndex decodes data against text and, on success, probes
+// every lookup with every token the decoded shards hold plus the fixture
+// tokens, requiring strictly ascending postings in [0, LineCount()).
+func checkDecodedIndex(t *testing.T, data []byte, text *Text) {
+	t.Helper()
+	x, err := DecodeIndexFile(data, text)
+	if err != nil {
+		return
+	}
+	check := func(name string, p []int32) {
+		t.Helper()
+		for i, n := range p {
+			if n < 0 || int(n) >= text.LineCount() {
+				t.Fatalf("%s: posting %d outside the %d-line dump", name, n, text.LineCount())
+			}
+			if i > 0 && n <= p[i-1] {
+				t.Fatalf("%s: postings not strictly ascending: %v", name, p)
+			}
+		}
+	}
+	for name, p := range lookups(x) {
+		check(name, p)
+	}
+	probes := map[string]func(string) []int32{
+		"InvokeBySig": x.InvokeBySig, "InvokeByName": x.InvokeByName,
+		"InvokeByNamePrefix": x.InvokeByNamePrefix, "CtorByPrefix": x.CtorByPrefix,
+		"NewInstance": x.NewInstance, "ConstClass": x.ConstClass,
+		"ConstString": x.ConstString, "FieldBySig": x.FieldBySig, "ClassUse": x.ClassUse,
+	}
+	for _, sh := range x.shards {
+		for _, m := range sh.maps() {
+			for tok := range *m {
+				for name, lookup := range probes {
+					check(name+"("+tok+")", lookup(tok))
+				}
+			}
+		}
+	}
 }
 
 func TestCodecStaleAgainstDifferentDump(t *testing.T) {

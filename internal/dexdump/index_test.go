@@ -129,13 +129,15 @@ func TestIndexPostingsAscendingUnique(t *testing.T) {
 			}
 		}
 	}
-	for tok, p := range idx.classUse {
-		check("classUse["+tok+"]", p)
-	}
-	for tok, p := range idx.invokeBySig {
-		check("invoke["+tok+"]", p)
-	}
-	for tok, p := range idx.fieldBySig {
-		check("field["+tok+"]", p)
+	for _, sh := range idx.shards {
+		for tok, p := range sh.classUse {
+			check("classUse["+tok+"]", p)
+		}
+		for tok, p := range sh.invokeBySig {
+			check("invoke["+tok+"]", p)
+		}
+		for tok, p := range sh.fieldBySig {
+			check("field["+tok+"]", p)
+		}
 	}
 }

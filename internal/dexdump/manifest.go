@@ -226,24 +226,19 @@ func (m *Manifest) TotalLines() int {
 }
 
 // BuildPartialIndex tokenizes only the spans of the named classes into a
-// fresh single index. Postings keep global dump line numbers, so lookups
-// against the partial index return lines of the full dump — exactly what
-// the delta engine's replay probe needs: it re-runs a prior sink's
-// recorded search commands against just the dirty spans to prove none of
-// them gained a hit. The caller charges the meter for the tokenized
-// lines.
+// fresh one-shard index. Postings keep global dump line numbers, so
+// lookups against the partial index return lines of the full dump —
+// exactly what the delta engine's replay probe needs: it re-runs a prior
+// sink's recorded search commands against just the dirty spans to prove
+// none of them gained a hit. The caller charges the meter for the
+// tokenized lines.
 func BuildPartialIndex(t *Text, classes map[string]bool) *Index {
-	idx := newIndex(0)
-	for _, sp := range t.spans {
-		if !classes[sp.Name] {
-			continue
+	return build(t, 1, 1, func(span int) int {
+		if classes[t.spans[span].Name] {
+			return 0
 		}
-		for i := sp.Start; i < sp.End; i++ {
-			idx.addLine(int32(i), t.lines[i])
-		}
-		idx.lines += sp.End - sp.Start
-	}
-	return idx
+		return -1
+	})
 }
 
 // SpanOf returns the span of the named class (the first occurrence, for

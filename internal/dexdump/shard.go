@@ -3,8 +3,6 @@ package dexdump
 import (
 	"hash/fnv"
 	"strings"
-
-	"backdroid/internal/pool"
 )
 
 // ShardPlan assigns every class block of a dump to one index shard. Shards
@@ -55,8 +53,8 @@ func newPlan(t *Text, kind string, shards int, assign []int) *ShardPlan {
 	return p
 }
 
-// SingleShardPlan places every class in one shard — the degenerate plan
-// that makes the sharded machinery coincide with the single merged index.
+// SingleShardPlan places every class in one shard — the plan whose
+// sharded build is the unsharded index (BuildIndex).
 func SingleShardPlan(t *Text) *ShardPlan {
 	return newPlan(t, "single", 1, make([]int, len(t.spans)))
 }
@@ -116,121 +114,3 @@ func packagePrefix(name string) string {
 	}
 	return name[:first+1+second]
 }
-
-// ShardedIndex is a set of per-shard inverted indexes over one dump text.
-// Postings store global dump line numbers, so shard lookups need no
-// translation; the per-token lists of distinct shards are disjoint and
-// ascending, and lookups merge them lazily — only the queried token pays
-// the merge, never the whole index. A ShardedIndex is immutable after
-// construction and safe for concurrent readers.
-type ShardedIndex struct {
-	shards []*Index
-	lines  int
-}
-
-// BuildShardedIndex tokenizes the dump into per-shard indexes, building
-// shards concurrently on a bounded worker pool (workers <= 1 builds
-// sequentially). The result is identical for any worker count: each shard
-// tokenizes a disjoint set of class spans in ascending span order.
-func BuildShardedIndex(t *Text, plan *ShardPlan, workers int) *ShardedIndex {
-	spansOf := make([][]ClassSpan, plan.shards)
-	for i, sp := range t.spans {
-		s := plan.assign[i]
-		spansOf[s] = append(spansOf[s], sp)
-	}
-	shards := make([]*Index, plan.shards)
-	pool.ForEach(plan.shards, workers, func(s int) error {
-		idx := newIndex(0)
-		for _, sp := range spansOf[s] {
-			for i := sp.Start; i < sp.End; i++ {
-				idx.addLine(int32(i), t.lines[i])
-			}
-			idx.lines += sp.End - sp.Start
-		}
-		shards[s] = idx
-		return nil
-	})
-	return &ShardedIndex{shards: shards, lines: len(t.lines)}
-}
-
-// lookup merges one postings list per shard (ascending, duplicate-free,
-// disjoint across shards) into one ascending list in shard order, lazily
-// at query time.
-func (x *ShardedIndex) lookup(get func(*Index) []int32) []int32 {
-	var merged []int32
-	for _, sh := range x.shards {
-		p := get(sh)
-		if len(p) == 0 {
-			continue
-		}
-		if merged == nil {
-			merged = p
-			continue
-		}
-		merged = mergePostings(merged, p)
-	}
-	return merged
-}
-
-// InvokeBySig merges the shards' invoke postings for the exact signature.
-func (x *ShardedIndex) InvokeBySig(sig string) []int32 {
-	return x.lookup(func(i *Index) []int32 { return i.InvokeBySig(sig) })
-}
-
-// InvokeByName merges the shards' ".name:descriptor" postings.
-func (x *ShardedIndex) InvokeByName(needle string) []int32 {
-	return x.lookup(func(i *Index) []int32 { return i.InvokeByName(needle) })
-}
-
-// InvokeByNamePrefix merges the shards' ".name:" prefix postings.
-func (x *ShardedIndex) InvokeByNamePrefix(prefix string) []int32 {
-	return x.lookup(func(i *Index) []int32 { return i.InvokeByNamePrefix(prefix) })
-}
-
-// CtorByPrefix merges the shards' constructor-call postings.
-func (x *ShardedIndex) CtorByPrefix(prefix string) []int32 {
-	return x.lookup(func(i *Index) []int32 { return i.CtorByPrefix(prefix) })
-}
-
-// NewInstance merges the shards' new-instance postings.
-func (x *ShardedIndex) NewInstance(desc string) []int32 {
-	return x.lookup(func(i *Index) []int32 { return i.NewInstance(desc) })
-}
-
-// ConstClass merges the shards' const-class postings.
-func (x *ShardedIndex) ConstClass(desc string) []int32 {
-	return x.lookup(func(i *Index) []int32 { return i.ConstClass(desc) })
-}
-
-// ConstString merges the shards' const-string postings.
-func (x *ShardedIndex) ConstString(value string) []int32 {
-	return x.lookup(func(i *Index) []int32 { return i.ConstString(value) })
-}
-
-// FieldBySig merges the shards' field-access postings.
-func (x *ShardedIndex) FieldBySig(sig string) []int32 {
-	return x.lookup(func(i *Index) []int32 { return i.FieldBySig(sig) })
-}
-
-// ClassUse merges the shards' class-descriptor postings.
-func (x *ShardedIndex) ClassUse(desc string) []int32 {
-	return x.lookup(func(i *Index) []int32 { return i.ClassUse(desc) })
-}
-
-// Lines returns the number of dump lines the sharded index covers.
-func (x *ShardedIndex) Lines() int { return x.lines }
-
-// Postings returns the total postings across all shards.
-func (x *ShardedIndex) Postings() int {
-	n := 0
-	for _, sh := range x.shards {
-		n += sh.postings
-	}
-	return n
-}
-
-// ShardCount returns the number of shards.
-func (x *ShardedIndex) ShardCount() int { return len(x.shards) }
-
-// Shard returns shard i (for the codec and tests).
-func (x *ShardedIndex) Shard(i int) *Index { return x.shards[i] }

@@ -1,6 +1,7 @@
 package dexdump
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 // shardFixture builds a file with classes across several packages so the
 // plans have something to partition.
-func shardFixture(t *testing.T) (*dex.File, *Text) {
+func shardFixture(t testing.TB) (*dex.File, *Text) {
 	t.Helper()
 	f := dex.NewFile()
 	objInit := dex.NewMethodRef("java.lang.Object", "<init>", dex.Void)
@@ -113,9 +114,9 @@ func TestPackagePrefixPlanDeterministicAndPackageLocal(t *testing.T) {
 	}
 }
 
-// lookups exercises every Source lookup with tokens present in the
+// lookups exercises every Index lookup with tokens present in the
 // fixture plus misses.
-func lookups(src Source) map[string][]int32 {
+func lookups(src *Index) map[string][]int32 {
 	out := make(map[string][]int32)
 	out["invoke"] = src.InvokeBySig("Ljava/lang/Object;.<init>:()V")
 	out["invoke-name"] = src.InvokeByName(".<init>:()V")
@@ -135,6 +136,44 @@ func lookups(src Source) map[string][]int32 {
 func TestShardedIndexMatchesSingleIndex(t *testing.T) {
 	_, text := shardFixture(t)
 	single := BuildIndex(text)
+	want := lookups(single)
+
+	// A one-shard build is the unsharded index down to the encoded bytes,
+	// so bundles, shard-store blobs and caches do not depend on which
+	// builder produced them.
+	indexBytes := func(x *Index, plan *ShardPlan) []byte {
+		t.Helper()
+		data, err := EncodeBundle(text, x, testFingerprint, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, err := indexSection(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sec
+	}
+	singleBytes := indexBytes(single, nil)
+	for name, plan := range map[string]*ShardPlan{
+		"nil": nil, "single": SingleShardPlan(text), "package-1": PackagePrefixPlan(text, 1),
+	} {
+		if got := indexBytes(BuildShardedIndex(text, plan, 1), plan); !bytes.Equal(got, singleBytes) {
+			t.Errorf("one-shard %s plan encodes a different index section than BuildIndex", name)
+		}
+	}
+
+	// A partial index over every class is the whole index.
+	all := make(map[string]bool)
+	for _, sp := range text.ClassSpans() {
+		all[sp.Name] = true
+	}
+	partial := lookups(BuildPartialIndex(text, all))
+	for name := range want {
+		if !equalPostings(partial[name], want[name]) {
+			t.Errorf("partial index over all classes: %s postings = %v, single = %v", name, partial[name], want[name])
+		}
+	}
+
 	for _, shards := range []int{1, 2, 3, 5, 16} {
 		for _, workers := range []int{1, 4} {
 			plan := PackagePrefixPlan(text, shards)
@@ -149,7 +188,6 @@ func TestShardedIndexMatchesSingleIndex(t *testing.T) {
 				t.Errorf("shards=%d: postings = %d, single index has %d",
 					shards, sharded.Postings(), single.Postings())
 			}
-			want := lookups(single)
 			got := lookups(sharded)
 			for name := range want {
 				if !equalPostings(got[name], want[name]) {
