@@ -59,7 +59,8 @@
 //
 //	submit [tenant=NAME] PATH   queue the app container at PATH
 //	cancel ID                   cancel a queued or running job
-//	stats                       print store/tenant/journal counters
+//	stats                       print every registry series as a
+//	                            `stats metric <id> <value>` line
 //	recover                     re-enqueue journaled pending jobs (no-op
 //	                            after the automatic startup replay)
 //	die                         crash drill: stop dispatching and exit

@@ -93,8 +93,8 @@ func TestServeWarmResubmission(t *testing.T) {
 		!strings.Contains(done2[0], "builds=0") {
 		t.Fatalf("second done line should be a fully-warm hit: %s", done2[0])
 	}
-	if got := grepLines(lines, `^stats store entries=1 `); len(got) == 0 {
-		t.Fatalf("stats line missing the store entry:\n%s", strings.Join(lines, "\n"))
+	if got := grepLines(lines, `^stats metric backdroid_store_entries 1$`); len(got) == 0 {
+		t.Fatalf("stats lines missing the store entry:\n%s", strings.Join(lines, "\n"))
 	}
 }
 
@@ -110,8 +110,11 @@ func TestServeBadPathFailsJobOnly(t *testing.T) {
 	if got := grepLines(lines, `^done id=2 `); len(got) != 1 {
 		t.Fatalf("good job after a failure did not finish:\n%s", strings.Join(lines, "\n"))
 	}
-	if got := grepLines(lines, `^stats store=disabled`); len(got) == 0 {
-		t.Fatalf("disabled store must report as such:\n%s", strings.Join(lines, "\n"))
+	if got := grepLines(lines, `^stats metric backdroid_dispatched_total 2$`); len(got) != 1 {
+		t.Fatalf("missing exit stats:\n%s", strings.Join(lines, "\n"))
+	}
+	if got := grepLines(lines, `^stats metric backdroid_store_`); len(got) != 0 {
+		t.Fatalf("disabled store must register no store series:\n%s", strings.Join(got, "\n"))
 	}
 }
 
@@ -148,8 +151,8 @@ func resultLines(lines []string) []string {
 }
 
 // TestServeTenantSubmitAndStats drives the multi-tenant protocol: jobs
-// submitted under tenants appear in per-tenant stats lines with dispatch
-// counters.
+// submitted under tenants appear in per-tenant stats metric lines with
+// their weight and dispatch counters.
 func TestServeTenantSubmitAndStats(t *testing.T) {
 	path := fixturePath(t)
 	script := fmt.Sprintf("submit tenant=acme %s\nsubmit tenant=free %s\nsubmit %s\nquit\n", path, path, path)
@@ -157,13 +160,16 @@ func TestServeTenantSubmitAndStats(t *testing.T) {
 	if got := len(grepLines(lines, `^done `)); got != 3 {
 		t.Fatalf("%d done lines, want 3:\n%s", got, strings.Join(lines, "\n"))
 	}
-	for _, want := range []string{
-		`^stats tenant name=acme weight=3 queued=0 submitted=1 dispatched=1 `,
-		`^stats tenant name=free weight=1 queued=0 submitted=1 dispatched=1 `,
-		`^stats tenant name=default weight=1 queued=0 submitted=1 dispatched=1 `,
-	} {
-		if got := grepLines(lines, want); len(got) != 1 {
-			t.Fatalf("missing %q:\n%s", want, strings.Join(lines, "\n"))
+	for name, weight := range map[string]int{"acme": 3, "free": 1, "default": 1} {
+		for _, want := range []string{
+			fmt.Sprintf(`^stats metric backdroid_tenant_weight\{tenant="%s"\} %d$`, name, weight),
+			fmt.Sprintf(`^stats metric backdroid_tenant_queued\{tenant="%s"\} 0$`, name),
+			fmt.Sprintf(`^stats metric backdroid_tenant_submitted_total\{tenant="%s"\} 1$`, name),
+			fmt.Sprintf(`^stats metric backdroid_tenant_dispatched_total\{tenant="%s"\} 1$`, name),
+		} {
+			if got := grepLines(lines, want); len(got) != 1 {
+				t.Fatalf("missing %q:\n%s", want, strings.Join(lines, "\n"))
+			}
 		}
 	}
 }
@@ -226,7 +232,7 @@ func TestServeCrashRecoveryParity(t *testing.T) {
 	if got := grepLines(life3, `^recovered jobs=0`); len(got) != 2 {
 		t.Fatalf("drained journal must recover 0 jobs (startup + explicit):\n%s", strings.Join(life3, "\n"))
 	}
-	if got := grepLines(life3, `^stats journal records=\d+ bytes=\d+ pending=0 `); len(got) == 0 {
+	if got := grepLines(life3, `^stats metric backdroid_journal_pending 0$`); len(got) == 0 {
 		t.Fatalf("missing journal stats line:\n%s", strings.Join(life3, "\n"))
 	}
 }
@@ -352,7 +358,7 @@ func TestServeSIGTERMDrainsInFlight(t *testing.T) {
 // TestServeDieNode drives the per-node crash drill over the stdin
 // protocol: with -nodes, `die node=N` fences one node and the daemon
 // keeps serving — the submitted job lands on the survivor, whose id the
-// started line carries, and the fleet stats lines expose the kill.
+// started line carries, and the fleet metric lines expose the kill.
 func TestServeDieNode(t *testing.T) {
 	path := fixturePath(t)
 	script := fmt.Sprintf("die node=1\ndie node=1\ndie node=9\nsubmit %s\nstats\nquit\n", path)
@@ -372,10 +378,16 @@ func TestServeDieNode(t *testing.T) {
 	if got := grepLines(lines, `^done id=1 `); len(got) != 1 {
 		t.Fatalf("job must finish on the survivor:\n%s", strings.Join(lines, "\n"))
 	}
-	if got := grepLines(lines, `^stats fleet nodes=2 live=1 killed=1 `); len(got) != 2 {
-		t.Fatalf("fleet stats must show the kill (stats command + exit stats):\n%s", strings.Join(lines, "\n"))
+	for _, want := range []string{
+		`^stats metric backdroid_fleet_nodes 2$`,
+		`^stats metric backdroid_fleet_live 1$`,
+		`^stats metric backdroid_fleet_killed_total 1$`,
+	} {
+		if got := grepLines(lines, want); len(got) != 2 {
+			t.Fatalf("fleet stats must show the kill (stats command + exit stats) %q:\n%s", want, strings.Join(lines, "\n"))
+		}
 	}
-	if got := grepLines(lines, `^stats node id=1 state=dead `); len(got) != 2 {
+	if got := grepLines(lines, `^stats metric backdroid_node_live\{node="1"\} 0$`); len(got) != 2 {
 		t.Fatalf("per-node stats must show node 1 dead:\n%s", strings.Join(lines, "\n"))
 	}
 }

@@ -1046,7 +1046,7 @@ func measureFairDispatch(seed int64) (TenantReport, error) {
 		}
 		tr.LightUnits += res.BackDroid.Stats.WorkUnits
 	}
-	ss := sched.Stats()
+	journalUnits, _ := sched.Metrics().Snapshot().Get("backdroid_journal_units")
 	sched.Close()
 	close(events)
 	drain.Wait()
@@ -1061,7 +1061,7 @@ func measureFairDispatch(seed int64) (TenantReport, error) {
 		}
 	}
 	tr.AnalysisUnits = tr.HeavyUnits + tr.LightUnits
-	tr.JournalUnits = ss.JournalUnits
+	tr.JournalUnits = journalUnits
 	js := jnl.Stats()
 	tr.JournalRecords = js.Records
 	tr.JournalBytes = js.Bytes
@@ -1210,12 +1210,11 @@ func fleetCorpusRun(seed int64, nodes int, heavy, light []appgen.Spec, plan *fau
 			return out, err
 		}
 	}
-	ss := sched.Stats()
+	out.journalUnits, _ = sched.Metrics().Snapshot().Get("backdroid_journal_units")
 	out.stats = sched.FleetStats()
 	sched.Close()
 	close(events)
 	drain.Wait()
-	out.journalUnits = ss.JournalUnits
 	out.lastLightSlot = int(maxLightSeq) - nodes
 	return out, nil
 }

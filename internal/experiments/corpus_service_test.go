@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"backdroid/internal/appgen"
+	"backdroid/internal/obs"
 	"backdroid/internal/service"
 )
 
@@ -126,9 +127,10 @@ func TestRunCorpusTenantParity(t *testing.T) {
 	if detectionSummary(gotB) != detectionSummary(plainB) {
 		t.Fatal("tenant b's corpus diverged from its private run")
 	}
+	snap := sched.Metrics().Snapshot()
 	counts := map[string]int64{}
-	for _, ts := range sched.Stats().Tenants {
-		counts[ts.Name] = ts.Dispatched
+	for _, name := range []string{"a", "b"} {
+		counts[name], _ = snap.Get("backdroid_tenant_dispatched_total", obs.L("tenant", name))
 	}
 	if counts["a"] != int64(optsA.Apps) || counts["b"] != int64(optsB.Apps) {
 		t.Fatalf("per-tenant dispatch counts = %v", counts)

@@ -69,11 +69,19 @@ func (m Metric) ID() string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b.WriteString(l.Key)
+		b.WriteString(`="`)
+		labelEscaper.WriteString(&b, strings.ToValidUTF8(l.Value, "\uFFFD"))
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
+
+// labelEscaper escapes a label value the way text format 0.0.4 allows:
+// backslash, double quote and newline only. Every other byte passes
+// through, so a tab or a non-ASCII rune stays literal.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Gather collects metrics during one snapshot; collectors emit into it.
 type Gather struct {

@@ -119,6 +119,11 @@ func TestWritePrometheus(t *testing.T) {
 	r.Register(func(g *Gather) {
 		g.Counter("jobs_total", 4, L("tenant", "t1"))
 		g.Counter("jobs_total", 2, L("tenant", "t2"))
+		// Hostile label values: text format 0.0.4 escapes only backslash,
+		// double quote and newline, and needs valid UTF-8.
+		g.Counter("jobs_total", 1, L("tenant", "a\tb"))
+		g.Counter("jobs_total", 1, L("tenant", "bad\xffutf8"))
+		g.Counter("jobs_total", 1, L("tenant", "q\"\\\n"))
 		g.Gauge("queue_depth", 3)
 		g.Histogram("phase_units", &h, L("phase", "slice"))
 	})
@@ -127,8 +132,11 @@ func TestWritePrometheus(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := buf.String()
-	want := `# TYPE jobs_total counter
-jobs_total{tenant="t1"} 4
+	want := "# TYPE jobs_total counter\n" +
+		"jobs_total{tenant=\"a\tb\"} 1\n" +
+		"jobs_total{tenant=\"bad\uFFFDutf8\"} 1\n" +
+		`jobs_total{tenant="q\"\\\n"} 1` + "\n" +
+		`jobs_total{tenant="t1"} 4
 jobs_total{tenant="t2"} 2
 # TYPE phase_units histogram
 phase_units_bucket{phase="slice",le="1"} 1

@@ -22,7 +22,7 @@ import (
 
 // Version is the API version stamped into every JSON response as
 // api_version. Bump it when a response shape changes incompatibly.
-const Version = 1
+const Version = 2
 
 // OptionsFingerprint re-exports the settled-tier options hash, so
 // gateway clients can compute report addresses without importing the
@@ -104,24 +104,13 @@ type RecoverResponse struct {
 	Jobs       int `json:"jobs"`
 }
 
-// StatsResponse bundles every service counter. Sections absent from the
-// deployment (no store, no journal, no settled tier) are nil. The typed
-// sections keep their historical JSON shape; Metrics is the registry
-// snapshot — every registered series by its name{labels} id — so the
-// JSON surface exposes exactly the set /metrics serves, and the parity
-// test holds all three surfaces (Prometheus text, this JSON, the stdin
-// stats lines) to the same snapshot.
+// StatsResponse carries the service counters: the metrics registry
+// snapshot, every registered series by its name{labels} id, so the JSON
+// surface exposes exactly the set /metrics serves and the stdin stats
+// lines print. Histograms contribute their sample count.
 type StatsResponse struct {
-	APIVersion   int                       `json:"api_version"`
-	Store        *service.StoreStats       `json:"store,omitempty"`
-	ShardStore   *service.ShardStats       `json:"shard_store,omitempty"`
-	Reports      *service.ReportStoreStats `json:"reports,omitempty"`
-	Tenants      []service.TenantStats     `json:"tenants"`
-	Dispatched   int64                     `json:"dispatched"`
-	Journal      *journal.Stats            `json:"journal,omitempty"`
-	JournalUnits int64                     `json:"journal_units,omitempty"`
-	Fleet        *service.FleetStats       `json:"fleet,omitempty"`
-	Metrics      map[string]int64          `json:"metrics,omitempty"`
+	APIVersion int              `json:"api_version"`
+	Metrics    map[string]int64 `json:"metrics"`
 }
 
 // ReportResponse serves one settled report from the content-addressed
@@ -426,30 +415,9 @@ func (d *Dispatcher) Query(req QueryRequest) (JobStatus, error) {
 	return *st, nil
 }
 
-// Stats snapshots every service counter.
+// Stats snapshots every service counter from the metrics registry.
 func (d *Dispatcher) Stats(StatsRequest) StatsResponse {
-	resp := StatsResponse{APIVersion: Version}
-	if store := d.sched.Store(); store != nil {
-		st := store.Stats()
-		resp.Store = &st
-		sh := store.ShardStoreStats()
-		resp.ShardStore = &sh
-	}
-	if reports := d.sched.Reports(); reports != nil {
-		st := reports.Stats()
-		resp.Reports = &st
-	}
-	ss := d.sched.Stats()
-	resp.Tenants = ss.Tenants
-	resp.Dispatched = ss.Dispatched
-	resp.JournalUnits = ss.JournalUnits
-	resp.Fleet = ss.Fleet
-	if jnl := d.sched.Journal(); jnl != nil {
-		js := jnl.Stats()
-		resp.Journal = &js
-	}
-	resp.Metrics = metricsMap(d.sched.Metrics().Snapshot())
-	return resp
+	return StatsResponse{APIVersion: Version, Metrics: metricsMap(d.sched.Metrics().Snapshot())}
 }
 
 // metricsMap flattens a registry snapshot into the JSON metrics block:

@@ -255,11 +255,11 @@ func TestHTTPGateway(t *testing.T) {
 
 	var stats StatsResponse
 	getJSON(srv.URL+"/v1/stats", http.StatusOK, &stats)
-	if stats.Reports == nil || stats.Reports.Puts != 1 {
-		t.Fatalf("stats reports section = %+v", stats.Reports)
+	if got := stats.Metrics["backdroid_reports_puts_total"]; got != 1 {
+		t.Fatalf("stats backdroid_reports_puts_total = %d (metrics %v)", got, stats.Metrics)
 	}
-	if stats.Dispatched != 1 {
-		t.Fatalf("stats dispatched = %d", stats.Dispatched)
+	if got := stats.Metrics["backdroid_dispatched_total"]; got != 1 {
+		t.Fatalf("stats backdroid_dispatched_total = %d", got)
 	}
 
 	// Error surfaces: bad id, unknown job, unknown report, bad body,

@@ -12,7 +12,7 @@
 //	GET  /metrics                      Prometheus text exposition
 //
 // Every response is JSON with an api_version field; errors are
-// {"api_version":1,"error":"..."} with a matching status code. The SSE
+// {"api_version":2,"error":"..."} with a matching status code. The SSE
 // stream mirrors the scheduler's event order exactly — per job: queued,
 // started, one sink per verdict, then a single terminal event — the
 // same order the stdin protocol prints.

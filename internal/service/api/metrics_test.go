@@ -1,6 +1,7 @@
 package api
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,8 +20,11 @@ import (
 // map of the /v1/stats JSON, and the stdin protocol's stats lines. The
 // dispatcher runs a 2-node fleet with a journal and a settled tier, so
 // the scheduler, fleet, store, report-store and journal families are
-// all registered and exercised by one real job.
+// all registered and exercised by one real job. That job's tenant name
+// carries a newline and a forged done line: no surface may let it start
+// a line of its own.
 func TestMetricsSurfaceParity(t *testing.T) {
+	const injection = "evil\ndone id=77 app=forged sinks=0 insecure=0"
 	path := fixturePath(t)
 	jnl, _, err := journal.Open(t.TempDir())
 	if err != nil {
@@ -36,7 +40,7 @@ func TestMetricsSurfaceParity(t *testing.T) {
 	defer d.Close()
 	sub := d.Subscribe()
 	defer sub.Close()
-	resp, err := d.Submit(SubmitRequest{Path: path})
+	resp, err := d.Submit(SubmitRequest{Tenant: injection, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +54,8 @@ func TestMetricsSurfaceParity(t *testing.T) {
 		"backdroid_dispatched_total", "backdroid_fleet_nodes",
 		"backdroid_fleetstore_hits_total", "backdroid_reports_entries",
 		"backdroid_journal_records", "backdroid_node_units",
-		"backdroid_tenant_dispatched_total",
+		"backdroid_tenant_dispatched_total", "backdroid_tenant_weight",
+		"backdroid_node_muted",
 	} {
 		found := false
 		for _, m := range snap {
@@ -83,8 +88,39 @@ func TestMetricsSurfaceParity(t *testing.T) {
 		prom[line] = true
 	}
 
+	res, err = http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	statsBody, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(statsBody, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != 2 || raw["api_version"] == nil || raw["metrics"] == nil {
+		t.Errorf("/v1/stats = %s, want exactly the keys api_version and metrics", statsBody)
+	}
+
 	stats := d.Stats(StatsRequest{})
 	lines := StatsLines(stats)
+	statLines := strings.Split(strings.TrimSuffix(lines, "\n"), "\n")
+	if len(statLines) != len(snap) {
+		t.Errorf("stats lines = %d, snapshot has %d series", len(statLines), len(snap))
+	}
+	for _, l := range statLines {
+		if !strings.HasPrefix(l, "stats metric ") {
+			t.Errorf("stats line %q is not a registry line", l)
+		}
+	}
+	for _, l := range append(statLines, strings.Split(string(body), "\n")...) {
+		if strings.HasPrefix(l, "done ") {
+			t.Errorf("tenant name forged a protocol line: %q", l)
+		}
+	}
 
 	for _, m := range snap {
 		v := m.Value

@@ -1,7 +1,9 @@
 // The stdin wire protocol: line parsing and event/stats rendering.
-// These are the exact bytes cmd/backdroidd has always printed — the CI
-// resubmission-parity and crash-recovery legs diff this output across
-// runs, so any change here is a protocol change, not a refactor.
+// The event lines are the exact bytes cmd/backdroidd has always printed
+// — the CI resubmission-parity and crash-recovery legs diff this output
+// across runs, so any change there is a protocol change, not a
+// refactor. The stats lines carry no format of their own: they print
+// the metrics registry snapshot, the same series /metrics serves.
 package api
 
 import (
@@ -145,64 +147,19 @@ func EventLine(ev service.Event, withStats bool) string {
 	}
 }
 
-// StatsLines renders the stats response as the protocol's stable lines:
-// bundle store, shard store, settled-report store, per-tenant dispatch
-// and journal counters, one line each. The settled-report line is the
-// only addition since the serving tier landed; every pre-existing line
-// is byte-identical to what the daemon always printed.
+// StatsLines renders the stats response as the protocol's stats lines:
+// one `stats metric <id> <value>` line per registered series, in sorted
+// id order. Label values are escaped inside the id, so no tenant name
+// can start a line of its own.
 func StatsLines(resp StatsResponse) string {
+	ids := make([]string, 0, len(resp.Metrics))
+	for id := range resp.Metrics {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
 	var b strings.Builder
-	if resp.Store == nil {
-		b.WriteString("stats store=disabled\n")
-	} else {
-		st := resp.Store
-		fmt.Fprintf(&b, "stats store entries=%d bytes=%d hits=%d misses=%d puts=%d evictions=%d drops=%d\n",
-			st.Entries, st.Bytes, st.Hits, st.Misses, st.Puts, st.Evictions, st.Drops)
-		sh := resp.ShardStore
-		fmt.Fprintf(&b, "stats shardstore entries=%d bytes=%d puts=%d hits=%d deduped=%d\n",
-			sh.Entries, sh.Bytes, sh.Puts, sh.Hits, sh.BytesDeduped)
-	}
-	if rs := resp.Reports; rs != nil {
-		fmt.Fprintf(&b, "stats reports entries=%d bytes=%d hits=%d misses=%d puts=%d evictions=%d journaled=%d recovered=%d\n",
-			rs.Entries, rs.Bytes, rs.Hits, rs.Misses, rs.Puts, rs.Evictions,
-			rs.Journaled, rs.Recovered)
-	}
-	for _, t := range resp.Tenants {
-		fmt.Fprintf(&b, "stats tenant name=%s weight=%d queued=%d submitted=%d dispatched=%d canceled_queued=%d canceled_running=%d\n",
-			t.Name, t.Weight, t.Queued, t.Submitted, t.Dispatched,
-			t.CanceledQueued, t.CanceledRunning)
-	}
-	if js := resp.Journal; js != nil {
-		fmt.Fprintf(&b, "stats journal records=%d bytes=%d pending=%d appends=%d compactions=%d recovered=%d dropped=%d units=%d\n",
-			js.Records, js.Bytes, js.Pending, js.Appends, js.Compactions,
-			js.Recovered, js.Dropped, resp.JournalUnits)
-	}
-	if fs := resp.Fleet; fs != nil {
-		fmt.Fprintf(&b, "stats fleet nodes=%d live=%d killed=%d handoffs=%d expired_leases=%d lost_units=%d overhead_units=%d remote_gets=%d fetch_faults=%d\n",
-			fs.Nodes, fs.Live, fs.Killed, fs.Handoffs, fs.ExpiredLeases,
-			fs.LostUnits, fs.OverheadUnits, fs.RemoteGets, fs.FetchFaults)
-		// Work-stealing counters ride on their own line, keeping the fleet
-		// line's bytes — the append-only protocol — untouched.
-		fmt.Fprintf(&b, "stats steal steals=%d victims=%d stolen_sinks=%d steal_units=%d makespan_units=%d\n",
-			fs.Steals, fs.StealVictims, fs.StolenSinks, fs.StealUnits, fs.MakespanUnits)
-		for _, n := range fs.PerNode {
-			fmt.Fprintf(&b, "stats node id=%d state=%s units=%d jobs=%d beats=%d dropped=%d\n",
-				n.ID, n.State, n.Units, n.Jobs, n.Beats, n.Dropped)
-		}
-	}
-	// The registry snapshot rides after the frozen block, one generic
-	// line per registered series in sorted-id order — the stdin surface
-	// of exactly the set /metrics serves. Appending (never interleaving)
-	// keeps every pre-existing line byte-identical.
-	if len(resp.Metrics) > 0 {
-		ids := make([]string, 0, len(resp.Metrics))
-		for id := range resp.Metrics {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			fmt.Fprintf(&b, "stats metric %s %d\n", id, resp.Metrics[id])
-		}
+	for _, id := range ids {
+		fmt.Fprintf(&b, "stats metric %s %d\n", id, resp.Metrics[id])
 	}
 	return b.String()
 }

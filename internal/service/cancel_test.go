@@ -211,7 +211,7 @@ func TestCancelQueuedThenRunningCountersSplit(t *testing.T) {
 		t.Fatalf("queued job Wait = %v", err)
 	}
 	s.Close()
-	for _, ts := range s.Stats().Tenants {
+	for _, ts := range s.stats().Tenants {
 		if ts.Name != "acme" {
 			continue
 		}

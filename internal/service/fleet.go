@@ -35,7 +35,6 @@ type NodeStats struct {
 	Jobs    int64  // attempts finished on this node
 	Beats   int64  // heartbeats delivered
 	Dropped int64  // heartbeats dropped by fault injection
-	Store   StoreStats
 }
 
 // FleetStats aggregates the fleet's resilience counters.
@@ -105,12 +104,6 @@ type fleet struct {
 	allDead func() // fail the still-queued jobs
 	clock   atomic.Int64
 
-	// Tunables, threaded from service.Config (simtime constants are the
-	// defaults).
-	ttl         int64
-	handoffCost int64
-	backoff     int64
-
 	mu     sync.Mutex
 	leases map[leaseKey]*lease
 
@@ -131,14 +124,8 @@ type fleet struct {
 // newFleet builds the node set. storeBudget >= 0 gives every node a
 // bundle partition with that byte budget (sharing one shard-dedup
 // layer, like the single shared store does); < 0 disables partitions.
-func newFleet(nodes int, storeBudget int64, plan *faultinject.Plan, ttl, handoffCost, backoff int64) *fleet {
-	f := &fleet{
-		plan:        plan,
-		leases:      make(map[leaseKey]*lease),
-		ttl:         ttl,
-		handoffCost: handoffCost,
-		backoff:     backoff,
-	}
+func newFleet(nodes int, storeBudget int64, plan *faultinject.Plan) *fleet {
+	f := &fleet{plan: plan, leases: make(map[leaseKey]*lease)}
 	var shards *ShardStore
 	if storeBudget >= 0 {
 		shards = NewShardStore()
@@ -233,7 +220,7 @@ func (f *fleet) grant(id JobID, sub int, name string, node, attempt int) {
 	f.mu.Lock()
 	f.leases[leaseKey{id, sub}] = &lease{
 		job: id, sub: sub, name: name, node: node, attempt: attempt,
-		expires: now + f.ttl,
+		expires: now + simtime.LeaseTTLUnits,
 	}
 	f.mu.Unlock()
 }
@@ -301,7 +288,7 @@ func (f *fleet) tick(node int, id JobID, sub int, name string, attempt int, delt
 		n.beats.Add(1)
 		f.mu.Lock()
 		if l := f.leases[k]; l != nil && l.node == node && l.attempt == attempt {
-			l.expires = now + f.ttl
+			l.expires = now + simtime.LeaseTTLUnits
 		}
 		f.mu.Unlock()
 	}
@@ -324,8 +311,8 @@ func (f *fleet) abandon(id JobID, sub int, node, attempt int) {
 	if !mine {
 		return
 	}
-	now := f.clock.Add(f.ttl)
-	f.overhead.Add(f.ttl)
+	now := f.clock.Add(simtime.LeaseTTLUnits)
+	f.overhead.Add(simtime.LeaseTTLUnits)
 	f.sweep(now)
 }
 
@@ -375,7 +362,7 @@ func (f *fleet) handoffUnits(attempt int) int64 {
 	if shift > 6 {
 		shift = 6
 	}
-	return f.handoffCost + f.backoff<<shift
+	return simtime.HandoffUnits + simtime.RetryBackoffUnits<<shift
 }
 
 // chargeHandoff charges one re-dispatch, advancing the fleet clock and
@@ -483,15 +470,15 @@ func (f *fleet) stats() *FleetStats {
 			fs.Live++
 		}
 		if n.store != nil {
-			ns.Store = n.store.Stats()
-			agg.Entries += ns.Store.Entries
-			agg.Bytes += ns.Store.Bytes
-			agg.Hits += ns.Store.Hits
-			agg.Misses += ns.Store.Misses
-			agg.Puts += ns.Store.Puts
-			agg.Refreshes += ns.Store.Refreshes
-			agg.Evictions += ns.Store.Evictions
-			agg.Drops += ns.Store.Drops
+			ss := n.store.Stats()
+			agg.Entries += ss.Entries
+			agg.Bytes += ss.Bytes
+			agg.Hits += ss.Hits
+			agg.Misses += ss.Misses
+			agg.Puts += ss.Puts
+			agg.Refreshes += ss.Refreshes
+			agg.Evictions += ss.Evictions
+			agg.Drops += ss.Drops
 		}
 		fs.PerNode = append(fs.PerNode, ns)
 	}

@@ -12,8 +12,8 @@ import (
 	"backdroid/internal/android"
 	"backdroid/internal/appgen"
 	"backdroid/internal/faultinject"
+	"backdroid/internal/obs"
 	"backdroid/internal/service/journal"
-	"backdroid/internal/simtime"
 )
 
 // mustPlan parses a fault spec or fails the test.
@@ -245,6 +245,27 @@ func TestFleetDropHeartbeat(t *testing.T) {
 	}
 }
 
+// TestFleetNodeStateMetrics pins the per-node state gauges: a mute node
+// (working, heartbeats dropped, not yet fenced) is live and muted; a
+// killed node is neither.
+func TestFleetNodeStateMetrics(t *testing.T) {
+	s := New(Config{Nodes: 3})
+	defer s.Close()
+	s.fleet.nodes[0].muted.Store(true)
+	if err := s.KillNode(2); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Metrics().Snapshot()
+	for node, want := range map[string][2]int64{"1": {1, 1}, "2": {0, 0}, "3": {1, 0}} {
+		l := obs.L("node", node)
+		live, _ := snap.Get("backdroid_node_live", l)
+		muted, ok := snap.Get("backdroid_node_muted", l)
+		if !ok || live != want[0] || muted != want[1] {
+			t.Errorf("node %s: live=%d muted=%d (registered %v), want %v", node, live, muted, ok, want)
+		}
+	}
+}
+
 // TestFleetFetchFaultRebuildsCold pins the fetch-fault degrade: a
 // failed bundle fetch is a miss, the engine rebuilds cold, and the
 // report never changes. Sequential resubmissions make the fetch order
@@ -340,8 +361,8 @@ func TestFleetCorruptHandoffDegradesToRedispatch(t *testing.T) {
 // are a pure function of (fingerprint, live set); killing a node moves
 // only the keys it owned.
 func TestFleetPlacementDeterministic(t *testing.T) {
-	a := newFleet(4, 0, nil, simtime.LeaseTTLUnits, simtime.HandoffUnits, simtime.RetryBackoffUnits)
-	b := newFleet(4, 0, nil, simtime.LeaseTTLUnits, simtime.HandoffUnits, simtime.RetryBackoffUnits)
+	a := newFleet(4, 0, nil)
+	b := newFleet(4, 0, nil)
 	fps := make([]uint64, 200)
 	for i := range fps {
 		fps[i] = mix64(uint64(i) * 0x9e3779b97f4a7c15)

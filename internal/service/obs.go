@@ -1,10 +1,11 @@
 // Metrics registration: the scheduler's one collector, turning every
-// scattered Stats struct — control plane, tenants, fleet and its nodes,
-// bundle/shard/report stores, the journal — into registry series. The
-// registry is pull-model, so this file is the only place the metric
-// names exist: /metrics, the stats JSON and the stdin stats lines all
-// render from the same Snapshot, and the api parity test walks the
-// snapshot to prove no series is missing from any surface.
+// subsystem's Stats struct — control plane, tenants, fleet and its
+// nodes, bundle/shard/report stores, the journal — into registry
+// series. The registry is pull-model, so this file is the only place
+// the metric names exist: /metrics, the stats JSON and the stdin stats
+// lines all render from the same Snapshot and from nothing else, and
+// the api parity test walks the snapshot to prove no series is missing
+// from any surface.
 package service
 
 import (
@@ -19,11 +20,12 @@ import (
 // registration costs nothing on the dispatch path.
 func (s *Scheduler) registerMetrics() {
 	s.metrics.Register(func(g *obs.Gather) {
-		st := s.Stats()
+		st := s.stats()
 		g.Counter("backdroid_dispatched_total", st.Dispatched)
 		g.Counter("backdroid_journal_units", st.JournalUnits)
 		for _, t := range st.Tenants {
 			l := obs.L("tenant", t.Name)
+			g.Gauge("backdroid_tenant_weight", int64(t.Weight), l)
 			g.Gauge("backdroid_tenant_queued", int64(t.Queued), l)
 			g.Counter("backdroid_tenant_submitted_total", t.Submitted, l)
 			g.Counter("backdroid_tenant_dispatched_total", t.Dispatched, l)
@@ -51,11 +53,8 @@ func (s *Scheduler) registerMetrics() {
 			g.Gauge("backdroid_fleet_makespan_units", fs.MakespanUnits)
 			for _, n := range fs.PerNode {
 				l := obs.L("node", fmt.Sprint(n.ID))
-				live := int64(0)
-				if n.State != "dead" {
-					live = 1
-				}
-				g.Gauge("backdroid_node_live", live, l)
+				g.Gauge("backdroid_node_live", flag(n.State != "dead"), l)
+				g.Gauge("backdroid_node_muted", flag(n.State == "muted"), l)
 				g.Counter("backdroid_node_units", n.Units, l)
 				g.Counter("backdroid_node_jobs_total", n.Jobs, l)
 				g.Counter("backdroid_node_beats_total", n.Beats, l)
@@ -115,4 +114,12 @@ func storeMetrics(g *obs.Gather, prefix string, ss StoreStats) {
 	g.Counter(prefix+"_refreshes_total", ss.Refreshes)
 	g.Counter(prefix+"_evictions_total", ss.Evictions)
 	g.Counter(prefix+"_drops_total", ss.Drops)
+}
+
+// flag renders a boolean state as a 0/1 gauge value.
+func flag(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -155,12 +155,9 @@ type Config struct {
 	// overrides it per tenant.
 	QueueDepth int
 	// Tenants preconfigures named tenants (weight, queue depth, store
-	// budget). Jobs for tenants absent here are admitted under
-	// DefaultTenant's policy.
+	// budget). Jobs for tenants absent here are admitted under the zero
+	// TenantConfig: weight 1, inherited queue depth, shared store.
 	Tenants map[string]TenantConfig
-	// DefaultTenant is the policy of tenants not listed in Tenants (the
-	// zero value means weight 1, inherited queue depth, shared store).
-	DefaultTenant TenantConfig
 	// Options is the default engine configuration for jobs that carry
 	// none; nil uses core.DefaultOptions.
 	Options *core.Options
@@ -211,30 +208,14 @@ type Config struct {
 	// path (record corruption) and the fleet bundle partitions (fetch
 	// failures); nil injects nothing. See internal/faultinject.
 	Faults *faultinject.Plan
-	// Fleet tunables. Each value <= 0 inherits the simtime default of the
-	// same name; only meaningful with Nodes > 0.
-	//
-	// LeaseTTLUnits is how long a lease survives without a heartbeat
-	// before the coordinator fences its holder and hands the range off.
-	LeaseTTLUnits int64
-	// HandoffUnits is the flat charge of one re-dispatch; each handoff
-	// additionally pays RetryBackoffUnits << (attempt-1), capped.
-	HandoffUnits      int64
-	RetryBackoffUnits int64
-	// StealMinSinks is the smallest unstarted sink tail worth stealing:
-	// an idle node takes work only from a job with at least this many
-	// sinks not yet begun.
-	StealMinSinks int
 	// StealAfterUnits is how long a job must have ground (units metered
 	// against its lease) before its tail becomes stealable — a warmup
-	// that keeps small apps from being split for no benefit.
+	// that keeps small apps from being split for no benefit. A value
+	// <= 0 inherits simtime.StealAfterUnits; only meaningful with
+	// Nodes > 0. The other fleet tunables (lease TTL, handoff and
+	// backoff charges, the minimum stealable tail) are the simtime
+	// constants of the same names.
 	StealAfterUnits int64
-	// Metrics is the registry every subsystem's counters are collected
-	// into (scheduler, tenants, fleet, bundle/shard/report stores,
-	// journal). nil creates a private registry; either way Metrics()
-	// returns the one in effect, and /metrics, the stats JSON and the
-	// stdin stats lines all render from its Snapshot.
-	Metrics *obs.Registry
 	// Trace, when non-nil, records simtime-anchored spans for every
 	// dispatch: engine phases, steal shed/claim, handoffs, chunk merges
 	// and settled hits, plus one charged-units counter sample per meter
@@ -302,7 +283,8 @@ type Scheduler struct {
 	// bundle placement.
 	fleet *fleet
 
-	// metrics is the resolved registry (Config.Metrics or a private one).
+	// metrics is the scheduler's registry: every subsystem's counters
+	// are collected into it (registerMetrics).
 	metrics *obs.Registry
 }
 
@@ -407,18 +389,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2 * cfg.Workers
 	}
-	if cfg.LeaseTTLUnits <= 0 {
-		cfg.LeaseTTLUnits = simtime.LeaseTTLUnits
-	}
-	if cfg.HandoffUnits <= 0 {
-		cfg.HandoffUnits = simtime.HandoffUnits
-	}
-	if cfg.RetryBackoffUnits <= 0 {
-		cfg.RetryBackoffUnits = simtime.RetryBackoffUnits
-	}
-	if cfg.StealMinSinks <= 0 {
-		cfg.StealMinSinks = simtime.StealMinSinks
-	}
 	if cfg.StealAfterUnits <= 0 {
 		cfg.StealAfterUnits = simtime.StealAfterUnits
 	}
@@ -427,10 +397,7 @@ func New(cfg Config) *Scheduler {
 		tenants: make(map[string]*tenant),
 		states:  make(map[JobID]*jobState),
 		prev:    make(map[string]prevRun),
-		metrics: cfg.Metrics,
-	}
-	if s.metrics == nil {
-		s.metrics = obs.NewRegistry()
+		metrics: obs.NewRegistry(),
 	}
 	s.registerMetrics()
 	s.cond = sync.NewCond(&s.mu)
@@ -441,8 +408,7 @@ func New(cfg Config) *Scheduler {
 		}
 	}
 	if cfg.Nodes > 0 {
-		s.fleet = newFleet(cfg.Nodes, cfg.NodeStoreBudget, cfg.Faults,
-			cfg.LeaseTTLUnits, cfg.HandoffUnits, cfg.RetryBackoffUnits)
+		s.fleet = newFleet(cfg.Nodes, cfg.NodeStoreBudget, cfg.Faults)
 		s.fleet.requeue = s.requeueJob
 		s.fleet.wake = s.cond.Broadcast
 		s.fleet.allDead = s.failQueued
@@ -751,10 +717,6 @@ func (s *Scheduler) Halt() {
 	s.workerWG.Wait()
 }
 
-// Store returns the scheduler's shared bundle store (nil when disabled).
-// Tenants with a private StoreBudget use their own stores instead.
-func (s *Scheduler) Store() *BundleStore { return s.cfg.Store }
-
 // Journal returns the configured journal (nil when the queue is not
 // durable).
 func (s *Scheduler) Journal() *journal.Journal { return s.cfg.Journal }
@@ -764,8 +726,8 @@ func (s *Scheduler) Journal() *journal.Journal { return s.cfg.Journal }
 func (s *Scheduler) Reports() *ReportStore { return s.cfg.Reports }
 
 // Metrics returns the registry every subsystem's counters collect into
-// (never nil — the scheduler creates a private one when Config.Metrics
-// is unset).
+// — the one source /metrics, the stats JSON and the stdin stats lines
+// render from.
 func (s *Scheduler) Metrics() *obs.Registry { return s.metrics }
 
 // Trace returns the configured span trace (nil when tracing is off).
@@ -937,7 +899,7 @@ func (s *Scheduler) stealWindow(st *jobState, cs *chunkState) *chunkWork {
 		return nil
 	}
 	remaining := cs.fence - cs.started
-	if remaining < s.cfg.StealMinSinks ||
+	if remaining < simtime.StealMinSinks ||
 		s.fleet.leaseUnits(st.id, 0) < s.cfg.StealAfterUnits {
 		return nil
 	}
@@ -1414,7 +1376,7 @@ func (s *Scheduler) requeueJob(id JobID, sub, from, attempt int, units int64) {
 				// metering stopped; the re-pended range's track resumes after
 				// it.
 				start := traceBaseLocked(st, sub) + units
-				dur := s.fleet.ttl + s.fleet.handoffUnits(attempt)
+				dur := simtime.LeaseTTLUnits + s.fleet.handoffUnits(attempt)
 				tr.Add(obs.Span{Job: int64(id), Sub: sub, Name: "handoff",
 					Cat: "sched", Start: start, Dur: dur, Node: -1,
 					Args: []obs.Arg{{Key: "attempt", Value: fmt.Sprint(attempt)}}})
@@ -1441,7 +1403,7 @@ func (s *Scheduler) requeueJob(id JobID, sub, from, attempt int, units int64) {
 	}
 	if tr := s.cfg.Trace; tr != nil {
 		start := traceBaseLocked(st, 0) + units
-		dur := s.fleet.ttl + s.fleet.handoffUnits(attempt)
+		dur := simtime.LeaseTTLUnits + s.fleet.handoffUnits(attempt)
 		tr.Add(obs.Span{Job: int64(id), Sub: 0, Name: "handoff", Cat: "sched",
 			Start: start, Dur: dur, Node: -1,
 			Args: []obs.Arg{{Key: "attempt", Value: fmt.Sprint(attempt)}}})

@@ -21,7 +21,7 @@ func stealTailSpecs() []appgen.Spec {
 // runHeavyTail runs the heavy-tail corpus on a fleet, with sink-chunk
 // stealing enabled (the default options) or disabled (SinkChunk = 0).
 // StealAfterUnits is lowered so the trigger fires early in these small
-// corpora; StealMinSinks keeps the default, so only the outlier's tail
+// corpora; simtime.StealMinSinks still applies, so only the outlier's tail
 // is ever split.
 func runHeavyTail(t *testing.T, nodes int, plan *faultinject.Plan, steal bool) fleetRun {
 	t.Helper()

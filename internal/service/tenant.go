@@ -26,8 +26,8 @@ type TenantConfig struct {
 	StoreBudget int64
 }
 
-// TenantStats is the per-tenant counter block of SchedulerStats.
-type TenantStats struct {
+// tenantStats is the per-tenant counter block of schedulerStats.
+type tenantStats struct {
 	Name            string
 	Weight          int
 	Queued          int   // jobs currently waiting in this tenant's queue
@@ -36,14 +36,14 @@ type TenantStats struct {
 	Requeued        int64 // jobs re-dispatched after a fleet lease expiry
 	CanceledQueued  int64 // cancels that removed a still-queued job
 	CanceledRunning int64 // cancels requested against a running job
-	StoreBudget     int64 // the TenantConfig.StoreBudget in effect
 }
 
-// SchedulerStats aggregates the control-plane counters: per-tenant queue
-// and dispatch state, journal accounting and the charged control-plane
-// work (journal appends at simtime.JournalAppendUnits each).
-type SchedulerStats struct {
-	Tenants      []TenantStats // sorted by tenant name
+// schedulerStats aggregates the control-plane counters the metrics
+// collector reads: per-tenant queue and dispatch state and the charged
+// control-plane work (journal appends at simtime.JournalAppendUnits
+// each).
+type schedulerStats struct {
+	Tenants      []tenantStats // sorted by tenant name
 	Dispatched   int64         // total jobs handed to workers
 	JournalUnits int64         // control-plane work charged for journaling
 	Fleet        *FleetStats   // nil when the scheduler runs without a fleet
@@ -76,7 +76,7 @@ func (t *tenant) weight() int {
 }
 
 // tenantLocked finds or creates the tenant record for the (normalized)
-// name. Unknown tenants are admitted under Config.DefaultTenant — the
+// name. Unknown tenants are admitted under the zero TenantConfig — the
 // open-enrollment policy a service fronting many independent submitters
 // needs — while names present in Config.Tenants use their configured
 // policy. Caller holds s.mu.
@@ -87,10 +87,7 @@ func (s *Scheduler) tenantLocked(name string) *tenant {
 	if t, ok := s.tenants[name]; ok {
 		return t
 	}
-	cfg, ok := s.cfg.Tenants[name]
-	if !ok {
-		cfg = s.cfg.DefaultTenant
-	}
+	cfg := s.cfg.Tenants[name]
 	t := &tenant{name: name, cfg: cfg, depth: cfg.MaxQueueDepth}
 	if t.depth <= 0 {
 		t.depth = s.cfg.QueueDepth
@@ -155,18 +152,18 @@ func (s *Scheduler) popWRR() *jobState {
 	return nil
 }
 
-// Stats returns the control-plane counters. Journal file counters live on
-// the journal itself (Config.Journal.Stats()).
-func (s *Scheduler) Stats() SchedulerStats {
+// stats returns the control-plane counters. Journal file counters live
+// on the journal itself (Config.Journal.Stats()).
+func (s *Scheduler) stats() schedulerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := SchedulerStats{
+	st := schedulerStats{
 		Dispatched:   s.dispatchSeq,
 		JournalUnits: s.journalUnits.Load(),
 	}
 	for _, name := range s.order {
 		t := s.tenants[name]
-		st.Tenants = append(st.Tenants, TenantStats{
+		st.Tenants = append(st.Tenants, tenantStats{
 			Name:            t.name,
 			Weight:          t.weight(),
 			Queued:          len(t.queue),
@@ -175,7 +172,6 @@ func (s *Scheduler) Stats() SchedulerStats {
 			Requeued:        t.requeued,
 			CanceledQueued:  t.canceledQueued,
 			CanceledRunning: t.canceledRunning,
-			StoreBudget:     t.cfg.StoreBudget,
 		})
 	}
 	if s.fleet != nil {

@@ -231,7 +231,7 @@ func TestTenantPrivateStoreIsolation(t *testing.T) {
 	}
 
 	// Tenants are created on first use: exactly the four submitted to.
-	st := s.Stats()
+	st := s.stats()
 	if len(st.Tenants) != 4 {
 		t.Fatalf("tenant stats = %+v", st.Tenants)
 	}

@@ -164,10 +164,10 @@ const (
 	// benchgate heavy-tail leg gates under 10% of charged work.
 	StealUnits = 8
 
-	// StealMinSinks is the default minimum number of unstarted sinks a
-	// running job must still have before an idle node may steal from it
-	// (service.Config.StealMinSinks overrides). Below it the remaining
-	// tail is cheaper to finish in place than to re-locate on a thief.
+	// StealMinSinks is the minimum number of unstarted sinks a running
+	// job must still have before an idle node may steal from it. Below
+	// it the remaining tail is cheaper to finish in place than to
+	// re-locate on a thief.
 	StealMinSinks = 8
 
 	// StealAfterUnits is the default charged-work threshold a job's
