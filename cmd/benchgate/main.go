@@ -1,62 +1,72 @@
 // Command benchgate is the CI bench-regression gate for the bytecode
-// search stack. It analyzes the scaled benchmark corpus once per search
-// backend (linear, indexed, sharded), cold+warm against the persistent
-// bundle cache, and twice through the batch service scheduler with an
-// in-memory bundle store; emits the charged-work measurements as JSON
-// (BENCH_search.json, the warm-path trajectory BENCH_warm.json and the
-// batch-reuse leg BENCH_service.json), and fails when charged work
-// regresses beyond the tolerance against a checked-in baseline.
+// search stack and the batch service built on it. It runs a fixed table
+// of benchmark legs over a fixed corpus. Each leg measures, writes its
+// BENCH_<leg>.json artifact into -out-dir, and only then checks its hard
+// invariants, so a failing run always leaves the evidence behind. The
+// search leg's charged work is finally gated against a checked-in
+// baseline.
 //
-// Hard invariants enforced on every run, baseline or not:
-//   - index backends must beat the linear scan (speedup > 1);
-//   - a warm run must charge zero index builds AND zero disassembly
-//     (every app loads both bundle sections);
-//   - every backend and the warm bundle run must reproduce the linear
-//     scan's detection output bit for bit;
-//   - the batch-reuse second pass must charge zero index builds and zero
-//     disassembly (every app a bundle-store hit), beat the first pass,
-//     and both scheduler passes must reproduce the plain RunCorpus
-//     detection output bit for bit;
-//   - the delta-update leg (BENCH_delta.json) must reproduce the cold
-//     detection output for every mutation kind, a one-class update
-//     (change-literal, add-class) must charge under 10% of its cold
-//     re-analysis, and the shard store must dedup postings bytes across
-//     the two versions;
-//   - the settled-storm leg (BENCH_settled.json): the corpus is analyzed
-//     cold once through a scheduler with a report store, then resubmitted
-//     ten more times. Every storm pass must be served entirely from the
-//     settled tier — zero disassembly, zero index builds, one settled
-//     lookup per app — with canonical report encodings bitwise identical
-//     to the cold pass, and the whole storm must charge under 1% of the
-//     cold pass;
-//   - the fleet-chaos leg (BENCH_fleet.json): the tenant corpus runs
-//     twice through a 4-node worker fleet — uninterrupted, and under a
-//     deterministic fault plan that kills two nodes mid-corpus. The
-//     chaos run's canonical per-job report union must be byte-identical
-//     to the uninterrupted run's, the light tenant must still dispatch
-//     inside the WRR fairness bound while handoff re-dispatches compete
-//     for slots, and the failure-detection + handoff + backoff overhead
-//     must stay under 10% of the charged analysis work;
-//   - the heavy-tail leg (BENCH_steal.json): the work-stealing corpus —
-//     one 121-sink outlier submitted first, then small apps — runs twice
-//     through a 4-node fleet, with sink-chunk stealing off (SinkChunk=0)
-//     and on (the defaults). The steal run's per-job report union must
-//     be byte-identical to the unsplit run's, the charged makespan (the
-//     busiest node's odometer) must shrink by at least 1.5x, and the
-//     steal + remote-fetch overhead must stay under 10% of the charged
-//     analysis work.
+// The legs, in run order, and the invariants each enforces on every run,
+// baseline or not:
+//   - steal (BENCH_steal.json), the heavy-tail leg: the work-stealing
+//     corpus (one 121-sink outlier submitted first, then small apps) runs
+//     twice through a 4-node fleet, with sink-chunk stealing off
+//     (SinkChunk=0) and on (the defaults). The steal run's per-job report
+//     union must be byte-identical to the unsplit run's, at least one
+//     chunk must be stolen, the charged makespan (the busiest node's
+//     odometer) must shrink by at least 1.5x, and the steal +
+//     remote-fetch overhead must stay under 10% of the charged analysis
+//     work. Its numbers also ride into BENCH_search.json and the
+//     baseline, so it runs before the search leg;
+//   - search (BENCH_search.json): the corpus once per search backend
+//     (linear, indexed, sharded), then cold+warm against the persistent
+//     bundle cache. Every backend and the warm bundle run must reproduce
+//     the linear scan's detection output bit for bit, and the index
+//     backends must beat the linear scan (speedup > 1). The service,
+//     settled and warm legs read its results;
+//   - service (BENCH_service.json), the batch-reuse leg: the corpus
+//     submitted twice through one scheduler with an in-memory bundle
+//     store. Both passes must reproduce the search leg's detection output
+//     bit for bit; the second pass must charge zero index builds and zero
+//     disassembly, hit the store once per app, and beat the first pass;
+//   - tenant (BENCH_tenant.json), the fair-dispatch leg: a heavy tenant's
+//     backlog and a light tenant's trickle through one journaled worker.
+//     The light tenant's last job must dispatch inside the WRR fairness
+//     bound, and the journal must charge under 5% of the analysis work;
+//   - fleet (BENCH_fleet.json), the fleet-chaos leg: the tenant corpus
+//     twice through a 4-node fleet, uninterrupted and under a
+//     deterministic fault plan that kills two nodes mid-corpus. The chaos
+//     run's canonical per-job report union must be byte-identical to the
+//     uninterrupted run's, exactly two nodes must die and two jobs be
+//     handed off, the light tenant must still dispatch inside the WRR
+//     fairness bound, and the failure-detection + handoff + backoff
+//     overhead must stay under 10% of the charged analysis work;
+//   - delta (BENCH_delta.json), the app-update leg: per mutation kind the
+//     updated app must reproduce its cold detection output when
+//     re-analyzed against the base version's bundle and report, must
+//     reuse at least one sink and charge less than cold, a one-class
+//     update (change-literal, add-class) must charge under 10% of cold,
+//     and the shard store must dedup postings bytes across the versions;
+//   - settled (BENCH_settled.json), the resubmission-storm leg: the
+//     corpus analyzed cold once through a scheduler with a report store,
+//     then resubmitted ten more times. Every storm pass must be served
+//     from the settled tier: detection output unchanged, canonical report
+//     encodings bitwise identical to the cold pass, zero disassembly,
+//     zero index builds and one settled lookup per app. The whole storm
+//     must charge under 1% of the cold pass;
+//   - warm (BENCH_warm.json), the warm-path trajectory: the search leg's
+//     warm bundle run must charge zero index builds and zero disassembly,
+//     load one cached dump per app, and beat the cold run. It also records
+//     the speedup over the baseline's warm run.
 //
 // Usage:
 //
-//	benchgate [-apps N] [-scale F] [-seed N] [-baseline FILE] [-out FILE]
-//	          [-warm-out FILE] [-service-out FILE] [-tenant-out FILE]
-//	          [-delta-out FILE] [-settled-out FILE] [-fleet-out FILE]
-//	          [-steal-out FILE] [-tolerance F] [-write-baseline]
+//	benchgate [-baseline FILE] [-write-baseline] [-out-dir DIR]
 //
 // Charged work is simulated time (deterministic for a given corpus), so
 // the gate is immune to runner noise: a regression means the search stack
-// really does more work, not that the CI machine was slow. The tolerance
-// (default 10%) only absorbs deliberate cost-model recalibrations.
+// really does more work, not that the CI machine was slow. The 10%
+// tolerance only absorbs deliberate cost-model recalibrations.
 // Improvements are reported but do not fail the gate; refresh the
 // baseline with -write-baseline when they should become the new floor.
 package main
@@ -66,8 +76,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -82,6 +96,116 @@ import (
 	"backdroid/internal/service"
 	"backdroid/internal/service/journal"
 )
+
+// corpus is the measured benchmark corpus. gate refuses a baseline
+// measured on any other.
+var corpus = CorpusMeta{Apps: 16, Scale: 0.15, Seed: 20200523}
+
+const (
+	tolerance   = 0.10 // allowed charged-work regression vs the baseline
+	stormPasses = 10   // settled-storm resubmissions of the corpus
+	fleetNodes  = 4    // nodes of the fleet-chaos and heavy-tail legs
+)
+
+// report is a leg's artifact. check enforces the leg's hard invariants
+// on it; it is pure, so every invariant is unit-testable on a synthetic
+// report.
+type report interface{ check() error }
+
+// leg is one benchmark leg: measure runs it and returns its report, which
+// the loop in run writes to BENCH_<name>.json before checking it. Parity
+// failures (detection output or report encodings that diverge) are
+// errors from measure itself.
+type leg struct {
+	name    string
+	measure func(*bench) (report, error)
+}
+
+// legs is the gate, in run order (see the package comment).
+var legs = []leg{
+	{"steal", (*bench).steal},
+	{"search", (*bench).search},
+	{"service", (*bench).service},
+	{"tenant", (*bench).tenant},
+	{"fleet", (*bench).fleet},
+	{"delta", (*bench).delta},
+	{"settled", (*bench).settled},
+	{"warm", (*bench).warm},
+}
+
+// config is benchgate's command line.
+type config struct {
+	baseline      string // baseline JSON to gate against; empty = no gate
+	writeBaseline bool   // overwrite the baseline with this run's numbers
+	outDir        string // directory the BENCH_<leg>.json artifacts go to
+}
+
+// bench carries one run's configuration and what later legs read from
+// earlier ones.
+type bench struct {
+	cfg         config
+	stealRep    *StealReport // the steal leg's report, recorded in BENCH_search.json
+	searchRep   Report       // the search leg's report, gated against the baseline
+	coldSharded BackendCost  // the cold pass of the warm bundle runs
+	shardedDet  string       // the sharded backend's detection summary
+}
+
+func main() {
+	var cfg config
+	flag.StringVar(&cfg.baseline, "baseline", "", "baseline JSON to gate against (empty = no gate)")
+	flag.BoolVar(&cfg.writeBaseline, "write-baseline", false, "overwrite the baseline with this run's numbers")
+	flag.StringVar(&cfg.outDir, "out-dir", ".", "directory the BENCH_<leg>.json artifacts are written to")
+	flag.Parse()
+	if err := run(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		os.Exit(1)
+	}
+}
+
+func run(cfg config) error {
+	if cfg.writeBaseline && cfg.baseline == "" {
+		return fmt.Errorf("-write-baseline needs -baseline PATH")
+	}
+	if err := os.MkdirAll(cfg.outDir, 0o755); err != nil {
+		return err
+	}
+	b := &bench{cfg: cfg}
+	for _, l := range legs {
+		rep, err := l.measure(b)
+		if err != nil {
+			return fmt.Errorf("%s leg: %w", l.name, err)
+		}
+		path := filepath.Join(cfg.outDir, "BENCH_"+l.name+".json")
+		if err := writeJSON(path, rep); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		if err := rep.check(); err != nil {
+			return fmt.Errorf("%s leg: %w", l.name, err)
+		}
+	}
+
+	if cfg.writeBaseline {
+		if err := writeJSON(cfg.baseline, b.searchRep); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "baseline %s refreshed\n", cfg.baseline)
+		return nil
+	}
+	if cfg.baseline == "" {
+		return nil
+	}
+	return gate(b.searchRep, cfg.baseline, tolerance)
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
 
 // BackendCost is the charged search work of one corpus run, summed over
 // all apps. Deterministic for a given corpus and backend.
@@ -330,382 +454,120 @@ type WarmReport struct {
 	SpeedupVsBaseline float64     `json:"speedup_vs_baseline_warm,omitempty"`
 }
 
-func main() {
-	var (
-		apps       = flag.Int("apps", 16, "corpus size")
-		scale      = flag.Float64("scale", 0.15, "app size scale factor")
-		seed       = flag.Int64("seed", 20200523, "corpus seed")
-		baseline   = flag.String("baseline", "", "baseline JSON to gate against (empty = no gate)")
-		out        = flag.String("out", "BENCH_search.json", "output JSON path")
-		warmOut    = flag.String("warm-out", "BENCH_warm.json", "warm-path trajectory JSON path (empty = skip)")
-		serviceOut = flag.String("service-out", "BENCH_service.json", "batch-reuse leg JSON path (empty = skip)")
-		tenantOut  = flag.String("tenant-out", "BENCH_tenant.json", "fair-dispatch leg JSON path (empty = skip)")
-		deltaOut   = flag.String("delta-out", "BENCH_delta.json", "delta-update leg JSON path (empty = skip)")
-		settledOut = flag.String("settled-out", "BENCH_settled.json", "settled-storm leg JSON path (empty = skip)")
-		fleetOut   = flag.String("fleet-out", "BENCH_fleet.json", "fleet-chaos leg JSON path (empty = skip)")
-		stealOut   = flag.String("steal-out", "BENCH_steal.json", "heavy-tail work-stealing leg JSON path (empty = skip)")
-		tolerance  = flag.Float64("tolerance", 0.10, "allowed charged-work regression fraction")
-		write      = flag.Bool("write-baseline", false, "overwrite the baseline with this run's numbers")
-	)
-	flag.Parse()
-	if err := run(*apps, *scale, *seed, *baseline, *out, *warmOut, *serviceOut, *tenantOut, *deltaOut, *settledOut, *fleetOut, *stealOut, *tolerance, *write); err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(1)
+func (r Report) check() error {
+	if r.SpeedupIndexed <= 1 || r.SpeedupSharded <= 1 {
+		return fmt.Errorf("index speedups %.2fx/%.2fx not >1 — index backends charge more than the linear scan",
+			r.SpeedupIndexed, r.SpeedupSharded)
 	}
+	return nil
 }
 
-func run(apps int, scale float64, seed int64, baselinePath, outPath, warmOutPath, serviceOutPath, tenantOutPath, deltaOutPath, settledOutPath, fleetOutPath, stealOutPath string, tolerance float64, writeBaseline bool) error {
-	meta := CorpusMeta{Apps: apps, Scale: scale, Seed: seed}
-	report := Report{Corpus: meta, Backends: make(map[string]BackendCost)}
+func (w WarmReport) check() error {
+	switch {
+	case w.Warm.IndexBuilds != 0:
+		return fmt.Errorf("warm run built %d indexes, want 0 (persistent cache not hitting)", w.Warm.IndexBuilds)
+	case w.Warm.DumpLinesCold != 0:
+		return fmt.Errorf("warm run disassembled %d dump lines, want 0 (bundle dump section not hitting)", w.Warm.DumpLinesCold)
+	case w.Warm.DumpCacheHits != w.Corpus.Apps:
+		return fmt.Errorf("warm run loaded %d cached dumps, want %d (one per app)", w.Warm.DumpCacheHits, w.Corpus.Apps)
+	case w.SpeedupWarmVsCold <= 1:
+		return fmt.Errorf("warm speedup %.2fx not >1 — warm bundle runs charge more than cold", w.SpeedupWarmVsCold)
+	}
+	return nil
+}
 
-	detections := make(map[string]string)
-	for _, kind := range []bcsearch.BackendKind{bcsearch.BackendLinear, bcsearch.BackendIndexed, bcsearch.BackendSharded} {
-		cost, det, err := measure(meta, kind, "")
-		if err != nil {
-			return err
-		}
-		report.Backends[kind.String()] = cost
-		detections[kind.String()] = det
-		fmt.Fprintf(os.Stderr, "%-16s %10d units, %9d line-scans, %9d postings\n",
-			kind, cost.WorkUnits, cost.LinesScanned, cost.PostingsScanned)
+func (s ServiceReport) check() error {
+	second := s.SecondPass
+	switch {
+	case second.IndexBuilds != 0:
+		return fmt.Errorf("batch-reuse second pass built %d indexes, want 0 (bundle store not hitting)", second.IndexBuilds)
+	case second.DumpLinesCold != 0:
+		return fmt.Errorf("batch-reuse second pass disassembled %d lines, want 0", second.DumpLinesCold)
+	case second.BundleStoreHits != s.Corpus.Apps:
+		return fmt.Errorf("batch-reuse second pass hit the store %d times, want %d (one per app)", second.BundleStoreHits, s.Corpus.Apps)
+	case s.SpeedupBatchReuse <= 1:
+		return fmt.Errorf("batch-reuse speedup %.2fx not >1 — store reuse charges more than cold", s.SpeedupBatchReuse)
 	}
+	return nil
+}
 
-	for name, det := range detections {
-		if det != detections["linear"] {
-			return fmt.Errorf("backend %q detection output diverges from linear", name)
-		}
+func (t TenantReport) check() error {
+	if t.LastLightSlot > t.FairnessBound {
+		return fmt.Errorf("light tenant's last job dispatched at slot %d, fairness bound is %d — heavy tenant head-of-line-blocks",
+			t.LastLightSlot, t.FairnessBound)
 	}
+	if t.JournalOverhead >= 0.05 {
+		return fmt.Errorf("journal overhead %.2f%% of charged units, ceiling is 5%%", 100*t.JournalOverhead)
+	}
+	return nil
+}
 
-	// Warm persistent-bundle runs: the first pass populates the cache
-	// directory, the second must load every dump and index section.
-	cacheDir, err := os.MkdirTemp("", "benchgate-idx-*")
-	if err != nil {
-		return err
+func (f FleetReport) check() error {
+	switch {
+	case !f.UnionIdentical:
+		return fmt.Errorf("fleet chaos run's report union diverges from the uninterrupted run")
+	case f.Killed != 2:
+		return fmt.Errorf("fault plan %q killed %d nodes, want 2", f.Plan, f.Killed)
+	case f.Handoffs != 2:
+		return fmt.Errorf("fleet chaos run handed off %d jobs, want 2 (one per killed node)", f.Handoffs)
+	case f.LastLightSlot > f.FairnessBound:
+		return fmt.Errorf("light tenant's last job dispatched at fleet slot %d, fairness bound is %d — handoffs starve the light tenant",
+			f.LastLightSlot, f.FairnessBound)
+	case f.OverheadRatio >= 0.10:
+		return fmt.Errorf("fleet fault overhead %.2f%% of charged analysis units, ceiling is 10%%", 100*f.OverheadRatio)
 	}
-	defer os.RemoveAll(cacheDir)
-	coldSharded, _, err := measure(meta, bcsearch.BackendSharded, cacheDir)
-	if err != nil {
-		return err
-	}
-	warm, warmDet, err := measure(meta, bcsearch.BackendSharded, cacheDir)
-	if err != nil {
-		return err
-	}
-	report.WarmCache = warm
-	fmt.Fprintf(os.Stderr, "%-16s %10d units, %d index hits, %d dump hits, %d builds, %d lines disassembled\n",
-		"warm", warm.WorkUnits, warm.IndexCacheHits, warm.DumpCacheHits, warm.IndexBuilds, warm.DumpLinesCold)
+	return nil
+}
 
-	lin := report.Backends["linear"].WorkUnits
-	if idx := report.Backends["indexed"].WorkUnits; idx > 0 {
-		report.SpeedupIndexed = float64(lin) / float64(idx)
+func (d DeltaReport) check() error {
+	for _, leg := range d.Legs {
+		if leg.SinksReused == 0 {
+			return fmt.Errorf("delta leg %q reused no sinks — incremental path not engaging", leg.Mutation)
+		}
+		if leg.DeltaUnits >= leg.ColdUnits {
+			return fmt.Errorf("delta leg %q charged %d units, cold %d — incremental run costs more than cold",
+				leg.Mutation, leg.DeltaUnits, leg.ColdUnits)
+		}
+		oneClass := leg.Mutation != appgen.MutateNewFlow.String()
+		if oneClass && 10*leg.DeltaUnits >= leg.ColdUnits {
+			return fmt.Errorf("delta leg %q charged %d units, over 10%% of the %d-unit cold run",
+				leg.Mutation, leg.DeltaUnits, leg.ColdUnits)
+		}
 	}
-	if sh := report.Backends["sharded"].WorkUnits; sh > 0 {
-		report.SpeedupSharded = float64(lin) / float64(sh)
+	if d.ShardStore.BytesDeduped == 0 {
+		return fmt.Errorf("delta leg deduped no postings bytes across versions — shard store not sharing")
 	}
-	if warm.WorkUnits > 0 {
-		report.SpeedupWarm = float64(coldSharded.WorkUnits) / float64(warm.WorkUnits)
-	}
+	return nil
+}
 
-	// Heavy-tail work-stealing leg. Measured before the main report is
-	// marshaled so its numbers ride into BENCH_search.json and the
-	// checked-in baseline; the artifact is written before the gates fire
-	// so a failing run still leaves the evidence behind.
-	if stealOutPath != "" {
-		sr, err := measureStealTail(seed)
-		if err != nil {
-			return err
-		}
-		report.Steal = &sr
-		fmt.Fprintf(os.Stderr, "%-16s makespan %d -> %d units (%.2fx), %d steals off %d victims, %d sinks moved, overhead %.2f%%\n",
-			"heavy-tail", sr.NoStealMakespan, sr.StealMakespan, sr.SpeedupMakespan,
-			sr.Steals, sr.StealVictims, sr.StolenSinks, 100*sr.OverheadRatio)
-		sdata, err := json.MarshalIndent(sr, "", "  ")
-		if err != nil {
-			return err
-		}
-		sdata = append(sdata, '\n')
-		if err := os.WriteFile(stealOutPath, sdata, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (makespan %.2fx)\n", stealOutPath, sr.SpeedupMakespan)
-		if !sr.UnionIdentical {
-			return fmt.Errorf("heavy-tail steal run's report union diverges from the unsplit run")
-		}
-		if sr.Steals == 0 {
-			return fmt.Errorf("heavy-tail leg stole no chunks — sink-level stealing not engaging")
-		}
-		if sr.SpeedupMakespan < 1.5 {
-			return fmt.Errorf("heavy-tail makespan speedup %.2fx, floor is 1.5x (%d -> %d units)",
-				sr.SpeedupMakespan, sr.NoStealMakespan, sr.StealMakespan)
-		}
-		if sr.OverheadRatio >= 0.10 {
-			return fmt.Errorf("steal overhead %.2f%% of charged analysis units, ceiling is 10%%", 100*sr.OverheadRatio)
-		}
+func (s SettledReport) check() error {
+	switch want := int64(s.Corpus.Apps) * int64(s.StormPasses); {
+	case s.Storm.IndexBuilds != 0:
+		return fmt.Errorf("settled storm built %d indexes, want 0 (report store not serving)", s.Storm.IndexBuilds)
+	case s.Storm.DumpLinesCold != 0:
+		return fmt.Errorf("settled storm disassembled %d dump lines, want 0", s.Storm.DumpLinesCold)
+	case s.SettledLookups != want:
+		return fmt.Errorf("settled storm charged %d settled lookups, want %d (one per resubmission)", s.SettledLookups, want)
+	case 100*s.Storm.WorkUnits >= s.ColdPass.WorkUnits:
+		return fmt.Errorf("settled storm charged %d units, over 1%% of the %d-unit cold pass",
+			s.Storm.WorkUnits, s.ColdPass.WorkUnits)
 	}
+	return nil
+}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
+func (s StealReport) check() error {
+	switch {
+	case !s.UnionIdentical:
+		return fmt.Errorf("heavy-tail steal run's report union diverges from the unsplit run")
+	case s.Steals == 0:
+		return fmt.Errorf("heavy-tail leg stole no chunks — sink-level stealing not engaging")
+	case s.SpeedupMakespan < 1.5:
+		return fmt.Errorf("heavy-tail makespan speedup %.2fx, floor is 1.5x (%d -> %d units)",
+			s.SpeedupMakespan, s.NoStealMakespan, s.StealMakespan)
+	case s.OverheadRatio >= 0.10:
+		return fmt.Errorf("steal overhead %.2f%% of charged analysis units, ceiling is 10%%", 100*s.OverheadRatio)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (speedup indexed %.2fx, sharded %.2fx, warm %.2fx)\n",
-		outPath, report.SpeedupIndexed, report.SpeedupSharded, report.SpeedupWarm)
-
-	// Invariants the gate always enforces, baseline or not.
-	if warm.IndexBuilds != 0 {
-		return fmt.Errorf("warm run built %d indexes, want 0 (persistent cache not hitting)", warm.IndexBuilds)
-	}
-	if warm.DumpLinesCold != 0 {
-		return fmt.Errorf("warm run disassembled %d dump lines, want 0 (bundle dump section not hitting)", warm.DumpLinesCold)
-	}
-	if warm.DumpCacheHits != apps {
-		return fmt.Errorf("warm run loaded %d cached dumps, want %d (one per app)", warm.DumpCacheHits, apps)
-	}
-	if warmDet != detections["sharded"] {
-		return fmt.Errorf("warm bundle run changed the detection output")
-	}
-	if report.SpeedupIndexed <= 1 || report.SpeedupSharded <= 1 {
-		return fmt.Errorf("index speedups %.2fx/%.2fx not >1 — index backends charge more than the linear scan",
-			report.SpeedupIndexed, report.SpeedupSharded)
-	}
-	if report.SpeedupWarm <= 1 {
-		return fmt.Errorf("warm speedup %.2fx not >1 — warm bundle runs charge more than cold", report.SpeedupWarm)
-	}
-
-	// Batch-reuse leg: the same corpus submitted twice through one
-	// scheduler with an in-memory bundle store. This is also the
-	// scheduler-vs-RunCorpus parity diff — both passes must reproduce the
-	// plain sharded detection output bit for bit.
-	if serviceOutPath != "" {
-		svc, firstDet, secondDet, err := measureService(meta)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "%-16s %10d units cold, %10d units warm, %d store hits\n",
-			"batch-reuse", svc.FirstPass.WorkUnits, svc.SecondPass.WorkUnits, svc.SecondPass.BundleStoreHits)
-		if firstDet != detections["sharded"] || secondDet != detections["sharded"] {
-			return fmt.Errorf("scheduler runs changed the detection output vs RunCorpus")
-		}
-		if svc.SecondPass.IndexBuilds != 0 {
-			return fmt.Errorf("batch-reuse second pass built %d indexes, want 0 (bundle store not hitting)", svc.SecondPass.IndexBuilds)
-		}
-		if svc.SecondPass.DumpLinesCold != 0 {
-			return fmt.Errorf("batch-reuse second pass disassembled %d lines, want 0", svc.SecondPass.DumpLinesCold)
-		}
-		if svc.SecondPass.BundleStoreHits != apps {
-			return fmt.Errorf("batch-reuse second pass hit the store %d times, want %d (one per app)", svc.SecondPass.BundleStoreHits, apps)
-		}
-		if svc.SpeedupBatchReuse <= 1 {
-			return fmt.Errorf("batch-reuse speedup %.2fx not >1 — store reuse charges more than cold", svc.SpeedupBatchReuse)
-		}
-		sdata, err := json.MarshalIndent(svc, "", "  ")
-		if err != nil {
-			return err
-		}
-		sdata = append(sdata, '\n')
-		if err := os.WriteFile(serviceOutPath, sdata, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (batch reuse %.2fx)\n", serviceOutPath, svc.SpeedupBatchReuse)
-	}
-
-	// Fair-dispatch leg: a heavy tenant's backlog vs a light tenant's
-	// trickle through one journaled scheduler. Enforces the fairness
-	// bound and the journal-overhead ceiling on every run.
-	if tenantOutPath != "" {
-		tr, err := measureFairDispatch(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "%-16s light done by slot %d/%d (bound %d), journal %.2f%% of %d units\n",
-			"fair-dispatch", tr.LastLightSlot, len(tr.DispatchOrder), tr.FairnessBound,
-			100*tr.JournalOverhead, tr.AnalysisUnits)
-		if tr.LastLightSlot > tr.FairnessBound {
-			return fmt.Errorf("light tenant's last job dispatched at slot %d, fairness bound is %d — heavy tenant head-of-line-blocks",
-				tr.LastLightSlot, tr.FairnessBound)
-		}
-		if tr.JournalOverhead >= 0.05 {
-			return fmt.Errorf("journal overhead %.2f%% of charged units, ceiling is 5%%", 100*tr.JournalOverhead)
-		}
-		tdata, err := json.MarshalIndent(tr, "", "  ")
-		if err != nil {
-			return err
-		}
-		tdata = append(tdata, '\n')
-		if err := os.WriteFile(tenantOutPath, tdata, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", tenantOutPath)
-	}
-
-	// Fleet-chaos leg: the tenant corpus through a 4-node fleet, with and
-	// without a deterministic fault plan killing two nodes mid-corpus.
-	// Enforces report-union byte parity, the fairness bound under
-	// re-dispatch pressure and the 10% overhead ceiling on every run.
-	if fleetOutPath != "" {
-		fr, err := measureFleetChaos(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "%-16s %d/%d nodes killed, %d handoffs, overhead %.2f%% of %d units, light slot %d/%d\n",
-			"fleet-chaos", fr.Killed, fr.Nodes, fr.Handoffs,
-			100*fr.OverheadRatio, fr.AnalysisUnits, fr.LastLightSlot, fr.FairnessBound)
-		if !fr.UnionIdentical {
-			return fmt.Errorf("fleet chaos run's report union diverges from the uninterrupted run")
-		}
-		if fr.Killed != 2 {
-			return fmt.Errorf("fault plan %q killed %d nodes, want 2", fr.Plan, fr.Killed)
-		}
-		if fr.Handoffs != 2 {
-			return fmt.Errorf("fleet chaos run handed off %d jobs, want 2 (one per killed node)", fr.Handoffs)
-		}
-		if fr.LastLightSlot > fr.FairnessBound {
-			return fmt.Errorf("light tenant's last job dispatched at fleet slot %d, fairness bound is %d — handoffs starve the light tenant",
-				fr.LastLightSlot, fr.FairnessBound)
-		}
-		if fr.OverheadRatio >= 0.10 {
-			return fmt.Errorf("fleet fault overhead %.2f%% of charged analysis units, ceiling is 10%%", 100*fr.OverheadRatio)
-		}
-		fdata, err := json.MarshalIndent(fr, "", "  ")
-		if err != nil {
-			return err
-		}
-		fdata = append(fdata, '\n')
-		if err := os.WriteFile(fleetOutPath, fdata, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", fleetOutPath)
-	}
-
-	// Delta-update leg: each mutation kind's updated app analyzed cold
-	// and incrementally against the base version's bundle + report. The
-	// gate pins verdict parity for every kind, the <10% charge ceiling
-	// for one-class updates, and cross-version shard dedup.
-	if deltaOutPath != "" {
-		dr, err := measureDelta(seed)
-		if err != nil {
-			return err
-		}
-		for _, leg := range dr.Legs {
-			fmt.Fprintf(os.Stderr, "%-16s %10d units cold, %10d units delta (%.1f%%), %d/%d sinks reused, %d/%d shards unchanged\n",
-				"delta:"+leg.Mutation, leg.ColdUnits, leg.DeltaUnits, 100*leg.CostRatio,
-				leg.SinksReused, leg.SinksReused+leg.SinksRerun,
-				leg.ShardsUnchanged, leg.ShardsUnchanged+leg.ShardsChanged)
-			if leg.SinksReused == 0 {
-				return fmt.Errorf("delta leg %q reused no sinks — incremental path not engaging", leg.Mutation)
-			}
-			if leg.DeltaUnits >= leg.ColdUnits {
-				return fmt.Errorf("delta leg %q charged %d units, cold %d — incremental run costs more than cold",
-					leg.Mutation, leg.DeltaUnits, leg.ColdUnits)
-			}
-			oneClass := leg.Mutation != appgen.MutateNewFlow.String()
-			if oneClass && 10*leg.DeltaUnits >= leg.ColdUnits {
-				return fmt.Errorf("delta leg %q charged %d units, over 10%% of the %d-unit cold run",
-					leg.Mutation, leg.DeltaUnits, leg.ColdUnits)
-			}
-		}
-		if dr.ShardStore.BytesDeduped == 0 {
-			return fmt.Errorf("delta leg deduped no postings bytes across versions — shard store not sharing")
-		}
-		ddata, err := json.MarshalIndent(dr, "", "  ")
-		if err != nil {
-			return err
-		}
-		ddata = append(ddata, '\n')
-		if err := os.WriteFile(deltaOutPath, ddata, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d bytes postings deduped across versions)\n",
-			deltaOutPath, dr.ShardStore.BytesDeduped)
-	}
-
-	// Settled-storm leg: the corpus analyzed cold through a scheduler with
-	// a report store, then resubmitted ten more times. The storm must ride
-	// the settled tier end to end — O(1) lookups, bitwise-identical
-	// canonical reports — and charge under 1% of the cold pass.
-	if settledOutPath != "" {
-		const stormPasses = 10
-		sr, coldDet, stormDet, err := measureSettledStorm(meta, stormPasses)
-		if err != nil {
-			return err
-		}
-		if coldDet != detections["sharded"] || stormDet != detections["sharded"] {
-			return fmt.Errorf("settled-storm leg changed the detection output vs RunCorpus")
-		}
-		fmt.Fprintf(os.Stderr, "%-16s %10d units cold, %10d units for %d storm passes (%.3f%%), %d settled lookups\n",
-			"settled-storm", sr.ColdPass.WorkUnits, sr.Storm.WorkUnits, sr.StormPasses,
-			100*sr.ChargeRatio, sr.SettledLookups)
-		if sr.Storm.IndexBuilds != 0 {
-			return fmt.Errorf("settled storm built %d indexes, want 0 (report store not serving)", sr.Storm.IndexBuilds)
-		}
-		if sr.Storm.DumpLinesCold != 0 {
-			return fmt.Errorf("settled storm disassembled %d dump lines, want 0", sr.Storm.DumpLinesCold)
-		}
-		if want := int64(apps) * int64(stormPasses); sr.SettledLookups != want {
-			return fmt.Errorf("settled storm charged %d settled lookups, want %d (one per resubmission)",
-				sr.SettledLookups, want)
-		}
-		if 100*sr.Storm.WorkUnits >= sr.ColdPass.WorkUnits {
-			return fmt.Errorf("settled storm charged %d units, over 1%% of the %d-unit cold pass",
-				sr.Storm.WorkUnits, sr.ColdPass.WorkUnits)
-		}
-		sdata, err := json.MarshalIndent(sr, "", "  ")
-		if err != nil {
-			return err
-		}
-		sdata = append(sdata, '\n')
-		if err := os.WriteFile(settledOutPath, sdata, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (settled serving %.0fx cheaper per pass)\n",
-			settledOutPath, sr.SpeedupSettled)
-	}
-
-	// The warm-path trajectory artifact. The baseline's warm cost is read
-	// before any refresh, so the recorded speedup is against the previous
-	// PR's warm path.
-	if warmOutPath != "" {
-		wr := WarmReport{
-			Corpus:            meta,
-			ColdSharded:       coldSharded,
-			Warm:              warm,
-			SpeedupWarmVsCold: report.SpeedupWarm,
-		}
-		if baselinePath != "" {
-			if base, err := readBaseline(baselinePath); err == nil && base.WarmCache.WorkUnits > 0 {
-				wr.BaselineWarmUnits = base.WarmCache.WorkUnits
-				wr.SpeedupVsBaseline = float64(base.WarmCache.WorkUnits) / float64(warm.WorkUnits)
-			}
-		}
-		wdata, err := json.MarshalIndent(wr, "", "  ")
-		if err != nil {
-			return err
-		}
-		wdata = append(wdata, '\n')
-		if err := os.WriteFile(warmOutPath, wdata, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (warm vs cold %.2fx, vs baseline warm %.2fx)\n",
-			warmOutPath, wr.SpeedupWarmVsCold, wr.SpeedupVsBaseline)
-	}
-
-	if writeBaseline {
-		if baselinePath == "" {
-			return fmt.Errorf("-write-baseline needs -baseline PATH")
-		}
-		if err := os.WriteFile(baselinePath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "baseline %s refreshed\n", baselinePath)
-		return nil
-	}
-	if baselinePath == "" {
-		return nil
-	}
-	return gate(report, baselinePath, tolerance)
+	return nil
 }
 
 // phaseRecorder folds core.Options.PhaseSpan callbacks into per-phase
@@ -750,555 +612,296 @@ func (p *phaseRecorder) snapshot() map[string]obs.HistSnapshot {
 	return out
 }
 
-// measure runs BackDroid over the corpus with the given backend and sums
-// the charged search work; the returned string is a deterministic
-// detection summary (app, sink, verdict, values) used for parity checks.
-func measure(meta CorpusMeta, kind bcsearch.BackendKind, cacheDir string) (BackendCost, string, error) {
+// shardedOptions returns the default engine options on the sharded
+// search backend, which every leg but the backend sweep measures.
+func shardedOptions() *core.Options {
+	opts := core.DefaultOptions()
+	opts.SearchBackend = bcsearch.BackendSharded
+	return &opts
+}
+
+// costOf is one app's charged search work.
+func costOf(s core.Stats) BackendCost {
+	return BackendCost{
+		LinesScanned:    s.Search.LinesScanned,
+		PostingsScanned: s.Search.PostingsScanned,
+		MergedPostings:  s.Search.MergedPostings,
+		IndexBuilds:     s.Search.IndexBuilds,
+		IndexCacheHits:  s.Search.IndexCacheHits,
+		DumpCacheHits:   s.DumpCacheHits,
+		BundleStoreHits: s.BundleStoreHits,
+		DumpLinesCold:   s.DumpLinesDisassembled,
+		ForwardMemoHits: s.ForwardMemoHits,
+		WorkUnits:       s.WorkUnits,
+		SimMinutes:      s.SimMinutes,
+	}
+}
+
+// add sums o's counters into c. Phases is informational and not summed.
+func (c *BackendCost) add(o BackendCost) {
+	c.LinesScanned += o.LinesScanned
+	c.PostingsScanned += o.PostingsScanned
+	c.MergedPostings += o.MergedPostings
+	c.IndexBuilds += o.IndexBuilds
+	c.IndexCacheHits += o.IndexCacheHits
+	c.DumpCacheHits += o.DumpCacheHits
+	c.BundleStoreHits += o.BundleStoreHits
+	c.DumpLinesCold += o.DumpLinesCold
+	c.ForwardMemoHits += o.ForwardMemoHits
+	c.WorkUnits += o.WorkUnits
+	c.SimMinutes += o.SimMinutes
+}
+
+// detections is the deterministic detection summary of the reports (app,
+// sink, verdict, values) that the parity checks compare.
+func detections(reports ...*core.Report) string {
+	var b strings.Builder
+	for _, r := range reports {
+		fmt.Fprintf(&b, "== %s ==\n", r.App)
+		for _, sk := range r.Sinks {
+			fmt.Fprintf(&b, "%s r=%v i=%v %v\n", sk.Call, sk.Reachable, sk.Insecure, sk.Values)
+		}
+	}
+	return b.String()
+}
+
+// pass is one corpus run: the summed charged work, the detection summary
+// and every app's report, in corpus order.
+type pass struct {
+	cost    BackendCost
+	det     string
+	reports []*core.Report
+}
+
+// runPass runs BackDroid over the corpus under cfg (possibly through a
+// shared scheduler).
+func runPass(cfg experiments.RunConfig) (pass, error) {
+	run, err := experiments.RunCorpus(
+		appgen.CorpusOptions{Apps: corpus.Apps, Seed: corpus.Seed, SizeScale: corpus.Scale}, cfg)
+	if err != nil {
+		return pass{}, err
+	}
+	var p pass
+	for _, a := range run.Apps {
+		p.cost.add(costOf(a.BackDroid.Stats))
+		p.reports = append(p.reports, a.BackDroid)
+	}
+	p.det = detections(p.reports...)
+	return p, nil
+}
+
+// backendPass runs the corpus on one search backend, with the persistent
+// bundle cache in cacheDir ("" = none), recording per-phase histograms.
+func backendPass(kind bcsearch.BackendKind, cacheDir string) (pass, error) {
 	opts := core.DefaultOptions()
 	opts.SearchBackend = kind
 	var rec phaseRecorder
 	rec.install(&opts)
-	cost, det, err := measureWith(meta, experiments.RunConfig{
+	p, err := runPass(experiments.RunConfig{
 		RunBackDroid:     true,
 		BackDroidOptions: &opts,
 		Workers:          runtime.NumCPU(),
 		IndexCacheDir:    cacheDir,
 	})
-	cost.Phases = rec.snapshot()
-	return cost, det, err
+	p.cost.Phases = rec.snapshot()
+	return p, err
 }
 
-// measureWith runs one corpus pass under the given config (possibly
-// through a shared scheduler) and sums its charged work.
-func measureWith(meta CorpusMeta, cfg experiments.RunConfig) (BackendCost, string, error) {
-	run, err := experiments.RunCorpus(
-		appgen.CorpusOptions{Apps: meta.Apps, Seed: meta.Seed, SizeScale: meta.Scale}, cfg)
-	if err != nil {
-		return BackendCost{}, "", err
+// search is the backend sweep: the corpus once per search backend, then
+// twice on the sharded backend against one persistent bundle cache
+// directory — the first pass populates it, the second must load every
+// dump and index section.
+func (b *bench) search() (report, error) {
+	r := Report{Corpus: corpus, Backends: make(map[string]BackendCost), Steal: b.stealRep}
+	dets := make(map[string]string)
+	for _, kind := range []bcsearch.BackendKind{bcsearch.BackendLinear, bcsearch.BackendIndexed, bcsearch.BackendSharded} {
+		p, err := backendPass(kind, "")
+		if err != nil {
+			return nil, err
+		}
+		r.Backends[kind.String()] = p.cost
+		dets[kind.String()] = p.det
+		fmt.Fprintf(os.Stderr, "%-16s %10d units, %9d line-scans, %9d postings\n",
+			kind, p.cost.WorkUnits, p.cost.LinesScanned, p.cost.PostingsScanned)
 	}
-	var c BackendCost
-	var det strings.Builder
-	for _, a := range run.Apps {
-		s := a.BackDroid.Stats
-		c.LinesScanned += s.Search.LinesScanned
-		c.PostingsScanned += s.Search.PostingsScanned
-		c.MergedPostings += s.Search.MergedPostings
-		c.IndexBuilds += s.Search.IndexBuilds
-		c.IndexCacheHits += s.Search.IndexCacheHits
-		c.DumpCacheHits += s.DumpCacheHits
-		c.BundleStoreHits += s.BundleStoreHits
-		c.DumpLinesCold += s.DumpLinesDisassembled
-		c.ForwardMemoHits += s.ForwardMemoHits
-		c.WorkUnits += s.WorkUnits
-		c.SimMinutes += s.SimMinutes
-		fmt.Fprintf(&det, "== %s ==\n", a.BackDroid.App)
-		for _, sk := range a.BackDroid.Sinks {
-			fmt.Fprintf(&det, "%s r=%v i=%v %v\n", sk.Call, sk.Reachable, sk.Insecure, sk.Values)
+	for name, det := range dets {
+		if det != dets["linear"] {
+			return nil, fmt.Errorf("backend %q detection output diverges from linear", name)
 		}
 	}
-	return c, det.String(), nil
+
+	cacheDir, err := os.MkdirTemp("", "benchgate-idx-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(cacheDir)
+	cold, err := backendPass(bcsearch.BackendSharded, cacheDir)
+	if err != nil {
+		return nil, err
+	}
+	warm, err := backendPass(bcsearch.BackendSharded, cacheDir)
+	if err != nil {
+		return nil, err
+	}
+	if warm.det != dets["sharded"] {
+		return nil, fmt.Errorf("warm bundle run changed the detection output")
+	}
+	r.WarmCache = warm.cost
+	fmt.Fprintf(os.Stderr, "%-16s %10d units, %d index hits, %d dump hits, %d builds, %d lines disassembled\n",
+		"warm", warm.cost.WorkUnits, warm.cost.IndexCacheHits, warm.cost.DumpCacheHits, warm.cost.IndexBuilds, warm.cost.DumpLinesCold)
+
+	lin := r.Backends["linear"].WorkUnits
+	if idx := r.Backends["indexed"].WorkUnits; idx > 0 {
+		r.SpeedupIndexed = float64(lin) / float64(idx)
+	}
+	if sh := r.Backends["sharded"].WorkUnits; sh > 0 {
+		r.SpeedupSharded = float64(lin) / float64(sh)
+	}
+	if warm.cost.WorkUnits > 0 {
+		r.SpeedupWarm = float64(cold.cost.WorkUnits) / float64(warm.cost.WorkUnits)
+	}
+	b.searchRep, b.coldSharded, b.shardedDet = r, cold.cost, dets["sharded"]
+	return r, nil
 }
 
-// measureService is the batch-reuse leg: one scheduler with an unbounded
+// warm is the warm-path trajectory: the search leg's cold and warm bundle
+// runs. The baseline's warm cost is read before any refresh, so the
+// recorded speedup is against the previous warm path.
+func (b *bench) warm() (report, error) {
+	w := WarmReport{
+		Corpus:            corpus,
+		ColdSharded:       b.coldSharded,
+		Warm:              b.searchRep.WarmCache,
+		SpeedupWarmVsCold: b.searchRep.SpeedupWarm,
+	}
+	if b.cfg.baseline != "" {
+		if base, err := readBaseline(b.cfg.baseline); err == nil && base.WarmCache.WorkUnits > 0 {
+			w.BaselineWarmUnits = base.WarmCache.WorkUnits
+			w.SpeedupVsBaseline = float64(base.WarmCache.WorkUnits) / float64(w.Warm.WorkUnits)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "%-16s warm vs cold %.2fx, vs baseline warm %.2fx\n",
+		"warm-path", w.SpeedupWarmVsCold, w.SpeedupVsBaseline)
+	return w, nil
+}
+
+// service is the batch-reuse leg: one scheduler with an unbounded
 // in-memory bundle store, the same corpus submitted twice through it. The
 // first pass is cold (every fingerprint misses the store and is built
-// once); the second must be fully warm — zero disassembly, zero index
-// builds, every app a store hit — with detection output identical to the
-// plain RunCorpus path.
-func measureService(meta CorpusMeta) (ServiceReport, string, string, error) {
-	opts := core.DefaultOptions()
-	opts.SearchBackend = bcsearch.BackendSharded
+// once); the second must be fully warm. Both must match the search leg's
+// sharded detection output, which is also the scheduler-vs-RunCorpus
+// parity diff.
+func (b *bench) service() (report, error) {
 	store := service.NewBundleStore(0)
 	sched := service.New(service.Config{
 		Workers: runtime.NumCPU(),
-		Options: &opts,
+		Options: shardedOptions(),
 		Store:   store,
 	})
 	defer sched.Close()
 
 	cfg := experiments.RunConfig{RunBackDroid: true, Scheduler: sched}
-	first, firstDet, err := measureWith(meta, cfg)
+	first, err := runPass(cfg)
 	if err != nil {
-		return ServiceReport{}, "", "", err
+		return nil, err
 	}
-	second, secondDet, err := measureWith(meta, cfg)
+	second, err := runPass(cfg)
 	if err != nil {
-		return ServiceReport{}, "", "", err
+		return nil, err
 	}
-	rep := ServiceReport{Corpus: meta, FirstPass: first, SecondPass: second}
+	if first.det != b.shardedDet || second.det != b.shardedDet {
+		return nil, fmt.Errorf("scheduler runs changed the detection output vs RunCorpus")
+	}
+	s := ServiceReport{Corpus: corpus, FirstPass: first.cost, SecondPass: second.cost}
 	st := store.Stats()
-	rep.Store = StoreStats{
+	s.Store = StoreStats{
 		Entries: st.Entries, Bytes: st.Bytes, Hits: st.Hits,
 		Misses: st.Misses, Puts: st.Puts, Evictions: st.Evictions,
 		Drops: st.Drops,
 	}
-	if second.WorkUnits > 0 {
-		rep.SpeedupBatchReuse = float64(first.WorkUnits) / float64(second.WorkUnits)
+	if second.cost.WorkUnits > 0 {
+		s.SpeedupBatchReuse = float64(first.cost.WorkUnits) / float64(second.cost.WorkUnits)
 	}
-	return rep, firstDet, secondDet, nil
+	fmt.Fprintf(os.Stderr, "%-16s %10d units cold, %10d units warm, %d store hits\n",
+		"batch-reuse", s.FirstPass.WorkUnits, s.SecondPass.WorkUnits, s.SecondPass.BundleStoreHits)
+	return s, nil
 }
 
-// measureSettledStorm is the resubmission-storm leg: one scheduler with
-// an unbounded report store, the corpus analyzed cold once and then
-// resubmitted passes more times. Every storm serving must carry the
+// settled is the resubmission-storm leg: one scheduler with an unbounded
+// report store, the corpus analyzed cold once and then resubmitted
+// stormPasses more times. Every storm serving must carry the
 // bitwise-identical canonical encoding of the cold pass's report (the
 // content-address contract), and the only charged work in the storm is
-// the O(1) settled lookup per resubmission. The returned strings are the
-// cold pass's detection summary and the last storm pass's, for the
-// RunCorpus parity diff in run().
-func measureSettledStorm(meta CorpusMeta, passes int) (SettledReport, string, string, error) {
-	opts := core.DefaultOptions()
-	opts.SearchBackend = bcsearch.BackendSharded
+// the O(1) settled lookup per resubmission.
+func (b *bench) settled() (report, error) {
 	reports := service.NewReportStore(0)
 	sched := service.New(service.Config{
 		Workers: runtime.NumCPU(),
-		Options: &opts,
+		Options: shardedOptions(),
 		Reports: reports,
 	})
 	defer sched.Close()
 
-	// onePass runs the corpus through the shared scheduler and returns the
-	// summed cost, the detection summary, the settled-lookup count and the
-	// canonical encoding of every app's report.
-	onePass := func() (BackendCost, string, int64, map[string][]byte, error) {
-		run, err := experiments.RunCorpus(
-			appgen.CorpusOptions{Apps: meta.Apps, Seed: meta.Seed, SizeScale: meta.Scale},
-			experiments.RunConfig{RunBackDroid: true, Scheduler: sched})
-		if err != nil {
-			return BackendCost{}, "", 0, nil, err
+	cfg := experiments.RunConfig{RunBackDroid: true, Scheduler: sched}
+	cold, err := runPass(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cold.det != b.shardedDet {
+		return nil, fmt.Errorf("settled-storm cold pass changed the detection output vs RunCorpus")
+	}
+	coldEnc := make([][]byte, len(cold.reports))
+	for i, r := range cold.reports {
+		if r.Stats.SettledLookups != 0 {
+			return nil, fmt.Errorf("cold pass charged %d settled lookups for %s, want 0", r.Stats.SettledLookups, r.App)
 		}
-		var c BackendCost
-		var lookups int64
-		var det strings.Builder
-		enc := make(map[string][]byte, len(run.Apps))
-		for _, a := range run.Apps {
-			s := a.BackDroid.Stats
-			c.LinesScanned += s.Search.LinesScanned
-			c.PostingsScanned += s.Search.PostingsScanned
-			c.IndexBuilds += s.Search.IndexBuilds
-			c.DumpLinesCold += s.DumpLinesDisassembled
-			c.WorkUnits += s.WorkUnits
-			c.SimMinutes += s.SimMinutes
-			lookups += int64(s.SettledLookups)
-			enc[a.BackDroid.App] = service.EncodeReport(a.BackDroid)
-			fmt.Fprintf(&det, "== %s ==\n", a.BackDroid.App)
-			for _, sk := range a.BackDroid.Sinks {
-				fmt.Fprintf(&det, "%s r=%v i=%v %v\n", sk.Call, sk.Reachable, sk.Insecure, sk.Values)
-			}
-		}
-		return c, det.String(), lookups, enc, nil
+		coldEnc[i] = service.EncodeReport(r)
 	}
 
-	cold, coldDet, coldLookups, coldEnc, err := onePass()
-	if err != nil {
-		return SettledReport{}, "", "", err
-	}
-	if coldLookups != 0 {
-		return SettledReport{}, "", "", fmt.Errorf("cold pass charged %d settled lookups, want 0", coldLookups)
-	}
-	rep := SettledReport{Corpus: meta, StormPasses: passes, ColdPass: cold}
-	var stormDet string
-	for p := 0; p < passes; p++ {
-		cost, det, lookups, enc, err := onePass()
+	s := SettledReport{Corpus: corpus, StormPasses: stormPasses, ColdPass: cold.cost}
+	for n := 1; n <= stormPasses; n++ {
+		storm, err := runPass(cfg)
 		if err != nil {
-			return SettledReport{}, "", "", err
+			return nil, err
 		}
-		for app, want := range coldEnc {
-			if !bytes.Equal(enc[app], want) {
-				return SettledReport{}, "", "", fmt.Errorf(
-					"storm pass %d: canonical encoding of %s diverges from the cold pass", p+1, app)
+		if storm.det != b.shardedDet {
+			return nil, fmt.Errorf("storm pass %d changed the detection output vs RunCorpus", n)
+		}
+		for i, r := range storm.reports {
+			if !bytes.Equal(service.EncodeReport(r), coldEnc[i]) {
+				return nil, fmt.Errorf("storm pass %d: canonical encoding of %s diverges from the cold pass", n, r.App)
 			}
+			s.SettledLookups += int64(r.Stats.SettledLookups)
 		}
-		rep.Storm.LinesScanned += cost.LinesScanned
-		rep.Storm.PostingsScanned += cost.PostingsScanned
-		rep.Storm.IndexBuilds += cost.IndexBuilds
-		rep.Storm.DumpLinesCold += cost.DumpLinesCold
-		rep.Storm.WorkUnits += cost.WorkUnits
-		rep.Storm.SimMinutes += cost.SimMinutes
-		rep.SettledLookups += lookups
-		stormDet = det
+		s.Storm.add(storm.cost)
 	}
 	st := reports.Stats()
-	rep.Store = SettledStoreStats{
+	s.Store = SettledStoreStats{
 		Entries: st.Entries, Bytes: st.Bytes, Hits: st.Hits,
 		Misses: st.Misses, Puts: st.Puts, Evictions: st.Evictions,
 	}
-	if cold.WorkUnits > 0 {
-		rep.ChargeRatio = float64(rep.Storm.WorkUnits) / float64(cold.WorkUnits)
+	if cold.cost.WorkUnits > 0 {
+		s.ChargeRatio = float64(s.Storm.WorkUnits) / float64(cold.cost.WorkUnits)
 	}
-	if rep.Storm.WorkUnits > 0 {
-		rep.SpeedupSettled = float64(cold.WorkUnits) * float64(passes) / float64(rep.Storm.WorkUnits)
+	if s.Storm.WorkUnits > 0 {
+		s.SpeedupSettled = float64(cold.cost.WorkUnits) * float64(stormPasses) / float64(s.Storm.WorkUnits)
 	}
-	return rep, coldDet, stormDet, nil
+	fmt.Fprintf(os.Stderr, "%-16s %10d units cold, %10d units for %d storm passes (%.3f%%), %d settled lookups\n",
+		"settled-storm", s.ColdPass.WorkUnits, s.Storm.WorkUnits, s.StormPasses, 100*s.ChargeRatio, s.SettledLookups)
+	return s, nil
 }
 
-// measureFairDispatch runs the two-tenant interleave: tenant "heavy"
-// submits its full mixed workload (many-sink outlier first), tenant
-// "light" its small apps afterwards, one journaled single-worker
-// scheduler drains both. A gate job pins the worker until every submit
-// landed, so the dispatch sequence is the pure WRR order of the queue
-// contents — deterministic for a given seed.
-func measureFairDispatch(seed int64) (TenantReport, error) {
-	loads := appgen.TenantWorkloads(appgen.TenantWorkloadOptions{
-		Tenants: 2, SmallApps: 4, Seed: seed, HeavySinks: 40,
-	})
-	heavySpecs := loads[0].Specs     // outlier + small apps
-	lightSpecs := loads[1].Specs[1:] // small apps only
-
-	jdir, err := os.MkdirTemp("", "benchgate-journal-*")
-	if err != nil {
-		return TenantReport{}, err
-	}
-	defer os.RemoveAll(jdir)
-	jnl, _, err := journal.Open(jdir)
-	if err != nil {
-		return TenantReport{}, err
-	}
-	defer jnl.Close()
-
-	events := make(chan service.Event, 64)
-	var order []string
-	var drain sync.WaitGroup
-	drain.Add(1)
-	go func() {
-		defer drain.Done()
-		for ev := range events {
-			if ev.Kind == service.EventStarted && ev.Name != "gate" {
-				order = append(order, ev.Name)
-			}
-		}
-	}()
-
-	opts := core.DefaultOptions()
-	opts.SearchBackend = bcsearch.BackendSharded
-	sched := service.New(service.Config{
-		Workers: 1, QueueDepth: 64,
-		Options: &opts,
-		Journal: jnl,
-		Events:  events,
-	})
-
-	gate := make(chan struct{})
-	gateID, err := sched.Submit(service.Job{
-		Name:   "gate",
-		Tenant: "zz-gate", // sorts last: never steals a WRR slot from real work
-		Source: func() (*apk.App, error) {
-			<-gate
-			app, _, err := appgen.Generate(appgen.Spec{
-				Name: "com.gate.noop", Seed: seed, SizeMB: 0.2,
-				Sinks: []appgen.SinkSpec{{Flow: appgen.FlowDirect, Rule: android.RuleCryptoECB}},
-			})
-			return app, err
-		},
-		RunBackDroid: true,
-	})
-	if err != nil {
-		return TenantReport{}, err
-	}
-	submit := func(tenant string, specs []appgen.Spec) ([]service.JobID, error) {
-		ids := make([]service.JobID, 0, len(specs))
-		for _, spec := range specs {
-			spec := spec
-			id, err := sched.Submit(service.Job{
-				Name: tenant + ":" + spec.Name, Tenant: tenant,
-				Source: func() (*apk.App, error) {
-					app, _, err := appgen.Generate(spec)
-					return app, err
-				},
-				RunBackDroid: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			ids = append(ids, id)
-		}
-		return ids, nil
-	}
-	heavyIDs, err := submit("heavy", heavySpecs)
-	if err != nil {
-		return TenantReport{}, err
-	}
-	lightIDs, err := submit("light", lightSpecs)
-	if err != nil {
-		return TenantReport{}, err
-	}
-	close(gate)
-
-	tr := TenantReport{
-		Seed:      seed,
-		HeavyJobs: len(heavyIDs),
-		LightJobs: len(lightIDs),
-	}
-	if _, err := sched.Wait(gateID); err != nil {
-		return TenantReport{}, err
-	}
-	for _, id := range heavyIDs {
-		res, err := sched.Wait(id)
-		if err != nil {
-			return TenantReport{}, err
-		}
-		tr.HeavyUnits += res.BackDroid.Stats.WorkUnits
-	}
-	for _, id := range lightIDs {
-		res, err := sched.Wait(id)
-		if err != nil {
-			return TenantReport{}, err
-		}
-		tr.LightUnits += res.BackDroid.Stats.WorkUnits
-	}
-	journalUnits, _ := sched.Metrics().Snapshot().Get("backdroid_journal_units")
-	sched.Close()
-	close(events)
-	drain.Wait()
-
-	tr.DispatchOrder = order
-	// Equal weights alternate once both tenants queue: light job i lands
-	// by slot 2i, +1 slack for the round the cursor starts in.
-	tr.FairnessBound = 2*len(lightIDs) + 1
-	for slot, name := range order {
-		if strings.HasPrefix(name, "light:") {
-			tr.LastLightSlot = slot + 1
-		}
-	}
-	tr.AnalysisUnits = tr.HeavyUnits + tr.LightUnits
-	tr.JournalUnits = journalUnits
-	js := jnl.Stats()
-	tr.JournalRecords = js.Records
-	tr.JournalBytes = js.Bytes
-	if tr.AnalysisUnits > 0 {
-		tr.JournalOverhead = float64(tr.JournalUnits) / float64(tr.AnalysisUnits)
-	}
-	return tr, nil
-}
-
-// fleetRunOutcome is one fleet corpus pass: the canonical per-job report
-// encodings, the charged analysis work and the fleet's resilience
-// counters.
-type fleetRunOutcome struct {
-	union         map[string][]byte // job name -> service.EncodeReport bytes
-	analysisUnits int64
-	lastLightSlot int
-	stats         *service.FleetStats
-	journalUnits  int64
-}
-
-// fleetCorpusRun drives the heavy+light tenant corpus through a fleet of
-// nodes under the given fault plan (nil = uninterrupted reference). Every
-// node is first parked on a blocking gate job so the whole corpus queues
-// before the first real WRR pop — the dispatch sequence numbers are then
-// a pure function of the queue contents, exactly like the single-worker
-// fair-dispatch leg, and the light tenant's slots are comparable across
-// runs even though four nodes pull concurrently.
-func fleetCorpusRun(seed int64, nodes int, heavy, light []appgen.Spec, plan *faultinject.Plan) (fleetRunOutcome, error) {
-	out := fleetRunOutcome{union: make(map[string][]byte, len(heavy)+len(light))}
-	jdir, err := os.MkdirTemp("", "benchgate-fleet-*")
-	if err != nil {
-		return out, err
-	}
-	defer os.RemoveAll(jdir)
-	jnl, _, err := journal.Open(jdir)
-	if err != nil {
-		return out, err
-	}
-	defer jnl.Close()
-
-	events := make(chan service.Event, 256)
-	var maxLightSeq int64
-	var drain sync.WaitGroup
-	drain.Add(1)
-	go func() {
-		defer drain.Done()
-		for ev := range events {
-			// First-attempt dispatches only: a handoff re-dispatch is
-			// recovery, not a fresh slot the light tenant competes for.
-			if ev.Kind == service.EventStarted && ev.Attempt == 1 &&
-				strings.HasPrefix(ev.Name, "light:") && ev.Seq > maxLightSeq {
-				maxLightSeq = ev.Seq
-			}
-		}
-	}()
-
-	opts := core.DefaultOptions()
-	opts.SearchBackend = bcsearch.BackendSharded
-	sched := service.New(service.Config{
-		Nodes: nodes, NodeStoreBudget: 0, Faults: plan,
-		QueueDepth: 64,
-		Options:    &opts,
-		Journal:    jnl,
-		Events:     events,
-	})
-
-	// Park every node on a gate job (gates take dispatch slots 1..nodes).
-	parked := make(chan struct{}, nodes)
-	gate := make(chan struct{})
-	gateIDs := make([]service.JobID, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		i := i
-		id, err := sched.Submit(service.Job{
-			Name: fmt.Sprintf("gate%d", i), Tenant: "zz-gate",
-			Source: func() (*apk.App, error) {
-				parked <- struct{}{}
-				<-gate
-				app, _, err := appgen.Generate(appgen.Spec{
-					Name: fmt.Sprintf("com.gate.noop%d", i), Seed: seed + int64(i), SizeMB: 0.2,
-					Sinks: []appgen.SinkSpec{{Flow: appgen.FlowDirect, Rule: android.RuleCryptoECB}},
-				})
-				return app, err
-			},
-			RunBackDroid: true,
-		})
-		if err != nil {
-			return out, err
-		}
-		gateIDs = append(gateIDs, id)
-	}
-	for i := 0; i < nodes; i++ {
-		<-parked
-	}
-
-	submit := func(tenant string, specs []appgen.Spec) ([]service.JobID, []string, error) {
-		ids := make([]service.JobID, 0, len(specs))
-		names := make([]string, 0, len(specs))
-		for _, spec := range specs {
-			spec := spec
-			name := tenant + ":" + spec.Name
-			id, err := sched.Submit(service.Job{
-				Name: name, Tenant: tenant,
-				Source: func() (*apk.App, error) {
-					app, _, err := appgen.Generate(spec)
-					return app, err
-				},
-				RunBackDroid: true,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			ids = append(ids, id)
-			names = append(names, name)
-		}
-		return ids, names, nil
-	}
-	heavyIDs, heavyNames, err := submit("heavy", heavy)
-	if err != nil {
-		return out, err
-	}
-	lightIDs, lightNames, err := submit("light", light)
-	if err != nil {
-		return out, err
-	}
-	close(gate)
-
-	wait := func(ids []service.JobID, names []string) error {
-		for i, id := range ids {
-			res, err := sched.Wait(id)
-			if err != nil {
-				return fmt.Errorf("fleet job %s: %w", names[i], err)
-			}
-			out.analysisUnits += res.BackDroid.Stats.WorkUnits
-			out.union[names[i]] = service.EncodeReport(res.BackDroid)
-		}
-		return nil
-	}
-	if err := wait(heavyIDs, heavyNames); err != nil {
-		return out, err
-	}
-	if err := wait(lightIDs, lightNames); err != nil {
-		return out, err
-	}
-	for _, id := range gateIDs {
-		if _, err := sched.Wait(id); err != nil {
-			return out, err
-		}
-	}
-	out.journalUnits, _ = sched.Metrics().Snapshot().Get("backdroid_journal_units")
-	out.stats = sched.FleetStats()
-	sched.Close()
-	close(events)
-	drain.Wait()
-	out.lastLightSlot = int(maxLightSeq) - nodes
-	return out, nil
-}
-
-// measureFleetChaos is the fleet-chaos leg: the tenant corpus through a
-// four-node fleet, uninterrupted and under a fault plan that kills the
-// node running the heavy tenant's outlier and the node running one of
-// its small apps, each 64 charged units into the attempt. Both kills
-// expire a lease, journal a handoff and re-dispatch onto a surviving
-// node; the leg then compares the two runs' canonical report unions
-// byte for byte.
-func measureFleetChaos(seed int64) (FleetReport, error) {
-	const nodes = 4
-	loads := appgen.TenantWorkloads(appgen.TenantWorkloadOptions{
-		Tenants: 2, SmallApps: 4, Seed: seed, HeavySinks: 40,
-	})
-	heavySpecs := loads[0].Specs     // outlier + small apps
-	lightSpecs := loads[1].Specs[1:] // small apps only
-
-	plan := faultinject.New(
-		faultinject.Fault{Kind: faultinject.KillJob, Job: "heavy:" + heavySpecs[0].Name, AtUnit: 64},
-		faultinject.Fault{Kind: faultinject.KillJob, Job: "heavy:" + heavySpecs[2].Name, AtUnit: 64},
-	)
-	fr := FleetReport{
-		Seed: seed, Nodes: nodes, Plan: plan.String(),
-		HeavyJobs: len(heavySpecs), LightJobs: len(lightSpecs),
-		FairnessBound: 2*len(lightSpecs) + 1,
-	}
-
-	ref, err := fleetCorpusRun(seed, nodes, heavySpecs, lightSpecs, nil)
-	if err != nil {
-		return fr, err
-	}
-	chaos, err := fleetCorpusRun(seed, nodes, heavySpecs, lightSpecs, plan)
-	if err != nil {
-		return fr, err
-	}
-
-	fr.UnionIdentical = len(chaos.union) == len(ref.union)
-	for name, enc := range ref.union {
-		if !bytes.Equal(chaos.union[name], enc) {
-			fr.UnionIdentical = false
-		}
-	}
-	fs := chaos.stats
-	fr.Killed = fs.Killed
-	fr.Survivors = fs.Live
-	fr.Handoffs = fs.Handoffs
-	fr.ExpiredLeases = fs.ExpiredLeases
-	fr.LostUnits = fs.LostUnits
-	fr.OverheadUnits = fs.OverheadUnits
-	fr.AnalysisUnits = chaos.analysisUnits
-	if fr.AnalysisUnits > 0 {
-		fr.OverheadRatio = float64(fr.OverheadUnits) / float64(fr.AnalysisUnits)
-	}
-	fr.LastLightSlot = chaos.lastLightSlot
-	fr.JournalUnits = chaos.journalUnits
-	return fr, nil
-}
-
-// stealTailRun drives the heavy-tail corpus through a fleet once. The
-// outlier is submitted first — the worst case for job-level placement:
-// its node commits to the whole sink tail before the small apps even
-// queue. Returns the canonical per-job report encodings, the summed
-// charged analysis work and the fleet counters.
-func stealTailRun(nodes int, specs []appgen.Spec, steal bool, rec *phaseRecorder) (map[string][]byte, int64, *service.FleetStats, error) {
-	opts := core.DefaultOptions()
-	opts.SearchBackend = bcsearch.BackendSharded
-	if !steal {
-		opts.SinkChunk = 0 // job-level placement: the outlier is unsplittable
-	}
-	if rec != nil {
-		rec.install(&opts)
-	}
-	sched := service.New(service.Config{
-		Nodes: nodes, NodeStoreBudget: 0,
-		QueueDepth: 2 * len(specs),
-		Options:    &opts,
-	})
+// submitSpecs submits one engine job per spec, generating the app on the
+// worker. Jobs are named tenant:spec-name, or spec-name with no tenant.
+func submitSpecs(sched *service.Scheduler, tenant string, specs []appgen.Spec) ([]service.JobID, error) {
 	ids := make([]service.JobID, 0, len(specs))
 	for _, spec := range specs {
-		spec := spec
+		name := spec.Name
+		if tenant != "" {
+			name = tenant + ":" + name
+		}
 		id, err := sched.Submit(service.Job{
-			Name: spec.Name,
+			Name: name, Tenant: tenant,
 			Source: func() (*apk.App, error) {
 				app, _, err := appgen.Generate(spec)
 				return app, err
@@ -1306,92 +909,351 @@ func stealTailRun(nodes int, specs []appgen.Spec, steal bool, rec *phaseRecorder
 			RunBackDroid: true,
 		})
 		if err != nil {
-			sched.Close()
-			return nil, 0, nil, err
+			return nil, err
 		}
 		ids = append(ids, id)
 	}
-	union := make(map[string][]byte, len(specs))
-	var analysisUnits int64
-	for i, id := range ids {
-		res, err := sched.Wait(id)
-		if err != nil {
-			sched.Close()
-			return nil, 0, nil, fmt.Errorf("heavy-tail job %s: %w", specs[i].Name, err)
-		}
-		analysisUnits += res.BackDroid.Stats.WorkUnits
-		union[res.Name] = service.EncodeReport(res.BackDroid)
-	}
-	sched.Close()
-	return union, analysisUnits, sched.FleetStats(), nil
+	return ids, nil
 }
 
-// measureStealTail is the heavy-tail work-stealing leg: the appgen
-// heavy-tail corpus (one 121-sink outlier first, then small apps)
-// through a four-node fleet with sink-chunk stealing off and on. The
-// charged makespan — the busiest node's odometer — is the comparison:
-// identical total work, redistributed across the idle tail.
-func measureStealTail(seed int64) (StealReport, error) {
-	const nodes = 4
-	specs := appgen.HeavyTailCorpus(appgen.HeavyTailOptions{Seed: seed})
-	sr := StealReport{
-		Seed: seed, Nodes: nodes,
-		Apps: len(specs), HeavySinks: len(specs[0].Sinks),
+// collect waits for the jobs and returns each one's canonical report
+// encoding (service.EncodeReport bytes) keyed by job name, and their
+// summed charged analysis units.
+func collect(sched *service.Scheduler, ids []service.JobID) (map[string][]byte, int64, error) {
+	union := make(map[string][]byte, len(ids))
+	var units int64
+	for _, id := range ids {
+		res, err := sched.Wait(id)
+		if err != nil {
+			return nil, 0, fmt.Errorf("job %d: %w", id, err)
+		}
+		units += res.BackDroid.Stats.WorkUnits
+		union[res.Name] = service.EncodeReport(res.BackDroid)
+	}
+	return union, units, nil
+}
+
+// parkGates submits one gate job per worker and returns once every worker
+// is running one. Each gate blocks until release is closed, so the jobs
+// submitted meanwhile all queue before the first real dispatch, and the
+// gates hold dispatch slots 1..workers.
+func parkGates(sched *service.Scheduler, workers int, release <-chan struct{}) ([]service.JobID, error) {
+	parked := make(chan struct{}, workers)
+	ids := make([]service.JobID, 0, workers)
+	for i := 0; i < workers; i++ {
+		suffix := ""
+		if i > 0 {
+			suffix = strconv.Itoa(i)
+		}
+		id, err := sched.Submit(service.Job{
+			Name: "gate" + suffix, Tenant: "zz-gate", // sorts last: never steals a WRR slot from real work
+			Source: func() (*apk.App, error) {
+				parked <- struct{}{}
+				<-release
+				app, _, err := appgen.Generate(appgen.Spec{
+					Name: "com.gate.noop" + suffix, Seed: corpus.Seed + int64(i), SizeMB: 0.2,
+					Sinks: []appgen.SinkSpec{{Flow: appgen.FlowDirect, Rule: android.RuleCryptoECB}},
+				})
+				return app, err
+			},
+			RunBackDroid: true,
+		})
+		if err != nil {
+			return nil, err
+		}
+		ids = append(ids, id)
+	}
+	for range ids {
+		<-parked
+	}
+	return ids, nil
+}
+
+// tenantCorpus is the two-tenant workload of the fair-dispatch and
+// fleet-chaos legs: the heavy tenant's many-sink outlier then its small
+// apps, and the light tenant's small apps.
+func tenantCorpus() (heavy, light []appgen.Spec) {
+	loads := appgen.TenantWorkloads(appgen.TenantWorkloadOptions{
+		Tenants: 2, SmallApps: 4, Seed: corpus.Seed, HeavySinks: 40,
+	})
+	return loads[0].Specs, loads[1].Specs[1:]
+}
+
+// tenantRun is one pass of the two-tenant corpus through a gated
+// scheduler.
+type tenantRun struct {
+	heavyUnits, lightUnits int64
+	union                  map[string][]byte // job name -> service.EncodeReport bytes
+	order                  []string          // first-attempt dispatch order, gates excluded
+	lastLightSlot          int               // the light tenant's last first-attempt slot, gates excluded
+	journalUnits           int64
+	journal                journal.Stats
+	fleet                  *service.FleetStats // nil without a fleet
+}
+
+// gatedTenantRun drives the heavy then the light tenant's specs through a
+// journaled scheduler built from cfg (its Workers or Nodes). Every worker
+// is first parked on a gate job, so the whole corpus queues before the
+// first real WRR pop: the dispatch sequence is then a pure function of the
+// queue contents, deterministic for a given seed even when several fleet
+// nodes pull concurrently. The gates are released and the scheduler closed
+// on every path.
+func gatedTenantRun(cfg service.Config, heavy, light []appgen.Spec) (tenantRun, error) {
+	var out tenantRun
+	jdir, err := os.MkdirTemp("", "benchgate-journal-*")
+	if err != nil {
+		return out, err
+	}
+	defer os.RemoveAll(jdir)
+	jnl, _, err := journal.Open(jdir)
+	if err != nil {
+		return out, err
+	}
+	defer jnl.Close()
+
+	// The buffer only decouples the emitting workers from the drain below,
+	// which keeps up; 256 covers every event of a pass several times over.
+	events := make(chan service.Event, 256)
+	var starts []service.Event
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for ev := range events {
+			// First attempts only: a handoff re-dispatch is recovery, not
+			// a fresh slot the light tenant competes for.
+			if ev.Kind == service.EventStarted && ev.Attempt == 1 {
+				starts = append(starts, ev)
+			}
+		}
+	}()
+
+	cfg.QueueDepth = 64
+	cfg.Options = shardedOptions()
+	cfg.Journal = jnl
+	cfg.Events = events
+	sched := service.New(cfg)
+	workers := max(cfg.Workers, cfg.Nodes, 1)
+
+	release := make(chan struct{})
+	gates, err := parkGates(sched, workers, release)
+	var heavyIDs, lightIDs []service.JobID
+	if err == nil {
+		heavyIDs, err = submitSpecs(sched, "heavy", heavy)
+	}
+	if err == nil {
+		lightIDs, err = submitSpecs(sched, "light", light)
+	}
+	close(release)
+	var lightUnion map[string][]byte
+	if err == nil {
+		out.union, out.heavyUnits, err = collect(sched, heavyIDs)
+	}
+	if err == nil {
+		lightUnion, out.lightUnits, err = collect(sched, lightIDs)
+		maps.Copy(out.union, lightUnion)
+	}
+	if err == nil {
+		_, _, err = collect(sched, gates)
+	}
+	if err == nil {
+		out.journalUnits, _ = sched.Metrics().Snapshot().Get("backdroid_journal_units")
+		out.journal = jnl.Stats()
+		out.fleet = sched.FleetStats()
+	}
+	sched.Close()
+	close(events)
+	<-drained
+	if err != nil {
+		return out, err
 	}
 
-	baseUnion, _, baseStats, err := stealTailRun(nodes, specs, false, nil)
-	if err != nil {
-		return sr, err
-	}
-	if baseStats.Steals != 0 {
-		return sr, fmt.Errorf("no-steal reference run stole %d chunks", baseStats.Steals)
-	}
-	var rec phaseRecorder
-	union, analysisUnits, stats, err := stealTailRun(nodes, specs, true, &rec)
-	if err != nil {
-		return sr, err
-	}
-	sr.Phases = rec.snapshot()
-	if stats.Handoffs != 0 || stats.Killed != 0 {
-		return sr, fmt.Errorf("undisturbed heavy-tail run saw failures: %d handoffs, %d nodes killed",
-			stats.Handoffs, stats.Killed)
-	}
-
-	sr.UnionIdentical = len(union) == len(baseUnion)
-	for name, enc := range baseUnion {
-		if !bytes.Equal(union[name], enc) {
-			sr.UnionIdentical = false
+	slices.SortFunc(starts, func(a, b service.Event) int { return int(a.Seq - b.Seq) })
+	for _, ev := range starts {
+		if ev.Seq <= int64(workers) {
+			continue // a gate
+		}
+		out.order = append(out.order, ev.Name)
+		if strings.HasPrefix(ev.Name, "light:") {
+			out.lastLightSlot = int(ev.Seq) - workers
 		}
 	}
-	sr.NoStealMakespan = baseStats.MakespanUnits
-	sr.StealMakespan = stats.MakespanUnits
-	if sr.StealMakespan > 0 {
-		sr.SpeedupMakespan = float64(sr.NoStealMakespan) / float64(sr.StealMakespan)
+	return out, nil
+}
+
+// tenant is the fair-dispatch leg: tenant "heavy" submits its full mixed
+// workload (many-sink outlier first), tenant "light" its small apps
+// afterwards, and one journaled worker drains both under weighted
+// round-robin — the worst case for head-of-line blocking.
+func (b *bench) tenant() (report, error) {
+	heavy, light := tenantCorpus()
+	run, err := gatedTenantRun(service.Config{Workers: 1}, heavy, light)
+	if err != nil {
+		return nil, err
 	}
-	sr.Steals = stats.Steals
-	sr.StealVictims = stats.StealVictims
-	sr.StolenSinks = stats.StolenSinks
-	sr.StealUnits = stats.StealUnits
-	sr.RemoteGets = stats.RemoteGets
-	sr.RemoteUnits = stats.RemoteUnits
-	sr.AnalysisUnits = analysisUnits
+	t := TenantReport{
+		Seed:          corpus.Seed,
+		HeavyJobs:     len(heavy),
+		LightJobs:     len(light),
+		DispatchOrder: run.order,
+		LastLightSlot: run.lastLightSlot,
+		// Equal weights alternate once both tenants queue: light job i
+		// lands by slot 2i, +1 slack for the round the cursor starts in.
+		FairnessBound:  2*len(light) + 1,
+		HeavyUnits:     run.heavyUnits,
+		LightUnits:     run.lightUnits,
+		AnalysisUnits:  run.heavyUnits + run.lightUnits,
+		JournalRecords: run.journal.Records,
+		JournalBytes:   run.journal.Bytes,
+		JournalUnits:   run.journalUnits,
+	}
+	if t.AnalysisUnits > 0 {
+		t.JournalOverhead = float64(t.JournalUnits) / float64(t.AnalysisUnits)
+	}
+	fmt.Fprintf(os.Stderr, "%-16s light done by slot %d/%d (bound %d), journal %.2f%% of %d units\n",
+		"fair-dispatch", t.LastLightSlot, len(t.DispatchOrder), t.FairnessBound,
+		100*t.JournalOverhead, t.AnalysisUnits)
+	return t, nil
+}
+
+// fleet is the fleet-chaos leg: the tenant corpus through a four-node
+// fleet, uninterrupted and under a fault plan that kills the node running
+// the heavy tenant's outlier and the node running one of its small apps,
+// each 64 charged units into the attempt. Both kills expire a lease,
+// journal a handoff and re-dispatch onto a surviving node; the leg then
+// compares the two runs' canonical report unions byte for byte.
+func (b *bench) fleet() (report, error) {
+	heavy, light := tenantCorpus()
+	plan := faultinject.New(
+		faultinject.Fault{Kind: faultinject.KillJob, Job: "heavy:" + heavy[0].Name, AtUnit: 64},
+		faultinject.Fault{Kind: faultinject.KillJob, Job: "heavy:" + heavy[2].Name, AtUnit: 64},
+	)
+	ref, err := gatedTenantRun(service.Config{Nodes: fleetNodes}, heavy, light)
+	if err != nil {
+		return nil, err
+	}
+	chaos, err := gatedTenantRun(service.Config{Nodes: fleetNodes, Faults: plan}, heavy, light)
+	if err != nil {
+		return nil, err
+	}
+	fs := chaos.fleet
+	f := FleetReport{
+		Seed: corpus.Seed, Nodes: fleetNodes, Plan: plan.String(),
+		HeavyJobs: len(heavy), LightJobs: len(light),
+		Killed:         fs.Killed,
+		Survivors:      fs.Live,
+		Handoffs:       fs.Handoffs,
+		ExpiredLeases:  fs.ExpiredLeases,
+		LostUnits:      fs.LostUnits,
+		OverheadUnits:  fs.OverheadUnits,
+		AnalysisUnits:  chaos.heavyUnits + chaos.lightUnits,
+		UnionIdentical: maps.EqualFunc(ref.union, chaos.union, bytes.Equal),
+		LastLightSlot:  chaos.lastLightSlot,
+		FairnessBound:  2*len(light) + 1,
+		JournalUnits:   chaos.journalUnits,
+	}
+	if f.AnalysisUnits > 0 {
+		f.OverheadRatio = float64(f.OverheadUnits) / float64(f.AnalysisUnits)
+	}
+	fmt.Fprintf(os.Stderr, "%-16s %d/%d nodes killed, %d handoffs, overhead %.2f%% of %d units, light slot %d/%d\n",
+		"fleet-chaos", f.Killed, f.Nodes, f.Handoffs,
+		100*f.OverheadRatio, f.AnalysisUnits, f.LastLightSlot, f.FairnessBound)
+	return f, nil
+}
+
+// stealTailRun drives the heavy-tail corpus through a fleet once, with
+// sink-chunk stealing on or off, recording phase histograms into rec when
+// it is non-nil. The outlier is submitted first — the worst case for
+// job-level placement: its node commits to the whole sink tail before the
+// small apps even queue.
+func stealTailRun(specs []appgen.Spec, steal bool, rec *phaseRecorder) (map[string][]byte, int64, *service.FleetStats, error) {
+	opts := shardedOptions()
+	if !steal {
+		opts.SinkChunk = 0 // job-level placement: the outlier is unsplittable
+	}
+	if rec != nil {
+		rec.install(opts)
+	}
+	sched := service.New(service.Config{
+		Nodes:      fleetNodes,
+		QueueDepth: 2 * len(specs),
+		Options:    opts,
+	})
+	ids, err := submitSpecs(sched, "", specs)
+	var union map[string][]byte
+	var units int64
+	if err == nil {
+		union, units, err = collect(sched, ids)
+	}
+	sched.Close()
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return union, units, sched.FleetStats(), nil
+}
+
+// steal is the heavy-tail work-stealing leg: the appgen heavy-tail corpus
+// (one 121-sink outlier first, then small apps) through a four-node fleet
+// with sink-chunk stealing off and on. The charged makespan — the busiest
+// node's odometer — is the comparison: identical total work,
+// redistributed across the idle tail.
+func (b *bench) steal() (report, error) {
+	specs := appgen.HeavyTailCorpus(appgen.HeavyTailOptions{Seed: corpus.Seed})
+	baseUnion, _, baseStats, err := stealTailRun(specs, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	if baseStats.Steals != 0 {
+		return nil, fmt.Errorf("no-steal reference run stole %d chunks", baseStats.Steals)
+	}
+	var rec phaseRecorder
+	union, analysisUnits, stats, err := stealTailRun(specs, true, &rec)
+	if err != nil {
+		return nil, err
+	}
+	if stats.Handoffs != 0 || stats.Killed != 0 {
+		return nil, fmt.Errorf("undisturbed heavy-tail run saw failures: %d handoffs, %d nodes killed",
+			stats.Handoffs, stats.Killed)
+	}
+	s := StealReport{
+		Seed: corpus.Seed, Nodes: fleetNodes,
+		Apps: len(specs), HeavySinks: len(specs[0].Sinks),
+		NoStealMakespan: baseStats.MakespanUnits,
+		StealMakespan:   stats.MakespanUnits,
+		Steals:          stats.Steals,
+		StealVictims:    stats.StealVictims,
+		StolenSinks:     stats.StolenSinks,
+		StealUnits:      stats.StealUnits,
+		RemoteGets:      stats.RemoteGets,
+		RemoteUnits:     stats.RemoteUnits,
+		AnalysisUnits:   analysisUnits,
+		UnionIdentical:  maps.EqualFunc(baseUnion, union, bytes.Equal),
+		Phases:          rec.snapshot(),
+	}
+	if s.StealMakespan > 0 {
+		s.SpeedupMakespan = float64(s.NoStealMakespan) / float64(s.StealMakespan)
+	}
 	if analysisUnits > 0 {
 		// Everything stealing adds on top of the analysis itself: the
 		// per-steal coordination charge plus the stolen chunks' remote
 		// bundle fetches.
-		sr.OverheadRatio = float64(stats.StealUnits+stats.RemoteUnits) / float64(analysisUnits)
+		s.OverheadRatio = float64(s.StealUnits+s.RemoteUnits) / float64(analysisUnits)
 	}
-	return sr, nil
+	b.stealRep = &s
+	fmt.Fprintf(os.Stderr, "%-16s makespan %d -> %d units (%.2fx), %d steals off %d victims, %d sinks moved, overhead %.2f%%\n",
+		"heavy-tail", s.NoStealMakespan, s.StealMakespan, s.SpeedupMakespan,
+		s.Steals, s.StealVictims, s.StolenSinks, 100*s.OverheadRatio)
+	return s, nil
 }
 
-// measureDelta is the delta-update leg: one moderately sized app and its
-// three mutation kinds. Per kind, the updated app is analyzed cold in a
-// fresh store (the reference) and incrementally in the base version's
-// store with the base bundle + report as the delta base. The chain store
+// delta is the delta-update leg: one moderately sized app and its three
+// mutation kinds. Per kind, the updated app is analyzed cold in a fresh
+// store (the reference) and incrementally in the base version's store
+// with the base bundle + report as the delta base. The chain store
 // carries a shared shard store, so every base/update pair also exercises
 // the cross-version postings dedup. Fails when any incremental run's
 // detection output diverges from its cold reference.
-func measureDelta(seed int64) (DeltaReport, error) {
+func (b *bench) delta() (report, error) {
+	seed := corpus.Seed
 	spec := appgen.Spec{
 		Name:   "com.bench.delta",
 		Seed:   seed,
@@ -1404,25 +1266,17 @@ func measureDelta(seed int64) (DeltaReport, error) {
 			{Flow: appgen.FlowCallback, Rule: android.RuleSSLAllowAll},
 		},
 	}
-	rep := DeltaReport{App: DeltaApp{Name: spec.Name, SizeMB: spec.SizeMB, Seed: seed, Sinks: len(spec.Sinks)}}
+	d := DeltaReport{App: DeltaApp{Name: spec.Name, SizeMB: spec.SizeMB, Seed: seed, Sinks: len(spec.Sinks)}}
 
 	analyze := func(app *apk.App, store *service.BundleStore, from *core.DeltaBase) (*core.Report, error) {
-		opts := core.DefaultOptions()
-		opts.SearchBackend = bcsearch.BackendSharded
+		opts := shardedOptions()
 		opts.Bundles = store
 		opts.DeltaFrom = from
-		e, err := core.New(app, opts)
+		e, err := core.New(app, *opts)
 		if err != nil {
 			return nil, err
 		}
 		return e.Analyze()
-	}
-	detOf := func(r *core.Report) string {
-		var b strings.Builder
-		for _, sk := range r.Sinks {
-			fmt.Fprintf(&b, "%s r=%v i=%v %v\n", sk.Call, sk.Reachable, sk.Insecure, sk.Values)
-		}
-		return b.String()
 	}
 
 	shards := service.NewShardStore()
@@ -1431,40 +1285,39 @@ func measureDelta(seed int64) (DeltaReport, error) {
 			Base: spec, Mutation: m, TargetSink: 0, Seed: seed + 1,
 		})
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
 
 		// Cold reference: the update analyzed from scratch, own store so
 		// nothing warms it.
 		cold, err := analyze(upd, service.NewBundleStore(0), nil)
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
 
 		// Incremental chain: base populates the store, then the update
 		// re-analyzes against the base bundle + report.
 		base, _, err := appgen.Generate(spec)
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
 		store := service.NewBundleStore(0)
 		store.AttachShardStore(shards)
 		baseRep, err := analyze(base, store, nil)
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
 		fp := base.Fingerprint()
 		bundle, ok := store.GetBundle(fp)
 		if !ok {
-			return rep, fmt.Errorf("delta leg %q: base bundle missing from store", m)
+			return nil, fmt.Errorf("delta leg %q: base bundle missing from store", m)
 		}
 		delta, err := analyze(upd, store, &core.DeltaBase{Fingerprint: fp, Bundle: bundle, Report: baseRep})
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
-		if detOf(delta) != detOf(cold) {
-			return rep, fmt.Errorf("delta leg %q: incremental detection output diverges from cold:\n%svs\n%s",
-				m, detOf(delta), detOf(cold))
+		if got, want := detections(delta), detections(cold); got != want {
+			return nil, fmt.Errorf("delta leg %q: incremental detection output diverges from cold:\n%svs\n%s", m, got, want)
 		}
 
 		ds, cs := delta.Stats, cold.Stats
@@ -1481,14 +1334,18 @@ func measureDelta(seed int64) (DeltaReport, error) {
 		if cs.WorkUnits > 0 {
 			leg.CostRatio = float64(ds.WorkUnits) / float64(cs.WorkUnits)
 		}
-		rep.Legs = append(rep.Legs, leg)
+		d.Legs = append(d.Legs, leg)
+		fmt.Fprintf(os.Stderr, "%-16s %10d units cold, %10d units delta (%.1f%%), %d/%d sinks reused, %d/%d shards unchanged\n",
+			"delta:"+leg.Mutation, leg.ColdUnits, leg.DeltaUnits, 100*leg.CostRatio,
+			leg.SinksReused, leg.SinksReused+leg.SinksRerun,
+			leg.ShardsUnchanged, leg.ShardsUnchanged+leg.ShardsChanged)
 	}
 	ss := shards.Stats()
-	rep.ShardStore = ShardDedup{
+	d.ShardStore = ShardDedup{
 		Entries: ss.Entries, Bytes: ss.Bytes, Puts: ss.Puts,
 		Hits: ss.Hits, BytesDeduped: ss.BytesDeduped,
 	}
-	return rep, nil
+	return d, nil
 }
 
 // readBaseline parses a baseline report file.
@@ -1504,32 +1361,32 @@ func readBaseline(path string) (Report, error) {
 
 // gate compares the run against the baseline and fails on charged-work
 // regressions beyond the tolerance.
-func gate(report Report, baselinePath string, tolerance float64) error {
+func gate(got Report, baselinePath string, tol float64) error {
 	base, err := readBaseline(baselinePath)
 	if err != nil {
 		return fmt.Errorf("reading baseline %s: %w (run with -write-baseline to create it)", baselinePath, err)
 	}
-	if base.Corpus != report.Corpus {
-		return fmt.Errorf("baseline measured corpus %+v, this run %+v — not comparable", base.Corpus, report.Corpus)
+	if base.Corpus != got.Corpus {
+		return fmt.Errorf("baseline measured corpus %+v, this run %+v — not comparable", base.Corpus, got.Corpus)
 	}
 	var failures []string
 	check := func(name, metric string, cur, old int64) {
 		if old <= 0 {
 			return
 		}
-		limit := float64(old) * (1 + tolerance)
+		limit := float64(old) * (1 + tol)
 		switch {
 		case float64(cur) > limit:
 			failures = append(failures, fmt.Sprintf(
 				"%s %s regressed: %d -> %d (+%.1f%%, limit +%.0f%%)",
-				name, metric, old, cur, 100*float64(cur-old)/float64(old), 100*tolerance))
+				name, metric, old, cur, 100*float64(cur-old)/float64(old), 100*tol))
 		case cur < old:
 			fmt.Fprintf(os.Stderr, "note: %s %s improved: %d -> %d (-%.1f%%); consider refreshing the baseline\n",
 				name, metric, old, cur, 100*float64(old-cur)/float64(old))
 		}
 	}
 	for name, old := range base.Backends {
-		cur, ok := report.Backends[name]
+		cur, ok := got.Backends[name]
 		if !ok {
 			failures = append(failures, fmt.Sprintf("backend %q in baseline but not measured", name))
 			continue
@@ -1537,7 +1394,7 @@ func gate(report Report, baselinePath string, tolerance float64) error {
 		check(name, "work_units", cur.WorkUnits, old.WorkUnits)
 		check(name, "lines_scanned", cur.LinesScanned, old.LinesScanned)
 	}
-	check("warm-cache", "work_units", report.WarmCache.WorkUnits, base.WarmCache.WorkUnits)
+	check("warm-cache", "work_units", got.WarmCache.WorkUnits, base.WarmCache.WorkUnits)
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "REGRESSION:", f)

@@ -181,11 +181,6 @@ var lifecyclePredecessors = map[manifest.ComponentKind]map[string][]string{
 	},
 }
 
-// LifecycleMethods returns the lifecycle handler names of a component kind.
-func LifecycleMethods(kind manifest.ComponentKind) []string {
-	return lifecycleMethods[kind]
-}
-
 // IsLifecycleMethod reports whether name is a lifecycle handler of the kind.
 func IsLifecycleMethod(kind manifest.ComponentKind, name string) bool {
 	for _, m := range lifecycleMethods[kind] {

@@ -134,6 +134,12 @@ func (a *App) Save(path string) error {
 	return f.Close()
 }
 
+// maxUncompressedBytes caps the summed declared uncompressed size of the
+// manifest and dex entries of one container, so a small deflate bomb
+// cannot make Read allocate without bound. Checking declared sizes is
+// enough: archive/zip fails any read past an entry's declared size.
+const maxUncompressedBytes = 256 << 20
+
 // Read parses an app container from a reader.
 func Read(name string, r io.ReaderAt, size int64) (*App, error) {
 	zr, err := zip.NewReader(r, size)
@@ -146,10 +152,11 @@ func Read(name string, r io.ReaderAt, size int64) (*App, error) {
 		file  *zip.File
 	}
 	var dexEntries []dexEntry
+	var total uint64 // declared uncompressed bytes of the entries read so far
 	for _, zf := range zr.File {
 		switch {
 		case zf.Name == "AndroidManifest.xml":
-			data, err := readEntry(zf)
+			data, err := readEntry(zf, &total)
 			if err != nil {
 				return nil, err
 			}
@@ -178,7 +185,7 @@ func Read(name string, r io.ReaderAt, size int64) (*App, error) {
 	}
 	sort.Slice(dexEntries, func(i, j int) bool { return dexEntries[i].index < dexEntries[j].index })
 	for _, de := range dexEntries {
-		data, err := readEntry(de.file)
+		data, err := readEntry(de.file, &total)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +223,15 @@ func Load(path string) (*App, error) {
 	return Read(base, f, st.Size())
 }
 
-func readEntry(zf *zip.File) ([]byte, error) {
+// readEntry reads one entry after adding its declared uncompressed size
+// to *total, rejecting it unopened when the sum would exceed
+// maxUncompressedBytes.
+func readEntry(zf *zip.File, total *uint64) ([]byte, error) {
+	if zf.UncompressedSize64 > maxUncompressedBytes-*total {
+		return nil, fmt.Errorf("apk: entry %s: uncompressed size %d would exceed the %d-byte cap",
+			zf.Name, zf.UncompressedSize64, maxUncompressedBytes)
+	}
+	*total += zf.UncompressedSize64
 	rc, err := zf.Open()
 	if err != nil {
 		return nil, err

@@ -1,7 +1,13 @@
 package apk
 
 import (
+	"archive/zip"
+	"bytes"
+	"compress/flate"
+	"io"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"backdroid/internal/dex"
@@ -111,5 +117,51 @@ func TestSaveLoad(t *testing.T) {
 func TestReadBytesErrors(t *testing.T) {
 	if _, err := ReadBytes("x", []byte("not a zip")); err == nil {
 		t.Error("ReadBytes should fail on garbage")
+	}
+}
+
+// TestReadRejectsDecompressionBomb feeds Read a container whose
+// classes.dex inflates to 257 MiB of zeros (about 320 KiB compressed).
+// Read must refuse it from the declared size alone, without inflating it.
+func TestReadRejectsDecompressionBomb(t *testing.T) {
+	mf, err := manifest.New("com.bomb").ToXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	zw.RegisterCompressor(zip.Deflate, func(w io.Writer) (io.WriteCloser, error) {
+		return flate.NewWriter(w, flate.BestSpeed)
+	})
+	w, err := zw.Create("AndroidManifest.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(mf); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = zw.Create("classes.dex"); err != nil {
+		t.Fatal(err)
+	}
+	chunk := make([]byte, 1<<20)
+	for i := 0; i < 257; i++ {
+		if _, err := w.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = ReadBytes("com.bomb", data)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "classes.dex") || !strings.Contains(err.Error(), "268435456-byte cap") {
+		t.Fatalf("Read error = %v, want the uncompressed-size cap error naming classes.dex", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Errorf("Read allocated %d bytes on a %d-byte bomb, want < 16 MiB", grew, len(data))
 	}
 }

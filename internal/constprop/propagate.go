@@ -540,12 +540,6 @@ func (a *analysis) evalValue(v ir.Value, env *env) *Fact {
 	case *ir.NewArrayExpr:
 		a.objSeq++
 		return NewFact(&Arr{ID: a.objSeq, Elems: make(map[int64]*Fact)})
-	case *ir.PhiExpr:
-		out := NewFact()
-		for _, l := range t.Args {
-			out.Merge(a.evalValue(l, env))
-		}
-		return out
 	}
 	return NewFact(Unknown{})
 }

@@ -115,26 +115,6 @@ func TestObjPointsToFields(t *testing.T) {
 	}
 }
 
-func TestPhiMergesValues(t *testing.T) {
-	g := ssg.New(sinkRef)
-	a := &ir.Local{Name: "a", Type: dex.StringT}
-	b := &ir.Local{Name: "b", Type: dex.StringT}
-	m := &ir.Local{Name: "m", Type: dex.StringT}
-	g.AddUnit(hostM, 0, &ir.AssignStmt{LHS: a, RHS: ir.StringConst{V: "AES"}})
-	g.AddUnit(hostM, 1, &ir.AssignStmt{LHS: b, RHS: ir.StringConst{V: "DES"}})
-	g.AddUnit(hostM, 2, &ir.AssignStmt{LHS: m, RHS: &ir.PhiExpr{Args: []*ir.Local{a, b}}})
-	sinkU := g.AddUnit(hostM, 3, &ir.AssignStmt{
-		LHS: &ir.Local{Name: "r9"},
-		RHS: &ir.InvokeExpr{Kind: ir.KindStatic, Method: sinkRef, Args: []ir.Value{m}},
-	})
-	g.MarkSink(sinkU)
-
-	res := runOn(t, g)
-	if len(res.SinkValues) != 2 {
-		t.Fatalf("values = %v, want both branches", res.SinkValues)
-	}
-}
-
 func TestApplyBinopArithmetic(t *testing.T) {
 	tests := []struct {
 		op   string

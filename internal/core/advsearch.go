@@ -132,14 +132,6 @@ func (ft *forwardTaint) run(method dex.MethodRef, body *ir.Body, from int, obj *
 				if l, ok := rhs.Val.(*ir.Local); ok {
 					ft.assign(tainted, s.LHS, tainted[l.Name])
 				}
-			case *ir.PhiExpr:
-				any := false
-				for _, a := range rhs.Args {
-					if tainted[a.Name] {
-						any = true
-					}
-				}
-				ft.assign(tainted, s.LHS, any)
 			case *ir.InvokeExpr:
 				chains = append(chains, ft.invoke(method, body, i, rhs, tainted, chain)...)
 			}

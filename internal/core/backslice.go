@@ -307,11 +307,6 @@ func (s *slicer) taintRHS(method dex.MethodRef, body *ir.Body, idx int, rhs ir.V
 		// Size is rarely security-relevant; keep contents tainted via
 		// aput handling.
 
-	case *ir.PhiExpr:
-		for _, l := range v.Args {
-			ts.AddLocal(l.Name)
-		}
-
 	case *ir.NewExpr:
 		// Allocation site: the object is born here. Constructor effects
 		// were already handled when the backward scan passed <init>.

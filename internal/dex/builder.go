@@ -219,11 +219,6 @@ func (mb *MethodBuilder) InvokeInterface(ref MethodRef, args ...int) *MethodBuil
 	return mb.Invoke(OpInvokeInterface, ref, args...)
 }
 
-// InvokeSuper emits invoke-super {recv, args...}, ref.
-func (mb *MethodBuilder) InvokeSuper(ref MethodRef, args ...int) *MethodBuilder {
-	return mb.Invoke(OpInvokeSuper, ref, args...)
-}
-
 // IGet emits A := B.field.
 func (mb *MethodBuilder) IGet(a, obj int, field FieldRef) *MethodBuilder {
 	f := field
@@ -308,11 +303,6 @@ func (mb *MethodBuilder) ReturnVoid() *MethodBuilder {
 // CheckCast emits A := (class) A.
 func (mb *MethodBuilder) CheckCast(a int, class string) *MethodBuilder {
 	return mb.emit(Instruction{Op: OpCheckCast, A: a, Type: T(class)})
-}
-
-// Throw emits throw A.
-func (mb *MethodBuilder) Throw(a int) *MethodBuilder {
-	return mb.emit(Instruction{Op: OpThrow, A: a})
 }
 
 // Done resolves labels and returns the enclosing class builder. It panics

@@ -2,7 +2,6 @@ package dex
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -120,17 +119,6 @@ func (c *Class) FindMethod(name string, params ...TypeDesc) *Method {
 	return nil
 }
 
-// FindMethodBySubSig returns the method with the given Soot sub-signature,
-// or nil when absent.
-func (c *Class) FindMethodBySubSig(subSig string) *Method {
-	for _, m := range c.Methods {
-		if m.Ref.SubSignature() == subSig {
-			return m
-		}
-	}
-	return nil
-}
-
 // FindField returns the field with the given name, or nil when absent.
 func (c *Class) FindField(name string) *Field {
 	for _, f := range c.Fields {
@@ -200,16 +188,6 @@ func (f *File) Class(name string) *Class { return f.byName[name] }
 // Classes returns the class definitions in insertion order. The returned
 // slice must not be modified.
 func (f *File) Classes() []*Class { return f.classes }
-
-// ClassNames returns the sorted class names.
-func (f *File) ClassNames() []string {
-	names := make([]string, 0, len(f.classes))
-	for _, c := range f.classes {
-		names = append(names, c.Name)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Method resolves a MethodRef to its definition within this file, or nil.
 func (f *File) Method(ref MethodRef) *Method {

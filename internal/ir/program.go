@@ -75,13 +75,3 @@ func (p *Program) TranslatedCount() int {
 	defer p.mu.Unlock()
 	return len(p.bodies)
 }
-
-// SSABody returns the Shimple (SSA) view of the method: phi-carrying,
-// single-assignment form, built on demand from the cached body.
-func (p *Program) SSABody(ref dex.MethodRef) (*Body, error) {
-	b, err := p.Body(ref)
-	if err != nil {
-		return nil, err
-	}
-	return BuildSSA(b), nil
-}

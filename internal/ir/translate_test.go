@@ -337,10 +337,6 @@ func TestLocalsOf(t *testing.T) {
 	if got := LocalsOf(IntConst{V: 3}); got != nil {
 		t.Errorf("LocalsOf(const) = %v", got)
 	}
-	phi := &PhiExpr{Args: []*Local{a, b}}
-	if got := LocalsOf(phi); len(got) != 2 {
-		t.Errorf("LocalsOf(phi) = %v", got)
-	}
 	arr := &ArrayRef{Base: a, Index: b}
 	if got := LocalsOf(arr); len(got) != 2 {
 		t.Errorf("LocalsOf(arrayref) = %v", got)

@@ -1,12 +1,13 @@
 // Package ir implements a typed three-address intermediate representation
-// modeled on Soot's Jimple/Shimple, plus the translation from dex bytecode.
+// modeled on Soot's Jimple, plus the translation from dex bytecode.
 // BackDroid performs all program-analysis-space work (paper Fig. 3) on this
 // IR, while the search space works on the dexdump plaintext.
 //
 // The statement and expression taxonomy follows the paper's Sec. V: the
 // slicer and forward analysis handle DefinitionStmt (AssignStmt,
-// IdentityStmt), InvokeStmt and ReturnStmt, and the six expression kinds
-// BinopExpr, CastExpr, InvokeExpr, NewExpr, NewArrayExpr and PhiExpr.
+// IdentityStmt), InvokeStmt and ReturnStmt, and five expression kinds:
+// BinopExpr, CastExpr, InvokeExpr, NewExpr and NewArrayExpr. The paper's
+// sixth, Shimple's phi, is not modelled (DESIGN.md Sec. 1).
 package ir
 
 import (
@@ -182,18 +183,6 @@ func (n *NewArrayExpr) String() string {
 	return "newarray (" + n.Elem.Human() + ")[" + n.Size.String() + "]"
 }
 
-// PhiExpr is an SSA phi node (paper expression kind 6 of 6, from Shimple).
-type PhiExpr struct{ Args []*Local }
-
-func (*PhiExpr) value() {}
-func (p *PhiExpr) String() string {
-	names := make([]string, len(p.Args))
-	for i, a := range p.Args {
-		names[i] = a.Name
-	}
-	return "Phi(" + strings.Join(names, ", ") + ")"
-}
-
 // LocalsOf returns the locals directly referenced by a value (not
 // recursing through field bases' contents, but including them as locals).
 func LocalsOf(v Value) []*Local {
@@ -220,8 +209,6 @@ func LocalsOf(v Value) []*Local {
 		return out
 	case *NewArrayExpr:
 		return LocalsOf(t.Size)
-	case *PhiExpr:
-		return append([]*Local(nil), t.Args...)
 	}
 	return nil
 }

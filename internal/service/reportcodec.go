@@ -26,7 +26,6 @@ package service
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 
 	"backdroid/internal/android"
@@ -301,9 +300,4 @@ func getStr(p []byte) (string, []byte, bool) {
 		return "", nil, false
 	}
 	return string(p[:n]), p[n:], true
-}
-
-// reportKeyString renders a ReportKey for error messages and HTTP paths.
-func reportKeyString(k ReportKey) string {
-	return fmt.Sprintf("%016x/%016x", k.App, k.Options)
 }

@@ -404,16 +404,6 @@ func (m *Meter) ChargeDeltaReuse(n int) error {
 	return m.Charge(int64(n/DeltaReuseLinesPerUnit) + 1)
 }
 
-// ChargeSteal charges the coordinator-side cost of dispatching one
-// stolen sink chunk to an idle fleet node — fencing the victim's range,
-// journaling the steal record and handing the chunk over. The fleet
-// coordinator advances its global clock by the same constant; this
-// method is the metered form for harnesses that account steal overhead
-// on a meter.
-func (m *Meter) ChargeSteal() error {
-	return m.Charge(StealUnits)
-}
-
 // ChargeSettledLookup charges for answering a resubmission of a settled
 // (app, options) pair from the content-addressed report store — the O(1)
 // read path that replaces disassembly, index builds and the engine run
