@@ -296,27 +296,6 @@ func BenchmarkSearchLinearVsIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchShardedIndex ablates the sharded index against both
-// neighbors: it must charge strictly less than the paper-faithful linear
-// scan (the parallel shard build is the critical-path charge) while
-// returning results the parity tests pin as identical. Reported metrics
-// feed the CI bench gate next to the linear-vs-indexed numbers.
-func BenchmarkSearchShardedIndex(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		linLines, _, linUnits := corpusSearchCost(b, bcsearch.BackendLinear)
-		shLines, shPostings, shUnits := corpusSearchCost(b, bcsearch.BackendSharded)
-		if shLines >= linLines {
-			b.Fatalf("sharded scanned %d lines, linear %d — shards must scan strictly fewer", shLines, linLines)
-		}
-		if shUnits >= linUnits {
-			b.Fatalf("sharded charged %d units, linear %d — shards must be strictly cheaper", shUnits, linUnits)
-		}
-		b.ReportMetric(float64(shLines), "sharded-lines/op")
-		b.ReportMetric(float64(shPostings), "sharded-postings/op")
-		b.ReportMetric(float64(linUnits)/float64(shUnits), "sharded-speedup")
-	}
-}
-
 // BenchmarkIndexCacheWarmCorpus measures the persistent-cache payoff: the
 // same corpus analyzed cold (tokenizing and writing cache files) and warm
 // (loading them). The warm run must charge zero index builds and strictly
@@ -326,7 +305,6 @@ func BenchmarkIndexCacheWarmCorpus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dir := b.TempDir()
 		opts := core.DefaultOptions()
-		opts.SearchBackend = bcsearch.BackendSharded
 		cfg := experiments.RunConfig{RunBackDroid: true, BackDroidOptions: &opts, IndexCacheDir: dir}
 		measure := func() (builds int, units int64) {
 			run := runScaledCorpus(b, cfg)
@@ -366,7 +344,6 @@ func BenchmarkWarmStartEndToEnd(b *testing.B) {
 		dir := b.TempDir()
 		b.StartTimer()
 		opts := core.DefaultOptions()
-		opts.SearchBackend = bcsearch.BackendSharded
 		opts.IndexCacheDir = dir
 
 		analyze := func() *core.Report {
@@ -472,7 +449,6 @@ func BenchmarkManySinkOutlier(b *testing.B) {
 func BenchmarkBatchServiceReuse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := core.DefaultOptions()
-		opts.SearchBackend = bcsearch.BackendSharded
 		sched := service.New(service.Config{
 			Workers: 4,
 			Options: &opts,

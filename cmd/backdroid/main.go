@@ -4,7 +4,7 @@
 // Usage:
 //
 //	backdroid [-subclass-sinks] [-timeout MIN] [-ssg] [-backend B] [-workers W]
-//	          [-shards N] [-index-cache DIR] [-store-budget BYTES]
+//	          [-index-cache DIR] [-store-budget BYTES]
 //	          [-stats=false] [-delta] [-nodes N] [-faults SPEC] [-trace FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE] app.apk...
 //
@@ -19,11 +19,10 @@
 //	backdroid -nodes 4 -store-budget 0 -faults 'kill:node=2@50000' apps/*.apk
 //
 // B selects the bytecode search backend: indexed (default, inverted-index
-// lookups), sharded (per-classesN.dex index shards, built concurrently) or
-// linear (paper-faithful full-text scan). W bounds how many of the listed
-// apps are analyzed concurrently; reports are always printed in argument
-// order and are identical for any W. -shards overrides the sharded
-// backend's shard count (0 = auto). -index-cache persists each app's
+// lookups) or linear (paper-faithful full-text scan). W bounds how many
+// of the listed apps are analyzed concurrently; reports are always
+// printed in argument order and are identical for any W. -index-cache
+// persists each app's
 // dump+index bundle in DIR so re-analyses skip disassembly and
 // tokenization entirely (a fully warm start).
 // -store-budget shares an in-memory content-addressed bundle store across
@@ -35,7 +34,7 @@
 //
 // -delta treats the listed containers as successive versions of one app
 // (base first) and analyzes each update incrementally against its
-// predecessor's bundle: the engine diffs the per-class shard manifests,
+// predecessor's bundle: the engine diffs the per-class manifests,
 // carries over every settled sink verdict whose recorded footprint
 // cannot observe the update, and re-analyzes only the sinks the changed
 // classes can affect. Verdicts are identical to a cold analysis of each
@@ -83,7 +82,6 @@ type config struct {
 	showSSG       bool
 	backend       string
 	workers       int
-	shards        int
 	indexCache    string
 	storeBudget   int64
 	stats         bool
@@ -101,11 +99,9 @@ func main() {
 		"resolve sink APIs invoked through app subclasses of system classes")
 	flag.Float64Var(&cfg.timeout, "timeout", 0, "simulated-minute budget (0 = none)")
 	flag.BoolVar(&cfg.showSSG, "ssg", false, "dump the self-contained slicing graph per sink")
-	flag.StringVar(&cfg.backend, "backend", "indexed", "search backend: indexed, sharded or linear")
+	flag.StringVar(&cfg.backend, "backend", "indexed", "search backend: indexed or linear")
 	flag.IntVar(&cfg.workers, "workers", runtime.NumCPU(),
 		"concurrent app analyses (reports stay in argument order)")
-	flag.IntVar(&cfg.shards, "shards", 0,
-		"index shard count for -backend sharded (0 = auto: per classesN.dex)")
 	flag.StringVar(&cfg.indexCache, "index-cache", "",
 		"directory for persistent dump+index bundles (empty = disabled)")
 	flag.Int64Var(&cfg.storeBudget, "store-budget", -1,
@@ -148,7 +144,6 @@ func run(paths []string, cfg config) error {
 	opts.SearchBackend = backend
 	opts.ResolveSinkSubclasses = cfg.subclassSinks
 	opts.TimeoutMinutes = cfg.timeout
-	opts.IndexShards = cfg.shards
 	opts.IndexCacheDir = cfg.indexCache
 	var store *service.BundleStore
 	if cfg.storeBudget >= 0 && cfg.nodes == 0 {
@@ -436,12 +431,12 @@ func printReport(r *core.Report, cfg config) {
 	fmt.Printf("  search: %d commands, %.1f%% cache rate; sink cache %.1f%%; loops: %v\n",
 		st.Search.Commands, st.Search.Rate()*100, st.SinkCacheRate()*100, st.Loops)
 	if st.Search.IndexBuilds > 0 {
-		fmt.Printf("  index: built over %d lines (%d shards); %d postings visited, %d lines scanned (raw fallbacks)\n",
-			st.Search.IndexLines, st.Search.ShardCount, st.Search.PostingsScanned, st.Search.LinesScanned)
+		fmt.Printf("  index: built over %d lines; %d postings visited, %d lines scanned (raw fallbacks)\n",
+			st.Search.IndexLines, st.Search.PostingsScanned, st.Search.LinesScanned)
 	}
 	if st.Search.IndexCacheHits > 0 || st.Search.IndexCacheMisses > 0 {
-		fmt.Printf("  index cache: %d hits, %d misses (%d shards); %d postings visited\n",
-			st.Search.IndexCacheHits, st.Search.IndexCacheMisses, st.Search.ShardCount, st.Search.PostingsScanned)
+		fmt.Printf("  index cache: %d hits, %d misses; %d postings visited\n",
+			st.Search.IndexCacheHits, st.Search.IndexCacheMisses, st.Search.PostingsScanned)
 	}
 	if st.DumpCacheHits > 0 || st.DumpCacheMisses > 0 {
 		fmt.Printf("  dump cache: %d hits, %d misses; load charged %d units, %d lines disassembled\n",
@@ -453,9 +448,8 @@ func printReport(r *core.Report, cfg config) {
 	if st.ForwardMemoHits > 0 {
 		fmt.Printf("  forward memo: %d evaluations reused\n", st.ForwardMemoHits)
 	}
-	if st.ShardsUnchanged+st.ShardsChanged > 0 {
-		fmt.Printf("  delta: %d/%d shards unchanged; %d sinks reused, %d re-run; %d dump lines at reuse rate\n",
-			st.ShardsUnchanged, st.ShardsUnchanged+st.ShardsChanged,
+	if st.DeltaRun() {
+		fmt.Printf("  delta: %d sinks reused, %d re-run; %d dump lines at reuse rate\n",
 			st.SinksReused, st.SinksRerun, st.DeltaReusedLines)
 	}
 	if st.CancelPolls > 0 {

@@ -77,20 +77,10 @@ func TestIndent(t *testing.T) {
 	}
 }
 
-func TestRunShardedBackend(t *testing.T) {
-	path := fixturePath(t)
-	if err := run([]string{path}, config{backend: "sharded", workers: 1, stats: true}); err != nil {
-		t.Fatalf("run sharded: %v", err)
-	}
-	if err := run([]string{path}, config{backend: "sharded", shards: 3, workers: 1}); err != nil {
-		t.Fatalf("run sharded with explicit count: %v", err)
-	}
-}
-
 func TestRunIndexCache(t *testing.T) {
 	path := fixturePath(t)
 	dir := t.TempDir()
-	cfg := config{backend: "sharded", workers: 1, indexCache: dir, stats: true}
+	cfg := config{backend: "indexed", workers: 1, indexCache: dir, stats: true}
 	if err := run([]string{path}, cfg); err != nil {
 		t.Fatalf("cold cached run: %v", err)
 	}
@@ -117,7 +107,7 @@ func TestRunStatsSuppressed(t *testing.T) {
 func TestRunWarmBundle(t *testing.T) {
 	path := fixturePath(t)
 	dir := t.TempDir()
-	cfg := config{backend: "sharded", workers: 1, indexCache: dir, stats: true}
+	cfg := config{backend: "indexed", workers: 1, indexCache: dir, stats: true}
 	// Cold run writes the bundle; warm run must load dump and index.
 	if err := run([]string{path}, cfg); err != nil {
 		t.Fatalf("cold bundle run: %v", err)

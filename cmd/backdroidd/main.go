@@ -17,6 +17,9 @@
 //	           [-report-budget BYTES] [-http ADDR] [-nodes N] [-faults SPEC]
 //	           [-trace FILE] [-stats] [-cpuprofile FILE] [-memprofile FILE]
 //
+// -backend B selects the bytecode search backend: indexed (the default,
+// inverted-index lookups) or linear (the paper-faithful full-text scan).
+//
 // -nodes N runs the scheduler as a coordinator over a fault-tolerant
 // fleet of N worker nodes: every dispatch takes a lease, bundles are
 // consistent-hashed across per-node store partitions (each budgeted by
@@ -131,7 +134,7 @@ func main() {
 		"in-memory bundle store byte budget (0 = unlimited, -1 = store disabled)")
 	flag.Int64Var(&cfg.reportBudget, "report-budget", 64<<20,
 		"settled-report store byte budget (0 = unlimited, -1 = settled tier disabled)")
-	flag.StringVar(&cfg.backend, "backend", "sharded", "search backend: indexed, sharded or linear")
+	flag.StringVar(&cfg.backend, "backend", "indexed", "search backend: indexed or linear")
 	flag.StringVar(&cfg.indexCache, "index-cache", "",
 		"directory for persistent dump+index bundles (empty = memory only)")
 	flag.StringVar(&cfg.journalDir, "journal", "",
@@ -214,10 +217,6 @@ func serve(in io.Reader, out io.Writer, cfg config) error {
 	var store *service.BundleStore
 	if cfg.storeBudget >= 0 && cfg.nodes == 0 {
 		store = service.NewBundleStore(cfg.storeBudget)
-		// The corpus-wide shard-level dedup layer: bundles of successive
-		// app versions (and of apps sharing SDK dexes) share postings
-		// payloads instead of duplicating them per fingerprint.
-		store.AttachShardStore(service.NewShardStore())
 	}
 	var jnl *journal.Journal
 	if cfg.journalDir != "" {

@@ -56,7 +56,7 @@ func grepLines(lines []string, pattern string) []string {
 func TestServeWarmResubmission(t *testing.T) {
 	path := fixturePath(t)
 	script := fmt.Sprintf("submit %s\nsubmit %s\nstats\nquit\n", path, path)
-	lines := serveLines(t, script, config{workers: 1, storeBudget: 0, backend: "sharded", stats: true})
+	lines := serveLines(t, script, config{workers: 1, storeBudget: 0, backend: "indexed", stats: true})
 
 	for _, kind := range []string{"queued", "started", "done"} {
 		if got := len(grepLines(lines, "^"+kind+" ")); got != 2 {
@@ -156,7 +156,7 @@ func resultLines(lines []string) []string {
 func TestServeTenantSubmitAndStats(t *testing.T) {
 	path := fixturePath(t)
 	script := fmt.Sprintf("submit tenant=acme %s\nsubmit tenant=free %s\nsubmit %s\nquit\n", path, path, path)
-	lines := serveLines(t, script, config{workers: 1, storeBudget: 0, backend: "sharded", tenants: "acme=3", stats: true})
+	lines := serveLines(t, script, config{workers: 1, storeBudget: 0, backend: "indexed", tenants: "acme=3", stats: true})
 	if got := len(grepLines(lines, `^done `)); got != 3 {
 		t.Fatalf("%d done lines, want 3:\n%s", got, strings.Join(lines, "\n"))
 	}
@@ -193,7 +193,7 @@ func TestServeBadTenantsFlag(t *testing.T) {
 func TestServeCrashRecoveryParity(t *testing.T) {
 	path := fixturePath(t)
 	jdir := t.TempDir()
-	cfg := config{workers: 1, storeBudget: -1, backend: "sharded", stats: true}
+	cfg := config{workers: 1, storeBudget: -1, backend: "indexed", stats: true}
 
 	// The three submissions are one app, so whichever job runs first is
 	// the cold analysis and the other two are settled hits. Both runs
@@ -307,7 +307,7 @@ func (w *notifyWriter) lines() []string {
 // an uninterrupted run.
 func TestServeSIGTERMDrainsInFlight(t *testing.T) {
 	path := fixturePath(t)
-	cfg := config{workers: 1, storeBudget: -1, backend: "sharded", stats: true}
+	cfg := config{workers: 1, storeBudget: -1, backend: "indexed", stats: true}
 
 	// Reference: the same three submissions, uninterrupted.
 	refCfg := cfg
@@ -362,7 +362,7 @@ func TestServeSIGTERMDrainsInFlight(t *testing.T) {
 func TestServeDieNode(t *testing.T) {
 	path := fixturePath(t)
 	script := fmt.Sprintf("die node=1\ndie node=1\ndie node=9\nsubmit %s\nstats\nquit\n", path)
-	lines := serveLines(t, script, config{workers: 1, nodes: 2, storeBudget: 0, backend: "sharded", stats: true})
+	lines := serveLines(t, script, config{workers: 1, nodes: 2, storeBudget: 0, backend: "indexed", stats: true})
 	if got := grepLines(lines, `^node killed node=1$`); len(got) != 1 {
 		t.Fatalf("missing kill confirmation:\n%s", strings.Join(lines, "\n"))
 	}

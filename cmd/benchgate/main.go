@@ -19,10 +19,10 @@
 //     work. Its numbers also ride into BENCH_search.json and the
 //     baseline, so it runs before the search leg;
 //   - search (BENCH_search.json): the corpus once per search backend
-//     (linear, indexed, sharded), then cold+warm against the persistent
-//     bundle cache. Every backend and the warm bundle run must reproduce
-//     the linear scan's detection output bit for bit, and the index
-//     backends must beat the linear scan (speedup > 1). The service,
+//     (linear, indexed), then cold+warm against the persistent bundle
+//     cache. Every backend and the warm bundle run must reproduce the
+//     linear scan's detection output bit for bit, and the indexed
+//     backend must beat the linear scan (speedup > 1). The service,
 //     settled and warm legs read its results;
 //   - service (BENCH_service.json), the batch-reuse leg: the corpus
 //     submitted twice through one scheduler with an in-memory bundle
@@ -45,8 +45,7 @@
 //     updated app must reproduce its cold detection output when
 //     re-analyzed against the base version's bundle and report, must
 //     reuse at least one sink and charge less than cold, a one-class
-//     update (change-literal, add-class) must charge under 10% of cold,
-//     and the shard store must dedup postings bytes across the versions;
+//     update (change-literal, add-class) must charge under 10% of cold;
 //   - settled (BENCH_settled.json), the resubmission-storm leg: the
 //     corpus analyzed cold once through a scheduler with a report store,
 //     then resubmitted ten more times. Every storm pass must be served
@@ -143,11 +142,11 @@ type config struct {
 // bench carries one run's configuration and what later legs read from
 // earlier ones.
 type bench struct {
-	cfg         config
-	stealRep    *StealReport // the steal leg's report, recorded in BENCH_search.json
-	searchRep   Report       // the search leg's report, gated against the baseline
-	coldSharded BackendCost  // the cold pass of the warm bundle runs
-	shardedDet  string       // the sharded backend's detection summary
+	cfg       config
+	stealRep  *StealReport // the steal leg's report, recorded in BENCH_search.json
+	searchRep Report       // the search leg's report, gated against the baseline
+	cold      BackendCost  // the cold pass of the warm bundle runs
+	det       string       // the indexed backend's detection summary
 }
 
 func main() {
@@ -212,7 +211,6 @@ func writeJSON(path string, v any) error {
 type BackendCost struct {
 	LinesScanned    int64   `json:"lines_scanned"`
 	PostingsScanned int64   `json:"postings_scanned"`
-	MergedPostings  int64   `json:"merged_postings"`
 	IndexBuilds     int     `json:"index_builds"`
 	IndexCacheHits  int     `json:"index_cache_hits"`
 	DumpCacheHits   int     `json:"dump_cache_hits"`
@@ -241,10 +239,9 @@ type CorpusMeta struct {
 type Report struct {
 	Corpus         CorpusMeta             `json:"corpus"`
 	Backends       map[string]BackendCost `json:"backends"`
-	WarmCache      BackendCost            `json:"warm_cache"` // sharded backend, pre-warmed bundle cache
+	WarmCache      BackendCost            `json:"warm_cache"` // indexed backend, pre-warmed bundle cache
 	SpeedupIndexed float64                `json:"speedup_indexed"`
-	SpeedupSharded float64                `json:"speedup_sharded"`
-	SpeedupWarm    float64                `json:"speedup_warm"` // cold sharded vs warm bundle
+	SpeedupWarm    float64                `json:"speedup_warm"` // cold indexed vs warm bundle
 	// Steal carries the heavy-tail work-stealing leg's numbers into the
 	// checked-in baseline (informational — the leg's hard invariants are
 	// enforced inline on every run, never against these numbers, because
@@ -304,26 +301,13 @@ type TenantReport struct {
 // updated app analyzed from scratch versus re-analyzed against the base
 // version's bundle and report.
 type DeltaLeg struct {
-	Mutation        string  `json:"mutation"`
-	ColdUnits       int64   `json:"cold_work_units"`
-	DeltaUnits      int64   `json:"delta_work_units"`
-	CostRatio       float64 `json:"cost_ratio"` // delta / cold
-	SinksReused     int     `json:"sinks_reused"`
-	SinksRerun      int     `json:"sinks_rerun"`
-	ShardsUnchanged int     `json:"shards_unchanged"`
-	ShardsChanged   int     `json:"shards_changed"`
-	ReusedLines     int64   `json:"delta_reused_lines"`
-}
-
-// ShardDedup is the cross-version postings-dedup counter block of
-// BENCH_delta.json, accumulated over every base/update bundle pair the
-// leg stored.
-type ShardDedup struct {
-	Entries      int   `json:"entries"`
-	Bytes        int64 `json:"bytes"`
-	Puts         int64 `json:"puts"`
-	Hits         int64 `json:"hits"`
-	BytesDeduped int64 `json:"bytes_deduped"`
+	Mutation    string  `json:"mutation"`
+	ColdUnits   int64   `json:"cold_work_units"`
+	DeltaUnits  int64   `json:"delta_work_units"`
+	CostRatio   float64 `json:"cost_ratio"` // delta / cold
+	SinksReused int     `json:"sinks_reused"`
+	SinksRerun  int     `json:"sinks_rerun"`
+	ReusedLines int64   `json:"delta_reused_lines"`
 }
 
 // DeltaApp identifies the app pair the delta leg measures.
@@ -337,12 +321,10 @@ type DeltaApp struct {
 // DeltaReport is the BENCH_delta.json schema: the app-update leg. For
 // each mutation kind the updated app is analyzed cold and incrementally
 // (base bundle + base report as the delta base); verdicts must match bit
-// for bit, one-class updates must charge under 10% of cold, and the
-// shard store must share unchanged postings shards across the versions.
+// for bit, and one-class updates must charge under 10% of cold.
 type DeltaReport struct {
-	App        DeltaApp   `json:"app"`
-	Legs       []DeltaLeg `json:"legs"`
-	ShardStore ShardDedup `json:"shard_store"`
+	App  DeltaApp   `json:"app"`
+	Legs []DeltaLeg `json:"legs"`
 }
 
 // SettledStoreStats is the report-store counter block of
@@ -447,7 +429,7 @@ type StealReport struct {
 // absolute numbers.
 type WarmReport struct {
 	Corpus            CorpusMeta  `json:"corpus"`
-	ColdSharded       BackendCost `json:"cold_sharded"`
+	Cold              BackendCost `json:"cold"`
 	Warm              BackendCost `json:"warm"`
 	SpeedupWarmVsCold float64     `json:"speedup_warm_vs_cold"`
 	BaselineWarmUnits int64       `json:"baseline_warm_work_units,omitempty"`
@@ -455,9 +437,9 @@ type WarmReport struct {
 }
 
 func (r Report) check() error {
-	if r.SpeedupIndexed <= 1 || r.SpeedupSharded <= 1 {
-		return fmt.Errorf("index speedups %.2fx/%.2fx not >1 — index backends charge more than the linear scan",
-			r.SpeedupIndexed, r.SpeedupSharded)
+	if r.SpeedupIndexed <= 1 {
+		return fmt.Errorf("index speedups over linear not >1: indexed %.2fx — the index backend charges more than the linear scan",
+			r.SpeedupIndexed)
 	}
 	return nil
 }
@@ -534,9 +516,6 @@ func (d DeltaReport) check() error {
 				leg.Mutation, leg.DeltaUnits, leg.ColdUnits)
 		}
 	}
-	if d.ShardStore.BytesDeduped == 0 {
-		return fmt.Errorf("delta leg deduped no postings bytes across versions — shard store not sharing")
-	}
 	return nil
 }
 
@@ -612,20 +591,11 @@ func (p *phaseRecorder) snapshot() map[string]obs.HistSnapshot {
 	return out
 }
 
-// shardedOptions returns the default engine options on the sharded
-// search backend, which every leg but the backend sweep measures.
-func shardedOptions() *core.Options {
-	opts := core.DefaultOptions()
-	opts.SearchBackend = bcsearch.BackendSharded
-	return &opts
-}
-
 // costOf is one app's charged search work.
 func costOf(s core.Stats) BackendCost {
 	return BackendCost{
 		LinesScanned:    s.Search.LinesScanned,
 		PostingsScanned: s.Search.PostingsScanned,
-		MergedPostings:  s.Search.MergedPostings,
 		IndexBuilds:     s.Search.IndexBuilds,
 		IndexCacheHits:  s.Search.IndexCacheHits,
 		DumpCacheHits:   s.DumpCacheHits,
@@ -641,7 +611,6 @@ func costOf(s core.Stats) BackendCost {
 func (c *BackendCost) add(o BackendCost) {
 	c.LinesScanned += o.LinesScanned
 	c.PostingsScanned += o.PostingsScanned
-	c.MergedPostings += o.MergedPostings
 	c.IndexBuilds += o.IndexBuilds
 	c.IndexCacheHits += o.IndexCacheHits
 	c.DumpCacheHits += o.DumpCacheHits
@@ -708,13 +677,13 @@ func backendPass(kind bcsearch.BackendKind, cacheDir string) (pass, error) {
 }
 
 // search is the backend sweep: the corpus once per search backend, then
-// twice on the sharded backend against one persistent bundle cache
+// twice on the indexed backend against one persistent bundle cache
 // directory — the first pass populates it, the second must load every
 // dump and index section.
 func (b *bench) search() (report, error) {
 	r := Report{Corpus: corpus, Backends: make(map[string]BackendCost), Steal: b.stealRep}
 	dets := make(map[string]string)
-	for _, kind := range []bcsearch.BackendKind{bcsearch.BackendLinear, bcsearch.BackendIndexed, bcsearch.BackendSharded} {
+	for _, kind := range []bcsearch.BackendKind{bcsearch.BackendLinear, bcsearch.BackendIndexed} {
 		p, err := backendPass(kind, "")
 		if err != nil {
 			return nil, err
@@ -735,15 +704,15 @@ func (b *bench) search() (report, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(cacheDir)
-	cold, err := backendPass(bcsearch.BackendSharded, cacheDir)
+	cold, err := backendPass(bcsearch.BackendIndexed, cacheDir)
 	if err != nil {
 		return nil, err
 	}
-	warm, err := backendPass(bcsearch.BackendSharded, cacheDir)
+	warm, err := backendPass(bcsearch.BackendIndexed, cacheDir)
 	if err != nil {
 		return nil, err
 	}
-	if warm.det != dets["sharded"] {
+	if warm.det != dets["indexed"] {
 		return nil, fmt.Errorf("warm bundle run changed the detection output")
 	}
 	r.WarmCache = warm.cost
@@ -754,13 +723,10 @@ func (b *bench) search() (report, error) {
 	if idx := r.Backends["indexed"].WorkUnits; idx > 0 {
 		r.SpeedupIndexed = float64(lin) / float64(idx)
 	}
-	if sh := r.Backends["sharded"].WorkUnits; sh > 0 {
-		r.SpeedupSharded = float64(lin) / float64(sh)
-	}
 	if warm.cost.WorkUnits > 0 {
 		r.SpeedupWarm = float64(cold.cost.WorkUnits) / float64(warm.cost.WorkUnits)
 	}
-	b.searchRep, b.coldSharded, b.shardedDet = r, cold.cost, dets["sharded"]
+	b.searchRep, b.cold, b.det = r, cold.cost, dets["indexed"]
 	return r, nil
 }
 
@@ -770,7 +736,7 @@ func (b *bench) search() (report, error) {
 func (b *bench) warm() (report, error) {
 	w := WarmReport{
 		Corpus:            corpus,
-		ColdSharded:       b.coldSharded,
+		Cold:              b.cold,
 		Warm:              b.searchRep.WarmCache,
 		SpeedupWarmVsCold: b.searchRep.SpeedupWarm,
 	}
@@ -789,13 +755,14 @@ func (b *bench) warm() (report, error) {
 // in-memory bundle store, the same corpus submitted twice through it. The
 // first pass is cold (every fingerprint misses the store and is built
 // once); the second must be fully warm. Both must match the search leg's
-// sharded detection output, which is also the scheduler-vs-RunCorpus
+// indexed detection output, which is also the scheduler-vs-RunCorpus
 // parity diff.
 func (b *bench) service() (report, error) {
 	store := service.NewBundleStore(0)
+	opts := core.DefaultOptions()
 	sched := service.New(service.Config{
 		Workers: runtime.NumCPU(),
-		Options: shardedOptions(),
+		Options: &opts,
 		Store:   store,
 	})
 	defer sched.Close()
@@ -809,7 +776,7 @@ func (b *bench) service() (report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if first.det != b.shardedDet || second.det != b.shardedDet {
+	if first.det != b.det || second.det != b.det {
 		return nil, fmt.Errorf("scheduler runs changed the detection output vs RunCorpus")
 	}
 	s := ServiceReport{Corpus: corpus, FirstPass: first.cost, SecondPass: second.cost}
@@ -835,9 +802,10 @@ func (b *bench) service() (report, error) {
 // the O(1) settled lookup per resubmission.
 func (b *bench) settled() (report, error) {
 	reports := service.NewReportStore(0)
+	opts := core.DefaultOptions()
 	sched := service.New(service.Config{
 		Workers: runtime.NumCPU(),
-		Options: shardedOptions(),
+		Options: &opts,
 		Reports: reports,
 	})
 	defer sched.Close()
@@ -847,7 +815,7 @@ func (b *bench) settled() (report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cold.det != b.shardedDet {
+	if cold.det != b.det {
 		return nil, fmt.Errorf("settled-storm cold pass changed the detection output vs RunCorpus")
 	}
 	coldEnc := make([][]byte, len(cold.reports))
@@ -864,7 +832,7 @@ func (b *bench) settled() (report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if storm.det != b.shardedDet {
+		if storm.det != b.det {
 			return nil, fmt.Errorf("storm pass %d changed the detection output vs RunCorpus", n)
 		}
 		for i, r := range storm.reports {
@@ -1028,7 +996,8 @@ func gatedTenantRun(cfg service.Config, heavy, light []appgen.Spec) (tenantRun, 
 	}()
 
 	cfg.QueueDepth = 64
-	cfg.Options = shardedOptions()
+	opts := core.DefaultOptions()
+	cfg.Options = &opts
 	cfg.Journal = jnl
 	cfg.Events = events
 	sched := service.New(cfg)
@@ -1166,17 +1135,17 @@ func (b *bench) fleet() (report, error) {
 // job-level placement: its node commits to the whole sink tail before the
 // small apps even queue.
 func stealTailRun(specs []appgen.Spec, steal bool, rec *phaseRecorder) (map[string][]byte, int64, *service.FleetStats, error) {
-	opts := shardedOptions()
+	opts := core.DefaultOptions()
 	if !steal {
 		opts.SinkChunk = 0 // job-level placement: the outlier is unsplittable
 	}
 	if rec != nil {
-		rec.install(opts)
+		rec.install(&opts)
 	}
 	sched := service.New(service.Config{
 		Nodes:      fleetNodes,
 		QueueDepth: 2 * len(specs),
-		Options:    opts,
+		Options:    &opts,
 	})
 	ids, err := submitSpecs(sched, "", specs)
 	var union map[string][]byte
@@ -1248,10 +1217,8 @@ func (b *bench) steal() (report, error) {
 // delta is the delta-update leg: one moderately sized app and its three
 // mutation kinds. Per kind, the updated app is analyzed cold in a fresh
 // store (the reference) and incrementally in the base version's store
-// with the base bundle + report as the delta base. The chain store
-// carries a shared shard store, so every base/update pair also exercises
-// the cross-version postings dedup. Fails when any incremental run's
-// detection output diverges from its cold reference.
+// with the base bundle + report as the delta base. Fails when any
+// incremental run's detection output diverges from its cold reference.
 func (b *bench) delta() (report, error) {
 	seed := corpus.Seed
 	spec := appgen.Spec{
@@ -1269,17 +1236,16 @@ func (b *bench) delta() (report, error) {
 	d := DeltaReport{App: DeltaApp{Name: spec.Name, SizeMB: spec.SizeMB, Seed: seed, Sinks: len(spec.Sinks)}}
 
 	analyze := func(app *apk.App, store *service.BundleStore, from *core.DeltaBase) (*core.Report, error) {
-		opts := shardedOptions()
+		opts := core.DefaultOptions()
 		opts.Bundles = store
 		opts.DeltaFrom = from
-		e, err := core.New(app, *opts)
+		e, err := core.New(app, opts)
 		if err != nil {
 			return nil, err
 		}
 		return e.Analyze()
 	}
 
-	shards := service.NewShardStore()
 	for _, m := range appgen.Mutations() {
 		upd, _, err := appgen.GenerateUpdate(appgen.AppUpdateSpec{
 			Base: spec, Mutation: m, TargetSink: 0, Seed: seed + 1,
@@ -1302,7 +1268,6 @@ func (b *bench) delta() (report, error) {
 			return nil, err
 		}
 		store := service.NewBundleStore(0)
-		store.AttachShardStore(shards)
 		baseRep, err := analyze(base, store, nil)
 		if err != nil {
 			return nil, err
@@ -1322,28 +1287,20 @@ func (b *bench) delta() (report, error) {
 
 		ds, cs := delta.Stats, cold.Stats
 		leg := DeltaLeg{
-			Mutation:        m.String(),
-			ColdUnits:       cs.WorkUnits,
-			DeltaUnits:      ds.WorkUnits,
-			SinksReused:     ds.SinksReused,
-			SinksRerun:      ds.SinksRerun,
-			ShardsUnchanged: ds.ShardsUnchanged,
-			ShardsChanged:   ds.ShardsChanged,
-			ReusedLines:     ds.DeltaReusedLines,
+			Mutation:    m.String(),
+			ColdUnits:   cs.WorkUnits,
+			DeltaUnits:  ds.WorkUnits,
+			SinksReused: ds.SinksReused,
+			SinksRerun:  ds.SinksRerun,
+			ReusedLines: ds.DeltaReusedLines,
 		}
 		if cs.WorkUnits > 0 {
 			leg.CostRatio = float64(ds.WorkUnits) / float64(cs.WorkUnits)
 		}
 		d.Legs = append(d.Legs, leg)
-		fmt.Fprintf(os.Stderr, "%-16s %10d units cold, %10d units delta (%.1f%%), %d/%d sinks reused, %d/%d shards unchanged\n",
+		fmt.Fprintf(os.Stderr, "%-16s %10d units cold, %10d units delta (%.1f%%), %d/%d sinks reused\n",
 			"delta:"+leg.Mutation, leg.ColdUnits, leg.DeltaUnits, 100*leg.CostRatio,
-			leg.SinksReused, leg.SinksReused+leg.SinksRerun,
-			leg.ShardsUnchanged, leg.ShardsUnchanged+leg.ShardsChanged)
-	}
-	ss := shards.Stats()
-	d.ShardStore = ShardDedup{
-		Entries: ss.Entries, Bytes: ss.Bytes, Puts: ss.Puts,
-		Hits: ss.Hits, BytesDeduped: ss.BytesDeduped,
+			leg.SinksReused, leg.SinksReused+leg.SinksRerun)
 	}
 	return d, nil
 }

@@ -29,7 +29,6 @@ func sampleReport() Report {
 		Backends: map[string]BackendCost{
 			"linear":  {WorkUnits: 100000, LinesScanned: 5000000},
 			"indexed": {WorkUnits: 20000},
-			"sharded": {WorkUnits: 21000},
 		},
 		WarmCache: BackendCost{WorkUnits: 15000, IndexCacheHits: 16},
 	}
@@ -85,7 +84,7 @@ func TestGateRejectsMissingBackend(t *testing.T) {
 	base := sampleReport()
 	path := writeBaseline(t, base)
 	cur := sampleReport()
-	delete(cur.Backends, "sharded")
+	delete(cur.Backends, "indexed")
 	if err := gate(cur, path, 0.10); err == nil {
 		t.Error("missing backend accepted")
 	}
@@ -125,10 +124,9 @@ func testInvariants[R report](t *testing.T, good func() R, invs []invariant[R]) 
 
 func TestSearchCheck(t *testing.T) {
 	testInvariants(t, func() Report {
-		return Report{SpeedupIndexed: 6.5, SpeedupSharded: 6.4}
+		return Report{SpeedupIndexed: 6.5}
 	}, []invariant[Report]{
 		{"indexed not faster", func(r *Report) { r.SpeedupIndexed = 1 }, "index speedups"},
-		{"sharded not faster", func(r *Report) { r.SpeedupSharded = 0.9 }, "index speedups"},
 	})
 }
 
@@ -201,14 +199,12 @@ func TestDeltaCheck(t *testing.T) {
 				{Mutation: appgen.MutateNewFlow.String(), ColdUnits: 758, DeltaUnits: 379, SinksReused: 5},
 				{Mutation: appgen.MutateAddClass.String(), ColdUnits: 748, DeltaUnits: 32, SinksReused: 5},
 			},
-			ShardStore: ShardDedup{BytesDeduped: 58935},
 		}
 	}, []invariant[DeltaReport]{
 		{"no sinks reused", func(d *DeltaReport) { d.Legs[1].SinksReused = 0 }, `"new-flow" reused no sinks`},
 		{"delta as costly as cold", func(d *DeltaReport) { d.Legs[1].DeltaUnits = 758 }, "costs more than cold"},
 		{"change-literal at 10% of cold", func(d *DeltaReport) { d.Legs[0].ColdUnits, d.Legs[0].DeltaUnits = 750, 75 }, `"change-literal" charged 75 units, over 10%`},
 		{"add-class at 10% of cold", func(d *DeltaReport) { d.Legs[2].DeltaUnits = 100 }, `"add-class" charged 100 units, over 10%`},
-		{"no dedup", func(d *DeltaReport) { d.ShardStore.BytesDeduped = 0 }, "deduped no postings bytes"},
 	})
 }
 

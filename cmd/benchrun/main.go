@@ -6,12 +6,12 @@
 // Usage:
 //
 //	benchrun [-apps N] [-scale F] [-seed N] [-exp NAME] [-backend B] [-workers W]
-//	         [-shards N] [-index-cache DIR] [-q]
+//	         [-index-cache DIR] [-q]
 //
 // where NAME is one of: table1, fig1, fig7, fig8, fig9, headline,
 // detection, cachestats, clinit, all (default); B selects the bytecode
-// search backend (indexed, the default; sharded for per-dex index shards;
-// or linear for the paper-faithful full-scan ablation); and W bounds how
+// search backend (indexed, the default, or linear for the paper-faithful
+// full-scan ablation); and W bounds how
 // many apps are analyzed concurrently (default: all CPUs; results are
 // identical for any W). -index-cache persists per-app dump+index bundles
 // in DIR so repeated corpus runs skip disassembly and tokenization
@@ -37,20 +37,19 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "app size scale factor")
 		seed       = flag.Int64("seed", 20200523, "corpus seed")
 		exp        = flag.String("exp", "all", "experiment to run")
-		backend    = flag.String("backend", "indexed", "search backend: indexed, sharded or linear")
+		backend    = flag.String("backend", "indexed", "search backend: indexed or linear")
 		workers    = flag.Int("workers", runtime.NumCPU(), "concurrent app analyses (results are worker-count independent)")
-		shards     = flag.Int("shards", 0, "index shard count for -backend sharded (0 = auto)")
 		indexCache = flag.String("index-cache", "", "directory for persistent dump+index bundles")
 		quiet      = flag.Bool("q", false, "suppress per-app progress")
 	)
 	flag.Parse()
-	if err := run(*apps, *scale, *seed, *exp, *backend, *workers, *shards, *indexCache, *quiet); err != nil {
+	if err := run(*apps, *scale, *seed, *exp, *backend, *workers, *indexCache, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(apps int, scale float64, seed int64, exp, backend string, workers, shards int, indexCache string, quiet bool) error {
+func run(apps int, scale float64, seed int64, exp, backend string, workers int, indexCache string, quiet bool) error {
 	if exp == "table1" {
 		fmt.Print(experiments.Table1(seed).Render())
 		return nil
@@ -62,7 +61,6 @@ func run(apps int, scale float64, seed int64, exp, backend string, workers, shar
 	}
 	bdOpts := core.DefaultOptions()
 	bdOpts.SearchBackend = kind
-	bdOpts.IndexShards = shards
 
 	opts := appgen.CorpusOptions{Apps: apps, Seed: seed, SizeScale: scale}
 	cfg := experiments.RunConfig{

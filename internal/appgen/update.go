@@ -71,7 +71,7 @@ type AppUpdateSpec struct {
 //
 // The base portion of the update is regenerated from Base (generation is
 // deterministic), so all unmutated classes are byte-identical to the
-// base app's — the property the per-shard content addressing and the
+// base app's — the property the per-class content addressing and the
 // delta engine rely on.
 func GenerateUpdate(u AppUpdateSpec) (*apk.App, *GroundTruth, error) {
 	switch u.Mutation {

@@ -32,8 +32,8 @@ func diffApps(t *testing.T, base, upd *apk.App) *dexdump.ManifestDiff {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := dexdump.BuildManifest(dexdump.Disassemble(db), nil)
-	new := dexdump.BuildManifest(dexdump.Disassemble(du), nil)
+	old := dexdump.BuildManifest(dexdump.Disassemble(db))
+	new := dexdump.BuildManifest(dexdump.Disassemble(du))
 	return dexdump.DiffManifests(old, new)
 }
 

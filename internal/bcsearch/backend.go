@@ -2,7 +2,6 @@ package bcsearch
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"backdroid/internal/dexdump"
@@ -13,13 +12,10 @@ import (
 type BackendKind int
 
 // Backends. BackendIndexed is the zero value so an unset knob gets the
-// fast path; the linear scanner is kept for paper-faithful ablations;
-// BackendSharded splits the index per classesN.dex (or per package
-// prefix) so construction parallelizes and postings stay shard-local.
+// fast path; the linear scanner is kept for paper-faithful ablations.
 const (
 	BackendIndexed BackendKind = iota
 	BackendLinear
-	BackendSharded
 )
 
 // String names the backend as the CLI flags spell it.
@@ -29,8 +25,6 @@ func (k BackendKind) String() string {
 		return "indexed"
 	case BackendLinear:
 		return "linear"
-	case BackendSharded:
-		return "sharded"
 	}
 	return fmt.Sprintf("backend(%d)", int(k))
 }
@@ -42,10 +36,8 @@ func ParseBackend(s string) (BackendKind, error) {
 		return BackendIndexed, nil
 	case "linear", "scan":
 		return BackendLinear, nil
-	case "sharded", "shards", "shard":
-		return BackendSharded, nil
 	}
-	return BackendIndexed, fmt.Errorf("bcsearch: unknown backend %q (want indexed, sharded or linear)", s)
+	return BackendIndexed, fmt.Errorf("bcsearch: unknown backend %q (want indexed or linear)", s)
 }
 
 // Cost is the work one command execution performed, for the Stats
@@ -55,11 +47,9 @@ func ParseBackend(s string) (BackendKind, error) {
 type Cost struct {
 	Lines          int64 // dump lines visited by a full scan
 	Postings       int64 // index postings visited
-	Merged         int64 // postings merged across shard lists
 	IndexBuilt     bool  // this command triggered the one-time index build
 	IndexLoaded    bool  // the index came from the persistent cache instead
 	IndexCacheMiss bool  // a cache probe failed (missing/stale/corrupt file)
-	Shards         int   // shard count of the built/loaded index
 }
 
 // Searcher executes one uncached search command over the dump text. The
@@ -75,10 +65,10 @@ func NewSearcher(text *dexdump.Text, cfg Config) Searcher {
 	if cfg.Backend == BackendLinear {
 		return NewLinearScanner(text, cfg.Meter)
 	}
-	s := &IndexedSearcher{
+	return &IndexedSearcher{
 		text:            text,
 		meter:           cfg.Meter,
-		kind:            cfg.Backend,
+		manifest:        cfg.Manifest,
 		cachePath:       cfg.CachePath,
 		bundleBytes:     cfg.BundleBytes,
 		fingerprint:     cfg.AppFingerprint,
@@ -88,13 +78,6 @@ func NewSearcher(text *dexdump.Text, cfg Config) Searcher {
 		deltaLines:      cfg.DeltaIndexLines,
 		deltaReuseLines: cfg.DeltaReuseIndexLines,
 	}
-	if cfg.Backend == BackendSharded {
-		s.plan = cfg.Plan
-		if s.plan == nil {
-			s.plan = dexdump.PackagePrefixPlan(text, DefaultShards)
-		}
-	}
-	return s
 }
 
 // collect verifies candidate lines against the command predicate and
@@ -164,39 +147,31 @@ func scanAll(text *dexdump.Text, meter *simtime.Meter, cmd Command) ([]Hit, Cost
 // text: each command touches only its postings list, O(hits) instead of
 // O(lines). The index is acquired lazily on the first indexable command —
 // loaded from the persistent cache when one is configured and valid,
-// otherwise built (one shard, or the shard plan's shards constructed
-// concurrently) and charged to the meter then, so apps that are never
+// otherwise built and charged to the meter then, so apps that are never
 // searched pay nothing. Raw substring commands cannot be indexed and fall
 // back to a full scan.
 //
 // An IndexedSearcher is not safe for concurrent use — like the Engine on
 // top of it, it is a per-app object (the corpus pipeline gives every
-// worker its own engine). Shard construction parallelism is internal and
-// invisible to callers.
+// worker its own engine).
 type IndexedSearcher struct {
 	text  *dexdump.Text
 	meter *simtime.Meter
 	src   *dexdump.Index
 
-	kind            BackendKind
-	plan            *dexdump.ShardPlan // non-nil selects a sharded build
-	cachePath       string             // non-empty enables the persistent cache
-	bundleBytes     []byte             // pre-read bundle content (avoids a second read)
-	fingerprint     uint64             // app fingerprint stored in written bundles
-	refreshBundle   bool               // rewrite the bundle even on an index cache hit
-	storeBundle     func(data []byte)  // in-memory bundle store capture seam
-	deltaBuild      bool               // charge index builds at the delta model
-	deltaLines      int                // dump lines of changed+added classes
-	deltaReuseLines int                // dump lines of unchanged classes
+	manifest        *dexdump.Manifest // the dump's manifest, when already built
+	cachePath       string            // non-empty enables the persistent cache
+	bundleBytes     []byte            // pre-read bundle content (avoids a second read)
+	fingerprint     uint64            // app fingerprint stored in written bundles
+	refreshBundle   bool              // rewrite the bundle even on an index cache hit
+	storeBundle     func(data []byte) // in-memory bundle store capture seam
+	deltaBuild      bool              // charge index builds at the delta model
+	deltaLines      int               // dump lines of changed+added classes
+	deltaReuseLines int               // dump lines of unchanged classes
 }
 
-// DefaultShards is the package-prefix shard count used when the sharded
-// backend is selected without an explicit plan. Fixed (never derived from
-// the machine) so simulated time stays deterministic.
-const DefaultShards = 4
-
 // Kind identifies the backend.
-func (s *IndexedSearcher) Kind() BackendKind { return s.kind }
+func (s *IndexedSearcher) Kind() BackendKind { return BackendIndexed }
 
 // Run resolves the command from the index, acquiring it first if needed.
 func (s *IndexedSearcher) Run(cmd Command) ([]Hit, Cost, error) {
@@ -214,20 +189,12 @@ func (s *IndexedSearcher) Run(cmd Command) ([]Hit, Cost, error) {
 	if err := s.meter.ChargePostings(len(candidates)); err != nil {
 		return nil, cost, err
 	}
-	if s.src.ShardCount() > 1 {
-		// Lazy merge of the per-shard lists — charged per posting merged.
-		cost.Merged = int64(len(candidates))
-		if err := s.meter.ChargeShardMerge(len(candidates)); err != nil {
-			return nil, cost, err
-		}
-	}
 	return collect(s.text, cmd, candidates), cost, nil
 }
 
 // acquire obtains the postings source: persistent bundle first (any
 // invalid index section — missing, truncated, stale hash, unknown
-// version, or a shard layout other than the one this searcher was
-// configured with — is a silent miss), then a charged build, written back
+// version or layout — is a silent miss), then a charged build, written back
 // to the bundle best-effort so the next analysis of the same dump starts
 // warm. When the engine signalled that its dump probe missed
 // (refreshBundle), an index cache hit still rewrites the file as a full
@@ -235,7 +202,7 @@ func (s *IndexedSearcher) Run(cmd Command) ([]Hit, Cost, error) {
 // disassembly too.
 func (s *IndexedSearcher) acquire(cost *Cost) error {
 	if s.cachePath != "" || len(s.bundleBytes) != 0 {
-		if src, err := s.loadCachedIndex(); err == nil && src.ShardCount() == s.wantShards() {
+		if src, err := s.loadCachedIndex(); err == nil {
 			// Deserialization is charged at the cheap cache-load rate;
 			// no tokenization happens on this path.
 			if err := s.meter.ChargeIndexCacheLoad(s.text.LineCount()); err != nil {
@@ -243,7 +210,6 @@ func (s *IndexedSearcher) acquire(cost *Cost) error {
 			}
 			s.src = src
 			cost.IndexLoaded = true
-			cost.Shards = src.ShardCount()
 			if s.refreshBundle {
 				s.publishBundle()
 			} else if s.storeBundle != nil && len(s.bundleBytes) != 0 {
@@ -258,41 +224,26 @@ func (s *IndexedSearcher) acquire(cost *Cost) error {
 	if err := s.chargeBuild(); err != nil {
 		return err
 	}
-	// Shards tokenize concurrently; the index is identical for any
-	// worker count, so only wall-clock time depends on the machine.
-	s.src = dexdump.BuildShardedIndex(s.text, s.plan, runtime.NumCPU())
+	s.src = dexdump.BuildIndex(s.text)
 	cost.IndexBuilt = true
-	cost.Shards = s.src.ShardCount()
 	s.publishBundle()
 	return nil
 }
 
-// chargeBuild charges the meter for the one-time index build. Three
-// models share this seam, all charging the same real work differently:
-// the plain build tokenizes every dump line; the sharded build charges
-// its critical path (largest shard) plus per-shard coordination overhead;
-// the delta build (Config.DeltaBuild) tokenizes only the changed and
-// added classes' lines at the build rate and carries the unchanged
-// classes over at the delta-reuse rate — the previous version's bundle
-// already tokenized them, and the manifest diff proved them identical.
-// The built index is bitwise identical under every model; only the
-// charged cost differs.
+// chargeBuild charges the meter for the one-time index build. Two models
+// share this seam, both charging the same real work differently: the
+// plain build tokenizes every dump line; the delta build
+// (Config.DeltaBuild) tokenizes only the changed and added classes' lines
+// at the build rate and carries the unchanged classes over at the
+// delta-reuse rate — the previous version's bundle already tokenized
+// them, and the manifest diff proved them identical. The built index is
+// bitwise identical under both models; only the charged cost differs.
 func (s *IndexedSearcher) chargeBuild() error {
 	if s.deltaBuild {
 		if err := s.meter.ChargeIndexBuild(s.deltaLines); err != nil {
 			return err
 		}
-		if s.plan != nil {
-			if err := s.meter.Charge(int64(simtime.ShardOverheadUnits * s.plan.Shards())); err != nil {
-				return err
-			}
-		}
 		return s.meter.ChargeDeltaReuse(s.deltaReuseLines)
-	}
-	if s.plan != nil {
-		// Shards tokenize in parallel: the charge is the critical path
-		// (largest shard) plus per-shard coordination overhead.
-		return s.meter.ChargeShardedIndexBuild(s.plan.MaxShardLines(), s.plan.Shards())
 	}
 	// One-time tokenization pass, charged like the linear scan it is
 	// (plus a tokenization factor — see simtime.IndexBuildLinesPerUnit).
@@ -307,7 +258,7 @@ func (s *IndexedSearcher) publishBundle() {
 	if s.cachePath == "" && s.storeBundle == nil {
 		return
 	}
-	data, err := dexdump.EncodeBundle(s.text, s.src, s.fingerprint, s.plan)
+	data, err := dexdump.EncodeBundle(s.text, s.src, s.fingerprint, s.manifest)
 	if err != nil {
 		return
 	}
@@ -327,18 +278,6 @@ func (s *IndexedSearcher) loadCachedIndex() (*dexdump.Index, error) {
 		return dexdump.DecodeIndexFile(s.bundleBytes, s.text)
 	}
 	return dexdump.LoadIndexCache(s.cachePath, s.text)
-}
-
-// wantShards is the shard count this searcher's configuration produces —
-// a cached file with any other layout must not be loaded, or an explicit
-// -shards override (or an unsharded ablation run) would silently get
-// whichever layout happened to write the cache first, skewing charged
-// work.
-func (s *IndexedSearcher) wantShards() int {
-	if s.plan != nil {
-		return s.plan.Shards()
-	}
-	return 1
 }
 
 // LookupCandidates maps a command to its candidate postings in the given

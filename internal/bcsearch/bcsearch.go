@@ -44,15 +44,10 @@ type Stats struct {
 	IndexBuilds     int
 	IndexLines      int64
 
-	// Sharded-index and persistent-cache accounting. ShardCount is the
-	// shard count of the acquired index (1 for the unsharded index, 0
-	// until an index exists). MergedPostings counts postings streamed
-	// through lazy cross-shard merges. IndexCacheHits/IndexCacheMisses
-	// count persistent-cache probes: a hit replaces the tokenization pass
+	// Persistent-cache accounting. IndexCacheHits/IndexCacheMisses count
+	// persistent-cache probes: a hit replaces the tokenization pass
 	// entirely, a miss (missing, truncated, stale or version-bumped file)
 	// falls back to a charged build.
-	ShardCount       int
-	MergedPostings   int64
 	IndexCacheHits   int
 	IndexCacheMisses int
 }
@@ -76,10 +71,10 @@ type Config struct {
 	// EnableCache turns on the Sec. IV-F command cache.
 	EnableCache bool
 
-	// Plan lays out the shards of BackendSharded — typically one shard
-	// per classesN.dex of the app. Nil with BackendSharded falls back to
-	// DefaultShards package-prefix shards. Ignored by other backends.
-	Plan *dexdump.ShardPlan
+	// Manifest is the dump's manifest when the caller already built one
+	// (a delta run builds it for its diff); written bundles then reuse it
+	// instead of hashing every class span again. Nil builds it on encode.
+	Manifest *dexdump.Manifest
 	// CachePath, when non-empty, enables the persistent bundle cache: the
 	// built index (and the dump text) is serialized there and later
 	// engines over the same dump load it instead of re-tokenizing.
@@ -110,15 +105,14 @@ type Config struct {
 	StoreBundle func(data []byte)
 
 	// DeltaBuild switches the index-build charge to the delta model: the
-	// engine proved (by shard-manifest diff against the previous version's
+	// engine proved (by manifest diff against the previous version's
 	// bundle) that only DeltaIndexLines dump lines belong to changed or
 	// added classes, so a build tokenizes those at the full index-build
 	// rate and carries the remaining DeltaReuseIndexLines over at the
 	// cheap delta-reuse rate. The real build still tokenizes everything —
 	// the resulting index is bitwise identical to a cold build — only the
-	// charged cost models the reuse, exactly like the sharded build
-	// charging its critical path. Ignored on index-cache hits (those are
-	// already cheaper than a delta build).
+	// charged cost models the reuse. Ignored on index-cache hits (those
+	// are already cheaper than a delta build).
 	DeltaBuild           bool
 	DeltaIndexLines      int
 	DeltaReuseIndexLines int
@@ -202,7 +196,6 @@ func (e *Engine) Run(cmd Command) ([]Hit, error) {
 	hits, cost, err := e.backend.Run(cmd)
 	e.stats.LinesScanned += cost.Lines
 	e.stats.PostingsScanned += cost.Postings
-	e.stats.MergedPostings += cost.Merged
 	if cost.IndexBuilt {
 		e.stats.IndexBuilds++
 		e.stats.IndexLines += int64(e.text.LineCount())
@@ -212,9 +205,6 @@ func (e *Engine) Run(cmd Command) ([]Hit, error) {
 	}
 	if cost.IndexCacheMiss {
 		e.stats.IndexCacheMisses++
-	}
-	if cost.Shards > 0 {
-		e.stats.ShardCount = cost.Shards
 	}
 	if err != nil {
 		return nil, err

@@ -42,44 +42,39 @@ func runFixtureQueries(t *testing.T, e *Engine) []Hit {
 // tokenization charge — and returns identical hits for strictly less
 // simulated work.
 func TestPersistentCacheWarmRun(t *testing.T) {
-	for _, backend := range []BackendKind{BackendIndexed, BackendSharded} {
-		t.Run(backend.String(), func(t *testing.T) {
-			text := searchFixture(t)
-			path := dexdump.CachePath(t.TempDir(), "fixture.app")
+	t.Run(BackendIndexed.String(), func(t *testing.T) {
+		text := searchFixture(t)
+		path := dexdump.CachePath(t.TempDir(), "fixture.app")
 
-			coldMeter := simtime.NewMeter()
-			cold := NewEngine(text, cacheConfig(coldMeter, path, backend))
-			coldHits := runFixtureQueries(t, cold)
-			cs := cold.Stats()
-			if cs.IndexBuilds != 1 || cs.IndexCacheHits != 0 || cs.IndexCacheMisses != 1 {
-				t.Fatalf("cold run stats = %+v, want 1 build / 0 hits / 1 miss", cs)
-			}
-			if _, err := os.Stat(path); err != nil {
-				t.Fatalf("cold run did not write the cache file: %v", err)
-			}
+		coldMeter := simtime.NewMeter()
+		cold := NewEngine(text, cacheConfig(coldMeter, path, BackendIndexed))
+		coldHits := runFixtureQueries(t, cold)
+		cs := cold.Stats()
+		if cs.IndexBuilds != 1 || cs.IndexCacheHits != 0 || cs.IndexCacheMisses != 1 {
+			t.Fatalf("cold run stats = %+v, want 1 build / 0 hits / 1 miss", cs)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("cold run did not write the cache file: %v", err)
+		}
 
-			warmMeter := simtime.NewMeter()
-			warm := NewEngine(text, cacheConfig(warmMeter, path, backend))
-			warmHits := runFixtureQueries(t, warm)
-			ws := warm.Stats()
-			if ws.IndexBuilds != 0 {
-				t.Errorf("warm run built the index %d times, want 0 (tokenization must be skipped)", ws.IndexBuilds)
-			}
-			if ws.IndexCacheHits != 1 || ws.IndexCacheMisses != 0 {
-				t.Errorf("warm run cache stats = %+v, want 1 hit / 0 misses", ws)
-			}
-			if !hitsEqual(coldHits, warmHits) {
-				t.Errorf("warm hits differ from cold hits: %v vs %v", summarize(warmHits), summarize(coldHits))
-			}
-			if warmMeter.Units() >= coldMeter.Units() {
-				t.Errorf("warm run charged %d units, cold %d — cache load must be cheaper than tokenization",
-					warmMeter.Units(), coldMeter.Units())
-			}
-			if ws.ShardCount != cs.ShardCount {
-				t.Errorf("warm shard count = %d, cold = %d", ws.ShardCount, cs.ShardCount)
-			}
-		})
-	}
+		warmMeter := simtime.NewMeter()
+		warm := NewEngine(text, cacheConfig(warmMeter, path, BackendIndexed))
+		warmHits := runFixtureQueries(t, warm)
+		ws := warm.Stats()
+		if ws.IndexBuilds != 0 {
+			t.Errorf("warm run built the index %d times, want 0 (tokenization must be skipped)", ws.IndexBuilds)
+		}
+		if ws.IndexCacheHits != 1 || ws.IndexCacheMisses != 0 {
+			t.Errorf("warm run cache stats = %+v, want 1 hit / 0 misses", ws)
+		}
+		if !hitsEqual(coldHits, warmHits) {
+			t.Errorf("warm hits differ from cold hits: %v vs %v", summarize(warmHits), summarize(coldHits))
+		}
+		if warmMeter.Units() >= coldMeter.Units() {
+			t.Errorf("warm run charged %d units, cold %d — cache load must be cheaper than tokenization",
+				warmMeter.Units(), coldMeter.Units())
+		}
+	})
 }
 
 // TestPersistentCacheInvalidation pins the rebuild-on-invalid behavior:
@@ -92,11 +87,11 @@ func TestPersistentCacheInvalidation(t *testing.T) {
 	dir := t.TempDir()
 
 	// Reference: an uncached engine.
-	wantHits := runFixtureQueries(t, NewEngine(text, Config{Backend: BackendSharded}))
+	wantHits := runFixtureQueries(t, NewEngine(text, Config{Backend: BackendIndexed}))
 
 	// Seed one valid cache file to derive corruptions from.
 	seedPath := dexdump.CachePath(dir, "seed")
-	seed := NewEngine(text, cacheConfig(simtime.NewMeter(), seedPath, BackendSharded))
+	seed := NewEngine(text, cacheConfig(simtime.NewMeter(), seedPath, BackendIndexed))
 	runFixtureQueries(t, seed)
 	good, err := os.ReadFile(seedPath)
 	if err != nil {
@@ -131,7 +126,7 @@ func TestPersistentCacheInvalidation(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			e := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendSharded))
+			e := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendIndexed))
 			hits := runFixtureQueries(t, e)
 			st := e.Stats()
 			if st.IndexBuilds != 1 || st.IndexCacheHits != 0 || st.IndexCacheMisses != 1 {
@@ -149,7 +144,7 @@ func TestPersistentCacheInvalidation(t *testing.T) {
 			if len(repaired) < 6 || binary.LittleEndian.Uint16(repaired[4:6]) != dexdump.CodecVersion {
 				t.Errorf("repaired file after %s is not at codec version %d", name, dexdump.CodecVersion)
 			}
-			again := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendSharded))
+			again := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendIndexed))
 			runFixtureQueries(t, again)
 			if st := again.Stats(); st.IndexCacheHits != 1 || st.IndexBuilds != 0 {
 				t.Errorf("cache file not repaired after %s: %+v", name, st)
@@ -166,7 +161,7 @@ func TestPersistentCacheInvalidation(t *testing.T) {
 func TestPersistentCacheDumpSectionDamage(t *testing.T) {
 	text := searchFixture(t)
 	path := dexdump.CachePath(t.TempDir(), "app")
-	seed := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendSharded))
+	seed := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendIndexed))
 	wantHits := runFixtureQueries(t, seed)
 	good, err := os.ReadFile(path)
 	if err != nil {
@@ -177,7 +172,7 @@ func TestPersistentCacheDumpSectionDamage(t *testing.T) {
 	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendSharded))
+	e := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendIndexed))
 	hits := runFixtureQueries(t, e)
 	if st := e.Stats(); st.IndexCacheHits != 1 || st.IndexBuilds != 0 {
 		t.Errorf("stats = %+v, want an index cache hit despite dump damage", st)
@@ -207,50 +202,34 @@ func TestPersistentCacheUnwritableDir(t *testing.T) {
 	}
 }
 
-// TestPersistentCacheLayoutMismatch pins the config-consistency rule: a
-// cache file written under one shard layout must not be loaded by a
-// searcher configured for another, or an explicit -shards override (or
-// an unsharded ablation) would silently inherit a stale layout and skew
-// charged work. The mismatching engine rebuilds with its own layout and
-// repairs the file.
+// TestPersistentCacheLayoutMismatch pins the layout rule: the header's
+// layout field is always 1, and a cache file claiming another layout
+// (such as the two index shards of a retired multi-part layout) must not
+// be loaded. The engine rebuilds and repairs the file, which then loads.
 func TestPersistentCacheLayoutMismatch(t *testing.T) {
 	text := searchFixture(t)
 	path := dexdump.CachePath(t.TempDir(), "app")
 
-	// Seed the cache with a 4-shard layout.
-	seed := NewEngine(text, Config{
-		Meter: simtime.NewMeter(), Backend: BackendSharded,
-		Plan: dexdump.PackagePrefixPlan(text, 4), CachePath: path,
-	})
+	seed := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendIndexed))
 	runFixtureQueries(t, seed)
-	if st := seed.Stats(); st.ShardCount != 4 {
-		t.Fatalf("seed shard count = %d, want 4", st.ShardCount)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(data[6:8], 2)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	// An unsharded engine must not load the 4-shard file.
-	indexed := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendIndexed))
-	runFixtureQueries(t, indexed)
-	if st := indexed.Stats(); st.IndexBuilds != 1 || st.IndexCacheHits != 0 || st.ShardCount != 1 {
-		t.Errorf("indexed engine loaded a sharded cache: %+v", st)
-	}
-
-	// A different shard count must not load the (now 1-shard) file either.
-	two := NewEngine(text, Config{
-		Meter: simtime.NewMeter(), Backend: BackendSharded,
-		Plan: dexdump.PackagePrefixPlan(text, 2), CachePath: path,
-	})
+	two := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendIndexed))
 	runFixtureQueries(t, two)
-	if st := two.Stats(); st.IndexBuilds != 1 || st.IndexCacheHits != 0 || st.ShardCount != 2 {
-		t.Errorf("2-shard engine loaded a mismatched cache: %+v", st)
+	if st := two.Stats(); st.IndexBuilds != 1 || st.IndexCacheHits != 0 {
+		t.Errorf("engine loaded a two-shard cache: %+v", st)
 	}
 
-	// Matching layout now hits the repaired file.
-	again := NewEngine(text, Config{
-		Meter: simtime.NewMeter(), Backend: BackendSharded,
-		Plan: dexdump.PackagePrefixPlan(text, 2), CachePath: path,
-	})
+	again := NewEngine(text, cacheConfig(simtime.NewMeter(), path, BackendIndexed))
 	runFixtureQueries(t, again)
 	if st := again.Stats(); st.IndexCacheHits != 1 || st.IndexBuilds != 0 {
-		t.Errorf("matching layout did not reuse the cache: %+v", st)
+		t.Errorf("repaired layout did not reuse the cache: %+v", st)
 	}
 }

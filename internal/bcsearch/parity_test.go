@@ -104,8 +104,8 @@ func hitsEqual(a, b []Hit) bool {
 }
 
 // TestBackendParityOnGeneratedCorpus is the property test of the backend
-// split: for generated corpus apps, the IndexedSearcher — single index
-// and sharded, for several shard counts — returns hit sets identical to
+// split: for generated corpus apps, the IndexedSearcher — built in
+// memory and loaded from a written bundle — returns hit sets identical to
 // the LinearScanner (line, text, containing method) for every search
 // command kind. Caching is disabled on all engines so each command
 // exercises the backend.
@@ -128,25 +128,15 @@ func TestBackendParityOnGeneratedCorpus(t *testing.T) {
 			variants := map[string]*Engine{
 				"indexed": NewEngine(text, Config{Meter: simtime.NewMeter(), Backend: BackendIndexed}),
 			}
-			for _, shards := range []int{1, 2, 3, 7} {
-				plan := dexdump.PackagePrefixPlan(text, shards)
-				variants[fmt.Sprintf("sharded-%d", shards)] = NewEngine(text, Config{
-					Meter: simtime.NewMeter(), Backend: BackendSharded, Plan: plan,
-				})
-			}
-			// Warm-bundle variants: the index loads from a pre-written
+			// Warm-bundle variant: the index loads from a pre-written
 			// bundle — the warm-start fast path.
-			for _, shards := range []int{2, 7} {
-				plan := dexdump.PackagePrefixPlan(text, shards)
-				path := dexdump.CachePath(t.TempDir(), fmt.Sprintf("bundle-%d", shards))
-				if err := dexdump.WriteBundle(path, text, dexdump.BuildShardedIndex(text, plan, 2), 0, plan); err != nil {
-					t.Fatal(err)
-				}
-				variants[fmt.Sprintf("bundle-%d", shards)] = NewEngine(text, Config{
-					Meter: simtime.NewMeter(), Backend: BackendSharded, Plan: plan,
-					CachePath: path,
-				})
+			path := dexdump.CachePath(t.TempDir(), "bundle")
+			if err := dexdump.WriteBundle(path, text, dexdump.BuildIndex(text), 0); err != nil {
+				t.Fatal(err)
 			}
+			variants["bundle"] = NewEngine(text, Config{
+				Meter: simtime.NewMeter(), Backend: BackendIndexed, CachePath: path,
+			})
 
 			cmds := parityQueries(merged)
 			if len(cmds) < 50 {

@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 
-	"backdroid/internal/android"
-	"backdroid/internal/appgen"
 	"backdroid/internal/bcsearch"
 	"backdroid/internal/testapps"
 )
@@ -69,79 +67,6 @@ func TestSearchBackendAblationSameResults(t *testing.T) {
 	}
 }
 
-// TestShardedBackendSameResults extends the engine-level parity property
-// to the sharded index: for the auto plan and several explicit shard
-// counts, the full pipeline produces verdicts identical to the linear
-// scanner, and the sharded build stays cheaper than linear.
-func TestShardedBackendSameResults(t *testing.T) {
-	linOpts := DefaultOptions()
-	linOpts.SearchBackend = bcsearch.BackendLinear
-	linear := analyzeFixture(t, linOpts)
-
-	for _, shards := range []int{0, 1, 2, 5} {
-		opts := DefaultOptions()
-		opts.SearchBackend = bcsearch.BackendSharded
-		opts.IndexShards = shards
-		sharded := analyzeFixture(t, opts)
-		label := "sharded-auto"
-		if shards > 0 {
-			label = "sharded-" + string(rune('0'+shards))
-		}
-		assertSameVerdicts(t, label, linear, sharded)
-		ss := sharded.Stats.Search
-		if shards > 0 && ss.ShardCount != shards {
-			t.Errorf("%s: shard count = %d, want %d", label, ss.ShardCount, shards)
-		}
-		if ss.IndexBuilds != 1 {
-			t.Errorf("%s: index builds = %d, want 1", label, ss.IndexBuilds)
-		}
-		if sharded.Stats.WorkUnits >= linear.Stats.WorkUnits {
-			t.Errorf("%s: work %d >= linear %d", label, sharded.Stats.WorkUnits, linear.Stats.WorkUnits)
-		}
-	}
-}
-
-// TestShardedBackendPerDexPlan pins the multidex auto plan: a two-dex app
-// gets one shard per classesN.dex and the same verdicts as linear.
-func TestShardedBackendPerDexPlan(t *testing.T) {
-	spec := appgen.Spec{
-		Name: "com.shard.multidex", Seed: 11, SizeMB: 2, MultiDex: true,
-		Sinks: []appgen.SinkSpec{
-			{Flow: appgen.FlowDirect, Rule: android.RuleCryptoECB, Insecure: true},
-			{Flow: appgen.FlowICC, Rule: android.RuleSSLAllowAll, Insecure: true},
-			{Flow: appgen.FlowClinit, Rule: android.RuleCryptoECB, Insecure: false},
-		},
-	}
-	app, _, err := appgen.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(app.Dexes) != 2 {
-		t.Fatalf("fixture app has %d dexes, want 2", len(app.Dexes))
-	}
-	analyze := func(opts Options) *Report {
-		e, err := New(app, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := e.Analyze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	linOpts := DefaultOptions()
-	linOpts.SearchBackend = bcsearch.BackendLinear
-	linear := analyze(linOpts)
-	opts := DefaultOptions()
-	opts.SearchBackend = bcsearch.BackendSharded
-	sharded := analyze(opts)
-	assertSameVerdicts(t, "per-dex", linear, sharded)
-	if got := sharded.Stats.Search.ShardCount; got != 2 {
-		t.Errorf("auto plan built %d shards for a 2-dex app, want 2", got)
-	}
-}
-
 // TestIndexedBackendNoRawScans pins the ROADMAP "index-aware raw search"
 // fix: with the two-time ICC first pass on a typed command, the full
 // fixture pipeline issues no raw substring command, so the indexed
@@ -161,43 +86,40 @@ func TestIndexedBackendNoRawScans(t *testing.T) {
 // charges zero tokenization/index-build simtime and reports identical
 // results for strictly less total work.
 func TestWarmIndexCacheEngineRun(t *testing.T) {
-	for _, backend := range []bcsearch.BackendKind{bcsearch.BackendIndexed, bcsearch.BackendSharded} {
-		t.Run(backend.String(), func(t *testing.T) {
-			app, err := testapps.Fixture()
+	t.Run(bcsearch.BackendIndexed.String(), func(t *testing.T) {
+		app, err := testapps.Fixture()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.IndexCacheDir = t.TempDir()
+		analyze := func() *Report {
+			e, err := New(app, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := DefaultOptions()
-			opts.SearchBackend = backend
-			opts.IndexCacheDir = t.TempDir()
-			analyze := func() *Report {
-				e, err := New(app, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := e.Analyze()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return r
+			r, err := e.Analyze()
+			if err != nil {
+				t.Fatal(err)
 			}
-			cold := analyze()
-			if cs := cold.Stats.Search; cs.IndexBuilds != 1 || cs.IndexCacheMisses != 1 {
-				t.Fatalf("cold stats = %+v, want one build after one miss", cs)
-			}
-			warm := analyze()
-			ws := warm.Stats.Search
-			if ws.IndexBuilds != 0 || ws.IndexLines != 0 {
-				t.Errorf("warm run tokenized: %+v, want zero index-build work", ws)
-			}
-			if ws.IndexCacheHits != 1 {
-				t.Errorf("warm run cache hits = %d, want 1", ws.IndexCacheHits)
-			}
-			assertSameVerdicts(t, "warm-cache", cold, warm)
-			if warm.Stats.WorkUnits >= cold.Stats.WorkUnits {
-				t.Errorf("warm work %d >= cold work %d — cache load not cheaper",
-					warm.Stats.WorkUnits, cold.Stats.WorkUnits)
-			}
-		})
-	}
+			return r
+		}
+		cold := analyze()
+		if cs := cold.Stats.Search; cs.IndexBuilds != 1 || cs.IndexCacheMisses != 1 {
+			t.Fatalf("cold stats = %+v, want one build after one miss", cs)
+		}
+		warm := analyze()
+		ws := warm.Stats.Search
+		if ws.IndexBuilds != 0 || ws.IndexLines != 0 {
+			t.Errorf("warm run tokenized: %+v, want zero index-build work", ws)
+		}
+		if ws.IndexCacheHits != 1 {
+			t.Errorf("warm run cache hits = %d, want 1", ws.IndexCacheHits)
+		}
+		assertSameVerdicts(t, "warm-cache", cold, warm)
+		if warm.Stats.WorkUnits >= cold.Stats.WorkUnits {
+			t.Errorf("warm work %d >= cold work %d — cache load not cheaper",
+				warm.Stats.WorkUnits, cold.Stats.WorkUnits)
+		}
+	})
 }

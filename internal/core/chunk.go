@@ -93,10 +93,8 @@ func MergeReports(parts ...*Report) *Report {
 	return merged
 }
 
-// addStats folds one chunk's Stats into the merge: counters sum, the
-// loop map unions by summing, and the configuration-shaped shard count
-// takes the maximum — every chunk of one job runs the same configuration,
-// so max is the shared value.
+// addStats folds one chunk's Stats into the merge: counters sum and the
+// loop map unions by summing.
 func addStats(dst, src *Stats) {
 	dst.Search.Commands += src.Search.Commands
 	dst.Search.CacheHits += src.Search.CacheHits
@@ -104,12 +102,8 @@ func addStats(dst, src *Stats) {
 	dst.Search.PostingsScanned += src.Search.PostingsScanned
 	dst.Search.IndexBuilds += src.Search.IndexBuilds
 	dst.Search.IndexLines += src.Search.IndexLines
-	dst.Search.MergedPostings += src.Search.MergedPostings
 	dst.Search.IndexCacheHits += src.Search.IndexCacheHits
 	dst.Search.IndexCacheMisses += src.Search.IndexCacheMisses
-	if src.Search.ShardCount > dst.Search.ShardCount {
-		dst.Search.ShardCount = src.Search.ShardCount
-	}
 
 	dst.SinkCallsTotal += src.SinkCallsTotal
 	dst.SinkCallsCached += src.SinkCallsCached
@@ -131,8 +125,6 @@ func addStats(dst, src *Stats) {
 	dst.ForwardMemoHits += src.ForwardMemoHits
 	dst.SettledLookups += src.SettledLookups
 	dst.CancelPolls += src.CancelPolls
-	dst.ShardsUnchanged += src.ShardsUnchanged
-	dst.ShardsChanged += src.ShardsChanged
 	dst.SinksReused += src.SinksReused
 	dst.SinksRerun += src.SinksRerun
 	dst.DeltaReusedLines += src.DeltaReusedLines

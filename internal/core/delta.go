@@ -13,9 +13,9 @@ import (
 )
 
 // Delta analysis (DESIGN.md Sec. 10): when the engine is given the prior
-// version's bundle and report, it diffs the two shard manifests at class
-// granularity and re-uses every settled sink verdict whose recorded
-// footprint provably cannot observe the update. Everything else — and
+// version's bundle and report, it diffs the two class manifests and
+// re-uses every settled sink verdict whose recorded footprint provably
+// cannot observe the update. Everything else — and
 // every sink the guards cannot clear — re-runs through the normal
 // pipeline. The preprocessing substrate still does the full real work
 // (the dump, index and report of a delta run are bitwise identical to a
@@ -23,7 +23,7 @@ import (
 // model.
 
 // DeltaBase describes the prior version of the app for incremental
-// re-analysis: its fingerprint, its encoded .bdx bundle (the shard
+// re-analysis: its fingerprint, its encoded .bdx bundle (the class
 // manifest inside is what the diff consumes) and its full report, whose
 // per-sink footprints drive the reuse decision. Any inconsistency —
 // missing report, timed-out base run, undecodable manifest — silently
@@ -297,7 +297,7 @@ func (e *Engine) planDeltaReuse(calls []SinkCall) (map[int]*SinkReport, error) {
 	// Guard 5: replay the recorded commands against the dirty spans.
 	// The probe index is a real (and really charged) partial build over
 	// just the changed and added class spans; each command then costs a
-	// hash probe, charged at the map-probe rate of the shard diff.
+	// hash probe, charged at the map-probe rate of the manifest diff.
 	dirtyLines := e.deltaNewMan.LinesOf(touched)
 	if err := e.meter.ChargeIndexBuild(dirtyLines); err != nil {
 		return nil, err
@@ -309,7 +309,7 @@ func (e *Engine) planDeltaReuse(calls []SinkCall) (map[int]*SinkReport, error) {
 			cmds[c.Key()] = c
 		}
 	}
-	if err := e.meter.ChargeShardDiff(len(cmds)); err != nil {
+	if err := e.meter.ChargeManifestDiff(len(cmds)); err != nil {
 		return nil, err
 	}
 	lines := e.dump.Lines()

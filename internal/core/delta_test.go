@@ -71,72 +71,57 @@ func deltaBaseFor(t *testing.T, spec appgen.Spec, backend bcsearch.BackendKind) 
 }
 
 // TestDeltaMatchesColdRun is the delta soundness property (DESIGN.md
-// Sec. 10): for every update mutation kind and every indexed backend, the
+// Sec. 10): for every update mutation kind on the indexed backend, the
 // incremental run produces the same verdicts, entries and recovered
 // values as a cold re-analysis of the updated app, reuses at least one
 // settled sink, and charges strictly less simulated work.
 func TestDeltaMatchesColdRun(t *testing.T) {
-	backends := []struct {
-		name    string
-		backend bcsearch.BackendKind
-	}{
-		{"indexed", bcsearch.BackendIndexed},
-		{"sharded", bcsearch.BackendSharded},
-	}
-	for _, b := range backends {
-		spec := deltaBaseSpec()
-		db := deltaBaseFor(t, spec, b.backend)
-		for _, m := range appgen.Mutations() {
-			t.Run(fmt.Sprintf("%s/%s", b.name, m), func(t *testing.T) {
-				upd, truth, err := appgen.GenerateUpdate(appgen.AppUpdateSpec{
-					Base: spec, Mutation: m, TargetSink: 0, Seed: 20210602,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				coldOpts := DefaultOptions()
-				coldOpts.SearchBackend = b.backend
-				cold := analyzeApp(t, upd, coldOpts)
-
-				deltaOpts := DefaultOptions()
-				deltaOpts.SearchBackend = b.backend
-				deltaOpts.DeltaFrom = db
-				delta := analyzeApp(t, upd, deltaOpts)
-
-				assertSameVerdicts(t, "delta vs cold", cold, delta)
-				scoreAgainstTruth(t, delta, truth)
-
-				ds, cs := delta.Stats, cold.Stats
-				if ds.SinksReused == 0 {
-					t.Errorf("delta run reused no sinks: %+v", ds)
-				}
-				if ds.SinksReused+ds.SinksRerun != len(delta.Sinks) {
-					t.Errorf("reused %d + rerun %d != %d sinks", ds.SinksReused, ds.SinksRerun, len(delta.Sinks))
-				}
-				if ds.WorkUnits >= cs.WorkUnits {
-					t.Errorf("delta charged %d units, cold %d — must be strictly cheaper", ds.WorkUnits, cs.WorkUnits)
-				}
-				if ds.ShardsUnchanged+ds.ShardsChanged == 0 {
-					t.Errorf("delta run reported no shard diff: %+v", ds)
-				}
-				if m == appgen.MutateAddClass && ds.SinksRerun != 0 {
-					t.Errorf("inert added class re-ran %d sinks, want 0", ds.SinksRerun)
-				}
-				if m == appgen.MutateChangeLiteral {
-					// The mutated sink's verdict must come from a real
-					// re-run, not a stale carried-over report.
-					if ds.SinksRerun == 0 {
-						t.Error("changed-literal update re-ran no sinks")
-					}
-					for _, sr := range delta.Sinks {
-						if sr.Call.Caller.Class == truth.Sinks[0].Class && sr.Reused {
-							t.Errorf("sink in the changed class %s was reused", truth.Sinks[0].Class)
-						}
-					}
-				}
+	spec := deltaBaseSpec()
+	db := deltaBaseFor(t, spec, bcsearch.BackendIndexed)
+	for _, m := range appgen.Mutations() {
+		t.Run(fmt.Sprintf("indexed/%s", m), func(t *testing.T) {
+			upd, truth, err := appgen.GenerateUpdate(appgen.AppUpdateSpec{
+				Base: spec, Mutation: m, TargetSink: 0, Seed: 20210602,
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			cold := analyzeApp(t, upd, DefaultOptions())
+
+			deltaOpts := DefaultOptions()
+			deltaOpts.DeltaFrom = db
+			delta := analyzeApp(t, upd, deltaOpts)
+
+			assertSameVerdicts(t, "delta vs cold", cold, delta)
+			scoreAgainstTruth(t, delta, truth)
+
+			ds, cs := delta.Stats, cold.Stats
+			if ds.SinksReused == 0 {
+				t.Errorf("delta run reused no sinks: %+v", ds)
+			}
+			if ds.SinksReused+ds.SinksRerun != len(delta.Sinks) {
+				t.Errorf("reused %d + rerun %d != %d sinks", ds.SinksReused, ds.SinksRerun, len(delta.Sinks))
+			}
+			if ds.WorkUnits >= cs.WorkUnits {
+				t.Errorf("delta charged %d units, cold %d — must be strictly cheaper", ds.WorkUnits, cs.WorkUnits)
+			}
+			if m == appgen.MutateAddClass && ds.SinksRerun != 0 {
+				t.Errorf("inert added class re-ran %d sinks, want 0", ds.SinksRerun)
+			}
+			if m == appgen.MutateChangeLiteral {
+				// The mutated sink's verdict must come from a real
+				// re-run, not a stale carried-over report.
+				if ds.SinksRerun == 0 {
+					t.Error("changed-literal update re-ran no sinks")
+				}
+				for _, sr := range delta.Sinks {
+					if sr.Call.Caller.Class == truth.Sinks[0].Class && sr.Reused {
+						t.Errorf("sink in the changed class %s was reused", truth.Sinks[0].Class)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -167,22 +152,19 @@ func scoreAgainstTruth(t *testing.T, r *Report, truth *appgen.GroundTruth) {
 // zero reused sinks — never an error, never a wrong verdict.
 func TestDeltaCorruptBaseFallsBackToFullRun(t *testing.T) {
 	spec := deltaBaseSpec()
-	db := deltaBaseFor(t, spec, bcsearch.BackendSharded)
+	db := deltaBaseFor(t, spec, bcsearch.BackendIndexed)
 	upd, _, err := appgen.GenerateUpdate(appgen.AppUpdateSpec{
 		Base: spec, Mutation: MutationForCorruptTest, TargetSink: 0, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldOpts := DefaultOptions()
-	coldOpts.SearchBackend = bcsearch.BackendSharded
-	cold := analyzeApp(t, upd, coldOpts)
+	cold := analyzeApp(t, upd, DefaultOptions())
 
 	corrupt := func(name string, mutate func([]byte) []byte) {
 		data := append([]byte(nil), db.Bundle...)
 		data = mutate(data)
 		opts := DefaultOptions()
-		opts.SearchBackend = bcsearch.BackendSharded
 		opts.DeltaFrom = &DeltaBase{Fingerprint: db.Fingerprint, Bundle: data, Report: db.Report}
 		got := analyzeApp(t, upd, opts)
 		assertSameVerdicts(t, name, cold, got)

@@ -41,17 +41,9 @@ type Options struct {
 
 	// SearchBackend selects the bytecode search implementation. The zero
 	// value (BackendIndexed) resolves each search command from a one-pass
-	// inverted index over the dump text; BackendSharded splits that index
-	// per classesN.dex (package-prefix shards for single-dex apps) so
-	// construction parallelizes and postings stay shard-local;
-	// BackendLinear is the paper-faithful full-text scan, kept for
-	// ablations.
+	// inverted index over the dump text; BackendLinear is the
+	// paper-faithful full-text scan, kept for ablations.
 	SearchBackend bcsearch.BackendKind
-
-	// IndexShards overrides the shard count of BackendSharded. 0 is auto:
-	// one shard per classesN.dex for multidex apps, DefaultShards
-	// package-prefix shards otherwise. Ignored by other backends.
-	IndexShards int
 
 	// IndexCacheDir, when non-empty, enables the persistent bundle cache:
 	// the search index and the disassembled dump text are serialized to
@@ -146,9 +138,9 @@ type Options struct {
 
 	// DeltaFrom, when non-nil, supplies the prior version of the app for
 	// incremental re-analysis (DESIGN.md Sec. 10): the engine diffs the
-	// two shard manifests and carries over every settled sink verdict
+	// two class manifests and carries over every settled sink verdict
 	// whose recorded footprint provably cannot observe the update,
-	// charging the cheap ChargeShardDiff/ChargeDeltaReuse rates for the
+	// charging the cheap ChargeManifestDiff/ChargeDeltaReuse rates for the
 	// unchanged mass. The report is identical to a full re-analysis; only
 	// the charged cost shrinks. Ignored (silent full run) when the base
 	// is unusable — timed out, undecodable manifest — or when PerAppSSG
@@ -347,16 +339,20 @@ type Stats struct {
 	CancelPolls int64
 
 	// Delta accounting (Options.DeltaFrom); all zero on non-delta runs.
-	// ShardsUnchanged/ShardsChanged compare the two bundles' shard
-	// fingerprints; SinksReused counts verdicts carried over from the
-	// base report, SinksRerun the located sinks that went through the
-	// full pipeline on a delta run; DeltaReusedLines is the unchanged
-	// footprint mass charged at the cheap delta-reuse rate.
-	ShardsUnchanged  int
-	ShardsChanged    int
+	// SinksReused counts verdicts carried over from the base report,
+	// SinksRerun the located sinks that went through the full pipeline on
+	// a delta run; DeltaReusedLines is the unchanged footprint mass
+	// charged at the cheap delta-reuse rate.
 	SinksReused      int
 	SinksRerun       int
 	DeltaReusedLines int64
+}
+
+// DeltaRun reports whether the run took the delta path and had located
+// sinks to carry over or re-run, or unchanged footprint mass to reuse —
+// the runs whose delta counters are worth printing.
+func (s Stats) DeltaRun() bool {
+	return s.SinksReused+s.SinksRerun > 0 || s.DeltaReusedLines > 0
 }
 
 // SinkCacheRate returns the fraction of sink calls answered from the
@@ -622,21 +618,16 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 	}
 	e.dump = dump
 
-	var plan *dexdump.ShardPlan
-	if opts.SearchBackend == bcsearch.BackendSharded {
-		plan = shardPlan(app, dump, opts.IndexShards)
-	}
-
 	deltaDumpLines := 0 // changed+added span lines, valid when deltaDiff != nil
 	if e.deltaOldMan != nil {
 		// The manifest diff is the delta run's first charged step: one
 		// fingerprint-map probe per class of both versions' union.
-		e.deltaNewMan = dexdump.BuildManifest(dump, plan)
+		e.deltaNewMan = dexdump.BuildManifest(dump)
 		e.deltaDiff = dexdump.DiffManifests(e.deltaOldMan, e.deltaNewMan)
 		deltaDumpLines = e.deltaNewMan.LinesOf(e.deltaDiff.Touched())
 		if preErr == nil {
 			b := meter.Units()
-			preErr = meter.ChargeShardDiff(e.deltaDiff.TotalClasses())
+			preErr = meter.ChargeManifestDiff(e.deltaDiff.TotalClasses())
 			if preErr == nil {
 				e.phaseSpan("delta-diff", -1, b)
 			}
@@ -684,7 +675,7 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		Meter:          meter,
 		Backend:        opts.SearchBackend,
 		EnableCache:    opts.EnableSearchCache,
-		Plan:           plan,
+		Manifest:       e.deltaNewMan,
 		CachePath:      cachePath,
 		BundleBytes:    bundleBytes,
 		AppFingerprint: fingerprint,
@@ -733,25 +724,6 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		})
 	}
 	return e, nil
-}
-
-// shardPlan lays out the sharded search index for an app: one shard per
-// classesN.dex when the app is multidex (the natural grain — each dex
-// disassembles to a contiguous run of classes in the merged dump),
-// deterministic package-prefix shards otherwise. An explicit shard-count
-// override always uses package-prefix shards, which support any count.
-func shardPlan(app *apk.App, dump *dexdump.Text, shards int) *dexdump.ShardPlan {
-	if shards > 0 {
-		return dexdump.PackagePrefixPlan(dump, shards)
-	}
-	if len(app.Dexes) > 1 {
-		counts := make([]int, len(app.Dexes))
-		for i, d := range app.Dexes {
-			counts[i] = len(d.Classes())
-		}
-		return dexdump.PerDexPlan(dump, counts)
-	}
-	return dexdump.PackagePrefixPlan(dump, bcsearch.DefaultShards)
 }
 
 // Meter exposes the work meter (used by experiment harnesses).
@@ -914,10 +886,6 @@ func (e *Engine) fillStats(report *Report, start time.Time) {
 		SinksReused:           e.sinksReused,
 		SinksRerun:            e.sinksRerun,
 		DeltaReusedLines:      e.deltaReusedLines,
-	}
-	if e.deltaDiff != nil {
-		report.Stats.ShardsUnchanged = e.deltaDiff.ShardsUnchanged
-		report.Stats.ShardsChanged = e.deltaDiff.ShardsChanged
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"backdroid/internal/android"
 	"backdroid/internal/appgen"
-	"backdroid/internal/bcsearch"
 	"backdroid/internal/dexdump"
 	"backdroid/internal/testapps"
 )
@@ -14,7 +13,6 @@ import (
 // warmOptions configures an engine with the persistent bundle cache.
 func warmOptions(dir string) Options {
 	opts := DefaultOptions()
-	opts.SearchBackend = bcsearch.BackendSharded
 	opts.IndexCacheDir = dir
 	return opts
 }

@@ -21,26 +21,26 @@ import (
 //	offset  size  field
 //	0       4     magic "BDIX"
 //	4       2     codec version (little endian)
-//	6       2     shard count (1..65535)
+//	6       2     layout field, always 1
 //	8       8     FNV-64a content hash of the full dump text
 //	16      4     dump line count
 //	20      4     IEEE CRC-32 of the index payload
 //	24      4     index payload length
-//	28      ...   index payload: per Index shard, in shard order, its
-//	              lines/postings counters, nine postings maps, four side lists
+//	28      ...   index payload: the Index's lines/postings counters,
+//	              nine postings maps, four side lists
 //	...     8     app fingerprint (FNV-64a over the encoded dex files)
 //	...     4     IEEE CRC-32 of the dump payload
 //	...     4     dump payload length
 //	...     ...   dump payload: the serialized dexdump.Text
 //	...     4     IEEE CRC-32 of the manifest payload
 //	...     4     manifest payload length
-//	...     ...   manifest payload: the serialized shard Manifest
+//	...     ...   manifest payload: the serialized Manifest
 //
-// The index section is the shard list of one Index: the unsharded index
-// is simply the one-shard case, so BuildIndex and a one-shard
-// BuildShardedIndex encode to the same bytes, and DecodeIndexFile returns
-// an Index of as many shards as the file holds. Postings maps are encoded
-// with sorted keys and delta-varint line lists, so files are
+// The layout field at offset 6 and the manifest's layout count and
+// per-entry column (see appendManifest) are fixed values kept from an
+// earlier multi-part index layout, so the bytes of every bundle stay as
+// they were; a file carrying any other value is a miss. Postings maps are
+// encoded with sorted keys and delta-varint line lists, so files are
 // deterministic for a given index. Every validation failure —
 // wrong magic, unknown version, stale content hash or fingerprint,
 // line-count mismatch, CRC mismatch, truncation — is an error the caller
@@ -55,7 +55,13 @@ import (
 const CodecVersion = 3
 
 const (
-	codecMagic                = "BDIX"
+	codecMagic = "BDIX"
+	// codecLayout is the fixed value of the header's layout field and the
+	// manifest's layout count; manifestColumn is the fixed per-entry
+	// value that follows each manifest entry's line count.
+	codecLayout    = 1
+	manifestColumn = 0
+
 	codecHeaderSize           = 28
 	dumpSectionHeaderSize     = 16 // fingerprint u64 + CRC u32 + length u32
 	manifestSectionHeaderSize = 8  // CRC u32 + length u32
@@ -94,29 +100,24 @@ func AppFingerprint(dexes []*dex.File) uint64 {
 	return dex.Fingerprint(encoded)
 }
 
-// EncodeBundle serializes the dump text, its index (every shard) and its
-// shard manifest into the bundle format. fingerprint identifies
-// the app the dump was rendered from (see AppFingerprint); 0 marks it
-// unknown, in which case the dump section is written but will never
-// validate on probe. plan is the shard plan the index was built with and
-// determines the manifest's span-to-shard assignment; nil (or a plan for
-// a different dump) records a single-shard manifest.
-func EncodeBundle(t *Text, x *Index, fingerprint uint64, plan *ShardPlan) ([]byte, error) {
-	if len(x.shards) > 0xffff {
-		return nil, fmt.Errorf("dexdump: %d shards exceed the codec limit", len(x.shards))
+// EncodeBundle serializes the dump text, its index and its manifest into
+// the bundle format. fingerprint identifies the app the dump was rendered
+// from (see AppFingerprint); 0 marks it unknown, in which case the dump
+// section is written but will never validate on probe. m is the dump's
+// manifest when the caller already built one; nil builds it here.
+func EncodeBundle(t *Text, x *Index, fingerprint uint64, m *Manifest) ([]byte, error) {
+	if m == nil {
+		m = BuildManifest(t)
 	}
-	var indexPayload []byte
-	for _, sh := range x.shards {
-		indexPayload = appendShard(indexPayload, sh)
-	}
+	indexPayload := appendIndex(nil, x)
 	dumpPayload := appendDump(nil, t)
-	manifestPayload := appendManifest(nil, BuildManifest(t, plan))
+	manifestPayload := appendManifest(nil, m)
 
 	buf := make([]byte, codecHeaderSize, codecHeaderSize+len(indexPayload)+
 		dumpSectionHeaderSize+len(dumpPayload)+manifestSectionHeaderSize+len(manifestPayload))
 	copy(buf[0:4], codecMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], CodecVersion)
-	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(x.shards)))
+	binary.LittleEndian.PutUint16(buf[6:8], codecLayout)
 	binary.LittleEndian.PutUint64(buf[8:16], DumpHash(t))
 	binary.LittleEndian.PutUint32(buf[16:20], uint32(t.LineCount()))
 	binary.LittleEndian.PutUint32(buf[20:24], crc32.ChecksumIEEE(indexPayload))
@@ -165,17 +166,16 @@ func indexSection(data []byte) ([]byte, error) {
 	return data[codecHeaderSize : codecHeaderSize+n], nil
 }
 
-// DecodeIndexFile parses the index section of a bundle, one shard per
-// encoded shard, and validates it against the dump text. Any validation
-// failure returns an error; the caller rebuilds from the dump.
+// DecodeIndexFile parses the index section of a bundle and validates it
+// against the dump text. Any validation failure returns an error; the
+// caller rebuilds from the dump.
 func DecodeIndexFile(data []byte, t *Text) (*Index, error) {
 	payload, err := indexSection(data)
 	if err != nil {
 		return nil, err
 	}
-	shardCount := int(binary.LittleEndian.Uint16(data[6:8]))
-	if shardCount == 0 {
-		return nil, fmt.Errorf("dexdump: index section has no shards")
+	if l := binary.LittleEndian.Uint16(data[6:8]); l != codecLayout {
+		return nil, fmt.Errorf("dexdump: index section layout %d, want %d", l, codecLayout)
 	}
 	if h := binary.LittleEndian.Uint64(data[8:16]); h != DumpHash(t) {
 		return nil, fmt.Errorf("dexdump: bundle stale: content hash mismatch")
@@ -186,12 +186,9 @@ func DecodeIndexFile(data []byte, t *Text) (*Index, error) {
 	if crc := binary.LittleEndian.Uint32(data[20:24]); crc != crc32.ChecksumIEEE(payload) {
 		return nil, fmt.Errorf("dexdump: index payload CRC mismatch")
 	}
-	x := &Index{shards: make([]*shard, shardCount), lines: t.LineCount()}
-	rest := payload
-	for i := range x.shards {
-		if x.shards[i], rest, err = decodeShard(rest, t.LineCount()); err != nil {
-			return nil, fmt.Errorf("dexdump: index section shard %d: %w", i, err)
-		}
+	x, rest, err := decodeIndex(payload, t.LineCount())
+	if err != nil {
+		return nil, fmt.Errorf("dexdump: index section: %w", err)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("dexdump: index section has %d trailing bytes", len(rest))
@@ -257,11 +254,10 @@ func CachePath(dir, appName string) string {
 	return filepath.Join(dir, appName+CacheFileExt)
 }
 
-// WriteBundle atomically persists the dump, its index and its shard
-// manifest next to path (temp file + rename), creating the directory if
-// needed.
-func WriteBundle(path string, t *Text, x *Index, fingerprint uint64, plan *ShardPlan) error {
-	data, err := EncodeBundle(t, x, fingerprint, plan)
+// WriteBundle atomically persists the dump, its index and its manifest
+// next to path (temp file + rename), creating the directory if needed.
+func WriteBundle(path string, t *Text, x *Index, fingerprint uint64) error {
+	data, err := EncodeBundle(t, x, fingerprint, nil)
 	if err != nil {
 		return err
 	}
@@ -301,12 +297,12 @@ func LoadIndexCache(path string, t *Text) (*Index, error) {
 	return DecodeIndexFile(data, t)
 }
 
-// DecodeManifest parses and validates the shard-manifest section of a
+// DecodeManifest parses and validates the manifest section of a
 // bundle. Unlike every other decoder in this file it reports failure as
 // ok=false instead of an error: a missing or damaged manifest never
 // invalidates the bundle's index or dump — it only disables the delta
 // fast path, so callers fall back to a silent full analysis. Validation
-// covers the section CRC, the payload bounds, the shard assignment range
+// covers the section CRC, the payload bounds, the fixed layout values
 // and the total line count against the bundle header, so a manifest that
 // decodes ok is internally consistent with its bundle.
 func DecodeManifest(data []byte) (*Manifest, bool) {
@@ -341,10 +337,10 @@ func DecodeManifest(data []byte) (*Manifest, bool) {
 	return m, true
 }
 
-// appendManifest serializes a Manifest: shard count, entry count, then
-// per entry name, fingerprint, line count and shard assignment.
+// appendManifest serializes a Manifest: the layout count, entry count,
+// then per entry name, fingerprint, line count and the fixed column.
 func appendManifest(buf []byte, m *Manifest) []byte {
-	buf = binary.AppendUvarint(buf, uint64(m.Shards))
+	buf = binary.AppendUvarint(buf, codecLayout)
 	buf = binary.AppendUvarint(buf, uint64(len(m.Entries)))
 	var fp [8]byte
 	for _, e := range m.Entries {
@@ -352,29 +348,35 @@ func appendManifest(buf []byte, m *Manifest) []byte {
 		binary.LittleEndian.PutUint64(fp[:], e.Fingerprint)
 		buf = append(buf, fp[:]...)
 		buf = binary.AppendUvarint(buf, uint64(e.Lines))
-		buf = binary.AppendUvarint(buf, uint64(e.Shard))
+		buf = binary.AppendUvarint(buf, manifestColumn)
 	}
 	return buf
 }
 
+// minManifestEntry is the size of the smallest encoded manifest entry:
+// a one-byte name length, the 8-byte fingerprint, a one-byte line count
+// and the one-byte fixed column.
+const minManifestEntry = 11
+
 // decodeManifestPayload reconstructs a Manifest, bounds-checking every
-// count so a corrupt payload decodes as an error, never a panic.
+// count so a corrupt payload decodes as an error, never a panic, and
+// never sizes the entry slice beyond what the payload can hold.
 func decodeManifestPayload(buf []byte) (*Manifest, error) {
-	shards, buf, err := readUvarint(buf)
+	layout, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, err
 	}
-	if shards == 0 || shards > 0xffff {
-		return nil, fmt.Errorf("manifest claims %d shards", shards)
+	if layout != codecLayout {
+		return nil, fmt.Errorf("manifest layout %d, want %d", layout, codecLayout)
 	}
 	count, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, err
 	}
-	if count > uint64(len(buf)) {
+	if count > uint64(len(buf)/minManifestEntry) {
 		return nil, fmt.Errorf("manifest claims %d entries, %d bytes remain", count, len(buf))
 	}
-	m := &Manifest{Entries: make([]ManifestEntry, count), Shards: int(shards)}
+	m := &Manifest{Entries: make([]ManifestEntry, count)}
 	for i := range m.Entries {
 		var e ManifestEntry
 		if e.Name, buf, err = readString(buf); err != nil {
@@ -385,64 +387,26 @@ func decodeManifestPayload(buf []byte) (*Manifest, error) {
 		}
 		e.Fingerprint = binary.LittleEndian.Uint64(buf[:8])
 		buf = buf[8:]
-		var lines, shard uint64
+		var lines, column uint64
 		if lines, buf, err = readUvarint(buf); err != nil {
 			return nil, err
 		}
-		if shard, buf, err = readUvarint(buf); err != nil {
+		if column, buf, err = readUvarint(buf); err != nil {
 			return nil, err
 		}
 		if lines > 1<<32 {
 			return nil, fmt.Errorf("manifest entry %d claims %d lines", i, lines)
 		}
-		if shard >= shards {
-			return nil, fmt.Errorf("manifest entry %d assigned to shard %d of %d", i, shard, shards)
+		if column != manifestColumn {
+			return nil, fmt.Errorf("manifest entry %d column %d, want %d", i, column, manifestColumn)
 		}
 		e.Lines = int(lines)
-		e.Shard = int(shard)
 		m.Entries[i] = e
 	}
 	if len(buf) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes after the manifest payload", len(buf))
 	}
 	return m, nil
-}
-
-// ShardPayloads splits a v3 bundle's index section into its per-shard
-// encoded payloads, paired with the manifest's shard fingerprints — the
-// feed of the service's cross-app shard store, which shares one postings
-// blob between every bundle whose shard has identical class contents.
-// ok=false on any inconsistency (no manifest, damaged index section,
-// shard-count mismatch); the store then simply learns nothing.
-func ShardPayloads(data []byte) (fps []uint64, payloads [][]byte, ok bool) {
-	m, mok := DecodeManifest(data)
-	if !mok {
-		return nil, nil, false
-	}
-	payload, err := indexSection(data)
-	if err != nil {
-		return nil, nil, false
-	}
-	// The payload split below trusts the index section's framing, so the
-	// section CRC must hold — the store must never learn a damaged blob.
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[20:24]) {
-		return nil, nil, false
-	}
-	shardCount := int(binary.LittleEndian.Uint16(data[6:8]))
-	if shardCount != m.Shards {
-		return nil, nil, false
-	}
-	lineCount := int(binary.LittleEndian.Uint32(data[16:20]))
-	payloads = make([][]byte, shardCount)
-	rest := payload
-	for i := 0; i < shardCount; i++ {
-		before := len(rest)
-		if _, rest, err = decodeShard(rest, lineCount); err != nil {
-			return nil, nil, false
-		}
-		payloads[i] = payload[len(payload)-before : len(payload)-len(rest)]
-	}
-	return m.ShardFingerprints(), payloads, true
 }
 
 // appendDump serializes a Text: the full rendered dump (lines are
@@ -596,9 +560,9 @@ func readString(buf []byte) (string, []byte, error) {
 	return string(buf[:n]), buf[n:], nil
 }
 
-// appendShard encodes one shard: the lines/postings counters, all nine
+// appendIndex encodes an index: the lines/postings counters, all nine
 // postings maps (sorted keys, delta-varint lists) and the four side lists.
-func appendShard(buf []byte, x *shard) []byte {
+func appendIndex(buf []byte, x *Index) []byte {
 	buf = binary.AppendUvarint(buf, uint64(x.lines))
 	buf = binary.AppendUvarint(buf, uint64(x.postings))
 	for _, m := range x.maps() {
@@ -611,7 +575,7 @@ func appendShard(buf []byte, x *shard) []byte {
 }
 
 // maps returns the postings maps in fixed codec order.
-func (x *shard) maps() []*map[string][]int32 {
+func (x *Index) maps() []*map[string][]int32 {
 	return []*map[string][]int32{
 		&x.invokeBySig, &x.invokeByName, &x.invokeByNameP, &x.ctorByPrefix,
 		&x.newInstance, &x.constClass, &x.constString, &x.fieldBySig, &x.classUse,
@@ -619,7 +583,7 @@ func (x *shard) maps() []*map[string][]int32 {
 }
 
 // sideLists returns the side lists in fixed codec order.
-func (x *shard) sideLists() []*[]int32 {
+func (x *Index) sideLists() []*[]int32 {
 	return []*[]int32{&x.oddStrings, &x.oddFields, &x.oddCtors, &x.oddInvokes}
 }
 
@@ -649,8 +613,8 @@ func appendPostings(buf []byte, p []int32) []byte {
 	return buf
 }
 
-func decodeShard(buf []byte, maxLines int) (*shard, []byte, error) {
-	x := &shard{}
+func decodeIndex(buf []byte, maxLines int) (*Index, []byte, error) {
+	x := &Index{}
 	lines, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, nil, err
@@ -660,7 +624,7 @@ func decodeShard(buf []byte, maxLines int) (*shard, []byte, error) {
 		return nil, nil, err
 	}
 	if lines > uint64(maxLines) {
-		return nil, nil, fmt.Errorf("shard claims %d lines, dump has %d", lines, maxLines)
+		return nil, nil, fmt.Errorf("index claims %d lines, dump has %d", lines, maxLines)
 	}
 	x.lines = int(lines)
 	x.postings = int(postings)
@@ -754,10 +718,16 @@ func decodePostings(buf []byte, maxLines int) ([]int32, []byte, error) {
 	return p, buf, nil
 }
 
+// readUvarint reads one varint, accepting only the minimal encoding
+// binary.AppendUvarint writes (a multi-byte varint never ends in a zero
+// byte), so every payload that decodes re-encodes to the same bytes.
 func readUvarint(buf []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("truncated varint")
+	}
+	if n > 1 && buf[n-1] == 0 {
+		return 0, nil, fmt.Errorf("non-minimal varint")
 	}
 	return v, buf[n:], nil
 }

@@ -1,7 +1,6 @@
 package dexdump
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"hash/fnv"
@@ -42,9 +41,6 @@ func assertSameLookups(t *testing.T, want, got *Index, label string) {
 	if got.Postings() != want.Postings() {
 		t.Errorf("%s: postings count = %d, want %d", label, got.Postings(), want.Postings())
 	}
-	if got.ShardCount() != want.ShardCount() {
-		t.Errorf("%s: shard count = %d, want %d", label, got.ShardCount(), want.ShardCount())
-	}
 }
 
 // assertSameText checks a decoded dump reproduces the original Text
@@ -76,27 +72,14 @@ func assertSameText(t *testing.T, want, got *Text) {
 }
 
 func TestCodecRoundtripSingleIndex(t *testing.T) {
-	_, text := shardFixture(t)
+	_, text := classesFixture(t)
 	idx := BuildIndex(text)
 	dec := roundtrip(t, text, idx)
-	if n := dec.ShardCount(); n != 1 {
-		t.Fatalf("one-shard file decoded to %d shards, want 1", n)
-	}
 	assertSameLookups(t, idx, dec, "single")
 }
 
-func TestCodecRoundtripShardedIndex(t *testing.T) {
-	_, text := shardFixture(t)
-	sharded := BuildShardedIndex(text, PackagePrefixPlan(text, 3), 2)
-	dec := roundtrip(t, text, sharded)
-	if n := dec.ShardCount(); n != 3 {
-		t.Fatalf("three-shard file decoded to %d shards, want 3", n)
-	}
-	assertSameLookups(t, sharded, dec, "sharded")
-}
-
 func TestCodecRoundtripDumpSection(t *testing.T) {
-	_, text := shardFixture(t)
+	_, text := classesFixture(t)
 	data, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +100,7 @@ func TestCodecRoundtripDumpSection(t *testing.T) {
 }
 
 func TestCodecDumpSectionFingerprint(t *testing.T) {
-	_, text := shardFixture(t)
+	_, text := classesFixture(t)
 	data, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -139,13 +122,13 @@ func TestCodecDumpSectionFingerprint(t *testing.T) {
 }
 
 func TestCodecDeterministicBytes(t *testing.T) {
-	_, text := shardFixture(t)
-	sharded := BuildShardedIndex(text, PackagePrefixPlan(text, 3), 2)
-	a, err := EncodeBundle(text, sharded, testFingerprint, nil)
+	_, text := classesFixture(t)
+	idx := BuildIndex(text)
+	a, err := EncodeBundle(text, idx, testFingerprint, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EncodeBundle(text, sharded, testFingerprint, nil)
+	b, err := EncodeBundle(text, idx, testFingerprint, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +138,8 @@ func TestCodecDeterministicBytes(t *testing.T) {
 }
 
 func TestAppFingerprintDeterministicAndSensitive(t *testing.T) {
-	f1, _ := shardFixture(t)
-	f2, _ := shardFixture(t)
+	f1, _ := classesFixture(t)
+	f2, _ := classesFixture(t)
 	if AppFingerprint([]*dex.File{f1}) != AppFingerprint([]*dex.File{f2}) {
 		t.Error("identical apps fingerprint differently")
 	}
@@ -177,7 +160,7 @@ func indexPayloadBounds(data []byte) (int, int) {
 }
 
 func TestCodecRejectsInvalidIndexSections(t *testing.T) {
-	_, text := shardFixture(t)
+	_, text := classesFixture(t)
 	idx := BuildIndex(text)
 	good, err := EncodeBundle(text, idx, testFingerprint, nil)
 	if err != nil {
@@ -217,6 +200,12 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 			binary.LittleEndian.PutUint16(d[4:6], 2)
 			return d
 		}),
+		// The layout field is always 1; a bundle claiming two index
+		// shards (the retired multi-part layout) is a miss.
+		"two shards": corrupt(func(d []byte) []byte {
+			binary.LittleEndian.PutUint16(d[6:8], 2)
+			return d
+		}),
 		"stale hash": corrupt(func(d []byte) []byte { d[9] ^= 0xff; return d }),
 		"index payload bit flip": corrupt(func(d []byte) []byte {
 			d[ipEnd-1] ^= 0x01
@@ -254,7 +243,7 @@ func TestCodecDumpCorruptionIsolatedFromIndex(t *testing.T) {
 	// section (the engine falls back to disassembly and self-heals the
 	// file), and vice versa a damaged index section must not poison the
 	// dump probe.
-	_, text := shardFixture(t)
+	_, text := classesFixture(t)
 	idx := BuildIndex(text)
 	good, err := EncodeBundle(text, idx, testFingerprint, nil)
 	if err != nil {
@@ -292,10 +281,9 @@ func TestCodecDumpCorruptionIsolatedFromIndex(t *testing.T) {
 // are always caught by the section CRCs / hashes except in fields a given
 // section legitimately ignores, so equality on success is the invariant.
 func TestCodecBundleCorruptionFuzz(t *testing.T) {
-	_, text := shardFixture(t)
-	plan := PackagePrefixPlan(text, 2)
-	idx := BuildShardedIndex(text, plan, 1)
-	good, err := EncodeBundle(text, idx, testFingerprint, plan)
+	_, text := classesFixture(t)
+	idx := BuildIndex(text)
+	good, err := EncodeBundle(text, idx, testFingerprint, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +291,6 @@ func TestCodecBundleCorruptionFuzz(t *testing.T) {
 	wantMan, ok := DecodeManifest(good)
 	if !ok {
 		t.Fatal("pristine bundle has no decodable manifest")
-	}
-	wantFPs, wantPayloads, ok := ShardPayloads(good)
-	if !ok {
-		t.Fatal("pristine bundle yields no shard payloads")
 	}
 
 	check := func(name string, data []byte) {
@@ -332,22 +316,12 @@ func TestCodecBundleCorruptionFuzz(t *testing.T) {
 		// The manifest section obeys the same discipline: decode fails
 		// (the delta engine then silently runs full) or is identical.
 		if m, mok := DecodeManifest(data); mok {
-			if len(m.Entries) != len(wantMan.Entries) || m.Shards != wantMan.Shards {
+			if len(m.Entries) != len(wantMan.Entries) {
 				t.Fatalf("%s: manifest decoded successfully but shape differs", name)
 			}
 			for i := range m.Entries {
 				if m.Entries[i] != wantMan.Entries[i] {
 					t.Fatalf("%s: manifest entry %d differs: %+v vs %+v", name, i, m.Entries[i], wantMan.Entries[i])
-				}
-			}
-		}
-		if fps, payloads, pok := ShardPayloads(data); pok {
-			if len(fps) != len(wantFPs) {
-				t.Fatalf("%s: shard payload count differs", name)
-			}
-			for i := range fps {
-				if fps[i] != wantFPs[i] || !bytes.Equal(payloads[i], wantPayloads[i]) {
-					t.Fatalf("%s: shard payload %d differs", name, i)
 				}
 			}
 		}
@@ -375,21 +349,23 @@ func TestCodecBundleCorruptionFuzz(t *testing.T) {
 }
 
 // FuzzDecodeIndexFile feeds arbitrary bundles to the index decoder,
-// seeded with the fixture's one-shard and three-shard bundles. Decoding
-// must never panic, and a decoded index must answer every lookup with
-// strictly ascending postings inside the dump. Each input is also tried
+// seeded with the fixture's bundle and the same bundle claiming two index
+// shards (the retired multi-part layout, which must decode as a miss).
+// Decoding must never panic, and a decoded index must answer every lookup
+// with strictly ascending postings inside the dump. Each input is also tried
 // resealed — header hash, line count and index CRC recomputed for the
 // fixture dump — so mutations reach the payload decoders instead of
 // stopping at a checksum.
 func FuzzDecodeIndexFile(f *testing.F) {
-	_, text := shardFixture(f)
-	for _, x := range []*Index{BuildIndex(text), BuildShardedIndex(text, PackagePrefixPlan(text, 3), 1)} {
-		data, err := EncodeBundle(text, x, testFingerprint, nil)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	_, text := classesFixture(f)
+	data, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(data)
+	twoShards := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint16(twoShards[6:8], 2)
+	f.Add(twoShards)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodedIndex(t, data, text)
 		if payload, err := indexSection(data); err == nil {
@@ -403,7 +379,7 @@ func FuzzDecodeIndexFile(f *testing.F) {
 }
 
 // checkDecodedIndex decodes data against text and, on success, probes
-// every lookup with every token the decoded shards hold plus the fixture
+// every lookup with every token the decoded index holds plus the fixture
 // tokens, requiring strictly ascending postings in [0, LineCount()).
 func checkDecodedIndex(t *testing.T, data []byte, text *Text) {
 	t.Helper()
@@ -431,19 +407,17 @@ func checkDecodedIndex(t *testing.T, data []byte, text *Text) {
 		"NewInstance": x.NewInstance, "ConstClass": x.ConstClass,
 		"ConstString": x.ConstString, "FieldBySig": x.FieldBySig, "ClassUse": x.ClassUse,
 	}
-	for _, sh := range x.shards {
-		for _, m := range sh.maps() {
-			for tok := range *m {
-				for name, lookup := range probes {
-					check(name+"("+tok+")", lookup(tok))
-				}
+	for _, m := range x.maps() {
+		for tok := range *m {
+			for name, lookup := range probes {
+				check(name+"("+tok+")", lookup(tok))
 			}
 		}
 	}
 }
 
 func TestCodecStaleAgainstDifferentDump(t *testing.T) {
-	_, text := shardFixture(t)
+	_, text := classesFixture(t)
 	idx := BuildIndex(text)
 	data, err := EncodeBundle(text, idx, testFingerprint, nil)
 	if err != nil {
@@ -460,7 +434,7 @@ func TestCodecStaleAgainstDifferentDump(t *testing.T) {
 // DecodeIndexFile still compares the header's dump hash, line count and
 // CRC against it.
 func TestDumpHashMemoKeepsIndexChecks(t *testing.T) {
-	_, text := shardFixture(t)
+	_, text := classesFixture(t)
 	good, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +463,7 @@ func TestDumpHashMemoKeepsIndexChecks(t *testing.T) {
 // TestDumpHashConcurrent asks several goroutines at once for the hash of
 // one text, as engines sharing a decoded dump do.
 func TestDumpHashConcurrent(t *testing.T) {
-	_, text := shardFixture(t)
+	_, text := classesFixture(t)
 	h := fnv.New64a()
 	h.Write([]byte(text.full))
 	want := h.Sum64()
@@ -511,17 +485,17 @@ func TestDumpHashConcurrent(t *testing.T) {
 }
 
 func TestWriteLoadBundle(t *testing.T) {
-	_, text := shardFixture(t)
-	sharded := BuildShardedIndex(text, PackagePrefixPlan(text, 2), 1)
+	_, text := classesFixture(t)
+	idx := BuildIndex(text)
 	path := CachePath(filepath.Join(t.TempDir(), "nested"), "com.example.app")
-	if err := WriteBundle(path, text, sharded, testFingerprint, nil); err != nil {
+	if err := WriteBundle(path, text, idx, testFingerprint); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := LoadIndexCache(path, text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameLookups(t, sharded, dec, "file roundtrip")
+	assertSameLookups(t, idx, dec, "file roundtrip")
 
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -28,8 +28,8 @@ type Text struct {
 }
 
 // ClassSpan is the contiguous line range one class occupies in the dump.
-// Spans tile [0, LineCount()) in class order; they are the atomic unit the
-// sharded index partitions (a class never straddles two shards).
+// Spans tile [0, LineCount()) in class order; they are the unit the
+// manifest fingerprints and the delta engine diffs.
 type ClassSpan struct {
 	Name  string // dotted class name, e.g. "com.lge.app1.Main"
 	Start int    // first dump line of the class block

@@ -1,10 +1,6 @@
 package dexdump
 
-import (
-	"strings"
-
-	"backdroid/internal/pool"
-)
+import "strings"
 
 // Index is the inverted index over the dump text. One tokenization pass
 // extracts the operand tokens that the Sec. IV search commands key on —
@@ -14,23 +10,9 @@ import (
 // dump lines it occurs on. A search command then touches only its postings
 // instead of every dump line; candidates are still re-verified against the
 // exact grep predicate, so the index over-approximates and never changes
-// hit semantics. See DESIGN.md Sec. 3.
-//
-// The postings are split into one or more shards along a ShardPlan (see
-// DESIGN.md Sec. 3a); the unsharded index is the one-shard case. Postings
-// store global dump line numbers, so the per-token lists of distinct
-// shards are disjoint and ascending, and a lookup merges them lazily —
-// only the queried token pays the merge. A one-shard lookup returns the
-// shard's list as is. An Index is immutable after construction and safe
-// for concurrent readers.
+// hit semantics. See DESIGN.md Sec. 3. An Index is immutable after
+// construction and safe for concurrent readers.
 type Index struct {
-	shards []*shard
-	lines  int
-}
-
-// shard holds the postings of the class spans one shard tokenized, as
-// ascending line numbers.
-type shard struct {
 	invokeBySig   map[string][]int32 // full target sig -> invoke-* lines
 	invokeByName  map[string][]int32 // ".name:descriptor" -> invoke-* lines
 	invokeByNameP map[string][]int32 // ".name:" prefix -> invoke-* lines
@@ -49,12 +31,22 @@ type shard struct {
 	oddCtors   []int32 // quoted lines containing "invoke-direct"
 	oddInvokes []int32 // quoted lines containing "invoke-"
 
-	lines    int // dump lines this shard tokenized
+	lines    int // dump lines tokenized
 	postings int // entries across the maps and side lists
 }
 
-func newShard() *shard {
-	return &shard{
+// BuildIndex tokenizes every dump line once and returns the inverted
+// index. Cost is linear in the dump text; the caller is responsible for
+// charging the work meter.
+func BuildIndex(t *Text) *Index {
+	return build(t, func(int) bool { return true })
+}
+
+// build is the one tokenization loop behind every index: it tokenizes,
+// in dump order, the class spans i with keep(i). Lines() is the number
+// of lines tokenized.
+func build(t *Text, keep func(span int) bool) *Index {
+	x := &Index{
 		invokeBySig:   make(map[string][]int32),
 		invokeByName:  make(map[string][]int32),
 		invokeByNameP: make(map[string][]int32),
@@ -65,54 +57,19 @@ func newShard() *shard {
 		fieldBySig:    make(map[string][]int32),
 		classUse:      make(map[string][]int32),
 	}
-}
-
-// BuildIndex tokenizes every dump line once and returns the one-shard
-// inverted index. Cost is linear in the dump text; the caller is
-// responsible for charging the work meter.
-func BuildIndex(t *Text) *Index {
-	return build(t, 1, 1, func(int) int { return 0 })
-}
-
-// BuildShardedIndex tokenizes the dump into the plan's shards, building
-// them concurrently on a bounded worker pool (workers <= 1 builds
-// sequentially). A nil plan builds the one-shard index. The result is
-// identical for any worker count: each shard tokenizes a disjoint set of
-// class spans in ascending span order.
-func BuildShardedIndex(t *Text, plan *ShardPlan, workers int) *Index {
-	if plan == nil {
-		return BuildIndex(t)
-	}
-	return build(t, plan.shards, workers, func(span int) int { return plan.assign[span] })
-}
-
-// build is the one tokenization loop behind every index: shard s
-// tokenizes, in dump order, the class spans i with shardOf(i) == s
-// (shardOf returns -1 to leave a span out). Lines() is the number of
-// lines tokenized.
-func build(t *Text, shards, workers int, shardOf func(span int) int) *Index {
-	x := &Index{shards: make([]*shard, shards)}
-	pool.ForEach(shards, workers, func(s int) error {
-		sh := newShard()
-		for i, sp := range t.spans {
-			if shardOf(i) != s {
-				continue
-			}
-			for n := sp.Start; n < sp.End; n++ {
-				sh.addLine(int32(n), t.lines[n])
-			}
-			sh.lines += sp.End - sp.Start
+	for i, sp := range t.spans {
+		if !keep(i) {
+			continue
 		}
-		x.shards[s] = sh
-		return nil
-	})
-	for _, sh := range x.shards {
-		x.lines += sh.lines
+		for n := sp.Start; n < sp.End; n++ {
+			x.addLine(int32(n), t.lines[n])
+		}
+		x.lines += sp.End - sp.Start
 	}
 	return x
 }
 
-func (x *shard) addLine(n int32, line string) {
+func (x *Index) addLine(n int32, line string) {
 	// Class-descriptor occurrences anywhere on the line: every "L...;"
 	// token, wherever it starts. A descriptor contains no ';', so if one
 	// occurs at position i the first ';' at or after i closes it exactly;
@@ -213,7 +170,7 @@ func (x *shard) addLine(n int32, line string) {
 }
 
 // addSide appends line n to a side list, deduplicating repeats.
-func (x *shard) addSide(list *[]int32, n int32) {
+func (x *Index) addSide(list *[]int32, n int32) {
 	if p := *list; len(p) > 0 && p[len(p)-1] == n {
 		return
 	}
@@ -223,7 +180,7 @@ func (x *shard) addSide(list *[]int32, n int32) {
 
 // add appends line n to the postings list of token, deduplicating
 // consecutive inserts (the same token can occur twice on one line).
-func (x *shard) add(m map[string][]int32, token string, n int32) {
+func (x *Index) add(m map[string][]int32, token string, n int32) {
 	p := m[token]
 	if len(p) > 0 && p[len(p)-1] == n {
 		return
@@ -232,35 +189,15 @@ func (x *shard) add(m map[string][]int32, token string, n int32) {
 	x.postings++
 }
 
-// lookup gathers one postings list per shard (ascending, duplicate-free,
-// disjoint across shards) into one ascending list, lazily at query time.
-// With one shard — or one shard holding the token — the shard's list is
-// returned as is.
-func (x *Index) lookup(get func(*shard) []int32) []int32 {
-	var merged []int32
-	for _, sh := range x.shards {
-		p := get(sh)
-		if len(p) == 0 {
-			continue
-		}
-		if merged == nil {
-			merged = p
-			continue
-		}
-		merged = mergePostings(merged, p)
-	}
-	return merged
-}
-
 // InvokeBySig returns the invoke lines whose target is exactly sig.
 func (x *Index) InvokeBySig(sig string) []int32 {
-	return x.lookup(func(s *shard) []int32 { return s.invokeBySig[sig] })
+	return x.invokeBySig[sig]
 }
 
 // InvokeByName returns the invoke lines whose target ends in
 // ".name:descriptor" regardless of declaring class.
 func (x *Index) InvokeByName(needle string) []int32 {
-	return x.lookup(func(s *shard) []int32 { return s.invokeByName[needle] })
+	return x.invokeByName[needle]
 }
 
 // InvokeByNamePrefix returns the candidate invoke lines whose target
@@ -270,7 +207,7 @@ func (x *Index) InvokeByName(needle string) []int32 {
 // filters them). This backs the two-time ICC search's first pass, which
 // previously fell back to a raw O(lines) scan.
 func (x *Index) InvokeByNamePrefix(prefix string) []int32 {
-	return x.lookup(func(s *shard) []int32 { return mergePostings(s.invokeByNameP[prefix], s.oddInvokes) })
+	return mergePostings(x.invokeByNameP[prefix], x.oddInvokes)
 }
 
 // CtorByPrefix returns the candidate invoke-direct lines calling any
@@ -278,17 +215,17 @@ func (x *Index) InvokeByNamePrefix(prefix string) []int32 {
 // literal mentioning invoke-direct (the linear Contains grep would match
 // those too; the caller's predicate filters them).
 func (x *Index) CtorByPrefix(prefix string) []int32 {
-	return x.lookup(func(s *shard) []int32 { return mergePostings(s.ctorByPrefix[prefix], s.oddCtors) })
+	return mergePostings(x.ctorByPrefix[prefix], x.oddCtors)
 }
 
 // NewInstance returns the new-instance lines allocating the descriptor.
 func (x *Index) NewInstance(desc string) []int32 {
-	return x.lookup(func(s *shard) []int32 { return s.newInstance[desc] })
+	return x.newInstance[desc]
 }
 
 // ConstClass returns the const-class lines loading the descriptor.
 func (x *Index) ConstClass(desc string) []int32 {
-	return x.lookup(func(s *shard) []int32 { return s.constClass[desc] })
+	return x.constClass[desc]
 }
 
 // ConstString returns the candidate const-string lines for the value: the
@@ -296,7 +233,7 @@ func (x *Index) ConstClass(desc string) []int32 {
 // literal contains escapes (those can satisfy quoted-substring queries the
 // value map cannot anticipate).
 func (x *Index) ConstString(value string) []int32 {
-	return x.lookup(func(s *shard) []int32 { return mergePostings(s.constString[value], s.oddStrings) })
+	return mergePostings(x.constString[value], x.oddStrings)
 }
 
 // FieldBySig returns the candidate field access lines (reads and writes)
@@ -304,12 +241,12 @@ func (x *Index) ConstString(value string) []int32 {
 // mnemonic (those could embed the signature anywhere; the caller's
 // predicate filters them).
 func (x *Index) FieldBySig(sig string) []int32 {
-	return x.lookup(func(s *shard) []int32 { return mergePostings(s.fieldBySig[sig], s.oddFields) })
+	return mergePostings(x.fieldBySig[sig], x.oddFields)
 }
 
 // ClassUse returns every line on which the class descriptor occurs.
 func (x *Index) ClassUse(desc string) []int32 {
-	return x.lookup(func(s *shard) []int32 { return s.classUse[desc] })
+	return x.classUse[desc]
 }
 
 // mergePostings merges two ascending duplicate-free postings lists into
@@ -342,15 +279,6 @@ func mergePostings(a, b []int32) []int32 {
 // Lines returns the number of dump lines the index covers.
 func (x *Index) Lines() int { return x.lines }
 
-// Postings returns the total number of postings across all shards' token
-// maps and side lists — a size/overhead measure for reports and tests.
-func (x *Index) Postings() int {
-	n := 0
-	for _, sh := range x.shards {
-		n += sh.postings
-	}
-	return n
-}
-
-// ShardCount returns the number of shards (1 for the unsharded index).
-func (x *Index) ShardCount() int { return len(x.shards) }
+// Postings returns the total number of postings across the token maps
+// and side lists — a size/overhead measure for reports and tests.
+func (x *Index) Postings() int { return x.postings }

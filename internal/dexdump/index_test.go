@@ -1,6 +1,7 @@
 package dexdump
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -129,15 +130,111 @@ func TestIndexPostingsAscendingUnique(t *testing.T) {
 			}
 		}
 	}
-	for _, sh := range idx.shards {
-		for tok, p := range sh.classUse {
-			check("classUse["+tok+"]", p)
+	for tok, p := range idx.classUse {
+		check("classUse["+tok+"]", p)
+	}
+	for tok, p := range idx.invokeBySig {
+		check("invoke["+tok+"]", p)
+	}
+	for tok, p := range idx.fieldBySig {
+		check("field["+tok+"]", p)
+	}
+}
+
+// classesFixture builds a file of six classes across several packages,
+// each with a constructor, a string literal and a class literal.
+func classesFixture(t testing.TB) (*dex.File, *Text) {
+	t.Helper()
+	f := dex.NewFile()
+	objInit := dex.NewMethodRef("java.lang.Object", "<init>", dex.Void)
+	for i, name := range []string{
+		"com.alpha.One", "com.alpha.Two", "com.beta.Three",
+		"org.gamma.Four", "org.gamma.sub.Five", "net.delta.Six",
+	} {
+		c := dex.NewClass(name)
+		ctor := c.Constructor()
+		ctor.InvokeDirect(objInit, ctor.This()).ReturnVoid().Done()
+		m := c.Method("work", dex.Void)
+		r := m.Reg()
+		m.ConstString(r, fmt.Sprintf("payload-%d", i)).
+			ConstClass(m.Reg(), "com.alpha.One").
+			ReturnVoid().Done()
+		if err := f.AddClass(c.Build()); err != nil {
+			t.Fatal(err)
 		}
-		for tok, p := range sh.invokeBySig {
-			check("invoke["+tok+"]", p)
+	}
+	return f, Disassemble(f)
+}
+
+// lookups exercises every Index lookup with tokens present in the
+// fixture plus misses.
+func lookups(src *Index) map[string][]int32 {
+	out := make(map[string][]int32)
+	out["invoke"] = src.InvokeBySig("Ljava/lang/Object;.<init>:()V")
+	out["invoke-name"] = src.InvokeByName(".<init>:()V")
+	out["invoke-prefix"] = src.InvokeByNamePrefix(".<init>:")
+	out["invoke-prefix-miss"] = src.InvokeByNamePrefix(".nosuch:")
+	out["ctor"] = src.CtorByPrefix("Ljava/lang/Object;.<init>:")
+	out["new"] = src.NewInstance("Lcom/alpha/One;")
+	out["const-class"] = src.ConstClass("Lcom/alpha/One;")
+	out["const-string"] = src.ConstString("payload-3")
+	out["field"] = src.FieldBySig("Lcom/alpha/One;.f:I")
+	out["class-use"] = src.ClassUse("Lcom/alpha/One;")
+	out["class-use-2"] = src.ClassUse("Lorg/gamma/sub/Five;")
+	out["class-use-miss"] = src.ClassUse("Lno/such/Class;")
+	return out
+}
+
+func TestClassSpansTileDump(t *testing.T) {
+	f, text := classesFixture(t)
+	spans := text.ClassSpans()
+	if len(spans) != len(f.Classes()) {
+		t.Fatalf("spans = %d, classes = %d", len(spans), len(f.Classes()))
+	}
+	next := 0
+	for i, sp := range spans {
+		if sp.Start != next {
+			t.Errorf("span %d starts at %d, want %d (spans must tile)", i, sp.Start, next)
 		}
-		for tok, p := range sh.fieldBySig {
-			check("field["+tok+"]", p)
+		if sp.End <= sp.Start {
+			t.Errorf("span %d empty: [%d,%d)", i, sp.Start, sp.End)
+		}
+		if sp.Name != f.Classes()[i].Name {
+			t.Errorf("span %d name = %s, want %s", i, sp.Name, f.Classes()[i].Name)
+		}
+		next = sp.End
+	}
+	if next != text.LineCount() {
+		t.Errorf("spans end at %d, dump has %d lines", next, text.LineCount())
+	}
+}
+
+func TestInvokeByNamePrefixCoversQuotedLiterals(t *testing.T) {
+	f := dex.NewFile()
+	c := dex.NewClass("com.spoof.Logger")
+	m := c.Method("log", dex.Void)
+	m.ConstString(m.Reg(), "saw invoke-virtual {v0}, Lx/Y;.startActivity:(L)V").
+		ReturnVoid().Done()
+	if err := f.AddClass(c.Build()); err != nil {
+		t.Fatal(err)
+	}
+	text := Disassemble(f)
+	idx := BuildIndex(text)
+	got := idx.InvokeByNamePrefix(".startActivity:")
+	want := linesMatching(text, func(line string) bool {
+		return strings.Contains(line, "invoke-") && strings.Contains(line, ".startActivity:")
+	})
+	if len(want) == 0 {
+		t.Fatal("spoof literal did not fire")
+	}
+	// Candidates must be a superset of the linear matches.
+	have := make(map[int32]bool, len(got))
+	for _, n := range got {
+		have[n] = true
+	}
+	for _, n := range want {
+		if !have[n] {
+			t.Errorf("linear match line %d missing from prefix candidates %v", n, got)
 		}
 	}
 }

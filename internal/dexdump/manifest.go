@@ -5,29 +5,23 @@ import (
 	"hash/fnv"
 )
 
-// Shard manifest: the content-addressing layer below the whole-app
+// Manifest: the content-addressing layer below the whole-app
 // fingerprint. Every class span of a dump gets a stable FNV-64a
-// fingerprint of its name and body text, and every shard of the plan gets
-// a fingerprint folded from its spans' fingerprints in span order. Two
-// versions of an app (or two apps embedding the same SDK dex) produce
+// fingerprint of its name and body text. Two versions of an app produce
 // identical span fingerprints for identical class bodies, which is what
-// the delta engine's manifest diff and the service's cross-app shard
-// store key on. See DESIGN.md Sec. 10.
+// the delta engine's manifest diff keys on. See DESIGN.md Sec. 10.
 
 // ManifestEntry describes one class span of the dump.
 type ManifestEntry struct {
 	Name        string // dotted class name, as in ClassSpan
 	Fingerprint uint64 // SpanFingerprint of the class body
 	Lines       int    // dump lines of the span
-	Shard       int    // shard the plan assigned the span to
 }
 
 // Manifest is the per-class content map of one bundle: every class span
-// in dump order, plus the shard count of the plan the bundle's index was
-// built with.
+// in dump order.
 type Manifest struct {
 	Entries []ManifestEntry
-	Shards  int
 }
 
 // SpanFingerprint hashes one class span: FNV-64a over the class name and
@@ -47,72 +41,28 @@ func SpanFingerprint(t *Text, sp ClassSpan) uint64 {
 	return h.Sum64()
 }
 
-// BuildManifest computes the manifest of a dump under a shard plan. A nil
-// plan (or one that does not tile this dump) assigns every span to shard
-// 0 of a single-shard layout.
-func BuildManifest(t *Text, plan *ShardPlan) *Manifest {
-	m := &Manifest{Entries: make([]ManifestEntry, len(t.spans)), Shards: 1}
-	assign := func(int) int { return 0 }
-	if plan != nil && len(plan.assign) == len(t.spans) && plan.shards >= 1 {
-		m.Shards = plan.shards
-		assign = func(i int) int { return plan.assign[i] }
-	}
+// BuildManifest computes the manifest of a dump.
+func BuildManifest(t *Text) *Manifest {
+	m := &Manifest{Entries: make([]ManifestEntry, len(t.spans))}
 	for i, sp := range t.spans {
 		m.Entries[i] = ManifestEntry{
 			Name:        sp.Name,
 			Fingerprint: SpanFingerprint(t, sp),
 			Lines:       sp.End - sp.Start,
-			Shard:       assign(i),
 		}
 	}
 	return m
 }
 
-// ShardFingerprints folds the per-class fingerprints into one fingerprint
-// per shard (FNV-64a over the shard's entries in span order). Shards with
-// identical class contents — the same SDK dex embedded by two apps, or an
-// untouched shard across two versions — fingerprint identically, which is
-// the key of the service's cross-app shard store.
-func (m *Manifest) ShardFingerprints() []uint64 {
-	if m.Shards < 1 {
-		return nil
-	}
-	sums := make([]uint64, m.Shards)
-	var buf [8]byte
-	hashes := make([][]byte, m.Shards)
-	for _, e := range m.Entries {
-		if e.Shard < 0 || e.Shard >= m.Shards {
-			continue
-		}
-		b := hashes[e.Shard]
-		b = append(b, e.Name...)
-		b = append(b, 0)
-		binary.LittleEndian.PutUint64(buf[:], e.Fingerprint)
-		b = append(b, buf[:]...)
-		hashes[e.Shard] = b
-	}
-	for s := range sums {
-		h := fnv.New64a()
-		h.Write(hashes[s])
-		sums[s] = h.Sum64()
-	}
-	return sums
-}
-
 // ManifestDiff is the result of diffing two manifests, expressed as class
 // names: a class is Changed when both versions contain it with different
 // fingerprints, Added when only the new version does, Removed when only
-// the old one does. Shard counters compare shard fingerprints: a shard of
-// the new manifest whose fingerprint appears among the old manifest's
-// shard fingerprints is unchanged.
+// the old one does.
 type ManifestDiff struct {
 	Changed   []string
 	Added     []string
 	Removed   []string
 	Unchanged int // classes present in both versions with equal fingerprints
-
-	ShardsUnchanged int
-	ShardsChanged   int
 }
 
 // Touched returns the set of class names a delta run must treat as dirty:
@@ -151,8 +101,7 @@ func classFold(m *Manifest) map[string]uint64 {
 	return out
 }
 
-// DiffManifests compares the old and new manifests class-by-class and
-// shard-by-shard. Class lists come back sorted by first appearance in the
+// DiffManifests compares the old and new manifests class by class. Class lists come back sorted by first appearance in the
 // new manifest (Removed: in the old), so the diff is deterministic.
 func DiffManifests(old, new *Manifest) *ManifestDiff {
 	d := &ManifestDiff{}
@@ -184,22 +133,11 @@ func DiffManifests(old, new *Manifest) *ManifestDiff {
 			d.Removed = append(d.Removed, e.Name)
 		}
 	}
-	oldShards := make(map[uint64]bool)
-	for _, fp := range old.ShardFingerprints() {
-		oldShards[fp] = true
-	}
-	for _, fp := range new.ShardFingerprints() {
-		if oldShards[fp] {
-			d.ShardsUnchanged++
-		} else {
-			d.ShardsChanged++
-		}
-	}
 	return d
 }
 
 // TotalClasses returns the distinct class count of both manifests' union
-// — the size the shard-diff charge scales with.
+// — the size the manifest-diff charge scales with.
 func (d *ManifestDiff) TotalClasses() int {
 	return d.Unchanged + len(d.Changed) + len(d.Added) + len(d.Removed)
 }
@@ -226,19 +164,14 @@ func (m *Manifest) TotalLines() int {
 }
 
 // BuildPartialIndex tokenizes only the spans of the named classes into a
-// fresh one-shard index. Postings keep global dump line numbers, so
+// fresh index. Postings keep global dump line numbers, so
 // lookups against the partial index return lines of the full dump —
 // exactly what the delta engine's replay probe needs: it re-runs a prior
 // sink's recorded search commands against just the dirty spans to prove
 // none of them gained a hit. The caller charges the meter for the
 // tokenized lines.
 func BuildPartialIndex(t *Text, classes map[string]bool) *Index {
-	return build(t, 1, 1, func(span int) int {
-		if classes[t.spans[span].Name] {
-			return 0
-		}
-		return -1
-	})
+	return build(t, func(span int) bool { return classes[t.spans[span].Name] })
 }
 
 // SpanOf returns the span of the named class (the first occurrence, for

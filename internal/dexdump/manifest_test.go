@@ -2,6 +2,9 @@ package dexdump
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"backdroid/internal/dex"
@@ -56,23 +59,20 @@ func TestSpanFingerprintPositionIndependent(t *testing.T) {
 }
 
 // TestManifestRoundtrip pins the codec: the manifest encoded into a v3
-// bundle decodes identically, with the plan's shard assignment intact.
+// bundle decodes identically.
 func TestManifestRoundtrip(t *testing.T) {
-	_, text := shardFixture(t)
-	plan := PackagePrefixPlan(text, 3)
-	idx := BuildShardedIndex(text, plan, 1)
-	data, err := EncodeBundle(text, idx, testFingerprint, plan)
+	_, text := classesFixture(t)
+	data, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := BuildManifest(text, plan)
+	want := BuildManifest(text)
 	got, ok := DecodeManifest(data)
 	if !ok {
 		t.Fatal("v3 bundle manifest did not decode")
 	}
-	if got.Shards != want.Shards || len(got.Entries) != len(want.Entries) {
-		t.Fatalf("manifest shape = %d shards / %d entries, want %d / %d",
-			got.Shards, len(got.Entries), want.Shards, len(want.Entries))
+	if len(got.Entries) != len(want.Entries) {
+		t.Fatalf("manifest has %d entries, want %d", len(got.Entries), len(want.Entries))
 	}
 	for i := range want.Entries {
 		if got.Entries[i] != want.Entries[i] {
@@ -81,10 +81,9 @@ func TestManifestRoundtrip(t *testing.T) {
 	}
 }
 
-// TestShardFingerprintsDedupAcrossVersions pins the cross-version
-// property of the shard store key: two versions differing in one class
-// share every shard fingerprint except the changed class's shard.
-func TestShardFingerprintsDedupAcrossVersions(t *testing.T) {
+// TestDiffManifestsOneChangedClass pins the class-level diff of two
+// versions that differ in one class body.
+func TestDiffManifestsOneChangedClass(t *testing.T) {
 	_, v1 := buildFixtureFile(t, "com.a.One", "com.a.Two", "com.b.Three", "com.b.Four")
 	f2 := dex.NewFile()
 	objInit := dex.NewMethodRef("java.lang.Object", "<init>", dex.Void)
@@ -104,62 +103,9 @@ func TestShardFingerprintsDedupAcrossVersions(t *testing.T) {
 	}
 	v2 := Disassemble(f2)
 
-	planOf := func(t2 *Text) *ShardPlan { return PackagePrefixPlan(t2, 2) }
-	m1 := BuildManifest(v1, planOf(v1))
-	m2 := BuildManifest(v2, planOf(v2))
-	fp1, fp2 := m1.ShardFingerprints(), m2.ShardFingerprints()
-	if len(fp1) != 2 || len(fp2) != 2 {
-		t.Fatalf("shard counts = %d / %d, want 2 / 2", len(fp1), len(fp2))
-	}
-	shared, distinct := 0, 0
-	seen := map[uint64]bool{}
-	for _, fp := range fp1 {
-		seen[fp] = true
-	}
-	for _, fp := range fp2 {
-		if seen[fp] {
-			shared++
-		} else {
-			distinct++
-		}
-	}
-	if shared != 1 || distinct != 1 {
-		t.Errorf("shared/distinct shards = %d/%d, want 1/1 (only com.b's shard changed)", shared, distinct)
-	}
-
-	d := DiffManifests(m1, m2)
+	d := DiffManifests(BuildManifest(v1), BuildManifest(v2))
 	if len(d.Changed) != 1 || d.Changed[0] != "com.b.Four" || d.Unchanged != 3 {
 		t.Errorf("diff = %+v, want exactly com.b.Four changed", d)
-	}
-	if d.ShardsUnchanged != 1 || d.ShardsChanged != 1 {
-		t.Errorf("shard diff = %d unchanged / %d changed, want 1/1", d.ShardsUnchanged, d.ShardsChanged)
-	}
-}
-
-// TestShardPayloadsMatchEncodedShards pins that the payload split is the
-// exact byte ranges the decoder consumes: stitching the payloads back
-// together reproduces the bundle's index payload.
-func TestShardPayloadsMatchEncodedShards(t *testing.T) {
-	_, text := shardFixture(t)
-	plan := PackagePrefixPlan(text, 3)
-	idx := BuildShardedIndex(text, plan, 1)
-	data, err := EncodeBundle(text, idx, testFingerprint, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps, payloads, ok := ShardPayloads(data)
-	if !ok {
-		t.Fatal("shard payload split failed on a pristine bundle")
-	}
-	if len(fps) != plan.Shards() || len(payloads) != plan.Shards() {
-		t.Fatalf("split = %d fps / %d payloads, want %d", len(fps), len(payloads), plan.Shards())
-	}
-	want, err := indexSection(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.Join(payloads, nil); !bytes.Equal(got, want) {
-		t.Error("stitched shard payloads differ from the index section")
 	}
 }
 
@@ -188,5 +134,153 @@ func TestBuildPartialIndexGlobalLines(t *testing.T) {
 	// Spans outside the subset contribute nothing.
 	if lines := partial.ConstString("payload-com.a.One"); len(lines) != 0 {
 		t.Errorf("partial index indexed an excluded class: %v", lines)
+	}
+}
+
+// TestShardedIndexMatchesSingleIndex pins that an index built class by
+// class (a partial index whose subset is every class) is the single index
+// BuildIndex returns: same line count, same posting count, same postings.
+func TestShardedIndexMatchesSingleIndex(t *testing.T) {
+	_, text := classesFixture(t)
+	all := make(map[string]bool)
+	for _, sp := range text.ClassSpans() {
+		all[sp.Name] = true
+	}
+	single, covered := BuildIndex(text), BuildPartialIndex(text, all)
+	if covered.Lines() != single.Lines() {
+		t.Errorf("lines = %d, want %d", covered.Lines(), single.Lines())
+	}
+	if covered.Postings() != single.Postings() {
+		t.Errorf("postings = %d, single index has %d", covered.Postings(), single.Postings())
+	}
+	want, got := lookups(single), lookups(covered)
+	for name := range want {
+		if !equalPostings(got[name], want[name]) {
+			t.Errorf("partial index over all classes: %s postings = %v, single = %v", name, got[name], want[name])
+		}
+	}
+}
+
+// manifestAt returns the offset of a bundle's manifest section header,
+// or false when the bundle's framing does not reach one.
+func manifestAt(data []byte) (int, bool) {
+	if len(data) < codecHeaderSize {
+		return 0, false
+	}
+	dumpAt := codecHeaderSize + int(binary.LittleEndian.Uint32(data[24:28]))
+	if dumpAt < 0 || dumpAt > len(data)-dumpSectionHeaderSize {
+		return 0, false
+	}
+	at := dumpAt + dumpSectionHeaderSize + int(binary.LittleEndian.Uint32(data[dumpAt+12:dumpAt+16]))
+	if at < 0 || at > len(data)-manifestSectionHeaderSize {
+		return 0, false
+	}
+	return at, true
+}
+
+// withManifestPayload returns a copy of bundle whose manifest section
+// carries payload under a matching CRC and length, so the payload decoder
+// sees it.
+func withManifestPayload(bundle, payload []byte) []byte {
+	at, _ := manifestAt(bundle)
+	out := append([]byte(nil), bundle[:at]...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+	return append(out, payload...)
+}
+
+// TestDecodeManifestRejectsHostilePayloads feeds payloads with a valid
+// section CRC to DecodeManifest. Each must decode as a silent miss, and
+// none may allocate far beyond its own size: a count read from the
+// payload never sizes the entry slice past what the bytes can hold.
+func TestDecodeManifestRejectsHostilePayloads(t *testing.T) {
+	_, text := classesFixture(t)
+	good, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uv := func(vals ...uint64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	// entry builds a one-entry payload for class "A" spanning the whole
+	// dump under the given layout count and column value.
+	lines := uint64(text.LineCount())
+	entry := func(layout, column uint64) []byte {
+		b := append(uv(layout, 1, 1), 'A')
+		b = append(b, make([]byte, 8)...)
+		return append(b, uv(lines, column)...)
+	}
+	if _, ok := DecodeManifest(withManifestPayload(good, entry(1, 0))); !ok {
+		t.Fatal("well-formed one-entry manifest did not decode")
+	}
+	nonMinimal := entry(1, 0)
+	nonMinimal = append([]byte{nonMinimal[0], 0x81, 0x00}, nonMinimal[2:]...)
+	cases := map[string][]byte{
+		// 4 MiB claiming 4M entries: under the old count <= len(buf)
+		// bound this sized a 160 MB entry slice before failing.
+		"entry count beyond payload": append(uv(1, 4_000_000), make([]byte, 4<<20)...),
+		// The layout count is always 1 and the per-entry column always 0;
+		// a manifest of the retired multi-part layout is a miss.
+		"two shards":       entry(2, 0),
+		"entry in shard 1": entry(2, 1),
+		"column 1":         entry(1, 1),
+		// Only minimal varints decode, so a decoded manifest re-encodes
+		// to the bytes it came from.
+		"non-minimal count": nonMinimal,
+	}
+	for name, payload := range cases {
+		data := withManifestPayload(good, payload)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, ok := DecodeManifest(data)
+		runtime.ReadMemStats(&after)
+		if ok {
+			t.Errorf("%s: manifest decoded, want a miss", name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 16<<20 {
+			t.Errorf("%s: manifest decode allocated %d MB before failing", name, d>>20)
+		}
+	}
+}
+
+// FuzzDecodeManifest feeds arbitrary bundles to the manifest decoder,
+// seeded with the fixture's bundle. Decoding must never panic; a manifest
+// that decodes must cover exactly the header's dump line count and
+// re-encode to the payload it came from. Each input is also tried with
+// its manifest CRC resealed, so mutations reach the payload decoder
+// instead of stopping at the checksum.
+func FuzzDecodeManifest(f *testing.F) {
+	_, text := classesFixture(f)
+	data, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodedManifest(t, data)
+		if at, ok := manifestAt(data); ok {
+			checkDecodedManifest(t, withManifestPayload(data, data[at+manifestSectionHeaderSize:]))
+		}
+	})
+}
+
+// checkDecodedManifest decodes data's manifest and, on success, checks it
+// against the header's line count and the section's payload bytes.
+func checkDecodedManifest(t *testing.T, data []byte) {
+	t.Helper()
+	m, ok := DecodeManifest(data)
+	if !ok {
+		return
+	}
+	if want := int(binary.LittleEndian.Uint32(data[16:20])); m.TotalLines() != want {
+		t.Fatalf("manifest covers %d lines, header says %d", m.TotalLines(), want)
+	}
+	at, _ := manifestAt(data)
+	if got, want := appendManifest(nil, m), data[at+manifestSectionHeaderSize:]; !bytes.Equal(got, want) {
+		t.Fatalf("manifest re-encodes to %x, payload was %x", got, want)
 	}
 }

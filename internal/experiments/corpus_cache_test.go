@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"backdroid/internal/appgen"
-	"backdroid/internal/bcsearch"
 	"backdroid/internal/core"
 )
 
@@ -17,7 +16,6 @@ func TestRunCorpusIndexCacheReuse(t *testing.T) {
 	dir := t.TempDir()
 	opts := appgen.CorpusOptions{Apps: 6, Seed: 20260727, SizeScale: 0.08}
 	bd := core.DefaultOptions()
-	bd.SearchBackend = bcsearch.BackendSharded
 	cfg := RunConfig{
 		RunBackDroid:     true,
 		BackDroidOptions: &bd,

@@ -141,16 +141,14 @@ type SinkJSON struct {
 // ReportStatsJSON carries the cost counters the stdin protocol's done
 // line prints, under the same names.
 type ReportStatsJSON struct {
-	Units                int64  `json:"units"`
-	Store                string `json:"store"`
-	Disassembled         int64  `json:"disassembled"`
-	Builds               int    `json:"builds"`
-	Memo                 int64  `json:"memo"`
-	SettledLookups       int    `json:"settled_lookups,omitempty"`
-	DeltaShardsUnchanged int    `json:"delta_shards_unchanged,omitempty"`
-	DeltaShardsChanged   int    `json:"delta_shards_changed,omitempty"`
-	SinksReused          int    `json:"sinks_reused,omitempty"`
-	SinksRerun           int    `json:"sinks_rerun,omitempty"`
+	Units          int64  `json:"units"`
+	Store          string `json:"store"`
+	Disassembled   int64  `json:"disassembled"`
+	Builds         int    `json:"builds"`
+	Memo           int64  `json:"memo"`
+	SettledLookups int    `json:"settled_lookups,omitempty"`
+	SinksReused    int    `json:"sinks_reused,omitempty"`
+	SinksRerun     int    `json:"sinks_rerun,omitempty"`
 }
 
 // ReportJSON is the JSON view of a terminal report: the detection
@@ -190,16 +188,14 @@ func reportJSON(r *core.Report, withStats bool) *ReportJSON {
 	if withStats {
 		st := r.Stats
 		out.Stats = &ReportStatsJSON{
-			Units:                st.WorkUnits,
-			Store:                storeState(st),
-			Disassembled:         st.DumpLinesDisassembled,
-			Builds:               st.Search.IndexBuilds,
-			Memo:                 st.ForwardMemoHits,
-			SettledLookups:       st.SettledLookups,
-			DeltaShardsUnchanged: st.ShardsUnchanged,
-			DeltaShardsChanged:   st.ShardsChanged,
-			SinksReused:          st.SinksReused,
-			SinksRerun:           st.SinksRerun,
+			Units:          st.WorkUnits,
+			Store:          storeState(st),
+			Disassembled:   st.DumpLinesDisassembled,
+			Builds:         st.Search.IndexBuilds,
+			Memo:           st.ForwardMemoHits,
+			SettledLookups: st.SettledLookups,
+			SinksReused:    st.SinksReused,
+			SinksRerun:     st.SinksRerun,
 		}
 	}
 	return out

@@ -125,10 +125,8 @@ func EventLine(ev service.Event, withStats bool) string {
 			line += fmt.Sprintf(" units=%d store=%s disassembled=%d builds=%d memo=%d",
 				st.WorkUnits, storeState(st), st.DumpLinesDisassembled,
 				st.Search.IndexBuilds, st.ForwardMemoHits)
-			if st.ShardsUnchanged+st.ShardsChanged > 0 {
-				line += fmt.Sprintf(" delta_shards=%d/%d reused=%d rerun=%d",
-					st.ShardsUnchanged, st.ShardsUnchanged+st.ShardsChanged,
-					st.SinksReused, st.SinksRerun)
+			if st.DeltaRun() {
+				line += fmt.Sprintf(" reused=%d rerun=%d", st.SinksReused, st.SinksRerun)
 			}
 		}
 		return line + "\n"

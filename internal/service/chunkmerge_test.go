@@ -7,7 +7,6 @@ import (
 
 	"backdroid/internal/android"
 	"backdroid/internal/appgen"
-	"backdroid/internal/bcsearch"
 	"backdroid/internal/core"
 )
 
@@ -47,8 +46,8 @@ func randomChunking(rng *rand.Rand, total int) []core.ChunkRange {
 // every chunking of the canonical sink list — random partitions, chunks
 // shuffled to arrive out of order, plus overlapping ranges — MergeReports
 // over the per-chunk partial reports is bitwise-identical (in canonical
-// settled encoding) to the single-pass run, across both search backends
-// and with the per-app SSG on and off. All chunks run against the same
+// settled encoding) to the single-pass run on the indexed backend, with
+// the per-app SSG on and off. All chunks run against the same
 // shared bundle store, so only the first run pays the disassembly.
 func TestMergeReportsChunkingParity(t *testing.T) {
 	app, _, err := appgen.Generate(chunkParitySpec())
@@ -57,19 +56,15 @@ func TestMergeReportsChunkingParity(t *testing.T) {
 	}
 	configs := []struct {
 		name      string
-		backend   bcsearch.BackendKind
 		perAppSSG bool
 	}{
-		{"indexed", bcsearch.BackendIndexed, false},
-		{"sharded", bcsearch.BackendSharded, false},
-		{"indexed-perapp", bcsearch.BackendIndexed, true},
-		{"sharded-perapp", bcsearch.BackendSharded, true},
+		{"indexed", false},
+		{"indexed-perapp", true},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			store := NewBundleStore(0)
 			base := core.DefaultOptions()
-			base.SearchBackend = cfg.backend
 			base.PerAppSSG = cfg.perAppSSG
 			base.Bundles = store
 

@@ -6,9 +6,7 @@ import (
 	"backdroid/internal/android"
 	"backdroid/internal/apk"
 	"backdroid/internal/appgen"
-	"backdroid/internal/bcsearch"
 	"backdroid/internal/core"
-	"backdroid/internal/dexdump"
 )
 
 func deltaJobSpec() appgen.Spec {
@@ -39,7 +37,6 @@ func TestSchedulerDeltaOnResubmission(t *testing.T) {
 	}
 
 	opts := core.DefaultOptions()
-	opts.SearchBackend = bcsearch.BackendSharded
 	s := New(Config{Workers: 1, Store: NewBundleStore(0), Options: &opts})
 	defer s.Close()
 
@@ -95,84 +92,4 @@ func TestSchedulerDeltaOnResubmission(t *testing.T) {
 	if ds.WorkUnits >= cold.BackDroid.Stats.WorkUnits {
 		t.Errorf("delta charged %d units, cold %d — must be cheaper", ds.WorkUnits, cold.BackDroid.Stats.WorkUnits)
 	}
-}
-
-// TestShardStoreDedupsAcrossVersions pins the cross-version postings
-// dedup: storing the base and updated bundles of one app shares every
-// shard except the one holding the changed class.
-func TestShardStoreDedupsAcrossVersions(t *testing.T) {
-	spec := deltaJobSpec()
-	base, _, err := appgen.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	upd, _, err := appgen.GenerateUpdate(appgen.AppUpdateSpec{
-		Base: spec, Mutation: appgen.MutateChangeLiteral, TargetSink: 0, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store := NewBundleStore(0)
-	ss := NewShardStore()
-	store.AttachShardStore(ss)
-
-	opts := core.DefaultOptions()
-	opts.SearchBackend = bcsearch.BackendSharded
-	opts.Bundles = store
-	analyze := func(app *apk.App) {
-		t.Helper()
-		e, err := core.New(app, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Analyze(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	analyze(base)
-	st := ss.Stats()
-	// Duplicate shards within one bundle (empty package shards of a
-	// small app) legitimately dedup, so only Puts==Entries is exact.
-	if st.Entries == 0 || st.Puts != int64(st.Entries) {
-		t.Fatalf("after base bundle: %+v, want puts == entries", st)
-	}
-	baseEntries, baseHits := st.Entries, st.Hits
-
-	analyze(upd)
-	st = ss.Stats()
-	if st.Hits <= baseHits || st.BytesDeduped == 0 {
-		t.Fatalf("update bundle deduped nothing: %+v (base hits %d)", st, baseHits)
-	}
-	// Exactly the changed class's shard is new; the rest dedup.
-	if newShards := st.Entries - baseEntries; newShards != 1 {
-		t.Errorf("update added %d shard payloads, want 1 (only the changed shard)", newShards)
-	}
-	if bs := store.ShardStoreStats(); bs != st {
-		t.Errorf("BundleStore.ShardStoreStats = %+v, want %+v", bs, st)
-	}
-
-	// Get probes: present payloads hit, unknown fingerprints count misses.
-	fps, _, ok := dexdump.ShardPayloads(mustBundle(t, store, base))
-	if !ok {
-		t.Fatal("stored base bundle unsplittable")
-	}
-	if _, ok := ss.Get(fps[0]); !ok {
-		t.Error("stored shard payload not served")
-	}
-	if _, ok := ss.Get(0xdeadbeef); ok {
-		t.Error("unknown shard fingerprint served")
-	}
-	if st := ss.Stats(); st.Misses != 1 {
-		t.Errorf("misses = %d, want 1", st.Misses)
-	}
-}
-
-func mustBundle(t *testing.T, store *BundleStore, app *apk.App) []byte {
-	t.Helper()
-	data, ok := store.GetBundle(dexdump.AppFingerprint(app.Dexes))
-	if !ok {
-		t.Fatal("bundle missing from store")
-	}
-	return data
 }

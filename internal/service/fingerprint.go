@@ -13,7 +13,7 @@
 //   - ClassHashed: the field selects what is analyzed or how deep
 //     (Sinks, MaxDepth, TimeoutMinutes, ...) or switches an engine
 //     mechanism we pin conservatively even where parity tests hold
-//     (SearchBackend, IndexShards, caches, memoization, PerAppSSG).
+//     (SearchBackend, caches, memoization, PerAppSSG).
 //     Two options differing here hash differently — no cross-config
 //     reuse, only a missed optimization when the configs were in fact
 //     equivalent.
@@ -65,7 +65,6 @@ var OptionsFingerprintFields = map[string]FingerprintClass{
 	"Sinks":                 ClassHashed,
 	"EnableSearchCache":     ClassHashed,
 	"SearchBackend":         ClassHashed,
-	"IndexShards":           ClassHashed,
 	"MemoizeForwardPass":    ClassHashed,
 	"EnableSinkCache":       ClassHashed,
 	"EnableLoopDetection":   ClassHashed,
@@ -126,7 +125,9 @@ func OptionsFingerprint(o *core.Options) uint64 {
 	}
 	b(o.EnableSearchCache)
 	u64(uint64(o.SearchBackend))
-	u64(uint64(int64(o.IndexShards)))
+	// The retired index shard count: always 0, hashed so that every
+	// settled-report key written before it was removed stays valid.
+	u64(0)
 	b(o.MemoizeForwardPass)
 	b(o.EnableSinkCache)
 	b(o.EnableLoopDetection)

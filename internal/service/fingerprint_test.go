@@ -21,7 +21,6 @@ var fingerprintMutators = map[string]func(o *core.Options){
 	},
 	"EnableSearchCache":     func(o *core.Options) { o.EnableSearchCache = !o.EnableSearchCache },
 	"SearchBackend":         func(o *core.Options) { o.SearchBackend = bcsearch.BackendLinear },
-	"IndexShards":           func(o *core.Options) { o.IndexShards += 3 },
 	"MemoizeForwardPass":    func(o *core.Options) { o.MemoizeForwardPass = !o.MemoizeForwardPass },
 	"EnableSinkCache":       func(o *core.Options) { o.EnableSinkCache = !o.EnableSinkCache },
 	"EnableLoopDetection":   func(o *core.Options) { o.EnableLoopDetection = !o.EnableLoopDetection },
@@ -119,6 +118,21 @@ func TestOptionsFingerprintStable(t *testing.T) {
 	}
 	if OptionsFingerprint(&a) != OptionsFingerprint(&a) {
 		t.Fatal("fingerprint not stable across calls")
+	}
+}
+
+// TestOptionsFingerprintPinned pins the default options' fingerprint to
+// its value from before the index shard count was removed from
+// core.Options (its slot hashes a constant 0), so settled-report keys
+// written by earlier builds, journaled ones included, stay valid.
+func TestOptionsFingerprintPinned(t *testing.T) {
+	o := core.DefaultOptions()
+	if got, want := OptionsFingerprint(&o), uint64(0x8ca476dfed7f72f6); got != want {
+		t.Errorf("OptionsFingerprint(DefaultOptions()) = %#016x, want %#016x", got, want)
+	}
+	o.SearchBackend = bcsearch.BackendLinear
+	if got, want := OptionsFingerprint(&o), uint64(0x413cbfbdccfa09c3); got != want {
+		t.Errorf("linear-backend fingerprint = %#016x, want %#016x", got, want)
 	}
 }
 

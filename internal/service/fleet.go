@@ -122,19 +122,13 @@ type fleet struct {
 }
 
 // newFleet builds the node set. storeBudget >= 0 gives every node a
-// bundle partition with that byte budget (sharing one shard-dedup
-// layer, like the single shared store does); < 0 disables partitions.
+// bundle partition with that byte budget; < 0 disables partitions.
 func newFleet(nodes int, storeBudget int64, plan *faultinject.Plan) *fleet {
 	f := &fleet{plan: plan, leases: make(map[leaseKey]*lease)}
-	var shards *ShardStore
-	if storeBudget >= 0 {
-		shards = NewShardStore()
-	}
 	for i := 1; i <= nodes; i++ {
 		n := &fleetNode{id: i}
 		if storeBudget >= 0 {
 			n.store = NewBundleStore(storeBudget)
-			n.store.AttachShardStore(shards)
 		}
 		f.nodes = append(f.nodes, n)
 	}

@@ -1,6 +1,6 @@
 // Metrics registration: the scheduler's one collector, turning every
 // subsystem's Stats struct — control plane, tenants, fleet and its
-// nodes, bundle/shard/report stores, the journal — into registry
+// nodes, bundle/report stores, the journal — into registry
 // series. The registry is pull-model, so this file is the only place
 // the metric names exist: /metrics, the stats JSON and the stdin stats
 // lines all render from the same Snapshot and from nothing else, and
@@ -66,13 +66,6 @@ func (s *Scheduler) registerMetrics() {
 		}
 		if s.cfg.Store != nil {
 			storeMetrics(g, "backdroid_store", s.cfg.Store.Stats())
-			sh := s.cfg.Store.ShardStoreStats()
-			g.Gauge("backdroid_shardstore_entries", int64(sh.Entries))
-			g.Gauge("backdroid_shardstore_bytes", sh.Bytes)
-			g.Counter("backdroid_shardstore_puts_total", sh.Puts)
-			g.Counter("backdroid_shardstore_hits_total", sh.Hits)
-			g.Counter("backdroid_shardstore_misses_total", sh.Misses)
-			g.Counter("backdroid_shardstore_bytes_deduped", sh.BytesDeduped)
 		}
 		if rs := s.cfg.Reports; rs != nil {
 			r := rs.Stats()

@@ -45,10 +45,6 @@ type BundleStore struct {
 	// inflight serializes bundle construction per fingerprint (see
 	// LockFingerprint).
 	inflight map[uint64]*fpLock
-
-	// shards, when attached, learns the per-shard postings payloads of
-	// every admitted bundle (see ShardStore).
-	shards *ShardStore
 }
 
 type storeEntry struct {
@@ -110,10 +106,6 @@ func (s *BundleStore) PutBundle(fingerprint uint64, data []byte) {
 	s.entries[fingerprint] = s.lru.PushFront(&storeEntry{fingerprint: fingerprint, data: data})
 	s.bytes += int64(len(data))
 	s.stats.Puts++
-	if s.shards != nil {
-		// The shard store has its own lock and never calls back here.
-		s.shards.Observe(data)
-	}
 	for s.budget > 0 && s.bytes > s.budget {
 		back := s.lru.Back()
 		if back == nil {

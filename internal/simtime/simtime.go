@@ -38,17 +38,6 @@ const (
 	// one is much cheaper than scanning a line of text for a match.
 	PostingsPerUnit = 400
 
-	// ShardOverheadUnits is the fixed coordination cost charged per shard
-	// when a sharded index is built: dispatching the shard to a worker and
-	// publishing its postings.
-	ShardOverheadUnits = 2
-
-	// ShardMergePostingsPerUnit is how many postings one work unit merges
-	// when a lookup combines per-shard lists. Merging streams two ascending
-	// lists — cheaper than the candidate-verify visit each posting also
-	// pays, pricier than free.
-	ShardMergePostingsPerUnit = 800
-
 	// IndexCacheLoadLinesPerUnit is how many dump lines' worth of index one
 	// work unit deserializes from the persistent cache. Loading postings
 	// back is a flat decode — ~10x cheaper than tokenizing the same lines,
@@ -82,13 +71,13 @@ const (
 	// load in the scheduler's closure — never shows up in profiles.
 	CancelCheckpointUnits = 32
 
-	// ShardDiffClassesPerUnit is how many class-span fingerprints one work
-	// unit compares when diffing the shard manifests of two app versions.
+	// ManifestDiffClassesPerUnit is how many class-span fingerprints one work
+	// unit compares when diffing the manifests of two app versions.
 	// A manifest entry is a precomputed 64-bit hash plus a name, so the
 	// diff is a map probe per class — far cheaper than touching any dump
 	// line. Charged once per delta run over the union of both versions'
 	// class counts.
-	ShardDiffClassesPerUnit = 128
+	ManifestDiffClassesPerUnit = 128
 
 	// DeltaReuseLinesPerUnit is how many dump text lines' worth of settled
 	// analysis one work unit carries over from the previous version's
@@ -328,32 +317,6 @@ func (m *Meter) ChargeIndexBuild(n int) error {
 	return m.Charge(int64(n/IndexBuildLinesPerUnit) + 1)
 }
 
-// ChargeShardedIndexBuild charges for building a sharded index whose
-// largest shard tokenizes maxShardLines dump lines. Shards build in
-// parallel, so the tokenization charge is the critical path (the largest
-// shard) rather than the whole dump; each shard additionally pays a fixed
-// coordination overhead. The charge depends only on the shard plan — never
-// on worker count or machine — so simulated time stays deterministic.
-func (m *Meter) ChargeShardedIndexBuild(maxShardLines, shards int) error {
-	if shards < 1 {
-		shards = 1
-	}
-	units := int64(ShardOverheadUnits * shards)
-	if maxShardLines > 0 {
-		units += int64(maxShardLines / IndexBuildLinesPerUnit)
-	}
-	return m.Charge(units + 1)
-}
-
-// ChargeShardMerge charges for merging n postings across shard lists
-// during a lazy sharded lookup.
-func (m *Meter) ChargeShardMerge(n int) error {
-	if n <= 0 {
-		return m.Charge(1)
-	}
-	return m.Charge(int64(n/ShardMergePostingsPerUnit) + 1)
-}
-
 // ChargeIndexCacheLoad charges for deserializing a persistent index cache
 // covering n dump lines — the warm-start path that replaces tokenization.
 func (m *Meter) ChargeIndexCacheLoad(n int) error {
@@ -383,14 +346,14 @@ func (m *Meter) ChargeBundleStoreLoad(n int) error {
 	return m.Charge(int64(n/BundleStoreLoadLinesPerUnit) + 1)
 }
 
-// ChargeShardDiff charges for diffing two shard manifests covering n class
+// ChargeManifestDiff charges for diffing two manifests covering n class
 // spans in total (union of both versions). The diff compares precomputed
 // per-class fingerprints, so the cost scales with class count, not lines.
-func (m *Meter) ChargeShardDiff(n int) error {
+func (m *Meter) ChargeManifestDiff(n int) error {
 	if n <= 0 {
 		return m.Charge(1)
 	}
-	return m.Charge(int64(n/ShardDiffClassesPerUnit) + 1)
+	return m.Charge(int64(n/ManifestDiffClassesPerUnit) + 1)
 }
 
 // ChargeDeltaReuse charges for carrying over settled analysis covering n

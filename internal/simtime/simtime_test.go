@@ -137,50 +137,6 @@ func TestMinutes(t *testing.T) {
 	}
 }
 
-func TestChargeShardedIndexBuild(t *testing.T) {
-	// Charged on the critical path: the largest shard, not the whole dump.
-	whole := NewMeter()
-	if err := whole.ChargeIndexBuild(8000); err != nil {
-		t.Fatal(err)
-	}
-	sharded := NewMeter()
-	if err := sharded.ChargeShardedIndexBuild(2000, 4); err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Units() >= whole.Units() {
-		t.Errorf("4-way sharded build charged %d units, whole build %d — parallel build must be cheaper",
-			sharded.Units(), whole.Units())
-	}
-	// Per-shard overhead is charged even for empty shards.
-	m := NewMeter()
-	if err := m.ChargeShardedIndexBuild(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(ShardOverheadUnits*3 + 1); m.Units() != want {
-		t.Errorf("empty sharded build charged %d units, want %d", m.Units(), want)
-	}
-	// Budgets abort the build like any other charge.
-	m2 := NewMeter()
-	m2.SetBudget(2)
-	if err := m2.ChargeShardedIndexBuild(IndexBuildLinesPerUnit*100, 8); !errors.Is(err, ErrTimeout) {
-		t.Errorf("sharded build should respect the budget, got %v", err)
-	}
-}
-
-func TestChargeShardMerge(t *testing.T) {
-	m := NewMeter()
-	if err := m.ChargeShardMerge(0); err != nil {
-		t.Fatal(err)
-	}
-	if m.Units() != 1 {
-		t.Errorf("zero merge should still cost 1, got %d", m.Units())
-	}
-	if ShardMergePostingsPerUnit <= PostingsPerUnit {
-		t.Errorf("merging (%d/unit) should be cheaper than postings visits (%d/unit)",
-			ShardMergePostingsPerUnit, PostingsPerUnit)
-	}
-}
-
 func TestChargeIndexCacheLoad(t *testing.T) {
 	lines := 100000
 	build := NewMeter()
