@@ -281,7 +281,6 @@ func runFleet(paths []string, cfg config, opts core.Options, trace *obs.Trace) e
 		NodeStoreBudget: cfg.storeBudget,
 		Faults:          plan,
 		Options:         &opts,
-		IndexCacheDir:   cfg.indexCache,
 		Trace:           trace,
 	})
 	ids := make([]service.JobID, len(paths))

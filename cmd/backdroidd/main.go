@@ -206,6 +206,7 @@ func serve(in io.Reader, out io.Writer, cfg config) error {
 	}
 	opts := core.DefaultOptions()
 	opts.SearchBackend = backend
+	opts.IndexCacheDir = cfg.indexCache
 
 	var faults *faultinject.Plan
 	if cfg.faults != "" {
@@ -244,14 +245,13 @@ func serve(in io.Reader, out io.Writer, cfg config) error {
 	}
 	d := api.NewDispatcher(api.DispatcherConfig{
 		Scheduler: service.Config{
-			Workers:       cfg.workers,
-			QueueDepth:    cfg.queue,
-			Tenants:       tenants,
-			Options:       &opts,
-			IndexCacheDir: cfg.indexCache,
-			Store:         store,
-			Journal:       jnl,
-			Reports:       reports,
+			Workers:    cfg.workers,
+			QueueDepth: cfg.queue,
+			Tenants:    tenants,
+			Options:    &opts,
+			Store:      store,
+			Journal:    jnl,
+			Reports:    reports,
 			// Fleet mode: -store-budget becomes each node's partition
 			// budget (the shared store above is not built).
 			Nodes:           cfg.nodes,

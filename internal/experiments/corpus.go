@@ -89,6 +89,15 @@ func RunCorpus(opts appgen.CorpusOptions, cfg RunConfig) (*CorpusRun, error) {
 		mu   sync.Mutex // guards done and cfg.Progress writes
 		done int
 	)
+	jobOpts := cfg.BackDroidOptions
+	if cfg.IndexCacheDir != "" {
+		o := core.DefaultOptions()
+		if jobOpts != nil {
+			o = *jobOpts
+		}
+		o.IndexCacheDir = cfg.IndexCacheDir
+		jobOpts = &o
+	}
 	ids := make([]service.JobID, len(specs))
 	for i := range specs {
 		i, spec := i, specs[i]
@@ -106,11 +115,10 @@ func RunCorpus(opts appgen.CorpusOptions, cfg RunConfig) (*CorpusRun, error) {
 				apps[i].Truth = truth
 				return app, nil
 			},
-			Options:       cfg.BackDroidOptions,
-			IndexCacheDir: cfg.IndexCacheDir,
-			RunBackDroid:  cfg.RunBackDroid,
-			RunWholeApp:   cfg.RunWholeApp,
-			RunCallGraph:  cfg.RunCallGraph,
+			Options:      jobOpts,
+			RunBackDroid: cfg.RunBackDroid,
+			RunWholeApp:  cfg.RunWholeApp,
+			RunCallGraph: cfg.RunCallGraph,
 		}
 		if cfg.Progress != nil {
 			job.Done = func(res *service.JobResult, err error) {

@@ -1,12 +1,16 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"backdroid/internal/core"
 	"backdroid/internal/faultinject"
+	"backdroid/internal/obs"
+	"backdroid/internal/service/journal"
 	"backdroid/internal/simtime"
 )
 
@@ -85,7 +89,6 @@ type leaseKey struct {
 type lease struct {
 	job     JobID
 	sub     int
-	name    string
 	node    int
 	attempt int
 	expires int64 // fleet clock deadline; renewed on every heartbeat
@@ -209,11 +212,11 @@ func (f *fleet) pullKill(node int) bool {
 
 // grant registers the lease of a freshly dispatched attempt of one
 // range (sub 0 = the whole job / victim range, sub > 0 = a chunk).
-func (f *fleet) grant(id JobID, sub int, name string, node, attempt int) {
+func (f *fleet) grant(id JobID, sub int, node, attempt int) {
 	now := f.clock.Load()
 	f.mu.Lock()
 	f.leases[leaseKey{id, sub}] = &lease{
-		job: id, sub: sub, name: name, node: node, attempt: attempt,
+		job: id, sub: sub, node: node, attempt: attempt,
 		expires: now + simtime.LeaseTTLUnits,
 	}
 	f.mu.Unlock()
@@ -381,6 +384,129 @@ func (f *fleet) chargeSteal(sinks int, first bool) {
 	if first {
 		f.stealVictims.Add(1)
 	}
+}
+
+// requeueJob returns a lease-expired range to work. A lost sink chunk
+// (sub > 0), or a lost victim whose job already had chunks stolen, is
+// re-pended on the chunk queue — only the lost range re-runs; the parts
+// other nodes finished stand. An unsplit job returns to the FRONT of
+// its tenant's queue (the handoff must not wait behind the tenant's
+// backlog — the job already waited its turn once). Either way the
+// handoff record is journaled and the re-dispatch overhead charged with
+// exponential backoff. A job with no surviving node, or one past the
+// fleet's attempt bound, fails terminally instead. units is the work
+// the expired lease had metered — where on the lost track the tracer
+// anchors the handoff span. Called by the fleet sweep, never under
+// s.mu.
+func (s *Scheduler) requeueJob(id JobID, sub, from, attempt int, units int64) {
+	s.mu.Lock()
+	st, ok := s.states[id]
+	if !ok || st.settled {
+		s.mu.Unlock()
+		return
+	}
+	live := s.fleet.liveCount()
+	if live == 0 || attempt >= s.fleet.maxAttempts() {
+		s.mu.Unlock()
+		s.finish(st, nil, fmt.Errorf(
+			"service: job %q lost with node %d (attempt %d, %d nodes live): retry budget exhausted",
+			st.job.Name, from, attempt, live))
+		return
+	}
+	var w *work // the lost range to re-pend; nil re-queues the whole job
+	if cs := st.chunk; cs != nil {
+		cs.mu.Lock()
+		if sub == 0 && cs.steals > 0 {
+			// The victim died after chunks were stolen: its remaining
+			// range is [0, fence) — re-pend just that, as a plain chunk.
+			cs.victimLive = false
+			w = &work{st: st, cs: cs, from: 0, to: cs.fence}
+		} else if r, ok := cs.active[sub]; ok {
+			w = &work{st: st, cs: cs, from: r.From, to: r.To}
+		}
+		if w != nil {
+			w.sub = w.from + 1
+			cs.active[w.sub] = core.ChunkRange{From: w.from, To: w.to}
+		}
+		cs.mu.Unlock()
+		if w == nil && sub > 0 {
+			// The chunk's range already completed or re-pended elsewhere:
+			// nothing left to recover from this lease.
+			s.mu.Unlock()
+			return
+		}
+	}
+	if w != nil {
+		s.traceHandoff(st, sub, w.sub, attempt, units)
+		s.chunkQueue = append(s.chunkQueue, w)
+	} else {
+		s.traceHandoff(st, 0, 0, attempt, units)
+		t := s.tenantLocked(st.tenant)
+		t.queue = append([]*jobState{st}, t.queue...)
+		t.requeued++
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
+
+	s.journalAppend(journal.Record{
+		Kind: journal.KindHandoff, Job: int64(id),
+		Node: int64(from), Attempt: int64(attempt),
+	})
+	s.fleet.chargeHandoff(attempt)
+}
+
+// traceHandoff records a handoff on the lost track: the interval covers
+// the detection latency (TTL) plus the charged re-dispatch cost,
+// starting where the lost lease's metering stopped, and the next
+// attempt's track resumes after it. Caller holds s.mu.
+func (s *Scheduler) traceHandoff(st *jobState, lost, next, attempt int, units int64) {
+	tr := s.cfg.Trace
+	if tr == nil {
+		return
+	}
+	start := traceBaseLocked(st, lost) + units
+	dur := simtime.LeaseTTLUnits + s.fleet.handoffUnits(attempt)
+	tr.Add(obs.Span{Job: int64(st.id), Sub: lost, Name: "handoff",
+		Cat: "sched", Start: start, Dur: dur, Node: -1,
+		Args: []obs.Arg{{Key: "attempt", Value: fmt.Sprint(attempt)}}})
+	setTraceBaseLocked(st, next, start+dur)
+}
+
+// failQueued fails every still-queued job — the fleet's last-node-died
+// path, where no worker remains to ever pop them.
+func (s *Scheduler) failQueued() {
+	s.mu.Lock()
+	var victims []*jobState
+	for _, name := range s.order {
+		t := s.tenants[name]
+		victims = append(victims, t.queue...)
+		t.queue = nil
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	for _, st := range victims {
+		s.finish(st, nil, errors.New("service: every fleet node is dead"))
+	}
+}
+
+// KillNode fences a fleet node — the `die node=N` crash drill: the node
+// pulls no more work, its running attempt aborts at its next meter
+// checkpoint and is handed off to a surviving node after the lease TTL.
+// It errors without a fleet, for an out-of-range node, or for a node
+// already dead.
+func (s *Scheduler) KillNode(node int) error {
+	if s.fleet == nil {
+		return errors.New("service: no fleet configured (start with Nodes > 0)")
+	}
+	return s.fleet.kill(node)
+}
+
+// FleetStats snapshots the fleet counters (nil without a fleet).
+func (s *Scheduler) FleetStats() *FleetStats {
+	if s.fleet == nil {
+		return nil
+	}
+	return s.fleet.stats()
 }
 
 // owner returns the node owning fp's bundle under rendezvous

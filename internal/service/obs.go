@@ -23,6 +23,7 @@ func (s *Scheduler) registerMetrics() {
 		st := s.stats()
 		g.Counter("backdroid_dispatched_total", st.Dispatched)
 		g.Counter("backdroid_journal_units", st.JournalUnits)
+		g.Counter("backdroid_job_panics_total", s.panics.Load())
 		for _, t := range st.Tenants {
 			l := obs.L("tenant", t.Name)
 			g.Gauge("backdroid_tenant_weight", int64(t.Weight), l)

@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -56,9 +55,6 @@ type Job struct {
 	// Options configures the BackDroid engine for this job; nil inherits
 	// the scheduler default (which defaults to core.DefaultOptions).
 	Options *core.Options
-	// IndexCacheDir overrides the scheduler's persistent bundle directory
-	// for this job ("" inherits).
-	IndexCacheDir string
 	// Analyzer selection; a job with none selected still runs Source
 	// (useful for validation probes).
 	RunBackDroid bool
@@ -161,9 +157,6 @@ type Config struct {
 	// Options is the default engine configuration for jobs that carry
 	// none; nil uses core.DefaultOptions.
 	Options *core.Options
-	// IndexCacheDir is the default persistent bundle directory ("" =
-	// disabled).
-	IndexCacheDir string
 	// Store is the shared in-memory content-addressed bundle store; nil
 	// disables in-memory reuse. With a store, re-submitting an app whose
 	// fingerprint is cached performs zero disassembly, zero index builds
@@ -260,12 +253,13 @@ type Scheduler struct {
 	// deliberately counts runnable-but-unscheduled workers as idle: on a
 	// single-CPU host a busy victim can starve every other goroutine of
 	// CPU, and capacity — not momentary parking — is what a steal needs.
-	chunkQueue []*chunkWork
+	chunkQueue []*work
 	chunkJobs  int
 	workers    int
 	running    int
 
 	journalUnits atomic.Int64 // control-plane work charged for appends
+	panics       atomic.Int64 // dispatch attempts failed by a recovered panic
 
 	// prev remembers, per tenant+job name, the last successfully analyzed
 	// version: its content fingerprint and settled report. A resubmission
@@ -287,14 +281,6 @@ type Scheduler struct {
 	// are collected into it (registerMetrics).
 	metrics *obs.Registry
 }
-
-// prevRun is one remembered prior analysis of a job name.
-type prevRun struct {
-	fp     uint64
-	report *core.Report
-}
-
-func prevKey(tenant, name string) string { return tenant + "\x00" + name }
 
 type jobState struct {
 	id              JobID
@@ -324,54 +310,6 @@ type jobState struct {
 	// after the lost attempt's instead of on top of them. nil until the
 	// tracer first writes it; absent subs read 0.
 	traceBase map[int]int64
-}
-
-// chunkState tracks one chunk-split job: the victim's progress through
-// the canonical sink list, the fence its range shrinks to as chunks are
-// stolen, the in-flight stolen ranges and the partial reports awaiting
-// the merge. One chunkState belongs to one victim dispatch; its fields
-// are guarded by its own mutex (lock order: Scheduler.mu, then
-// chunkState.mu, then fleet.mu).
-type chunkState struct {
-	mu         sync.Mutex
-	grain      int  // Options.SinkChunk: steal boundaries round up to it
-	total      int  // canonical sink count; -1 until the victim's first poll
-	started    int  // the victim has begun sinks [0, started)
-	fence      int  // the victim analyzes [0, fence); each steal shrinks it
-	victimLive bool // the victim attempt is still running (steals need it)
-	steals     int  // chunks stolen off this job
-	parts      []chunkPart
-	active     map[int]core.ChunkRange // sub -> in-flight stolen/re-pended range
-	fp         uint64
-	key        ReportKey
-	haveKey    bool
-	remember   bool // seed the delta path with the merged report
-	name       string
-	// mergeTraced dedups the chunk-merge trace instant: two ranges
-	// completing coverage concurrently both run the merge (finish's
-	// guard settles one), but the trace must record exactly one merge.
-	mergeTraced bool
-}
-
-// chunkPart is one finished range's partial report.
-type chunkPart struct {
-	from, to int
-	rep      *core.Report
-}
-
-// chunkWork is one dispatchable sink range: a freshly stolen chunk
-// (steal=true) or a range re-pended after its holder's lease expired.
-// sub keys its lease: 0 is the victim itself, from+1 otherwise —
-// nonzero, unique per distinct range of one job.
-type chunkWork struct {
-	st     *jobState
-	cs     *chunkState
-	from   int
-	to     int
-	sub    int
-	first  bool // the job's first steal (victim counter)
-	steal  bool // live steal: journal KindSteal and charge simtime.StealUnits
-	victim int  // the victim's node; it declines its own shed chunks
 }
 
 // New builds and starts a scheduler. With a journal configured, new job
@@ -429,16 +367,11 @@ func New(cfg Config) *Scheduler {
 				if node > 0 && s.fleet.pullKill(node) {
 					return
 				}
-				st, cw := s.nextWork(node)
-				if cw != nil {
-					s.runChunk(cw, node)
-					s.workDone(node)
-					continue
-				}
-				if st == nil {
+				w := s.nextWork(node)
+				if w == nil {
 					return
 				}
-				s.runJob(st, node)
+				s.runWork(w, node)
 				s.workDone(node)
 			}
 		}()
@@ -786,45 +719,41 @@ func (s *Scheduler) emit(ev Event) {
 // chunk (ahead of whole jobs — a lost range must not wait behind the
 // backlog), then a queued job under the WRR policy, then — for an
 // otherwise idle fleet node — a chunk stolen off a grinding heavy job.
-// It returns (nil, nil) when the scheduler is halted, closed with every
-// queue drained and every chunk-split job settled, or the pulling fleet
-// node is dead — the worker exit conditions.
-func (s *Scheduler) nextWork(node int) (*jobState, *chunkWork) {
+// It returns nil when the scheduler is halted, closed with every queue
+// drained and every chunk-split job settled, or the pulling fleet node
+// is dead — the worker exit conditions.
+func (s *Scheduler) nextWork(node int) *work {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.halted {
-			return nil, nil
+			return nil
 		}
 		if node > 0 && s.fleet.nodeDead(node) {
-			return nil, nil
+			return nil
 		}
-		if cw := s.popChunk(node); cw != nil {
+		w := s.popChunk(node)
+		if w == nil {
+			if st := s.popWRR(); st != nil {
+				// A queue slot freed: wake submitters blocked on backpressure.
+				s.cond.Broadcast()
+				w = &work{st: st}
+			} else if node > 0 {
+				w = s.trySteal(node)
+			}
+		}
+		if w != nil {
 			if node > 0 {
 				s.running++
 			}
-			return nil, cw
-		}
-		if st := s.popWRR(); st != nil {
-			// A queue slot freed: wake submitters blocked on backpressure.
-			s.cond.Broadcast()
-			if node > 0 {
-				s.running++
-			}
-			return st, nil
-		}
-		if node > 0 {
-			if cw := s.trySteal(node); cw != nil {
-				s.running++
-				return nil, cw
-			}
+			return w
 		}
 		// Exit only once no submit is mid-append (one that already passed
 		// its closed-check is about to enqueue a job this worker must run)
 		// and no chunk-split job is unsettled (its merged settle may still
 		// need this worker to run a re-pended or stolen range).
 		if s.closed && s.inflight == 0 && (s.fleet == nil || s.chunkJobs == 0) {
-			return nil, nil
+			return nil
 		}
 		if len(s.chunkQueue) > 0 {
 			// Only declined chunks remain (a victim node refusing its own
@@ -833,444 +762,6 @@ func (s *Scheduler) nextWork(node int) (*jobState, *chunkWork) {
 		}
 		s.cond.Wait()
 	}
-}
-
-// popChunk pops the oldest pending chunk range, dropping ranges of jobs
-// that settled while they waited. A stolen range is declined by its own
-// victim's node while another worker could take it — otherwise, on a
-// host where the victim's worker is the only goroutine getting CPU, it
-// would drain its own shed chunks and the charged makespan would never
-// improve. Caller holds s.mu.
-func (s *Scheduler) popChunk(node int) *chunkWork {
-	for i := 0; i < len(s.chunkQueue); i++ {
-		cw := s.chunkQueue[i]
-		if cw.st.settled {
-			s.chunkQueue = append(s.chunkQueue[:i], s.chunkQueue[i+1:]...)
-			i--
-			continue
-		}
-		if cw.steal && node > 0 && cw.victim == node && s.workers-s.running > 1 {
-			continue
-		}
-		s.chunkQueue = append(s.chunkQueue[:i], s.chunkQueue[i+1:]...)
-		return cw
-	}
-	return nil
-}
-
-// trySteal scans the running chunk-split jobs for a stealable tail: a
-// live victim with at least StealMinSinks unstarted sinks that has
-// ground past StealAfterUnits of charged lease time. It fences the back
-// half of the victim's remaining range (rounded up to the chunk grain,
-// so steal boundaries land on stable chunk edges) and returns it as
-// work for the idle node. Jobs are visited in ID order, so the oldest
-// heavy job is relieved first. Caller holds s.mu.
-func (s *Scheduler) trySteal(node int) *chunkWork {
-	if s.fleet == nil {
-		return nil
-	}
-	ids := make([]JobID, 0, len(s.states))
-	for id := range s.states {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		st := s.states[id]
-		if st.settled || st.chunk == nil {
-			continue
-		}
-		if cw := s.stealWindow(st, st.chunk); cw != nil {
-			return cw
-		}
-	}
-	return nil
-}
-
-// stealWindow fences the back half of one job's remaining sink range
-// (rounded up to the chunk grain, so steal boundaries land on stable
-// chunk edges) and returns it as stealable work, or nil when the job
-// has no stealable tail: victim gone, tail under StealMinSinks, or the
-// victim not yet past StealAfterUnits of charged lease time. Caller
-// holds s.mu.
-func (s *Scheduler) stealWindow(st *jobState, cs *chunkState) *chunkWork {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.total < 0 || !cs.victimLive {
-		return nil
-	}
-	remaining := cs.fence - cs.started
-	if remaining < simtime.StealMinSinks ||
-		s.fleet.leaseUnits(st.id, 0) < s.cfg.StealAfterUnits {
-		return nil
-	}
-	// Take the back half of the remaining range, rounded up to the
-	// grain; the victim keeps the front it is already warm on.
-	from := cs.started + (remaining+1)/2
-	if g := cs.grain; g > 1 {
-		if rem := from % g; rem != 0 {
-			from += g - rem
-		}
-	}
-	if from <= cs.started || from >= cs.fence {
-		return nil
-	}
-	to := cs.fence
-	cs.fence = from
-	cs.steals++
-	first := cs.steals == 1
-	sub := from + 1
-	cs.active[sub] = core.ChunkRange{From: from, To: to}
-	if tr := s.cfg.Trace; tr != nil {
-		// The shed lands on the victim's track at the units its lease has
-		// metered so far (checkpoint-granular, so deterministic for a
-		// victim grinding past a fixed warmup). Args carry the fenced sink
-		// range; the claiming node appears in the chunk's own steal-claim
-		// span.
-		tr.Add(obs.Span{Job: int64(st.id), Sub: 0, Name: "steal-shed",
-			Cat: "sched", Start: traceBaseLocked(st, 0) + s.fleet.leaseUnits(st.id, 0),
-			Dur: obs.Instant, Node: -1, Args: []obs.Arg{
-				{Key: "from", Value: fmt.Sprint(from)},
-				{Key: "to", Value: fmt.Sprint(to)}}})
-	}
-	return &chunkWork{st: st, cs: cs, from: from, to: to, sub: sub,
-		first: first, steal: true, victim: st.node}
-}
-
-// shedChunk is the push half of the steal protocol, driven from the
-// victim's own progress poll: when idle nodes are waiting and no queued
-// chunk is already destined for them, fence a chunk off this job's tail
-// into the chunk queue. The pull half (trySteal) needs an idle worker
-// to win the CPU while the victim grinds — on a single-core host the
-// victim never yields mid-run, so the shed path makes the steal trigger
-// independent of goroutine scheduling: the fenced range persists in the
-// queue and the idle worker picks it up whenever it next runs.
-func (s *Scheduler) shedChunk(st *jobState, cs *chunkState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	avail := s.workers - s.running
-	if avail <= 0 || len(s.chunkQueue) >= avail || st.settled || st.chunk != cs {
-		return
-	}
-	if cw := s.stealWindow(st, cs); cw != nil {
-		s.chunkQueue = append(s.chunkQueue, cw)
-	}
-}
-
-// chunkPoll is the victim's SinkProgress hook: called before each sink
-// at its canonical position. It publishes the victim's progress (the
-// steal trigger's "unstarted tail" input), learns the total on the
-// first poll, and stops the victim cleanly at the fence once a steal
-// shrank its range. Each poll sheds a chunk to any idle node and wakes
-// the waiters, so the steal trigger is re-evaluated exactly as often
-// as progress is made.
-func (s *Scheduler) chunkPoll(st *jobState, cs *chunkState, next, total int) bool {
-	cs.mu.Lock()
-	if cs.total < 0 {
-		cs.total = total
-		cs.fence = total
-	}
-	stop := next >= cs.fence
-	if !stop {
-		cs.started = next + 1
-	}
-	cs.mu.Unlock()
-	if !stop {
-		s.shedChunk(st, cs)
-		s.cond.Broadcast()
-	}
-	return stop
-}
-
-// runChunk executes one stolen or re-pended sink range on a node: its
-// own lease (keyed by the range's sub id), its own heartbeat stream,
-// its own abandon path — a chunk is a first-class dispatch, just
-// smaller than a job. A completed range feeds the merge; the range
-// whose part completes coverage settles the job.
-func (s *Scheduler) runChunk(cw *chunkWork, node int) {
-	st, cs := cw.st, cw.cs
-	s.mu.Lock()
-	if st.settled {
-		s.mu.Unlock()
-		return
-	}
-	attempt := st.attempt
-	if !cw.steal {
-		// A re-pended range is a retry: bump the attempt so its lease is
-		// distinguishable from the lost one and the backoff escalates.
-		st.attempt++
-		attempt = st.attempt
-	}
-	st.node = node
-	var base int64
-	if s.cfg.Trace != nil {
-		if cw.steal {
-			// A stolen chunk's track opens with the flat steal charge; the
-			// engine's work starts after it.
-			base = simtime.StealUnits
-			setTraceBaseLocked(st, cw.sub, base)
-		} else {
-			// A re-pended range resumes on the origin the handoff advanced
-			// the track to.
-			base = traceBaseLocked(st, cw.sub)
-		}
-	}
-	s.mu.Unlock()
-
-	s.fleet.grant(st.id, cw.sub, cs.name, node, attempt)
-	if cw.steal {
-		// The steal record carries the thief node and the chunk's start
-		// position (in Attempt — a chunk steal has no dispatch attempt of
-		// its own).
-		s.journalAppend(journal.Record{
-			Kind: journal.KindSteal, Job: int64(st.id),
-			Node: int64(node), Attempt: int64(cw.from),
-		})
-		s.fleet.chargeSteal(cw.to-cw.from, cw.first)
-		if tr := s.cfg.Trace; tr != nil {
-			tr.Add(obs.Span{Job: int64(st.id), Sub: cw.sub, Name: "steal-claim",
-				Cat: "sched", Start: 0, Dur: simtime.StealUnits, Node: node,
-				Args: []obs.Arg{
-					{Key: "from", Value: fmt.Sprint(cw.from)},
-					{Key: "to", Value: fmt.Sprint(cw.to)}}})
-		}
-	} else {
-		s.journalAppend(journal.Record{
-			Kind: journal.KindLease, Job: int64(st.id),
-			Node: int64(node), Attempt: int64(attempt),
-		})
-	}
-	rep, err := s.analyzeChunk(st, cs, cw, node, attempt, base)
-	if s.fleet.nodeDead(node) && errors.Is(err, simtime.ErrCanceled) && !st.cancelFlag.Load() {
-		// The node died under this chunk: no terminal — the sweep re-pends
-		// the range on a surviving node.
-		s.fleet.abandon(st.id, cw.sub, node, attempt)
-		return
-	}
-	s.fleet.release(st.id, cw.sub, node, attempt)
-	if err != nil {
-		s.finish(st, nil, err)
-		return
-	}
-	s.completeChunk(st, cs, cw.from, cw.to, cw.sub, rep)
-}
-
-// analyzeChunk runs the engine over one sink range of a job: the same
-// app source, options, bundle store routing and observer wiring as the
-// victim's full run, restricted by ChunkRange — the bundle is fetched
-// warm (remotely charged when another node owns it), never re-built.
-// base is the chunk track's charged-units origin; engine spans and
-// checkpoint samples are re-anchored onto it.
-func (s *Scheduler) analyzeChunk(st *jobState, cs *chunkState, cw *chunkWork, node, attempt int, base int64) (*core.Report, error) {
-	job := st.job
-	app, err := job.Source()
-	if err != nil {
-		return nil, err
-	}
-	o := s.jobOptions(job)
-	flag := &st.cancelFlag
-	user := o.Cancel
-	o.Cancel = func() bool {
-		return flag.Load() || (user != nil && user())
-	}
-	fl, id, name, sub := s.fleet, st.id, cs.name, cw.sub
-	o.Heartbeat = func(delta int64) bool {
-		return fl.tick(node, id, sub, name, attempt, delta)
-	}
-	o.ChunkRange = &core.ChunkRange{From: cw.from, To: cw.to}
-	o.DeltaFrom = nil
-	o.SinkProgress = nil
-	if tr := s.cfg.Trace; tr != nil {
-		o.PhaseSpan = func(phase string, sink int, start, end int64) {
-			sp := obs.Span{Job: int64(id), Sub: sub, Name: phase, Cat: "engine",
-				Start: base + start, Dur: end - start, Node: node}
-			if sink >= 0 {
-				sp.Args = []obs.Arg{{Key: "sink", Value: fmt.Sprint(sink)}}
-			}
-			tr.Add(sp)
-		}
-		o.MeterCheckpoint = func(units, delta int64) {
-			tr.AddCounter(obs.CounterSample{Job: int64(id), Sub: sub, Node: node,
-				TS: base + units, Value: base + units})
-		}
-	}
-	var store jobStore
-	if st.fleetStore {
-		if v := s.fleet.view(node); v != nil {
-			store = v
-		}
-	} else if st.store != nil {
-		store = st.store
-	}
-	release := func() {}
-	if store != nil {
-		o.Bundles = store
-		if !store.Contains(cs.fp) {
-			release = store.LockFingerprint(cs.fp)
-		}
-	}
-	if s.cfg.Events != nil {
-		pos := cw.from
-		traced := s.cfg.Trace != nil
-		o.SinkObserver = func(sr *core.SinkReport) {
-			ev := Event{Kind: EventSink, Job: id, Name: name, Sink: sr}
-			if traced {
-				// The engine reports the range's sinks in canonical order, so
-				// the running position is the backslice span's sink arg.
-				ev.Span = fmt.Sprintf("%d/%d/%d", id, sub, pos)
-			}
-			pos++
-			s.emit(ev)
-		}
-	}
-	e, err := core.New(app, o)
-	if err != nil {
-		release()
-		if errors.Is(err, simtime.ErrCanceled) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("service: backdroid chunk [%d,%d) on %s: %w", cw.from, cw.to, name, err)
-	}
-	rep, err := e.Analyze()
-	release()
-	if err != nil {
-		if errors.Is(err, simtime.ErrCanceled) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("service: backdroid chunk [%d,%d) on %s: %w", cw.from, cw.to, name, err)
-	}
-	return rep, nil
-}
-
-// completeChunk records one finished range's partial report and, once
-// the parts cover [0, total), merges them canonically and settles the
-// job — remembering the merged report as the next delta base and
-// storing it under the same settled key a single-pass run would use
-// (MergeReports is pinned bitwise-identical to that run). Two ranges
-// completing coverage concurrently both merge; finish's at-most-once
-// guard settles exactly one, and the duplicate content-addressed store
-// put is a harmless refresh.
-func (s *Scheduler) completeChunk(st *jobState, cs *chunkState, from, to, sub int, rep *core.Report) {
-	s.mu.Lock()
-	settled := st.settled
-	s.mu.Unlock()
-	if settled {
-		return
-	}
-	cs.mu.Lock()
-	if sub == 0 {
-		cs.victimLive = false
-	} else {
-		delete(cs.active, sub)
-	}
-	cs.parts = append(cs.parts, chunkPart{from: from, to: to, rep: rep})
-	total := cs.total
-	parts := append([]chunkPart(nil), cs.parts...)
-	cs.mu.Unlock()
-
-	sort.Slice(parts, func(i, j int) bool { return parts[i].from < parts[j].from })
-	cover := 0
-	for _, p := range parts {
-		if p.from > cover {
-			break
-		}
-		if p.to > cover {
-			cover = p.to
-		}
-	}
-	if total < 0 || cover < total {
-		return
-	}
-	reports := make([]*core.Report, len(parts))
-	for i, p := range parts {
-		reports[i] = p.rep
-	}
-	merged := core.MergeReports(reports...)
-	if tr := s.cfg.Trace; tr != nil {
-		cs.mu.Lock()
-		emit := !cs.mergeTraced
-		cs.mergeTraced = true
-		cs.mu.Unlock()
-		if emit {
-			// Anchored at the merged report's total charged work — the sum
-			// of every part's units, a pure function of the partition, not
-			// of which range happened to complete coverage.
-			tr.Add(obs.Span{Job: int64(st.id), Sub: 0, Name: "chunk-merge",
-				Cat: "sched", Start: s.traceBaseOf(st, 0) + merged.Stats.WorkUnits,
-				Dur: obs.Instant, Node: -1,
-				Args: []obs.Arg{{Key: "total", Value: fmt.Sprint(total)}}})
-		}
-	}
-	if cs.remember && !merged.TimedOut {
-		s.rememberRun(st.tenant, cs.name, cs.fp, merged)
-	}
-	if s.cfg.Reports != nil && cs.haveKey {
-		s.cfg.Reports.Put(cs.key, merged)
-	}
-	s.finish(st, &JobResult{ID: st.id, Name: cs.name, BackDroid: merged}, nil)
-}
-
-func (s *Scheduler) runJob(st *jobState, node int) {
-	s.mu.Lock()
-	if st.canceled {
-		s.mu.Unlock()
-		s.finish(st, nil, ErrCanceled)
-		return
-	}
-	st.started = true
-	st.attempt++
-	st.node = node
-	attempt := st.attempt
-	seq := st.dispatchSeq
-	base := traceBaseLocked(st, 0)
-	s.mu.Unlock()
-
-	if s.fleet != nil {
-		s.fleet.grant(st.id, 0, st.job.Name, node, attempt)
-		s.journalAppend(journal.Record{
-			Kind: journal.KindLease, Job: int64(st.id),
-			Node: int64(node), Attempt: int64(attempt),
-		})
-	}
-	if tr := s.cfg.Trace; tr != nil {
-		tr.Add(obs.Span{Job: int64(st.id), Sub: 0, Name: "dispatch", Cat: "sched",
-			Start: base, Dur: obs.Instant, Node: node,
-			Args: []obs.Arg{{Key: "attempt", Value: fmt.Sprint(attempt)}}})
-	}
-	if attempt == 1 {
-		s.journalAppend(journal.Record{Kind: journal.KindStart, Job: int64(st.id)})
-	}
-	s.emit(Event{Kind: EventStarted, Job: st.id, Name: st.job.Name, Node: node, Attempt: attempt, Seq: seq})
-	res, cs, err := s.analyze(st, node, attempt)
-	fenced := false
-	if cs != nil {
-		// This victim attempt is over: no further steals off it. fenced
-		// records whether a steal shrank its range — once the victim
-		// returned, started == fence, so no new steal can land and the
-		// flag is final.
-		cs.mu.Lock()
-		cs.victimLive = false
-		fenced = cs.steals > 0
-		cs.mu.Unlock()
-	}
-	if s.fleet != nil {
-		if s.fleet.nodeDead(node) && errors.Is(err, simtime.ErrCanceled) && !st.cancelFlag.Load() {
-			// The node died under this attempt (the engine aborted at the
-			// checkpoint that observed the fencing, not by user cancel): no
-			// terminal — abandon charges the detection latency, expires the
-			// lease and hands the job to a surviving node.
-			s.fleet.abandon(st.id, 0, node, attempt)
-			return
-		}
-		s.fleet.release(st.id, 0, node, attempt)
-	}
-	if fenced && err == nil && res != nil && res.BackDroid != nil {
-		// Chunks were stolen: the engine stopped at the fence and the
-		// report is the partial [0, fence) — feed it to the merge instead
-		// of settling; the range completing coverage settles the job.
-		s.completeChunk(st, cs, 0, len(res.BackDroid.Sinks), 0, res.BackDroid)
-		return
-	}
-	s.finish(st, res, err)
 }
 
 // finish settles a job: journal terminal record first (so a crash after
@@ -1324,460 +815,4 @@ func (s *Scheduler) finish(st *jobState, res *JobResult, err error) {
 	}
 	close(st.done)
 	s.emit(ev)
-}
-
-// requeueJob returns a lease-expired range to work. A lost sink chunk
-// (sub > 0), or a lost victim whose job already had chunks stolen, is
-// re-pended on the chunk queue — only the lost range re-runs; the parts
-// other nodes finished stand. An unsplit job returns to the FRONT of
-// its tenant's queue (the handoff must not wait behind the tenant's
-// backlog — the job already waited its turn once). Either way the
-// handoff record is journaled and the re-dispatch overhead charged with
-// exponential backoff. A job with no surviving node, or one past the
-// fleet's attempt bound, fails terminally instead. units is the work
-// the expired lease had metered — where on the lost track the tracer
-// anchors the handoff span. Called by the fleet sweep, never under
-// s.mu.
-func (s *Scheduler) requeueJob(id JobID, sub, from, attempt int, units int64) {
-	s.mu.Lock()
-	st, ok := s.states[id]
-	if !ok || st.settled {
-		s.mu.Unlock()
-		return
-	}
-	live := s.fleet.liveCount()
-	if live == 0 || attempt >= s.fleet.maxAttempts() {
-		s.mu.Unlock()
-		s.finish(st, nil, fmt.Errorf(
-			"service: job %q lost with node %d (attempt %d, %d nodes live): retry budget exhausted",
-			st.job.Name, from, attempt, live))
-		return
-	}
-	if cs := st.chunk; cs != nil {
-		var rng *core.ChunkRange
-		cs.mu.Lock()
-		if sub == 0 {
-			if cs.steals > 0 {
-				// The victim died after chunks were stolen: its remaining
-				// range is [0, fence) — re-pend just that, as a plain chunk.
-				cs.victimLive = false
-				r := core.ChunkRange{From: 0, To: cs.fence}
-				rng = &r
-				cs.active[r.From+1] = r
-			}
-		} else if r, ok := cs.active[sub]; ok {
-			rng = &r
-		}
-		cs.mu.Unlock()
-		if rng != nil {
-			if tr := s.cfg.Trace; tr != nil {
-				// The handoff interval covers the detection latency (TTL) plus
-				// the charged re-dispatch cost, starting where the lost lease's
-				// metering stopped; the re-pended range's track resumes after
-				// it.
-				start := traceBaseLocked(st, sub) + units
-				dur := simtime.LeaseTTLUnits + s.fleet.handoffUnits(attempt)
-				tr.Add(obs.Span{Job: int64(id), Sub: sub, Name: "handoff",
-					Cat: "sched", Start: start, Dur: dur, Node: -1,
-					Args: []obs.Arg{{Key: "attempt", Value: fmt.Sprint(attempt)}}})
-				setTraceBaseLocked(st, rng.From+1, start+dur)
-			}
-			s.chunkQueue = append(s.chunkQueue, &chunkWork{
-				st: st, cs: cs, from: rng.From, to: rng.To, sub: rng.From + 1,
-			})
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			s.journalAppend(journal.Record{
-				Kind: journal.KindHandoff, Job: int64(id),
-				Node: int64(from), Attempt: int64(attempt),
-			})
-			s.fleet.chargeHandoff(attempt)
-			return
-		}
-		if sub > 0 {
-			// The chunk's range already completed or re-pended elsewhere:
-			// nothing left to recover from this lease.
-			s.mu.Unlock()
-			return
-		}
-	}
-	if tr := s.cfg.Trace; tr != nil {
-		start := traceBaseLocked(st, 0) + units
-		dur := simtime.LeaseTTLUnits + s.fleet.handoffUnits(attempt)
-		tr.Add(obs.Span{Job: int64(id), Sub: 0, Name: "handoff", Cat: "sched",
-			Start: start, Dur: dur, Node: -1,
-			Args: []obs.Arg{{Key: "attempt", Value: fmt.Sprint(attempt)}}})
-		setTraceBaseLocked(st, 0, start+dur)
-	}
-	t := s.tenantLocked(st.tenant)
-	t.queue = append([]*jobState{st}, t.queue...)
-	t.requeued++
-	s.cond.Broadcast()
-	s.mu.Unlock()
-
-	s.journalAppend(journal.Record{
-		Kind: journal.KindHandoff, Job: int64(id),
-		Node: int64(from), Attempt: int64(attempt),
-	})
-	s.fleet.chargeHandoff(attempt)
-}
-
-// failQueued fails every still-queued job — the fleet's last-node-died
-// path, where no worker remains to ever pop them.
-func (s *Scheduler) failQueued() {
-	s.mu.Lock()
-	var victims []*jobState
-	for _, name := range s.order {
-		t := s.tenants[name]
-		victims = append(victims, t.queue...)
-		t.queue = nil
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	for _, st := range victims {
-		s.finish(st, nil, errors.New("service: every fleet node is dead"))
-	}
-}
-
-// KillNode fences a fleet node — the `die node=N` crash drill: the node
-// pulls no more work, its running attempt aborts at its next meter
-// checkpoint and is handed off to a surviving node after the lease TTL.
-// It errors without a fleet, for an out-of-range node, or for a node
-// already dead.
-func (s *Scheduler) KillNode(node int) error {
-	if s.fleet == nil {
-		return errors.New("service: no fleet configured (start with Nodes > 0)")
-	}
-	return s.fleet.kill(node)
-}
-
-// FleetStats snapshots the fleet counters (nil without a fleet).
-func (s *Scheduler) FleetStats() *FleetStats {
-	if s.fleet == nil {
-		return nil
-	}
-	return s.fleet.stats()
-}
-
-// jobStore is the bundle-store surface a job analyzes against: either a
-// plain *BundleStore or a fleet placement view routing each fingerprint
-// to its owner node's partition. Its method set covers core.BundleCache
-// (plus the optional DropBundle seam), so either implementation plugs
-// into the engine unchanged.
-type jobStore interface {
-	GetBundle(fp uint64) ([]byte, bool)
-	PutBundle(fp uint64, data []byte)
-	DropBundle(fp uint64)
-	Contains(fp uint64) bool
-	LockFingerprint(fp uint64) func()
-}
-
-// analyze materializes the job's app and runs the selected analyzers.
-// Every job builds its own engines — no analysis state crosses jobs; the
-// only shared objects are the content-addressed bundle stores, which are
-// concurrency-safe and append-only. node/attempt identify the fleet
-// dispatch (0/1 without a fleet); they are passed as values because a
-// handed-off job's jobState fields may be rewritten by the re-dispatch
-// while the abandoned attempt is still in here. The returned chunkState
-// is non-nil when this attempt registered as steal-eligible — the
-// caller routes its (possibly fenced, partial) report to the merge; it
-// is returned rather than re-read from st.chunk because a gray-failure
-// re-dispatch may have replaced st.chunk while this attempt ran.
-func (s *Scheduler) analyze(st *jobState, node, attempt int) (*JobResult, *chunkState, error) {
-	var cs *chunkState
-	job := st.job
-	app, err := job.Source()
-	if err != nil {
-		return nil, nil, err
-	}
-	res := &JobResult{ID: st.id, Name: job.Name}
-	if res.Name == "" {
-		res.Name = app.Name
-	}
-
-	if job.RunBackDroid {
-		o := s.jobOptions(job)
-		// Cooperative cancellation: the engine's meter polls this flag at
-		// every checkpoint; Scheduler.Cancel flips it. A job-supplied
-		// Cancel still applies — either source stops the run. In fleet
-		// mode the same checkpoint is the node's heartbeat: the tick
-		// advances the node odometer and fleet clock by the charged
-		// delta, meters the lease, consults the fault plan and reports
-		// the node's own death, which aborts the run like a cancel.
-		flag := &st.cancelFlag
-		user := o.Cancel
-		o.Cancel = func() bool {
-			return flag.Load() || (user != nil && user())
-		}
-		if s.fleet != nil {
-			fl, id, name := s.fleet, st.id, job.Name
-			o.Heartbeat = func(delta int64) bool {
-				return fl.tick(node, id, 0, name, attempt, delta)
-			}
-		}
-		if tr := s.cfg.Trace; tr != nil {
-			// Engine phases land on the job's main track (sub 0), anchored
-			// at the charged units the engine itself reports — plus the
-			// track origin a prior handoff may have advanced. The counter
-			// sample doubles as the lease-renew/heartbeat event: in fleet
-			// mode the meter checkpoint IS the heartbeat, so one sample per
-			// renewal is exactly the renewal timeline.
-			id, base := st.id, s.traceBaseOf(st, 0)
-			o.PhaseSpan = func(phase string, sink int, start, end int64) {
-				sp := obs.Span{Job: int64(id), Sub: 0, Name: phase, Cat: "engine",
-					Start: base + start, Dur: end - start, Node: node}
-				if sink >= 0 {
-					sp.Args = []obs.Arg{{Key: "sink", Value: fmt.Sprint(sink)}}
-				}
-				tr.Add(sp)
-			}
-			o.MeterCheckpoint = func(units, delta int64) {
-				tr.AddCounter(obs.CounterSample{Job: int64(id), Sub: 0, Node: node,
-					TS: base + units, Value: base + units})
-			}
-		}
-		var store jobStore
-		if st.fleetStore {
-			if v := s.fleet.view(node); v != nil {
-				store = v
-			}
-		} else if st.store != nil {
-			store = st.store
-		}
-		var fp uint64
-		if store != nil || s.cfg.Reports != nil {
-			fp = app.Fingerprint()
-		}
-		// Settled-result fast path. The key is taken before the delta
-		// base, bundle cache or observer wiring is injected — all
-		// fingerprint-neutral — so a delta run, a warm run and a cold run
-		// of one (app, options) pair share one address, and a hit skips
-		// the engine entirely.
-		var settledKey ReportKey
-		if s.cfg.Reports != nil {
-			settledKey = ReportKey{App: fp, Options: OptionsFingerprint(&o)}
-			if stored, ok := s.cfg.Reports.Get(settledKey); ok {
-				rep, err := s.serveSettled(st, res.Name, stored, o.TimeoutMinutes)
-				if err != nil {
-					return nil, nil, err
-				}
-				res.BackDroid = rep
-				if store != nil && !stored.TimedOut {
-					// Seed the delta path only when nothing better is
-					// known: an engine-produced prev carries the sink
-					// footprints the settled copy may lack
-					// (journal-recovered entries never have them), and
-					// clobbering it would degrade the next update's
-					// reuse.
-					if _, known := s.lastRun(st.tenant, res.Name); !known {
-						s.rememberRun(st.tenant, res.Name, fp, stored)
-					}
-				}
-			}
-		}
-		if res.BackDroid == nil {
-			release := func() {}
-			if store != nil {
-				o.Bundles = store
-				if prev, ok := s.lastRun(st.tenant, res.Name); ok && prev.fp != fp && !o.PerAppSSG {
-					// Same job name, different content: an app update. When
-					// the prior version's bundle is still cached, hand it to
-					// the engine as the delta base; the engine itself falls
-					// back to a full run if the base proves unusable.
-					if data, ok := store.GetBundle(prev.fp); ok {
-						o.DeltaFrom = &core.DeltaBase{Fingerprint: prev.fp, Bundle: data, Report: prev.report}
-					}
-				}
-				if !store.Contains(fp) {
-					// Single-build guarantee: concurrent jobs for one
-					// fingerprint serialize here, so the first performs the
-					// only cold build and the rest run fully warm. The
-					// re-probe happens inside the engine; the lock is held
-					// only across the engine run (the bundle is published
-					// during it), never across the baseline legs below.
-					release = store.LockFingerprint(fp)
-				}
-			}
-			if s.cfg.Events != nil {
-				id, name := st.id, res.Name
-				pos := 0
-				traced := s.cfg.Trace != nil
-				o.SinkObserver = func(sr *core.SinkReport) {
-					ev := Event{Kind: EventSink, Job: id, Name: name, Sink: sr}
-					if traced {
-						// Sinks stream in canonical order, so the running
-						// position names the backslice span that produced
-						// this report.
-						ev.Span = fmt.Sprintf("%d/%d/%d", id, 0, pos)
-					}
-					pos++
-					s.emit(ev)
-				}
-			}
-			if s.fleet != nil && o.SinkChunk > 0 && o.TimeoutMinutes == 0 &&
-				o.DeltaFrom == nil && !job.RunWholeApp && !job.RunCallGraph {
-				// Steal-eligible: register the chunk fan-out state and let
-				// the engine report per-sink progress. Delta runs and timed
-				// runs stay unsplit (a chunk must not depend on a delta base
-				// the other chunks lack, and the simulated timeout is a
-				// whole-run budget); multi-analyzer jobs settle a composite
-				// result the merge path does not carry.
-				cs = &chunkState{
-					grain:      o.SinkChunk,
-					total:      -1,
-					victimLive: true,
-					active:     make(map[int]core.ChunkRange),
-					fp:         fp,
-					key:        settledKey,
-					haveKey:    s.cfg.Reports != nil,
-					remember:   store != nil,
-					name:       res.Name,
-				}
-				s.mu.Lock()
-				// A fenced node's stale attempt can get here after the
-				// job already settled; counting it then would leak
-				// chunkJobs (finish never runs again) and wedge Close.
-				if !st.settled {
-					if st.chunk == nil {
-						s.chunkJobs++
-					}
-					st.chunk = cs
-				}
-				s.mu.Unlock()
-				stRef, csRef := st, cs
-				o.SinkProgress = func(next, total int) bool {
-					return s.chunkPoll(stRef, csRef, next, total)
-				}
-			}
-			e, err := core.New(app, o)
-			if err != nil {
-				release()
-				if errors.Is(err, simtime.ErrCanceled) {
-					return nil, cs, err
-				}
-				return nil, cs, fmt.Errorf("service: backdroid on %s: %w", res.Name, err)
-			}
-			res.BackDroid, err = e.Analyze()
-			release()
-			if err != nil {
-				if errors.Is(err, simtime.ErrCanceled) {
-					return nil, cs, err
-				}
-				return nil, cs, fmt.Errorf("service: backdroid on %s: %w", res.Name, err)
-			}
-			fenced := false
-			if cs != nil {
-				cs.mu.Lock()
-				fenced = cs.steals > 0
-				cs.mu.Unlock()
-			}
-			if !fenced {
-				// A fenced run's report is the partial [0, fence): only the
-				// merged union may seed the delta path or settle the store.
-				if store != nil && !res.BackDroid.TimedOut {
-					s.rememberRun(st.tenant, res.Name, fp, res.BackDroid)
-				}
-				if s.cfg.Reports != nil {
-					// Settle the report under its content address. Timed-out
-					// reports settle too: the timeout is simulated-time
-					// deterministic and TimeoutMinutes is hashed, so a
-					// resubmission would reproduce the same truncated report.
-					s.cfg.Reports.Put(settledKey, res.BackDroid)
-				}
-			}
-		}
-	}
-	if job.RunWholeApp {
-		res.WholeApp, err = runWholeApp(app, wholeapp.FullAnalysis)
-		if err != nil {
-			return nil, cs, fmt.Errorf("service: wholeapp on %s: %w", res.Name, err)
-		}
-	}
-	if job.RunCallGraph {
-		res.CallGraph, err = runWholeApp(app, wholeapp.CallGraphOnly)
-		if err != nil {
-			return nil, cs, fmt.Errorf("service: callgraph on %s: %w", res.Name, err)
-		}
-	}
-	return res, cs, nil
-}
-
-// serveSettled answers a job from the settled-result tier: one flat
-// O(1) lookup charge, a replayed EventSink per stored sink and a shallow
-// copy of the stored report whose Stats describe this serving (one
-// settled lookup) rather than the original run. The copy shares the
-// stored report's sink pointers, so streamed events and the batch result
-// reference the same objects — exactly the engine's own contract.
-func (s *Scheduler) serveSettled(st *jobState, name string, stored *core.Report, timeoutMinutes float64) (*core.Report, error) {
-	if st.cancelFlag.Load() {
-		return nil, simtime.ErrCanceled
-	}
-	m := simtime.NewMeterWithTimeout(timeoutMinutes)
-	if err := m.ChargeSettledLookup(); err != nil {
-		return nil, err
-	}
-	if tr := s.cfg.Trace; tr != nil {
-		// A settled hit is the job's entire timeline: one flat lookup,
-		// no engine phases. Replayed sink events carry no span id — no
-		// backslice span produced them.
-		tr.Add(obs.Span{Job: int64(st.id), Sub: 0, Name: "settled-hit",
-			Cat: "sched", Start: 0, Dur: simtime.SettledLookupUnits, Node: -1})
-	}
-	replay := *stored
-	replay.Stats = core.Stats{
-		WorkUnits:      m.Units(),
-		SimMinutes:     m.Minutes(),
-		SettledLookups: 1,
-	}
-	if s.cfg.Events != nil {
-		for _, sr := range replay.Sinks {
-			s.emit(Event{Kind: EventSink, Job: st.id, Name: name, Sink: sr})
-		}
-	}
-	return &replay, nil
-}
-
-// lastRun returns the remembered prior analysis of a tenant's job name.
-func (s *Scheduler) lastRun(tenant, name string) (prevRun, bool) {
-	s.prevMu.Lock()
-	defer s.prevMu.Unlock()
-	p, ok := s.prev[prevKey(tenant, name)]
-	return p, ok
-}
-
-// rememberRun records a settled analysis as the delta base for the next
-// submission of the same name. Timed-out reports are not remembered —
-// their sink list is incomplete, so they cannot seed a reuse decision.
-func (s *Scheduler) rememberRun(tenant, name string, fp uint64, report *core.Report) {
-	s.prevMu.Lock()
-	defer s.prevMu.Unlock()
-	s.prev[prevKey(tenant, name)] = prevRun{fp: fp, report: report}
-}
-
-// jobOptions resolves the engine options of a job: its own, else the
-// scheduler default, else core.DefaultOptions — always a copy, never a
-// shared pointer — with the cache-directory override applied.
-func (s *Scheduler) jobOptions(job Job) core.Options {
-	o := core.DefaultOptions()
-	if job.Options != nil {
-		o = *job.Options
-	} else if s.cfg.Options != nil {
-		o = *s.cfg.Options
-	}
-	if job.IndexCacheDir != "" {
-		o.IndexCacheDir = job.IndexCacheDir
-	} else if s.cfg.IndexCacheDir != "" && o.IndexCacheDir == "" {
-		o.IndexCacheDir = s.cfg.IndexCacheDir
-	}
-	return o
-}
-
-func runWholeApp(app *apk.App, mode wholeapp.Mode) (*wholeapp.Report, error) {
-	o := wholeapp.DefaultOptions()
-	o.Mode = mode
-	a, err := wholeapp.New(app, o)
-	if err != nil {
-		return nil, err
-	}
-	return a.Analyze()
 }

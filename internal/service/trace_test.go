@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"backdroid/internal/appgen"
@@ -13,18 +14,19 @@ import (
 )
 
 // traceTailRun drives the trace scenario: the heavy-tail outlier alone
-// on a 4-node fleet, chunked at 32 sinks with an early steal trigger,
-// so exactly one chunk ([32,48)) is shed and claimed by an idle node.
-// Which physical node claims it varies run to run — the canonical
-// export must not. Returns the exported Chrome JSON (nil when
-// untraced), the job's canonical report encoding and its charged units.
-func traceTailRun(t *testing.T, plan *faultinject.Plan, traced bool) ([]byte, []byte, int64) {
+// on a 4-node fleet with an early steal trigger. Chunked at 32 sinks,
+// exactly one chunk ([32,48)) is shed and claimed by an idle node;
+// which physical node claims it varies run to run — the canonical
+// export must not. chunk 0 runs the job unsplit. Returns the exported
+// Chrome JSON (nil when untraced), the job's canonical report encoding
+// and its charged units.
+func traceTailRun(t *testing.T, plan *faultinject.Plan, traced bool, chunk int) ([]byte, []byte, int64) {
 	t.Helper()
 	spec := appgen.HeavyTailCorpus(appgen.HeavyTailOptions{
 		SmallApps: 3, Seed: 99, HeavySinks: 48, HeavySizeMB: 4,
 	})[0]
 	opts := core.DefaultOptions()
-	opts.SinkChunk = 32
+	opts.SinkChunk = chunk
 	var tr *obs.Trace
 	if traced {
 		tr = obs.NewTrace()
@@ -92,8 +94,8 @@ func requireTraceEvents(t *testing.T, data []byte, names ...string) {
 // checkpoints, and physical placement is excluded from the canonical
 // form — the two scheduling-dependent sources of divergence.
 func TestTraceDeterministic(t *testing.T) {
-	a, _, _ := traceTailRun(t, nil, true)
-	b, _, _ := traceTailRun(t, nil, true)
+	a, _, _ := traceTailRun(t, nil, true, 32)
+	b, _, _ := traceTailRun(t, nil, true, 32)
 	requireTraceEvents(t, a,
 		"queued", "dispatch", "steal-shed", "steal-claim", "chunk-merge",
 		"backslice", "disassembly")
@@ -110,8 +112,8 @@ func TestTraceDeterministic(t *testing.T) {
 // its backoff all anchor on charged units.
 func TestTraceDeterministicUnderChaos(t *testing.T) {
 	plan := "kill:job=com.outlier.manysink@600"
-	a, _, _ := traceTailRun(t, mustPlan(t, plan), true)
-	b, _, _ := traceTailRun(t, mustPlan(t, plan), true)
+	a, _, _ := traceTailRun(t, mustPlan(t, plan), true, 32)
+	b, _, _ := traceTailRun(t, mustPlan(t, plan), true, 32)
 	requireTraceEvents(t, a, "handoff", "steal-claim", "backslice")
 	if !bytes.Equal(a, b) {
 		t.Fatalf("chaos traces of identical runs differ:\nrun1 %d bytes\nrun2 %d bytes\n%s",
@@ -123,14 +125,63 @@ func TestTraceDeterministicUnderChaos(t *testing.T) {
 // canonical report encoding and charged units are identical to an
 // untraced run of the same corpus.
 func TestTraceZeroCost(t *testing.T) {
-	_, encOff, unitsOff := traceTailRun(t, nil, false)
-	_, encOn, unitsOn := traceTailRun(t, nil, true)
+	_, encOff, unitsOff := traceTailRun(t, nil, false, 32)
+	_, encOn, unitsOn := traceTailRun(t, nil, true, 32)
 	if unitsOn != unitsOff {
 		t.Errorf("tracing changed the charged units: %d traced, %d untraced", unitsOn, unitsOff)
 	}
 	if !bytes.Equal(encOn, encOff) {
 		t.Errorf("tracing changed the canonical report encoding")
 	}
+}
+
+// TestTraceGolden pins the dispatch timeline across commits, not just
+// across two runs of one tree: the FNV-64a of the canonical Chrome
+// export and of the report encoding, plus the charged units, for the
+// stolen-chunk path, the re-pend-after-steal handoff and the unsplit
+// handoff. A change that moves, adds or drops one span — or one
+// charged unit — fails here even when it is self-consistent.
+func TestTraceGolden(t *testing.T) {
+	const (
+		kill       = "kill:job=com.outlier.manysink@600"
+		reportHash = 0xf391be93293e201e
+	)
+	cases := []struct {
+		name       string
+		plan       string
+		chunk      int
+		trace      uint64
+		traceBytes int
+		units      int64
+	}{
+		{"steal", "", 32, 0xe4090e87dcbbc4ee, 57106, 19609},
+		{"steal+kill", kill, 32, 0x24ef84fd0f5ec963, 57656, 19609},
+		{"unsplit+kill", kill, 0, 0x99d3f55e7110f5bb, 56532, 19550},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var plan *faultinject.Plan
+			if c.plan != "" {
+				plan = mustPlan(t, c.plan)
+			}
+			tr, enc, units := traceTailRun(t, plan, true, c.chunk)
+			if got := fnv64a(tr); got != c.trace || len(tr) != c.traceBytes {
+				t.Errorf("trace fnv64a %#x (%d B), want %#x (%d B)", got, len(tr), c.trace, c.traceBytes)
+			}
+			if got := fnv64a(enc); got != reportHash {
+				t.Errorf("report fnv64a %#x, want %#x", got, uint64(reportHash))
+			}
+			if units != c.units {
+				t.Errorf("charged units %d, want %d", units, c.units)
+			}
+		})
+	}
+}
+
+func fnv64a(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // firstDiff renders the first divergent region of two byte slices for
