@@ -1,9 +1,6 @@
 package dex
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // AccessFlags is the Dalvik access flag bitmask.
 type AccessFlags uint32
@@ -39,13 +36,24 @@ func (f AccessFlags) Has(bits AccessFlags) bool { return f&bits == bits }
 
 // String renders the flags the way dexdump does: "0x0001 (PUBLIC)".
 func (f AccessFlags) String() string {
-	var names []string
+	var buf [64]byte
+	return string(f.AppendFlags(buf[:0]))
+}
+
+// AppendFlags appends the String rendering of the flags to dst.
+func (f AccessFlags) AppendFlags(dst []byte) []byte {
+	dst = append(AppendHex4(append(dst, "0x"...), int64(f)), " ("...)
+	sep := false
 	for _, fn := range flagNames {
 		if f.Has(fn.bit) {
-			names = append(names, fn.name)
+			if sep {
+				dst = append(dst, ' ')
+			}
+			dst = append(dst, fn.name...)
+			sep = true
 		}
 	}
-	return fmt.Sprintf("0x%04x (%s)", uint32(f), strings.Join(names, " "))
+	return append(dst, ')')
 }
 
 // Field is a field definition inside a class.

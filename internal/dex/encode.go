@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 )
 
 // Binary container format ("GDEX"): a compact dex-like serialization with a
@@ -163,6 +164,31 @@ type decoder struct {
 func (d *decoder) uvarint() (uint64, error) { return binary.ReadUvarint(d.r) }
 func (d *decoder) varint() (int64, error)   { return binary.ReadVarint(d.r) }
 
+// Minimum encoded sizes, in bytes, of the entries a count can claim: every
+// varint and flag byte takes at least one byte.
+const (
+	minVarintBytes = 1     // a pool entry's length, a pool index or a register
+	minFieldBytes  = 3 + 1 // field ref + flags
+	minMethodBytes = 4 + 4 // method ref (class, name, param count, ret) + flags, registers, ins, code length
+	minInstrBytes  = 11    // op, A, B, C, Lit, Str, Type, two ref flags, arg count, target
+	minClassBytes  = 6     // name, super, interface/field/method counts, flags
+)
+
+// count reads the count of a list whose entries each take at least
+// minBytes encoded bytes. A count the unread bytes cannot hold is
+// rejected before it sizes an allocation, so a few hostile bytes cannot
+// claim terabytes.
+func (d *decoder) count(what string, minBytes int) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, fmt.Errorf("dex: %s: %w", what, err)
+	}
+	if n > uint64(d.r.Len()/minBytes) {
+		return 0, fmt.Errorf("dex: %s claims %d entries, %d bytes remain", what, n, d.r.Len())
+	}
+	return int(n), nil
+}
+
 func (d *decoder) str() (string, error) {
 	i, err := d.uvarint()
 	if err != nil {
@@ -183,16 +209,19 @@ func (d *decoder) methodRef() (MethodRef, error) {
 	if m.Name, err = d.str(); err != nil {
 		return m, err
 	}
-	np, err := d.uvarint()
+	np, err := d.count("param count", minVarintBytes)
 	if err != nil {
 		return m, err
 	}
-	for i := uint64(0); i < np; i++ {
+	if np > 0 {
+		m.Params = make([]TypeDesc, np)
+	}
+	for i := range m.Params {
 		p, err := d.str()
 		if err != nil {
 			return m, err
 		}
-		m.Params = append(m.Params, TypeDesc(p))
+		m.Params[i] = TypeDesc(p)
 	}
 	ret, err := d.str()
 	if err != nil {
@@ -245,38 +274,41 @@ func (d *decoder) instruction() (Instruction, error) {
 		return in, err
 	}
 	in.Type = TypeDesc(typ)
-	hasMethod, err := d.r.ReadByte()
+	hasMethod, err := d.flag()
 	if err != nil {
 		return in, err
 	}
-	if hasMethod == 1 {
+	if hasMethod {
 		m, err := d.methodRef()
 		if err != nil {
 			return in, err
 		}
 		in.Method = &m
 	}
-	hasField, err := d.r.ReadByte()
+	hasField, err := d.flag()
 	if err != nil {
 		return in, err
 	}
-	if hasField == 1 {
+	if hasField {
 		f, err := d.fieldRef()
 		if err != nil {
 			return in, err
 		}
 		in.Field = &f
 	}
-	na, err := d.uvarint()
+	na, err := d.count("arg count", minVarintBytes)
 	if err != nil {
 		return in, err
 	}
-	for i := uint64(0); i < na; i++ {
+	if na > 0 {
+		in.Args = make([]int, na)
+	}
+	for i := range in.Args {
 		a, err := d.varint()
 		if err != nil {
 			return in, err
 		}
-		in.Args = append(in.Args, int(a))
+		in.Args[i] = int(a)
 	}
 	tgt, err := d.varint()
 	if err != nil {
@@ -286,35 +318,64 @@ func (d *decoder) instruction() (Instruction, error) {
 	return in, nil
 }
 
-// Decode parses a binary dex file produced by Encode.
+// flag reads a ref-presence byte, which Encode writes as 0 or 1.
+func (d *decoder) flag() (bool, error) {
+	b, err := d.r.ReadByte()
+	if err != nil {
+		return false, err
+	}
+	if b > 1 {
+		return false, fmt.Errorf("dex: ref flag %d", b)
+	}
+	return b == 1, nil
+}
+
+// checkOperands rejects an instruction whose opcode needs a ref it does
+// not carry: an invoke without a method, a field access without a field.
+func (in *Instruction) checkOperands() error {
+	switch {
+	case in.Op.IsInvoke() && in.Method == nil:
+		return fmt.Errorf("%s without a method ref", in.Op.Mnemonic())
+	case (in.Op == OpIGet || in.Op == OpIPut || in.Op == OpSGet || in.Op == OpSPut) && in.Field == nil:
+		return fmt.Errorf("%s without a field ref", in.Op.Mnemonic())
+	}
+	return nil
+}
+
+// Decode parses a binary dex file produced by Encode. Every count is
+// bounded by the bytes left to read, and an invoke or field instruction
+// without its ref is an error, so a decoded file always disassembles.
 func Decode(data []byte) (*File, error) {
 	if len(data) < len(dexMagic) || string(data[:len(dexMagic)]) != dexMagic {
 		return nil, fmt.Errorf("dex: bad magic")
 	}
 	d := &decoder{r: bytes.NewReader(data[len(dexMagic):])}
-	np, err := d.uvarint()
+	np, err := d.count("pool size", minVarintBytes)
 	if err != nil {
-		return nil, fmt.Errorf("dex: pool size: %w", err)
+		return nil, err
 	}
 	d.pool = make([]string, np)
-	for i := uint64(0); i < np; i++ {
+	for i := range d.pool {
 		slen, err := d.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("dex: pool entry %d: %w", i, err)
 		}
+		if slen > uint64(d.r.Len()) {
+			return nil, fmt.Errorf("dex: pool entry %d claims %d bytes, %d remain", i, slen, d.r.Len())
+		}
 		buf := make([]byte, slen)
-		if _, err := d.r.Read(buf); err != nil {
+		if _, err := io.ReadFull(d.r, buf); err != nil {
 			return nil, fmt.Errorf("dex: pool entry %d: %w", i, err)
 		}
 		d.pool[i] = string(buf)
 	}
 
 	f := NewFile()
-	nc, err := d.uvarint()
+	nc, err := d.count("class count", minClassBytes)
 	if err != nil {
-		return nil, fmt.Errorf("dex: class count: %w", err)
+		return nil, err
 	}
-	for ci := uint64(0); ci < nc; ci++ {
+	for ci := 0; ci < nc; ci++ {
 		c := &Class{}
 		if c.Name, err = d.str(); err != nil {
 			return nil, err
@@ -322,11 +383,11 @@ func Decode(data []byte) (*File, error) {
 		if c.Super, err = d.str(); err != nil {
 			return nil, err
 		}
-		ni, err := d.uvarint()
+		ni, err := d.count("interface count", minVarintBytes)
 		if err != nil {
 			return nil, err
 		}
-		for i := uint64(0); i < ni; i++ {
+		for i := 0; i < ni; i++ {
 			iface, err := d.str()
 			if err != nil {
 				return nil, err
@@ -338,11 +399,11 @@ func Decode(data []byte) (*File, error) {
 			return nil, err
 		}
 		c.Flags = AccessFlags(flags)
-		nf, err := d.uvarint()
+		nf, err := d.count("field count", minFieldBytes)
 		if err != nil {
 			return nil, err
 		}
-		for i := uint64(0); i < nf; i++ {
+		for i := 0; i < nf; i++ {
 			ref, err := d.fieldRef()
 			if err != nil {
 				return nil, err
@@ -353,11 +414,11 @@ func Decode(data []byte) (*File, error) {
 			}
 			c.Fields = append(c.Fields, &Field{Ref: ref, Flags: AccessFlags(ff)})
 		}
-		nm, err := d.uvarint()
+		nm, err := d.count("method count", minMethodBytes)
 		if err != nil {
 			return nil, err
 		}
-		for i := uint64(0); i < nm; i++ {
+		for i := 0; i < nm; i++ {
 			m := &Method{}
 			if m.Ref, err = d.methodRef(); err != nil {
 				return nil, err
@@ -377,14 +438,17 @@ func Decode(data []byte) (*File, error) {
 				return nil, err
 			}
 			m.Ins = int(ins)
-			ncode, err := d.uvarint()
+			ncode, err := d.count("instruction count", minInstrBytes)
 			if err != nil {
 				return nil, err
 			}
 			m.Code = make([]Instruction, ncode)
-			for j := uint64(0); j < ncode; j++ {
+			for j := range m.Code {
 				if m.Code[j], err = d.instruction(); err != nil {
 					return nil, err
+				}
+				if err := m.Code[j].checkOperands(); err != nil {
+					return nil, fmt.Errorf("dex: %s.%s instruction %d: %w", c.Name, m.Ref.Name, j, err)
 				}
 			}
 			c.Methods = append(c.Methods, m)

@@ -2,6 +2,8 @@ package dex
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 )
 
@@ -130,5 +132,72 @@ func TestDecodeErrors(t *testing.T) {
 	data := Encode(buildSampleFile(t))
 	if _, err := Decode(data[:len(data)/2]); err == nil {
 		t.Error("Decode(truncated) should fail")
+	}
+}
+
+// TestDecodeRejectsHostileCounts feeds counts no input of that size can
+// hold. Each must fail cleanly instead of sizing a terabyte allocation
+// (which ends the process with a fatal out-of-memory error, not a panic).
+func TestDecodeRejectsHostileCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+
+	// A valid file whose last byte is its only method's instruction count.
+	f := NewFile()
+	cb := NewClass("com.hostile.C")
+	cb.StaticMethod("m", Void).Done()
+	if err := f.AddClass(cb.Build()); err != nil {
+		t.Fatal(err)
+	}
+	valid := Encode(f)
+	if _, err := Decode(valid); err != nil {
+		t.Fatalf("the valid base file does not decode: %v", err)
+	}
+	if valid[len(valid)-1] != 0 {
+		t.Fatalf("base file does not end in a zero instruction count")
+	}
+
+	tests := []struct {
+		name string
+		data []byte
+	}{
+		{"pool size", append([]byte(dexMagic), huge...)},
+		{"pool entry length", append(append([]byte(dexMagic), 1), huge...)},
+		{"instruction count", append(append([]byte(nil), valid[:len(valid)-1]...), huge...)},
+		{"instruction count with padding", append(append(append([]byte(nil), valid[:len(valid)-1]...), huge...), make([]byte, 64)...)},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := Decode(tt.data); err == nil {
+				t.Fatalf("Decode(%x) succeeded", tt.data)
+			}
+		})
+	}
+}
+
+// TestDecodeRejectsMissingRefs: an invoke without a method ref or a field
+// access without a field ref decodes as an error naming the opcode and its
+// position, so the disassembler never dereferences a nil ref.
+func TestDecodeRejectsMissingRefs(t *testing.T) {
+	for _, op := range []Op{OpInvokeVirtual, OpInvokeDirect, OpInvokeStatic, OpInvokeInterface, OpInvokeSuper, OpIGet, OpIPut, OpSGet, OpSPut} {
+		t.Run(op.Mnemonic(), func(t *testing.T) {
+			f := NewFile()
+			c := &Class{Name: "com.bad.C", Super: "java.lang.Object", Methods: []*Method{{
+				Ref:   NewMethodRef("com.bad.C", "m", Void),
+				Flags: AccStatic,
+				Code:  []Instruction{{Op: OpNop}, {Op: op, Args: []int{0}}, {Op: OpReturnVoid}},
+			}}}
+			if err := f.AddClass(c); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Decode(Encode(f))
+			if err == nil {
+				t.Fatal("Decode accepted an instruction without its ref")
+			}
+			for _, want := range []string{op.Mnemonic() + " without", "com.bad.C.m", "instruction 1"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+		})
 	}
 }

@@ -1,10 +1,6 @@
 package dex
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Op is a bytecode opcode. The set is a Dalvik-like subset sufficient for
 // the control- and data-flow shapes the BackDroid analyses handle.
@@ -64,7 +60,7 @@ const (
 	OpThrow      // throw A
 )
 
-var opMnemonics = map[Op]string{
+var opMnemonics = [...]string{
 	OpNop:             "nop",
 	OpConst:           "const/16",
 	OpConstString:     "const-string",
@@ -112,10 +108,10 @@ var opMnemonics = map[Op]string{
 
 // Mnemonic returns the dexdump mnemonic of the opcode.
 func (o Op) Mnemonic() string {
-	if m, ok := opMnemonics[o]; ok {
-		return m
+	if o > 0 && int(o) < len(opMnemonics) {
+		return opMnemonics[o]
 	}
-	return fmt.Sprintf("op(%d)", int(o))
+	return "op(" + strconv.Itoa(int(o)) + ")"
 }
 
 // IsInvoke reports whether the opcode is one of the five invoke kinds.
@@ -192,64 +188,84 @@ func typeSuffix(t TypeDesc) string {
 // "invoke-virtual {v0}, Lcom/foo/Bar;.start:()V". The rendering is what the
 // on-the-fly bytecode search matches against, so it must be stable.
 func (in *Instruction) Format() string {
-	reg := func(r int) string { return "v" + strconv.Itoa(r) }
+	var buf [64]byte
+	return string(in.AppendFormat(buf[:0]))
+}
+
+// AppendFormat appends the Format rendering of the instruction to dst.
+// Invoke and field instructions must carry their Method or Field ref
+// (Decode rejects any that do not).
+func (in *Instruction) AppendFormat(dst []byte) []byte {
+	dst = append(dst, in.Op.Mnemonic()...)
 	switch in.Op {
-	case OpNop:
-		return "nop"
 	case OpConst:
-		return fmt.Sprintf("const/16 %s, #int %d", reg(in.A), in.Lit)
+		dst = strconv.AppendInt(append(appendRegs(dst, in.A), ", #int "...), in.Lit, 10)
 	case OpConstString:
-		return fmt.Sprintf("const-string %s, %q", reg(in.A), in.Str)
-	case OpConstClass:
-		return fmt.Sprintf("const-class %s, %s", reg(in.A), in.Type)
+		dst = strconv.AppendQuote(append(appendRegs(dst, in.A), ", "...), in.Str)
+	case OpConstClass, OpNewInstance, OpCheckCast:
+		dst = append(append(appendRegs(dst, in.A), ", "...), in.Type...)
 	case OpConstNull:
-		return fmt.Sprintf("const/4 %s, #null", reg(in.A))
+		dst = append(appendRegs(dst, in.A), ", #null"...)
 	case OpMove:
-		return fmt.Sprintf("move %s, %s", reg(in.A), reg(in.B))
-	case OpMoveResult:
-		return fmt.Sprintf("move-result %s", reg(in.A))
-	case OpNewInstance:
-		return fmt.Sprintf("new-instance %s, %s", reg(in.A), in.Type)
-	case OpNewArray:
-		return fmt.Sprintf("new-array %s, %s, %s", reg(in.A), reg(in.B), in.Type)
+		dst = appendRegs(dst, in.A, in.B)
+	case OpMoveResult, OpReturn, OpThrow:
+		dst = appendRegs(dst, in.A)
+	case OpNewArray, OpInstanceOf:
+		dst = append(append(appendRegs(dst, in.A, in.B), ", "...), in.Type...)
 	case OpInvokeVirtual, OpInvokeDirect, OpInvokeStatic, OpInvokeInterface, OpInvokeSuper:
-		args := make([]string, len(in.Args))
+		dst = append(dst, " {"...)
 		for i, a := range in.Args {
-			args[i] = reg(a)
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = strconv.AppendInt(append(dst, 'v'), int64(a), 10)
 		}
-		return fmt.Sprintf("%s {%s}, %s", in.Op.Mnemonic(), strings.Join(args, ", "), in.Method.DexSignature())
-	case OpIGet:
-		return fmt.Sprintf("iget%s %s, %s, %s", typeSuffix(in.Field.Type), reg(in.A), reg(in.B), in.Field.DexSignature())
-	case OpIPut:
-		return fmt.Sprintf("iput%s %s, %s, %s", typeSuffix(in.Field.Type), reg(in.A), reg(in.B), in.Field.DexSignature())
-	case OpSGet:
-		return fmt.Sprintf("sget%s %s, %s", typeSuffix(in.Field.Type), reg(in.A), in.Field.DexSignature())
-	case OpSPut:
-		return fmt.Sprintf("sput%s %s, %s", typeSuffix(in.Field.Type), reg(in.A), in.Field.DexSignature())
-	case OpAGet:
-		return fmt.Sprintf("aget %s, %s, %s", reg(in.A), reg(in.B), reg(in.C))
-	case OpAPut:
-		return fmt.Sprintf("aput %s, %s, %s", reg(in.A), reg(in.B), reg(in.C))
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op.Mnemonic(), reg(in.A), reg(in.B), reg(in.C))
+		dst = in.Method.AppendDexSignature(append(dst, "}, "...))
+	case OpIGet, OpIPut:
+		dst = appendRegs(append(dst, typeSuffix(in.Field.Type)...), in.A, in.B)
+		dst = in.Field.AppendDexSignature(append(dst, ", "...))
+	case OpSGet, OpSPut:
+		dst = appendRegs(append(dst, typeSuffix(in.Field.Type)...), in.A)
+		dst = in.Field.AppendDexSignature(append(dst, ", "...))
+	case OpAGet, OpAPut, OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor:
+		dst = appendRegs(dst, in.A, in.B, in.C)
 	case OpAddLit:
-		return fmt.Sprintf("add-int/lit8 %s, %s, #int %d", reg(in.A), reg(in.B), in.Lit)
+		dst = strconv.AppendInt(append(appendRegs(dst, in.A, in.B), ", #int "...), in.Lit, 10)
 	case OpIfEq, OpIfNe, OpIfLt, OpIfGe, OpIfGt, OpIfLe:
-		return fmt.Sprintf("%s %s, %s, %04x", in.Op.Mnemonic(), reg(in.A), reg(in.B), in.Target)
+		dst = AppendHex4(append(appendRegs(dst, in.A, in.B), ", "...), int64(in.Target))
 	case OpIfEqz, OpIfNez:
-		return fmt.Sprintf("%s %s, %04x", in.Op.Mnemonic(), reg(in.A), in.Target)
+		dst = AppendHex4(append(appendRegs(dst, in.A), ", "...), int64(in.Target))
 	case OpGoto:
-		return fmt.Sprintf("goto %04x", in.Target)
-	case OpReturn:
-		return fmt.Sprintf("return %s", reg(in.A))
-	case OpReturnVoid:
-		return "return-void"
-	case OpCheckCast:
-		return fmt.Sprintf("check-cast %s, %s", reg(in.A), in.Type)
-	case OpInstanceOf:
-		return fmt.Sprintf("instance-of %s, %s, %s", reg(in.A), reg(in.B), in.Type)
-	case OpThrow:
-		return fmt.Sprintf("throw %s", reg(in.A))
+		dst = AppendHex4(append(dst, ' '), int64(in.Target))
 	}
-	return in.Op.Mnemonic()
+	return dst
+}
+
+// appendRegs appends register operands after a mnemonic: " v1, v2".
+func appendRegs(dst []byte, regs ...int) []byte {
+	for i, r := range regs {
+		if i == 0 {
+			dst = append(dst, " v"...)
+		} else {
+			dst = append(dst, ", v"...)
+		}
+		dst = strconv.AppendInt(dst, int64(r), 10)
+	}
+	return dst
+}
+
+// AppendHex4 appends v the way fmt's %04x renders it: lower-case hex,
+// zero-padded to a width of four that counts a leading minus sign.
+func AppendHex4(dst []byte, v int64) []byte {
+	u, width := uint64(v), 4
+	if v < 0 {
+		dst = append(dst, '-')
+		u, width = -u, 3
+	}
+	var tmp [16]byte
+	digits := strconv.AppendUint(tmp[:0], u, 16)
+	for n := len(digits); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }

@@ -38,7 +38,21 @@ const (
 // T converts a dotted Java class name into an object type descriptor.
 // T("java.lang.String") == "Ljava/lang/String;".
 func T(className string) TypeDesc {
-	return TypeDesc("L" + strings.ReplaceAll(className, ".", "/") + ";")
+	var buf [64]byte
+	return TypeDesc(AppendT(buf[:0], className))
+}
+
+// AppendT appends T(className) to dst, mapping '.' to '/' byte by byte.
+func AppendT(dst []byte, className string) []byte {
+	dst = append(dst, 'L')
+	for i := 0; i < len(className); i++ {
+		c := className[i]
+		if c == '.' {
+			c = '/'
+		}
+		dst = append(dst, c)
+	}
+	return append(dst, ';')
 }
 
 // Array returns the array descriptor of the element type.
@@ -162,20 +176,31 @@ func NewMethodRef(class, name string, ret TypeDesc, params ...TypeDesc) MethodRe
 
 // Descriptor renders the parameter/return descriptor: "(Ljava/lang/String;I)V".
 func (m MethodRef) Descriptor() string {
-	var b strings.Builder
-	b.WriteByte('(')
+	var buf [64]byte
+	return string(m.AppendDescriptor(buf[:0]))
+}
+
+// AppendDescriptor appends the Descriptor rendering to dst.
+func (m *MethodRef) AppendDescriptor(dst []byte) []byte {
+	dst = append(dst, '(')
 	for _, p := range m.Params {
-		b.WriteString(string(p))
+		dst = append(dst, p...)
 	}
-	b.WriteByte(')')
-	b.WriteString(string(m.Ret))
-	return b.String()
+	return append(append(dst, ')'), m.Ret...)
 }
 
 // DexSignature renders the dexdump-format signature used by bytecode search:
 // "Lcom/foo/Bar;.start:()V".
 func (m MethodRef) DexSignature() string {
-	return string(T(m.Class)) + "." + m.Name + ":" + m.Descriptor()
+	var buf [128]byte
+	return string(m.AppendDexSignature(buf[:0]))
+}
+
+// AppendDexSignature appends the DexSignature rendering to dst.
+func (m *MethodRef) AppendDexSignature(dst []byte) []byte {
+	dst = append(AppendT(dst, m.Class), '.')
+	dst = append(append(dst, m.Name...), ':')
+	return m.AppendDescriptor(dst)
 }
 
 // SootSignature renders the Soot-format full signature used in the program
@@ -334,7 +359,15 @@ func NewFieldRef(class, name string, typ TypeDesc) FieldRef {
 // DexSignature renders the dexdump-format field signature:
 // "Lcom/foo/Bar;.port:I".
 func (f FieldRef) DexSignature() string {
-	return string(T(f.Class)) + "." + f.Name + ":" + string(f.Type)
+	var buf [128]byte
+	return string(f.AppendDexSignature(buf[:0]))
+}
+
+// AppendDexSignature appends the DexSignature rendering to dst.
+func (f *FieldRef) AppendDexSignature(dst []byte) []byte {
+	dst = append(AppendT(dst, f.Class), '.')
+	dst = append(append(dst, f.Name...), ':')
+	return append(dst, f.Type...)
 }
 
 // SootSignature renders the Soot-format field signature:

@@ -6,8 +6,8 @@
 package dexdump
 
 import (
-	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 
 	"backdroid/internal/dex"
@@ -36,59 +36,125 @@ type ClassSpan struct {
 	End   int    // one past the last dump line of the class block
 }
 
-// Disassemble renders the dex file as searchable plaintext.
-func Disassemble(f *dex.File) *Text {
-	t := &Text{}
-	var b strings.Builder
+// render is the reusable scratch of one Disassemble call: the dump bytes
+// and the end offset of every line (its newline excluded).
+type render struct {
+	buf  []byte
+	ends []int
+}
 
-	emit := func(methodIdx int, format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		t.lines = append(t.lines, line)
+var renderPool = sync.Pool{New: func() any { return new(render) }}
+
+// Disassemble renders the dex file as searchable plaintext. Every line is
+// appended once into a pooled buffer; the text is stored once, as one
+// string, and each line is a substring of it.
+func Disassemble(f *dex.File) *Text {
+	// Exact line count: per class 5 header lines, 2 method-group headers
+	// and one line per interface; per method 4 header lines, plus the
+	// insns-size line and one line per instruction unless abstract.
+	lines, methods := 0, 0
+	for _, c := range f.Classes() {
+		lines += 7 + len(c.Interfaces)
+		for _, m := range c.Methods {
+			lines += 4
+			if !m.IsAbstract() {
+				lines += 1 + len(m.Code)
+			}
+		}
+		methods += len(c.Methods)
+	}
+	t := &Text{
+		methodOfLine: make([]int, 0, lines),
+		methods:      make([]dex.MethodRef, 0, methods),
+		spans:        make([]ClassSpan, 0, len(f.Classes())),
+	}
+	r := renderPool.Get().(*render)
+	buf := r.buf[:0]
+	ends := slices.Grow(r.ends[:0], lines)
+	eol := func(methodIdx int) {
+		ends = append(ends, len(buf))
+		buf = append(buf, '\n')
 		t.methodOfLine = append(t.methodOfLine, methodIdx)
-		b.WriteString(line)
-		b.WriteByte('\n')
 	}
 
 	for ci, c := range f.Classes() {
-		span := ClassSpan{Name: c.Name, Start: len(t.lines)}
-		emit(-1, "Class #%d            -", ci)
-		emit(-1, "  Class descriptor  : '%s'", dex.T(c.Name))
-		emit(-1, "  Access flags      : %s", c.Flags)
-		super := ""
+		span := ClassSpan{Name: c.Name, Start: len(ends)}
+		buf = strconv.AppendInt(append(buf, "Class #"...), int64(ci), 10)
+		buf = append(buf, "            -"...)
+		eol(-1)
+		buf = dex.AppendT(append(buf, "  Class descriptor  : '"...), c.Name)
+		buf = append(buf, '\'')
+		eol(-1)
+		buf = c.Flags.AppendFlags(append(buf, "  Access flags      : "...))
+		eol(-1)
+		buf = append(buf, "  Superclass        : '"...)
 		if c.Super != "" {
-			super = string(dex.T(c.Super))
+			buf = dex.AppendT(buf, c.Super)
 		}
-		emit(-1, "  Superclass        : '%s'", super)
-		emit(-1, "  Interfaces        -")
+		buf = append(buf, '\'')
+		eol(-1)
+		buf = append(buf, "  Interfaces        -"...)
+		eol(-1)
 		for ii, iface := range c.Interfaces {
-			emit(-1, "    #%d              : '%s'", ii, dex.T(iface))
+			buf = strconv.AppendInt(append(buf, "    #"...), int64(ii), 10)
+			buf = dex.AppendT(append(buf, "              : '"...), iface)
+			buf = append(buf, '\'')
+			eol(-1)
 		}
 
-		emitMethods := func(header string, methods []*dex.Method) {
-			emit(-1, "  %s   -", header)
-			for mi, m := range methods {
+		for _, direct := range [...]bool{true, false} {
+			if direct {
+				buf = append(buf, "  Direct methods    -"...)
+			} else {
+				buf = append(buf, "  Virtual methods   -"...)
+			}
+			eol(-1)
+			mi := 0
+			for _, m := range c.Methods {
+				if m.IsDirect() != direct {
+					continue
+				}
 				midx := len(t.methods)
 				t.methods = append(t.methods, m.Ref)
-				emit(-1, "    #%d              : (in %s)", mi, dex.T(c.Name))
-				emit(midx, "      name          : '%s'", m.Ref.Name)
-				emit(midx, "      type          : '%s'", m.Ref.Descriptor())
-				emit(midx, "      access        : %s", m.Flags)
+				buf = strconv.AppendInt(append(buf, "    #"...), int64(mi), 10)
+				buf = dex.AppendT(append(buf, "              : (in "...), c.Name)
+				buf = append(buf, ')')
+				eol(-1)
+				mi++
+				buf = append(append(buf, "      name          : '"...), m.Ref.Name...)
+				buf = append(buf, '\'')
+				eol(midx)
+				buf = m.Ref.AppendDescriptor(append(buf, "      type          : '"...))
+				buf = append(buf, '\'')
+				eol(midx)
+				buf = m.Flags.AppendFlags(append(buf, "      access        : "...))
+				eol(midx)
 				if m.IsAbstract() {
 					continue
 				}
-				emit(midx, "      insns size    : %d 16-bit code units", len(m.Code))
+				buf = strconv.AppendInt(append(buf, "      insns size    : "...), int64(len(m.Code)), 10)
+				buf = append(buf, " 16-bit code units"...)
+				eol(midx)
 				for pc := range m.Code {
-					emit(midx, "        |%04x: %s", pc, m.Code[pc].Format())
+					buf = dex.AppendHex4(append(buf, "        |"...), int64(pc))
+					buf = m.Code[pc].AppendFormat(append(buf, ": "...))
+					eol(midx)
 				}
 			}
 		}
-		emitMethods("Direct methods ", c.DirectMethods())
-		emitMethods("Virtual methods", c.VirtualMethods())
-		span.End = len(t.lines)
+		span.End = len(ends)
 		t.spans = append(t.spans, span)
 	}
 
-	t.full = b.String()
+	t.full = string(buf)
+	t.lines = make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		t.lines[i] = t.full[start:end]
+		start = end + 1
+	}
+	r.buf, r.ends = buf, ends
+	renderPool.Put(r)
 	return t
 }
 

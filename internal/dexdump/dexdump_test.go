@@ -1,13 +1,16 @@
 package dexdump
 
 import (
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"backdroid/internal/dex"
+	"backdroid/internal/testapps"
 )
 
-func sampleFile(t *testing.T) *dex.File {
+func sampleFile(t testing.TB) *dex.File {
 	t.Helper()
 	f := dex.NewFile()
 
@@ -117,4 +120,116 @@ func TestAbstractMethodsHaveNoCode(t *testing.T) {
 	if !strings.Contains(txt.String(), "name          : 'exec'") {
 		t.Error("abstract method header missing")
 	}
+}
+
+// TestDisassembleConcurrent renders different files from several
+// goroutines at once; the pooled render buffers must not leak between them.
+func TestDisassembleConcurrent(t *testing.T) {
+	files := make([]*dex.File, 8)
+	want := make([]string, len(files))
+	for i := range files {
+		files[i] = randomDex(int64(i))
+		want[i] = Disassemble(files[i]).String()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				i := (g + k) % len(files)
+				text := Disassemble(files[i])
+				if text.String() != want[i] || strings.Join(text.Lines(), "\n")+"\n" != want[i] {
+					t.Errorf("goroutine %d: file %d rendered differently", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// randomDex builds a well-formed dex file from a seed, mixing every
+// operand shape the renderer formats: invokes, field accesses, branches,
+// quoted literals, interfaces and abstract methods.
+func randomDex(seed int64) *dex.File {
+	rng := rand.New(rand.NewSource(seed))
+	f := dex.NewFile()
+	for ci := 0; ci < 1+rng.Intn(3); ci++ {
+		name := "com.rnd.C" + string(rune('A'+ci))
+		cb := dex.NewClass(name).Implements("java.lang.Runnable").
+			Field("f", dex.Int).StaticField("S", dex.StringT)
+		if rng.Intn(2) == 0 {
+			cb.AbstractMethod("todo", dex.Void, dex.Long)
+		}
+		field := dex.NewFieldRef(name, "f", dex.Int)
+		static := dex.NewFieldRef(name, "S", dex.StringT)
+		for mi := 0; mi < 1+rng.Intn(3); mi++ {
+			mb := cb.Method("m"+string(rune('0'+mi)), dex.Int, dex.StringT)
+			r, s := mb.Reg(), mb.Param(0)
+			mb.Label("top")
+			for k := rng.Intn(10); k > 0; k-- {
+				switch rng.Intn(6) {
+				case 0:
+					mb.ConstString(s, "s\"q\\ü\xff"[:rng.Intn(8)])
+				case 1:
+					mb.IGet(r, mb.This(), field).IPut(r, mb.This(), field)
+				case 2:
+					mb.SGet(s, static).SPut(s, static)
+				case 3:
+					mb.InvokeVirtual(mb.Ref(), mb.This(), s).MoveResult(r)
+				case 4:
+					mb.IfZ(dex.OpIfEqz, r, "top")
+				case 5:
+					mb.Const(r, rng.Int63()-rng.Int63())
+				}
+			}
+			mb.Return(r).Done()
+		}
+		_ = f.AddClass(cb.Build())
+	}
+	return f
+}
+
+// FuzzDecodeDex feeds arbitrary bytes to dex.Decode, seeded with encoded
+// random files, the sample file and the fixture app's merged dex. Decoding
+// must never panic or exhaust memory. A decoded file must disassemble and
+// index without panicking, into lines that tile the text, and re-encoding
+// it must decode to a file that disassembles to the same bytes.
+func FuzzDecodeDex(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(dex.Encode(randomDex(seed)))
+	}
+	f.Add(dex.Encode(sampleFile(f)))
+	app, err := testapps.Fixture()
+	if err != nil {
+		f.Fatal(err)
+	}
+	merged, err := app.MergedDex()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dex.Encode(merged))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := dex.Decode(data)
+		if err != nil {
+			return
+		}
+		text := Disassemble(file)
+		BuildIndex(text)
+		n := 0
+		for _, line := range text.Lines() {
+			n += len(line) + 1
+		}
+		if n != len(text.String()) {
+			t.Fatalf("lines cover %d bytes of a %d-byte dump", n, len(text.String()))
+		}
+		again, err := dex.Decode(dex.Encode(file))
+		if err != nil {
+			t.Fatalf("re-encoded file does not decode: %v", err)
+		}
+		if Disassemble(again).String() != text.String() {
+			t.Fatal("re-encoded file disassembles differently")
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"backdroid/internal/appgen"
+	"backdroid/internal/testapps"
 )
 
 // goldenBundles pins, per app of the benchgate corpus (16 apps, scale
@@ -41,9 +42,9 @@ func fnv64a(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// TestGoldenBundles renders the benchgate corpus and compares every app's
-// dump text, DumpHash (the FNV-64a of that text by definition) and
-// EncodeBundle bytes against the pinned values.
+// TestGoldenBundles renders the benchgate corpus and the fixture app and
+// compares every app's dump text, DumpHash (the FNV-64a of that text by
+// definition) and EncodeBundle bytes against the pinned values.
 func TestGoldenBundles(t *testing.T) {
 	specs := appgen.EvalCorpus(appgen.CorpusOptions{Apps: 16, SizeScale: 0.15, Seed: 20200523})
 	if len(specs) != len(goldenBundles) {
@@ -75,6 +76,89 @@ func TestGoldenBundles(t *testing.T) {
 		}
 		if got := fnv64a(data); got != want.bundle {
 			t.Errorf("%s: bundle hash %#016x, pinned %#016x", want.app, got, want.bundle)
+		}
+	}
+
+	// The hand-written fixture app exercises shapes appgen does not emit.
+	app, err := testapps.Fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := app.MergedDex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := Disassemble(merged)
+	if got, want := DumpHash(text), uint64(0xeccafb6156da3235); got != want {
+		t.Errorf("fixture: DumpHash %#016x, pinned %#016x", got, want)
+	}
+	if got, want := len(text.String()), 13580; got != want {
+		t.Errorf("fixture: dump is %d bytes, pinned %d", got, want)
+	}
+	if got, want := text.LineCount(), 305; got != want {
+		t.Errorf("fixture: dump has %d lines, pinned %d", got, want)
+	}
+	data, err := EncodeBundle(text, BuildIndex(text), AppFingerprint(app.Dexes), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fnv64a(data), uint64(0xefbfb8ccc6a7b27d); got != want {
+		t.Errorf("fixture: bundle hash %#016x, pinned %#016x", got, want)
+	}
+}
+
+// goldenBenchDumps pins the DumpHash of every app of the wall-clock
+// benchmark's corpus (24 apps, scale 0.15, seed 20200523).
+var goldenBenchDumps = []struct {
+	app  string
+	hash uint64
+}{
+	{"com.corpus.app000", 0xc458a187f53f1430},
+	{"com.corpus.app001", 0xef903957dce123d5},
+	{"com.corpus.app002", 0x16e171aa27c17664},
+	{"com.corpus.app003", 0x13a13144265ea479},
+	{"com.corpus.app004", 0x1a70ce4d6241e34c},
+	{"com.corpus.app005", 0x9e417159655b665a},
+	{"com.corpus.app006", 0x27bc71f3a61b5abf},
+	{"com.corpus.app007", 0xfd83833a334ca308},
+	{"com.corpus.app008", 0x4ce51e8ea846f1ee},
+	{"com.corpus.app009", 0x01675cc77b3d79b9},
+	{"com.corpus.app010", 0xf64d2c4fc5f2a1d8},
+	{"com.corpus.app011", 0xadc5489b7501a4d5},
+	{"com.corpus.app012", 0xc9946f845066e993},
+	{"com.corpus.app013", 0x8a8479940ceef426},
+	{"com.corpus.app014", 0x25c160729bfeba1f},
+	{"com.corpus.app015", 0x73cee2e2237ff221},
+	{"com.corpus.app016", 0xf48beed7cf74acc0},
+	{"com.corpus.app017", 0xd79c2605d6e418ed},
+	{"com.corpus.app018", 0x97cf721210dc42de},
+	{"com.corpus.app019", 0x2f222b19bb1ace85},
+	{"com.corpus.app020", 0x3a45bae4b3f23e4c},
+	{"com.corpus.app021", 0xd908e102d5a633da},
+	{"com.corpus.app022", 0xaadfa3391fd859b7},
+	{"com.corpus.app023", 0xc319cc4c9e3ddbf9},
+}
+
+func TestGoldenBenchCorpusDumps(t *testing.T) {
+	specs := appgen.EvalCorpus(appgen.CorpusOptions{Apps: 24, SizeScale: 0.15, Seed: 20200523})
+	if len(specs) != len(goldenBenchDumps) {
+		t.Fatalf("corpus has %d apps, %d pinned", len(specs), len(goldenBenchDumps))
+	}
+	for i, spec := range specs {
+		want := goldenBenchDumps[i]
+		app, _, err := appgen.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if app.Name != want.app {
+			t.Fatalf("app %d is %s, pinned %s", i, app.Name, want.app)
+		}
+		merged, err := app.MergedDex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := DumpHash(Disassemble(merged)); got != want.hash {
+			t.Errorf("%s: DumpHash %#016x, pinned %#016x", want.app, got, want.hash)
 		}
 	}
 }
