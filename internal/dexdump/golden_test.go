@@ -2,6 +2,7 @@ package dexdump
 
 import (
 	"hash/fnv"
+	"sync"
 	"testing"
 
 	"backdroid/internal/appgen"
@@ -107,58 +108,95 @@ func TestGoldenBundles(t *testing.T) {
 	}
 }
 
-// goldenBenchDumps pins the DumpHash of every app of the wall-clock
-// benchmark's corpus (24 apps, scale 0.15, seed 20200523).
+// goldenBenchDumps pins, per app of the wall-clock benchmark's corpus (24
+// apps, scale 0.15, seed 20200523), the DumpHash and the FNV-64a of the
+// encoded bundle, so the index tokenizer is pinned on the corpus the
+// benchmark times, not only on the benchgate corpus above.
 var goldenBenchDumps = []struct {
-	app  string
-	hash uint64
+	app          string
+	hash, bundle uint64
 }{
-	{"com.corpus.app000", 0xc458a187f53f1430},
-	{"com.corpus.app001", 0xef903957dce123d5},
-	{"com.corpus.app002", 0x16e171aa27c17664},
-	{"com.corpus.app003", 0x13a13144265ea479},
-	{"com.corpus.app004", 0x1a70ce4d6241e34c},
-	{"com.corpus.app005", 0x9e417159655b665a},
-	{"com.corpus.app006", 0x27bc71f3a61b5abf},
-	{"com.corpus.app007", 0xfd83833a334ca308},
-	{"com.corpus.app008", 0x4ce51e8ea846f1ee},
-	{"com.corpus.app009", 0x01675cc77b3d79b9},
-	{"com.corpus.app010", 0xf64d2c4fc5f2a1d8},
-	{"com.corpus.app011", 0xadc5489b7501a4d5},
-	{"com.corpus.app012", 0xc9946f845066e993},
-	{"com.corpus.app013", 0x8a8479940ceef426},
-	{"com.corpus.app014", 0x25c160729bfeba1f},
-	{"com.corpus.app015", 0x73cee2e2237ff221},
-	{"com.corpus.app016", 0xf48beed7cf74acc0},
-	{"com.corpus.app017", 0xd79c2605d6e418ed},
-	{"com.corpus.app018", 0x97cf721210dc42de},
-	{"com.corpus.app019", 0x2f222b19bb1ace85},
-	{"com.corpus.app020", 0x3a45bae4b3f23e4c},
-	{"com.corpus.app021", 0xd908e102d5a633da},
-	{"com.corpus.app022", 0xaadfa3391fd859b7},
-	{"com.corpus.app023", 0xc319cc4c9e3ddbf9},
+	{"com.corpus.app000", 0xc458a187f53f1430, 0xb70da4839d0a2e10},
+	{"com.corpus.app001", 0xef903957dce123d5, 0xb78a9af8f1fdeb01},
+	{"com.corpus.app002", 0x16e171aa27c17664, 0x5260cab33015b14c},
+	{"com.corpus.app003", 0x13a13144265ea479, 0xdff645740a8c7c44},
+	{"com.corpus.app004", 0x1a70ce4d6241e34c, 0x46475423d4b9a114},
+	{"com.corpus.app005", 0x9e417159655b665a, 0x052981128de10236},
+	{"com.corpus.app006", 0x27bc71f3a61b5abf, 0x965e6cd792e539f9},
+	{"com.corpus.app007", 0xfd83833a334ca308, 0x0c2312d26762b688},
+	{"com.corpus.app008", 0x4ce51e8ea846f1ee, 0x4c9cdd4ad9fd1629},
+	{"com.corpus.app009", 0x01675cc77b3d79b9, 0x35195561a98d5be3},
+	{"com.corpus.app010", 0xf64d2c4fc5f2a1d8, 0x8f885dbeba2efcd5},
+	{"com.corpus.app011", 0xadc5489b7501a4d5, 0x64712e689bd1befd},
+	{"com.corpus.app012", 0xc9946f845066e993, 0x1afdd42f7a4197b5},
+	{"com.corpus.app013", 0x8a8479940ceef426, 0xd8cb2a051264dcad},
+	{"com.corpus.app014", 0x25c160729bfeba1f, 0x5f592b878f306a52},
+	{"com.corpus.app015", 0x73cee2e2237ff221, 0x64de0a05b9c26fef},
+	{"com.corpus.app016", 0xf48beed7cf74acc0, 0x1dabcb3f29b0bdcc},
+	{"com.corpus.app017", 0xd79c2605d6e418ed, 0x5d3ca18493779974},
+	{"com.corpus.app018", 0x97cf721210dc42de, 0x77a9ba0ddd59b18d},
+	{"com.corpus.app019", 0x2f222b19bb1ace85, 0xf63404759ab261c1},
+	{"com.corpus.app020", 0x3a45bae4b3f23e4c, 0x9bdb5521fe0b517f},
+	{"com.corpus.app021", 0xd908e102d5a633da, 0x5bfc05b86cc53a2f},
+	{"com.corpus.app022", 0xaadfa3391fd859b7, 0x24cb804363ffd13d},
+	{"com.corpus.app023", 0xc319cc4c9e3ddbf9, 0xf35413adead6e96c},
 }
 
-func TestGoldenBenchCorpusDumps(t *testing.T) {
+// benchApp is one rendered app of the wall-clock benchmark's corpus.
+type benchApp struct {
+	name        string
+	text        *Text
+	fingerprint uint64 // AppFingerprint of its dex files
+}
+
+// benchCorpus renders the wall-clock benchmark's corpus once per test
+// binary; the golden, oracle and postings tests and BenchmarkBuildIndex
+// share it.
+var benchCorpus = sync.OnceValues(func() ([]benchApp, error) {
 	specs := appgen.EvalCorpus(appgen.CorpusOptions{Apps: 24, SizeScale: 0.15, Seed: 20200523})
-	if len(specs) != len(goldenBenchDumps) {
-		t.Fatalf("corpus has %d apps, %d pinned", len(specs), len(goldenBenchDumps))
-	}
+	out := make([]benchApp, len(specs))
 	for i, spec := range specs {
-		want := goldenBenchDumps[i]
 		app, _, err := appgen.Generate(spec)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if app.Name != want.app {
-			t.Fatalf("app %d is %s, pinned %s", i, app.Name, want.app)
+			return nil, err
 		}
 		merged, err := app.MergedDex()
 		if err != nil {
+			return nil, err
+		}
+		out[i] = benchApp{app.Name, Disassemble(merged), AppFingerprint(app.Dexes)}
+	}
+	return out, nil
+})
+
+func loadBenchCorpus(tb testing.TB) []benchApp {
+	tb.Helper()
+	apps, err := benchCorpus()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return apps
+}
+
+func TestGoldenBenchCorpusDumps(t *testing.T) {
+	apps := loadBenchCorpus(t)
+	if len(apps) != len(goldenBenchDumps) {
+		t.Fatalf("corpus has %d apps, %d pinned", len(apps), len(goldenBenchDumps))
+	}
+	for i, app := range apps {
+		want := goldenBenchDumps[i]
+		if app.name != want.app {
+			t.Fatalf("app %d is %s, pinned %s", i, app.name, want.app)
+		}
+		if got := DumpHash(app.text); got != want.hash {
+			t.Errorf("%s: DumpHash %#016x, pinned %#016x", want.app, got, want.hash)
+		}
+		data, err := EncodeBundle(app.text, BuildIndex(app.text), app.fingerprint, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := DumpHash(Disassemble(merged)); got != want.hash {
-			t.Errorf("%s: DumpHash %#016x, pinned %#016x", want.app, got, want.hash)
+		if got := fnv64a(data); got != want.bundle {
+			t.Errorf("%s: bundle hash %#016x, pinned %#016x", want.app, got, want.bundle)
 		}
 	}
 }

@@ -57,54 +57,153 @@ func build(t *Text, keep func(span int) bool) *Index {
 		fieldBySig:    make(map[string][]int32),
 		classUse:      make(map[string][]int32),
 	}
+	s := scan{open: make([]int, 0, 16), posted: make([]string, 0, maxPosted)}
 	for i, sp := range t.spans {
 		if !keep(i) {
 			continue
 		}
 		for n := sp.Start; n < sp.End; n++ {
-			x.addLine(int32(n), t.lines[n])
+			x.addLine(&s, int32(n), t.lines[n])
 		}
 		x.lines += sp.End - sp.Start
 	}
 	return x
 }
 
-func (x *Index) addLine(n int32, line string) {
-	// Class-descriptor occurrences anywhere on the line: every "L...;"
-	// token, wherever it starts. A descriptor contains no ';', so if one
-	// occurs at position i the first ';' at or after i closes it exactly;
-	// spurious tokens (an 'L' that is not a descriptor start) only bloat
-	// unqueried postings lists and are filtered by Match on lookup.
+// scan is the scratch addLine reuses from line to line. It lives on one
+// build call, never on the Index, so a built Index stays immutable.
+type scan struct {
+	open   []int    // positions of 'L' bytes no ';' has closed yet
+	posted []string // classUse tokens posted on this line (at most maxPosted)
+}
+
+// maxPosted bounds the per-line classUse dedup list. Past it (only
+// hostile literals carry that many descriptors) a token is deduplicated
+// by probing the tail of its postings list instead.
+const maxPosted = 16
+
+// Byte classes of addLine's scan; every other byte is skipped after one
+// table load.
+const (
+	skipByte  = iota
+	classByte // 'L': may open a class descriptor
+	semiByte  // ';': closes every open descriptor
+	commaByte // ',': ", " starts the operand tail
+	quoteByte // '"': bounds a string literal
+	mnemByte  // 'i', 'n', 'c', 's': may start a family mnemonic
+)
+
+var byteClass = [256]uint8{
+	'L': classByte, ';': semiByte, ',': commaByte, '"': quoteByte,
+	'i': mnemByte, 'n': mnemByte, 'c': mnemByte, 's': mnemByte,
+}
+
+// Mnemonic bits: the substrings whose presence anywhere on a line puts
+// it into a token family.
+const (
+	hasInvoke      = 1 << iota // "invoke-"
+	hasDirect                  // "invoke-direct"
+	hasNewInstance             // "new-instance"
+	hasConstClass              // "const-class"
+	hasConstString             // "const-string"
+	hasField                   // "iget", "iput", "sget" or "sput"
+)
+
+// mnemonicsAt returns the bits of the mnemonics s starts with; s[0] is
+// one of the mnemByte bytes.
+func mnemonicsAt(s string) uint8 {
+	switch s[0] {
+	case 'i':
+		if strings.HasPrefix(s, "invoke-") {
+			if strings.HasPrefix(s[len("invoke-"):], "direct") {
+				return hasInvoke | hasDirect
+			}
+			return hasInvoke
+		}
+		if strings.HasPrefix(s, "iget") || strings.HasPrefix(s, "iput") {
+			return hasField
+		}
+	case 'n':
+		if strings.HasPrefix(s, "new-instance") {
+			return hasNewInstance
+		}
+	case 'c':
+		if strings.HasPrefix(s, "const-") {
+			switch rest := s[len("const-"):]; {
+			case strings.HasPrefix(rest, "class"):
+				return hasConstClass
+			case strings.HasPrefix(rest, "string"):
+				return hasConstString
+			}
+		}
+	case 's':
+		if strings.HasPrefix(s, "sget") || strings.HasPrefix(s, "sput") {
+			return hasField
+		}
+	}
+	return 0
+}
+
+// addLine tokenizes one dump line in a single forward pass over its
+// bytes, then files the line under every family whose mnemonic it
+// contains.
+func (x *Index) addLine(s *scan, n int32, line string) {
+	s.open, s.posted = s.open[:0], s.posted[:0]
+	tailAt, firstQuote, lastQuote := -1, -1, -1
+	var mnem uint8
 	for i := 0; i < len(line); i++ {
-		if line[i] != 'L' {
+		c := byteClass[line[i]]
+		if c == skipByte {
 			continue
 		}
-		j := strings.IndexByte(line[i:], ';')
-		if j < 0 {
-			break // no ';' remains, no further descriptor can close
+		switch c {
+		case classByte:
+			s.open = append(s.open, i)
+		case semiByte:
+			// Class-descriptor occurrences anywhere on the line: every
+			// "L...;" token, wherever it starts. A descriptor contains no
+			// ';', so the first ';' after an 'L' closes it exactly;
+			// spurious tokens (an 'L' that is not a descriptor start) only
+			// bloat unqueried postings lists and are filtered by Match on
+			// lookup. An 'L' no ';' follows opens no token.
+			for _, o := range s.open {
+				x.addClassUse(s, line[o:i+1], n)
+			}
+			s.open = s.open[:0]
+		case commaByte:
+			if i+1 < len(line) && line[i+1] == ' ' {
+				tailAt = i + 2
+			}
+		case quoteByte:
+			if firstQuote < 0 {
+				firstQuote = i
+			}
+			lastQuote = i
+		case mnemByte:
+			mnem |= mnemonicsAt(line[i:])
 		}
-		x.add(x.classUse, line[i:i+j+1], n)
 	}
 
 	// Operand tokens live after the last ", " of an instruction line
 	// (registers precede them); signatures and descriptors contain no
 	// ", ", so the tail is the whole operand.
 	tail := ""
-	if k := strings.LastIndex(line, ", "); k >= 0 {
-		tail = line[k+2:]
+	if tailAt >= 0 {
+		tail = line[tailAt:]
 	}
 	// Double quotes appear only in const-string literals; a quoted line is
 	// a literal whose content can accidentally satisfy Contains-style
 	// predicates (see the side lists below).
-	quoted := strings.IndexByte(line, '"') >= 0
+	quoted := firstQuote >= 0
 
 	// The family checks below are deliberately independent, not exclusive:
 	// the linear grep predicates are substring tests, so a single line can
 	// satisfy several families at once (e.g. a string literal whose value
 	// contains a mnemonic). Indexing a line under a family it only
 	// accidentally belongs to costs a posting; missing one would cost a
-	// hit.
-	if strings.Contains(line, "invoke-") && tail != "" {
+	// hit. Each family takes at most one token per line, which add relies
+	// on.
+	if mnem&hasInvoke != 0 && tail != "" {
 		x.add(x.invokeBySig, tail, n)
 		// ".name:descriptor" begins at the dot after the class descriptor;
 		// the ".name:" prefix (descriptor-independent, the two-time ICC
@@ -118,7 +217,7 @@ func (x *Index) addLine(n int32, line string) {
 		}
 		// Constructor prefix "Lcls;.<init>:" — everything up to and
 		// including the colon that separates name from descriptor.
-		if strings.Contains(line, "invoke-direct") {
+		if mnem&hasDirect != 0 {
 			if c := strings.IndexByte(tail, ':'); c >= 0 {
 				x.add(x.ctorByPrefix, tail[:c+1], n)
 			}
@@ -130,28 +229,23 @@ func (x *Index) addLine(n int32, line string) {
 			x.addSide(&x.oddInvokes, n)
 		}
 	}
-	if strings.Contains(line, "new-instance") && tail != "" {
+	if mnem&hasNewInstance != 0 && tail != "" {
 		x.add(x.newInstance, tail, n)
 	}
-	if strings.Contains(line, "const-class") && tail != "" {
+	if mnem&hasConstClass != 0 && tail != "" {
 		x.add(x.constClass, tail, n)
 	}
-	if strings.Contains(line, "const-string") {
-		i := strings.IndexByte(line, '"')
-		j := strings.LastIndexByte(line, '"')
-		if i >= 0 && j > i {
-			val := line[i+1 : j]
-			x.add(x.constString, val, n)
-			// Literals rendered with escapes can satisfy quoted-substring
-			// queries that differ from the whole extracted value; keep
-			// them on a side list every const-string lookup also visits.
-			if strings.ContainsAny(val, `\"`) {
-				x.addSide(&x.oddStrings, n)
-			}
+	if mnem&hasConstString != 0 && lastQuote > firstQuote {
+		val := line[firstQuote+1 : lastQuote]
+		x.add(x.constString, val, n)
+		// Literals rendered with escapes can satisfy quoted-substring
+		// queries that differ from the whole extracted value; keep them on
+		// a side list every const-string lookup also visits.
+		if strings.ContainsAny(val, `\"`) {
+			x.addSide(&x.oddStrings, n)
 		}
 	}
-	if strings.Contains(line, "iget") || strings.Contains(line, "iput") ||
-		strings.Contains(line, "sget") || strings.Contains(line, "sput") {
+	if mnem&hasField != 0 {
 		if tail != "" {
 			x.add(x.fieldBySig, tail, n)
 		}
@@ -164,28 +258,40 @@ func (x *Index) addLine(n int32, line string) {
 		}
 	}
 	// Same literal vector for the constructor search's Contains predicate.
-	if quoted && strings.Contains(line, "invoke-direct") {
+	if quoted && mnem&hasDirect != 0 {
 		x.addSide(&x.oddCtors, n)
 	}
 }
 
-// addSide appends line n to a side list, deduplicating repeats.
-func (x *Index) addSide(list *[]int32, n int32) {
-	if p := *list; len(p) > 0 && p[len(p)-1] == n {
+// addClassUse posts line n under a class-use token unless this line
+// already posted it (one descriptor can occur several times on a line).
+func (x *Index) addClassUse(s *scan, token string, n int32) {
+	if len(s.posted) < maxPosted {
+		for _, p := range s.posted {
+			if p == token {
+				return
+			}
+		}
+		s.posted = append(s.posted, token)
+	} else if p := x.classUse[token]; len(p) > 0 && p[len(p)-1] == n {
 		return
 	}
-	*list = append(*list, n)
+	x.classUse[token] = append(x.classUse[token], n)
 	x.postings++
 }
 
-// add appends line n to the postings list of token, deduplicating
-// consecutive inserts (the same token can occur twice on one line).
+// add posts line n under token. Lines arrive in ascending order and a
+// family takes at most one token per line, so n is never on the list
+// yet and the insert is a single map assign.
 func (x *Index) add(m map[string][]int32, token string, n int32) {
-	p := m[token]
-	if len(p) > 0 && p[len(p)-1] == n {
-		return
-	}
-	m[token] = append(p, n)
+	m[token] = append(m[token], n)
+	x.postings++
+}
+
+// addSide appends line n to a side list; like add, it runs at most once
+// per list and line.
+func (x *Index) addSide(list *[]int32, n int32) {
+	*list = append(*list, n)
 	x.postings++
 }
 

@@ -2,10 +2,12 @@ package dexdump
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"backdroid/internal/dex"
+	"backdroid/internal/testapps"
 )
 
 // indexFixture builds a small two-class file exercising every token family
@@ -120,24 +122,54 @@ func TestIndexClassUseMatchesGrep(t *testing.T) {
 	}
 }
 
+// indexMaps names the nine token maps of x.
+func indexMaps(x *Index) map[string]map[string][]int32 {
+	return map[string]map[string][]int32{
+		"invokeBySig":   x.invokeBySig,
+		"invokeByName":  x.invokeByName,
+		"invokeByNameP": x.invokeByNameP,
+		"ctorByPrefix":  x.ctorByPrefix,
+		"newInstance":   x.newInstance,
+		"constClass":    x.constClass,
+		"constString":   x.constString,
+		"fieldBySig":    x.fieldBySig,
+		"classUse":      x.classUse,
+	}
+}
+
+// indexSides names the four side lists of x.
+func indexSides(x *Index) map[string][]int32 {
+	return map[string][]int32{
+		"oddStrings": x.oddStrings,
+		"oddFields":  x.oddFields,
+		"oddCtors":   x.oddCtors,
+		"oddInvokes": x.oddInvokes,
+	}
+}
+
 func TestIndexPostingsAscendingUnique(t *testing.T) {
-	_, idx := indexFixture(t)
-	check := func(name string, p []int32) {
-		for i := 1; i < len(p); i++ {
-			if p[i] <= p[i-1] {
-				t.Errorf("%s postings not strictly ascending: %v", name, p)
-				return
+	_, fixture := indexFixture(t)
+	indexes := map[string]*Index{"fixture": fixture}
+	for _, app := range loadBenchCorpus(t) {
+		indexes[app.name] = BuildIndex(app.text)
+	}
+	for name, idx := range indexes {
+		check := func(list string, p []int32) {
+			for i := 1; i < len(p); i++ {
+				if p[i] <= p[i-1] {
+					t.Errorf("%s: %s postings not strictly ascending: %v", name, list, p)
+					return
+				}
 			}
 		}
-	}
-	for tok, p := range idx.classUse {
-		check("classUse["+tok+"]", p)
-	}
-	for tok, p := range idx.invokeBySig {
-		check("invoke["+tok+"]", p)
-	}
-	for tok, p := range idx.fieldBySig {
-		check("field["+tok+"]", p)
+		for family, m := range indexMaps(idx) {
+			for tok, p := range m {
+				check(family+"["+tok+"]", p)
+			}
+		}
+		for side, p := range indexSides(idx) {
+			check(side, p)
+		}
 	}
 }
 
@@ -235,6 +267,275 @@ func TestInvokeByNamePrefixCoversQuotedLiterals(t *testing.T) {
 	for _, n := range want {
 		if !have[n] {
 			t.Errorf("linear match line %d missing from prefix candidates %v", n, got)
+		}
+	}
+}
+
+// addLineOracle is the substring-search line tokenizer the single byte
+// pass replaced, kept verbatim (but for its two posting helpers) as the
+// reference addLine must match exactly.
+func addLineOracle(x *Index, n int32, line string) {
+	// Class-descriptor occurrences anywhere on the line: every "L...;"
+	// token, wherever it starts. A descriptor contains no ';', so if one
+	// occurs at position i the first ';' at or after i closes it exactly;
+	// spurious tokens (an 'L' that is not a descriptor start) only bloat
+	// unqueried postings lists and are filtered by Match on lookup.
+	for i := 0; i < len(line); i++ {
+		if line[i] != 'L' {
+			continue
+		}
+		j := strings.IndexByte(line[i:], ';')
+		if j < 0 {
+			break // no ';' remains, no further descriptor can close
+		}
+		oracleAdd(x, x.classUse, line[i:i+j+1], n)
+	}
+
+	// Operand tokens live after the last ", " of an instruction line
+	// (registers precede them); signatures and descriptors contain no
+	// ", ", so the tail is the whole operand.
+	tail := ""
+	if k := strings.LastIndex(line, ", "); k >= 0 {
+		tail = line[k+2:]
+	}
+	// Double quotes appear only in const-string literals; a quoted line is
+	// a literal whose content can accidentally satisfy Contains-style
+	// predicates (see the side lists below).
+	quoted := strings.IndexByte(line, '"') >= 0
+
+	// The family checks below are deliberately independent, not exclusive:
+	// the linear grep predicates are substring tests, so a single line can
+	// satisfy several families at once (e.g. a string literal whose value
+	// contains a mnemonic). Indexing a line under a family it only
+	// accidentally belongs to costs a posting; missing one would cost a
+	// hit.
+	if strings.Contains(line, "invoke-") && tail != "" {
+		oracleAdd(x, x.invokeBySig, tail, n)
+		// ".name:descriptor" begins at the dot after the class descriptor;
+		// the ".name:" prefix (descriptor-independent, the two-time ICC
+		// search's first pass) ends at the colon after the name.
+		if p := strings.Index(tail, ";."); p >= 0 {
+			needle := tail[p+1:]
+			oracleAdd(x, x.invokeByName, needle, n)
+			if c := strings.IndexByte(needle, ':'); c >= 0 {
+				oracleAdd(x, x.invokeByNameP, needle[:c+1], n)
+			}
+		}
+		// Constructor prefix "Lcls;.<init>:" — everything up to and
+		// including the colon that separates name from descriptor.
+		if strings.Contains(line, "invoke-direct") {
+			if c := strings.IndexByte(tail, ':'); c >= 0 {
+				oracleAdd(x, x.ctorByPrefix, tail[:c+1], n)
+			}
+		}
+		// A quoted line "containing" invoke- is a string literal that could
+		// embed any ".name:" needle anywhere, which the linear Contains grep
+		// would match; every prefix lookup must consider it.
+		if quoted {
+			oracleAddSide(x, &x.oddInvokes, n)
+		}
+	}
+	if strings.Contains(line, "new-instance") && tail != "" {
+		oracleAdd(x, x.newInstance, tail, n)
+	}
+	if strings.Contains(line, "const-class") && tail != "" {
+		oracleAdd(x, x.constClass, tail, n)
+	}
+	if strings.Contains(line, "const-string") {
+		i := strings.IndexByte(line, '"')
+		j := strings.LastIndexByte(line, '"')
+		if i >= 0 && j > i {
+			val := line[i+1 : j]
+			oracleAdd(x, x.constString, val, n)
+			// Literals rendered with escapes can satisfy quoted-substring
+			// queries that differ from the whole extracted value; keep
+			// them on a side list every const-string lookup also visits.
+			if strings.ContainsAny(val, `\"`) {
+				oracleAddSide(x, &x.oddStrings, n)
+			}
+		}
+	}
+	if strings.Contains(line, "iget") || strings.Contains(line, "iput") ||
+		strings.Contains(line, "sget") || strings.Contains(line, "sput") {
+		if tail != "" {
+			oracleAdd(x, x.fieldBySig, tail, n)
+		}
+		// Only string literals carry double quotes in the dump; a quoted
+		// line "containing" a field mnemonic is a literal that could also
+		// embed any field signature, so every field lookup must consider
+		// it (the linear grep would match it too).
+		if quoted {
+			oracleAddSide(x, &x.oddFields, n)
+		}
+	}
+	// Same literal vector for the constructor search's Contains predicate.
+	if quoted && strings.Contains(line, "invoke-direct") {
+		oracleAddSide(x, &x.oddCtors, n)
+	}
+}
+
+// oracleAddSide appends line n to a side list, deduplicating repeats.
+func oracleAddSide(x *Index, list *[]int32, n int32) {
+	if p := *list; len(p) > 0 && p[len(p)-1] == n {
+		return
+	}
+	*list = append(*list, n)
+	x.postings++
+}
+
+// oracleAdd appends line n to the postings list of token, deduplicating
+// consecutive inserts (the same token can occur twice on one line).
+func oracleAdd(x *Index, m map[string][]int32, token string, n int32) {
+	p := m[token]
+	if len(p) > 0 && p[len(p)-1] == n {
+		return
+	}
+	m[token] = append(p, n)
+	x.postings++
+}
+
+// buildOracle indexes every line of t with addLineOracle.
+func buildOracle(t *Text) *Index {
+	x := &Index{
+		invokeBySig:   make(map[string][]int32),
+		invokeByName:  make(map[string][]int32),
+		invokeByNameP: make(map[string][]int32),
+		ctorByPrefix:  make(map[string][]int32),
+		newInstance:   make(map[string][]int32),
+		constClass:    make(map[string][]int32),
+		constString:   make(map[string][]int32),
+		fieldBySig:    make(map[string][]int32),
+		classUse:      make(map[string][]int32),
+	}
+	for n, line := range t.lines {
+		addLineOracle(x, int32(n), line)
+	}
+	x.lines = len(t.lines)
+	return x
+}
+
+// linesText wraps raw lines as a one-span dump, enough for build.
+func linesText(lines []string) *Text {
+	return &Text{lines: lines, spans: []ClassSpan{{Name: "raw", Start: 0, End: len(lines)}}}
+}
+
+// checkMatchesOracle requires BuildIndex(t) to hold exactly the maps,
+// side lists, line count and postings count of the oracle.
+func checkMatchesOracle(t *testing.T, name string, text *Text) {
+	t.Helper()
+	got, want := BuildIndex(text), buildOracle(text)
+	gotMaps, wantMaps := indexMaps(got), indexMaps(want)
+	for family := range wantMaps {
+		if !reflect.DeepEqual(gotMaps[family], wantMaps[family]) {
+			t.Errorf("%s: %s = %v, oracle %v", name, family, gotMaps[family], wantMaps[family])
+		}
+	}
+	gotSides, wantSides := indexSides(got), indexSides(want)
+	for side := range wantSides {
+		if !reflect.DeepEqual(gotSides[side], wantSides[side]) {
+			t.Errorf("%s: %s = %v, oracle %v", name, side, gotSides[side], wantSides[side])
+		}
+	}
+	if got.lines != want.lines || got.postings != want.postings {
+		t.Errorf("%s: lines/postings = %d/%d, oracle %d/%d",
+			name, got.lines, got.postings, want.lines, want.postings)
+	}
+}
+
+// oracleLines are hand-written lines aimed at the byte pass's edges:
+// mnemonics inside literals and identifiers, nested and unclosed
+// descriptors, several ", " separators, odd quoting and non-ASCII text.
+func oracleLines() []string {
+	var distinct strings.Builder
+	for i := range maxPosted + 4 {
+		fmt.Fprintf(&distinct, "LA%d;", i)
+	}
+	return []string{
+		`const-string v0, "invoke-virtual {v1}, La/B;.run:()V"`,
+		`const-string v0, "invoke-direct {v1}, La/B;.<init>:()V"`,
+		`const-string v0, "new-instance v1, La/B;"`,
+		`const-string v0, "const-class v1, La/B;"`,
+		`const-string v0, "const-string v1, \"x\""`,
+		`const-string v0, "iget v1, v2, La/B;.f:I"`,
+		`const-string v0, "iput v1, v2, La/B;.f:I"`,
+		`const-string v0, "sget v1, La/B;.f:I"`,
+		`const-string v0, "sput v1, La/B;.f:I"`,
+		`const-string v0, "invoke-"`,
+		`const-string v0, "const-"`,
+		`invoke-virtual {v0, v1}, Landroid/widget/TextView;.setText:(Ljava/lang/CharSequence;)V`,
+		`invoke-static {}, Lcom/a/Widgets;.sgetter:()I`,
+		`new-instance v0, Landroid/widget/Button;`,
+		`const-class v0, Lcom/sputnik/Orbit;`,
+		`invoke-direct {v0}, Lcom/Lfoo;.<init>:(Lcom/Lbar;)V`,
+		`const-class v0, Lcom/Lfoo;`,
+		`const-string v0, "Lunterminated"`,
+		`invoke-virtual {v0}, La/B;.get:()L`,
+		`move-result-object vL`,
+		`iget-object v0, v1, Lcom/a/B;.f:Ljava/lang/String;`,
+		`new-array v0, v1, [Ljava/lang/String;`,
+		`const-string v0, "a, b, c"`,
+		`const-string v0, "trailing, "`,
+		`invoke-static {v0, v1, v2}, `,
+		`const-string v0, "lone`,
+		`"`,
+		`const-string v0, "say \"hi\" \\ there"`,
+		`const-string v0, "\\"`,
+		`const-string v0, ""`,
+		`invoke-static {v0}, Lcom/a/B;.m:(Lcom/a/B;Lcom/a/B;)Lcom/a/B;`,
+		`invoke-static {v0}, Lcom/a/B;.m:(Lcom/a/B;Lcom/a/B;)Lcom/a/B;`,
+		`const-string v0, "` + distinct.String() + `LA0;LA19;"`,
+		`const-string v0, "` + strings.Repeat("L", 3*maxPosted) + `;"`,
+		`const-string v0, "` + strings.Repeat("La;", 2*maxPosted) + `"`,
+		``,
+		`const-string v0, "ünïcødé ✓ Lé; invoke-ü"`,
+		`invoke-virtual {v0}, Lcom/ü/Ä;.ö:()V`,
+		"\xff\xfeL;\x00;",
+		`  Class descriptor  : 'Lcom/a/B;'`,
+		`      insns size    : 3 16-bit code units`,
+	}
+}
+
+func TestTokenizerMatchesOracle(t *testing.T) {
+	for _, app := range loadBenchCorpus(t) {
+		checkMatchesOracle(t, app.name, app.text)
+	}
+	app, err := testapps.Fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := app.MergedDex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMatchesOracle(t, "fixture", Disassemble(merged))
+	lines := oracleLines()
+	checkMatchesOracle(t, "hand-written", linesText(lines))
+	for _, line := range lines {
+		checkMatchesOracle(t, fmt.Sprintf("%q", line), linesText([]string{line}))
+	}
+}
+
+// FuzzTokenizeLine requires the byte pass to match the oracle on
+// arbitrary text, split at newlines into dump lines.
+func FuzzTokenizeLine(f *testing.F) {
+	for _, line := range oracleLines() {
+		f.Add(line)
+	}
+	f.Add(strings.Join(oracleLines(), "\n"))
+	f.Fuzz(func(t *testing.T, s string) {
+		checkMatchesOracle(t, "fuzz", linesText(strings.Split(s, "\n")))
+	})
+}
+
+// BenchmarkBuildIndex indexes the wall-clock benchmark's 24-app corpus;
+// one op is the whole corpus.
+func BenchmarkBuildIndex(b *testing.B) {
+	apps := loadBenchCorpus(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, app := range apps {
+			BuildIndex(app.text)
 		}
 	}
 }
