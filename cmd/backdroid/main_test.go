@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"backdroid/internal/dex"
 	"backdroid/internal/testapps"
 )
 
@@ -114,5 +119,49 @@ func TestRunWarmBundle(t *testing.T) {
 	}
 	if err := run([]string{path}, cfg); err != nil {
 		t.Fatalf("warm bundle run: %v", err)
+	}
+}
+
+// TestRunHostileDexBody: a container whose classes2.dex has a valid magic
+// and a body that does not decode fails the run — on a worker pool and on
+// a fleet — with the engine's first-touch error naming classes2.dex, and
+// the command exits 1 printing that error.
+func TestRunHostileDexBody(t *testing.T) {
+	if path := os.Getenv("BACKDROID_HOSTILE_APK"); path != "" {
+		// Child process: the real main on the hostile container.
+		os.Args = []string{"backdroid", "-workers", "1", path}
+		main()
+		os.Exit(0)
+	}
+	container, badDex, err := testapps.BadBodyContainer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, decodeErr := dex.Decode(badDex)
+	if decodeErr == nil {
+		t.Fatal("the hostile classes2.dex decodes")
+	}
+	want := "core: preprocessing " + testapps.Pkg + ": apk: classes2.dex: " + decodeErr.Error()
+	path := filepath.Join(t.TempDir(), testapps.Pkg+".apk")
+	if err := os.WriteFile(path, container, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []config{{workers: 1}, {nodes: 2}} {
+		if err := run([]string{path}, cfg); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("run (nodes %d): err = %v, want one ending %q", cfg.nodes, err, want)
+		}
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRunHostileDexBody$")
+	cmd.Env = append(os.Environ(), "BACKDROID_HOSTILE_APK="+path)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("backdroid on the hostile container: %v, want exit status 1", err)
+	}
+	if got := strings.TrimSpace(stderr.String()); got != "backdroid: "+want {
+		t.Fatalf("backdroid stderr = %q, want %q", got, "backdroid: "+want)
 	}
 }

@@ -24,7 +24,11 @@ import (
 type App struct {
 	Name     string // market-style identifier, e.g. "com.lge.app1"
 	Manifest *manifest.Manifest
-	Dexes    []*dex.File
+	// Dexes are the app's dex files in multidex order. Those of an app
+	// read from a container are opened, not decoded: each decodes on
+	// first touch (see dex.Open), so a job that only fingerprints the
+	// app decodes nothing.
+	Dexes []*dex.File
 
 	fpOnce sync.Once // guards fp and dexBytes (see Fingerprint)
 	fp     uint64
@@ -32,6 +36,9 @@ type App struct {
 	// order, until Fingerprint hashes and releases them; nil for apps
 	// built with New.
 	dexBytes [][]byte
+	// dexNames holds each dex entry's name as read by Read, in Dexes
+	// order; nil for apps built with New, whose Write names them.
+	dexNames []string
 }
 
 // New builds an app from a manifest and dex files.
@@ -42,8 +49,9 @@ func New(name string, m *manifest.Manifest, dexes ...*dex.File) *App {
 // Fingerprint returns the app's content fingerprint, dex.Fingerprint of
 // its encoded dex files — the same value as dexdump.AppFingerprint(Dexes).
 // It is computed once: an app read from a container hashes the dex bytes
-// as read and then lets go of them; an app built with New encodes its dex
-// files on the first call, so it must not be modified after that call.
+// as read, without decoding them, and then lets go of them; an app built
+// with New encodes its dex files on the first call, so it must not be
+// modified after that call.
 func (a *App) Fingerprint() uint64 {
 	a.fpOnce.Do(func() {
 		encoded := a.dexBytes
@@ -58,16 +66,34 @@ func (a *App) Fingerprint() uint64 {
 	return a.fp
 }
 
-// MergedDex merges the multidex files into a single dex view — the
-// "merged, if multidex is used" preprocessing step of the paper.
+// dexName returns the container entry name of Dexes[i].
+func (a *App) dexName(i int) string {
+	if a.dexNames != nil {
+		return a.dexNames[i]
+	}
+	if i == 0 {
+		return "classes.dex"
+	}
+	return fmt.Sprintf("classes%d.dex", i+1)
+}
+
+// MergedDex decodes the dex files and merges them into a single dex view
+// — the "merged, if multidex is used" preprocessing step of the paper. A
+// dex file that does not decode fails the merge with an error naming its
+// entry.
 func (a *App) MergedDex() (*dex.File, error) {
+	for i, d := range a.Dexes {
+		if err := d.Load(); err != nil {
+			return nil, fmt.Errorf("apk: %s: %w", a.dexName(i), err)
+		}
+	}
 	if len(a.Dexes) == 1 {
 		return a.Dexes[0], nil
 	}
 	merged := dex.NewFile()
 	for i, d := range a.Dexes {
 		if err := merged.Merge(d); err != nil {
-			return nil, fmt.Errorf("apk: merging classes%d.dex: %w", i+1, err)
+			return nil, fmt.Errorf("apk: merging %s: %w", a.dexName(i), err)
 		}
 	}
 	return merged, nil
@@ -140,7 +166,10 @@ func (a *App) Save(path string) error {
 // enough: archive/zip fails any read past an entry's declared size.
 const maxUncompressedBytes = 256 << 20
 
-// Read parses an app container from a reader.
+// Read parses an app container from a reader: it inflates the manifest
+// and the dex entries and checks each dex magic, but decodes no dex file
+// (see App.Dexes). The dex entries are classes.dex and classesN.dex with
+// N >= 2 written in plain decimal, each at most once.
 func Read(name string, r io.ReaderAt, size int64) (*App, error) {
 	zr, err := zip.NewReader(r, size)
 	if err != nil {
@@ -166,13 +195,9 @@ func Read(name string, r io.ReaderAt, size int64) (*App, error) {
 			}
 			app.Manifest = m
 		case strings.HasPrefix(zf.Name, "classes") && strings.HasSuffix(zf.Name, ".dex"):
-			idx := 1
-			mid := strings.TrimSuffix(strings.TrimPrefix(zf.Name, "classes"), ".dex")
-			if mid != "" {
-				idx, err = strconv.Atoi(mid)
-				if err != nil {
-					return nil, fmt.Errorf("apk: bad dex entry name %q", zf.Name)
-				}
+			idx, ok := dexIndex(zf.Name)
+			if !ok {
+				return nil, fmt.Errorf("apk: bad dex entry name %q", zf.Name)
 			}
 			dexEntries = append(dexEntries, dexEntry{index: idx, file: zf})
 		}
@@ -184,17 +209,23 @@ func Read(name string, r io.ReaderAt, size int64) (*App, error) {
 		return nil, fmt.Errorf("apk: %s: no classes.dex entries", name)
 	}
 	sort.Slice(dexEntries, func(i, j int) bool { return dexEntries[i].index < dexEntries[j].index })
+	for i := 1; i < len(dexEntries); i++ {
+		if dexEntries[i].index == dexEntries[i-1].index {
+			return nil, fmt.Errorf("apk: %s: duplicate dex entry %q", name, dexEntries[i].file.Name)
+		}
+	}
 	for _, de := range dexEntries {
 		data, err := readEntry(de.file, &total)
 		if err != nil {
 			return nil, err
 		}
-		d, err := dex.Decode(data)
+		d, err := dex.Open(data)
 		if err != nil {
 			return nil, fmt.Errorf("apk: %s: %w", de.file.Name, err)
 		}
 		app.Dexes = append(app.Dexes, d)
 		app.dexBytes = append(app.dexBytes, data)
+		app.dexNames = append(app.dexNames, de.file.Name)
 	}
 	return app, nil
 }
@@ -221,6 +252,25 @@ func Load(path string) (*App, error) {
 	}
 	base = strings.TrimSuffix(base, ".apk")
 	return Read(base, f, st.Size())
+}
+
+// dexIndex returns the multidex index of a dex entry name: 1 for
+// classes.dex, N for classesN.dex. Only canonical names are accepted: N
+// is at least 2 and has no sign or leading zero, so no two names share
+// an index.
+func dexIndex(name string) (int, bool) {
+	mid := strings.TrimSuffix(strings.TrimPrefix(name, "classes"), ".dex")
+	if mid == "" {
+		return 1, true
+	}
+	if mid[0] < '1' || mid[0] > '9' { // no sign, no leading zero
+		return 0, false
+	}
+	n, err := strconv.Atoi(mid)
+	if err != nil || n < 2 {
+		return 0, false
+	}
+	return n, true
 }
 
 // readEntry reads one entry after adding its declared uncompressed size

@@ -4,6 +4,7 @@ import (
 	"archive/zip"
 	"bytes"
 	"compress/flate"
+	"fmt"
 	"io"
 	"path/filepath"
 	"runtime"
@@ -163,5 +164,92 @@ func TestReadRejectsDecompressionBomb(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
 		t.Errorf("Read allocated %d bytes on a %d-byte bomb, want < 16 MiB", grew, len(data))
+	}
+}
+
+type zipEntry struct {
+	name string
+	data []byte
+}
+
+// zipEntries stores the entries, in order, in a ZIP container.
+func zipEntries(t *testing.T, entries ...zipEntry) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for _, e := range entries {
+		w, err := zw.Create(e.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(e.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadRejectsNonCanonicalDexNames: beside classes.dex, only
+// classesN.dex with N >= 2 in plain decimal names a dex file, at most
+// once. Every other spelling either collides with a real index or sorts
+// ahead of classes.dex, so Read refuses the container.
+func TestReadRejectsNonCanonicalDexNames(t *testing.T) {
+	mf, err := manifest.New("com.names").ToXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dexFor := func(class string) []byte {
+		d := dex.NewFile()
+		if err := d.AddClass(dex.NewClass(class).Build()); err != nil {
+			t.Fatal(err)
+		}
+		return dex.Encode(d)
+	}
+	for _, tt := range []struct {
+		name    string
+		entries []string // after classes.dex
+	}{
+		{"index one spelled out", []string{"classes1.dex"}},
+		{"index zero", []string{"classes0.dex"}},
+		{"leading zero", []string{"classes2.dex", "classes02.dex"}},
+		{"plus sign", []string{"classes2.dex", "classes+2.dex"}},
+		{"negative", []string{"classes-1.dex"}},
+		{"duplicate entry", []string{"classes2.dex", "classes2.dex"}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			entries := []zipEntry{{"AndroidManifest.xml", mf}, {"classes.dex", dexFor("com.names.Base")}}
+			for i, name := range tt.entries {
+				entries = append(entries, zipEntry{name, dexFor(fmt.Sprintf("com.names.C%d", i))})
+			}
+			app, err := ReadBytes("com.names", zipEntries(t, entries...))
+			if err == nil {
+				t.Fatalf("Read accepted %v with %d dex files", tt.entries, len(app.Dexes))
+			}
+			if last := tt.entries[len(tt.entries)-1]; !strings.Contains(err.Error(), last) {
+				t.Errorf("error %q does not name %s", err, last)
+			}
+		})
+	}
+}
+
+// TestMergedDexNamesFailingEntry: a dex file whose body does not decode
+// fails MergedDex with an error naming its container entry, also when
+// the multidex indices have a gap.
+func TestMergedDexNamesFailingEntry(t *testing.T) {
+	mf, err := manifest.New("com.gap").ToXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := dex.Encode(sampleApp(t).Dexes[0])
+	app, err := ReadBytes("com.gap", zipEntries(t,
+		zipEntry{"AndroidManifest.xml", mf}, zipEntry{"classes3.dex", good[:len(good)-1]}, zipEntry{"classes.dex", good}))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if _, err := app.MergedDex(); err == nil || !strings.HasPrefix(err.Error(), "apk: classes3.dex: dex: ") {
+		t.Fatalf("MergedDex error = %v, want one naming classes3.dex", err)
 	}
 }

@@ -70,6 +70,105 @@ func TestFingerprintConcurrent(t *testing.T) {
 	}
 }
 
+// TestReadAppConcurrent touches one freshly read multidex app from
+// several goroutines at once — each dex file's Classes, MergedDex and
+// Fingerprint, as concurrent attempts of one job do — so the first-touch
+// decode and the fingerprint's release of the dex bytes race under -race.
+func TestReadAppConcurrent(t *testing.T) {
+	spec := appgen.EvalCorpus(appgen.CorpusOptions{Apps: 1, Seed: 20200523, SizeScale: 0.05})[0]
+	spec.MultiDex = true
+	app, _, err := appgen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := app.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := apk.ReadBytes(app.Name, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(read.Dexes) < 2 {
+		t.Fatalf("multidex spec read back %d dex files", len(read.Dexes))
+	}
+	want := app.Fingerprint()
+	var wg sync.WaitGroup
+	for i := 0; i < 12; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch i % 3 {
+			case 0:
+				for _, d := range read.Dexes {
+					if len(d.Classes()) == 0 {
+						t.Error("a dex file decoded to no classes")
+					}
+				}
+			case 1:
+				if _, err := read.MergedDex(); err != nil {
+					t.Error(err)
+				}
+			case 2:
+				if fp := read.Fingerprint(); fp != want {
+					t.Errorf("Fingerprint %#x, want %#x", fp, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := dexdump.AppFingerprint(read.Dexes); got != want {
+		t.Errorf("AppFingerprint of the decoded dexes %#x, want %#x", got, want)
+	}
+}
+
+// FuzzReadAPK feeds arbitrary bytes to apk.ReadBytes, seeded with the
+// containers of generated apps (one multidex), the testapps fixture and
+// the fixture with a hostile classes2.dex body. Whatever Read accepts
+// must fingerprint, merge (or fail to merge with an error) and
+// disassemble without panicking.
+func FuzzReadAPK(f *testing.F) {
+	specs := appgen.EvalCorpus(appgen.CorpusOptions{Apps: 3, Seed: 20200523, SizeScale: 0.02})
+	specs[0].MultiDex = true
+	for _, spec := range specs {
+		app, _, err := appgen.Generate(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := app.Bytes()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	fixture, err := testapps.Fixture()
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := fixture.Bytes()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	hostile, _, err := testapps.BadBodyContainer()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hostile)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		app, err := apk.ReadBytes("fuzz", data)
+		if err != nil {
+			return
+		}
+		app.Fingerprint()
+		merged, err := app.MergedDex()
+		if err != nil {
+			return
+		}
+		dexdump.Disassemble(merged)
+	})
+}
+
 func TestFingerprintEvalCorpus(t *testing.T) {
 	specs := appgen.EvalCorpus(appgen.CorpusOptions{Apps: 6, Seed: 20200523, SizeScale: 0.05})
 	specs[0].MultiDex = true

@@ -1,6 +1,10 @@
 package dex
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // AccessFlags is the Dalvik access flag bitmask.
 type AccessFlags uint32
@@ -168,8 +172,15 @@ func (c *Class) InstructionCount() int {
 	return n
 }
 
-// File is a dex file: an ordered set of class definitions.
+// File is a dex file: an ordered set of class definitions. A file made by
+// Open holds its encoded bytes and decodes them once, on the first call to
+// any method that reads or adds classes. Concurrent first touches are
+// safe: one goroutine decodes and the others wait for it.
 type File struct {
+	pending atomic.Bool // set by Open until the first accessor decodes raw
+	once    sync.Once
+	raw     []byte // encoded bytes; dropped once decoded
+	err     error  // decode error, set once; the file is then empty
 	classes []*Class
 	byName  map[string]*Class
 }
@@ -179,9 +190,53 @@ func NewFile() *File {
 	return &File{byName: make(map[string]*Class)}
 }
 
+// Open checks the magic of an encoded dex file and returns a file that
+// decodes data on first touch. data must not be modified afterwards.
+func Open(data []byte) (*File, error) {
+	if len(data) < len(dexMagic) || string(data[:len(dexMagic)]) != dexMagic {
+		return nil, fmt.Errorf("dex: bad magic")
+	}
+	f := &File{raw: data}
+	f.pending.Store(true)
+	return f, nil
+}
+
+// Load decodes the file if it has not been decoded yet and returns the
+// decode error, if any. After a failed load the file is empty.
+func (f *File) Load() error {
+	f.load()
+	return f.err
+}
+
+// Loaded reports whether the file holds decoded classes: always for a
+// file built with NewFile, and for a file made by Open once an accessor
+// or Load has decoded it, successfully or not.
+func (f *File) Loaded() bool { return !f.pending.Load() }
+
+func (f *File) load() {
+	if f.pending.Load() {
+		f.once.Do(f.decode)
+	}
+}
+
+func (f *File) decode() {
+	f.byName = make(map[string]*Class)
+	if f.err = decodeClasses(f, f.raw[len(dexMagic):]); f.err != nil {
+		f.classes = nil
+		clear(f.byName)
+	}
+	f.raw = nil
+	f.pending.Store(false)
+}
+
 // AddClass appends a class definition. Adding a duplicate class name
 // returns an error (real dex files reject duplicates too).
 func (f *File) AddClass(c *Class) error {
+	f.load()
+	return f.addClass(c)
+}
+
+func (f *File) addClass(c *Class) error {
 	if _, dup := f.byName[c.Name]; dup {
 		return fmt.Errorf("dex: duplicate class %s", c.Name)
 	}
@@ -191,15 +246,21 @@ func (f *File) AddClass(c *Class) error {
 }
 
 // Class returns the class definition with the given dotted name, or nil.
-func (f *File) Class(name string) *Class { return f.byName[name] }
+func (f *File) Class(name string) *Class {
+	f.load()
+	return f.byName[name]
+}
 
 // Classes returns the class definitions in insertion order. The returned
 // slice must not be modified.
-func (f *File) Classes() []*Class { return f.classes }
+func (f *File) Classes() []*Class {
+	f.load()
+	return f.classes
+}
 
 // Method resolves a MethodRef to its definition within this file, or nil.
 func (f *File) Method(ref MethodRef) *Method {
-	c := f.byName[ref.Class]
+	c := f.Class(ref.Class)
 	if c == nil {
 		return nil
 	}
@@ -209,7 +270,7 @@ func (f *File) Method(ref MethodRef) *Method {
 // InstructionCount returns the total number of instructions in the file.
 func (f *File) InstructionCount() int {
 	n := 0
-	for _, c := range f.classes {
+	for _, c := range f.Classes() {
 		n += c.InstructionCount()
 	}
 	return n
@@ -218,7 +279,7 @@ func (f *File) InstructionCount() int {
 // MethodCount returns the total number of method definitions in the file.
 func (f *File) MethodCount() int {
 	n := 0
-	for _, c := range f.classes {
+	for _, c := range f.Classes() {
 		n += len(c.Methods)
 	}
 	return n
@@ -228,8 +289,9 @@ func (f *File) MethodCount() int {
 // BackDroid performs before disassembling). Duplicate class names are
 // rejected.
 func (f *File) Merge(other *File) error {
-	for _, c := range other.classes {
-		if err := f.AddClass(c); err != nil {
+	f.load()
+	for _, c := range other.Classes() {
+		if err := f.addClass(c); err != nil {
 			return err
 		}
 	}

@@ -342,120 +342,130 @@ func (in *Instruction) checkOperands() error {
 	return nil
 }
 
-// Decode parses a binary dex file produced by Encode. Every count is
-// bounded by the bytes left to read, and an invoke or field instruction
-// without its ref is an error, so a decoded file always disassembles.
+// Decode parses a binary dex file produced by Encode: Open followed by
+// Load. Every count is bounded by the bytes left to read, and an invoke or
+// field instruction without its ref is an error, so a decoded file always
+// disassembles.
 func Decode(data []byte) (*File, error) {
-	if len(data) < len(dexMagic) || string(data[:len(dexMagic)]) != dexMagic {
-		return nil, fmt.Errorf("dex: bad magic")
-	}
-	d := &decoder{r: bytes.NewReader(data[len(dexMagic):])}
-	np, err := d.count("pool size", minVarintBytes)
+	f, err := Open(data)
 	if err != nil {
 		return nil, err
+	}
+	if err := f.Load(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// decodeClasses parses the pool and class definitions that follow the
+// magic into f, which must be empty.
+func decodeClasses(f *File, data []byte) error {
+	d := &decoder{r: bytes.NewReader(data)}
+	np, err := d.count("pool size", minVarintBytes)
+	if err != nil {
+		return err
 	}
 	d.pool = make([]string, np)
 	for i := range d.pool {
 		slen, err := d.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("dex: pool entry %d: %w", i, err)
+			return fmt.Errorf("dex: pool entry %d: %w", i, err)
 		}
 		if slen > uint64(d.r.Len()) {
-			return nil, fmt.Errorf("dex: pool entry %d claims %d bytes, %d remain", i, slen, d.r.Len())
+			return fmt.Errorf("dex: pool entry %d claims %d bytes, %d remain", i, slen, d.r.Len())
 		}
 		buf := make([]byte, slen)
 		if _, err := io.ReadFull(d.r, buf); err != nil {
-			return nil, fmt.Errorf("dex: pool entry %d: %w", i, err)
+			return fmt.Errorf("dex: pool entry %d: %w", i, err)
 		}
 		d.pool[i] = string(buf)
 	}
 
-	f := NewFile()
 	nc, err := d.count("class count", minClassBytes)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for ci := 0; ci < nc; ci++ {
 		c := &Class{}
 		if c.Name, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 		if c.Super, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 		ni, err := d.count("interface count", minVarintBytes)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := 0; i < ni; i++ {
 			iface, err := d.str()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			c.Interfaces = append(c.Interfaces, iface)
 		}
 		flags, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.Flags = AccessFlags(flags)
 		nf, err := d.count("field count", minFieldBytes)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := 0; i < nf; i++ {
 			ref, err := d.fieldRef()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ff, err := d.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			c.Fields = append(c.Fields, &Field{Ref: ref, Flags: AccessFlags(ff)})
 		}
 		nm, err := d.count("method count", minMethodBytes)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := 0; i < nm; i++ {
 			m := &Method{}
 			if m.Ref, err = d.methodRef(); err != nil {
-				return nil, err
+				return err
 			}
 			mf, err := d.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			m.Flags = AccessFlags(mf)
 			regs, err := d.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			m.Registers = int(regs)
 			ins, err := d.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			m.Ins = int(ins)
 			ncode, err := d.count("instruction count", minInstrBytes)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			m.Code = make([]Instruction, ncode)
 			for j := range m.Code {
 				if m.Code[j], err = d.instruction(); err != nil {
-					return nil, err
+					return err
 				}
 				if err := m.Code[j].checkOperands(); err != nil {
-					return nil, fmt.Errorf("dex: %s.%s instruction %d: %w", c.Name, m.Ref.Name, j, err)
+					return fmt.Errorf("dex: %s.%s instruction %d: %w", c.Name, m.Ref.Name, j, err)
 				}
 			}
 			c.Methods = append(c.Methods, m)
 		}
-		if err := f.AddClass(c); err != nil {
-			return nil, err
+		if err := f.addClass(c); err != nil {
+			return err
 		}
 	}
-	return f, nil
+	return nil
 }

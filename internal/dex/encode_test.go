@@ -201,3 +201,84 @@ func TestDecodeRejectsMissingRefs(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenDecodesOnFirstTouch: Open checks only the magic; each accessor
+// decodes the file on its first call, to the classes Decode yields, and
+// the raw bytes are dropped once decoded.
+func TestOpenDecodesOnFirstTouch(t *testing.T) {
+	data := Encode(buildSampleFile(t))
+	want, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Loaded() || !NewFile().Loaded() {
+		t.Fatal("decoded and new files must report Loaded")
+	}
+	touches := map[string]func(f *File){
+		"Classes":          func(f *File) { f.Classes() },
+		"Class":            func(f *File) { f.Class("com.sample.Worker") },
+		"Method":           func(f *File) { f.Method(NewMethodRef("com.sample.Worker", "run", Void)) },
+		"Merge":            func(f *File) { _ = NewFile().Merge(f) },
+		"InstructionCount": func(f *File) { f.InstructionCount() },
+		"MethodCount":      func(f *File) { f.MethodCount() },
+		"AddClass":         func(f *File) { _ = f.AddClass(&Class{Name: "com.sample.Extra"}) },
+		"Load":             func(f *File) { _ = f.Load() },
+	}
+	for name, touch := range touches {
+		t.Run(name, func(t *testing.T) {
+			f, err := Open(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Loaded() {
+				t.Fatal("Open decoded the file")
+			}
+			touch(f)
+			if !f.Loaded() || f.raw != nil {
+				t.Fatalf("after %s: Loaded = %v, %d raw bytes kept", name, f.Loaded(), len(f.raw))
+			}
+			if err := f.Load(); err != nil {
+				t.Fatal(err)
+			}
+			if got := f.Classes()[0]; got.Name != want.Classes()[0].Name || f.MethodCount() < want.MethodCount() {
+				t.Fatalf("after %s: decoded %s with %d methods, want %s with %d",
+					name, got.Name, f.MethodCount(), want.Classes()[0].Name, want.MethodCount())
+			}
+		})
+	}
+}
+
+// TestOpenFailedLoadIsEmpty: a file with a valid magic and a hostile body
+// opens; Load returns Decode's error, and every accessor then sees an
+// empty file instead of panicking.
+func TestOpenFailedLoadIsEmpty(t *testing.T) {
+	if _, err := Open([]byte("BAD!")); err == nil {
+		t.Fatal("Open accepted a bad magic")
+	}
+	data := append([]byte(dexMagic), binary.AppendUvarint(nil, 1<<40)...)
+	_, want := Decode(data)
+	if want == nil {
+		t.Fatal("Decode accepted the hostile body")
+	}
+	f, err := Open(data)
+	if err != nil {
+		t.Fatalf("Open checks only the magic: %v", err)
+	}
+	if err := f.Load(); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Load error %v, want Decode's %v", err, want)
+	}
+	if err := f.Load(); err == nil || err.Error() != want.Error() {
+		t.Fatalf("second Load error %v, want Decode's %v", err, want)
+	}
+	if !f.Loaded() || len(f.Classes()) != 0 || f.Class("x") != nil || f.InstructionCount() != 0 ||
+		f.MethodCount() != 0 || f.Method(NewMethodRef("x", "m", Void)) != nil {
+		t.Fatal("a failed load must leave an empty file")
+	}
+	merged := NewFile()
+	if err := merged.Merge(f); err != nil || len(merged.Classes()) != 0 {
+		t.Fatalf("merging a failed file: %v, %d classes", err, len(merged.Classes()))
+	}
+	if err := f.AddClass(&Class{Name: "com.a.A"}); err != nil || f.Class("com.a.A") == nil {
+		t.Fatalf("AddClass after a failed load: %v", err)
+	}
+}

@@ -193,9 +193,11 @@ func randomDex(seed int64) *dex.File {
 
 // FuzzDecodeDex feeds arbitrary bytes to dex.Decode, seeded with encoded
 // random files, the sample file and the fixture app's merged dex. Decoding
-// must never panic or exhaust memory. A decoded file must disassemble and
-// index without panicking, into lines that tile the text, and re-encoding
-// it must decode to a file that disassembles to the same bytes.
+// must never panic or exhaust memory, and the first-touch path, dex.Open
+// then Load, must agree with Decode: the same error or none, and the same
+// disassembly. A decoded file must disassemble and index without
+// panicking, into lines that tile the text, and re-encoding it must decode
+// to a file that disassembles to the same bytes.
 func FuzzDecodeDex(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(dex.Encode(randomDex(seed)))
@@ -212,10 +214,20 @@ func FuzzDecodeDex(f *testing.F) {
 	f.Add(dex.Encode(merged))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := dex.Decode(data)
+		lazy, lerr := dex.Open(data)
+		if lerr == nil {
+			lerr = lazy.Load()
+		}
+		if (err == nil) != (lerr == nil) || (err != nil && err.Error() != lerr.Error()) {
+			t.Fatalf("Decode error %v, Open+Load error %v", err, lerr)
+		}
 		if err != nil {
 			return
 		}
 		text := Disassemble(file)
+		if Disassemble(lazy).String() != text.String() {
+			t.Fatal("Open+Load disassembles differently from Decode")
+		}
 		BuildIndex(text)
 		n := 0
 		for _, line := range text.Lines() {

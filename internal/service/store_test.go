@@ -117,11 +117,12 @@ func TestStoreConcurrentUse(t *testing.T) {
 func TestLockFingerprintSerializes(t *testing.T) {
 	s := NewBundleStore(0)
 	release := s.LockFingerprint(7)
-	acquired := make(chan struct{})
+	acquired, released := make(chan struct{}), make(chan struct{})
 	go func() {
 		r := s.LockFingerprint(7)
 		close(acquired)
 		r()
+		close(released)
 	}()
 	select {
 	case <-acquired:
@@ -130,6 +131,7 @@ func TestLockFingerprintSerializes(t *testing.T) {
 	}
 	release()
 	<-acquired
+	<-released
 	// The lock table must drain once all holders release.
 	s.mu.Lock()
 	defer s.mu.Unlock()
