@@ -305,7 +305,8 @@ func BenchmarkIndexCacheWarmCorpus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dir := b.TempDir()
 		opts := core.DefaultOptions()
-		cfg := experiments.RunConfig{RunBackDroid: true, BackDroidOptions: &opts, IndexCacheDir: dir}
+		opts.IndexCacheDir = dir
+		cfg := experiments.RunConfig{RunBackDroid: true, BackDroidOptions: &opts}
 		measure := func() (builds int, units int64) {
 			run := runScaledCorpus(b, cfg)
 			for _, a := range run.Apps {

@@ -8,13 +8,15 @@
 //	          [-stats=false] [-delta] [-nodes N] [-faults SPEC] [-trace FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE] app.apk...
 //
-// -nodes N analyzes the corpus on a fault-tolerant fleet of N worker
-// nodes (the service scheduler's coordinator path): dispatches are
-// leased, bundles are consistent-hashed across per-node partitions
-// (budgeted by -store-budget; -1 runs storeless), and nodes killed by a
-// -faults plan hand their jobs off to survivors — reports stay
-// byte-identical to a fault-free run, in argument order. -faults SPEC is
-// a deterministic fault plan (see internal/faultinject), e.g.
+// Every mode is one run of the service scheduler (internal/service):
+// each listed app is a job, and reports print in argument order. -workers
+// sets the scheduler's worker count; -nodes N instead analyzes the corpus
+// on a fault-tolerant fleet of N worker nodes: dispatches are leased,
+// bundles are consistent-hashed across per-node partitions (budgeted by
+// -store-budget; -1 runs storeless), and nodes killed by a -faults plan
+// hand their jobs off to survivors — reports stay byte-identical to a
+// fault-free run. -faults SPEC is a deterministic fault plan (see
+// internal/faultinject) and needs -nodes, e.g.
 //
 //	backdroid -nodes 4 -store-budget 0 -faults 'kill:node=2@50000' apps/*.apk
 //
@@ -38,13 +40,15 @@
 // carries over every settled sink verdict whose recorded footprint
 // cannot observe the update, and re-analyzes only the sinks the changed
 // classes can affect. Verdicts are identical to a cold analysis of each
-// version; only the charged cost shrinks. Apps are analyzed sequentially
-// in argument order (the chain is inherently ordered).
+// version; only the charged cost shrinks. The versions are submitted one
+// at a time under one job name (the base's path), each after its
+// predecessor finished, and the scheduler supplies the delta base.
+// -delta and -nodes are mutually exclusive.
 //
-// -trace FILE records a simtime-anchored span trace of the run — engine
-// phases per job, and in fleet mode the scheduler's queue/dispatch/
-// steal/handoff events — and writes it as Chrome trace-event JSON
-// (load it at chrome://tracing or ui.perfetto.dev). Timestamps are
+// -trace FILE records a simtime-anchored span trace of the run — the
+// scheduler's queue and dispatch instants and engine phases per job, and
+// in fleet mode its steal/handoff events — and writes it as Chrome
+// trace-event JSON (load it at chrome://tracing or ui.perfetto.dev). Timestamps are
 // charged work units on per-job tracks, never wall time, so two runs of
 // one corpus and seed write byte-identical files; tracing never changes
 // a report or a charged unit.
@@ -57,6 +61,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -69,10 +74,8 @@ import (
 	"backdroid/internal/core"
 	"backdroid/internal/faultinject"
 	"backdroid/internal/obs"
-	"backdroid/internal/pool"
 	"backdroid/internal/pprofutil"
 	"backdroid/internal/service"
-	"backdroid/internal/simtime"
 )
 
 // config carries the parsed CLI flags.
@@ -140,23 +143,37 @@ func run(paths []string, cfg config) error {
 	if err != nil {
 		return err
 	}
+	if cfg.nodes > 0 && cfg.delta {
+		return fmt.Errorf("-delta and -nodes are mutually exclusive (the version chain is inherently sequential)")
+	}
+	if cfg.faults != "" && cfg.nodes == 0 {
+		return fmt.Errorf("-faults needs -nodes (a fault plan targets fleet nodes and leases)")
+	}
 	opts := core.DefaultOptions()
 	opts.SearchBackend = backend
 	opts.ResolveSinkSubclasses = cfg.subclassSinks
 	opts.TimeoutMinutes = cfg.timeout
 	opts.IndexCacheDir = cfg.indexCache
-	var store *service.BundleStore
-	if cfg.storeBudget >= 0 && cfg.nodes == 0 {
+	scfg := service.Config{Workers: cfg.workers, Options: &opts, Nodes: cfg.nodes}
+	switch {
+	case cfg.nodes > 0:
+		scfg.NodeStoreBudget = cfg.storeBudget
+		if cfg.faults != "" {
+			if scfg.Faults, err = faultinject.Parse(cfg.faults); err != nil {
+				return err
+			}
+		}
+	case cfg.storeBudget >= 0:
 		// One content-addressed store for the whole invocation: listing
 		// the same app twice makes the second analysis fully warm.
-		store = service.NewBundleStore(cfg.storeBudget)
-		opts.Bundles = store
-	}
-	if cfg.delta && store == nil {
+		scfg.Store = service.NewBundleStore(cfg.storeBudget)
+	case cfg.delta:
 		// The delta chain needs each predecessor's bundle; a private
 		// unlimited store holds them for the invocation.
-		store = service.NewBundleStore(0)
-		opts.Bundles = store
+		scfg.Store = service.NewBundleStore(0)
+	}
+	if cfg.trace != "" {
+		scfg.Trace = obs.NewTrace()
 	}
 
 	// Cooperative interrupt handling: the first Ctrl-C flips a flag every
@@ -175,71 +192,87 @@ func run(paths []string, cfg config) error {
 		}
 	}()
 
-	var trace *obs.Trace
-	if cfg.trace != "" {
-		trace = obs.NewTrace()
+	sched := service.New(scfg)
+	err = analyzeAll(sched, paths, cfg)
+	sched.Close()
+	if cfg.stats {
+		printFleet(sched.Metrics().Snapshot())
 	}
-
-	if cfg.nodes > 0 {
-		if cfg.delta {
-			return fmt.Errorf("-delta and -nodes are mutually exclusive (the version chain is inherently sequential)")
-		}
-		return saveTrace(runFleet(paths, cfg, opts, trace), cfg.trace, trace)
-	}
-	if cfg.delta {
-		return saveTrace(runDelta(paths, cfg, opts, store, trace), cfg.trace, trace)
-	}
-
-	// Analyze concurrently, report in argument order. Every app gets its
-	// own engine; errors keep their argument position so the first failure
-	// reported is deterministic.
-	reports := make([]*core.Report, len(paths))
-	errs := pool.ForEach(len(paths), cfg.workers, func(i int) error {
-		o := opts
-		traceEngine(&o, trace, int64(i+1))
-		var err error
-		reports[i], err = analyze(paths[i], o, store)
-		return err
-	})
-
-	canceled := 0
-	for i := range paths {
-		if errs[i] == simtime.ErrCanceled {
-			canceled++
-			fmt.Printf("== %s ==\n  CANCELED (stopped at a meter checkpoint)\n", paths[i])
-			continue
-		}
-		if errs[i] != nil {
-			return saveTrace(errs[i], cfg.trace, trace)
-		}
-		printReport(reports[i], cfg)
-	}
-	if canceled > 0 {
-		return saveTrace(fmt.Errorf("interrupted: %d of %d analyses canceled", canceled, len(paths)), cfg.trace, trace)
-	}
-	return saveTrace(nil, cfg.trace, trace)
+	return saveTrace(err, cfg.trace, scfg.Trace)
 }
 
-// traceEngine installs the per-job engine trace hooks: phase spans and
-// one charged-units counter sample per meter checkpoint, on the job's
-// main track. The hooks observe unit boundaries the engine reaches
-// anyway; they never charge, so a traced report is bitwise-identical to
-// an untraced one. No-op when tracing is off.
-func traceEngine(o *core.Options, trace *obs.Trace, job int64) {
-	if trace == nil {
+// analyzeAll submits every app as one scheduler job and prints the
+// reports in argument order, stopping at the first failure. Under
+// -delta the versions form one job name and each is submitted only
+// after its predecessor finished, so the scheduler hands the
+// predecessor's bundle and report to the engine as the delta base; a
+// version whose base proves unusable (timed out, evicted, damaged
+// bundle) silently runs full — never wrong, at worst cold.
+func analyzeAll(sched *service.Scheduler, paths []string, cfg config) error {
+	ids := make([]service.JobID, len(paths))
+	submit := func(i int) (err error) {
+		path, name := paths[i], paths[i]
+		if cfg.delta {
+			name = paths[0]
+		}
+		ids[i], err = sched.Submit(service.Job{
+			Name:         name,
+			Spec:         path,
+			Source:       func() (*apk.App, error) { return apk.Load(path) },
+			RunBackDroid: true,
+		})
+		return err
+	}
+	if !cfg.delta {
+		for i := range paths {
+			if err := submit(i); err != nil {
+				return err
+			}
+		}
+	}
+	canceled := 0
+	for i, path := range paths {
+		if cfg.delta {
+			if err := submit(i); err != nil {
+				return err
+			}
+		}
+		res, err := sched.Wait(ids[i])
+		switch {
+		case errors.Is(err, service.ErrCanceled):
+			fmt.Printf("== %s ==\n  CANCELED (stopped at a meter checkpoint)\n", path)
+			if cfg.delta {
+				// Later versions have no predecessor to run against.
+				return fmt.Errorf("interrupted: %d of %d analyses canceled", len(paths)-i, len(paths))
+			}
+			canceled++
+		case err != nil:
+			return err
+		default:
+			printReport(res.BackDroid, cfg)
+		}
+	}
+	if canceled > 0 {
+		return fmt.Errorf("interrupted: %d of %d analyses canceled", canceled, len(paths))
+	}
+	return nil
+}
+
+// printFleet prints the fleet and steal ledgers from the scheduler's
+// metrics registry; no-op without a fleet.
+func printFleet(m obs.Snapshot) {
+	if _, ok := m.Get("backdroid_fleet_nodes"); !ok {
 		return
 	}
-	o.PhaseSpan = func(phase string, sink int, start, end int64) {
-		sp := obs.Span{Job: job, Sub: 0, Name: phase, Cat: "engine",
-			Start: start, Dur: end - start}
-		if sink >= 0 {
-			sp.Args = []obs.Arg{{Key: "sink", Value: fmt.Sprint(sink)}}
-		}
-		trace.Add(sp)
+	v := func(name string) int64 {
+		n, _ := m.Get("backdroid_fleet_" + name)
+		return n
 	}
-	o.MeterCheckpoint = func(units, delta int64) {
-		trace.AddCounter(obs.CounterSample{Job: job, TS: units, Value: units})
-	}
+	fmt.Printf("fleet: %d nodes (%d live, %d killed); %d handoffs, %d expired leases; %d units lost, %d overhead; bundle gets %d local / %d remote; %d fetch faults\n",
+		v("nodes"), v("live"), v("killed_total"), v("handoffs_total"), v("expired_leases_total"),
+		v("lost_units"), v("overhead_units"), v("local_gets_total"), v("remote_gets_total"), v("fetch_faults_total"))
+	fmt.Printf("steal: %d chunks off %d victims, %d sinks moved, %d units charged; makespan %d units\n",
+		v("steals_total"), v("steal_victims_total"), v("stolen_sinks_total"), v("steal_units"), v("makespan_units"))
 }
 
 // saveTrace writes the recorded trace as Chrome trace-event JSON; a
@@ -260,139 +293,6 @@ func saveTrace(runErr error, path string, trace *obs.Trace) error {
 		return runErr
 	}
 	return err
-}
-
-// runFleet analyzes the corpus on a fault-tolerant worker fleet — the
-// service scheduler's coordinator path, driven one-shot. Each app is a
-// job; a node killed by the -faults plan has its jobs handed off to
-// surviving nodes, and reports print in argument order regardless of
-// which node (or which attempt) produced them.
-func runFleet(paths []string, cfg config, opts core.Options, trace *obs.Trace) error {
-	var plan *faultinject.Plan
-	if cfg.faults != "" {
-		var err error
-		plan, err = faultinject.Parse(cfg.faults)
-		if err != nil {
-			return err
-		}
-	}
-	sched := service.New(service.Config{
-		Nodes:           cfg.nodes,
-		NodeStoreBudget: cfg.storeBudget,
-		Faults:          plan,
-		Options:         &opts,
-		Trace:           trace,
-	})
-	ids := make([]service.JobID, len(paths))
-	for i, path := range paths {
-		p := path
-		id, err := sched.Submit(service.Job{
-			Name:         p,
-			Spec:         p,
-			Source:       func() (*apk.App, error) { return apk.Load(p) },
-			RunBackDroid: true,
-		})
-		if err != nil {
-			sched.Close()
-			return err
-		}
-		ids[i] = id
-	}
-	canceled := 0
-	var firstErr error
-	for i, id := range ids {
-		res, err := sched.Wait(id)
-		switch {
-		case err == nil:
-			printReport(res.BackDroid, cfg)
-		case err == service.ErrCanceled:
-			canceled++
-			fmt.Printf("== %s ==\n  CANCELED (stopped at a meter checkpoint)\n", paths[i])
-		default:
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	sched.Close()
-	if cfg.stats {
-		if fs := sched.FleetStats(); fs != nil {
-			fmt.Printf("fleet: %d nodes (%d live, %d killed); %d handoffs, %d expired leases; %d units lost, %d overhead; bundle gets %d local / %d remote; %d fetch faults\n",
-				fs.Nodes, fs.Live, fs.Killed, fs.Handoffs, fs.ExpiredLeases,
-				fs.LostUnits, fs.OverheadUnits, fs.LocalGets, fs.RemoteGets, fs.FetchFaults)
-			fmt.Printf("steal: %d chunks off %d victims, %d sinks moved, %d units charged; makespan %d units\n",
-				fs.Steals, fs.StealVictims, fs.StolenSinks, fs.StealUnits, fs.MakespanUnits)
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if canceled > 0 {
-		return fmt.Errorf("interrupted: %d of %d analyses canceled", canceled, len(paths))
-	}
-	return nil
-}
-
-// runDelta analyzes the listed containers as one app's version chain:
-// the first runs cold, every later one incrementally against its
-// predecessor's bundle and report. A version whose base proves unusable
-// (timed out, evicted, damaged bundle) silently runs full — never wrong,
-// at worst cold.
-func runDelta(paths []string, cfg config, opts core.Options, store *service.BundleStore, trace *obs.Trace) error {
-	var prev *core.DeltaBase
-	for i, path := range paths {
-		app, err := apk.Load(path)
-		if err != nil {
-			return err
-		}
-		fp := app.Fingerprint()
-		o := opts
-		traceEngine(&o, trace, int64(i+1))
-		if prev != nil && prev.Fingerprint != fp {
-			o.DeltaFrom = prev
-		}
-		engine, err := core.New(app, o)
-		if err == nil {
-			var rep *core.Report
-			rep, err = engine.Analyze()
-			if err == nil {
-				printReport(rep, cfg)
-				if data, ok := store.GetBundle(fp); ok && !rep.TimedOut {
-					prev = &core.DeltaBase{Fingerprint: fp, Bundle: data, Report: rep}
-				}
-				continue
-			}
-		}
-		if err == simtime.ErrCanceled {
-			fmt.Printf("== %s ==\n  CANCELED (stopped at a meter checkpoint)\n", path)
-			return fmt.Errorf("interrupted: %d of %d analyses canceled", len(paths)-i, len(paths))
-		}
-		return err
-	}
-	return nil
-}
-
-func analyze(path string, opts core.Options, store *service.BundleStore) (*core.Report, error) {
-	app, err := apk.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if store != nil {
-		// Single-flight per fingerprint, exactly like the service
-		// scheduler: with the same app listed twice and workers > 1, the
-		// first analysis performs the only cold build and the second
-		// waits, then runs fully warm off the shared entry.
-		fp := app.Fingerprint()
-		if !store.Contains(fp) {
-			release := store.LockFingerprint(fp)
-			defer release()
-		}
-	}
-	engine, err := core.New(app, opts)
-	if err != nil {
-		return nil, err
-	}
-	return engine.Analyze()
 }
 
 func printReport(r *core.Report, cfg config) {

@@ -2,13 +2,19 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"backdroid/internal/android"
+	"backdroid/internal/apk"
+	"backdroid/internal/appgen"
 	"backdroid/internal/dex"
 	"backdroid/internal/testapps"
 )
@@ -161,7 +167,152 @@ func TestRunHostileDexBody(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Fatalf("backdroid on the hostile container: %v, want exit status 1", err)
 	}
-	if got := strings.TrimSpace(stderr.String()); got != "backdroid: "+want {
-		t.Fatalf("backdroid stderr = %q, want %q", got, "backdroid: "+want)
+	want = "backdroid: service: backdroid on " + path + ": " + want
+	if got := strings.TrimSpace(stderr.String()); got != want {
+		t.Fatalf("backdroid stderr = %q, want %q", got, want)
+	}
+}
+
+// runOutput runs the command body with stdout captured.
+func runOutput(t *testing.T, paths []string, cfg config) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run(paths, cfg)
+	os.Stdout = stdout
+	w.Close()
+	got := string(<-out)
+	r.Close()
+	if runErr != nil {
+		t.Fatalf("run %v: %v", paths, runErr)
+	}
+	return got
+}
+
+// genPath saves a generated app under dir and returns its path.
+func genPath(t *testing.T, dir, file string, app *apk.App) string {
+	t.Helper()
+	path := filepath.Join(dir, file)
+	if err := app.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunFaultsNeedNodes: a fault plan only means something on a fleet,
+// so -faults without -nodes is rejected — valid spec or not — instead
+// of being silently ignored.
+func TestRunFaultsNeedNodes(t *testing.T) {
+	path := fixturePath(t)
+	for _, spec := range []string{"garbage!!", "kill:node=2@100"} {
+		if err := run([]string{path}, config{workers: 1, faults: spec}); err == nil {
+			t.Errorf("-faults %q without -nodes: err = nil, want an error", spec)
+		}
+	}
+}
+
+// TestRunDeltaChain: for every update kind, a -delta chain prints
+// exactly the base's standalone report followed by the update's, and
+// the update reuses at least one settled sink verdict.
+func TestRunDeltaChain(t *testing.T) {
+	spec := appgen.Spec{
+		Name:   "com.example.generated",
+		Seed:   9,
+		SizeMB: 1,
+		Sinks: []appgen.SinkSpec{
+			{Flow: appgen.FlowDirect, Rule: android.RuleCryptoECB, Insecure: true},
+			{Flow: appgen.FlowAsyncExecutor, Rule: android.RuleSSLAllowAll, Insecure: true},
+			{Flow: appgen.FlowClinit, Rule: android.RuleCryptoECB, Insecure: false},
+		},
+	}
+	base, _, err := appgen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	basePath := genPath(t, dir, "base.apk", base)
+	cfg := config{workers: 1, storeBudget: -1}
+	baseOut := runOutput(t, []string{basePath}, cfg)
+	reused := regexp.MustCompile(`(?m)^  delta: [1-9][0-9]* sinks reused`)
+	for _, m := range appgen.Mutations() {
+		t.Run(m.String(), func(t *testing.T) {
+			upd, _, err := appgen.GenerateUpdate(appgen.AppUpdateSpec{Base: spec, Mutation: m, Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			updPath := genPath(t, t.TempDir(), "v2.apk", upd)
+			chain := []string{basePath, updPath}
+			dcfg := cfg
+			dcfg.delta = true
+			if got, want := runOutput(t, chain, dcfg), baseOut+runOutput(t, []string{updPath}, cfg); got != want {
+				t.Errorf("-delta output:\n%s\nwant the standalone reports:\n%s", got, want)
+			}
+			dcfg.stats = true
+			if out := runOutput(t, chain, dcfg); !reused.MatchString(out) {
+				t.Errorf("-delta run reused no sink:\n%s", out)
+			}
+		})
+	}
+}
+
+// TestRunTraceDeterministic: two traced -workers 2 runs of one corpus
+// write byte-identical files, and every job's track carries exactly one
+// queued and one dispatch instant.
+func TestRunTraceDeterministic(t *testing.T) {
+	app, _, err := appgen.Generate(appgen.Spec{
+		Name: "com.example.traced", Seed: 3, SizeMB: 0.5,
+		Sinks: []appgen.SinkSpec{{Flow: appgen.FlowDirect, Rule: android.RuleCryptoECB, Insecure: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	paths := []string{fixturePath(t), genPath(t, dir, "traced.apk", app)}
+	var files [2][]byte
+	for i := range files {
+		cfg := config{workers: 2, storeBudget: -1, trace: filepath.Join(dir, "t.json")}
+		runOutput(t, paths, cfg)
+		if files[i], err = os.ReadFile(cfg.trace); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("two -workers 2 traces of one corpus differ")
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Pid  int    `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(files[0], &doc); err != nil {
+		t.Fatal(err)
+	}
+	type instant struct {
+		name string
+		job  int
+	}
+	instants := make(map[instant]int)
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "i" {
+			instants[instant{ev.Name, ev.Pid}]++
+		}
+	}
+	for job := 1; job <= len(paths); job++ {
+		for _, name := range []string{"queued", "dispatch"} {
+			if n := instants[instant{name, job}]; n != 1 {
+				t.Errorf("job %d: %d %s instants, want 1", job, n, name)
+			}
+		}
 	}
 }

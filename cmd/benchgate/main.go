@@ -666,11 +666,11 @@ func backendPass(kind bcsearch.BackendKind, cacheDir string) (pass, error) {
 	opts.SearchBackend = kind
 	var rec phaseRecorder
 	rec.install(&opts)
+	opts.IndexCacheDir = cacheDir
 	p, err := runPass(experiments.RunConfig{
 		RunBackDroid:     true,
 		BackDroidOptions: &opts,
 		Workers:          runtime.NumCPU(),
-		IndexCacheDir:    cacheDir,
 	})
 	p.cost.Phases = rec.snapshot()
 	return p, err
@@ -1216,9 +1216,10 @@ func (b *bench) steal() (report, error) {
 
 // delta is the delta-update leg: one moderately sized app and its three
 // mutation kinds. Per kind, the updated app is analyzed cold in a fresh
-// store (the reference) and incrementally in the base version's store
-// with the base bundle + report as the delta base. Fails when any
-// incremental run's detection output diverges from its cold reference.
+// store (the reference) and incrementally after the base version on one
+// scheduler, which supplies the base bundle + report as the delta base.
+// Fails when any incremental run's detection output diverges from its
+// cold reference.
 func (b *bench) delta() (report, error) {
 	seed := corpus.Seed
 	spec := appgen.Spec{
@@ -1235,15 +1236,29 @@ func (b *bench) delta() (report, error) {
 	}
 	d := DeltaReport{App: DeltaApp{Name: spec.Name, SizeMB: spec.SizeMB, Seed: seed, Sinks: len(spec.Sinks)}}
 
-	analyze := func(app *apk.App, store *service.BundleStore, from *core.DeltaBase) (*core.Report, error) {
-		opts := core.DefaultOptions()
-		opts.Bundles = store
-		opts.DeltaFrom = from
-		e, err := core.New(app, opts)
-		if err != nil {
-			return nil, err
+	// analyze runs the versions in order as one job name on a one-worker
+	// scheduler with its own store and returns the last one's report;
+	// every version after the first takes the scheduler's delta path
+	// against its predecessor.
+	analyze := func(versions ...*apk.App) (rep *core.Report, err error) {
+		sched := service.New(service.Config{Workers: 1, Store: service.NewBundleStore(0)})
+		defer sched.Close()
+		for _, app := range versions {
+			id, err := sched.Submit(service.Job{
+				Name:         spec.Name,
+				Source:       func() (*apk.App, error) { return app, nil },
+				RunBackDroid: true,
+			})
+			if err != nil {
+				return nil, err
+			}
+			res, err := sched.Wait(id)
+			if err != nil {
+				return nil, err
+			}
+			rep = res.BackDroid
 		}
-		return e.Analyze()
+		return rep, nil
 	}
 
 	for _, m := range appgen.Mutations() {
@@ -1254,32 +1269,24 @@ func (b *bench) delta() (report, error) {
 			return nil, err
 		}
 
-		// Cold reference: the update analyzed from scratch, own store so
-		// nothing warms it.
-		cold, err := analyze(upd, service.NewBundleStore(0), nil)
+		// Cold reference: the update alone, so nothing warms it.
+		cold, err := analyze(upd)
 		if err != nil {
 			return nil, err
 		}
 
-		// Incremental chain: base populates the store, then the update
-		// re-analyzes against the base bundle + report.
+		// Incremental chain: the base populates the store, then the
+		// update re-analyzes against the base bundle + report.
 		base, _, err := appgen.Generate(spec)
 		if err != nil {
 			return nil, err
 		}
-		store := service.NewBundleStore(0)
-		baseRep, err := analyze(base, store, nil)
+		delta, err := analyze(base, upd)
 		if err != nil {
 			return nil, err
 		}
-		fp := base.Fingerprint()
-		bundle, ok := store.GetBundle(fp)
-		if !ok {
-			return nil, fmt.Errorf("delta leg %q: base bundle missing from store", m)
-		}
-		delta, err := analyze(upd, store, &core.DeltaBase{Fingerprint: fp, Bundle: bundle, Report: baseRep})
-		if err != nil {
-			return nil, err
+		if !delta.Stats.DeltaRun() {
+			return nil, fmt.Errorf("delta leg %q: the update did not take the delta path", m)
 		}
 		if got, want := detections(delta), detections(cold); got != want {
 			return nil, fmt.Errorf("delta leg %q: incremental detection output diverges from cold:\n%svs\n%s", m, got, want)

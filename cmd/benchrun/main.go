@@ -61,6 +61,7 @@ func run(apps int, scale float64, seed int64, exp, backend string, workers int, 
 	}
 	bdOpts := core.DefaultOptions()
 	bdOpts.SearchBackend = kind
+	bdOpts.IndexCacheDir = indexCache
 
 	opts := appgen.CorpusOptions{Apps: apps, Seed: seed, SizeScale: scale}
 	cfg := experiments.RunConfig{
@@ -69,7 +70,6 @@ func run(apps int, scale float64, seed int64, exp, backend string, workers int, 
 		RunCallGraph:     exp == "all" || exp == "fig1" || exp == "headline",
 		BackDroidOptions: &bdOpts,
 		Workers:          workers,
-		IndexCacheDir:    indexCache,
 	}
 	if !quiet {
 		cfg.Progress = os.Stderr

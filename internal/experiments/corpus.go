@@ -30,11 +30,6 @@ type RunConfig struct {
 	// worker count — only wall time changes. Ignored when Scheduler is
 	// set (the scheduler's pool bounds concurrency then).
 	Workers int
-	// IndexCacheDir, when non-empty, persists every app's search index
-	// there (overriding BackDroidOptions.IndexCacheDir), so re-running
-	// the same corpus — CI re-checks, parameter sweeps over non-search
-	// knobs — skips tokenization entirely on the second and later runs.
-	IndexCacheDir string
 	// Scheduler, when non-nil, submits the corpus to an existing batch
 	// service scheduler instead of a private one, sharing its worker
 	// pool, in-memory bundle store and event stream across calls: a
@@ -89,15 +84,6 @@ func RunCorpus(opts appgen.CorpusOptions, cfg RunConfig) (*CorpusRun, error) {
 		mu   sync.Mutex // guards done and cfg.Progress writes
 		done int
 	)
-	jobOpts := cfg.BackDroidOptions
-	if cfg.IndexCacheDir != "" {
-		o := core.DefaultOptions()
-		if jobOpts != nil {
-			o = *jobOpts
-		}
-		o.IndexCacheDir = cfg.IndexCacheDir
-		jobOpts = &o
-	}
 	ids := make([]service.JobID, len(specs))
 	for i := range specs {
 		i, spec := i, specs[i]
@@ -115,7 +101,7 @@ func RunCorpus(opts appgen.CorpusOptions, cfg RunConfig) (*CorpusRun, error) {
 				apps[i].Truth = truth
 				return app, nil
 			},
-			Options:      jobOpts,
+			Options:      cfg.BackDroidOptions,
 			RunBackDroid: cfg.RunBackDroid,
 			RunWholeApp:  cfg.RunWholeApp,
 			RunCallGraph: cfg.RunCallGraph,

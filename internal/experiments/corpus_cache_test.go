@@ -16,11 +16,11 @@ func TestRunCorpusIndexCacheReuse(t *testing.T) {
 	dir := t.TempDir()
 	opts := appgen.CorpusOptions{Apps: 6, Seed: 20260727, SizeScale: 0.08}
 	bd := core.DefaultOptions()
+	bd.IndexCacheDir = dir
 	cfg := RunConfig{
 		RunBackDroid:     true,
 		BackDroidOptions: &bd,
 		Workers:          3,
-		IndexCacheDir:    dir,
 	}
 
 	cold, err := RunCorpus(opts, cfg)
