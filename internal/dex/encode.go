@@ -3,6 +3,7 @@ package dex
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -156,13 +157,57 @@ func Encode(f *File) []byte {
 	return out.Bytes()
 }
 
+// decoder reads an encoded dex file front to back out of one byte slice.
 type decoder struct {
-	r    *bytes.Reader
+	buf  []byte // the bytes not read yet
 	pool []string
 }
 
-func (d *decoder) uvarint() (uint64, error) { return binary.ReadUvarint(d.r) }
-func (d *decoder) varint() (int64, error)   { return binary.ReadVarint(d.r) }
+// errOverflow is binary.ReadUvarint's error for a varint that does not
+// fit 64 bits; the decoder reports the same text.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// uvarint reads one varint. Most are a single byte, which this fast path
+// reads without binary.Uvarint's loop; the rest go through uvarintSlow.
+func (d *decoder) uvarint() (uint64, error) {
+	if len(d.buf) > 0 && d.buf[0] < 0x80 {
+		v := uint64(d.buf[0])
+		d.buf = d.buf[1:]
+		return v, nil
+	}
+	return d.uvarintSlow()
+}
+
+// uvarintSlow reads a varint of any length. Its errors are those
+// binary.ReadUvarint returns on a reader over the same bytes: io.EOF
+// when none is left, io.ErrUnexpectedEOF when the varint is cut short,
+// and the overflow error when it runs past 64 bits — including ten
+// continuation bytes at the very end, which ReadUvarint reports as an
+// overflow, not a short read.
+func (d *decoder) uvarintSlow() (uint64, error) {
+	v, n := binary.Uvarint(d.buf)
+	switch {
+	case n > 0:
+		d.buf = d.buf[n:]
+		return v, nil
+	case n < 0 || len(d.buf) >= binary.MaxVarintLen64:
+		return 0, errOverflow
+	case len(d.buf) == 0:
+		return 0, io.EOF
+	default:
+		return 0, io.ErrUnexpectedEOF
+	}
+}
+
+// varint reads one zig-zag varint, as binary.ReadVarint does.
+func (d *decoder) varint() (int64, error) {
+	ux, err := d.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
 
 // Minimum encoded sizes, in bytes, of the entries a count can claim: every
 // varint and flag byte takes at least one byte.
@@ -183,8 +228,8 @@ func (d *decoder) count(what string, minBytes int) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("dex: %s: %w", what, err)
 	}
-	if n > uint64(d.r.Len()/minBytes) {
-		return 0, fmt.Errorf("dex: %s claims %d entries, %d bytes remain", what, n, d.r.Len())
+	if n > uint64(len(d.buf)/minBytes) {
+		return 0, fmt.Errorf("dex: %s claims %d entries, %d bytes remain", what, n, len(d.buf))
 	}
 	return int(n), nil
 }
@@ -248,57 +293,62 @@ func (d *decoder) fieldRef() (FieldRef, error) {
 	return f, nil
 }
 
-func (d *decoder) instruction() (Instruction, error) {
-	var in Instruction
+// instruction decodes one instruction into in, which must be zero.
+func (d *decoder) instruction(in *Instruction) error {
 	op, err := d.uvarint()
 	if err != nil {
-		return in, err
+		return err
 	}
 	in.Op = Op(op)
-	ints := []*int{&in.A, &in.B, &in.C}
-	for _, p := range ints {
-		v, err := d.varint()
-		if err != nil {
-			return in, err
-		}
-		*p = int(v)
+	a, err := d.varint()
+	if err != nil {
+		return err
 	}
+	b, err := d.varint()
+	if err != nil {
+		return err
+	}
+	c, err := d.varint()
+	if err != nil {
+		return err
+	}
+	in.A, in.B, in.C = int(a), int(b), int(c)
 	if in.Lit, err = d.varint(); err != nil {
-		return in, err
+		return err
 	}
 	if in.Str, err = d.str(); err != nil {
-		return in, err
+		return err
 	}
 	typ, err := d.str()
 	if err != nil {
-		return in, err
+		return err
 	}
 	in.Type = TypeDesc(typ)
 	hasMethod, err := d.flag()
 	if err != nil {
-		return in, err
+		return err
 	}
 	if hasMethod {
 		m, err := d.methodRef()
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Method = &m
 	}
 	hasField, err := d.flag()
 	if err != nil {
-		return in, err
+		return err
 	}
 	if hasField {
 		f, err := d.fieldRef()
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Field = &f
 	}
 	na, err := d.count("arg count", minVarintBytes)
 	if err != nil {
-		return in, err
+		return err
 	}
 	if na > 0 {
 		in.Args = make([]int, na)
@@ -306,24 +356,25 @@ func (d *decoder) instruction() (Instruction, error) {
 	for i := range in.Args {
 		a, err := d.varint()
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Args[i] = int(a)
 	}
 	tgt, err := d.varint()
 	if err != nil {
-		return in, err
+		return err
 	}
 	in.Target = int(tgt)
-	return in, nil
+	return nil
 }
 
 // flag reads a ref-presence byte, which Encode writes as 0 or 1.
 func (d *decoder) flag() (bool, error) {
-	b, err := d.r.ReadByte()
-	if err != nil {
-		return false, err
+	if len(d.buf) == 0 {
+		return false, io.EOF
 	}
+	b := d.buf[0]
+	d.buf = d.buf[1:]
 	if b > 1 {
 		return false, fmt.Errorf("dex: ref flag %d", b)
 	}
@@ -360,7 +411,7 @@ func Decode(data []byte) (*File, error) {
 // decodeClasses parses the pool and class definitions that follow the
 // magic into f, which must be empty.
 func decodeClasses(f *File, data []byte) error {
-	d := &decoder{r: bytes.NewReader(data)}
+	d := &decoder{buf: data}
 	np, err := d.count("pool size", minVarintBytes)
 	if err != nil {
 		return err
@@ -371,14 +422,11 @@ func decodeClasses(f *File, data []byte) error {
 		if err != nil {
 			return fmt.Errorf("dex: pool entry %d: %w", i, err)
 		}
-		if slen > uint64(d.r.Len()) {
-			return fmt.Errorf("dex: pool entry %d claims %d bytes, %d remain", i, slen, d.r.Len())
+		if slen > uint64(len(d.buf)) {
+			return fmt.Errorf("dex: pool entry %d claims %d bytes, %d remain", i, slen, len(d.buf))
 		}
-		buf := make([]byte, slen)
-		if _, err := io.ReadFull(d.r, buf); err != nil {
-			return fmt.Errorf("dex: pool entry %d: %w", i, err)
-		}
-		d.pool[i] = string(buf)
+		d.pool[i] = string(d.buf[:slen])
+		d.buf = d.buf[slen:]
 	}
 
 	nc, err := d.count("class count", minClassBytes)
@@ -454,7 +502,7 @@ func decodeClasses(f *File, data []byte) error {
 			}
 			m.Code = make([]Instruction, ncode)
 			for j := range m.Code {
-				if m.Code[j], err = d.instruction(); err != nil {
+				if err := d.instruction(&m.Code[j]); err != nil {
 					return err
 				}
 				if err := m.Code[j].checkOperands(); err != nil {

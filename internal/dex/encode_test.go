@@ -3,6 +3,8 @@ package dex
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -132,6 +134,43 @@ func TestDecodeErrors(t *testing.T) {
 	data := Encode(buildSampleFile(t))
 	if _, err := Decode(data[:len(data)/2]); err == nil {
 		t.Error("Decode(truncated) should fail")
+	}
+}
+
+// TestDecoderVarintsMatchReader pins the slice decoder's varints to
+// binary.ReadUvarint and ReadVarint on a reader over the same bytes:
+// value, bytes consumed and error — io.EOF, io.ErrUnexpectedEOF or the
+// overflow error, by identity for the first two — at every boundary.
+func TestDecoderVarintsMatchReader(t *testing.T) {
+	ff := func(n int, tail ...byte) []byte { return append(bytes.Repeat([]byte{0xff}, n), tail...) }
+	cases := [][]byte{
+		{}, {0x00}, {0x7f}, {0x80, 0x01}, {0x80, 0x00}, {0x80}, {0x80, 0x80},
+		ff(9), ff(9, 0x01), ff(9, 0x02), ff(9, 0x7f), ff(10), ff(11), ff(10, 0x01), ff(12, 0x00),
+		binary.AppendUvarint(nil, 1<<63), binary.AppendUvarint(nil, ^uint64(0)),
+	}
+	errText := func(err error) string { return fmt.Sprint(err) }
+	for _, c := range cases {
+		r := bytes.NewReader(c)
+		want, werr := binary.ReadUvarint(r)
+		d := &decoder{buf: c}
+		got, gerr := d.uvarint()
+		if errText(gerr) != errText(werr) {
+			t.Errorf("uvarint(%x): error %v, ReadUvarint %v", c, gerr, werr)
+		}
+		if (werr == io.EOF) != (gerr == io.EOF) || (werr == io.ErrUnexpectedEOF) != (gerr == io.ErrUnexpectedEOF) {
+			t.Errorf("uvarint(%x): error %#v is not ReadUvarint's %#v", c, gerr, werr)
+		}
+		if werr == nil && (got != want || len(d.buf) != r.Len()) {
+			t.Errorf("uvarint(%x) = %d leaving %d bytes, ReadUvarint %d leaving %d", c, got, len(d.buf), want, r.Len())
+		}
+
+		r = bytes.NewReader(c)
+		wantS, werr := binary.ReadVarint(r)
+		d = &decoder{buf: c}
+		gotS, gerr := d.varint()
+		if errText(gerr) != errText(werr) || werr == nil && (gotS != wantS || len(d.buf) != r.Len()) {
+			t.Errorf("varint(%x) = %d, %v; ReadVarint %d, %v", c, gotS, gerr, wantS, werr)
+		}
 	}
 }
 

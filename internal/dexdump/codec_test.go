@@ -3,14 +3,15 @@ package dexdump
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"backdroid/internal/dex"
+	"backdroid/internal/testapps"
 )
 
 // testFingerprint is the stand-in app fingerprint of the codec tests; any
@@ -460,13 +461,163 @@ func TestDumpHashMemoKeepsIndexChecks(t *testing.T) {
 	}
 }
 
+// refSum is the bundle's content sum computed from its definition with
+// nothing but hash/crc32: CRC-32 (IEEE) in the high half, CRC-32C in the
+// low half.
+func refSum(b []byte) uint64 {
+	return uint64(crc32.ChecksumIEEE(b))<<32 | uint64(crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// refSpanSum is a span fingerprint from its definition: the sum of the
+// class name, a zero byte, then every line of the span after its
+// "Class #N" header, each with its newline — assembled from Lines, not
+// from offsets into the dump text.
+func refSpanSum(t *Text, sp ClassSpan) uint64 {
+	var b strings.Builder
+	b.WriteString(sp.Name)
+	b.WriteByte(0)
+	for _, l := range t.Lines()[min(sp.Start+1, sp.End):sp.End] {
+		b.WriteString(l)
+		b.WriteByte('\n')
+	}
+	return refSum([]byte(b.String()))
+}
+
+// TestContentSumsMatchReference pins both content sums of the codec to
+// the reference over the 24-app bench corpus and the fixture app: the
+// DumpHash of every text, the SpanFingerprint of every class span, the
+// manifest BuildManifest computes and the manifest a bundle decodes to.
+func TestContentSumsMatchReference(t *testing.T) {
+	texts := map[string]*Text{}
+	for _, app := range loadBenchCorpus(t) {
+		texts[app.name] = app.text
+	}
+	app, err := testapps.Fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := app.MergedDex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts["fixture"] = Disassemble(merged)
+	for name, text := range texts {
+		if got, want := DumpHash(text), refSum([]byte(text.String())); got != want {
+			t.Errorf("%s: DumpHash %#016x, reference %#016x", name, got, want)
+		}
+		data, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, ok := DecodeManifest(data)
+		if !ok {
+			t.Fatalf("%s: bundle manifest does not decode", name)
+		}
+		built := BuildManifest(text)
+		for i, sp := range text.ClassSpans() {
+			want := refSpanSum(text, sp)
+			if got := SpanFingerprint(text, sp); got != want {
+				t.Errorf("%s: %s: SpanFingerprint %#016x, reference %#016x", name, sp.Name, got, want)
+			}
+			if built.Entries[i].Fingerprint != want || decoded.Entries[i].Fingerprint != want {
+				t.Errorf("%s: %s: manifest fingerprint %#016x (built) %#016x (decoded), reference %#016x",
+					name, sp.Name, built.Entries[i].Fingerprint, decoded.Entries[i].Fingerprint, want)
+			}
+		}
+	}
+}
+
+// TestDumpSectionHashBack pins the last check of DecodeBundleDump: a
+// bundle whose header sum disagrees with its dump text is a miss even
+// when every payload CRC is valid — whether the header sum is wrong or
+// the text was altered and its payload CRC recomputed.
+func TestDumpSectionHashBack(t *testing.T) {
+	_, text := classesFixture(t)
+	good, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ipEnd := indexPayloadBounds(good)
+	sec := ipEnd // start of the dump section header
+	payloadLen := int(binary.LittleEndian.Uint32(good[sec+12 : sec+16]))
+
+	headerSum := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(headerSum[8:16], DumpHash(text)+1)
+
+	// Change one letter of the dump text, keeping its length and line
+	// structure, and reseal the dump payload's CRC.
+	edited := append([]byte(nil), good...)
+	ep := edited[sec+dumpSectionHeaderSize : sec+dumpSectionHeaderSize+payloadLen]
+	at := strings.Index(text.String(), "Class descriptor")
+	if at < 0 {
+		t.Fatal("fixture dump has no class descriptor line")
+	}
+	_, k := binary.Uvarint(ep)
+	ep[k+at] ^= 0x20 // 'C' -> 'c'
+	binary.LittleEndian.PutUint32(edited[sec+8:sec+12], crc32.ChecksumIEEE(ep))
+
+	for name, data := range map[string][]byte{"header sum": headerSum, "edited text": edited} {
+		if _, err := DecodeBundleDump(data, testFingerprint); err == nil {
+			t.Errorf("%s: dump section decoded although its text does not sum to the header", name)
+		}
+	}
+	// The edited text is the only damage: everything before the final
+	// check holds, so this is the hash-back check's catch alone.
+	if _, err := decodeDump(ep); err != nil {
+		t.Fatalf("edited payload no longer decodes: %v", err)
+	}
+	if dec, err := DecodeBundleDump(good, testFingerprint); err != nil || DumpHash(dec) != refSum([]byte(text.String())) {
+		t.Fatalf("pristine bundle: err %v, or its decoded text is memoized with a wrong sum", err)
+	}
+}
+
+// TestLegacyV3BundleMisses: a bundle written by codec version 3 — the
+// Fixture app's, byte for byte as that version wrote it — is a miss in
+// every section decoder, and would be one even if the version gate were
+// gone: its FNV-64a sums do not match the CRC sums of version 4.
+func TestLegacyV3BundleMisses(t *testing.T) {
+	v3 := testapps.FixtureV3Bundle()
+	// The bundle pin TestGoldenBundles held for the fixture at version 3.
+	if got, want := fnv64a(v3), uint64(0xefbfb8ccc6a7b27d); got != want {
+		t.Fatalf("legacy bundle hashes to %#016x, version 3 wrote %#016x", got, want)
+	}
+	if v := binary.LittleEndian.Uint16(v3[4:6]); v != 3 {
+		t.Fatalf("legacy bundle is version %d", v)
+	}
+	app, err := testapps.Fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := app.MergedDex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := Disassemble(merged)
+	fp := AppFingerprint(app.Dexes)
+	if binary.LittleEndian.Uint64(v3[8:16]) != fnv64a([]byte(text.String())) {
+		t.Fatal("legacy bundle does not carry the FNV-64a of today's fixture dump")
+	}
+
+	relabelled := append([]byte(nil), v3...)
+	binary.LittleEndian.PutUint16(relabelled[4:6], CodecVersion)
+	for name, data := range map[string][]byte{"v3": v3, "v3 relabelled v4": relabelled} {
+		if _, err := DecodeBundleDump(data, fp); err == nil {
+			t.Errorf("%s: dump section decoded", name)
+		}
+		if _, err := DecodeIndexFile(data, text); err == nil {
+			t.Errorf("%s: index section decoded", name)
+		}
+	}
+	if _, ok := DecodeManifest(v3); ok {
+		t.Error("v3: manifest decoded")
+	}
+}
+
 // TestDumpHashConcurrent asks several goroutines at once for the hash of
 // one text, as engines sharing a decoded dump do.
 func TestDumpHashConcurrent(t *testing.T) {
 	_, text := classesFixture(t)
-	h := fnv.New64a()
-	h.Write([]byte(text.full))
-	want := h.Sum64()
+	want := refSum([]byte(text.full))
 	got := make([]uint64, 8)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -479,7 +630,7 @@ func TestDumpHashConcurrent(t *testing.T) {
 	wg.Wait()
 	for i, v := range got {
 		if v != want {
-			t.Errorf("goroutine %d: DumpHash = %#x, want FNV-64a %#x", i, v, want)
+			t.Errorf("goroutine %d: DumpHash = %#x, want %#x", i, v, want)
 		}
 	}
 }

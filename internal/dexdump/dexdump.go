@@ -17,8 +17,8 @@ import (
 // mapping from each text line back to the containing method so the search
 // engine can perform the paper's "identify method in bytecode text" step.
 type Text struct {
-	lines        []string
-	methodOfLine []int // index into methods, -1 for non-instruction lines
+	lines        []string // consecutive substrings of full, each followed there by '\n'
+	methodOfLine []int    // index into methods, -1 for non-instruction lines
 	methods      []dex.MethodRef
 	spans        []ClassSpan
 	full         string

@@ -1,6 +1,7 @@
 package dexdump
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"sync"
@@ -192,10 +193,12 @@ func randomDex(seed int64) *dex.File {
 }
 
 // FuzzDecodeDex feeds arbitrary bytes to dex.Decode, seeded with encoded
-// random files, the sample file and the fixture app's merged dex. Decoding
-// must never panic or exhaust memory, and the first-touch path, dex.Open
-// then Load, must agree with Decode: the same error or none, and the same
-// disassembly. A decoded file must disassemble and index without
+// random files, the sample file, the fixture app's merged dex and
+// truncations of it. Decoding must never panic or exhaust memory. The
+// old reader-based decoder (oracleDecode) must accept and reject the same
+// inputs with the same error, and what both accept must encode to the
+// same bytes. The first-touch path, dex.Open then Load, must agree with
+// Decode: the same error or none, and the same disassembly. A decoded file must disassemble and index without
 // panicking, into lines that tile the text, and re-encoding it must decode
 // to a file that disassembles to the same bytes.
 func FuzzDecodeDex(f *testing.F) {
@@ -211,9 +214,24 @@ func FuzzDecodeDex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(dex.Encode(merged))
+	fixture := dex.Encode(merged)
+	f.Add(fixture)
+	// Cuts inside the pool, inside a varint and at the magic, and a
+	// varint of ten continuation bytes, which the reader-based decoder
+	// reports as an overflow rather than a short read.
+	for _, n := range []int{8, 9, 40, len(fixture) / 2, len(fixture) - 1} {
+		f.Add(fixture[:n])
+	}
+	f.Add(append([]byte("GDEX0001"), bytes.Repeat([]byte{0xff}, 10)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := dex.Decode(data)
+		ofile, oerr := oracleDecode(data)
+		if (err == nil) != (oerr == nil) || (err != nil && err.Error() != oerr.Error()) {
+			t.Fatalf("Decode error %v, oracle decoder error %v", err, oerr)
+		}
+		if err == nil && !bytes.Equal(dex.Encode(file), dex.Encode(ofile)) {
+			t.Fatal("Decode and the oracle decoder decoded different files")
+		}
 		lazy, lerr := dex.Open(data)
 		if lerr == nil {
 			lerr = lazy.Load()

@@ -539,3 +539,46 @@ func BenchmarkBuildIndex(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeBundle times the warm path's bundle load over the
+// 24-app bench corpus: per app, DecodeBundleDump validates and rebuilds
+// the dump text (payload CRC, then the content sum of the text against
+// the header) and DecodeIndexFile validates and decodes the index
+// against it. One op is the whole corpus.
+func BenchmarkDecodeBundle(b *testing.B) {
+	apps := loadBenchCorpus(b)
+	bundles := make([][]byte, len(apps))
+	for i, app := range apps {
+		data, err := EncodeBundle(app.text, BuildIndex(app.text), app.fingerprint, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bundles[i] = data
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i, app := range apps {
+			text, err := DecodeBundleDump(bundles[i], app.fingerprint)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := DecodeIndexFile(bundles[i], text); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkBuildManifest times the span fingerprints of the update
+// path over the 24-app bench corpus. One op is the whole corpus.
+func BenchmarkBuildManifest(b *testing.B) {
+	apps := loadBenchCorpus(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, app := range apps {
+			BuildManifest(app.text)
+		}
+	}
+}

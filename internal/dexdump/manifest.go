@@ -6,8 +6,8 @@ import (
 )
 
 // Manifest: the content-addressing layer below the whole-app
-// fingerprint. Every class span of a dump gets a stable FNV-64a
-// fingerprint of its name and body text. Two versions of an app produce
+// fingerprint. Every class span of a dump gets a stable fingerprint, the
+// content sum of its name and body text. Two versions of an app produce
 // identical span fingerprints for identical class bodies, which is what
 // the delta engine's manifest diff keys on. See DESIGN.md Sec. 10.
 
@@ -24,32 +24,54 @@ type Manifest struct {
 	Entries []ManifestEntry
 }
 
-// SpanFingerprint hashes one class span: FNV-64a over the class name and
-// the span's dump lines, skipping the first line of the block (the
-// "Class #N" header embeds the class's position in the dump, which would
-// make the hash depend on where the class sits rather than what it
-// contains). Identical class bodies therefore fingerprint identically
-// across versions, positions and apps.
+// SpanFingerprint hashes one class span: the content sum (the codec's
+// CRC-32 IEEE ‖ CRC-32C, see contentSum) of the class name, a zero byte
+// and the span's dump lines, each with its newline, skipping the first
+// line of the block (the "Class #N" header embeds the class's position in
+// the dump, which would make the hash depend on where the class sits
+// rather than what it contains). Identical class bodies therefore
+// fingerprint identically across versions, positions and apps.
 func SpanFingerprint(t *Text, sp ClassSpan) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(sp.Name))
-	h.Write([]byte{0})
-	for i := sp.Start + 1; i < sp.End; i++ {
-		h.Write([]byte(t.lines[i]))
-		h.Write([]byte{'\n'})
+	off := 0
+	for _, l := range t.lines[:sp.Start] {
+		off += len(l) + 1
 	}
-	return h.Sum64()
+	sum, _ := spanSum(t, sp, off)
+	return sum
 }
 
-// BuildManifest computes the manifest of a dump.
+// nameEnd separates a class name from its body in a span's sum.
+var nameEnd = []byte{0}
+
+// spanSum is SpanFingerprint for a span whose first line starts at byte
+// off of the dump text; it also returns the offset one past the span.
+// Lines are consecutive in the text, so the body is one slice of it and
+// is hashed in place.
+func spanSum(t *Text, sp ClassSpan, off int) (uint64, int) {
+	var s contentSum
+	s.write(bytesOf(sp.Name))
+	s.write(nameEnd)
+	if sp.End == sp.Start {
+		return s.sum64(), off
+	}
+	from := off + len(t.lines[sp.Start]) + 1
+	end := from
+	for _, l := range t.lines[sp.Start+1 : sp.End] {
+		end += len(l) + 1
+	}
+	s.write(bytesOf(t.full[from:end]))
+	return s.sum64(), end
+}
+
+// BuildManifest computes the manifest of a dump. Spans tile the dump in
+// order, so one running byte offset locates every span's text.
 func BuildManifest(t *Text) *Manifest {
 	m := &Manifest{Entries: make([]ManifestEntry, len(t.spans))}
+	off := 0
 	for i, sp := range t.spans {
-		m.Entries[i] = ManifestEntry{
-			Name:        sp.Name,
-			Fingerprint: SpanFingerprint(t, sp),
-			Lines:       sp.End - sp.Start,
-		}
+		e := ManifestEntry{Name: sp.Name, Lines: sp.End - sp.Start}
+		e.Fingerprint, off = spanSum(t, sp, off)
+		m.Entries[i] = e
 	}
 	return m
 }

@@ -58,7 +58,46 @@ func TestSpanFingerprintPositionIndependent(t *testing.T) {
 	}
 }
 
-// TestManifestRoundtrip pins the codec: the manifest encoded into a v3
+// TestSpanFingerprintOneByteEdit edits each byte of one class span in
+// turn: an edit to the body changes that span's fingerprint and no
+// other's; an edit to the "Class #N" header line changes none.
+func TestSpanFingerprintOneByteEdit(t *testing.T) {
+	_, text := buildFixtureFile(t, "com.x.First", "com.x.Edited", "com.x.Last")
+	sp, _ := text.SpanOf("com.x.Edited")
+	payload := appendDump(nil, text)
+	_, k := binary.Uvarint(payload)
+	off := k
+	for _, l := range text.Lines()[:sp.Start] {
+		off += len(l) + 1
+	}
+	headerEnd := off + len(text.Lines()[sp.Start])
+	spanEnd := off
+	for _, l := range text.Lines()[sp.Start:sp.End] {
+		spanEnd += len(l) + 1
+	}
+	want := BuildManifest(text)
+	for at := off; at < spanEnd; at++ {
+		if payload[at] == '\n' || payload[at]^0x01 == '\n' {
+			continue // keep the line structure
+		}
+		edited := bytes.Clone(payload)
+		edited[at] ^= 0x01
+		v2, err := decodeDump(edited)
+		if err != nil {
+			t.Fatalf("edit at %d: %v", at, err)
+		}
+		got := BuildManifest(v2)
+		for i, e := range got.Entries {
+			changed := e.Fingerprint != want.Entries[i].Fingerprint
+			if wantChanged := e.Name == sp.Name && at > headerEnd; changed != wantChanged {
+				t.Fatalf("edit at byte %d of %s (header ends at %d): %s fingerprint changed = %v",
+					at-off, sp.Name, headerEnd-off, e.Name, changed)
+			}
+		}
+	}
+}
+
+// TestManifestRoundtrip pins the codec: the manifest encoded into a
 // bundle decodes identically.
 func TestManifestRoundtrip(t *testing.T) {
 	_, text := classesFixture(t)
@@ -69,7 +108,7 @@ func TestManifestRoundtrip(t *testing.T) {
 	want := BuildManifest(text)
 	got, ok := DecodeManifest(data)
 	if !ok {
-		t.Fatal("v3 bundle manifest did not decode")
+		t.Fatal("bundle manifest did not decode")
 	}
 	if len(got.Entries) != len(want.Entries) {
 		t.Fatalf("manifest has %d entries, want %d", len(got.Entries), len(want.Entries))

@@ -2,8 +2,15 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
 	"sync"
 	"testing"
+
+	"backdroid/internal/apk"
+	"backdroid/internal/core"
+	"backdroid/internal/dexdump"
+	"backdroid/internal/testapps"
 )
 
 func entryOf(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
@@ -138,4 +145,80 @@ func TestLockFingerprintSerializes(t *testing.T) {
 	if len(s.inflight) != 0 {
 		t.Fatalf("inflight table has %d entries after release", len(s.inflight))
 	}
+}
+
+// TestLegacyBundleIsSilentMiss: a bundle of codec version 3 in the store
+// and in the disk cache is a silent miss. The job succeeds with the
+// verdicts of a cold run, the store drops the stale entry and holds a
+// current bundle instead, the disk file is rewritten at the current
+// version, and the next job is a store hit. A stale file on disk alone is
+// rewritten the same way.
+func TestLegacyBundleIsSilentMiss(t *testing.T) {
+	app, err := testapps.Fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := app.Fingerprint()
+	ref := New(Config{Workers: 1})
+	defer ref.Close()
+	cold := runFixtureJob(t, ref, app)
+
+	for _, tc := range []struct {
+		name    string
+		inStore bool
+	}{{"store-and-disk", true}, {"disk-only", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := dexdump.CachePath(dir, app.Name)
+			if err := os.WriteFile(path, testapps.FixtureV3Bundle(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			store := NewBundleStore(0)
+			wantDrops := int64(0)
+			if tc.inStore {
+				store.PutBundle(fp, testapps.FixtureV3Bundle())
+				wantDrops = 1
+			}
+			opts := core.DefaultOptions()
+			opts.IndexCacheDir = dir
+			s := New(Config{Workers: 1, Store: store, Options: &opts})
+			defer s.Close()
+
+			first := runFixtureJob(t, s, app)
+			st := first.BackDroid.Stats
+			if st.BundleStoreHits != 0 || st.DumpCacheHits != 0 || st.DumpLinesDisassembled == 0 {
+				t.Errorf("stats %+v, want a cold run", st)
+			}
+			if got, want := detectionKey(first.BackDroid), detectionKey(cold.BackDroid); got != want {
+				t.Errorf("verdicts\n%s\nwant\n%s", got, want)
+			}
+			if drops := store.Stats().Drops; drops != wantDrops {
+				t.Errorf("%d store drops, want %d", drops, wantDrops)
+			}
+			stored, ok := store.GetBundle(fp)
+			if !ok || binary.LittleEndian.Uint16(stored[4:6]) != dexdump.CodecVersion {
+				t.Fatal("store holds no current bundle")
+			}
+			if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, stored) {
+				t.Errorf("disk file not rewritten as the stored bundle (%v)", err)
+			}
+			if again := runFixtureJob(t, s, app); again.BackDroid.Stats.BundleStoreHits != 1 {
+				t.Errorf("next job is not a store hit: %+v", again.BackDroid.Stats)
+			}
+		})
+	}
+}
+
+// runFixtureJob runs one BackDroid job over app on s.
+func runFixtureJob(t *testing.T, s *Scheduler, app *apk.App) *JobResult {
+	t.Helper()
+	id, err := s.Submit(Job{Name: app.Name, Source: func() (*apk.App, error) { return app, nil }, RunBackDroid: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
