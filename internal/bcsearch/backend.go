@@ -48,8 +48,8 @@ type Cost struct {
 	Lines          int64 // dump lines visited by a full scan
 	Postings       int64 // index postings visited
 	IndexBuilt     bool  // this command triggered the one-time index build
-	IndexLoaded    bool  // the index came from the persistent cache instead
-	IndexCacheMiss bool  // a cache probe failed (missing/stale/corrupt file)
+	IndexLoaded    bool  // the index came from a warm-start bundle instead
+	IndexCacheMiss bool  // a bundle probe failed (missing/stale/corrupt section)
 }
 
 // Searcher executes one uncached search command over the dump text. The
@@ -65,19 +65,7 @@ func NewSearcher(text *dexdump.Text, cfg Config) Searcher {
 	if cfg.Backend == BackendLinear {
 		return NewLinearScanner(text, cfg.Meter)
 	}
-	return &IndexedSearcher{
-		text:            text,
-		meter:           cfg.Meter,
-		manifest:        cfg.Manifest,
-		cachePath:       cfg.CachePath,
-		bundleBytes:     cfg.BundleBytes,
-		fingerprint:     cfg.AppFingerprint,
-		refreshBundle:   cfg.RefreshBundle,
-		storeBundle:     cfg.StoreBundle,
-		deltaBuild:      cfg.DeltaBuild,
-		deltaLines:      cfg.DeltaIndexLines,
-		deltaReuseLines: cfg.DeltaReuseIndexLines,
-	}
+	return &IndexedSearcher{text: text, meter: cfg.Meter, index: cfg.Index}
 }
 
 // collect verifies candidate lines against the command predicate and
@@ -146,10 +134,9 @@ func scanAll(text *dexdump.Text, meter *simtime.Meter, cmd Command) ([]Hit, Cost
 // IndexedSearcher resolves commands from an inverted index over the dump
 // text: each command touches only its postings list, O(hits) instead of
 // O(lines). The index is acquired lazily on the first indexable command —
-// loaded from the persistent cache when one is configured and valid,
-// otherwise built and charged to the meter then, so apps that are never
-// searched pay nothing. Raw substring commands cannot be indexed and fall
-// back to a full scan.
+// from the Config.Index hook when one is set, otherwise built and charged
+// to the meter then — so apps that are never searched pay nothing. Raw
+// substring commands cannot be indexed and fall back to a full scan.
 //
 // An IndexedSearcher is not safe for concurrent use — like the Engine on
 // top of it, it is a per-app object (the corpus pipeline gives every
@@ -157,17 +144,8 @@ func scanAll(text *dexdump.Text, meter *simtime.Meter, cmd Command) ([]Hit, Cost
 type IndexedSearcher struct {
 	text  *dexdump.Text
 	meter *simtime.Meter
+	index func() (*dexdump.Index, Cost, error) // Config.Index; nil builds
 	src   *dexdump.Index
-
-	manifest        *dexdump.Manifest // the dump's manifest, when already built
-	cachePath       string            // non-empty enables the persistent cache
-	bundleBytes     []byte            // pre-read bundle content (avoids a second read)
-	fingerprint     uint64            // app fingerprint stored in written bundles
-	refreshBundle   bool              // rewrite the bundle even on an index cache hit
-	storeBundle     func(data []byte) // in-memory bundle store capture seam
-	deltaBuild      bool              // charge index builds at the delta model
-	deltaLines      int               // dump lines of changed+added classes
-	deltaReuseLines int               // dump lines of unchanged classes
 }
 
 // Kind identifies the backend.
@@ -180,9 +158,11 @@ func (s *IndexedSearcher) Run(cmd Command) ([]Hit, Cost, error) {
 	}
 	var cost Cost
 	if s.src == nil {
-		if err := s.acquire(&cost); err != nil {
-			return nil, cost, err
+		src, c, err := s.acquire()
+		if err != nil {
+			return nil, c, err
 		}
+		s.src, cost = src, c
 	}
 	candidates := LookupCandidates(s.src, cmd)
 	cost.Postings = int64(len(candidates))
@@ -192,92 +172,17 @@ func (s *IndexedSearcher) Run(cmd Command) ([]Hit, Cost, error) {
 	return collect(s.text, cmd, candidates), cost, nil
 }
 
-// acquire obtains the postings source: persistent bundle first (any
-// invalid index section — missing, truncated, stale hash, unknown
-// version or layout — is a silent miss), then a charged build, written back
-// to the bundle best-effort so the next analysis of the same dump starts
-// warm. When the engine signalled that its dump probe missed
-// (refreshBundle), an index cache hit still rewrites the file as a full
-// bundle, self-healing a damaged dump section so the next run can skip
-// disassembly too.
-func (s *IndexedSearcher) acquire(cost *Cost) error {
-	if s.cachePath != "" || len(s.bundleBytes) != 0 {
-		if src, err := s.loadCachedIndex(); err == nil {
-			// Deserialization is charged at the cheap cache-load rate;
-			// no tokenization happens on this path.
-			if err := s.meter.ChargeIndexCacheLoad(s.text.LineCount()); err != nil {
-				return err
-			}
-			s.src = src
-			cost.IndexLoaded = true
-			if s.refreshBundle {
-				s.publishBundle()
-			} else if s.storeBundle != nil && len(s.bundleBytes) != 0 {
-				// The bytes already hold a validated full bundle (the
-				// engine's dump probe hit on them); share them as-is.
-				s.storeBundle(s.bundleBytes)
-			}
-			return nil
-		}
-		cost.IndexCacheMiss = true
+// acquire obtains the postings source from the hook, or builds it: one
+// tokenization pass, charged like the linear scan it is (plus a
+// tokenization factor — see simtime.IndexBuildLinesPerUnit).
+func (s *IndexedSearcher) acquire() (*dexdump.Index, Cost, error) {
+	if s.index != nil {
+		return s.index()
 	}
-	if err := s.chargeBuild(); err != nil {
-		return err
+	if err := s.meter.ChargeIndexBuild(s.text.LineCount()); err != nil {
+		return nil, Cost{}, err
 	}
-	s.src = dexdump.BuildIndex(s.text)
-	cost.IndexBuilt = true
-	s.publishBundle()
-	return nil
-}
-
-// chargeBuild charges the meter for the one-time index build. Two models
-// share this seam, both charging the same real work differently: the
-// plain build tokenizes every dump line; the delta build
-// (Config.DeltaBuild) tokenizes only the changed and added classes' lines
-// at the build rate and carries the unchanged classes over at the
-// delta-reuse rate — the previous version's bundle already tokenized
-// them, and the manifest diff proved them identical. The built index is
-// bitwise identical under both models; only the charged cost differs.
-func (s *IndexedSearcher) chargeBuild() error {
-	if s.deltaBuild {
-		if err := s.meter.ChargeIndexBuild(s.deltaLines); err != nil {
-			return err
-		}
-		return s.meter.ChargeDeltaReuse(s.deltaReuseLines)
-	}
-	// One-time tokenization pass, charged like the linear scan it is
-	// (plus a tokenization factor — see simtime.IndexBuildLinesPerUnit).
-	return s.meter.ChargeIndexBuild(s.text.LineCount())
-}
-
-// publishBundle encodes the current dump and index once and hands the
-// bytes to every configured consumer: the persistent cache file and the
-// in-memory store seam. Best-effort — a failed encode or write must never
-// fail the analysis.
-func (s *IndexedSearcher) publishBundle() {
-	if s.cachePath == "" && s.storeBundle == nil {
-		return
-	}
-	data, err := dexdump.EncodeBundle(s.text, s.src, s.fingerprint, s.manifest)
-	if err != nil {
-		return
-	}
-	if s.cachePath != "" {
-		_ = dexdump.WriteBundleBytes(s.cachePath, data)
-	}
-	if s.storeBundle != nil {
-		s.storeBundle(data)
-	}
-}
-
-// loadCachedIndex decodes the bundle's index section — from the bytes the
-// engine already read for its dump probe when available, from disk
-// otherwise.
-func (s *IndexedSearcher) loadCachedIndex() (*dexdump.Index, error) {
-	if len(s.bundleBytes) != 0 {
-		return dexdump.DecodeIndexFile(s.bundleBytes, s.text)
-	}
-	return dexdump.LoadIndexCache(s.cachePath, s.text)
+	return dexdump.BuildIndex(s.text), Cost{IndexBuilt: true}, nil
 }
 
 // LookupCandidates maps a command to its candidate postings in the given

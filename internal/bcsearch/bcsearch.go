@@ -44,10 +44,11 @@ type Stats struct {
 	IndexBuilds     int
 	IndexLines      int64
 
-	// Persistent-cache accounting. IndexCacheHits/IndexCacheMisses count
-	// persistent-cache probes: a hit replaces the tokenization pass
-	// entirely, a miss (missing, truncated, stale or version-bumped file)
-	// falls back to a charged build.
+	// Bundle accounting, as reported by the Config.Index hook.
+	// IndexCacheHits/IndexCacheMisses count index-section probes of a
+	// warm-start bundle: a hit replaces the tokenization pass entirely, a
+	// miss (missing, truncated, stale or version-bumped section) falls back
+	// to a charged build.
 	IndexCacheHits   int
 	IndexCacheMisses int
 }
@@ -71,51 +72,15 @@ type Config struct {
 	// EnableCache turns on the Sec. IV-F command cache.
 	EnableCache bool
 
-	// Manifest is the dump's manifest when the caller already built one
-	// (a delta run builds it for its diff); written bundles then reuse it
-	// instead of hashing every class span again. Nil builds it on encode.
-	Manifest *dexdump.Manifest
-	// CachePath, when non-empty, enables the persistent bundle cache: the
-	// built index (and the dump text) is serialized there and later
-	// engines over the same dump load it instead of re-tokenizing.
-	// Invalid files (corrupt, stale, old version) are rebuilt and
-	// overwritten silently.
-	CachePath string
-	// AppFingerprint identifies the app the dump was rendered from (see
-	// dexdump.AppFingerprint); it is stored in written bundles so a later
-	// engine can validate the cached dump without disassembling. 0 marks
-	// it unknown — the bundle is still written, but its dump section will
-	// never validate on probe.
-	AppFingerprint uint64
-	// BundleBytes, when non-empty, is the already-read content of the
-	// CachePath bundle: the engine reads the file once for its dump probe
-	// and hands the bytes down, so the index section decodes from memory
-	// instead of a second disk read. Writes still go to CachePath.
-	BundleBytes []byte
-	// RefreshBundle forces a bundle rewrite even when the index section
-	// loads from the cache. The engine sets it after its dump probe missed
-	// on an otherwise valid file (a damaged dump section), so the file
-	// self-heals and the next run skips disassembly.
-	RefreshBundle bool
-	// StoreBundle, when non-nil, receives the encoded bundle bytes as soon
-	// as the index is acquired: the freshly encoded bundle after a build or
-	// a refresh, or the validated on-disk file content on a persistent
-	// cache hit. The batch service's in-memory bundle store captures
-	// entries through this seam without a second encode.
-	StoreBundle func(data []byte)
-
-	// DeltaBuild switches the index-build charge to the delta model: the
-	// engine proved (by manifest diff against the previous version's
-	// bundle) that only DeltaIndexLines dump lines belong to changed or
-	// added classes, so a build tokenizes those at the full index-build
-	// rate and carries the remaining DeltaReuseIndexLines over at the
-	// cheap delta-reuse rate. The real build still tokenizes everything —
-	// the resulting index is bitwise identical to a cold build — only the
-	// charged cost models the reuse. Ignored on index-cache hits (those
-	// are already cheaper than a delta build).
-	DeltaBuild           bool
-	DeltaIndexLines      int
-	DeltaReuseIndexLines int
+	// Index, when non-nil, supplies the indexed backend's inverted index
+	// on its first indexable command. It charges the meter for whatever it
+	// does — a bundle load or a build — and reports which in the Cost flags
+	// (IndexBuilt, IndexLoaded, IndexCacheMiss), which feed Stats. An error
+	// fails that command; the next indexable command calls it again. Nil
+	// builds the index from the dump, charged at simtime.ChargeIndexBuild.
+	// The core engine's hook (internal/core/bundle.go) is the one owner of
+	// the warm-start bundle.
+	Index func() (*dexdump.Index, Cost, error)
 }
 
 // Engine searches one app's dump text: it owns the command cache and

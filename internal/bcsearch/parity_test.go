@@ -105,7 +105,7 @@ func hitsEqual(a, b []Hit) bool {
 
 // TestBackendParityOnGeneratedCorpus is the property test of the backend
 // split: for generated corpus apps, the IndexedSearcher — built in
-// memory and loaded from a written bundle — returns hit sets identical to
+// memory and decoded from an encoded bundle — returns hit sets identical to
 // the LinearScanner (line, text, containing method) for every search
 // command kind. Caching is disabled on all engines so each command
 // exercises the backend.
@@ -128,14 +128,19 @@ func TestBackendParityOnGeneratedCorpus(t *testing.T) {
 			variants := map[string]*Engine{
 				"indexed": NewEngine(text, Config{Meter: simtime.NewMeter(), Backend: BackendIndexed}),
 			}
-			// Warm-bundle variant: the index loads from a pre-written
-			// bundle — the warm-start fast path.
-			path := dexdump.CachePath(t.TempDir(), "bundle")
-			if err := dexdump.WriteBundle(path, text, dexdump.BuildIndex(text), 0); err != nil {
+			// Warm-bundle variant: the index section of an encoded bundle,
+			// decoded and fed through the Index hook — the warm-start fast
+			// path.
+			data, err := dexdump.EncodeBundle(text, dexdump.BuildIndex(text), 0, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
 			variants["bundle"] = NewEngine(text, Config{
-				Meter: simtime.NewMeter(), Backend: BackendIndexed, CachePath: path,
+				Meter: simtime.NewMeter(), Backend: BackendIndexed,
+				Index: func() (*dexdump.Index, Cost, error) {
+					x, err := dexdump.DecodeIndexFile(data, text)
+					return x, Cost{IndexLoaded: true}, err
+				},
 			})
 
 			cmds := parityQueries(merged)

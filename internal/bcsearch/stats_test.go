@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"backdroid/internal/dex"
+	"backdroid/internal/dexdump"
 	"backdroid/internal/simtime"
 )
 
@@ -150,5 +151,38 @@ func TestCanceledMeterStopsLookups(t *testing.T) {
 	}
 	if e.Stats().Commands != before {
 		t.Error("a canceled engine must not count (or serve) further commands")
+	}
+}
+
+// TestIndexHookAccounting pins the Config.Index seam: raw commands never
+// call the hook, the first indexable command calls it once and its Cost
+// flags feed the index statistics, and a hook error fails that command
+// and leaves the next indexable command to call the hook again.
+func TestIndexHookAccounting(t *testing.T) {
+	text := searchFixture(t)
+	calls := 0
+	fail := true
+	e := NewEngine(text, Config{Meter: simtime.NewMeter(), Index: func() (*dexdump.Index, Cost, error) {
+		calls++
+		if fail {
+			return nil, Cost{IndexCacheMiss: true}, simtime.ErrTimeout
+		}
+		return dexdump.BuildIndex(text), Cost{IndexLoaded: true}, nil
+	}})
+	if _, err := e.Search("NetcastHttpServer"); err != nil || calls != 0 {
+		t.Fatalf("raw search: err %v, %d hook calls, want none", err, calls)
+	}
+	if _, err := e.FindNewInstance("com.connectsdk.service.netcast.NetcastHttpServer"); err != simtime.ErrTimeout {
+		t.Fatalf("hook error = %v, want it returned", err)
+	}
+	fail = false
+	for i := 0; i < 2; i++ {
+		if _, err := e.FindNewInstance("com.connectsdk.service.netcast.NetcastHttpServer"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.Stats()
+	if calls != 2 || st.IndexCacheMisses != 1 || st.IndexCacheHits != 1 || st.IndexBuilds != 0 {
+		t.Errorf("%d hook calls, stats %+v; want 2 calls, 1 miss, 1 hit, 0 builds", calls, st)
 	}
 }

@@ -34,6 +34,12 @@ func (b *memBundles) PutBundle(fp uint64, data []byte) {
 	}
 }
 
+func (b *memBundles) DropBundle(fp uint64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	delete(b.m, fp)
+}
+
 func deltaBaseSpec() appgen.Spec {
 	return appgen.Spec{
 		Name:   "com.delta.app",

@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"backdroid/internal/android"
@@ -170,11 +169,12 @@ type Options struct {
 	// PhaseSpan, when non-nil, receives one call per completed engine
 	// phase with the phase's charged-unit bounds [start, end) on this
 	// engine's meter: the preprocessing phases (disassembly or the warm
-	// bundle/dump load, the index build or load, the delta manifest
-	// diff) and, per analyzed sink, the backward slice and the forward
-	// constprop pass, with sink carrying the canonical sink position
-	// (-1 for app-level phases, including the single shared forward
-	// pass of PerAppSSG mode). The callback runs synchronously on the
+	// bundle/dump load, the delta manifest diff), locate-sinks (which
+	// holds the index build or load of the first search) and, per
+	// analyzed sink, the backward slice and the forward constprop pass,
+	// with sink carrying the canonical sink position (-1 for app-level
+	// phases, including the single shared forward pass of PerAppSSG
+	// mode). The callback runs synchronously on the
 	// analysis goroutine after the phase's last charge; it must never
 	// charge the meter itself, so enabling it cannot move a single
 	// checkpoint — tracing is observationally free in simulated time.
@@ -223,11 +223,14 @@ func DefaultOptions() Options {
 // dexdump.AppFingerprint). GetBundle returns the entry and marks it
 // recently used; PutBundle inserts it (a later Put of the same
 // fingerprint is a refresh — entries are content-addressed, so the bytes
-// are identical). Implementations must be safe for concurrent use: the
-// batch service analyzes many apps at once against one store.
+// are identical); DropBundle removes an entry that failed validation, so
+// the fresh bundle the engine publishes can replace it. Implementations
+// must be safe for concurrent use: the batch service analyzes many apps
+// at once against one store.
 type BundleCache interface {
 	GetBundle(fingerprint uint64) ([]byte, bool)
 	PutBundle(fingerprint uint64, data []byte)
+	DropBundle(fingerprint uint64)
 }
 
 // SinkCall is one located sink API call site.
@@ -440,15 +443,10 @@ type Engine struct {
 	// (the writer set is a pure function of the dump).
 	writerCache map[string]map[string]bool
 
-	// Warm-start dump cache accounting (see Stats).
-	dumpCacheHits   int
-	dumpCacheMisses int
-	dumpCacheUnits  int64
-	dumpLinesCold   int64
-
-	// In-memory bundle store accounting (see Stats).
-	bundleStoreHits   int
-	bundleStoreMisses int
+	// Warm-start bundle (bundle.go) and the dump accounting (see Stats).
+	bundle         *bundle
+	dumpCacheUnits int64
+	dumpLinesCold  int64
 
 	// Forward-pass memoization accounting (see Stats).
 	memoHits int64
@@ -465,6 +463,7 @@ type Engine struct {
 	deltaOldMan      *dexdump.Manifest
 	deltaNewMan      *dexdump.Manifest
 	deltaDiff        *dexdump.ManifestDiff
+	deltaDumpLines   int // changed+added span lines, valid when deltaDiff != nil
 	sinksReused      int
 	sinksRerun       int
 	deltaReusedLines int64
@@ -472,10 +471,11 @@ type Engine struct {
 
 // New preprocesses the app (paper Sec. III step 1): merges multidex,
 // obtains the bytecode plaintext and builds the search and IR
-// infrastructure. With a bundle available (from Bundles or IndexCacheDir)
-// its dump section is probed first: a valid cached dump makes this a warm
-// start — zero disassembly, charged at the cheap ChargeDumpCacheLoad rate
-// — while any invalid or absent dump section falls back to disassembly
+// infrastructure. With a bundle available (from Bundles or IndexCacheDir,
+// probed in that order — see bundle.go) its dump section is probed first:
+// a valid cached dump makes this a warm start — zero disassembly, charged
+// at the cheap ChargeBundleStoreLoad or ChargeDumpCacheLoad rate — while
+// any invalid or absent dump section falls back to disassembly
 // transparently and self-heals the bundle.
 func New(app *apk.App, opts Options) (*Engine, error) {
 	if len(opts.Sinks) == 0 {
@@ -498,50 +498,8 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		meter.SetCheckpointObserver(opts.MeterCheckpoint)
 	}
 
-	// Warm-start probes, before any merge or disassembly work. The
-	// in-memory bundle store is asked first — a hit costs zero disk I/O —
-	// then the on-disk bundle file, which is read once; the searcher
-	// decodes its index section from the same bytes either way.
-	var fingerprint uint64
-	var bundleBytes []byte
-	storeHit := false
-	cachePath := ""
-	if opts.IndexCacheDir != "" {
-		cachePath = dexdump.CachePath(opts.IndexCacheDir, app.Name)
-	}
-	if opts.IndexCacheDir != "" || opts.Bundles != nil {
-		fingerprint = app.Fingerprint()
-	}
-	if opts.Bundles != nil {
-		if data, ok := opts.Bundles.GetBundle(fingerprint); ok && len(data) != 0 {
-			bundleBytes = data
-			storeHit = true
-		}
-	}
-	probed := storeHit || cachePath != ""
-	if !storeHit && cachePath != "" {
-		if data, err := os.ReadFile(cachePath); err == nil {
-			bundleBytes = data
-		}
-	}
-	var dump *dexdump.Text
-	if probed {
-		if t, err := dexdump.DecodeBundleDump(bundleBytes, fingerprint); err == nil {
-			dump = t
-		}
-	}
-	if storeHit && dump == nil {
-		// A store entry that does not validate (damaged or written for
-		// different bytecode): drop it — a Put for a present fingerprint
-		// is a no-op refresh, so without the drop the bad entry would be
-		// pinned forever — and fall back to the cold path, which stores
-		// a fresh bundle.
-		if dropper, ok := opts.Bundles.(interface{ DropBundle(uint64) }); ok {
-			dropper.DropBundle(fingerprint)
-		}
-		storeHit = false
-		bundleBytes = nil
-	}
+	// Warm-start probes run before any merge or disassembly work.
+	warm := openBundle(app, opts)
 
 	merged, err := app.MergedDex()
 	if err != nil {
@@ -562,13 +520,7 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		loops:       make(map[LoopKind]int),
 		writerCache: make(map[string]map[string]bool),
 		sliceIntern: make(map[string]internRecord),
-	}
-	if opts.Bundles != nil {
-		if storeHit {
-			e.bundleStoreHits = 1
-		} else {
-			e.bundleStoreMisses = 1
-		}
+		bundle:      warm,
 	}
 	if !opts.PerAppSSG {
 		// Footprint recording (delta.go): every run that can serve as a
@@ -592,14 +544,14 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 
 	var preErr error
 	coldLines := 0
+	dump := warm.dump
 	if dump != nil {
 		// Warm path: the cached dump replaces disassembly entirely;
 		// reading it back is charged at the flat cache-load rate — the
 		// cheaper in-memory rate when the bundle came from the store.
-		e.dumpCacheHits = 1
 		before := meter.Units()
 		name := "dump-load"
-		if storeHit {
+		if warm.fromStore {
 			name = "bundle-load"
 			preErr = meter.ChargeBundleStoreLoad(dump.LineCount())
 		} else {
@@ -610,21 +562,17 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 			e.phaseSpan(name, -1, before)
 		}
 	} else {
-		if probed {
-			e.dumpCacheMisses = 1
-		}
 		dump = dexdump.Disassemble(merged)
 		coldLines = dump.LineCount()
 	}
 	e.dump = dump
 
-	deltaDumpLines := 0 // changed+added span lines, valid when deltaDiff != nil
 	if e.deltaOldMan != nil {
 		// The manifest diff is the delta run's first charged step: one
 		// fingerprint-map probe per class of both versions' union.
 		e.deltaNewMan = dexdump.BuildManifest(dump)
 		e.deltaDiff = dexdump.DiffManifests(e.deltaOldMan, e.deltaNewMan)
-		deltaDumpLines = e.deltaNewMan.LinesOf(e.deltaDiff.Touched())
+		e.deltaDumpLines = e.deltaNewMan.LinesOf(e.deltaDiff.Touched())
 		if preErr == nil {
 			b := meter.Units()
 			preErr = meter.ChargeManifestDiff(e.deltaDiff.TotalClasses())
@@ -641,13 +589,13 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 			// (The substrate still disassembled everything above, so the
 			// dump is bitwise identical to a cold run's — the charge is
 			// what models the delta.)
-			e.dumpLinesCold = int64(deltaDumpLines)
+			e.dumpLinesCold = int64(e.deltaDumpLines)
 			b := meter.Units()
-			preErr = meter.ChargeLines(deltaDumpLines)
+			preErr = meter.ChargeLines(e.deltaDumpLines)
 			if preErr == nil {
 				e.phaseSpan("disassembly", -1, b)
 				b = meter.Units()
-				preErr = meter.ChargeDeltaReuse(coldLines - deltaDumpLines)
+				preErr = meter.ChargeDeltaReuse(coldLines - e.deltaDumpLines)
 				if preErr == nil {
 					e.phaseSpan("delta-reuse", -1, b)
 				}
@@ -671,46 +619,14 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 	}
 	e.preTimedOut = preErr != nil
 
-	searchCfg := bcsearch.Config{
-		Meter:          meter,
-		Backend:        opts.SearchBackend,
-		EnableCache:    opts.EnableSearchCache,
-		Manifest:       e.deltaNewMan,
-		CachePath:      cachePath,
-		BundleBytes:    bundleBytes,
-		AppFingerprint: fingerprint,
-		// A dump miss on a configured cache means the bundle is absent or
-		// damaged: have the searcher rewrite it even on an index cache
-		// hit, so the next run starts fully warm.
-		RefreshBundle: cachePath != "" && e.dumpCacheMisses > 0,
-	}
-	if opts.Bundles != nil && !storeHit && fingerprint != 0 {
-		// Capture the bundle into the store once the searcher acquires the
-		// index; a store hit needs no re-put (content-addressed entries
-		// never change).
-		store, fp := opts.Bundles, fingerprint
-		searchCfg.StoreBundle = func(data []byte) { store.PutBundle(fp, data) }
-	}
-	if e.deltaDiff != nil {
-		// Index-build charge follows the same delta model as the dump:
-		// only dirty span lines tokenize at the full build rate (ignored
-		// when the index itself loads from a cache or bundle).
-		searchCfg.DeltaBuild = true
-		searchCfg.DeltaIndexLines = deltaDumpLines
-		searchCfg.DeltaReuseIndexLines = dump.LineCount() - deltaDumpLines
-	}
-	ib := meter.Units()
-	e.search = bcsearch.NewEngine(dump, searchCfg)
-	if preErr == nil {
-		// Zero-width spans are suppressed by phaseSpan, so a backend that
-		// builds its index lazily (charging on the first search instead)
-		// emits nothing here.
-		name := "index-build"
-		if len(bundleBytes) != 0 {
-			name = "index-load"
-		}
-		e.phaseSpan(name, -1, ib)
-	}
+	// The index is acquired on the first indexable command, inside
+	// locate-sinks, through the bundle hook (bundle.go).
+	e.search = bcsearch.NewEngine(dump, bcsearch.Config{
+		Meter:       meter,
+		Backend:     opts.SearchBackend,
+		EnableCache: opts.EnableSearchCache,
+		Index:       e.index,
+	})
 	if e.rec != nil {
 		e.search.SetObserver(func(cmd bcsearch.Command, hits []bcsearch.Hit) {
 			e.rec.command(cmd)
@@ -866,6 +782,8 @@ func (e *Engine) fillStats(report *Report, start time.Time) {
 	for k, v := range e.loops {
 		loops[k] = v
 	}
+	storeHits, storeMisses := e.bundle.storeCounts()
+	dumpHits, dumpMisses := e.bundle.dumpCounts()
 	report.Stats = Stats{
 		Search:                e.search.Stats(),
 		SinkCallsTotal:        e.sinkTotal,
@@ -875,12 +793,12 @@ func (e *Engine) fillStats(report *Report, start time.Time) {
 		WorkUnits:             e.meter.Units(),
 		SimMinutes:            e.meter.Minutes(),
 		WallTime:              time.Since(start),
-		DumpCacheHits:         e.dumpCacheHits,
-		DumpCacheMisses:       e.dumpCacheMisses,
+		DumpCacheHits:         dumpHits,
+		DumpCacheMisses:       dumpMisses,
 		DumpCacheUnits:        e.dumpCacheUnits,
 		DumpLinesDisassembled: e.dumpLinesCold,
-		BundleStoreHits:       e.bundleStoreHits,
-		BundleStoreMisses:     e.bundleStoreMisses,
+		BundleStoreHits:       storeHits,
+		BundleStoreMisses:     storeMisses,
 		ForwardMemoHits:       e.memoHits,
 		CancelPolls:           e.meter.CancelPolls(),
 		SinksReused:           e.sinksReused,

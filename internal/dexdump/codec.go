@@ -286,19 +286,9 @@ func CachePath(dir, appName string) string {
 	return filepath.Join(dir, appName+CacheFileExt)
 }
 
-// WriteBundle atomically persists the dump, its index and its manifest
-// next to path (temp file + rename), creating the directory if needed.
-func WriteBundle(path string, t *Text, x *Index, fingerprint uint64) error {
-	data, err := EncodeBundle(t, x, fingerprint, nil)
-	if err != nil {
-		return err
-	}
-	return WriteBundleBytes(path, data)
-}
-
-// WriteBundleBytes atomically persists already-encoded bundle bytes (temp
-// file + rename), creating the directory if needed. Callers that feed both
-// the disk cache and an in-memory store encode once and reuse the bytes.
+// WriteBundleBytes atomically persists encoded bundle bytes (temp file +
+// rename), creating the directory if needed. The temp file never outlives
+// a failed write or rename.
 func WriteBundleBytes(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
@@ -316,17 +306,11 @@ func WriteBundleBytes(path string, data []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// LoadIndexCache reads a bundle and validates its index section against
-// the dump text.
-func LoadIndexCache(path string, t *Text) (*Index, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
 	}
-	return DecodeIndexFile(data, t)
+	return nil
 }
 
 // DecodeManifest parses and validates the manifest section of a

@@ -639,19 +639,22 @@ func TestWriteLoadBundle(t *testing.T) {
 	_, text := classesFixture(t)
 	idx := BuildIndex(text)
 	path := CachePath(filepath.Join(t.TempDir(), "nested"), "com.example.app")
-	if err := WriteBundle(path, text, idx, testFingerprint); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := LoadIndexCache(path, text)
+	enc, err := EncodeBundle(text, idx, testFingerprint, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameLookups(t, idx, dec, "file roundtrip")
-
+	if err := WriteBundleBytes(path, enc); err != nil {
+		t.Fatal(err)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec, err := DecodeIndexFile(data, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameLookups(t, idx, dec, "file roundtrip")
 	dump, err := DecodeBundleDump(data, testFingerprint)
 	if err != nil {
 		t.Fatal(err)
@@ -667,11 +670,38 @@ func TestWriteLoadBundle(t *testing.T) {
 		t.Errorf("cache dir has %d entries, want just the bundle", len(entries))
 	}
 
-	if _, err := LoadIndexCache(filepath.Join(t.TempDir(), "missing.bdx"), text); err == nil {
-		t.Error("loading a missing bundle must error")
+	if _, err := DecodeIndexFile(nil, text); err == nil {
+		t.Error("decoding a missing bundle's index must error")
 	}
 	if _, err := DecodeBundleDump(nil, testFingerprint); err == nil {
 		t.Error("probing a missing bundle must error")
+	}
+}
+
+// TestWriteBundleBytesRenameFailureLeavesNoTemp pins the temp-file
+// cleanup: when the rename onto the destination fails (here a non-empty
+// directory sits at the bundle path), the write errors and the .bdx-*
+// temp file is removed — a job retrying against such a path must not
+// leave one more file behind each time.
+func TestWriteBundleBytesRenameFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	path := CachePath(dir, "com.example.app")
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := WriteBundleBytes(path, []byte("bundle")); err == nil {
+			t.Fatal("rename onto a non-empty directory must fail")
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		if ent.Name() != filepath.Base(path) {
+			t.Errorf("stray file %q left in the cache dir", ent.Name())
+		}
 	}
 }
 

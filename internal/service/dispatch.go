@@ -39,9 +39,8 @@ type work struct {
 
 // jobStore is the bundle-store surface a job analyzes against: either a
 // plain *BundleStore or a fleet placement view routing each fingerprint
-// to its owner node's partition. Its method set covers core.BundleCache
-// (plus the optional DropBundle seam), so either implementation plugs
-// into the engine unchanged.
+// to its owner node's partition. Its method set covers core.BundleCache,
+// so either implementation plugs into the engine unchanged.
 type jobStore interface {
 	GetBundle(fp uint64) ([]byte, bool)
 	PutBundle(fp uint64, data []byte)

@@ -612,7 +612,7 @@ func (f *fleet) stats() *FleetStats {
 // bundle placement: every operation routes to the fingerprint's owner
 // partition, counting local vs remote traffic and charging the remote
 // placement detour. It satisfies the scheduler's jobStore surface and
-// core.BundleCache (plus the optional DropBundle seam).
+// core.BundleCache.
 type fleetView struct {
 	f    *fleet
 	node int
@@ -658,7 +658,7 @@ func (v *fleetView) PutBundle(fp uint64, data []byte) {
 }
 
 // DropBundle evicts a failed-validation bundle from its owner
-// partition (the engine's optional drop seam).
+// partition.
 func (v *fleetView) DropBundle(fp uint64) {
 	if s := v.route(fp); s != nil {
 		s.DropBundle(fp)

@@ -120,8 +120,7 @@ func (s *BundleStore) PutBundle(fingerprint uint64, data []byte) {
 }
 
 // DropBundle removes the entry for the fingerprint, if any. The engine
-// calls it (through the optional core seam) when a stored bundle fails
-// validation, so a damaged entry is rebuilt instead of pinned: without
+// calls it when a stored bundle fails validation, so a damaged entry is rebuilt instead of pinned: without
 // the drop, PutBundle would treat the fingerprint as present and keep
 // the bad bytes forever.
 func (s *BundleStore) DropBundle(fingerprint uint64) {
