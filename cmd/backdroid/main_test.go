@@ -16,6 +16,7 @@ import (
 	"backdroid/internal/apk"
 	"backdroid/internal/appgen"
 	"backdroid/internal/dex"
+	"backdroid/internal/dexdump"
 	"backdroid/internal/testapps"
 )
 
@@ -224,16 +225,7 @@ func TestRunFaultsNeedNodes(t *testing.T) {
 // exactly the base's standalone report followed by the update's, and
 // the update reuses at least one settled sink verdict.
 func TestRunDeltaChain(t *testing.T) {
-	spec := appgen.Spec{
-		Name:   "com.example.generated",
-		Seed:   9,
-		SizeMB: 1,
-		Sinks: []appgen.SinkSpec{
-			{Flow: appgen.FlowDirect, Rule: android.RuleCryptoECB, Insecure: true},
-			{Flow: appgen.FlowAsyncExecutor, Rule: android.RuleSSLAllowAll, Insecure: true},
-			{Flow: appgen.FlowClinit, Rule: android.RuleCryptoECB, Insecure: false},
-		},
-	}
+	spec := generatedSpec(9, 1)
 	base, _, err := appgen.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -261,6 +253,66 @@ func TestRunDeltaChain(t *testing.T) {
 				t.Errorf("-delta run reused no sink:\n%s", out)
 			}
 		})
+	}
+}
+
+// generatedSpec is the single-app spec `appgen -seed N -size MB`
+// generates.
+func generatedSpec(seed int64, sizeMB float64) appgen.Spec {
+	return appgen.Spec{
+		Name:   "com.example.generated",
+		Seed:   seed,
+		SizeMB: sizeMB,
+		Sinks: []appgen.SinkSpec{
+			{Flow: appgen.FlowDirect, Rule: android.RuleCryptoECB, Insecure: true},
+			{Flow: appgen.FlowAsyncExecutor, Rule: android.RuleSSLAllowAll, Insecure: true},
+			{Flow: appgen.FlowClinit, Rule: android.RuleCryptoECB, Insecure: false},
+		},
+	}
+}
+
+// TestRunDeltaDamagedBaseBundle: a base bundle in the -index-cache
+// directory whose last byte (inside the manifest section) is flipped is
+// a miss of the whole bundle, so the base run rebuilds it and the update
+// still takes the delta path. The pair is `appgen -size 3 -seed 20260727
+// -update change-literal`.
+func TestRunDeltaDamagedBaseBundle(t *testing.T) {
+	spec := generatedSpec(20260727, 3)
+	base, _, err := appgen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, _, err := appgen.GenerateUpdate(appgen.AppUpdateSpec{Base: spec, Mutation: appgen.MutateChangeLiteral, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	chain := []string{genPath(t, dir, "base.apk", base), genPath(t, dir, "v2.apk", upd)}
+	// cache returns a cache directory holding the base's bundle (named
+	// after base.apk), its last byte flipped when damaged is set.
+	cache := func(damaged bool) string {
+		dir := t.TempDir()
+		runOutput(t, chain[:1], config{workers: 1, storeBudget: -1, indexCache: dir})
+		if damaged {
+			path := dexdump.CachePath(dir, "base")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-1] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	cfg := config{workers: 1, storeBudget: -1, delta: true, stats: true, indexCache: cache(true)}
+	if out := runOutput(t, chain, cfg); !regexp.MustCompile(`(?m)^  delta: [1-9][0-9]* sinks reused`).MatchString(out) {
+		t.Errorf("-delta run over a damaged base bundle reused no sink:\n%s", out)
+	}
+	want := runOutput(t, chain, config{workers: 1, storeBudget: -1, delta: true, indexCache: cache(false)})
+	if got := runOutput(t, chain, config{workers: 1, storeBudget: -1, delta: true, indexCache: cache(true)}); got != want {
+		t.Errorf("-delta output over a damaged base bundle:\n%s\nwant the undamaged run's:\n%s", got, want)
 	}
 }
 

@@ -11,29 +11,28 @@ import (
 // bundle is one engine's warm-start bundle (DESIGN.md Sec. 3): where it
 // was probed, what validated, and where a fresh encode goes. Every bundle
 // decision lives in this file — the probe order (store, then disk, then
-// cold), dump validation and dropping a bad store entry, the lazy index
-// acquisition behind bcsearch.Config.Index, the self-heal rewrite and the
-// single encode that feeds both the disk file and the store.
+// cold), dropping a bad store entry, the lazy index acquisition behind
+// bcsearch.Config.Index and the single encode that feeds both the disk
+// file and the store. A probed bundle is accepted whole or not at all:
+// one that fails dexdump.ReadBundle or (*dexdump.Bundle).Dump is a miss
+// for both the dump and the index, and publish rewrites it.
 type bundle struct {
 	store BundleCache // Options.Bundles; nil disables the store tier
 	path  string      // bundle file under Options.IndexCacheDir; "" disables the disk tier
 	fp    uint64      // app fingerprint; 0 when neither tier is configured
 
-	// data is the probed bundle whose index section the first indexable
-	// command decodes: the store entry when its dump validated, otherwise
-	// the disk file's content (nil when unreadable).
-	data      []byte
-	dump      *dexdump.Text // decoded dump section; nil on a miss
-	fromStore bool          // data is a validated store entry
-	probed    bool          // a dump section was probed, so a miss is counted
+	read      *dexdump.Bundle // the accepted bundle; nil on a miss
+	dump      *dexdump.Text   // its decoded dump section
+	fromStore bool            // read is a store entry
+	probed    bool            // a bundle was probed, so a miss is counted
 }
 
 // openBundle probes the configured tiers in order, before any merge or
 // disassembly work: the store first — a hit costs zero disk I/O — then the
-// disk file, read once. A store entry whose dump section does not validate
-// (damaged, or written for different bytecode) is dropped, since a Put for
-// a present fingerprint is a no-op refresh that would pin the bad entry,
-// and the probe falls through to the disk tier.
+// disk file, read once. A store entry that is not accepted (damaged, or
+// written for different bytecode) is dropped, since a Put for a present
+// fingerprint is a no-op refresh that would pin the bad entry, and the
+// probe falls through to the disk tier.
 func openBundle(app *apk.App, opts Options) *bundle {
 	b := &bundle{store: opts.Bundles}
 	if opts.IndexCacheDir != "" {
@@ -45,28 +44,36 @@ func openBundle(app *apk.App, opts Options) *bundle {
 	b.fp = app.Fingerprint()
 	if b.store != nil {
 		if data, ok := b.store.GetBundle(b.fp); ok {
-			b.probed = true
-			if t, err := dexdump.DecodeBundleDump(data, b.fp); err == nil {
-				b.data, b.dump, b.fromStore = data, t, true
+			if b.accept(data) {
+				b.fromStore = true
 				return b
 			}
 			b.store.DropBundle(b.fp)
 		}
 	}
 	if b.path != "" {
-		b.probed = true
 		// A missing or unreadable file is a miss like a damaged one; the
 		// cold path rewrites it.
-		b.data, _ = os.ReadFile(b.path)
-		if t, err := dexdump.DecodeBundleDump(b.data, b.fp); err == nil {
-			b.dump = t
-		}
+		data, _ := os.ReadFile(b.path)
+		b.accept(data)
 	}
 	return b
 }
 
+// accept probes one tier's bytes: the bundle must read whole and its
+// dump section must validate for this app.
+func (b *bundle) accept(data []byte) bool {
+	b.probed = true
+	if r, err := dexdump.ReadBundle(data); err == nil {
+		if b.dump, _ = r.Dump(b.fp); b.dump != nil {
+			b.read = r
+		}
+	}
+	return b.read != nil
+}
+
 // storeCounts returns the BundleStoreHits/Misses pair: one store probe
-// per engine with a store, a hit only when the entry's dump validated.
+// per engine with a store, a hit only when the entry was accepted.
 func (b *bundle) storeCounts() (hits, misses int) {
 	switch {
 	case b.store == nil:
@@ -78,7 +85,7 @@ func (b *bundle) storeCounts() (hits, misses int) {
 }
 
 // dumpCounts returns the DumpCacheHits/Misses pair: at most one of each
-// per engine, both zero when no dump section was probed.
+// per engine, both zero when no bundle was probed.
 func (b *bundle) dumpCounts() (hits, misses int) {
 	switch {
 	case b.dump != nil:
@@ -90,33 +97,28 @@ func (b *bundle) dumpCounts() (hits, misses int) {
 }
 
 // index is the engine's bcsearch.Config.Index hook, called on the first
-// indexable command (inside locate-sinks). With a probed bundle it decodes
-// the index section from the bytes already in hand, charged at the cheap
-// cache-load rate; any invalid section is a silent miss. Otherwise, or on
-// a miss, it builds the index at the plain or delta rate. A loaded index
-// whose dump section missed rewrites the bundle (self-heal), a loaded
-// disk bundle is shared with the store as-is, and a built index is
-// encoded once for both tiers.
+// indexable command (inside locate-sinks). An accepted bundle's index
+// section decodes from the bytes already in hand, charged at the cheap
+// cache-load rate, and a disk bundle is then shared with the store as
+// read. Otherwise — a miss, or an index section that does not validate —
+// it builds the index at the plain or delta rate and publishes a fresh
+// bundle.
 func (e *Engine) index() (*dexdump.Index, bcsearch.Cost, error) {
 	b := e.bundle
 	var cost bcsearch.Cost
-	if b.path != "" || len(b.data) != 0 {
-		if x, err := dexdump.DecodeIndexFile(b.data, e.dump); err == nil {
+	if b.read != nil {
+		if x, err := b.read.Index(e.dump); err == nil {
 			if err := e.meter.ChargeIndexCacheLoad(e.dump.LineCount()); err != nil {
 				return nil, cost, err
 			}
 			cost.IndexLoaded = true
-			if b.dump == nil {
-				// Only disk bytes survive a dump miss: heal the file so the
-				// next run skips disassembly too.
-				e.publish(x)
-			} else if !b.fromStore && b.store != nil && b.fp != 0 {
-				b.store.PutBundle(b.fp, b.data)
+			if !b.fromStore && b.store != nil {
+				b.store.PutBundle(b.fp, b.read.Bytes())
 			}
 			return x, cost, nil
 		}
-		cost.IndexCacheMiss = true
 	}
+	cost.IndexCacheMiss = b.probed
 	if err := e.chargeIndexBuild(); err != nil {
 		return nil, cost, err
 	}

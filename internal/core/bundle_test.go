@@ -10,55 +10,54 @@ import (
 	"backdroid/internal/testapps"
 )
 
-// bundleVersion reads the codec version of an encoded bundle; 0 when it
-// is too short to carry one.
-func bundleVersion(data []byte) uint16 {
-	if len(data) < 6 {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(data[4:6])
-}
-
-// damage is one case of the invalidation matrix: damaged bundle bytes
-// and which of their two sections still validate.
-type damage struct {
-	data    []byte
-	dumpOK  bool
-	indexOK bool
-}
-
 // damagedBundles derives the invalidation matrix from a good bundle.
-func damagedBundles(good []byte) map[string]damage {
+// Every case is damage to one part of the bundle, and every one is a
+// miss of the whole bundle: dump and index alike.
+func damagedBundles(good []byte) map[string][]byte {
 	edit := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
 		f(b)
 		return b
 	}
 	indexLen := int(binary.LittleEndian.Uint32(good[24:28]))
-	return map[string]damage{
-		"truncated":    {good[:40], false, false},
-		"empty":        {[]byte{}, false, false},
-		"garbage":      {[]byte("not a bundle at all"), false, false},
-		"stale-hash":   {edit(func(b []byte) { b[9] ^= 0xff }), false, false},
-		"version-bump": {edit(func(b []byte) { binary.LittleEndian.PutUint16(b[4:6], dexdump.CodecVersion+1) }), false, false},
-		"legacy-v2":    {edit(func(b []byte) { binary.LittleEndian.PutUint16(b[4:6], 2) }), false, false},
+	return map[string][]byte{
+		"truncated":    good[:40],
+		"empty":        {},
+		"garbage":      []byte("not a bundle at all"),
+		"stale-hash":   edit(func(b []byte) { b[9] ^= 0xff }),
+		"version-bump": edit(func(b []byte) { binary.LittleEndian.PutUint16(b[4:6], dexdump.CodecVersion+1) }),
+		"legacy-v2":    edit(func(b []byte) { binary.LittleEndian.PutUint16(b[4:6], 2) }),
 		// Byte 40 lies inside the index payload, which starts right after
-		// the 28-byte header; the dump section never reads it.
-		"payload-flip": {edit(func(b []byte) { b[40] ^= 0x01 }), true, false},
-		// The layout field is the index section's concern only.
-		"layout-2": {edit(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 2) }), true, false},
+		// the 28-byte header.
+		"payload-flip": edit(func(b []byte) { b[40] ^= 0x01 }),
+		"layout-2":     edit(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 2) }),
 		// A byte inside the dump payload, past the index payload and the
 		// 16-byte dump section header.
-		"dump-damage": {edit(func(b []byte) { b[28+indexLen+16+10] ^= 0x01 }), false, true},
+		"dump-damage": edit(func(b []byte) { b[28+indexLen+16+10] ^= 0x01 }),
+		// The last byte of the manifest payload, the bundle's last byte.
+		"manifest-flip": edit(func(b []byte) { b[len(b)-1] ^= 0x01 }),
+	}
+}
+
+// assertReadable fails unless data is a bundle at the current codec
+// version that reads whole and carries a decodable manifest.
+func assertReadable(t *testing.T, label string, data []byte) {
+	t.Helper()
+	b, err := dexdump.ReadBundle(data)
+	if err != nil {
+		t.Fatalf("%s does not read: %v", label, err)
+	}
+	if _, err := b.Manifest(); err != nil {
+		t.Fatalf("%s manifest does not decode: %v", label, err)
 	}
 }
 
 // TestBundleInvalidationMatrix pins the silent-miss contract of the
 // warm-start bundle on both tiers: every kind of damage, served once
 // from the disk file and once as a store entry, yields the cold verdicts,
-// counts exactly the probes that hit and missed, leaves a bundle at the
-// current codec version in the tier it came from, and makes the next run
-// fully warm.
+// counts a miss of the whole bundle, leaves a bundle at the current codec
+// version whose manifest reads in the tier it came from, and makes the
+// next run fully warm.
 func TestBundleInvalidationMatrix(t *testing.T) {
 	app, err := testapps.Fixture()
 	if err != nil {
@@ -87,47 +86,30 @@ func TestBundleInvalidationMatrix(t *testing.T) {
 		assertSameVerdicts(t, label, cold, r)
 	}
 
-	for name, d := range damagedBundles(good) {
+	for name, data := range damagedBundles(good) {
 		t.Run("disk/"+name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := dexdump.CachePath(dir, app.Name)
-			if err := os.WriteFile(path, d.data, 0o644); err != nil {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			opts := warmOptions(dir)
-			want := counts{dumpHit: 1, indexHit: 1}
-			if !d.dumpOK {
-				want.dumpHit, want.dumpMiss = 0, 1
-			}
-			if !d.indexOK {
-				want.indexHit, want.indexMiss, want.builds = 0, 1, 1
-			}
-			check(t, "damaged", analyzeApp(t, app, opts), want)
+			check(t, "damaged", analyzeApp(t, app, opts), counts{dumpMiss: 1, indexMiss: 1, builds: 1})
 			repaired, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v := bundleVersion(repaired); v != dexdump.CodecVersion {
-				t.Errorf("repaired file is at codec version %d, want %d", v, dexdump.CodecVersion)
-			}
+			assertReadable(t, "repaired file", repaired)
 			check(t, "next", analyzeApp(t, app, opts), counts{dumpHit: 1, indexHit: 1})
 		})
 		t.Run("store/"+name, func(t *testing.T) {
 			mem := newMemBundles()
-			mem.PutBundle(fp, d.data)
+			mem.PutBundle(fp, data)
 			opts := DefaultOptions()
 			opts.Bundles = mem
-			// A store entry whose dump fails is dropped whole; with no disk
-			// tier there is no index section left to probe.
-			want := counts{storeMiss: 1, dumpMiss: 1, builds: 1}
-			if d.dumpOK {
-				want = counts{storeHit: 1, dumpHit: 1, indexMiss: 1, builds: 1}
-			}
-			check(t, "damaged", analyzeApp(t, app, opts), want)
+			check(t, "damaged", analyzeApp(t, app, opts), counts{storeMiss: 1, dumpMiss: 1, indexMiss: 1, builds: 1})
 			repaired, _ := mem.GetBundle(fp)
-			if v := bundleVersion(repaired); v != dexdump.CodecVersion {
-				t.Errorf("repaired entry is at codec version %d, want %d", v, dexdump.CodecVersion)
-			}
+			assertReadable(t, "repaired entry", repaired)
 			check(t, "next", analyzeApp(t, app, opts), counts{storeHit: 1, dumpHit: 1, indexHit: 1})
 		})
 	}

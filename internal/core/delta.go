@@ -23,15 +23,15 @@ import (
 // model.
 
 // DeltaBase describes the prior version of the app for incremental
-// re-analysis: its fingerprint, its encoded .bdx bundle (the class
-// manifest inside is what the diff consumes) and its full report, whose
-// per-sink footprints drive the reuse decision. Any inconsistency —
-// missing report, timed-out base run, undecodable manifest — silently
-// disables the delta path and the engine performs a full analysis.
+// re-analysis: its encoded .bdx bundle (the class manifest inside is what
+// the diff consumes) and its full report, whose per-sink footprints drive
+// the reuse decision. Any inconsistency — missing report, timed-out base
+// run, a bundle dexdump.ReadBundle does not accept whole, an undecodable
+// manifest — silently disables the delta path and the engine performs a
+// full analysis.
 type DeltaBase struct {
-	Fingerprint uint64
-	Bundle      []byte
-	Report      *Report
+	Bundle []byte
+	Report *Report
 }
 
 // Footprint records everything a sink's analysis observed of the app:

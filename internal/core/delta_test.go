@@ -68,12 +68,11 @@ func deltaBaseFor(t *testing.T, spec appgen.Spec, backend bcsearch.BackendKind) 
 	opts.SearchBackend = backend
 	opts.Bundles = mem
 	rep := analyzeApp(t, base, opts)
-	fp := dexdump.AppFingerprint(base.Dexes)
-	data, ok := mem.GetBundle(fp)
+	data, ok := mem.GetBundle(dexdump.AppFingerprint(base.Dexes))
 	if !ok {
 		t.Fatal("base run did not publish its bundle")
 	}
-	return &DeltaBase{Fingerprint: fp, Bundle: data, Report: rep}
+	return &DeltaBase{Bundle: data, Report: rep}
 }
 
 // TestDeltaMatchesColdRun is the delta soundness property (DESIGN.md
@@ -171,7 +170,7 @@ func TestDeltaCorruptBaseFallsBackToFullRun(t *testing.T) {
 		data := append([]byte(nil), db.Bundle...)
 		data = mutate(data)
 		opts := DefaultOptions()
-		opts.DeltaFrom = &DeltaBase{Fingerprint: db.Fingerprint, Bundle: data, Report: db.Report}
+		opts.DeltaFrom = &DeltaBase{Bundle: data, Report: db.Report}
 		got := analyzeApp(t, upd, opts)
 		assertSameVerdicts(t, name, cold, got)
 	}

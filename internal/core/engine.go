@@ -472,11 +472,11 @@ type Engine struct {
 // New preprocesses the app (paper Sec. III step 1): merges multidex,
 // obtains the bytecode plaintext and builds the search and IR
 // infrastructure. With a bundle available (from Bundles or IndexCacheDir,
-// probed in that order — see bundle.go) its dump section is probed first:
-// a valid cached dump makes this a warm start — zero disassembly, charged
-// at the cheap ChargeBundleStoreLoad or ChargeDumpCacheLoad rate — while
-// any invalid or absent dump section falls back to disassembly
-// transparently and self-heals the bundle.
+// probed in that order — see bundle.go) it is probed first: a bundle
+// that reads whole with a valid dump makes this a warm start — zero
+// disassembly, charged at the cheap ChargeBundleStoreLoad or
+// ChargeDumpCacheLoad rate — while any damaged or absent bundle falls
+// back to disassembly transparently and self-heals the bundle.
 func New(app *apk.App, opts Options) (*Engine, error) {
 	if len(opts.Sinks) == 0 {
 		opts.Sinks = android.DefaultSinks()
@@ -533,12 +533,14 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		e.prog.SetObserver(func(ref dex.MethodRef) { e.rec.class(ref.Class) })
 	}
 	if d := opts.DeltaFrom; d != nil && !opts.PerAppSSG && opts.ChunkRange == nil && d.Report != nil && !d.Report.TimedOut {
-		// A base bundle without a decodable manifest (other codec version,
-		// damaged section) silently disables the delta path; the run is
-		// then an ordinary full analysis.
-		if om, ok := dexdump.DecodeManifest(d.Bundle); ok {
-			e.deltaOldMan = om
-			e.deltaOldReport = d.Report
+		// A base bundle that does not read whole (other codec version,
+		// any damage) or lacks a decodable manifest silently disables the
+		// delta path; the run is then an ordinary full analysis.
+		if base, err := dexdump.ReadBundle(d.Bundle); err == nil {
+			if om, err := base.Manifest(); err == nil {
+				e.deltaOldMan = om
+				e.deltaOldReport = d.Report
+			}
 		}
 	}
 

@@ -62,9 +62,9 @@ func TestWarmEngineRunZeroDisassembly(t *testing.T) {
 }
 
 // TestWarmEngineSelfHealsDamagedDumpSection pins the refresh path: a
-// bundle whose dump section is damaged still serves its index (one
-// disassembly, zero builds), and the engine rewrites the file so the next
-// run is fully warm again.
+// bundle whose trailing section lost a byte is a miss of the whole
+// bundle (one disassembly, one index build), and the engine rewrites the
+// file so the next run is fully warm again.
 func TestWarmEngineSelfHealsDamagedDumpSection(t *testing.T) {
 	app, err := testapps.Fixture()
 	if err != nil {
@@ -79,10 +79,7 @@ func TestWarmEngineSelfHealsDamagedDumpSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate the trailing section: the dump probe rejects the broken
-	// framing while the index section stays intact.
-	data = data[:len(data)-1]
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,13 +88,13 @@ func TestWarmEngineSelfHealsDamagedDumpSection(t *testing.T) {
 	if hs.DumpCacheHits != 0 || hs.DumpCacheMisses != 1 || hs.DumpLinesDisassembled == 0 {
 		t.Errorf("healing run dump stats = %+v, want a miss with real disassembly", hs)
 	}
-	if hs.Search.IndexBuilds != 0 || hs.Search.IndexCacheHits != 1 {
-		t.Errorf("healing run index stats = %+v, want an index cache hit", hs.Search)
+	if hs.Search.IndexBuilds != 1 || hs.Search.IndexCacheHits != 0 || hs.Search.IndexCacheMisses != 1 {
+		t.Errorf("healing run index stats = %+v, want an index cache miss and a build", hs.Search)
 	}
 	assertSameVerdicts(t, "healing", want, healing)
 
 	warm := analyzeApp(t, app, opts)
-	if ws := warm.Stats; ws.DumpCacheHits != 1 || ws.DumpLinesDisassembled != 0 {
+	if ws := warm.Stats; ws.DumpCacheHits != 1 || ws.DumpLinesDisassembled != 0 || ws.Search.IndexCacheHits != 1 {
 		t.Errorf("bundle not self-healed: %+v", ws)
 	}
 	assertSameVerdicts(t, "after healing", want, warm)

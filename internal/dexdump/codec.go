@@ -41,13 +41,13 @@ import (
 // earlier multi-part index layout, so the bytes of every bundle stay as
 // they were; a file carrying any other value is a miss. Postings maps are
 // encoded with sorted keys and delta-varint line lists, so files are
-// deterministic for a given index. Every validation failure —
-// wrong magic, unknown version, stale content hash or fingerprint,
-// line-count mismatch, CRC mismatch, truncation — is an error the caller
-// treats as a cache miss: rebuild from the app and overwrite the file,
-// never fail the analysis. A damaged manifest section alone decodes as
-// "no manifest" (DecodeManifest reports ok=false), which callers treat as
-// "run the full analysis" — the manifest can only ever save work.
+// deterministic for a given index.
+//
+// ReadBundle is the one framing path; it accepts a bundle whole or not
+// at all. The Bundle's section decoders then validate against what the
+// caller holds. Every failure is an error the caller treats as a miss of
+// the whole bundle: rebuild from the app and overwrite the file, never
+// fail the analysis.
 
 // CodecVersion is the on-disk format version. Bump it whenever the
 // payload layout, the token families or the content sums change; a file
@@ -65,9 +65,10 @@ const (
 	codecLayout    = 1
 	manifestColumn = 0
 
-	codecHeaderSize           = 28
-	dumpSectionHeaderSize     = 16 // fingerprint u64 + CRC u32 + length u32
-	manifestSectionHeaderSize = 8  // CRC u32 + length u32
+	// The header ends with the index section's frame: a payload's IEEE
+	// CRC-32 and its length, both u32.
+	codecHeaderSize = 28
+	frameSize       = 8
 )
 
 // CacheFileExt is the filename extension of persistent cache bundles.
@@ -99,7 +100,7 @@ func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)
 // DumpHash returns the content sum of the dump text (see contentSum) —
 // the staleness check of the persistent cache. A Text is immutable, so
 // the sum is computed once and memoized: a bundle-store hit validates the
-// same text in DecodeBundleDump and again in DecodeIndexFile.
+// same text in (*Bundle).Dump and again in (*Bundle).Index.
 func DumpHash(t *Text) uint64 { return t.dumpSum(bytesOf(t.full)) }
 
 // dumpSum memoizes the content sum of t's text. full must hold exactly
@@ -145,80 +146,121 @@ func EncodeBundle(t *Text, x *Index, fingerprint uint64, m *Manifest) ([]byte, e
 	manifestPayload := appendManifest(nil, m)
 	dumpSum := t.dumpSum(dumpText(dumpPayload))
 
-	buf := make([]byte, codecHeaderSize, codecHeaderSize+len(indexPayload)+
-		dumpSectionHeaderSize+len(dumpPayload)+manifestSectionHeaderSize+len(manifestPayload))
+	buf := make([]byte, codecHeaderSize-frameSize, codecHeaderSize+len(indexPayload)+
+		8+2*frameSize+len(dumpPayload)+len(manifestPayload))
 	copy(buf[0:4], codecMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], CodecVersion)
 	binary.LittleEndian.PutUint16(buf[6:8], codecLayout)
 	binary.LittleEndian.PutUint64(buf[8:16], dumpSum)
 	binary.LittleEndian.PutUint32(buf[16:20], uint32(t.LineCount()))
-	binary.LittleEndian.PutUint32(buf[20:24], crc32.ChecksumIEEE(indexPayload))
-	binary.LittleEndian.PutUint32(buf[24:28], uint32(len(indexPayload)))
-	buf = append(buf, indexPayload...)
-
-	var dh [dumpSectionHeaderSize]byte
-	binary.LittleEndian.PutUint64(dh[0:8], fingerprint)
-	binary.LittleEndian.PutUint32(dh[8:12], crc32.ChecksumIEEE(dumpPayload))
-	binary.LittleEndian.PutUint32(dh[12:16], uint32(len(dumpPayload)))
-	buf = append(buf, dh[:]...)
-	buf = append(buf, dumpPayload...)
-
-	var mh [manifestSectionHeaderSize]byte
-	binary.LittleEndian.PutUint32(mh[0:4], crc32.ChecksumIEEE(manifestPayload))
-	binary.LittleEndian.PutUint32(mh[4:8], uint32(len(manifestPayload)))
-	buf = append(buf, mh[:]...)
-	return append(buf, manifestPayload...), nil
+	buf = appendSection(buf, indexPayload)
+	buf = binary.LittleEndian.AppendUint64(buf, fingerprint)
+	buf = appendSection(buf, dumpPayload)
+	return appendSection(buf, manifestPayload), nil
 }
 
-// checkHeader validates the magic, version and length of the fixed
-// header shared by every section decoder.
-func checkHeader(data []byte) error {
+// appendSection frames one section: its frame, then the payload.
+func appendSection(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	return append(buf, payload...)
+}
+
+// Bundle is a bundle ReadBundle accepted. Its sections decode on demand,
+// each validated against what the caller holds.
+type Bundle struct {
+	data                  []byte
+	dumpSum, fingerprint  uint64
+	lines                 int
+	index, dump, manifest []byte // section payloads
+}
+
+// ReadBundle checks magic, version and layout, frames all three sections
+// to the exact length of data and checks their CRCs.
+func ReadBundle(data []byte) (*Bundle, error) {
 	if len(data) < codecHeaderSize {
-		return fmt.Errorf("dexdump: bundle truncated: %d bytes", len(data))
+		return nil, fmt.Errorf("dexdump: bundle truncated: %d bytes", len(data))
 	}
-	if string(data[0:4]) != codecMagic {
-		return fmt.Errorf("dexdump: bundle bad magic %q", data[0:4])
+	v, l := binary.LittleEndian.Uint16(data[4:6]), binary.LittleEndian.Uint16(data[6:8])
+	if string(data[0:4]) != codecMagic || v != CodecVersion || l != codecLayout {
+		return nil, fmt.Errorf("dexdump: bundle %q version %d layout %d, want %q version %d layout %d",
+			data[0:4], v, l, codecMagic, CodecVersion, codecLayout)
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != CodecVersion {
-		return fmt.Errorf("dexdump: bundle version %d, want %d", v, CodecVersion)
+	b := &Bundle{
+		data:    data,
+		dumpSum: binary.LittleEndian.Uint64(data[8:16]),
+		lines:   int(binary.LittleEndian.Uint32(data[16:20])),
 	}
-	return nil
-}
-
-// indexSection validates the header and returns the index payload,
-// without touching the later sections.
-func indexSection(data []byte) ([]byte, error) {
-	if err := checkHeader(data); err != nil {
+	// The index section's frame is the tail of the header; the dump
+	// section's is preceded by the app fingerprint.
+	rest := data[codecHeaderSize-frameSize:]
+	var err error
+	if b.index, rest, err = cutSection(rest, "index"); err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(data[24:28]))
-	if n > len(data)-codecHeaderSize {
-		return nil, fmt.Errorf("dexdump: index section claims %d bytes, %d remain", n, len(data)-codecHeaderSize)
+	if len(rest) < 8 {
+		return nil, fmt.Errorf("dexdump: bundle has no room for a dump section")
 	}
-	return data[codecHeaderSize : codecHeaderSize+n], nil
+	b.fingerprint = binary.LittleEndian.Uint64(rest[0:8])
+	if b.dump, rest, err = cutSection(rest[8:], "dump"); err != nil {
+		return nil, err
+	}
+	if b.manifest, rest, err = cutSection(rest, "manifest"); err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("dexdump: bundle has %d trailing bytes", len(rest))
+	}
+	return b, nil
 }
 
-// DecodeIndexFile parses the index section of a bundle and validates it
-// against the dump text. Any validation failure returns an error; the
-// caller rebuilds from the dump.
-func DecodeIndexFile(data []byte, t *Text) (*Index, error) {
-	payload, err := indexSection(data)
+// cutSection cuts one framed section off the front of rest and checks
+// the payload's CRC.
+func cutSection(rest []byte, name string) (payload, tail []byte, err error) {
+	if len(rest) < frameSize {
+		return nil, nil, fmt.Errorf("dexdump: bundle has no room for a %s section", name)
+	}
+	crc := binary.LittleEndian.Uint32(rest[0:4])
+	n := binary.LittleEndian.Uint32(rest[4:8])
+	rest = rest[frameSize:]
+	if uint64(n) > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("dexdump: %s section claims %d bytes, %d remain", name, n, len(rest))
+	}
+	if crc32.ChecksumIEEE(rest[:n]) != crc {
+		return nil, nil, fmt.Errorf("dexdump: %s payload CRC mismatch", name)
+	}
+	return rest[:n], rest[n:], nil
+}
+
+// Bytes returns the encoded bundle ReadBundle accepted.
+func (b *Bundle) Bytes() []byte { return b.data }
+
+// Dump decodes the dump section, reconstructing the dexdump.Text without
+// any disassembly. There is no dump to validate it against — that is its
+// entire point — so the stored fingerprint must equal the caller's
+// (computed from the app's dex files), and the decoded text must hash
+// back to the header's dump sum and line count.
+func (b *Bundle) Dump(fingerprint uint64) (*Text, error) {
+	if fingerprint == 0 || b.fingerprint != fingerprint {
+		return nil, fmt.Errorf("dexdump: dump section stale: app fingerprint %#x, bundle has %#x", fingerprint, b.fingerprint)
+	}
+	t, err := decodeDump(b.dump)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dexdump: dump section: %w", err)
 	}
-	if l := binary.LittleEndian.Uint16(data[6:8]); l != codecLayout {
-		return nil, fmt.Errorf("dexdump: index section layout %d, want %d", l, codecLayout)
+	if b.dumpSum != t.dumpSum(dumpText(b.dump)) || b.lines != t.LineCount() {
+		return nil, fmt.Errorf("dexdump: decoded dump does not hash back to the header")
 	}
-	if h := binary.LittleEndian.Uint64(data[8:16]); h != DumpHash(t) {
-		return nil, fmt.Errorf("dexdump: bundle stale: content hash mismatch")
+	return t, nil
+}
+
+// Index decodes the index section and validates it against the dump
+// text it will serve.
+func (b *Bundle) Index(t *Text) (*Index, error) {
+	if b.dumpSum != DumpHash(t) || b.lines != t.LineCount() {
+		return nil, fmt.Errorf("dexdump: bundle stale: header does not match the dump")
 	}
-	if n := int(binary.LittleEndian.Uint32(data[16:20])); n != t.LineCount() {
-		return nil, fmt.Errorf("dexdump: bundle stale: %d lines, dump has %d", n, t.LineCount())
-	}
-	if crc := binary.LittleEndian.Uint32(data[20:24]); crc != crc32.ChecksumIEEE(payload) {
-		return nil, fmt.Errorf("dexdump: index payload CRC mismatch")
-	}
-	x, rest, err := decodeIndex(payload, t.LineCount())
+	x, rest, err := decodeIndex(b.index, b.lines)
 	if err != nil {
 		return nil, fmt.Errorf("dexdump: index section: %w", err)
 	}
@@ -228,57 +270,37 @@ func DecodeIndexFile(data []byte, t *Text) (*Index, error) {
 	return x, nil
 }
 
-// DecodeBundleDump parses and validates the dump section of a bundle,
-// reconstructing the dexdump.Text without any disassembly. Unlike the
-// index section it cannot be validated against an existing dump — that is
-// its entire point — so it validates against itself and against the app:
-// the stored fingerprint must equal the caller's (computed from the app's
-// dex files), the payload CRC must match, and the decoded text must hash
-// back to the header's dump hash and line count.
-func DecodeBundleDump(data []byte, fingerprint uint64) (*Text, error) {
-	if err := checkHeader(data); err != nil {
+// Manifest decodes the manifest section. A manifest that decodes covers
+// exactly the header's dump line count.
+func (b *Bundle) Manifest() (*Manifest, error) {
+	m, err := decodeManifestPayload(b.manifest)
+	if err != nil {
+		return nil, fmt.Errorf("dexdump: manifest section: %w", err)
+	}
+	if m.TotalLines() != b.lines {
+		return nil, fmt.Errorf("dexdump: manifest covers %d lines, header says %d", m.TotalLines(), b.lines)
+	}
+	return m, nil
+}
+
+// DecodeIndexFile reads a bundle whole and decodes its index section
+// against the dump text.
+func DecodeIndexFile(data []byte, t *Text) (*Index, error) {
+	b, err := ReadBundle(data)
+	if err != nil {
 		return nil, err
 	}
-	indexLen := int(binary.LittleEndian.Uint32(data[24:28]))
-	if indexLen > len(data)-codecHeaderSize-dumpSectionHeaderSize {
-		return nil, fmt.Errorf("dexdump: bundle has no room for a dump section")
-	}
-	sec := data[codecHeaderSize+indexLen:]
-	if fingerprint == 0 {
-		return nil, fmt.Errorf("dexdump: cannot validate a dump section without an app fingerprint")
-	}
-	if fp := binary.LittleEndian.Uint64(sec[0:8]); fp != fingerprint {
-		return nil, fmt.Errorf("dexdump: dump section stale: app fingerprint mismatch")
-	}
-	n := int(binary.LittleEndian.Uint32(sec[12:16]))
-	if n > len(sec)-dumpSectionHeaderSize {
-		return nil, fmt.Errorf("dexdump: dump payload claims %d bytes, %d remain", n, len(sec)-dumpSectionHeaderSize)
-	}
-	payload := sec[dumpSectionHeaderSize : dumpSectionHeaderSize+n]
-	// Frame the manifest section so appended garbage still decodes as an
-	// error; its payload integrity is DecodeManifest's concern.
-	trailing := sec[dumpSectionHeaderSize+n:]
-	if len(trailing) < manifestSectionHeaderSize {
-		return nil, fmt.Errorf("dexdump: bundle has no room for a manifest section")
-	}
-	if mlen := int(binary.LittleEndian.Uint32(trailing[4:8])); len(trailing) != manifestSectionHeaderSize+mlen {
-		return nil, fmt.Errorf("dexdump: manifest section claims %d bytes, %d remain",
-			mlen, len(trailing)-manifestSectionHeaderSize)
-	}
-	if crc := binary.LittleEndian.Uint32(sec[8:12]); crc != crc32.ChecksumIEEE(payload) {
-		return nil, fmt.Errorf("dexdump: dump payload CRC mismatch")
-	}
-	t, err := decodeDump(payload)
+	return b.Index(t)
+}
+
+// DecodeBundleDump reads a bundle whole and decodes its dump section for
+// the app with the given fingerprint.
+func DecodeBundleDump(data []byte, fingerprint uint64) (*Text, error) {
+	b, err := ReadBundle(data)
 	if err != nil {
-		return nil, fmt.Errorf("dexdump: dump section: %w", err)
+		return nil, err
 	}
-	if h := binary.LittleEndian.Uint64(data[8:16]); h != t.dumpSum(dumpText(payload)) {
-		return nil, fmt.Errorf("dexdump: decoded dump does not hash back to the header")
-	}
-	if n := int(binary.LittleEndian.Uint32(data[16:20])); n != t.LineCount() {
-		return nil, fmt.Errorf("dexdump: decoded dump has %d lines, header says %d", t.LineCount(), n)
-	}
-	return t, nil
+	return b.Dump(fingerprint)
 }
 
 // CachePath returns the bundle path for an app inside dir.
@@ -311,46 +333,6 @@ func WriteBundleBytes(path string, data []byte) error {
 		return err
 	}
 	return nil
-}
-
-// DecodeManifest parses and validates the manifest section of a
-// bundle. Unlike every other decoder in this file it reports failure as
-// ok=false instead of an error: a missing or damaged manifest never
-// invalidates the bundle's index or dump — it only disables the delta
-// fast path, so callers fall back to a silent full analysis. Validation
-// covers the section CRC, the payload bounds, the fixed layout values
-// and the total line count against the bundle header, so a manifest that
-// decodes ok is internally consistent with its bundle.
-func DecodeManifest(data []byte) (*Manifest, bool) {
-	if checkHeader(data) != nil {
-		return nil, false
-	}
-	indexLen := int(binary.LittleEndian.Uint32(data[24:28]))
-	if indexLen < 0 || indexLen > len(data)-codecHeaderSize-dumpSectionHeaderSize {
-		return nil, false
-	}
-	sec := data[codecHeaderSize+indexLen:]
-	dumpLen := int(binary.LittleEndian.Uint32(sec[12:16]))
-	if dumpLen < 0 || dumpLen > len(sec)-dumpSectionHeaderSize-manifestSectionHeaderSize {
-		return nil, false
-	}
-	msec := sec[dumpSectionHeaderSize+dumpLen:]
-	mlen := int(binary.LittleEndian.Uint32(msec[4:8]))
-	if mlen < 0 || len(msec) != manifestSectionHeaderSize+mlen {
-		return nil, false
-	}
-	payload := msec[manifestSectionHeaderSize:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(msec[0:4]) {
-		return nil, false
-	}
-	m, err := decodeManifestPayload(payload)
-	if err != nil {
-		return nil, false
-	}
-	if m.TotalLines() != int(binary.LittleEndian.Uint32(data[16:20])) {
-		return nil, false
-	}
-	return m, true
 }
 
 // appendManifest serializes a Manifest: the layout count, entry count,

@@ -18,6 +18,13 @@ import (
 // non-zero value works since encode and probe agree on it.
 const testFingerprint uint64 = 0xfeedface
 
+// Section header sizes the tests use to find offsets in a bundle: the
+// dump section's header is the app fingerprint plus a frame.
+const (
+	dumpSectionHeaderSize     = 8 + frameSize
+	manifestSectionHeaderSize = frameSize
+)
+
 func roundtrip(t *testing.T, text *Text, src *Index) *Index {
 	t.Helper()
 	data, err := EncodeBundle(text, src, testFingerprint, nil)
@@ -173,8 +180,8 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 		data := append([]byte(nil), good...)
 		return mutate(data)
 	}
-	// hugeMap is a small bundle with a valid header, CRC and dump hash
-	// whose first postings map claims 2^22 keys; only ~200 bytes follow.
+	// hugeMap is a bundle with a valid header, CRCs and dump hash whose
+	// first postings map claims 2^22 keys; only ~200 bytes follow it.
 	hugeMap := func() []byte {
 		var payload []byte
 		payload = binary.AppendUvarint(payload, uint64(text.LineCount()))
@@ -184,7 +191,8 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 		data := append([]byte(nil), good[:codecHeaderSize]...)
 		binary.LittleEndian.PutUint32(data[20:24], crc32.ChecksumIEEE(payload))
 		binary.LittleEndian.PutUint32(data[24:28], uint32(len(payload)))
-		return append(data, payload...)
+		data = append(data, payload...)
+		return append(data, good[ipEnd:]...)
 	}
 	cases := map[string][]byte{
 		"empty":                   {},
@@ -231,56 +239,62 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 		if d := after.TotalAlloc - before.TotalAlloc; d >= 8<<20 {
 			t.Errorf("%s: index decode allocated %d MB before failing", name, d>>20)
 		}
-		// The dump section is validated independently; it may survive
-		// index-side damage, but never yield a different text.
-		if dump, err := DecodeBundleDump(data, testFingerprint); err == nil && dump.String() != text.String() {
-			t.Errorf("%s: dump decode succeeded with different text", name)
+		// Only the index decoder can tell the map count is a lie; every
+		// other case fails the whole bundle, dump section included.
+		if _, err := DecodeBundleDump(data, testFingerprint); (err == nil) != (name == "map count beyond payload") {
+			t.Errorf("%s: dump decode err = %v", name, err)
 		}
 	}
 }
 
-func TestCodecDumpCorruptionIsolatedFromIndex(t *testing.T) {
-	// A bundle whose dump section is damaged must still serve its index
-	// section (the engine falls back to disassembly and self-heals the
-	// file), and vice versa a damaged index section must not poison the
-	// dump probe.
+// TestBundleDamageIsWholeMiss pins the reader's contract: a bundle is
+// accepted whole or not at all. Every single-byte flip, every truncation
+// and one trailing byte of a valid bundle makes the probe the engine runs
+// — ReadBundle, then the dump section against the app fingerprint — fail,
+// so no section of a damaged bundle is ever served.
+func TestBundleDamageIsWholeMiss(t *testing.T) {
 	_, text := classesFixture(t)
-	idx := BuildIndex(text)
-	good, err := EncodeBundle(text, idx, testFingerprint, nil)
+	good, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ipEnd := indexPayloadBounds(good)
-
-	dumpFlip := append([]byte(nil), good...)
-	dumpFlip[ipEnd+dumpSectionHeaderSize] ^= 0x01 // first dump payload byte
-	if _, err := DecodeBundleDump(dumpFlip, testFingerprint); err == nil {
-		t.Error("corrupt dump payload validated")
+	probe := func(data []byte) error {
+		b, err := ReadBundle(data)
+		if err != nil {
+			return err
+		}
+		_, err = b.Dump(testFingerprint)
+		return err
 	}
-	dec, err := DecodeIndexFile(dumpFlip, text)
-	if err != nil {
-		t.Fatalf("dump corruption broke the index section: %v", err)
+	if err := probe(good); err != nil {
+		t.Fatalf("pristine bundle missed: %v", err)
 	}
-	assertSameLookups(t, idx, dec, "dump-flip")
-
-	indexFlip := append([]byte(nil), good...)
-	indexFlip[ipEnd-1] ^= 0x01
-	if _, err := DecodeIndexFile(indexFlip, text); err == nil {
-		t.Error("corrupt index payload validated")
+	for off := range good {
+		for _, mask := range []byte{0x01, 0x80, 0xff} {
+			data := append([]byte(nil), good...)
+			data[off] ^= mask
+			if probe(data) == nil {
+				t.Fatalf("flip %#02x at byte %d of %d: bundle accepted", mask, off, len(good))
+			}
+		}
 	}
-	dump, err := DecodeBundleDump(indexFlip, testFingerprint)
-	if err != nil {
-		t.Fatalf("index corruption broke the dump section: %v", err)
+	for n := range good {
+		if probe(good[:n]) == nil {
+			t.Fatalf("truncation to %d of %d bytes: bundle accepted", n, len(good))
+		}
 	}
-	assertSameText(t, text, dump)
+	if probe(append(append([]byte(nil), good...), 0)) == nil {
+		t.Fatal("one trailing byte: bundle accepted")
+	}
 }
 
 // TestCodecBundleCorruptionFuzz flips every byte of a valid bundle (and
 // truncates at every section boundary) and asserts the silent-miss
-// discipline: each decode either errors or returns data identical to the
-// pristine decode — never a panic, never a wrong hit. Single-byte flips
-// are always caught by the section CRCs / hashes except in fields a given
-// section legitimately ignores, so equality on success is the invariant.
+// discipline: ReadBundle rejects the bundle, or each section decodes to
+// an error or to data identical to the pristine decode — never a panic,
+// never a wrong hit. TestBundleDamageIsWholeMiss pins that the engine's
+// probe misses on each of these inputs; this test pins that no section
+// decoder can be tricked past it.
 func TestCodecBundleCorruptionFuzz(t *testing.T) {
 	_, text := classesFixture(t)
 	idx := BuildIndex(text)
@@ -289,9 +303,9 @@ func TestCodecBundleCorruptionFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantIdx := lookups(idx)
-	wantMan, ok := DecodeManifest(good)
-	if !ok {
-		t.Fatal("pristine bundle has no decodable manifest")
+	wantMan, err := bundleManifest(good)
+	if err != nil {
+		t.Fatalf("pristine bundle has no decodable manifest: %v", err)
 	}
 
 	check := func(name string, data []byte) {
@@ -301,7 +315,11 @@ func TestCodecBundleCorruptionFuzz(t *testing.T) {
 				t.Fatalf("%s: decode panicked: %v", name, r)
 			}
 		}()
-		if src, err := DecodeIndexFile(data, text); err == nil {
+		b, err := ReadBundle(data)
+		if err != nil {
+			return
+		}
+		if src, err := b.Index(text); err == nil {
 			got := lookups(src)
 			for k := range wantIdx {
 				if !equalPostings(got[k], wantIdx[k]) {
@@ -309,14 +327,12 @@ func TestCodecBundleCorruptionFuzz(t *testing.T) {
 				}
 			}
 		}
-		if dump, err := DecodeBundleDump(data, testFingerprint); err == nil {
+		if dump, err := b.Dump(testFingerprint); err == nil {
 			if dump.String() != text.String() {
 				t.Fatalf("%s: dump decoded successfully but text differs", name)
 			}
 		}
-		// The manifest section obeys the same discipline: decode fails
-		// (the delta engine then silently runs full) or is identical.
-		if m, mok := DecodeManifest(data); mok {
+		if m, err := b.Manifest(); err == nil {
 			if len(m.Entries) != len(wantMan.Entries) {
 				t.Fatalf("%s: manifest decoded successfully but shape differs", name)
 			}
@@ -369,7 +385,11 @@ func FuzzDecodeIndexFile(f *testing.F) {
 	f.Add(twoShards)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodedIndex(t, data, text)
-		if payload, err := indexSection(data); err == nil {
+		if len(data) < codecHeaderSize {
+			return
+		}
+		if start, end := indexPayloadBounds(data); end <= len(data) {
+			payload := data[start:end]
 			sealed := append([]byte(nil), data...)
 			binary.LittleEndian.PutUint64(sealed[8:16], DumpHash(text))
 			binary.LittleEndian.PutUint32(sealed[16:20], uint32(text.LineCount()))
@@ -509,9 +529,9 @@ func TestContentSumsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, ok := DecodeManifest(data)
-		if !ok {
-			t.Fatalf("%s: bundle manifest does not decode", name)
+		decoded, err := bundleManifest(data)
+		if err != nil {
+			t.Fatalf("%s: bundle manifest does not decode: %v", name, err)
 		}
 		built := BuildManifest(text)
 		for i, sp := range text.ClassSpans() {
@@ -608,8 +628,8 @@ func TestLegacyV3BundleMisses(t *testing.T) {
 			t.Errorf("%s: index section decoded", name)
 		}
 	}
-	if _, ok := DecodeManifest(v3); ok {
-		t.Error("v3: manifest decoded")
+	if _, err := ReadBundle(v3); err == nil {
+		t.Error("v3: bundle read")
 	}
 }
 

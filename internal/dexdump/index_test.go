@@ -541,10 +541,10 @@ func BenchmarkBuildIndex(b *testing.B) {
 }
 
 // BenchmarkDecodeBundle times the warm path's bundle load over the
-// 24-app bench corpus: per app, DecodeBundleDump validates and rebuilds
-// the dump text (payload CRC, then the content sum of the text against
-// the header) and DecodeIndexFile validates and decodes the index
-// against it. One op is the whole corpus.
+// 24-app bench corpus: per app, ReadBundle frames the bundle and checks
+// its three section CRCs, Dump rebuilds the dump text and sums it back
+// to the header, and Index validates and decodes the index against it.
+// One op is the whole corpus.
 func BenchmarkDecodeBundle(b *testing.B) {
 	apps := loadBenchCorpus(b)
 	bundles := make([][]byte, len(apps))
@@ -559,11 +559,15 @@ func BenchmarkDecodeBundle(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		for i, app := range apps {
-			text, err := DecodeBundleDump(bundles[i], app.fingerprint)
+			r, err := ReadBundle(bundles[i])
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := DecodeIndexFile(bundles[i], text); err != nil {
+			text, err := r.Dump(app.fingerprint)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := r.Index(text); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -106,9 +106,9 @@ func TestManifestRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := BuildManifest(text)
-	got, ok := DecodeManifest(data)
-	if !ok {
-		t.Fatal("bundle manifest did not decode")
+	got, err := bundleManifest(data)
+	if err != nil {
+		t.Fatalf("bundle manifest did not decode: %v", err)
 	}
 	if len(got.Entries) != len(want.Entries) {
 		t.Fatalf("manifest has %d entries, want %d", len(got.Entries), len(want.Entries))
@@ -200,6 +200,15 @@ func TestShardedIndexMatchesSingleIndex(t *testing.T) {
 	}
 }
 
+// bundleManifest reads data whole and decodes its manifest section.
+func bundleManifest(data []byte) (*Manifest, error) {
+	b, err := ReadBundle(data)
+	if err != nil {
+		return nil, err
+	}
+	return b.Manifest()
+}
+
 // manifestAt returns the offset of a bundle's manifest section header,
 // or false when the bundle's framing does not reach one.
 func manifestAt(data []byte) (int, bool) {
@@ -229,7 +238,7 @@ func withManifestPayload(bundle, payload []byte) []byte {
 }
 
 // TestDecodeManifestRejectsHostilePayloads feeds payloads with a valid
-// section CRC to DecodeManifest. Each must decode as a silent miss, and
+// section CRC to the manifest decoder. Each must decode as a miss, and
 // none may allocate far beyond its own size: a count read from the
 // payload never sizes the entry slice past what the bytes can hold.
 func TestDecodeManifestRejectsHostilePayloads(t *testing.T) {
@@ -253,8 +262,8 @@ func TestDecodeManifestRejectsHostilePayloads(t *testing.T) {
 		b = append(b, make([]byte, 8)...)
 		return append(b, uv(lines, column)...)
 	}
-	if _, ok := DecodeManifest(withManifestPayload(good, entry(1, 0))); !ok {
-		t.Fatal("well-formed one-entry manifest did not decode")
+	if _, err := bundleManifest(withManifestPayload(good, entry(1, 0))); err != nil {
+		t.Fatalf("well-formed one-entry manifest did not decode: %v", err)
 	}
 	nonMinimal := entry(1, 0)
 	nonMinimal = append([]byte{nonMinimal[0], 0x81, 0x00}, nonMinimal[2:]...)
@@ -275,9 +284,9 @@ func TestDecodeManifestRejectsHostilePayloads(t *testing.T) {
 		data := withManifestPayload(good, payload)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, ok := DecodeManifest(data)
+		_, err := bundleManifest(data)
 		runtime.ReadMemStats(&after)
-		if ok {
+		if err == nil {
 			t.Errorf("%s: manifest decoded, want a miss", name)
 		}
 		if d := after.TotalAlloc - before.TotalAlloc; d >= 16<<20 {
@@ -311,8 +320,8 @@ func FuzzDecodeManifest(f *testing.F) {
 // against the header's line count and the section's payload bytes.
 func checkDecodedManifest(t *testing.T, data []byte) {
 	t.Helper()
-	m, ok := DecodeManifest(data)
-	if !ok {
+	m, err := bundleManifest(data)
+	if err != nil {
 		return
 	}
 	if want := int(binary.LittleEndian.Uint32(data[16:20])); m.TotalLines() != want {

@@ -232,7 +232,7 @@ func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobRes
 					// the engine as the delta base; the engine itself falls
 					// back to a full run if the base proves unusable.
 					if data, ok := store.GetBundle(prev.fp); ok {
-						o.DeltaFrom = &core.DeltaBase{Fingerprint: prev.fp, Bundle: data, Report: prev.report}
+						o.DeltaFrom = &core.DeltaBase{Bundle: data, Report: prev.report}
 					}
 				}
 			}

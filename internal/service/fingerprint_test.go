@@ -35,7 +35,7 @@ var fingerprintMutators = map[string]func(o *core.Options){
 	"Cancel":          func(o *core.Options) { o.Cancel = func() bool { return false } },
 	"Heartbeat":       func(o *core.Options) { o.Heartbeat = func(int64) bool { return false } },
 	"SinkObserver":    func(o *core.Options) { o.SinkObserver = func(*core.SinkReport) {} },
-	"DeltaFrom":       func(o *core.Options) { o.DeltaFrom = &core.DeltaBase{Fingerprint: 1} },
+	"DeltaFrom":       func(o *core.Options) { o.DeltaFrom = &core.DeltaBase{Bundle: []byte("base")} },
 	"SinkChunk":       func(o *core.Options) { o.SinkChunk += 5 },
 	"ChunkRange":      func(o *core.Options) { o.ChunkRange = &core.ChunkRange{From: 0, To: 3} },
 	"SinkProgress":    func(o *core.Options) { o.SinkProgress = func(int, int) bool { return false } },

@@ -20,7 +20,8 @@
 //
 // The layout is magic "BDRS" + u16 version + payload + trailing CRC-32
 // over everything after the magic. Decode failures are errors (callers
-// treat a damaged entry as a miss), never panics.
+// treat a damaged entry as a miss), never panics. Only canonical bytes
+// decode: a report that decodes re-encodes to exactly its input.
 package service
 
 import (
@@ -97,7 +98,10 @@ func DecodeReport(data []byte) (*core.Report, error) {
 	if b, p, ok = getByte(p); !ok {
 		return nil, errReportCodec
 	}
-	r.TimedOut = b != 0
+	if b > 1 {
+		return nil, errReportCodec
+	}
+	r.TimedOut = b == 1
 	var n uint32
 	if n, p, ok = getU32(p); !ok || int64(n) > int64(len(p)) {
 		return nil, errReportCodec
@@ -132,6 +136,8 @@ const (
 	sinkInsecure
 	_ // formerly sinkCached; run-local, dropped in v2
 	sinkReused
+
+	sinkFlags = sinkReachable | sinkInsecure | sinkReused // any other bit does not decode
 )
 
 func encodeSink(p []byte, s *core.SinkReport) []byte {
@@ -191,6 +197,9 @@ func decodeSink(p []byte) (*core.SinkReport, []byte, bool) {
 	}
 	s.Call.Line = int(u)
 	if b, p, ok = getByte(p); !ok {
+		return nil, nil, false
+	}
+	if b&^sinkFlags != 0 {
 		return nil, nil, false
 	}
 	s.Reachable = b&sinkReachable != 0

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -193,4 +194,87 @@ func TestReportCodecVersionGate(t *testing.T) {
 	if _, err := DecodeReport(forged); err == nil {
 		t.Fatal("unknown codec version decoded cleanly")
 	}
+}
+
+// reseal returns a copy of a settled-report encoding with its trailing
+// CRC recomputed over the (possibly edited) body, so edits reach the
+// payload decoder instead of stopping at the checksum.
+func reseal(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	if len(out) >= len(reportMagic)+4 {
+		binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[len(reportMagic):len(out)-4]))
+	}
+	return out
+}
+
+// TestReportCodecRejectsNonCanonicalBytes pins that only canonical bytes
+// decode: a TimedOut byte other than 0 or 1, or a sink flag byte with a
+// bit outside reachable, insecure and reused (the retired cached bit
+// included), fails the decode even under a valid CRC — such bytes would
+// re-encode differently, and the settled tier keeps recovered journal
+// bytes as an entry's encoded form.
+func TestReportCodecRejectsNonCanonicalBytes(t *testing.T) {
+	r := codecTestReport()
+	good := EncodeReport(r)
+
+	// Offsets of the TimedOut byte and the first sink's flag byte,
+	// rebuilt with the encoder's own helpers.
+	at := len(reportMagic) + 2
+	p := putStr(nil, r.App)
+	timedOut := at + len(p)
+	p = putU32(append(p, 0), uint32(len(r.Registered)))
+	for _, reg := range r.Registered {
+		p = putStr(p, reg)
+	}
+	p = putU32(p, uint32(len(r.Sinks)))
+	s := r.Sinks[0]
+	p = putU32(encodeMethodRef(p, s.Call.Sink.Method), 0)
+	p = putU32(putU32(encodeMethodRef(append(p, 0), s.Call.Caller), 0), 0)
+	flags := at + len(p)
+	if good[timedOut] != 0 || good[flags] != sinkReachable|sinkInsecure {
+		t.Fatalf("offsets wrong: TimedOut byte %#x, flag byte %#x", good[timedOut], good[flags])
+	}
+
+	edit := func(off int, b byte) []byte {
+		data := append([]byte(nil), good...)
+		data[off] = b
+		return reseal(data)
+	}
+	if dec, err := DecodeReport(edit(timedOut, 1)); err != nil || !dec.TimedOut {
+		t.Fatalf("canonical TimedOut=1 rejected: %v", err)
+	}
+	cases := map[string][]byte{
+		"timed-out 2":         edit(timedOut, 2),
+		"timed-out 0xff":      edit(timedOut, 0xff),
+		"retired cached bit":  edit(flags, good[flags]|1<<2),
+		"unknown bit 4":       edit(flags, good[flags]|1<<4),
+		"unknown high bit":    edit(flags, good[flags]|1<<7),
+		"only an unknown bit": edit(flags, 1<<5),
+	}
+	for name, data := range cases {
+		if _, err := DecodeReport(data); err == nil {
+			t.Errorf("%s: non-canonical encoding decoded", name)
+		}
+	}
+}
+
+// FuzzDecodeReport feeds arbitrary bytes to the settled-report decoder,
+// each input raw and with its trailing CRC resealed. Decoding must never
+// panic, and a report that decodes must re-encode to exactly its input.
+// The small second seed puts the TimedOut byte within easy reach of the
+// byte mutators.
+func FuzzDecodeReport(f *testing.F) {
+	f.Add(EncodeReport(codecTestReport()))
+	f.Add(EncodeReport(&core.Report{App: "a", TimedOut: true}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, reseal(data)} {
+			r, err := DecodeReport(in)
+			if err != nil {
+				continue
+			}
+			if got := EncodeReport(r); !bytes.Equal(got, in) {
+				t.Fatalf("decoded report re-encodes to %x, input was %x", got, in)
+			}
+		}
+	})
 }
