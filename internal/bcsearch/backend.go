@@ -71,10 +71,9 @@ func NewSearcher(text *dexdump.Text, cfg Config) Searcher {
 // collect verifies candidate lines against the command predicate and
 // attributes each hit to its containing method.
 func collect(text *dexdump.Text, cmd Command, candidates []int32) []Hit {
-	lines := text.Lines()
 	var hits []Hit
 	for _, n := range candidates {
-		line := lines[n]
+		line := text.Line(int(n))
 		if !cmd.Match(line) {
 			continue
 		}
@@ -116,9 +115,9 @@ func scanAll(text *dexdump.Text, meter *simtime.Meter, cmd Command) ([]Hit, Cost
 	if err := meter.ChargeLines(text.LineCount()); err != nil {
 		return nil, cost, err
 	}
-	lines := text.Lines()
 	var hits []Hit
-	for i, line := range lines {
+	for i := range text.LineCount() {
+		line := text.Line(i)
 		if !cmd.Match(line) {
 			continue
 		}

@@ -312,7 +312,6 @@ func (e *Engine) planDeltaReuse(calls []SinkCall) (map[int]*SinkReport, error) {
 	if err := e.meter.ChargeManifestDiff(len(cmds)); err != nil {
 		return nil, err
 	}
-	lines := e.dump.Lines()
 	hit := make(map[string]bool)
 	rawCharged := false
 	for key, c := range cmds {
@@ -331,7 +330,7 @@ func (e *Engine) planDeltaReuse(calls []SinkCall) (map[int]*SinkReport, error) {
 					continue
 				}
 				for n := sp.Start; n < sp.End && !hit[key]; n++ {
-					if c.Match(lines[n]) {
+					if c.Match(e.dump.Line(n)) {
 						hit[key] = true
 					}
 				}
@@ -342,7 +341,7 @@ func (e *Engine) planDeltaReuse(calls []SinkCall) (map[int]*SinkReport, error) {
 			continue
 		}
 		for _, n := range bcsearch.LookupCandidates(pidx, c) {
-			if int(n) < len(lines) && c.Match(lines[n]) {
+			if int(n) < e.dump.LineCount() && c.Match(e.dump.Line(int(n))) {
 				hit[key] = true
 				break
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -177,6 +178,14 @@ type Bundle struct {
 
 // ReadBundle checks magic, version and layout, frames all three sections
 // to the exact length of data and checks their CRCs.
+//
+// Ownership of data passes to the returned Bundle and to every Text,
+// Index and Manifest decoded from it: they alias data instead of copying
+// it (a warm job reads the dump text where the bundle holds it), so the
+// caller must never write to data again. Bundle bytes are immutable
+// wherever they come from — a bundle store entry, which is content
+// addressed and shared read-only, or a buffer the caller read from a file
+// and keeps no other use for.
 func ReadBundle(data []byte) (*Bundle, error) {
 	if len(data) < codecHeaderSize {
 		return nil, fmt.Errorf("dexdump: bundle truncated: %d bytes", len(data))
@@ -236,15 +245,16 @@ func cutSection(rest []byte, name string) (payload, tail []byte, err error) {
 func (b *Bundle) Bytes() []byte { return b.data }
 
 // Dump decodes the dump section, reconstructing the dexdump.Text without
-// any disassembly. There is no dump to validate it against — that is its
-// entire point — so the stored fingerprint must equal the caller's
-// (computed from the app's dex files), and the decoded text must hash
-// back to the header's dump sum and line count.
+// any disassembly and without copying its text. There is no dump to
+// validate it against — that is its entire point — so the stored
+// fingerprint must equal the caller's (computed from the app's dex
+// files), and the decoded text must hash back to the header's dump sum
+// and line count.
 func (b *Bundle) Dump(fingerprint uint64) (*Text, error) {
 	if fingerprint == 0 || b.fingerprint != fingerprint {
 		return nil, fmt.Errorf("dexdump: dump section stale: app fingerprint %#x, bundle has %#x", fingerprint, b.fingerprint)
 	}
-	t, err := decodeDump(b.dump)
+	t, err := decodeDump(b.dump, b.lines)
 	if err != nil {
 		return nil, fmt.Errorf("dexdump: dump section: %w", err)
 	}
@@ -448,22 +458,28 @@ func dumpText(payload []byte) []byte {
 
 // decodeDump reconstructs a Text from its serialized form, bounds-checking
 // every count so a corrupt payload decodes as an error, never a panic.
-func decodeDump(buf []byte) (*Text, error) {
+// The Text aliases buf: its full text, method-table strings and span
+// names are views of buf, not copies (see ReadBundle for the ownership
+// contract), and its line table comes from one walk over the newlines,
+// sized by lineHint (the header's line count; a wrong hint costs only a
+// regrown table).
+func decodeDump(buf []byte, lineHint int) (*Text, error) {
 	fullLen, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, err
 	}
-	if fullLen > uint64(len(buf)) {
+	if fullLen > uint64(len(buf)) || fullLen > math.MaxInt32 {
 		return nil, fmt.Errorf("full text claims %d bytes, %d remain", fullLen, len(buf))
 	}
-	t := &Text{full: string(buf[:fullLen])}
+	t := &Text{full: aliasString(buf[:fullLen])}
 	buf = buf[fullLen:]
 	if t.full != "" {
 		if t.full[len(t.full)-1] != '\n' {
 			return nil, fmt.Errorf("full text does not end in a newline")
 		}
-		t.lines = strings.Split(t.full[:len(t.full)-1], "\n")
+		t.ends = lineEnds(t.full, lineHint)
 	}
+	lines := len(t.ends)
 
 	methodCount, buf, err := readUvarint(buf)
 	if err != nil {
@@ -504,7 +520,7 @@ func decodeDump(buf []byte) (*Text, error) {
 		t.methods[i] = m
 	}
 
-	t.methodOfLine = make([]int, len(t.lines))
+	t.methodOfLine = make([]int32, lines)
 	for i := range t.methodOfLine {
 		var v uint64
 		if v, buf, err = readUvarint(buf); err != nil {
@@ -513,15 +529,15 @@ func decodeDump(buf []byte) (*Text, error) {
 		if v > uint64(len(t.methods)) {
 			return nil, fmt.Errorf("line %d attributed to method %d of %d", i, v, len(t.methods))
 		}
-		t.methodOfLine[i] = int(v) - 1
+		t.methodOfLine[i] = int32(v) - 1
 	}
 
 	spanCount, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, err
 	}
-	if spanCount > uint64(len(t.lines))+1 {
-		return nil, fmt.Errorf("%d class spans for a %d-line dump", spanCount, len(t.lines))
+	if spanCount > uint64(lines)+1 {
+		return nil, fmt.Errorf("%d class spans for a %d-line dump", spanCount, lines)
 	}
 	t.spans = make([]ClassSpan, spanCount)
 	at := 0
@@ -534,14 +550,14 @@ func decodeDump(buf []byte) (*Text, error) {
 		if length, buf, err = readUvarint(buf); err != nil {
 			return nil, err
 		}
-		if length > uint64(len(t.lines)-at) {
+		if length > uint64(lines-at) {
 			return nil, fmt.Errorf("class span %d overruns the dump", i)
 		}
 		t.spans[i] = ClassSpan{Name: name, Start: at, End: at + int(length)}
 		at += int(length)
 	}
-	if at != len(t.lines) {
-		return nil, fmt.Errorf("class spans cover %d of %d lines", at, len(t.lines))
+	if at != lines {
+		return nil, fmt.Errorf("class spans cover %d of %d lines", at, lines)
 	}
 	if len(buf) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes after the dump payload", len(buf))
@@ -549,11 +565,35 @@ func decodeDump(buf []byte) (*Text, error) {
 	return t, nil
 }
 
+// lineEnds returns the offset of every newline in full, which ends in
+// one: the end of each line, its newline excluded. Each line holds at
+// least its newline, so the hint is capped at len(full).
+func lineEnds(full string, hint int) []int32 {
+	ends := make([]int32, 0, min(hint, len(full)))
+	for at := 0; at < len(full); {
+		at += strings.IndexByte(full[at:], '\n')
+		ends = append(ends, int32(at))
+		at++
+	}
+	return ends
+}
+
+// aliasString returns a string view of b, without a copy. b must never
+// be written again.
+func aliasString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
+// readString reads a string appendString wrote, as a view of buf (see
+// aliasString).
 func readString(buf []byte) (string, []byte, error) {
 	n, buf, err := readUvarint(buf)
 	if err != nil {
@@ -562,7 +602,7 @@ func readString(buf []byte) (string, []byte, error) {
 	if n > uint64(len(buf)) {
 		return "", nil, fmt.Errorf("truncated string")
 	}
-	return string(buf[:n]), buf[n:], nil
+	return aliasString(buf[:n]), buf[n:], nil
 }
 
 // appendIndex encodes an index: the lines/postings counters, all nine
@@ -600,8 +640,7 @@ func appendMap(buf []byte, m map[string][]int32) []byte {
 	sort.Strings(keys)
 	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	for _, k := range keys {
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
+		buf = appendString(buf, k)
 		buf = appendPostings(buf, m[k])
 	}
 	return buf
@@ -661,16 +700,10 @@ func decodeMap(buf []byte, maxLines int) (map[string][]int32, []byte, error) {
 	}
 	m := make(map[string][]int32, count)
 	for i := uint64(0); i < count; i++ {
-		var klen uint64
-		klen, buf, err = readUvarint(buf)
-		if err != nil {
+		var key string
+		if key, buf, err = readString(buf); err != nil {
 			return nil, nil, err
 		}
-		if uint64(len(buf)) < klen {
-			return nil, nil, fmt.Errorf("truncated map key")
-		}
-		key := string(buf[:klen])
-		buf = buf[klen:]
 		var p []int32
 		p, buf, err = decodePostings(buf, maxLines)
 		if err != nil {

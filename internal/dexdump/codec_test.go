@@ -1,11 +1,15 @@
 package dexdump
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -490,13 +494,13 @@ func refSum(b []byte) uint64 {
 
 // refSpanSum is a span fingerprint from its definition: the sum of the
 // class name, a zero byte, then every line of the span after its
-// "Class #N" header, each with its newline — assembled from Lines, not
+// "Class #N" header, each with its newline — assembled from Line, not
 // from offsets into the dump text.
 func refSpanSum(t *Text, sp ClassSpan) uint64 {
 	var b strings.Builder
 	b.WriteString(sp.Name)
 	b.WriteByte(0)
-	for _, l := range t.Lines()[min(sp.Start+1, sp.End):sp.End] {
+	for _, l := range textLines(t)[min(sp.Start+1, sp.End):sp.End] {
 		b.WriteString(l)
 		b.WriteByte('\n')
 	}
@@ -583,7 +587,7 @@ func TestDumpSectionHashBack(t *testing.T) {
 	}
 	// The edited text is the only damage: everything before the final
 	// check holds, so this is the hash-back check's catch alone.
-	if _, err := decodeDump(ep); err != nil {
+	if _, err := decodeDump(ep, 0); err != nil {
 		t.Fatalf("edited payload no longer decodes: %v", err)
 	}
 	if dec, err := DecodeBundleDump(good, testFingerprint); err != nil || DumpHash(dec) != refSum([]byte(text.String())) {
@@ -753,5 +757,208 @@ func TestDecodePostingsRejectsMalformedLists(t *testing.T) {
 	}
 	if !equalPostings(p, []int32{5, 7, 97}) {
 		t.Errorf("decoded %v, want [5 7 97]", p)
+	}
+}
+
+// oracleText is the dump as the line-splitting decoder held it: one
+// string per line and an int per line's method.
+type oracleText struct {
+	lines        []string
+	methodOfLine []int
+	methods      []dex.MethodRef
+	spans        []ClassSpan
+	full         string
+}
+
+// decodeDumpOracle is decodeDump as it read before the Text became its
+// text plus a line-offset table: it copies the text out of buf and splits
+// it into lines. It is kept as the oracle of FuzzDecodeDump. The code is
+// the old decoder's, filling an oracleText instead of a Text.
+func decodeDumpOracle(buf []byte) (*oracleText, error) {
+	fullLen, buf, err := readUvarint(buf)
+	if err != nil {
+		return nil, err
+	}
+	if fullLen > uint64(len(buf)) {
+		return nil, fmt.Errorf("full text claims %d bytes, %d remain", fullLen, len(buf))
+	}
+	t := &oracleText{full: string(buf[:fullLen])}
+	buf = buf[fullLen:]
+	if t.full != "" {
+		if t.full[len(t.full)-1] != '\n' {
+			return nil, fmt.Errorf("full text does not end in a newline")
+		}
+		t.lines = strings.Split(t.full[:len(t.full)-1], "\n")
+	}
+
+	methodCount, buf, err := readUvarint(buf)
+	if err != nil {
+		return nil, err
+	}
+	if methodCount > uint64(len(buf)) {
+		return nil, fmt.Errorf("method table claims %d entries, %d bytes remain", methodCount, len(buf))
+	}
+	t.methods = make([]dex.MethodRef, methodCount)
+	for i := range t.methods {
+		var m dex.MethodRef
+		var ret string
+		if m.Class, buf, err = readString(buf); err != nil {
+			return nil, err
+		}
+		if m.Name, buf, err = readString(buf); err != nil {
+			return nil, err
+		}
+		if ret, buf, err = readString(buf); err != nil {
+			return nil, err
+		}
+		m.Ret = dex.TypeDesc(ret)
+		var params uint64
+		if params, buf, err = readUvarint(buf); err != nil {
+			return nil, err
+		}
+		if params > uint64(len(buf)) {
+			return nil, fmt.Errorf("method %d claims %d params", i, params)
+		}
+		m.Params = make([]dex.TypeDesc, params)
+		for j := range m.Params {
+			var p string
+			if p, buf, err = readString(buf); err != nil {
+				return nil, err
+			}
+			m.Params[j] = dex.TypeDesc(p)
+		}
+		t.methods[i] = m
+	}
+
+	t.methodOfLine = make([]int, len(t.lines))
+	for i := range t.methodOfLine {
+		var v uint64
+		if v, buf, err = readUvarint(buf); err != nil {
+			return nil, err
+		}
+		if v > uint64(len(t.methods)) {
+			return nil, fmt.Errorf("line %d attributed to method %d of %d", i, v, len(t.methods))
+		}
+		t.methodOfLine[i] = int(v) - 1
+	}
+
+	spanCount, buf, err := readUvarint(buf)
+	if err != nil {
+		return nil, err
+	}
+	if spanCount > uint64(len(t.lines))+1 {
+		return nil, fmt.Errorf("%d class spans for a %d-line dump", spanCount, len(t.lines))
+	}
+	t.spans = make([]ClassSpan, spanCount)
+	at := 0
+	for i := range t.spans {
+		var name string
+		if name, buf, err = readString(buf); err != nil {
+			return nil, err
+		}
+		var length uint64
+		if length, buf, err = readUvarint(buf); err != nil {
+			return nil, err
+		}
+		if length > uint64(len(t.lines)-at) {
+			return nil, fmt.Errorf("class span %d overruns the dump", i)
+		}
+		t.spans[i] = ClassSpan{Name: name, Start: at, End: at + int(length)}
+		at += int(length)
+	}
+	if at != len(t.lines) {
+		return nil, fmt.Errorf("class spans cover %d of %d lines", at, len(t.lines))
+	}
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after the dump payload", len(buf))
+	}
+	return t, nil
+}
+
+// FuzzDecodeDump requires decodeDump to accept and reject exactly what
+// decodeDumpOracle does, and on accept to agree with it on every line,
+// every method attribution, the method table and the class spans, and to
+// re-encode to its input. Seeds are the dump payloads of the fixture and
+// of the 24-app bench corpus, whole and truncated.
+func FuzzDecodeDump(f *testing.F) {
+	app, err := testapps.Fixture()
+	if err != nil {
+		f.Fatal(err)
+	}
+	merged, err := app.MergedDex()
+	if err != nil {
+		f.Fatal(err)
+	}
+	texts := []*Text{Disassemble(merged)}
+	for _, a := range loadBenchCorpus(f) {
+		texts = append(texts, a.text)
+	}
+	for _, text := range texts {
+		payload := appendDump(nil, text)
+		_, k := binary.Uvarint(payload)
+		f.Add(payload)
+		// Cut inside the text, just past it, mid tables and one byte short.
+		for _, n := range []int{k + len(text.String())/2, k + len(text.String()), (k + len(text.String()) + len(payload)) / 2, len(payload) - 1} {
+			f.Add(payload[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeDump(data, len(data))
+		want, oerr := decodeDumpOracle(data)
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("decodeDump error %v, oracle error %v", err, oerr)
+		}
+		if err != nil {
+			return
+		}
+		if got.String() != want.full || got.LineCount() != len(want.lines) {
+			t.Fatalf("text of %d lines, oracle has %d", got.LineCount(), len(want.lines))
+		}
+		for i, line := range want.lines {
+			if got.Line(i) != line {
+				t.Fatalf("line %d = %q, oracle %q", i, got.Line(i), line)
+			}
+			m, ok := got.MethodAt(i)
+			wok := want.methodOfLine[i] >= 0
+			if ok != wok || (ok && !reflect.DeepEqual(m, want.methods[want.methodOfLine[i]])) {
+				t.Fatalf("line %d method %v/%v, oracle index %d", i, m, ok, want.methodOfLine[i])
+			}
+		}
+		if !reflect.DeepEqual(got.Methods(), want.methods) {
+			t.Fatal("method table differs from the oracle's")
+		}
+		if !slices.Equal(got.ClassSpans(), want.spans) {
+			t.Fatalf("class spans %v, oracle %v", got.ClassSpans(), want.spans)
+		}
+		if re := appendDump(nil, got); !bytes.Equal(re, data) {
+			t.Fatal("accepted payload does not re-encode to its input")
+		}
+	})
+}
+
+// TestBundleDumpDoesNotCopyText: decoding a bench-corpus bundle's dump
+// section allocates less than the dump text itself, so the text is read
+// where the bundle holds it rather than copied out. Allocated bytes are
+// counted, not timed.
+func TestBundleDumpDoesNotCopyText(t *testing.T) {
+	for _, app := range loadBenchCorpus(t) {
+		data, err := EncodeBundle(app.text, BuildIndex(app.text), app.fingerprint, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadBundle(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		text, err := r.Dump(app.fingerprint)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(len(text.String())) {
+			t.Errorf("%s: Dump allocated %d bytes for a %d-byte text", app.name, alloc, len(text.String()))
+		}
 	}
 }

@@ -6,7 +6,6 @@
 package dexdump
 
 import (
-	"slices"
 	"strconv"
 	"sync"
 
@@ -17,11 +16,11 @@ import (
 // mapping from each text line back to the containing method so the search
 // engine can perform the paper's "identify method in bytecode text" step.
 type Text struct {
-	lines        []string // consecutive substrings of full, each followed there by '\n'
-	methodOfLine []int    // index into methods, -1 for non-instruction lines
+	full         string  // every line, each followed by '\n'
+	ends         []int32 // end offset in full of each line, its newline excluded
+	methodOfLine []int32 // index into methods, -1 for non-instruction lines
 	methods      []dex.MethodRef
 	spans        []ClassSpan
-	full         string
 
 	hashOnce sync.Once // guards hash (see DumpHash)
 	hash     uint64
@@ -36,14 +35,8 @@ type ClassSpan struct {
 	End   int    // one past the last dump line of the class block
 }
 
-// render is the reusable scratch of one Disassemble call: the dump bytes
-// and the end offset of every line (its newline excluded).
-type render struct {
-	buf  []byte
-	ends []int
-}
-
-var renderPool = sync.Pool{New: func() any { return new(render) }}
+// renderPool holds the reusable dump buffers of Disassemble calls.
+var renderPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Disassemble renders the dex file as searchable plaintext. Every line is
 // appended once into a pooled buffer; the text is stored once, as one
@@ -64,21 +57,21 @@ func Disassemble(f *dex.File) *Text {
 		methods += len(c.Methods)
 	}
 	t := &Text{
-		methodOfLine: make([]int, 0, lines),
+		ends:         make([]int32, 0, lines),
+		methodOfLine: make([]int32, 0, lines),
 		methods:      make([]dex.MethodRef, 0, methods),
 		spans:        make([]ClassSpan, 0, len(f.Classes())),
 	}
-	r := renderPool.Get().(*render)
-	buf := r.buf[:0]
-	ends := slices.Grow(r.ends[:0], lines)
+	pooled := renderPool.Get().(*[]byte)
+	buf := (*pooled)[:0]
 	eol := func(methodIdx int) {
-		ends = append(ends, len(buf))
+		t.ends = append(t.ends, int32(len(buf)))
 		buf = append(buf, '\n')
-		t.methodOfLine = append(t.methodOfLine, methodIdx)
+		t.methodOfLine = append(t.methodOfLine, int32(methodIdx))
 	}
 
 	for ci, c := range f.Classes() {
-		span := ClassSpan{Name: c.Name, Start: len(ends)}
+		span := ClassSpan{Name: c.Name, Start: len(t.ends)}
 		buf = strconv.AppendInt(append(buf, "Class #"...), int64(ci), 10)
 		buf = append(buf, "            -"...)
 		eol(-1)
@@ -142,30 +135,31 @@ func Disassemble(f *dex.File) *Text {
 				}
 			}
 		}
-		span.End = len(ends)
+		span.End = len(t.ends)
 		t.spans = append(t.spans, span)
 	}
 
 	t.full = string(buf)
-	t.lines = make([]string, len(ends))
-	start := 0
-	for i, end := range ends {
-		t.lines[i] = t.full[start:end]
-		start = end + 1
-	}
-	r.buf, r.ends = buf, ends
-	renderPool.Put(r)
+	*pooled = buf
+	renderPool.Put(pooled)
 	return t
 }
 
 // String returns the full dump text.
 func (t *Text) String() string { return t.full }
 
-// Lines returns the dump lines. The slice must not be modified.
-func (t *Text) Lines() []string { return t.lines }
+// Line returns dump line i, without its newline. It is a substring of
+// the full text, so it costs no copy.
+func (t *Text) Line(i int) string {
+	start := 0
+	if i > 0 {
+		start = int(t.ends[i-1]) + 1
+	}
+	return t.full[start:t.ends[i]]
+}
 
 // LineCount returns the number of dump lines.
-func (t *Text) LineCount() int { return len(t.lines) }
+func (t *Text) LineCount() int { return len(t.ends) }
 
 // MethodAt returns the method containing the given dump line, if any.
 func (t *Text) MethodAt(line int) (dex.MethodRef, bool) {

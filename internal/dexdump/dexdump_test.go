@@ -58,12 +58,21 @@ func TestDisassembleLayout(t *testing.T) {
 	}
 }
 
+// textLines returns every dump line, each through Line.
+func textLines(t *Text) []string {
+	lines := make([]string, t.LineCount())
+	for i := range lines {
+		lines[i] = t.Line(i)
+	}
+	return lines
+}
+
 func TestMethodAtMapsInstructionLines(t *testing.T) {
 	txt := Disassemble(sampleFile(t))
 	// Find the invoke-virtual start line and confirm its containing method
 	// is NetcastTVService$1.run() — the paper's step 2 of Fig. 3.
 	found := false
-	for i, line := range txt.Lines() {
+	for i, line := range textLines(txt) {
 		if strings.Contains(line, ";.start:()V") && strings.Contains(line, "invoke-virtual") {
 			m, ok := txt.MethodAt(i)
 			if !ok {
@@ -140,7 +149,7 @@ func TestDisassembleConcurrent(t *testing.T) {
 			for k := 0; k < 50; k++ {
 				i := (g + k) % len(files)
 				text := Disassemble(files[i])
-				if text.String() != want[i] || strings.Join(text.Lines(), "\n")+"\n" != want[i] {
+				if text.String() != want[i] || strings.Join(textLines(text), "\n")+"\n" != want[i] {
 					t.Errorf("goroutine %d: file %d rendered differently", g, i)
 					return
 				}
@@ -248,7 +257,7 @@ func FuzzDecodeDex(f *testing.F) {
 		}
 		BuildIndex(text)
 		n := 0
-		for _, line := range text.Lines() {
+		for _, line := range textLines(text) {
 			n += len(line) + 1
 		}
 		if n != len(text.String()) {

@@ -63,7 +63,7 @@ func build(t *Text, keep func(span int) bool) *Index {
 			continue
 		}
 		for n := sp.Start; n < sp.End; n++ {
-			x.addLine(&s, int32(n), t.lines[n])
+			x.addLine(&s, int32(n), t.Line(n))
 		}
 		x.lines += sp.End - sp.Start
 	}

@@ -50,7 +50,7 @@ func indexFixture(t *testing.T) (*Text, *Index) {
 
 func linesMatching(text *Text, pred func(string) bool) []int32 {
 	var out []int32
-	for i, line := range text.Lines() {
+	for i, line := range textLines(text) {
 		if pred(line) {
 			out = append(out, int32(i))
 		}
@@ -407,16 +407,22 @@ func buildOracle(t *Text) *Index {
 		fieldBySig:    make(map[string][]int32),
 		classUse:      make(map[string][]int32),
 	}
-	for n, line := range t.lines {
-		addLineOracle(x, int32(n), line)
+	for n := range t.LineCount() {
+		addLineOracle(x, int32(n), t.Line(n))
 	}
-	x.lines = len(t.lines)
+	x.lines = t.LineCount()
 	return x
 }
 
 // linesText wraps raw lines as a one-span dump, enough for build.
 func linesText(lines []string) *Text {
-	return &Text{lines: lines, spans: []ClassSpan{{Name: "raw", Start: 0, End: len(lines)}}}
+	t := &Text{full: strings.Join(lines, "\n") + "\n", spans: []ClassSpan{{Name: "raw", Start: 0, End: len(lines)}}}
+	end := -1
+	for _, l := range lines {
+		end += len(l) + 1
+		t.ends = append(t.ends, int32(end))
+	}
+	return t
 }
 
 // checkMatchesOracle requires BuildIndex(t) to hold exactly the maps,

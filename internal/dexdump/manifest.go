@@ -31,47 +31,29 @@ type Manifest struct {
 // the dump, which would make the hash depend on where the class sits
 // rather than what it contains). Identical class bodies therefore
 // fingerprint identically across versions, positions and apps.
+//
+// Lines are consecutive in the text, so the body (the span's second line
+// through its last newline) is one slice of it, located by two reads of
+// the line table and hashed in place.
 func SpanFingerprint(t *Text, sp ClassSpan) uint64 {
-	off := 0
-	for _, l := range t.lines[:sp.Start] {
-		off += len(l) + 1
+	var s contentSum
+	s.write(bytesOf(sp.Name))
+	s.write(nameEnd)
+	if sp.End == sp.Start {
+		return s.sum64()
 	}
-	sum, _ := spanSum(t, sp, off)
-	return sum
+	s.write(bytesOf(t.full[t.ends[sp.Start]+1 : t.ends[sp.End-1]+1]))
+	return s.sum64()
 }
 
 // nameEnd separates a class name from its body in a span's sum.
 var nameEnd = []byte{0}
 
-// spanSum is SpanFingerprint for a span whose first line starts at byte
-// off of the dump text; it also returns the offset one past the span.
-// Lines are consecutive in the text, so the body is one slice of it and
-// is hashed in place.
-func spanSum(t *Text, sp ClassSpan, off int) (uint64, int) {
-	var s contentSum
-	s.write(bytesOf(sp.Name))
-	s.write(nameEnd)
-	if sp.End == sp.Start {
-		return s.sum64(), off
-	}
-	from := off + len(t.lines[sp.Start]) + 1
-	end := from
-	for _, l := range t.lines[sp.Start+1 : sp.End] {
-		end += len(l) + 1
-	}
-	s.write(bytesOf(t.full[from:end]))
-	return s.sum64(), end
-}
-
-// BuildManifest computes the manifest of a dump. Spans tile the dump in
-// order, so one running byte offset locates every span's text.
+// BuildManifest computes the manifest of a dump.
 func BuildManifest(t *Text) *Manifest {
 	m := &Manifest{Entries: make([]ManifestEntry, len(t.spans))}
-	off := 0
 	for i, sp := range t.spans {
-		e := ManifestEntry{Name: sp.Name, Lines: sp.End - sp.Start}
-		e.Fingerprint, off = spanSum(t, sp, off)
-		m.Entries[i] = e
+		m.Entries[i] = ManifestEntry{Name: sp.Name, Fingerprint: SpanFingerprint(t, sp), Lines: sp.End - sp.Start}
 	}
 	return m
 }

@@ -67,12 +67,12 @@ func TestSpanFingerprintOneByteEdit(t *testing.T) {
 	payload := appendDump(nil, text)
 	_, k := binary.Uvarint(payload)
 	off := k
-	for _, l := range text.Lines()[:sp.Start] {
+	for _, l := range textLines(text)[:sp.Start] {
 		off += len(l) + 1
 	}
-	headerEnd := off + len(text.Lines()[sp.Start])
+	headerEnd := off + len(text.Line(sp.Start))
 	spanEnd := off
-	for _, l := range text.Lines()[sp.Start:sp.End] {
+	for _, l := range textLines(text)[sp.Start:sp.End] {
 		spanEnd += len(l) + 1
 	}
 	want := BuildManifest(text)
@@ -82,7 +82,7 @@ func TestSpanFingerprintOneByteEdit(t *testing.T) {
 		}
 		edited := bytes.Clone(payload)
 		edited[at] ^= 0x01
-		v2, err := decodeDump(edited)
+		v2, err := decodeDump(edited, 0)
 		if err != nil {
 			t.Fatalf("edit at %d: %v", at, err)
 		}

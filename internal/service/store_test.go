@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -221,4 +223,118 @@ func runFixtureJob(t *testing.T, s *Scheduler, app *apk.App) *JobResult {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestStoreTextOutlivesEntry: a Text decoded from a store entry aliases
+// the entry's bytes, so it must stay whole after the entry is dropped,
+// the rest of the store is evicted and the garbage collector has run:
+// every line, the dump sum and a fresh encode of the text equal what
+// they were before the drop.
+func TestStoreTextOutlivesEntry(t *testing.T) {
+	app, err := testapps.Fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := app.MergedDex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := app.Fingerprint()
+	cold := dexdump.Disassemble(merged)
+	encoded, err := dexdump.EncodeBundle(cold, dexdump.BuildIndex(cold), fp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := int64(2 * len(encoded))
+	store := NewBundleStore(budget)
+	store.PutBundle(fp, encoded)
+	encoded = nil
+
+	entry, ok := store.GetBundle(fp)
+	if !ok {
+		t.Fatal("store did not admit the bundle")
+	}
+	want := bytes.Clone(entry)
+	r, err := dexdump.ReadBundle(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := r.Dump(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := r.Index(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := make([]string, text.LineCount())
+	for i := range lines {
+		lines[i] = strings.Clone(text.Line(i))
+	}
+	entry, r = nil, nil
+
+	store.DropBundle(fp)
+	for i := uint64(1); i <= 4; i++ {
+		store.PutBundle(fp+i, entryOf(0xAA, int(budget/2)))
+	}
+	if store.Contains(fp) || store.Stats().Evictions == 0 {
+		t.Fatalf("store still holds the entry or evicted nothing: %+v", store.Stats())
+	}
+	runtime.GC()
+	runtime.GC()
+
+	for i, line := range lines {
+		if got := text.Line(i); got != line {
+			t.Fatalf("line %d = %q after the drop, was %q", i, got, line)
+		}
+	}
+	if got, wantSum := dexdump.DumpHash(text), dexdump.DumpHash(cold); got != wantSum {
+		t.Errorf("DumpHash %#x after the drop, want %#x", got, wantSum)
+	}
+	again, err := dexdump.EncodeBundle(text, x, fp, nil)
+	if err != nil || !bytes.Equal(again, want) {
+		t.Errorf("re-encoded bundle differs from the entry taken before the drop (err %v)", err)
+	}
+}
+
+// TestConcurrentStoreHitsShareEntry runs two store-hit jobs on one entry
+// at the same time; both read the entry's bytes in place, so under -race
+// this checks that nothing writes to them. Both must be full hits with
+// the cold run's verdicts.
+func TestConcurrentStoreHitsShareEntry(t *testing.T) {
+	app, err := testapps.Fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := app.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 2, Store: NewBundleStore(0)})
+	defer s.Close()
+	submit := func() JobID {
+		id, err := s.Submit(Job{Name: app.Name, RunBackDroid: true,
+			Source: func() (*apk.App, error) { return apk.ReadBytes(app.Name, data) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	wait := func(id JobID) *JobResult {
+		res, err := s.Wait(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := wait(submit())
+	a, b := submit(), submit()
+	for _, res := range []*JobResult{wait(a), wait(b)} {
+		if st := res.BackDroid.Stats; st.BundleStoreHits != 1 || st.DumpLinesDisassembled != 0 {
+			t.Errorf("job was not a store hit: %+v", st)
+		}
+		if got, want := detectionKey(res.BackDroid), detectionKey(cold.BackDroid); got != want {
+			t.Errorf("verdicts\n%s\nwant\n%s", got, want)
+		}
+	}
 }
