@@ -36,6 +36,10 @@ func run(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(dexdump.Disassemble(merged).String())
+	text, err := dexdump.Render(merged)
+	if err != nil {
+		return err
+	}
+	fmt.Print(text.String())
 	return nil
 }

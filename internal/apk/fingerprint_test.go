@@ -125,8 +125,8 @@ func TestReadAppConcurrent(t *testing.T) {
 // FuzzReadAPK feeds arbitrary bytes to apk.ReadBytes, seeded with the
 // containers of generated apps (one multidex), the testapps fixture and
 // the fixture with a hostile classes2.dex body. Whatever Read accepts
-// must fingerprint, merge (or fail to merge with an error) and
-// disassemble without panicking.
+// must fingerprint, merge (or fail to merge with an error) and render
+// (or fail past the dump bound with an error) without panicking.
 func FuzzReadAPK(f *testing.F) {
 	specs := appgen.EvalCorpus(appgen.CorpusOptions{Apps: 3, Seed: 20200523, SizeScale: 0.02})
 	specs[0].MultiDex = true
@@ -165,7 +165,7 @@ func FuzzReadAPK(f *testing.F) {
 		if err != nil {
 			return
 		}
-		dexdump.Disassemble(merged)
+		dexdump.Render(merged)
 	})
 }
 

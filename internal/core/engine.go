@@ -564,7 +564,9 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 			e.phaseSpan(name, -1, before)
 		}
 	} else {
-		dump = dexdump.Disassemble(merged)
+		if dump, err = dexdump.Render(merged); err != nil {
+			return nil, fmt.Errorf("core: preprocessing %s: %w", app.Name, err)
+		}
 		coldLines = dump.LineCount()
 	}
 	e.dump = dump

@@ -179,13 +179,16 @@ type Bundle struct {
 // ReadBundle checks magic, version and layout, frames all three sections
 // to the exact length of data and checks their CRCs.
 //
-// Ownership of data passes to the returned Bundle and to every Text,
-// Index and Manifest decoded from it: they alias data instead of copying
-// it (a warm job reads the dump text where the bundle holds it), so the
+// Ownership of data passes to the returned Bundle and to every Text
+// decoded from it: a Text's full text aliases data instead of copying it
+// (a warm job reads the dump text where the bundle holds it), so the
 // caller must never write to data again. Bundle bytes are immutable
 // wherever they come from — a bundle store entry, which is content
 // addressed and shared read-only, or a buffer the caller read from a file
-// and keeps no other use for.
+// and keeps no other use for. Only the text is aliased: every other
+// decoded string (method table, span names, postings keys, manifest
+// class names) is a copy, so a report that keeps one of them does not
+// keep the whole bundle alive.
 func ReadBundle(data []byte) (*Bundle, error) {
 	if len(data) < codecHeaderSize {
 		return nil, fmt.Errorf("dexdump: bundle truncated: %d bytes", len(data))
@@ -254,7 +257,7 @@ func (b *Bundle) Dump(fingerprint uint64) (*Text, error) {
 	if fingerprint == 0 || b.fingerprint != fingerprint {
 		return nil, fmt.Errorf("dexdump: dump section stale: app fingerprint %#x, bundle has %#x", fingerprint, b.fingerprint)
 	}
-	t, err := decodeDump(b.dump, b.lines)
+	t, err := decodeDump(b.dump)
 	if err != nil {
 		return nil, fmt.Errorf("dexdump: dump section: %w", err)
 	}
@@ -458,12 +461,10 @@ func dumpText(payload []byte) []byte {
 
 // decodeDump reconstructs a Text from its serialized form, bounds-checking
 // every count so a corrupt payload decodes as an error, never a panic.
-// The Text aliases buf: its full text, method-table strings and span
-// names are views of buf, not copies (see ReadBundle for the ownership
-// contract), and its line table comes from one walk over the newlines,
-// sized by lineHint (the header's line count; a wrong hint costs only a
-// regrown table).
-func decodeDump(buf []byte, lineHint int) (*Text, error) {
+// The Text's full text is a view of buf, not a copy (see ReadBundle for
+// the ownership contract), and its line table comes from one walk over
+// the newlines.
+func decodeDump(buf []byte) (*Text, error) {
 	fullLen, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, err
@@ -477,7 +478,7 @@ func decodeDump(buf []byte, lineHint int) (*Text, error) {
 		if t.full[len(t.full)-1] != '\n' {
 			return nil, fmt.Errorf("full text does not end in a newline")
 		}
-		t.ends = lineEnds(t.full, lineHint)
+		t.ends = lineEnds(t.full)
 	}
 	lines := len(t.ends)
 
@@ -566,10 +567,9 @@ func decodeDump(buf []byte, lineHint int) (*Text, error) {
 }
 
 // lineEnds returns the offset of every newline in full, which ends in
-// one: the end of each line, its newline excluded. Each line holds at
-// least its newline, so the hint is capped at len(full).
-func lineEnds(full string, hint int) []int32 {
-	ends := make([]int32, 0, min(hint, len(full)))
+// one: the end of each line, its newline excluded.
+func lineEnds(full string) []int32 {
+	ends := make([]int32, 0, strings.Count(full, "\n"))
 	for at := 0; at < len(full); {
 		at += strings.IndexByte(full[at:], '\n')
 		ends = append(ends, int32(at))
@@ -592,8 +592,9 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// readString reads a string appendString wrote, as a view of buf (see
-// aliasString).
+// readString reads a string appendString wrote, as a copy: decoded
+// strings outlive the bundle in reports (method refs, class names), so
+// they must not pin its bytes.
 func readString(buf []byte) (string, []byte, error) {
 	n, buf, err := readUvarint(buf)
 	if err != nil {
@@ -602,7 +603,7 @@ func readString(buf []byte) (string, []byte, error) {
 	if n > uint64(len(buf)) {
 		return "", nil, fmt.Errorf("truncated string")
 	}
-	return aliasString(buf[:n]), buf[n:], nil
+	return string(buf[:n]), buf[n:], nil
 }
 
 // appendIndex encodes an index: the lines/postings counters, all nine

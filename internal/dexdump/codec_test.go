@@ -587,7 +587,7 @@ func TestDumpSectionHashBack(t *testing.T) {
 	}
 	// The edited text is the only damage: everything before the final
 	// check holds, so this is the hash-back check's catch alone.
-	if _, err := decodeDump(ep, 0); err != nil {
+	if _, err := decodeDump(ep); err != nil {
 		t.Fatalf("edited payload no longer decodes: %v", err)
 	}
 	if dec, err := DecodeBundleDump(good, testFingerprint); err != nil || DumpHash(dec) != refSum([]byte(text.String())) {
@@ -903,7 +903,7 @@ func FuzzDecodeDump(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := decodeDump(data, len(data))
+		got, err := decodeDump(data)
 		want, oerr := decodeDumpOracle(data)
 		if (err == nil) != (oerr == nil) {
 			t.Fatalf("decodeDump error %v, oracle error %v", err, oerr)

@@ -6,6 +6,8 @@
 package dexdump
 
 import (
+	"errors"
+	"math"
 	"strconv"
 	"sync"
 
@@ -38,10 +40,34 @@ type ClassSpan struct {
 // renderPool holds the reusable dump buffers of Disassemble calls.
 var renderPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// Disassemble renders the dex file as searchable plaintext. Every line is
-// appended once into a pooled buffer; the text is stored once, as one
-// string, and each line is a substring of it.
+// MaxDumpBytes bounds a rendered dump: line ends are int32 offsets into
+// its text. A dex well under any input cap can render past it — one long
+// pool string referenced by thousands of const-string instructions — so
+// Render fails such a dump instead of wrapping its offsets.
+const MaxDumpBytes = math.MaxInt32
+
+// ErrDumpTooLarge is the error Render returns for a dump over
+// MaxDumpBytes.
+var ErrDumpTooLarge = errors.New("dexdump: rendered dump exceeds 2 GiB")
+
+// Disassemble renders the dex file as searchable plaintext. It panics on a
+// dump over MaxDumpBytes; untrusted input goes through Render.
 func Disassemble(f *dex.File) *Text {
+	t, err := Render(f)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// Render renders the dex file as searchable plaintext, or fails with
+// ErrDumpTooLarge once the text passes MaxDumpBytes.
+func Render(f *dex.File) (*Text, error) { return render(f, MaxDumpBytes) }
+
+// render renders f, giving up as soon as the text passes limit bytes.
+// Every line is appended once into a pooled buffer; the text is stored
+// once, as one string, and each line is a substring of it.
+func render(f *dex.File, limit int) (*Text, error) {
 	// Exact line count: per class 5 header lines, 2 method-group headers
 	// and one line per interface; per method 4 header lines, plus the
 	// insns-size line and one line per instruction unless abstract.
@@ -70,7 +96,13 @@ func Disassemble(f *dex.File) *Text {
 		t.methodOfLine = append(t.methodOfLine, int32(methodIdx))
 	}
 
+	// Every loop gives up once the text passes limit. A few lines may
+	// have ended past it by then, but that Text is never returned.
+classes:
 	for ci, c := range f.Classes() {
+		if len(buf) > limit {
+			break
+		}
 		span := ClassSpan{Name: c.Name, Start: len(t.ends)}
 		buf = strconv.AppendInt(append(buf, "Class #"...), int64(ci), 10)
 		buf = append(buf, "            -"...)
@@ -89,6 +121,9 @@ func Disassemble(f *dex.File) *Text {
 		buf = append(buf, "  Interfaces        -"...)
 		eol(-1)
 		for ii, iface := range c.Interfaces {
+			if len(buf) > limit {
+				break classes
+			}
 			buf = strconv.AppendInt(append(buf, "    #"...), int64(ii), 10)
 			buf = dex.AppendT(append(buf, "              : '"...), iface)
 			buf = append(buf, '\'')
@@ -106,6 +141,9 @@ func Disassemble(f *dex.File) *Text {
 			for _, m := range c.Methods {
 				if m.IsDirect() != direct {
 					continue
+				}
+				if len(buf) > limit {
+					break classes
 				}
 				midx := len(t.methods)
 				t.methods = append(t.methods, m.Ref)
@@ -129,6 +167,9 @@ func Disassemble(f *dex.File) *Text {
 				buf = append(buf, " 16-bit code units"...)
 				eol(midx)
 				for pc := range m.Code {
+					if len(buf) > limit {
+						break classes
+					}
 					buf = dex.AppendHex4(append(buf, "        |"...), int64(pc))
 					buf = m.Code[pc].AppendFormat(append(buf, ": "...))
 					eol(midx)
@@ -139,10 +180,14 @@ func Disassemble(f *dex.File) *Text {
 		t.spans = append(t.spans, span)
 	}
 
+	if len(buf) > limit {
+		// The oversized buffer is dropped, not pooled.
+		return nil, ErrDumpTooLarge
+	}
 	t.full = string(buf)
 	*pooled = buf
 	renderPool.Put(pooled)
-	return t
+	return t, nil
 }
 
 // String returns the full dump text.

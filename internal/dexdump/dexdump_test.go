@@ -2,7 +2,9 @@ package dexdump
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -65,6 +67,43 @@ func textLines(t *Text) []string {
 		lines[i] = t.Line(i)
 	}
 	return lines
+}
+
+// TestRenderFailsPastLimit: a small dex whose one long pool string is
+// referenced by many const-string instructions renders far past its own
+// size. Render must fail such a dump rather than return offsets that no
+// longer fit. The limit is lowered so the test needs no 2 GiB buffer;
+// MaxDumpBytes is the same check at the int32 bound.
+func TestRenderFailsPastLimit(t *testing.T) {
+	long := strings.Repeat("x", 1<<16)
+	f := dex.NewFile()
+	cb := dex.NewClass("com.example.Hostile")
+	mb := cb.StaticMethod("spray", dex.Void)
+	for range 64 {
+		mb.ConstString(0, long)
+	}
+	if err := f.AddClass(mb.ReturnVoid().Done().Build()); err != nil {
+		t.Fatal(err)
+	}
+
+	want := Disassemble(f)
+	size := len(want.String())
+	if size < 64*len(long) {
+		t.Fatalf("dump is %d bytes, want at least %d", size, 64*len(long))
+	}
+	if _, err := render(f, size-1); !errors.Is(err, ErrDumpTooLarge) {
+		t.Errorf("render one byte under the dump's size: err %v, want ErrDumpTooLarge", err)
+	}
+	if _, err := render(f, 1<<20); !errors.Is(err, ErrDumpTooLarge) {
+		t.Errorf("render under a quarter of the dump's size: err %v, want ErrDumpTooLarge", err)
+	}
+	got, err := render(f, size)
+	if err != nil {
+		t.Fatalf("render at exactly the dump's size: %v", err)
+	}
+	if got.String() != want.String() || !slices.Equal(got.ends, want.ends) {
+		t.Error("render at the limit differs from Disassemble")
+	}
 }
 
 func TestMethodAtMapsInstructionLines(t *testing.T) {

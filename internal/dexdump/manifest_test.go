@@ -82,7 +82,7 @@ func TestSpanFingerprintOneByteEdit(t *testing.T) {
 		}
 		edited := bytes.Clone(payload)
 		edited[at] ^= 0x01
-		v2, err := decodeDump(edited, 0)
+		v2, err := decodeDump(edited)
 		if err != nil {
 			t.Fatalf("edit at %d: %v", at, err)
 		}

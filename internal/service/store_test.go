@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"backdroid/internal/apk"
 	"backdroid/internal/core"
@@ -337,4 +338,46 @@ func TestConcurrentStoreHitsShareEntry(t *testing.T) {
 			t.Errorf("verdicts\n%s\nwant\n%s", got, want)
 		}
 	}
+}
+
+// TestStoreHitReportReleasesEntry: a store-hit job's report lives on in
+// the scheduler (the delta base of its job name) and in the settled
+// report store, while the bundle it was decoded from may be dropped. The
+// report must keep none of the bundle's bytes: once the entry leaves the
+// store and the garbage collector has run, the entry's memory is gone.
+func TestStoreHitReportReleasesEntry(t *testing.T) {
+	app, err := testapps.Fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := app.Fingerprint()
+	store := NewBundleStore(0)
+	primer := New(Config{Workers: 1, Store: store})
+	runFixtureJob(t, primer, app)
+	primer.Close()
+
+	entry, ok := store.GetBundle(fp)
+	if !ok {
+		t.Fatal("cold job stored no bundle")
+	}
+	gone := weak.Make(&entry[0])
+	entry = nil
+
+	s := New(Config{Workers: 1, Store: store, Reports: NewReportStore(0)})
+	defer s.Close()
+	res := runFixtureJob(t, s, app)
+	if st := res.BackDroid.Stats; st.BundleStoreHits != 1 {
+		t.Fatalf("job was not a store hit: %+v", st)
+	}
+	if n := s.Reports().Stats().Entries; n != 1 {
+		t.Fatalf("%d settled reports, want the store-hit report", n)
+	}
+
+	store.DropBundle(fp)
+	runtime.GC()
+	runtime.GC()
+	if gone.Value() != nil {
+		t.Error("the dropped entry is still reachable from the store-hit report")
+	}
+	runtime.KeepAlive(res)
 }
