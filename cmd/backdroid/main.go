@@ -181,7 +181,7 @@ func run(paths []string, cfg config) error {
 	// within one checkpoint instead of dying mid-write; a second Ctrl-C
 	// falls through to the default hard kill.
 	var interrupted atomic.Bool
-	opts.Cancel = interrupted.Load
+	opts.Checkpoint = func(int64, int64) bool { return interrupted.Load() }
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt)
 	defer signal.Stop(sigc)

@@ -11,13 +11,14 @@
 //   - steal (BENCH_steal.json), the heavy-tail leg: the work-stealing
 //     corpus (one 121-sink outlier submitted first, then small apps) runs
 //     twice through a 4-node fleet, with sink-chunk stealing off
-//     (SinkChunk=0) and on (the defaults). The steal run's per-job report
-//     union must be byte-identical to the unsplit run's, at least one
-//     chunk must be stolen, the charged makespan (the busiest node's
-//     odometer) must shrink by at least 1.5x, and the steal +
-//     remote-fetch overhead must stay under 10% of the charged analysis
-//     work. Its numbers also ride into BENCH_search.json and the
-//     baseline, so it runs before the search leg;
+//     (service.Config.SinkChunk < 0) and on (the defaults). The steal
+//     run's per-job report union must be byte-identical to the unsplit
+//     run's, at least one chunk must be stolen, the charged makespan
+//     (the busiest node's odometer) must shrink by at least 1.5x, and
+//     the steal + remote-fetch overhead must stay under 10% of the
+//     charged analysis work. Its numbers also ride into
+//     BENCH_search.json and the baseline, so it runs before the search
+//     leg;
 //   - search (BENCH_search.json): the corpus once per search backend
 //     (linear, indexed), then cold+warm against the persistent bundle
 //     cache. Every backend and the warm bundle run must reproduce the
@@ -390,8 +391,8 @@ type FleetReport struct {
 // StealReport is the BENCH_steal.json schema: the heavy-tail
 // work-stealing leg. The appgen heavy-tail corpus (one 121-sink outlier
 // dispatched first, then small apps) runs twice through a four-node
-// fleet — sink-chunk stealing disabled (SinkChunk=0, the job is the
-// placement unit) and enabled (the default options). With job-level
+// fleet — sink-chunk stealing disabled (service.Config.SinkChunk < 0,
+// the job is the placement unit) and enabled (the defaults). With job-level
 // placement the outlier's node grinds alone long after the small apps
 // drain; with stealing the idle nodes take over fenced chunks of its
 // sink tail. The gate pins three invariants: the steal run's canonical
@@ -1136,17 +1137,18 @@ func (b *bench) fleet() (report, error) {
 // small apps even queue.
 func stealTailRun(specs []appgen.Spec, steal bool, rec *phaseRecorder) (map[string][]byte, int64, *service.FleetStats, error) {
 	opts := core.DefaultOptions()
-	if !steal {
-		opts.SinkChunk = 0 // job-level placement: the outlier is unsplittable
-	}
 	if rec != nil {
 		rec.install(&opts)
 	}
-	sched := service.New(service.Config{
+	cfg := service.Config{
 		Nodes:      fleetNodes,
 		QueueDepth: 2 * len(specs),
 		Options:    &opts,
-	})
+	}
+	if !steal {
+		cfg.SinkChunk = -1 // job-level placement: the outlier is unsplittable
+	}
+	sched := service.New(cfg)
 	ids, err := submitSpecs(sched, "", specs)
 	var union map[string][]byte
 	var units int64

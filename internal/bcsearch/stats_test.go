@@ -135,7 +135,7 @@ func TestIndexedTimeoutDuringBuild(t *testing.T) {
 func TestCanceledMeterStopsLookups(t *testing.T) {
 	canceled := false
 	meter := simtime.NewMeter()
-	meter.SetCancel(func() bool { return canceled })
+	meter.SetCheckpoint(func(int64, int64) bool { return canceled })
 	e := NewEngine(searchFixture(t), Config{Meter: meter, EnableCache: true})
 	ref := dex.NewMethodRef("com.connectsdk.service.netcast.NetcastHttpServer", "start", dex.Void)
 	if _, err := e.FindInvocations(ref); err != nil {

@@ -32,7 +32,7 @@ func (a *analysis) modelAPI(inv *ir.InvokeExpr, env *env) *Fact {
 	case cls == "java.lang.String":
 		switch name {
 		case "concat":
-			return mapStrings2(base(), arg(0), func(x, y string) string { return x + y })
+			return concatFacts(base(), arg(0))
 		case "toUpperCase":
 			return mapStrings(base(), strings.ToUpper)
 		case "toLowerCase":
@@ -64,7 +64,7 @@ func (a *analysis) modelAPI(inv *ir.InvokeExpr, env *env) *Fact {
 			// A field write like any other for the memoization counters.
 			a.fieldSeq++
 			content := builderContent(base())
-			appended := mapStrings2(content, toStringFact(arg(0)), func(x, y string) string { return x + y })
+			appended := concatFacts(content, toStringFact(arg(0)))
 			setBuilderContent(base(), appended)
 			return base()
 		case "toString":
@@ -136,14 +136,14 @@ func mapStrings(f *Fact, fn func(string) string) *Fact {
 	return out
 }
 
-func mapStrings2(x, y *Fact, fn func(string, string) string) *Fact {
+func concatFacts(x, y *Fact) *Fact {
 	out := NewFact()
 	for _, xv := range x.Values() {
 		for _, yv := range y.Values() {
 			xs, xok := xv.(Str)
 			ys, yok := yv.(Str)
 			if xok && yok {
-				out.Add(Str{S: fn(xs.S, ys.S)})
+				out.Add(concat(xs.S, ys.S))
 			} else {
 				out.Add(Unknown{})
 			}

@@ -593,7 +593,7 @@ func applyBinop(op string, lv, rv Value) Value {
 	ls, lsok := lv.(Str)
 	rs, rsok := rv.(Str)
 	if op == "+" && lsok && rsok {
-		return Str{S: ls.S + rs.S}
+		return concat(ls.S, rs.S)
 	}
 	return Unknown{}
 }

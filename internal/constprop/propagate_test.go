@@ -173,6 +173,21 @@ func TestFactCapDegradesToUnknown(t *testing.T) {
 	}
 }
 
+// TestFactMergeRespectsCap pins that Merge saturates like Add: two
+// full, disjoint sets merge into FactCap values plus Unknown, not their
+// whole union.
+func TestFactMergeRespectsCap(t *testing.T) {
+	x, y := NewFact(), NewFact()
+	for i := 0; i < FactCap; i++ {
+		x.Add(Num{N: int64(i)})
+		y.Add(Num{N: int64(FactCap + i)})
+	}
+	x.Merge(y)
+	if x.Size() != FactCap+1 || !x.HasUnknown() {
+		t.Fatalf("merged size = %d (unknown %v), want %d with unknown", x.Size(), x.HasUnknown(), FactCap+1)
+	}
+}
+
 func TestFactMergeCommutativeProperty(t *testing.T) {
 	mk := func(vals []int16) *Fact {
 		f := NewFact()
@@ -252,7 +267,7 @@ func TestTimeoutPropagates(t *testing.T) {
 // method granularity.
 func TestCanceledMeterAbortsForwardPass(t *testing.T) {
 	meter := simtime.NewMeter()
-	meter.SetCancel(func() bool { return true })
+	meter.SetCheckpoint(func(int64, int64) bool { return true })
 	for meter.Charge(1) == nil {
 	}
 	_, err := Run(buildLinearSSG(), ir.NewProgram(dex.NewFile()), meter, Options{SinkParamIndex: 0})

@@ -82,6 +82,21 @@ func (Unknown) String() string { return "unknown" }
 // points-to analysis applies.
 const FactCap = 24
 
+// MaxValueBytes bounds the length of one abstract string. A
+// concatenation whose result would be longer degrades to Unknown, the
+// length counterpart of FactCap: without it an app doubles a string
+// with every concat, and a few dozen instructions ask for gigabytes.
+const MaxValueBytes = 4 << 10
+
+// concat joins two string constants, or yields Unknown when the result
+// would pass MaxValueBytes.
+func concat(x, y string) Value {
+	if len(x)+len(y) > MaxValueBytes {
+		return Unknown{}
+	}
+	return Str{S: x + y}
+}
+
 // Fact is the set of possible abstract values of one variable at one
 // program point; sets grow at merges (paths, phis) up to FactCap.
 type Fact struct {
@@ -118,7 +133,10 @@ func (f *Fact) HasUnknown() bool {
 	return ok
 }
 
-// Merge unions another fact into this one.
+// Merge unions another fact into this one, under Add's cap. A union
+// past FactCap keeps the FactCap smallest renderings plus Unknown, so
+// the result is the same whichever side merges into which, and never
+// depends on map iteration order.
 func (f *Fact) Merge(other *Fact) {
 	if other == nil {
 		return
@@ -126,6 +144,25 @@ func (f *Fact) Merge(other *Fact) {
 	for k, v := range other.values {
 		f.values[k] = v
 	}
+	unknown := Unknown{}.String()
+	n := len(f.values)
+	if f.HasUnknown() {
+		n--
+	}
+	if n <= FactCap {
+		return
+	}
+	keys := make([]string, 0, n)
+	for k := range f.values {
+		if k != unknown {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys[FactCap:] {
+		delete(f.values, k)
+	}
+	f.values[unknown] = Unknown{}
 }
 
 // Values returns the values sorted by rendering, for deterministic output.

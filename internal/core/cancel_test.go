@@ -18,7 +18,7 @@ func TestCancelAbortsAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.Cancel = func() bool { return true }
+	opts.Checkpoint = func(int64, int64) bool { return true }
 	e, err := New(app, opts)
 	if err == nil {
 		_, err = e.Analyze()
@@ -45,8 +45,7 @@ func TestCancelMidAnalysisStopsAtCheckpoint(t *testing.T) {
 	}
 
 	opts := DefaultOptions()
-	var meter *simtime.Meter
-	opts.Cancel = func() bool { return meter != nil && meter.Units() >= cutoff }
+	opts.Checkpoint = func(units, _ int64) bool { return units >= cutoff }
 	e, err := New(app, opts)
 	if err == simtime.ErrCanceled {
 		t.Fatalf("cancel poll fired before the engine existed")
@@ -54,7 +53,6 @@ func TestCancelMidAnalysisStopsAtCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meter = e.Meter()
 	if _, err := e.Analyze(); err != simtime.ErrCanceled {
 		t.Fatalf("Analyze = %v, want simtime.ErrCanceled", err)
 	}
@@ -77,7 +75,7 @@ func TestCancelMidAnalysisStopsAtCheckpoint(t *testing.T) {
 func TestCancelFalsePollChangesNothing(t *testing.T) {
 	plain := analyzeFixture(t, DefaultOptions())
 	opts := DefaultOptions()
-	opts.Cancel = func() bool { return false }
+	opts.Checkpoint = func(int64, int64) bool { return false }
 	polled := analyzeFixture(t, opts)
 	if polled.Stats.WorkUnits != plain.Stats.WorkUnits {
 		t.Fatalf("cancel poll changed charged work: %d vs %d",

@@ -105,28 +105,20 @@ type Options struct {
 	// 0 disables the budget (BackDroid needs no timeout in the paper).
 	TimeoutMinutes float64
 
-	// Cancel, when non-nil, is the cooperative kill switch of the batch
-	// control plane: the engine's meter polls it every
+	// Checkpoint, when non-nil, is how the batch control plane watches
+	// a run: the engine's meter calls it every
 	// simtime.CancelCheckpointUnits of charged work — which covers every
 	// constprop forward pass and every bcsearch lookup, since both charge
-	// the meter — and the analysis aborts with simtime.ErrCanceled within
-	// one checkpoint of the poll turning true. Unlike a timeout, a
-	// cancellation is an error out of Analyze, never a TimedOut report:
-	// the caller (Scheduler.Cancel) owns the terminal event. The poll
-	// must be cheap and goroutine-safe; the scheduler passes an
-	// atomic-flag read.
-	Cancel func() bool
-
-	// Heartbeat, when non-nil, is the fleet control plane's liveness
-	// hook: the meter calls it at every cancellation checkpoint with the
-	// units charged since the previous one, so the scheduler can advance
-	// the executing node's odometer and the fleet-global clock by the
-	// work actually performed, renew (or drop) the job's lease and
-	// consult the fault plan. Returning true aborts the analysis with
-	// simtime.ErrCanceled at that checkpoint — the path by which a
-	// fenced node's running attempt observes its own death. Like Cancel,
-	// it runs on the analysis goroutine and must be cheap.
-	Heartbeat func(delta int64) bool
+	// the meter — with the cumulative units and the units charged since
+	// the previous checkpoint (simtime.Meter.SetCheckpoint). The
+	// scheduler samples its trace counter, ticks the fleet heartbeat and
+	// polls the job's cancel flag from it. Returning true aborts the
+	// analysis with simtime.ErrCanceled at that checkpoint. Unlike a
+	// timeout, a cancellation is an error out of Analyze, never a
+	// TimedOut report: the caller owns the terminal event. The hook runs
+	// on the analysis goroutine, must be cheap and must never charge the
+	// meter.
+	Checkpoint func(units, delta int64) bool
 
 	// SinkObserver, when non-nil, receives every SinkReport as soon as its
 	// verdict is final — per sink call during the per-sink pipeline, after
@@ -145,16 +137,6 @@ type Options struct {
 	// is unusable — timed out, undecodable manifest — or when PerAppSSG
 	// is set, whose shared-graph slices have no per-sink footprint.
 	DeltaFrom *DeltaBase
-
-	// SinkChunk is the sink-chunk grain of the fleet's work-stealing
-	// scheduler: located sink call sites partition into chunks of this
-	// many consecutive positions of the canonical (line-ordered) sink
-	// list, and a stolen range is always chunk-aligned. The engine only
-	// carries the grain — chunk boundaries drive the scheduler's steal
-	// decisions, never the analysis itself, so the field is
-	// fingerprint-neutral. 0 disables chunk-level scheduling for the
-	// job.
-	SinkChunk int
 
 	// ChunkRange, when non-nil, restricts the run to the canonical
 	// positions [From, To) of the located sink-call list — the
@@ -181,17 +163,6 @@ type Options struct {
 	// A phase aborted by timeout or cancellation emits no span.
 	PhaseSpan func(phase string, sink int, start, end int64)
 
-	// MeterCheckpoint, when non-nil, is installed as the meter's
-	// checkpoint observer (simtime.SetCheckpointObserver): it receives
-	// the cumulative units and checkpoint delta at every cancellation
-	// checkpoint, before the heartbeat and cancel polls run. The
-	// tracer's charged-units counter samples come from here. Note that
-	// installing it on a run with neither Cancel nor Heartbeat enables
-	// checkpointing where a plain run has none; the service always
-	// installs Cancel, so its traced runs poll identically to untraced
-	// ones.
-	MeterCheckpoint func(units, delta int64)
-
 	// SinkProgress, when non-nil, is polled immediately before each
 	// sink call is analyzed (before each sink is prepared, in PerAppSSG
 	// mode), with the sink's position in the canonical list and the
@@ -214,7 +185,6 @@ func DefaultOptions() Options {
 		EnableLoopDetection: true,
 		MemoizeForwardPass:  true,
 		MaxDepth:            25,
-		SinkChunk:           8,
 	}
 }
 
@@ -337,8 +307,8 @@ type Stats struct {
 	// WorkUnits and the settled verdicts in Sinks.
 	SettledLookups int
 
-	// CancelPolls counts the cancellation checkpoints the meter hit
-	// (Options.Cancel); zero when no cancel poll is installed.
+	// CancelPolls counts the checkpoints the meter hit
+	// (Options.Checkpoint); zero when no hook is installed.
 	CancelPolls int64
 
 	// Delta accounting (Options.DeltaFrom); all zero on non-delta runs.
@@ -488,14 +458,8 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 	if opts.TimeoutMinutes > 0 {
 		meter.SetBudget(simtime.MinutesToUnits(opts.TimeoutMinutes))
 	}
-	if opts.Cancel != nil {
-		meter.SetCancel(opts.Cancel)
-	}
-	if opts.Heartbeat != nil {
-		meter.SetHeartbeat(opts.Heartbeat)
-	}
-	if opts.MeterCheckpoint != nil {
-		meter.SetCheckpointObserver(opts.MeterCheckpoint)
+	if opts.Checkpoint != nil {
+		meter.SetCheckpoint(opts.Checkpoint)
 	}
 
 	// Warm-start probes run before any merge or disassembly work.

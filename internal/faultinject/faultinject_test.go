@@ -167,3 +167,23 @@ func TestSeededDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParsePlan: Parse never panics, and every plan it accepts renders
+// to a spec that parses back to the same rendering. Seeds are the spec
+// examples of the package doc, under testdata/fuzz/FuzzParsePlan.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		s := p.String()
+		p2, err := Parse(s)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its rendering %q fails: %v", spec, s, err)
+		}
+		if s2 := p2.String(); s2 != s {
+			t.Fatalf("Parse(%q) renders %q, which re-renders %q", spec, s, s2)
+		}
+	})
+}

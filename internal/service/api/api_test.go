@@ -176,6 +176,29 @@ func TestParseLineProtocol(t *testing.T) {
 	}
 }
 
+// FuzzParseLine: ParseLine never panics on an arbitrary stdin line, an
+// error carries no command, and a parsed submit names a non-empty,
+// trimmed path and a tenant without spaces. Seeds are the protocol
+// lines, under testdata/fuzz/FuzzParseLine.
+func FuzzParseLine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		cmd, err := ParseLine(line)
+		if err != nil {
+			if cmd != (Command{}) {
+				t.Fatalf("ParseLine(%q) failed (%v) but returned %+v", line, err, cmd)
+			}
+			return
+		}
+		if cmd.Kind != CmdSubmit {
+			return
+		}
+		p := cmd.Submit.Path
+		if p == "" || p != strings.TrimSpace(p) || strings.Contains(cmd.Submit.Tenant, " ") {
+			t.Fatalf("ParseLine(%q) = %+v: bad submit", line, cmd.Submit)
+		}
+	})
+}
+
 // TestHTTPGateway drives the REST surface end to end over a real
 // analysis: submit, poll status, fetch the settled report by content
 // address, read stats — plus the error statuses.

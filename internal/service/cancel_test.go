@@ -6,6 +6,8 @@ import (
 
 	"backdroid/internal/apk"
 	"backdroid/internal/appgen"
+	"backdroid/internal/core"
+	"backdroid/internal/obs"
 	"backdroid/internal/simtime"
 )
 
@@ -221,4 +223,69 @@ func TestCancelQueuedThenRunningCountersSplit(t *testing.T) {
 		return
 	}
 	t.Fatal("tenant acme missing from stats")
+}
+
+// TestJobCheckpointRunsAfterScheduler pins the order of the one meter
+// hook in fleet mode: a job-supplied Checkpoint runs after the
+// scheduler's own (the trace counter sample and the fleet tick already
+// hold the checkpoint it sees), with the engine's cumulative units, and
+// its true return ends the job as canceled with exactly one terminal
+// record.
+func TestJobCheckpointRunsAfterScheduler(t *testing.T) {
+	events := make(chan Event, 64)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	byJob := make(map[JobID][]EventKind)
+	wg.Add(1)
+	go collectEvents(&wg, events, &mu, byJob)
+
+	tr := obs.NewTrace()
+	// Stealing off: the job runs as one dispatch, so the fleet clock and
+	// the counter track are this job's alone.
+	s := New(Config{Nodes: 2, SinkChunk: -1, Trace: tr, Events: events})
+	const stopAt = 4
+	var calls int
+	var sum int64
+	opts := core.DefaultOptions()
+	opts.Checkpoint = func(units, delta int64) bool {
+		calls++
+		sum += delta
+		if units != sum {
+			t.Errorf("checkpoint %d: units %d, want the cumulative %d", calls, units, sum)
+		}
+		if cs := tr.Counters(); len(cs) != calls || cs[len(cs)-1].Value != units {
+			t.Errorf("checkpoint %d: trace sample not recorded before the job hook (%d samples)", calls, len(cs))
+		}
+		if clock := s.FleetStats().Clock; clock != units {
+			t.Errorf("checkpoint %d: fleet clock %d, want %d (tick not run before the job hook)", calls, clock, units)
+		}
+		return calls == stopAt
+	}
+	spec := appgen.ManySinkOutlierSpec(42)
+	id, err := s.Submit(Job{Name: "watched", Source: sourceFor(spec), RunBackDroid: true, Options: &opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Wait(id); err != ErrCanceled || res != nil {
+		t.Fatalf("Wait = %v, %v; want no result and ErrCanceled", res, err)
+	}
+	s.Close()
+	close(events)
+	wg.Wait()
+
+	if calls != stopAt {
+		t.Fatalf("job hook ran %d times, want %d (the run must stop at the true return)", calls, stopAt)
+	}
+	terminals := 0
+	for _, k := range byJob[id] {
+		switch k {
+		case EventDone, EventFailed:
+			t.Fatalf("event sequence %v: want canceled, not %v", byJob[id], k)
+		case EventCanceled:
+			terminals++
+		}
+	}
+	if terminals != 1 {
+		t.Fatalf("event sequence %v: want exactly one canceled terminal", byJob[id])
+	}
 }

@@ -236,7 +236,7 @@ func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobRes
 					}
 				}
 			}
-			if s.fleet != nil && o.SinkChunk > 0 && o.TimeoutMinutes == 0 &&
+			if s.fleet != nil && s.cfg.SinkChunk > 0 && o.TimeoutMinutes == 0 &&
 				o.DeltaFrom == nil && !job.RunWholeApp && !job.RunCallGraph {
 				// Steal-eligible: register the chunk fan-out state and let
 				// the engine report per-sink progress. Delta runs and timed
@@ -245,7 +245,7 @@ func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobRes
 				// whole-run budget); multi-analyzer jobs settle a composite
 				// result the merge path does not carry.
 				cs := &chunkState{
-					grain:      o.SinkChunk,
+					grain:      s.cfg.SinkChunk,
 					total:      -1,
 					victimLive: true,
 					active:     make(map[int]core.ChunkRange),
@@ -310,40 +310,40 @@ func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobRes
 }
 
 // engineOptions builds one dispatch's engine options: the job's own (or
-// the scheduler default) plus the wiring every dispatch shares —
-// cooperative cancellation, the fleet heartbeat, trace hooks re-anchored
-// on the track origin base, the bundle store the job analyzes against
-// (also returned; nil when the job runs storeless) and the sink-event
-// observer. name labels the job's events and heartbeats. A sink range
-// is restricted to [from, to) and never runs the delta path or the
-// steal poll.
+// the scheduler default) plus the wiring every dispatch shares — the
+// meter checkpoint (trace counter sample, fleet heartbeat, cooperative
+// cancellation), trace hooks re-anchored on the track origin base, the
+// bundle store the job analyzes against (also returned; nil when the job
+// runs storeless) and the sink-event observer. name labels the job's
+// events and heartbeats. A sink range is restricted to [from, to) and
+// never runs the delta path or the steal poll.
 func (s *Scheduler) engineOptions(w *work, name string, node, attempt int, base int64) (core.Options, jobStore) {
 	st, sub := w.st, w.sub
 	id := st.id
 	o := s.jobOptions(st.job)
-	// Cooperative cancellation: the engine's meter polls this flag at
-	// every checkpoint; Scheduler.Cancel flips it. A job-supplied Cancel
-	// still applies — either source stops the run.
-	flag, user := &st.cancelFlag, o.Cancel
-	o.Cancel = func() bool {
-		return flag.Load() || (user != nil && user())
-	}
-	if fl := s.fleet; fl != nil {
-		// In fleet mode the same checkpoint is the node's heartbeat: the
-		// tick advances the node odometer and fleet clock by the charged
-		// delta, meters the lease, consults the fault plan and reports
-		// the node's own death, which aborts the run like a cancel.
-		o.Heartbeat = func(delta int64) bool {
-			return fl.tick(node, id, sub, name, attempt, delta)
+	// One checkpoint hook, in a fixed order. The trace counter sample
+	// comes first, so the aborting checkpoint is still recorded; in
+	// fleet mode it doubles as the lease-renew/heartbeat event, so one
+	// sample per renewal is exactly the renewal timeline. The fleet tick
+	// then advances the node odometer and fleet clock by the charged
+	// delta, meters the lease, consults the fault plan and reports the
+	// node's own death. Scheduler.Cancel's flag and a job-supplied
+	// Checkpoint follow; any of them stops the run.
+	tr, fl, flag, user := s.cfg.Trace, s.fleet, &st.cancelFlag, o.Checkpoint
+	o.Checkpoint = func(units, delta int64) bool {
+		if tr != nil {
+			tr.AddCounter(obs.CounterSample{Job: int64(id), Sub: sub, Node: node,
+				TS: base + units, Value: base + units})
 		}
+		if fl != nil && fl.tick(node, id, sub, name, attempt, delta) {
+			return true
+		}
+		return flag.Load() || (user != nil && user(units, delta))
 	}
-	if tr := s.cfg.Trace; tr != nil {
+	if tr != nil {
 		// Engine phases land on the dispatch's track, anchored at the
 		// charged units the engine itself reports plus the track origin a
-		// handoff or steal may have advanced. The counter sample doubles
-		// as the lease-renew/heartbeat event: in fleet mode the meter
-		// checkpoint IS the heartbeat, so one sample per renewal is
-		// exactly the renewal timeline.
+		// handoff or steal may have advanced.
 		o.PhaseSpan = func(phase string, sink int, start, end int64) {
 			sp := obs.Span{Job: int64(id), Sub: sub, Name: phase, Cat: "engine",
 				Start: base + start, Dur: end - start, Node: node}
@@ -351,10 +351,6 @@ func (s *Scheduler) engineOptions(w *work, name string, node, attempt int, base 
 				sp.Args = []obs.Arg{{Key: "sink", Value: fmt.Sprint(sink)}}
 			}
 			tr.Add(sp)
-		}
-		o.MeterCheckpoint = func(units, delta int64) {
-			tr.AddCounter(obs.CounterSample{Job: int64(id), Sub: sub, Node: node,
-				TS: base + units, Value: base + units})
 		}
 	}
 	var store jobStore

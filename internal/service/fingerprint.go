@@ -21,16 +21,16 @@
 //   - ClassNeutral: the field moves work between cache layers or wires
 //     control-plane callbacks and provably cannot change the report:
 //     the warm-start seams (IndexCacheDir, Bundles) are pinned
-//     bitwise-identical by the CI parity matrix; Cancel/Heartbeat/
-//     SinkObserver only abort or observe;
+//     bitwise-identical by the CI parity matrix; the Checkpoint,
+//     SinkObserver and PhaseSpan hooks only abort or observe;
 //     DeltaFrom's incremental reuse is pinned bitwise-identical to a
 //     cold run by the five delta guards and the BENCH_delta gate, and
 //     the scheduler keys settled lookups before injecting a delta base,
 //     so the stored report of a delta run is addressed exactly like its
-//     cold equivalent; SinkChunk/ChunkRange/SinkProgress only window
-//     and observe the canonical sink list — the chunk-merge parity
-//     tests pin MergeReports of any chunking bitwise-identical to the
-//     single-pass report, so a chunked job settles under the same key.
+//     cold equivalent; ChunkRange/SinkProgress only window and observe
+//     the canonical sink list — the chunk-merge parity tests pin
+//     MergeReports of any chunking bitwise-identical to the single-pass
+//     report, so a chunked job settles under the same key.
 package service
 
 import (
@@ -76,19 +76,16 @@ var OptionsFingerprintFields = map[string]FingerprintClass{
 
 	"IndexCacheDir": ClassNeutral,
 	"Bundles":       ClassNeutral,
-	"Cancel":        ClassNeutral,
-	"Heartbeat":     ClassNeutral,
+	"Checkpoint":    ClassNeutral,
 	"SinkObserver":  ClassNeutral,
 	"DeltaFrom":     ClassNeutral,
-	"SinkChunk":     ClassNeutral,
 	"ChunkRange":    ClassNeutral,
 	"SinkProgress":  ClassNeutral,
 	// Observability hooks only watch charged-unit boundaries the engine
 	// reaches anyway; they never charge and never touch a verdict — the
 	// trace-parity test pins a traced run's report bitwise-identical to
 	// an untraced one.
-	"PhaseSpan":       ClassNeutral,
-	"MeterCheckpoint": ClassNeutral,
+	"PhaseSpan": ClassNeutral,
 }
 
 // OptionsFingerprint canonically hashes the verdict-relevant fields of
@@ -115,7 +112,9 @@ func OptionsFingerprint(o *core.Options) uint64 {
 		}
 	}
 
-	str("backdroid-options-v1")
+	// The tag names the engine semantics a settled report was computed
+	// under; v2 caps abstract strings at constprop.MaxValueBytes.
+	str("backdroid-options-v2")
 	u64(uint64(len(o.Sinks)))
 	for _, s := range o.Sinks {
 		// Order matters: sink order is report order.

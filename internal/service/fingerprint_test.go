@@ -30,17 +30,14 @@ var fingerprintMutators = map[string]func(o *core.Options){
 	"MaxDepth":              func(o *core.Options) { o.MaxDepth += 7 },
 	"TimeoutMinutes":        func(o *core.Options) { o.TimeoutMinutes += 1.5 },
 
-	"IndexCacheDir":   func(o *core.Options) { o.IndexCacheDir = "/somewhere/else" },
-	"Bundles":         func(o *core.Options) { o.Bundles = NewBundleStore(0) },
-	"Cancel":          func(o *core.Options) { o.Cancel = func() bool { return false } },
-	"Heartbeat":       func(o *core.Options) { o.Heartbeat = func(int64) bool { return false } },
-	"SinkObserver":    func(o *core.Options) { o.SinkObserver = func(*core.SinkReport) {} },
-	"DeltaFrom":       func(o *core.Options) { o.DeltaFrom = &core.DeltaBase{Bundle: []byte("base")} },
-	"SinkChunk":       func(o *core.Options) { o.SinkChunk += 5 },
-	"ChunkRange":      func(o *core.Options) { o.ChunkRange = &core.ChunkRange{From: 0, To: 3} },
-	"SinkProgress":    func(o *core.Options) { o.SinkProgress = func(int, int) bool { return false } },
-	"PhaseSpan":       func(o *core.Options) { o.PhaseSpan = func(string, int, int64, int64) {} },
-	"MeterCheckpoint": func(o *core.Options) { o.MeterCheckpoint = func(int64, int64) {} },
+	"IndexCacheDir": func(o *core.Options) { o.IndexCacheDir = "/somewhere/else" },
+	"Bundles":       func(o *core.Options) { o.Bundles = NewBundleStore(0) },
+	"Checkpoint":    func(o *core.Options) { o.Checkpoint = func(int64, int64) bool { return false } },
+	"SinkObserver":  func(o *core.Options) { o.SinkObserver = func(*core.SinkReport) {} },
+	"DeltaFrom":     func(o *core.Options) { o.DeltaFrom = &core.DeltaBase{Bundle: []byte("base")} },
+	"ChunkRange":    func(o *core.Options) { o.ChunkRange = &core.ChunkRange{From: 0, To: 3} },
+	"SinkProgress":  func(o *core.Options) { o.SinkProgress = func(int, int) bool { return false } },
+	"PhaseSpan":     func(o *core.Options) { o.PhaseSpan = func(string, int, int64, int64) {} },
 }
 
 // TestOptionsFingerprintClassProperty is the field-by-field soundness
@@ -121,17 +118,19 @@ func TestOptionsFingerprintStable(t *testing.T) {
 	}
 }
 
-// TestOptionsFingerprintPinned pins the default options' fingerprint to
-// its value from before the index shard count was removed from
-// core.Options (its slot hashes a constant 0), so settled-report keys
-// written by earlier builds, journaled ones included, stay valid.
+// TestOptionsFingerprintPinned pins the default options' fingerprint, so
+// settled-report keys written by earlier builds, journaled ones
+// included, stay valid until the tag is bumped on purpose. The tag is
+// v2 since abstract strings are capped at constprop.MaxValueBytes: a
+// report stored for an app that builds a longer value would no longer
+// be what the engine computes.
 func TestOptionsFingerprintPinned(t *testing.T) {
 	o := core.DefaultOptions()
-	if got, want := OptionsFingerprint(&o), uint64(0x8ca476dfed7f72f6); got != want {
+	if got, want := OptionsFingerprint(&o), uint64(0x68cecfac49cc137d); got != want {
 		t.Errorf("OptionsFingerprint(DefaultOptions()) = %#016x, want %#016x", got, want)
 	}
 	o.SearchBackend = bcsearch.BackendLinear
-	if got, want := OptionsFingerprint(&o), uint64(0x413cbfbdccfa09c3); got != want {
+	if got, want := OptionsFingerprint(&o), uint64(0x04cfb84873b9e860); got != want {
 		t.Errorf("linear-backend fingerprint = %#016x, want %#016x", got, want)
 	}
 }

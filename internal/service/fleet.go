@@ -247,7 +247,7 @@ func (f *fleet) leaseUnits(id JobID, sub int) int64 {
 }
 
 // tick is the heartbeat: the engine's meter calls it (through the
-// Heartbeat hook) at every cancellation checkpoint with the units the
+// dispatch's Checkpoint hook) at every checkpoint with the units the
 // attempt charged since the previous one. It advances the node
 // odometer and the fleet clock by that delta, meters the attempt's
 // lease, consults the fault plan, renews (or drops) the heartbeat and

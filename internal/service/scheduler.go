@@ -209,6 +209,14 @@ type Config struct {
 	// backoff charges, the minimum stealable tail) are the simtime
 	// constants of the same names.
 	StealAfterUnits int64
+	// SinkChunk is the grain of sink-chunk stealing: a job's located
+	// sink calls partition into chunks of this many consecutive
+	// positions of the canonical (line-ordered) sink list, and a stolen
+	// range is always chunk-aligned. Chunk boundaries drive steal
+	// decisions, never the analysis, so reports do not depend on it.
+	// 0 means 8; < 0 disables sink-chunk stealing (the job is the
+	// placement unit). Only meaningful with Nodes > 0.
+	SinkChunk int
 	// Trace, when non-nil, records simtime-anchored spans for every
 	// dispatch: engine phases, steal shed/claim, handoffs, chunk merges
 	// and settled hits, plus one charged-units counter sample per meter
@@ -329,6 +337,9 @@ func New(cfg Config) *Scheduler {
 	}
 	if cfg.StealAfterUnits <= 0 {
 		cfg.StealAfterUnits = simtime.StealAfterUnits
+	}
+	if cfg.SinkChunk == 0 {
+		cfg.SinkChunk = 8
 	}
 	s := &Scheduler{
 		cfg:     cfg,

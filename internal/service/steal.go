@@ -24,7 +24,7 @@ import (
 // chunkState.mu, then fleet.mu).
 type chunkState struct {
 	mu         sync.Mutex
-	grain      int  // Options.SinkChunk: steal boundaries round up to it
+	grain      int  // Config.SinkChunk: steal boundaries round up to it
 	total      int  // canonical sink count; -1 until the victim's first poll
 	started    int  // the victim has begun sinks [0, started)
 	fence      int  // the victim analyzes [0, fence); each steal shrinks it

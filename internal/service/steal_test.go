@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"backdroid/internal/appgen"
-	"backdroid/internal/core"
 	"backdroid/internal/faultinject"
 )
 
@@ -19,7 +18,7 @@ func stealTailSpecs() []appgen.Spec {
 }
 
 // runHeavyTail runs the heavy-tail corpus on a fleet, with sink-chunk
-// stealing enabled (the default options) or disabled (SinkChunk = 0).
+// stealing enabled (the default grain) or disabled (SinkChunk < 0).
 // StealAfterUnits is lowered so the trigger fires early in these small
 // corpora; simtime.StealMinSinks still applies, so only the outlier's tail
 // is ever split.
@@ -44,19 +43,18 @@ func runHeavyTail(t *testing.T, nodes int, plan *faultinject.Plan, steal bool) f
 			}
 		}
 	}()
-	opts := core.DefaultOptions()
-	if !steal {
-		opts.SinkChunk = 0
-	}
-	s := New(Config{
+	cfg := Config{
 		Nodes:           nodes,
 		NodeStoreBudget: 0,
 		Faults:          plan,
-		Options:         &opts,
 		QueueDepth:      2 * len(specs),
 		Events:          events,
 		StealAfterUnits: 64,
-	})
+	}
+	if !steal {
+		cfg.SinkChunk = -1
+	}
+	s := New(cfg)
 	ids := make([]JobID, len(specs))
 	for i, spec := range specs {
 		id, err := s.Submit(Job{Name: spec.Name, Source: sourceFor(spec), RunBackDroid: true})

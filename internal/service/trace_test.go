@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"backdroid/internal/appgen"
-	"backdroid/internal/core"
 	"backdroid/internal/faultinject"
 	"backdroid/internal/obs"
 )
@@ -25,8 +24,9 @@ func traceTailRun(t *testing.T, plan *faultinject.Plan, traced bool, chunk int) 
 	spec := appgen.HeavyTailCorpus(appgen.HeavyTailOptions{
 		SmallApps: 3, Seed: 99, HeavySinks: 48, HeavySizeMB: 4,
 	})[0]
-	opts := core.DefaultOptions()
-	opts.SinkChunk = chunk
+	if chunk == 0 {
+		chunk = -1
+	}
 	var tr *obs.Trace
 	if traced {
 		tr = obs.NewTrace()
@@ -35,9 +35,9 @@ func traceTailRun(t *testing.T, plan *faultinject.Plan, traced bool, chunk int) 
 		Nodes:           4,
 		NodeStoreBudget: 0,
 		Faults:          plan,
-		Options:         &opts,
 		QueueDepth:      4,
 		StealAfterUnits: 64,
+		SinkChunk:       chunk,
 		Trace:           tr,
 	})
 	id, err := s.Submit(Job{Name: spec.Name, Source: sourceFor(spec), RunBackDroid: true})

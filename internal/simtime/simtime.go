@@ -62,8 +62,8 @@ const (
 	// re-analysis of a known app fingerprint.
 	BundleStoreLoadLinesPerUnit = 800
 
-	// CancelCheckpointUnits is how often a meter with a cancellation poll
-	// installed re-checks it: at most this many units of work are charged
+	// CancelCheckpointUnits is how often a meter with a checkpoint hook
+	// installed calls it: at most this many units of work are charged
 	// between two polls, so a cooperatively canceled analysis stops within
 	// one checkpoint of the cancel request. Small enough that even cheap
 	// passes (constprop charges one unit per SSG statement) notice a
@@ -172,8 +172,8 @@ const (
 // analogue of Amandroid's 300-minute timeout kills.
 var ErrTimeout = errors.New("simtime: analysis budget exhausted (timeout)")
 
-// ErrCanceled is returned by Charge once the meter's cancellation poll
-// reports true: the analysis was killed from outside (Scheduler.Cancel of
+// ErrCanceled is returned by Charge once the meter's checkpoint hook
+// returns true: the analysis was killed from outside (Scheduler.Cancel of
 // a running job), not by its own budget. Distinct from ErrTimeout so
 // engine paths that convert budget exhaustion into a timed-out report
 // never swallow a cancellation — it propagates out of Analyze as an
@@ -185,16 +185,13 @@ type Meter struct {
 	units  int64
 	budget int64 // 0 means unlimited
 
-	// Cooperative cancellation (SetCancel) and the fleet heartbeat
-	// (SetHeartbeat). lastPoll is the unit count at the previous
-	// checkpoint; canceled latches the first true poll so every later
-	// Charge keeps failing without re-polling.
-	cancel   func() bool
-	beat     func(delta int64) bool
-	observer func(units, delta int64)
-	lastPoll int64
-	polls    int64
-	canceled bool
+	// The checkpoint hook (SetCheckpoint). lastPoll is the unit count
+	// at the previous checkpoint; canceled latches the first true return
+	// so every later Charge keeps failing without calling the hook again.
+	checkpoint func(units, delta int64) bool
+	lastPoll   int64
+	polls      int64
+	canceled   bool
 }
 
 // NewMeter returns an unlimited meter.
@@ -209,63 +206,37 @@ func NewMeterWithTimeout(minutes float64) *Meter {
 // SetBudget sets the unit budget; zero disables the budget.
 func (m *Meter) SetBudget(units int64) { m.budget = units }
 
-// SetCancel installs a cooperative cancellation poll: Charge re-checks it
-// every CancelCheckpointUnits of work and returns ErrCanceled once it
-// reports true. The poll must be cheap and safe to call from the analysis
-// goroutine (the scheduler passes an atomic-flag read); nil removes it.
-// Cancellation latches — after the first true poll every later Charge
-// fails — so analysis layers that absorb one error cannot resume work.
-func (m *Meter) SetCancel(poll func() bool) {
-	m.cancel = poll
+// SetCheckpoint installs the meter's one watch hook: Charge calls it
+// every CancelCheckpointUnits of work with the cumulative units and the
+// units charged since the previous checkpoint, and returning true
+// aborts the analysis with ErrCanceled. It is how a run is watched from
+// outside without charging anything: the scheduler samples the trace
+// counter, ticks the fleet heartbeat (the delta, not a fixed interval,
+// keeps the fleet clock honest: one large charge advances it by the
+// work actually done) and polls the cancel flag from it. The hook must
+// be cheap and safe to call from the analysis goroutine; nil removes
+// it. Cancellation latches — after the first true return every later
+// Charge fails — so analysis layers that absorb one error cannot resume
+// work.
+func (m *Meter) SetCheckpoint(hook func(units, delta int64) bool) {
+	m.checkpoint = hook
 	m.lastPoll = m.units
 }
 
-// SetHeartbeat installs the fleet liveness hook: at every checkpoint
-// (the cancellation poll's cadence) beat receives the units charged
-// since the previous checkpoint — the node's progress in simulated
-// time — and returning true aborts the analysis with ErrCanceled,
-// exactly like a cancellation. The delta (not a fixed interval) is
-// what keeps the fleet clock honest: a single large charge (a whole
-// index build, a long disassembly) advances it by the work actually
-// done, so lease TTLs measure charged work, not checkpoint counts.
-// nil removes the hook.
-func (m *Meter) SetHeartbeat(beat func(delta int64) bool) {
-	m.beat = beat
-	m.lastPoll = m.units
-}
-
-// SetCheckpointObserver installs a passive observability hook: at every
-// checkpoint (the cancellation poll's cadence) obs receives the meter's
-// cumulative units and the delta since the previous checkpoint, before
-// the heartbeat and cancellation polls run. The observer never charges
-// and never aborts — it is how the tracer samples a job's charged-units
-// curve at exactly the instants the fleet already heartbeats, so
-// enabling tracing cannot move a single checkpoint. nil removes it.
-//
-// Installing an observer on a meter with no cancel poll and no
-// heartbeat would turn on checkpointing (and its poll counter) where a
-// plain run has none; callers that must stay poll-identical to an
-// unobserved run should only observe meters that already poll.
-func (m *Meter) SetCheckpointObserver(obs func(units, delta int64)) {
-	m.observer = obs
-	if m.cancel == nil && m.beat == nil {
-		m.lastPoll = m.units
-	}
-}
-
-// Canceled reports whether a cancellation poll has latched. Layers with
-// natural abort points (bcsearch before a command, constprop at method
-// entry) check it directly so they stop even between charge checkpoints.
+// Canceled reports whether the checkpoint hook has latched a cancel.
+// Layers with natural abort points (bcsearch before a command, constprop
+// at method entry) check it directly so they stop even between charge
+// checkpoints.
 func (m *Meter) Canceled() bool { return m.canceled }
 
-// CancelPolls returns how many times the cancellation poll ran — the
+// CancelPolls returns how many times the checkpoint hook ran — the
 // checkpoint counter surfaced by the service stats.
 func (m *Meter) CancelPolls() int64 { return m.polls }
 
 // Charge adds n work units. It returns ErrTimeout once the cumulative work
-// exceeds the budget, and ErrCanceled once the cancellation poll (if any)
-// reports true at a checkpoint. The overage is still recorded so reports
-// can show how far past the deadline the analysis was killed; a canceled
+// exceeds the budget, and ErrCanceled once the checkpoint hook (if any)
+// returns true. The overage is still recorded so reports can show how
+// far past the deadline the analysis was killed; a canceled
 // analysis likewise keeps the units of the work it did before the
 // checkpoint — cancellation charges only work actually performed.
 func (m *Meter) Charge(n int64) error {
@@ -276,20 +247,11 @@ func (m *Meter) Charge(n int64) error {
 	if m.canceled {
 		return ErrCanceled
 	}
-	if (m.cancel != nil || m.beat != nil || m.observer != nil) && m.units-m.lastPoll >= CancelCheckpointUnits {
+	if m.checkpoint != nil && m.units-m.lastPoll >= CancelCheckpointUnits {
 		delta := m.units - m.lastPoll
 		m.lastPoll = m.units
-		if m.cancel != nil || m.beat != nil {
-			m.polls++
-		}
-		if m.observer != nil {
-			m.observer(m.units, delta)
-		}
-		if m.beat != nil && m.beat(delta) {
-			m.canceled = true
-			return ErrCanceled
-		}
-		if m.cancel != nil && m.cancel() {
+		m.polls++
+		if m.checkpoint(m.units, delta) {
 			m.canceled = true
 			return ErrCanceled
 		}

@@ -231,7 +231,7 @@ func TestChargeBundleStoreLoad(t *testing.T) {
 func TestCancelCheckpoint(t *testing.T) {
 	canceled := false
 	m := NewMeter()
-	m.SetCancel(func() bool { return canceled })
+	m.SetCheckpoint(func(int64, int64) bool { return canceled })
 
 	// Before the flag flips the meter charges freely and polls on the
 	// checkpoint cadence.
@@ -282,7 +282,7 @@ func TestCancelCheckpoint(t *testing.T) {
 // checkpoint bounds polling frequency, not charge granularity.
 func TestCancelBigChargeCrossesCheckpoint(t *testing.T) {
 	m := NewMeter()
-	m.SetCancel(func() bool { return true })
+	m.SetCheckpoint(func(int64, int64) bool { return true })
 	if err := m.Charge(10 * CancelCheckpointUnits); err != ErrCanceled {
 		t.Fatalf("big charge = %v, want ErrCanceled", err)
 	}
@@ -294,19 +294,23 @@ func TestCancelBigChargeCrossesCheckpoint(t *testing.T) {
 func TestCancelDoesNotMaskTimeout(t *testing.T) {
 	m := NewMeter()
 	m.SetBudget(10)
-	m.SetCancel(func() bool { return false })
+	m.SetCheckpoint(func(int64, int64) bool { return false })
 	if err := m.Charge(100); err != ErrTimeout {
 		t.Fatalf("budget with false cancel poll = %v, want ErrTimeout", err)
 	}
 }
 
+// TestCheckpointObserver pins what the hook sees: the cumulative units
+// and the delta since the previous checkpoint, on the
+// CancelCheckpointUnits cadence, including at the checkpoint whose true
+// return aborts the run; every call counts as one poll.
 func TestCheckpointObserver(t *testing.T) {
 	m := NewMeter()
 	canceled := false
-	m.SetCancel(func() bool { return canceled })
 	var samples [][2]int64
-	m.SetCheckpointObserver(func(units, delta int64) {
+	m.SetCheckpoint(func(units, delta int64) bool {
 		samples = append(samples, [2]int64{units, delta})
+		return canceled
 	})
 	for i := 0; i < 3; i++ {
 		if err := m.Charge(CancelCheckpointUnits); err != nil {
@@ -322,33 +326,16 @@ func TestCheckpointObserver(t *testing.T) {
 			t.Fatalf("samples = %v, want %v", samples, want)
 		}
 	}
-	// The observer runs before the cancel poll, so the aborting
-	// checkpoint's sample is still recorded.
+	// A big charge is one checkpoint with the whole delta, and the
+	// aborting checkpoint's sample is still recorded.
 	canceled = true
-	if err := m.Charge(CancelCheckpointUnits); !errors.Is(err, ErrCanceled) {
+	if err := m.Charge(3 * CancelCheckpointUnits); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if len(samples) != 4 || samples[3] != [2]int64{128, 32} {
+	if len(samples) != 4 || samples[3] != [2]int64{192, 96} {
 		t.Fatalf("aborting checkpoint not observed: %v", samples)
 	}
-	// Observing must not move the poll counter: it counts cancellation
-	// polls, and each checkpoint above ran exactly one.
 	if m.CancelPolls() != 4 {
 		t.Fatalf("CancelPolls = %d, want 4", m.CancelPolls())
-	}
-}
-
-func TestObserverOnlyMeterDoesNotCountPolls(t *testing.T) {
-	m := NewMeter()
-	calls := 0
-	m.SetCheckpointObserver(func(units, delta int64) { calls++ })
-	if err := m.Charge(CancelCheckpointUnits * 2); err != nil {
-		t.Fatalf("Charge: %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("observer calls = %d, want 1", calls)
-	}
-	if m.CancelPolls() != 0 {
-		t.Fatalf("CancelPolls = %d, want 0 (no cancel poll installed)", m.CancelPolls())
 	}
 }
