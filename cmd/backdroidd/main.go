@@ -321,7 +321,7 @@ func serve(in io.Reader, out io.Writer, cfg config) error {
 	cmds := make(chan input, 1)
 	go func() {
 		sc := bufio.NewScanner(in)
-		sc.Buffer(make([]byte, 64*1024), 64*1024)
+		sc.Buffer(make([]byte, api.MaxRequestBytes), api.MaxRequestBytes)
 		for sc.Scan() {
 			cmd, err := api.ParseLine(sc.Text())
 			if err != nil {

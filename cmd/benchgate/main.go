@@ -252,7 +252,7 @@ type Report struct {
 
 // StoreStats is the bundle-store counter block of BENCH_service.json.
 type StoreStats struct {
-	Entries   int   `json:"entries"`
+	Entries   int64 `json:"entries"`
 	Bytes     int64 `json:"bytes"`
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -331,7 +331,7 @@ type DeltaReport struct {
 // SettledStoreStats is the report-store counter block of
 // BENCH_settled.json.
 type SettledStoreStats struct {
-	Entries   int   `json:"entries"`
+	Entries   int64 `json:"entries"`
 	Bytes     int64 `json:"bytes"`
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -759,12 +759,11 @@ func (b *bench) warm() (report, error) {
 // indexed detection output, which is also the scheduler-vs-RunCorpus
 // parity diff.
 func (b *bench) service() (report, error) {
-	store := service.NewBundleStore(0)
 	opts := core.DefaultOptions()
 	sched := service.New(service.Config{
 		Workers: runtime.NumCPU(),
 		Options: &opts,
-		Store:   store,
+		Store:   service.NewBundleStore(0),
 	})
 	defer sched.Close()
 
@@ -781,11 +780,11 @@ func (b *bench) service() (report, error) {
 		return nil, fmt.Errorf("scheduler runs changed the detection output vs RunCorpus")
 	}
 	s := ServiceReport{Corpus: corpus, FirstPass: first.cost, SecondPass: second.cost}
-	st := store.Stats()
+	m := series(sched.Metrics().Snapshot(), "backdroid_store_")
 	s.Store = StoreStats{
-		Entries: st.Entries, Bytes: st.Bytes, Hits: st.Hits,
-		Misses: st.Misses, Puts: st.Puts, Evictions: st.Evictions,
-		Drops: st.Drops,
+		Entries: m("entries"), Bytes: m("bytes"), Hits: m("hits_total"),
+		Misses: m("misses_total"), Puts: m("puts_total"), Evictions: m("evictions_total"),
+		Drops: m("drops_total"),
 	}
 	if second.cost.WorkUnits > 0 {
 		s.SpeedupBatchReuse = float64(first.cost.WorkUnits) / float64(second.cost.WorkUnits)
@@ -802,12 +801,11 @@ func (b *bench) service() (report, error) {
 // content-address contract), and the only charged work in the storm is
 // the O(1) settled lookup per resubmission.
 func (b *bench) settled() (report, error) {
-	reports := service.NewReportStore(0)
 	opts := core.DefaultOptions()
 	sched := service.New(service.Config{
 		Workers: runtime.NumCPU(),
 		Options: &opts,
-		Reports: reports,
+		Reports: service.NewReportStore(0),
 	})
 	defer sched.Close()
 
@@ -844,10 +842,10 @@ func (b *bench) settled() (report, error) {
 		}
 		s.Storm.add(storm.cost)
 	}
-	st := reports.Stats()
+	m := series(sched.Metrics().Snapshot(), "backdroid_reports_")
 	s.Store = SettledStoreStats{
-		Entries: st.Entries, Bytes: st.Bytes, Hits: st.Hits,
-		Misses: st.Misses, Puts: st.Puts, Evictions: st.Evictions,
+		Entries: m("entries"), Bytes: m("bytes"), Hits: m("hits_total"),
+		Misses: m("misses_total"), Puts: m("puts_total"), Evictions: m("evictions_total"),
 	}
 	if cold.cost.WorkUnits > 0 {
 		s.ChargeRatio = float64(s.Storm.WorkUnits) / float64(cold.cost.WorkUnits)
@@ -858,6 +856,15 @@ func (b *bench) settled() (report, error) {
 	fmt.Fprintf(os.Stderr, "%-16s %10d units cold, %10d units for %d storm passes (%.3f%%), %d settled lookups\n",
 		"settled-storm", s.ColdPass.WorkUnits, s.Storm.WorkUnits, s.StormPasses, 100*s.ChargeRatio, s.SettledLookups)
 	return s, nil
+}
+
+// series reads the unlabeled registry series named prefix+suffix; an
+// absent series reads 0.
+func series(snap obs.Snapshot, prefix string) func(suffix string) int64 {
+	return func(suffix string) int64 {
+		v, _ := snap.Get(prefix + suffix)
+		return v
+	}
 }
 
 // submitSpecs submits one engine job per spec, generating the app on the

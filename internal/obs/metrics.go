@@ -1,5 +1,5 @@
 // Package obs is the unified observability layer: a pull-model metrics
-// registry the service's scattered Stats structs register into once, a
+// registry each service subsystem's counters are collected into, a
 // deterministic simtime-anchored span trace, and a Chrome trace-event
 // exporter. The package is a leaf — it imports nothing from the rest of
 // the repo — so every layer (simtime, core, service, the CLIs) can feed
@@ -124,7 +124,8 @@ func NewRegistry() *Registry { return &Registry{} }
 
 // Register adds a collector. Collectors run in registration order on
 // every Snapshot; each must be safe to call concurrently with the
-// subsystem it reads (all the service Stats() methods already are).
+// subsystem it reads, taking that subsystem's own lock to read its
+// live counters.
 func (r *Registry) Register(collect func(*Gather)) {
 	r.mu.Lock()
 	r.collectors = append(r.collectors, collect)

@@ -39,14 +39,12 @@ func fixturePath(t *testing.T) string {
 
 // newTestDispatcher builds a dispatcher with a settled tier over the
 // given options.
-func newTestDispatcher(opts *core.Options) (*Dispatcher, *service.ReportStore) {
-	reports := service.NewReportStore(0)
-	d := NewDispatcher(DispatcherConfig{Scheduler: service.Config{
+func newTestDispatcher(opts *core.Options) *Dispatcher {
+	return NewDispatcher(DispatcherConfig{Scheduler: service.Config{
 		Workers: 2,
 		Options: opts,
-		Reports: reports,
+		Reports: service.NewReportStore(0),
 	}})
-	return d, reports
 }
 
 // collectJob drains the subscription until the job's terminal event and
@@ -76,7 +74,7 @@ func collectJob(t *testing.T, sub *Subscription, id int64) []service.Event {
 // charge and an identical detection surface.
 func TestDispatcherLifecycleAndSettledResubmission(t *testing.T) {
 	path := fixturePath(t)
-	d, reports := newTestDispatcher(nil)
+	d := newTestDispatcher(nil)
 	defer d.Close()
 	sub := d.Subscribe()
 	defer sub.Close()
@@ -122,8 +120,12 @@ func TestDispatcherLifecycleAndSettledResubmission(t *testing.T) {
 	if !reflect.DeepEqual(st.Report.Sinks, st2.Report.Sinks) {
 		t.Fatal("settled resubmission changed the sink surface")
 	}
-	if rs := reports.Stats(); rs.Hits != 1 || rs.Puts != 1 {
-		t.Fatalf("report store stats = %+v", rs)
+	snap := d.Metrics().Snapshot()
+	if hits, _ := snap.Get("backdroid_reports_hits_total"); hits != 1 {
+		t.Fatalf("report store hits = %d, want 1", hits)
+	}
+	if puts, _ := snap.Get("backdroid_reports_puts_total"); puts != 1 {
+		t.Fatalf("report store puts = %d, want 1", puts)
 	}
 
 	// Unknown jobs and double cancels answer with typed errors.
@@ -205,7 +207,7 @@ func FuzzParseLine(f *testing.F) {
 func TestHTTPGateway(t *testing.T) {
 	path := fixturePath(t)
 	opts := core.DefaultOptions()
-	d, _ := newTestDispatcher(&opts)
+	d := newTestDispatcher(&opts)
 	defer d.Close()
 	sub := d.Subscribe()
 	defer sub.Close()
@@ -313,9 +315,31 @@ func TestHTTPGateway(t *testing.T) {
 // TestHTTPEventStream pins the SSE surface: a subscriber sees the full
 // queued/started/sinks/done bracket of a job submitted after it
 // connected, as JSON payloads mirroring the scheduler events.
+// TestHTTPSubmitBodyBounded pins the request bound: a submit body past
+// MaxRequestBytes (here a multi-MiB path) is answered 413 and submits
+// nothing.
+func TestHTTPSubmitBodyBounded(t *testing.T) {
+	d := newTestDispatcher(nil)
+	defer d.Close()
+	srv := httptest.NewServer(NewHandler(d))
+	defer srv.Close()
+	body := `{"path":"/` + strings.Repeat("a", 4<<20) + `.apk"}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit answered %d, want 413", resp.StatusCode)
+	}
+	if _, err := d.Query(QueryRequest{ID: 1}); err == nil {
+		t.Fatal("the oversized submit created a job")
+	}
+}
+
 func TestHTTPEventStream(t *testing.T) {
 	path := fixturePath(t)
-	d, _ := newTestDispatcher(nil)
+	d := newTestDispatcher(nil)
 	defer d.Close()
 	srv := httptest.NewServer(NewHandler(d))
 	defer srv.Close()
@@ -375,7 +399,7 @@ func TestHTTPEventStream(t *testing.T) {
 // submission's report.
 func TestHTTPStdinParity(t *testing.T) {
 	path := fixturePath(t)
-	d, _ := newTestDispatcher(nil)
+	d := newTestDispatcher(nil)
 	defer d.Close()
 	sub := d.Subscribe()
 	defer sub.Close()
@@ -445,7 +469,7 @@ func TestHTTPStdinParity(t *testing.T) {
 // every subscription after its final event, and later Submits and
 // Subscribes refuse.
 func TestDispatcherCloseEndsSubscriptions(t *testing.T) {
-	d, _ := newTestDispatcher(nil)
+	d := newTestDispatcher(nil)
 	sub := d.Subscribe()
 	d.Close()
 	if _, ok := sub.Next(); ok {

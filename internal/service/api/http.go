@@ -20,6 +20,7 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -27,6 +28,12 @@ import (
 	"backdroid/internal/obs"
 	"backdroid/internal/service"
 )
+
+// MaxRequestBytes bounds one request: a POST /v1/jobs body, and one
+// line of backdroidd's stdin protocol. Past it the gateway answers 413,
+// so one request cannot grow the daemon's memory without bound, and a
+// journaled submit stays under the journal's field cap.
+const MaxRequestBytes = 64 << 10
 
 // errorResponse is the JSON error body.
 type errorResponse struct {
@@ -66,7 +73,11 @@ func NewHandler(d *Dispatcher) http.Handler {
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
+			if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge, "submit body exceeds %d bytes", tooBig.Limit)
+				return
+			}
 			writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
 			return
 		}

@@ -213,16 +213,16 @@ func TestCancelQueuedThenRunningCountersSplit(t *testing.T) {
 		t.Fatalf("queued job Wait = %v", err)
 	}
 	s.Close()
-	for _, ts := range s.stats().Tenants {
-		if ts.Name != "acme" {
-			continue
-		}
-		if ts.CanceledQueued != 1 || ts.CanceledRunning != 1 {
-			t.Fatalf("acme counters = %+v", ts)
-		}
-		return
+	snap := s.Metrics().Snapshot()
+	acme := obs.L("tenant", "acme")
+	queuedN, okQ := snap.Get("backdroid_tenant_canceled_queued_total", acme)
+	runningN, okR := snap.Get("backdroid_tenant_canceled_running_total", acme)
+	if !okQ || !okR {
+		t.Fatal("tenant acme missing from the metrics")
 	}
-	t.Fatal("tenant acme missing from stats")
+	if queuedN != 1 || runningN != 1 {
+		t.Fatalf("acme cancels: %d queued, %d running, want 1 and 1", queuedN, runningN)
+	}
 }
 
 // TestJobCheckpointRunsAfterScheduler pins the order of the one meter

@@ -61,7 +61,6 @@ type FleetStats struct {
 	StealUnits    int64 // charged steal overhead (simtime.StealUnits each)
 	MakespanUnits int64 // max per-node odometer: charged time to the last busy node
 	PerNode       []NodeStats
-	Store         *StoreStats // aggregate over the node partitions; nil when disabled
 }
 
 // fleetNode is one goroutine-backed worker node.
@@ -563,7 +562,6 @@ func (f *fleet) stats() *FleetStats {
 		StolenSinks:   f.stolenSinks.Load(),
 		StealUnits:    f.stealUnits.Load(),
 	}
-	var agg StoreStats
 	for _, n := range f.nodes {
 		if u := n.odometer.Load(); u > fs.MakespanUnits {
 			// The fleet clock sums every node's charged work plus overhead;
@@ -589,21 +587,7 @@ func (f *fleet) stats() *FleetStats {
 		default:
 			fs.Live++
 		}
-		if n.store != nil {
-			ss := n.store.Stats()
-			agg.Entries += ss.Entries
-			agg.Bytes += ss.Bytes
-			agg.Hits += ss.Hits
-			agg.Misses += ss.Misses
-			agg.Puts += ss.Puts
-			agg.Refreshes += ss.Refreshes
-			agg.Evictions += ss.Evictions
-			agg.Drops += ss.Drops
-		}
 		fs.PerNode = append(fs.PerNode, ns)
-	}
-	if f.partitioned() {
-		fs.Store = &agg
 	}
 	return fs
 }

@@ -312,7 +312,8 @@ func decodeRecord(data []byte) (Record, int64, bool) {
 	return r, recHeaderSize + int64(plen), true
 }
 
-// decodePayload parses the kind-specific payload.
+// decodePayload parses the kind-specific payload. It accepts only the
+// bytes encodeRecord writes, so a replayed record re-encodes to itself.
 func decodePayload(kind Kind, p []byte) (Record, bool) {
 	r := Record{Kind: kind}
 	job, p, ok := getU64(p)
@@ -365,23 +366,28 @@ func getU64(p []byte) (uint64, []byte, bool) {
 	return binary.LittleEndian.Uint64(p), p[8:], true
 }
 
+// getString reads a string field. A field longer than maxFieldSize is
+// rejected: putString never writes one, so accepting it would replay a
+// record the next compaction rewrites truncated.
 func getString(p []byte) (string, []byte, bool) {
 	if len(p) < 4 {
 		return "", nil, false
 	}
 	n := binary.LittleEndian.Uint32(p)
-	if int64(n) > int64(len(p))-4 {
+	if n > maxFieldSize || int64(n) > int64(len(p))-4 {
 		return "", nil, false
 	}
 	return string(p[4 : 4+n]), p[4+n:], true
 }
 
+// getBytes reads a report blob. One longer than MaxReportData is
+// rejected, because Append never writes one.
 func getBytes(p []byte) ([]byte, []byte, bool) {
 	if len(p) < 4 {
 		return nil, nil, false
 	}
 	n := binary.LittleEndian.Uint32(p)
-	if int64(n) > int64(len(p))-4 {
+	if n > MaxReportData || int64(n) > int64(len(p))-4 {
 		return nil, nil, false
 	}
 	out := make([]byte, n)
@@ -408,8 +414,13 @@ func encodeRecord(r Record) []byte {
 		payload = putU64(payload, uint64(r.Node))
 		payload = putU64(payload, uint64(r.Attempt))
 	}
+	return frameRecord(r.Kind, payload)
+}
+
+// frameRecord prefixes a payload with its record header.
+func frameRecord(kind Kind, payload []byte) []byte {
 	buf := make([]byte, recHeaderSize, recHeaderSize+len(payload))
-	buf[0] = byte(r.Kind)
+	buf[0] = byte(kind)
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(payload)))
 	crc := crc32.NewIEEE()
 	crc.Write(buf[0:1])

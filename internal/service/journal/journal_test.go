@@ -2,6 +2,8 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -613,4 +615,95 @@ func TestJournalCompactFailureKeepsAppending(t *testing.T) {
 	if len(pending) != 1 || pending[0].Job != 2 {
 		t.Fatalf("pending after failed compaction = %+v", pending)
 	}
+}
+
+// TestJournalReplayRejectsNonCanonicalRecords pins that replay accepts
+// only what the encoder can write: a CRC-valid submit whose tenant is
+// past maxFieldSize, or a report past MaxReportData, ends the valid
+// prefix instead of replaying a record the next compaction would
+// rewrite differently. The payloads are built by hand, as a writer that
+// skipped encodeRecord's limits would build them.
+func TestJournalReplayRejectsNonCanonicalRecords(t *testing.T) {
+	long := strings.Repeat("t", maxFieldSize+1)
+	submit := putU64(nil, 1)
+	submit = binary.LittleEndian.AppendUint32(submit, uint32(len(long)))
+	submit = append(submit, long...)
+	submit = putString(putString(submit, "n"), "/a.apk")
+
+	report := putBytes(putU64(putU64(putU64(nil, 0), 1), 1), make([]byte, MaxReportData+1))
+
+	good := encodeRecord(Record{Kind: KindSubmit, Job: 2, Tenant: "t", Name: "n", Spec: "/b.apk"})
+	for name, rec := range map[string][]byte{
+		"long tenant": frameRecord(KindSubmit, submit),
+		"big report":  frameRecord(KindReport, report),
+	} {
+		file := append(append(fileHeader(), good...), rec...)
+		recs, off := decodeFile(file)
+		if len(recs) != 1 || off != int64(headerSize+len(good)) {
+			t.Errorf("%s: replayed %d records up to offset %d, want only the record before it (offset %d)",
+				name, len(recs), off, headerSize+len(good))
+		}
+	}
+}
+
+// fixCRCs returns a copy of a journal file with every record's CRC
+// recomputed over the bytes it frames, so fuzzed payloads get past the
+// CRC check and reach the field decoders.
+func fixCRCs(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	for off := headerSize; off+recHeaderSize <= len(out); {
+		plen := int(binary.LittleEndian.Uint32(out[off+1 : off+5]))
+		if plen > len(out)-off-recHeaderSize {
+			break
+		}
+		crc := crc32.NewIEEE()
+		crc.Write(out[off : off+1])
+		crc.Write(out[off+recHeaderSize : off+recHeaderSize+plen])
+		binary.LittleEndian.PutUint32(out[off+5:off+9], crc.Sum32())
+		off += recHeaderSize + plen
+	}
+	return out
+}
+
+// FuzzDecodeJournal feeds arbitrary bytes to the replay decoder, each
+// input raw and with its record CRCs recomputed. Decoding must never
+// panic, the valid prefix must lie inside the input, and every record
+// it accepts must re-encode to exactly the bytes it was read from.
+func FuzzDecodeJournal(f *testing.F) {
+	file := fileHeader()
+	for _, r := range []Record{
+		{Kind: KindSubmit, Job: 1, Tenant: "acme", Name: "app", Spec: "/apps/app.apk"},
+		{Kind: KindStart, Job: 1},
+		{Kind: KindLease, Job: 1, Node: 2, Attempt: 1},
+		{Kind: KindSteal, Job: 1, Node: 1, Attempt: 2},
+		{Kind: KindHandoff, Job: 1, Node: 2, Attempt: 1},
+		{Kind: KindFailed, Job: 1, Err: "boom"},
+		{Kind: KindReport, App: 7, Opt: 9, Data: []byte("report")},
+		{Kind: KindDone, Job: 3},
+		{Kind: KindCanceled, Job: 4},
+	} {
+		file = append(file, encodeRecord(r)...)
+	}
+	f.Add(file)
+	f.Add(fileHeader())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, fixCRCs(data)} {
+			recs, end := decodeFile(in)
+			if end > int64(len(in)) {
+				t.Fatalf("valid prefix ends at %d, past the %d-byte input", end, len(in))
+			}
+			off := int64(headerSize)
+			for _, r := range recs {
+				enc := encodeRecord(r)
+				next := off + int64(len(enc))
+				if next > end || !bytes.Equal(enc, in[off:next]) {
+					t.Fatalf("record %+v re-encodes to %x, read from %x", r, enc, in[off:min(next, end)])
+				}
+				off = next
+			}
+			if len(recs) > 0 && off != end {
+				t.Fatalf("records re-encode to %d bytes, valid prefix is %d", off, end)
+			}
+		}
+	})
 }

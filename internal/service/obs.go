@@ -1,11 +1,11 @@
-// Metrics registration: the scheduler's one collector, turning every
-// subsystem's Stats struct — control plane, tenants, fleet and its
-// nodes, bundle/report stores, the journal — into registry
-// series. The registry is pull-model, so this file is the only place
-// the metric names exist: /metrics, the stats JSON and the stdin stats
-// lines all render from the same Snapshot and from nothing else, and
-// the api parity test walks the snapshot to prove no series is missing
-// from any surface.
+// Metrics registration: the scheduler's one collector, reading the live
+// counters of every subsystem — control plane, tenants, fleet and its
+// nodes, bundle/report stores, the journal — into registry series. The
+// registry is pull-model, so this file is the only place the metric
+// names exist and the only reader of the store counters: /metrics, the
+// stats JSON and the stdin stats lines all render from the same
+// Snapshot and from nothing else, and the api parity test walks the
+// snapshot to prove no series is missing from any surface.
 package service
 
 import (
@@ -16,25 +16,28 @@ import (
 
 // registerMetrics installs the scheduler's collector into the resolved
 // registry. Called once from New; the collector reads live counters at
-// snapshot time (all the Stats() methods are concurrency-safe), so
-// registration costs nothing on the dispatch path.
+// snapshot time under each subsystem's own lock, so registration costs
+// nothing on the dispatch path.
 func (s *Scheduler) registerMetrics() {
 	s.metrics.Register(func(g *obs.Gather) {
-		st := s.stats()
-		g.Counter("backdroid_dispatched_total", st.Dispatched)
-		g.Counter("backdroid_journal_units", st.JournalUnits)
-		g.Counter("backdroid_job_panics_total", s.panics.Load())
-		for _, t := range st.Tenants {
-			l := obs.L("tenant", t.Name)
-			g.Gauge("backdroid_tenant_weight", int64(t.Weight), l)
-			g.Gauge("backdroid_tenant_queued", int64(t.Queued), l)
-			g.Counter("backdroid_tenant_submitted_total", t.Submitted, l)
-			g.Counter("backdroid_tenant_dispatched_total", t.Dispatched, l)
-			g.Counter("backdroid_tenant_requeued_total", t.Requeued, l)
-			g.Counter("backdroid_tenant_canceled_queued_total", t.CanceledQueued, l)
-			g.Counter("backdroid_tenant_canceled_running_total", t.CanceledRunning, l)
+		s.mu.Lock()
+		g.Counter("backdroid_dispatched_total", s.dispatchSeq)
+		for _, name := range s.order {
+			t := s.tenants[name]
+			l := obs.L("tenant", t.name)
+			g.Gauge("backdroid_tenant_weight", int64(t.weight()), l)
+			g.Gauge("backdroid_tenant_queued", int64(len(t.queue)), l)
+			g.Counter("backdroid_tenant_submitted_total", t.submitted, l)
+			g.Counter("backdroid_tenant_dispatched_total", t.dispatched, l)
+			g.Counter("backdroid_tenant_requeued_total", t.requeued, l)
+			g.Counter("backdroid_tenant_canceled_queued_total", t.canceledQueued, l)
+			g.Counter("backdroid_tenant_canceled_running_total", t.canceledRunning, l)
 		}
-		if fs := st.Fleet; fs != nil {
+		s.mu.Unlock()
+		g.Counter("backdroid_journal_units", s.journalUnits.Load())
+		g.Counter("backdroid_job_panics_total", s.panics.Load())
+		if s.fleet != nil {
+			fs := s.fleet.stats()
 			g.Gauge("backdroid_fleet_nodes", int64(fs.Nodes))
 			g.Gauge("backdroid_fleet_live", int64(fs.Live))
 			g.Counter("backdroid_fleet_killed_total", int64(fs.Killed))
@@ -61,22 +64,20 @@ func (s *Scheduler) registerMetrics() {
 				g.Counter("backdroid_node_beats_total", n.Beats, l)
 				g.Counter("backdroid_node_dropped_beats_total", n.Dropped, l)
 			}
-			if fs.Store != nil {
-				storeMetrics(g, "backdroid_fleetstore", *fs.Store)
+			if s.fleet.partitioned() {
+				var agg lruStats
+				for _, n := range s.fleet.nodes {
+					agg.add(n.store.stats())
+				}
+				agg.emit(g, "backdroid_fleetstore", true)
 			}
 		}
 		if s.cfg.Store != nil {
-			storeMetrics(g, "backdroid_store", s.cfg.Store.Stats())
+			s.cfg.Store.stats().emit(g, "backdroid_store", true)
 		}
 		if rs := s.cfg.Reports; rs != nil {
-			r := rs.Stats()
-			g.Gauge("backdroid_reports_entries", int64(r.Entries))
-			g.Gauge("backdroid_reports_bytes", r.Bytes)
-			g.Counter("backdroid_reports_hits_total", r.Hits)
-			g.Counter("backdroid_reports_misses_total", r.Misses)
-			g.Counter("backdroid_reports_puts_total", r.Puts)
-			g.Counter("backdroid_reports_refreshes_total", r.Refreshes)
-			g.Counter("backdroid_reports_evictions_total", r.Evictions)
+			r := rs.stats()
+			r.emit(g, "backdroid_reports", false)
 			g.Counter("backdroid_reports_journaled_total", r.Journaled)
 			g.Counter("backdroid_reports_skipped_total", r.Skipped)
 			g.Counter("backdroid_reports_recovered_total", r.Recovered)
@@ -94,20 +95,6 @@ func (s *Scheduler) registerMetrics() {
 			g.Counter("backdroid_journal_dropped_bytes", js.Dropped)
 		}
 	})
-}
-
-// storeMetrics emits one BundleStore counter block under a prefix —
-// shared by the scheduler's Config.Store and the fleet's partition
-// aggregate.
-func storeMetrics(g *obs.Gather, prefix string, ss StoreStats) {
-	g.Gauge(prefix+"_entries", int64(ss.Entries))
-	g.Gauge(prefix+"_bytes", ss.Bytes)
-	g.Counter(prefix+"_hits_total", ss.Hits)
-	g.Counter(prefix+"_misses_total", ss.Misses)
-	g.Counter(prefix+"_puts_total", ss.Puts)
-	g.Counter(prefix+"_refreshes_total", ss.Refreshes)
-	g.Counter(prefix+"_evictions_total", ss.Evictions)
-	g.Counter(prefix+"_drops_total", ss.Drops)
 }
 
 // flag renders a boolean state as a 0/1 gauge value.

@@ -10,7 +10,6 @@
 package service
 
 import (
-	"container/list"
 	"sync"
 
 	"backdroid/internal/core"
@@ -28,53 +27,42 @@ type ReportKey struct {
 	Options uint64 // OptionsFingerprint of the job's core.Options
 }
 
-// ReportStoreStats are the counters of a ReportStore, taken atomically.
-type ReportStoreStats struct {
-	Entries   int   // live in-memory entries
-	Bytes     int64 // bytes held by live encodings
-	Hits      int64 // Get probes that found an entry
-	Misses    int64 // Get probes that did not
-	Puts      int64 // Put calls that inserted a new entry
-	Refreshes int64 // Put calls for an already-present key
-	Evictions int64 // entries dropped to satisfy the byte budget
-	Journaled int64 // reports appended to the journal
-	Skipped   int64 // reports not journaled (oversized or append failed)
-	Recovered int64 // entries repopulated from the journal
-	Damaged   int64 // journal report records that failed to decode
-}
-
 // ReportStore is the in-memory settled-report cache. Entries are
 // content-addressed and therefore immutable: a Put for a present key is
 // a refresh, never a replacement. Eviction is LRU under a byte budget
-// measured over canonical encodings; an evicted entry survives in the
-// journal (when one is attached) and comes back on the next restart's
-// Recover — the memory budget bounds the working set, not durability.
+// measured over canonical encodings (see lru); an evicted entry survives
+// in the journal (when one is attached) and comes back on the next
+// restart's Recover — the memory budget bounds the working set, not
+// durability. Its counters surface through the scheduler's metrics
+// registry.
 //
 // A ReportStore is safe for concurrent use.
 type ReportStore struct {
-	mu      sync.Mutex
-	budget  int64 // bytes; <= 0 means unlimited
-	bytes   int64
-	lru     *list.List // front = most recently used; values are *reportEntry
-	entries map[ReportKey]*list.Element
-	stats   ReportStoreStats
-	j       *journal.Journal
+	mu  sync.Mutex
+	lru lru[ReportKey, settledReport]
+	j   *journal.Journal
+
+	journaled int64 // reports appended to the journal
+	skipped   int64 // reports not journaled (oversized or append failed)
+	recovered int64 // entries repopulated from the journal
+	damaged   int64 // journal report records that failed to decode
 }
 
-type reportEntry struct {
-	key    ReportKey
+type settledReport struct {
 	report *core.Report
 	data   []byte // canonical encoding (EncodeReport)
+}
+
+// reportStoreStats are a ReportStore's LRU and journal counters.
+type reportStoreStats struct {
+	lruStats
+	Journaled, Skipped, Recovered, Damaged int64
 }
 
 // NewReportStore builds a store with the given byte budget; budgetBytes
 // <= 0 means unlimited.
 func NewReportStore(budgetBytes int64) *ReportStore {
-	return &ReportStore{
-		budget:  budgetBytes,
-		lru:     list.New(),
-		entries: make(map[ReportKey]*list.Element),
-	}
+	return &ReportStore{lru: newLRU[ReportKey, settledReport](budgetBytes)}
 }
 
 // AttachJournal gives the store a persistent section: every subsequent
@@ -94,14 +82,8 @@ func (s *ReportStore) AttachJournal(j *journal.Journal) {
 func (s *ReportStore) Get(key ReportKey) (*core.Report, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		s.stats.Misses++
-		return nil, false
-	}
-	s.stats.Hits++
-	s.lru.MoveToFront(el)
-	return el.Value.(*reportEntry).report, true
+	e, ok := s.lru.get(key)
+	return e.report, ok
 }
 
 // Encoded returns the canonical encoding of the settled report for the
@@ -110,11 +92,8 @@ func (s *ReportStore) Get(key ReportKey) (*core.Report, bool) {
 func (s *ReportStore) Encoded(key ReportKey) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*reportEntry).data, true
+	e, ok := s.lru.peek(key)
+	return e.data, ok
 }
 
 // Put inserts the terminal report under its content address, evicting
@@ -131,49 +110,22 @@ func (s *ReportStore) Put(key ReportKey, r *core.Report) {
 	data := EncodeReport(r)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.stats.Refreshes++
-		s.lru.MoveToFront(el)
+	if !s.lru.put(key, settledReport{r, data}, int64(len(data))) || s.j == nil {
 		return
 	}
-	if s.budget > 0 && int64(len(data)) > s.budget {
-		return
-	}
-	s.insertLocked(key, r, data)
-	s.stats.Puts++
-	if s.j != nil {
-		if len(data) > journal.MaxReportData {
-			s.stats.Skipped++
-		} else if err := s.j.Append(journal.Record{
-			Kind: journal.KindReport,
-			App:  key.App,
-			Opt:  key.Options,
-			Data: data,
-		}); err != nil {
-			// Journaling is durability, not correctness: the entry still
-			// serves from memory; it just won't survive a restart.
-			s.stats.Skipped++
-		} else {
-			s.stats.Journaled++
-		}
-	}
-}
-
-// insertLocked adds the entry at the LRU front and evicts from the back
-// until the byte budget holds.
-func (s *ReportStore) insertLocked(key ReportKey, r *core.Report, data []byte) {
-	s.entries[key] = s.lru.PushFront(&reportEntry{key: key, report: r, data: data})
-	s.bytes += int64(len(data))
-	for s.budget > 0 && s.bytes > s.budget {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*reportEntry)
-		s.lru.Remove(back)
-		delete(s.entries, ent.key)
-		s.bytes -= int64(len(ent.data))
-		s.stats.Evictions++
+	if len(data) > journal.MaxReportData {
+		s.skipped++
+	} else if err := s.j.Append(journal.Record{
+		Kind: journal.KindReport,
+		App:  key.App,
+		Opt:  key.Options,
+		Data: data,
+	}); err != nil {
+		// Journaling is durability, not correctness: the entry still
+		// serves from memory; it just won't survive a restart.
+		s.skipped++
+	} else {
+		s.journaled++
 	}
 }
 
@@ -193,16 +145,12 @@ func (s *ReportStore) Recover() int {
 	for _, rec := range j.Reports() {
 		r, err := DecodeReport(rec.Data)
 		s.mu.Lock()
-		if err != nil {
-			s.stats.Damaged++
-			s.mu.Unlock()
-			continue
-		}
 		key := ReportKey{App: rec.App, Options: rec.Opt}
-		if _, ok := s.entries[key]; !ok &&
-			(s.budget <= 0 || int64(len(rec.Data)) <= s.budget) {
-			s.insertLocked(key, r, rec.Data)
-			s.stats.Recovered++
+		if err != nil {
+			s.damaged++
+		} else if _, ok := s.lru.peek(key); !ok &&
+			s.lru.admit(key, settledReport{r, rec.Data}, int64(len(rec.Data))) {
+			s.recovered++
 			n++
 		}
 		s.mu.Unlock()
@@ -210,12 +158,9 @@ func (s *ReportStore) Recover() int {
 	return n
 }
 
-// Stats returns the current counters.
-func (s *ReportStore) Stats() ReportStoreStats {
+// stats returns the current counters.
+func (s *ReportStore) stats() reportStoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Entries = s.lru.Len()
-	st.Bytes = s.bytes
-	return st
+	return reportStoreStats{s.lru.snapshot(), s.journaled, s.skipped, s.recovered, s.damaged}
 }

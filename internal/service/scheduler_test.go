@@ -210,7 +210,7 @@ func TestSchedulerStoreReuse(t *testing.T) {
 	if detectionKey(cold) != detectionKey(warm) {
 		t.Fatal("store reuse changed the detection report")
 	}
-	if st := store.Stats(); st.Puts != 1 || st.Entries != 1 {
+	if st := store.stats(); st.Puts != 1 || st.Entries != 1 {
 		t.Fatalf("store stats = %+v, want exactly one entry", st)
 	}
 }
@@ -257,7 +257,7 @@ func TestSchedulerConcurrentSameFingerprint(t *testing.T) {
 	if storeHits != jobs-1 {
 		t.Fatalf("%d store hits, want %d (every job but the builder)", storeHits, jobs-1)
 	}
-	if st := store.Stats(); st.Puts != 1 {
+	if st := store.stats(); st.Puts != 1 {
 		t.Fatalf("store stats = %+v, want a single build/put", st)
 	}
 }
@@ -335,7 +335,7 @@ func TestSchedulerStoreEvictionStaysCorrect(t *testing.T) {
 		}
 		s.Close()
 	}
-	size := probe.Stats().Bytes
+	size := probe.stats().Bytes
 	store := NewBundleStore(size + size/2)
 	s := New(Config{Workers: 1, Store: store})
 	defer s.Close()
@@ -359,7 +359,7 @@ func TestSchedulerStoreEvictionStaysCorrect(t *testing.T) {
 			}
 		}
 	}
-	if st := store.Stats(); st.Evictions == 0 {
+	if st := store.stats(); st.Evictions == 0 {
 		t.Fatalf("store stats = %+v, want evictions under a tight budget", st)
 	}
 }

@@ -56,7 +56,7 @@ func TestSchedulerSettledResubmission(t *testing.T) {
 	if detectionKey(cold) != detectionKey(settled) {
 		t.Fatal("settled serving changed the detection report")
 	}
-	if rs := reports.Stats(); rs.Hits != 1 || rs.Misses != 1 || rs.Puts != 1 || rs.Entries != 1 {
+	if rs := reports.stats(); rs.Hits != 1 || rs.Misses != 1 || rs.Puts != 1 || rs.Entries != 1 {
 		t.Fatalf("report store stats = %+v, want one miss, one put, one hit", rs)
 	}
 }
@@ -160,7 +160,7 @@ func TestSchedulerSettledDistinctOptionsMiss(t *testing.T) {
 	if first.Stats.SettledLookups != 0 {
 		t.Fatalf("first run served settled from an empty store: %+v", first.Stats)
 	}
-	if rs := reports.Stats(); rs.Entries != 2 || rs.Hits != 0 {
+	if rs := reports.stats(); rs.Entries != 2 || rs.Hits != 0 {
 		t.Fatalf("report store stats = %+v, want two distinct entries, no hits", rs)
 	}
 }
@@ -189,7 +189,7 @@ func TestReportStoreJournalRecovery(t *testing.T) {
 	}
 	cold := res.BackDroid
 	s1.Close()
-	if st := rs1.Stats(); st.Journaled != 1 || st.Skipped != 0 {
+	if st := rs1.stats(); st.Journaled != 1 || st.Skipped != 0 {
 		t.Fatalf("report store stats after cold run = %+v, want one journaled report", st)
 	}
 	if err := j1.Close(); err != nil {
@@ -207,7 +207,7 @@ func TestReportStoreJournalRecovery(t *testing.T) {
 	if n := rs2.Recover(); n != 1 {
 		t.Fatalf("Recover = %d, want 1", n)
 	}
-	if st := rs2.Stats(); st.Recovered != 1 || st.Entries != 1 || st.Damaged != 0 {
+	if st := rs2.stats(); st.Recovered != 1 || st.Entries != 1 || st.Damaged != 0 {
 		t.Fatalf("report store stats after recovery = %+v", st)
 	}
 
@@ -244,7 +244,7 @@ func TestReportStoreEvictionAndRefresh(t *testing.T) {
 	rs.Put(k(1), small)
 	rs.Put(k(1), small) // refresh, not a second entry
 	rs.Put(k(2), small)
-	if st := rs.Stats(); st.Entries != 2 || st.Puts != 2 || st.Refreshes != 1 || st.Evictions != 0 {
+	if st := rs.stats(); st.Entries != 2 || st.Puts != 2 || st.Refreshes != 1 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v, want two entries and one refresh", st)
 	}
 	// Touch key 1 so key 2 is the LRU victim of the next insert.
@@ -252,7 +252,7 @@ func TestReportStoreEvictionAndRefresh(t *testing.T) {
 		t.Fatal("present key missed")
 	}
 	rs.Put(k(3), small)
-	if st := rs.Stats(); st.Entries != 2 || st.Evictions != 1 {
+	if st := rs.stats(); st.Entries != 2 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v, want one eviction", st)
 	}
 	if _, ok := rs.Get(k(2)); ok {
@@ -265,17 +265,17 @@ func TestReportStoreEvictionAndRefresh(t *testing.T) {
 	// Oversized: an encoding larger than the whole budget is refused.
 	tiny := NewReportStore(4)
 	tiny.Put(k(9), small)
-	if st := tiny.Stats(); st.Entries != 0 || st.Puts != 0 {
+	if st := tiny.stats(); st.Entries != 0 || st.Puts != 0 {
 		t.Fatalf("oversized report admitted: %+v", st)
 	}
 
 	// Encoded serves the canonical bytes without touching hit counters.
-	pre := rs.Stats()
+	pre := rs.stats()
 	enc, ok := rs.Encoded(k(1))
 	if !ok || !bytes.Equal(enc, EncodeReport(small)) {
 		t.Fatal("Encoded did not return the canonical encoding")
 	}
-	if post := rs.Stats(); post.Hits != pre.Hits || post.Misses != pre.Misses {
+	if post := rs.stats(); post.Hits != pre.Hits || post.Misses != pre.Misses {
 		t.Fatal("Encoded moved the hit/miss counters")
 	}
 }
@@ -310,7 +310,7 @@ func TestSchedulerSettledVsDeltaAddressing(t *testing.T) {
 	if r1.Stats.SettledLookups != 0 || r2.Stats.SettledLookups != 0 {
 		t.Fatal("cold runs must not serve settled")
 	}
-	if rs := reports.Stats(); rs.Entries != 2 {
+	if rs := reports.stats(); rs.Entries != 2 {
 		t.Fatalf("report store stats = %+v, want one entry per version", rs)
 	}
 	// Both versions resubmit as settled hits, each bitwise-identical to

@@ -6,50 +6,25 @@
 // of this package; cmd/backdroidd exposes it as a service process.
 package service
 
-import (
-	"container/list"
-	"sync"
-)
-
-// StoreStats are the counters of a BundleStore, taken atomically.
-type StoreStats struct {
-	Entries   int   // live entries
-	Bytes     int64 // bytes held by live entries
-	Hits      int64 // GetBundle probes that found an entry
-	Misses    int64 // GetBundle probes that did not
-	Puts      int64 // PutBundle calls that inserted a new entry
-	Refreshes int64 // PutBundle calls for an already-present fingerprint
-	Evictions int64 // entries dropped to satisfy the byte budget
-	Drops     int64 // entries removed by DropBundle (failed validation)
-}
+import "sync"
 
 // BundleStore is an in-memory content-addressed cache of encoded .bdx
 // bundles (dump + index sections), keyed by app fingerprint
 // (dexdump.AppFingerprint). Because the key is a content hash of the
 // app's bytecode, an entry is immutable for the lifetime of the store: a
 // Put for a present fingerprint is a refresh, never a replacement.
-// Eviction is LRU under a configurable byte budget; entries larger than
-// the whole budget are not admitted at all (admitting one would evict the
-// entire working set for a single app).
+// Eviction is LRU under a configurable byte budget (see lru); its
+// counters surface through the scheduler's metrics registry.
 //
 // A BundleStore is safe for concurrent use and implements
 // core.BundleCache, so it plugs straight into core.Options.Bundles.
 type BundleStore struct {
-	mu      sync.Mutex
-	budget  int64 // bytes; <= 0 means unlimited
-	bytes   int64
-	lru     *list.List // front = most recently used; values are *storeEntry
-	entries map[uint64]*list.Element
-	stats   StoreStats
+	mu  sync.Mutex
+	lru lru[uint64, []byte]
 
 	// inflight serializes bundle construction per fingerprint (see
 	// LockFingerprint).
 	inflight map[uint64]*fpLock
-}
-
-type storeEntry struct {
-	fingerprint uint64
-	data        []byte
 }
 
 type fpLock struct {
@@ -60,12 +35,7 @@ type fpLock struct {
 // NewBundleStore builds a store with the given byte budget; budgetBytes
 // <= 0 means unlimited.
 func NewBundleStore(budgetBytes int64) *BundleStore {
-	return &BundleStore{
-		budget:   budgetBytes,
-		lru:      list.New(),
-		entries:  make(map[uint64]*list.Element),
-		inflight: make(map[uint64]*fpLock),
-	}
+	return &BundleStore{lru: newLRU[uint64, []byte](budgetBytes), inflight: make(map[uint64]*fpLock)}
 }
 
 // GetBundle returns the bundle bytes for the fingerprint and marks the
@@ -74,14 +44,7 @@ func NewBundleStore(budgetBytes int64) *BundleStore {
 func (s *BundleStore) GetBundle(fingerprint uint64) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[fingerprint]
-	if !ok {
-		s.stats.Misses++
-		return nil, false
-	}
-	s.stats.Hits++
-	s.lru.MoveToFront(el)
-	return el.Value.(*storeEntry).data, true
+	return s.lru.get(fingerprint)
 }
 
 // PutBundle inserts the bundle for the fingerprint, evicting
@@ -95,46 +58,17 @@ func (s *BundleStore) PutBundle(fingerprint uint64, data []byte) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[fingerprint]; ok {
-		s.stats.Refreshes++
-		s.lru.MoveToFront(el)
-		return
-	}
-	if s.budget > 0 && int64(len(data)) > s.budget {
-		return
-	}
-	s.entries[fingerprint] = s.lru.PushFront(&storeEntry{fingerprint: fingerprint, data: data})
-	s.bytes += int64(len(data))
-	s.stats.Puts++
-	for s.budget > 0 && s.bytes > s.budget {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*storeEntry)
-		s.lru.Remove(back)
-		delete(s.entries, ent.fingerprint)
-		s.bytes -= int64(len(ent.data))
-		s.stats.Evictions++
-	}
+	s.lru.put(fingerprint, data, int64(len(data)))
 }
 
 // DropBundle removes the entry for the fingerprint, if any. The engine
-// calls it when a stored bundle fails validation, so a damaged entry is rebuilt instead of pinned: without
-// the drop, PutBundle would treat the fingerprint as present and keep
-// the bad bytes forever.
+// calls it when a stored bundle fails validation, so a damaged entry is
+// rebuilt instead of pinned: without the drop, PutBundle would treat the
+// fingerprint as present and keep the bad bytes forever.
 func (s *BundleStore) DropBundle(fingerprint uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[fingerprint]
-	if !ok {
-		return
-	}
-	ent := el.Value.(*storeEntry)
-	s.lru.Remove(el)
-	delete(s.entries, fingerprint)
-	s.bytes -= int64(len(ent.data))
-	s.stats.Drops++
+	s.lru.drop(fingerprint)
 }
 
 // Contains reports whether the fingerprint is cached, without touching
@@ -143,30 +77,15 @@ func (s *BundleStore) DropBundle(fingerprint uint64) {
 func (s *BundleStore) Contains(fingerprint uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[fingerprint]
+	_, ok := s.lru.peek(fingerprint)
 	return ok
 }
 
-// Fingerprints returns the cached fingerprints in most-recently-used
-// order (for tests and diagnostics).
-func (s *BundleStore) Fingerprints() []uint64 {
+// stats returns the current counters.
+func (s *BundleStore) stats() lruStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]uint64, 0, s.lru.Len())
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*storeEntry).fingerprint)
-	}
-	return out
-}
-
-// Stats returns the current counters.
-func (s *BundleStore) Stats() StoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Entries = s.lru.Len()
-	st.Bytes = s.bytes
-	return st
+	return s.lru.snapshot()
 }
 
 // LockFingerprint serializes bundle construction per fingerprint: the

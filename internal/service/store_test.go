@@ -31,7 +31,7 @@ func TestStoreGetPutAndCounters(t *testing.T) {
 	// Content-addressed refresh: a second put of the fingerprint must not
 	// duplicate bytes.
 	s.PutBundle(1, entryOf('a', 10))
-	st := s.Stats()
+	st := s.stats()
 	if st.Entries != 1 || st.Bytes != 10 || st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Refreshes != 1 {
 		t.Fatalf("stats = %+v, want 1 entry / 10 bytes / 1 hit / 1 miss / 1 put / 1 refresh", st)
 	}
@@ -41,7 +41,7 @@ func TestStoreIgnoresEmptyAndOversized(t *testing.T) {
 	s := NewBundleStore(100)
 	s.PutBundle(1, nil)
 	s.PutBundle(2, entryOf('x', 101)) // larger than the whole budget
-	if st := s.Stats(); st.Entries != 0 || st.Puts != 0 {
+	if st := s.stats(); st.Entries != 0 || st.Puts != 0 {
 		t.Fatalf("stats = %+v, want nothing admitted", st)
 	}
 }
@@ -67,18 +67,18 @@ func TestStoreLRUEvictionOrder(t *testing.T) {
 			t.Fatalf("entry %d must have survived", fp)
 		}
 	}
-	st := s.Stats()
+	st := s.stats()
 	if st.Evictions != 1 || st.Entries != 3 || st.Bytes != 30 {
 		t.Fatalf("stats = %+v, want exactly one eviction and a full store", st)
 	}
 
 	// A big insert evicts as many entries as the budget demands.
 	s.PutBundle(5, entryOf('e', 25))
-	if st := s.Stats(); st.Entries != 1 || st.Bytes != 25 {
+	if st := s.stats(); st.Entries != 1 || st.Bytes != 25 {
 		t.Fatalf("stats after big insert = %+v, want only the new entry", st)
 	}
-	if got := s.Fingerprints(); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("fingerprints = %v, want [5]", got)
+	if !s.Contains(5) {
+		t.Fatal("the big insert itself was evicted")
 	}
 }
 
@@ -99,7 +99,7 @@ func TestStoreDropBundle(t *testing.T) {
 	if !ok || len(data) != 20 || data[0] != 'b' {
 		t.Fatalf("put after drop = (%d bytes, %v), want the new 20-byte entry", len(data), ok)
 	}
-	if st := s.Stats(); st.Entries != 1 || st.Bytes != 20 || st.Drops != 1 || st.Evictions != 0 {
+	if st := s.stats(); st.Entries != 1 || st.Bytes != 20 || st.Drops != 1 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v, want 1 entry / 20 bytes / 1 drop / 0 evictions", st)
 	}
 }
@@ -119,7 +119,7 @@ func TestStoreConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := s.Stats(); st.Entries != 17 || st.Bytes != 17*64 {
+	if st := s.stats(); st.Entries != 17 || st.Bytes != 17*64 {
 		t.Fatalf("stats = %+v, want 17 entries", st)
 	}
 }
@@ -195,7 +195,7 @@ func TestLegacyBundleIsSilentMiss(t *testing.T) {
 			if got, want := detectionKey(first.BackDroid), detectionKey(cold.BackDroid); got != want {
 				t.Errorf("verdicts\n%s\nwant\n%s", got, want)
 			}
-			if drops := store.Stats().Drops; drops != wantDrops {
+			if drops := store.stats().Drops; drops != wantDrops {
 				t.Errorf("%d store drops, want %d", drops, wantDrops)
 			}
 			stored, ok := store.GetBundle(fp)
@@ -278,8 +278,8 @@ func TestStoreTextOutlivesEntry(t *testing.T) {
 	for i := uint64(1); i <= 4; i++ {
 		store.PutBundle(fp+i, entryOf(0xAA, int(budget/2)))
 	}
-	if store.Contains(fp) || store.Stats().Evictions == 0 {
-		t.Fatalf("store still holds the entry or evicted nothing: %+v", store.Stats())
+	if store.Contains(fp) || store.stats().Evictions == 0 {
+		t.Fatalf("store still holds the entry or evicted nothing: %+v", store.stats())
 	}
 	runtime.GC()
 	runtime.GC()
@@ -369,7 +369,7 @@ func TestStoreHitReportReleasesEntry(t *testing.T) {
 	if st := res.BackDroid.Stats; st.BundleStoreHits != 1 {
 		t.Fatalf("job was not a store hit: %+v", st)
 	}
-	if n := s.Reports().Stats().Entries; n != 1 {
+	if n := s.Reports().stats().Entries; n != 1 {
 		t.Fatalf("%d settled reports, want the store-hit report", n)
 	}
 

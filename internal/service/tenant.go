@@ -26,29 +26,6 @@ type TenantConfig struct {
 	StoreBudget int64
 }
 
-// tenantStats is the per-tenant counter block of schedulerStats.
-type tenantStats struct {
-	Name            string
-	Weight          int
-	Queued          int   // jobs currently waiting in this tenant's queue
-	Submitted       int64 // jobs ever accepted for this tenant
-	Dispatched      int64 // jobs handed to a worker
-	Requeued        int64 // jobs re-dispatched after a fleet lease expiry
-	CanceledQueued  int64 // cancels that removed a still-queued job
-	CanceledRunning int64 // cancels requested against a running job
-}
-
-// schedulerStats aggregates the control-plane counters the metrics
-// collector reads: per-tenant queue and dispatch state and the charged
-// control-plane work (journal appends at simtime.JournalAppendUnits
-// each).
-type schedulerStats struct {
-	Tenants      []tenantStats // sorted by tenant name
-	Dispatched   int64         // total jobs handed to workers
-	JournalUnits int64         // control-plane work charged for journaling
-	Fleet        *FleetStats   // nil when the scheduler runs without a fleet
-}
-
 // tenant is the scheduler-internal queue state of one tenant.
 type tenant struct {
 	name     string
@@ -150,32 +127,4 @@ func (s *Scheduler) popWRR() *jobState {
 		}
 	}
 	return nil
-}
-
-// stats returns the control-plane counters. Journal file counters live
-// on the journal itself (Config.Journal.Stats()).
-func (s *Scheduler) stats() schedulerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := schedulerStats{
-		Dispatched:   s.dispatchSeq,
-		JournalUnits: s.journalUnits.Load(),
-	}
-	for _, name := range s.order {
-		t := s.tenants[name]
-		st.Tenants = append(st.Tenants, tenantStats{
-			Name:            t.name,
-			Weight:          t.weight(),
-			Queued:          len(t.queue),
-			Submitted:       t.submitted,
-			Dispatched:      t.dispatched,
-			Requeued:        t.requeued,
-			CanceledQueued:  t.canceledQueued,
-			CanceledRunning: t.canceledRunning,
-		})
-	}
-	if s.fleet != nil {
-		st.Fleet = s.fleet.stats()
-	}
-	return st
 }

@@ -231,13 +231,21 @@ func TestTenantPrivateStoreIsolation(t *testing.T) {
 	}
 
 	// Tenants are created on first use: exactly the four submitted to.
-	st := s.stats()
-	if len(st.Tenants) != 4 {
-		t.Fatalf("tenant stats = %+v", st.Tenants)
+	counters := map[string]int{"backdroid_tenant_submitted_total": 0, "backdroid_tenant_dispatched_total": 1, "backdroid_tenant_queued": 2}
+	tenants := map[string][3]int64{}
+	for _, m := range s.Metrics().Snapshot() {
+		if i, ok := counters[m.Name]; ok {
+			v := tenants[m.Labels[0].Value]
+			v[i] = m.Value
+			tenants[m.Labels[0].Value] = v
+		}
 	}
-	for _, ts := range st.Tenants {
-		if ts.Submitted != 1 || ts.Dispatched != 1 || ts.Queued != 0 {
-			t.Fatalf("tenant %s counters = %+v", ts.Name, ts)
+	if len(tenants) != 4 {
+		t.Fatalf("tenants in the metrics = %v, want 4", tenants)
+	}
+	for name, v := range tenants {
+		if v != [3]int64{1, 1, 0} {
+			t.Fatalf("tenant %s: submitted, dispatched, queued = %v, want 1, 1, 0", name, v)
 		}
 	}
 }
