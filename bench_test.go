@@ -389,58 +389,6 @@ func BenchmarkWarmStartEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkManySinkOutlier measures the tuned per-app SSG on the Fig. 9
-// 121-sink outlier analogue: all sinks funnel through a shared config
-// chain, so per-sink graphs rebuild the same subgraph 121 times while the
-// per-app graph (slice interning + one forward pass) builds it once. The
-// benchmark is self-checking — per-app must charge strictly less total
-// work with identical verdicts.
-func BenchmarkManySinkOutlier(b *testing.B) {
-	app, truth, err := appgen.Generate(appgen.ManySinkOutlierSpec(4242))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(truth.Sinks) != 121 {
-		b.Fatalf("outlier app has %d sinks, want 121", len(truth.Sinks))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analyze := func(perApp bool) *core.Report {
-			opts := core.DefaultOptions()
-			opts.PerAppSSG = perApp
-			e, err := core.New(app, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := e.Analyze()
-			if err != nil {
-				b.Fatal(err)
-			}
-			return r
-		}
-		perSink := analyze(false)
-		perApp := analyze(true)
-
-		if len(perSink.Sinks) != len(perApp.Sinks) || len(perSink.Sinks) != 121 {
-			b.Fatalf("sink counts differ: per-sink %d, per-app %d", len(perSink.Sinks), len(perApp.Sinks))
-		}
-		for j := range perSink.Sinks {
-			s, a := perSink.Sinks[j], perApp.Sinks[j]
-			if s.Reachable != a.Reachable || s.Insecure != a.Insecure {
-				b.Fatalf("sink %d (%s): per-sink (r=%v,i=%v) vs per-app (r=%v,i=%v)",
-					j, s.Call.Caller.SootSignature(), s.Reachable, s.Insecure, a.Reachable, a.Insecure)
-			}
-		}
-		su, au := perSink.Stats.WorkUnits, perApp.Stats.WorkUnits
-		if au >= su {
-			b.Fatalf("per-app SSG charged %d units, per-sink %d — sharing must be strictly cheaper on the outlier", au, su)
-		}
-		b.ReportMetric(float64(su), "per-sink-units/op")
-		b.ReportMetric(float64(au), "per-app-units/op")
-		b.ReportMetric(float64(su)/float64(au), "per-app-speedup")
-	}
-}
-
 // BenchmarkBatchServiceReuse measures the batch-service payoff: the same
 // corpus submitted twice through one scheduler with an in-memory
 // content-addressed bundle store. The benchmark is self-checking — the

@@ -344,9 +344,6 @@ func printReport(r *core.Report, cfg config) {
 	if st.BundleStoreHits > 0 || st.BundleStoreMisses > 0 {
 		fmt.Printf("  bundle store: %d hits, %d misses\n", st.BundleStoreHits, st.BundleStoreMisses)
 	}
-	if st.ForwardMemoHits > 0 {
-		fmt.Printf("  forward memo: %d evaluations reused\n", st.ForwardMemoHits)
-	}
 	if st.DeltaRun() {
 		fmt.Printf("  delta: %d sinks reused, %d re-run; %d dump lines at reuse rate\n",
 			st.SinksReused, st.SinksRerun, st.DeltaReusedLines)

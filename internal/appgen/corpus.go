@@ -85,11 +85,10 @@ func DefaultCorpus() CorpusOptions {
 }
 
 // ManySinkOutlierSpec is the Fig. 9 many-sink outlier analogue (the
-// paper's 121-sink Huawei Health case, Sec. VI-D), purpose-built for
-// measuring the per-app SSG: one large app whose 121 sinks all funnel
-// their parameter through the app-shared configuration chain, so per-sink
-// slicing graphs rebuild the same subgraph 121 times while a per-app graph
-// builds it once.
+// paper's 121-sink Huawei Health case, Sec. VI-D): one large app whose
+// 121 sinks all funnel their parameter through the app-shared
+// configuration chain, so every per-sink slicing graph rebuilds the same
+// subgraph — the heavy tail that sink-chunk stealing splits.
 func ManySinkOutlierSpec(seed int64) Spec {
 	sinks := make([]SinkSpec, 0, 121)
 	for s := 0; s < 121; s++ {

@@ -91,7 +91,7 @@ const (
 // where the tail returns the crypto transformation string. Every
 // FlowSharedConfig sink of the app calls the same head, so all their
 // backward slices traverse one shared subgraph — the many-sink outlier
-// shape the per-app SSG (slice interning + single forward pass) exploits.
+// shape.
 func (g *generator) sharedConfigRef(insecure bool) dex.MethodRef {
 	if ref, ok := g.sharedConfig[insecure]; ok {
 		return ref

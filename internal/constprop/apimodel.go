@@ -61,8 +61,6 @@ func (a *analysis) modelAPI(inv *ir.InvokeExpr, env *env) *Fact {
 		switch name {
 		case "append":
 			// Model the builder's content as a synthetic field on its Obj.
-			// A field write like any other for the memoization counters.
-			a.fieldSeq++
 			content := builderContent(base())
 			appended := concatFacts(content, toStringFact(arg(0)))
 			setBuilderContent(base(), appended)

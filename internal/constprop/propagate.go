@@ -1,9 +1,7 @@
 package constprop
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"backdroid/internal/android"
 	"backdroid/internal/dex"
@@ -19,33 +17,12 @@ type Options struct {
 	SinkParamIndex int
 	// MaxDepth bounds inter-procedural descents.
 	MaxDepth int
-	// SinkUnit overrides the graph's SinkSite as the node whose argument
-	// fact is collected. Per-app SSGs record several sink calls in one
-	// graph; each propagation run targets one of them.
-	SinkUnit *ssg.Unit
-	// MultiSinks, when non-nil, collects facts for several sink call
-	// nodes in a single traversal: each entry maps a recorded call node
-	// to the parameter index to track at it. The per-app SSG mode uses
-	// this to run the forward pass once per app instead of once per sink
-	// — the traversal itself is identical to a single-sink run, only the
-	// collection points differ. SinkUnit/SinkParamIndex are ignored.
-	MultiSinks map[*ssg.Unit]int
-	// Memoize caches evalMethod results keyed by (callee signature,
-	// argument facts), so a callee shared by many call edges — the deep
-	// config chains of many-sink apps — is evaluated once per distinct
-	// fact environment instead of once per edge. Only provably
-	// effect-free evaluations are cached (no sink collection, no
-	// static-field or object-field writes, no fresh allocations, no
-	// depth/recursion cutoffs), and entries are invalidated by any later
-	// global or field write, so results are identical with the cache on
-	// or off.
-	Memoize bool
 	// OnMethod, when non-nil, sees every method the traversal evaluates
-	// (normal and static track, memo hits included). The delta engine
-	// records the per-sink class footprint through it. The forward pass
-	// only ever reads units recorded in the SSG, so this is redundant
-	// with the slicer's own recording — kept as an explicit seam so the
-	// footprint's completeness does not rest on that invariant.
+	// (normal and static track). The delta engine records the per-sink
+	// class footprint through it. The forward pass only ever reads units
+	// recorded in the SSG, so this is redundant with the slicer's own
+	// recording — kept as an explicit seam so the footprint's
+	// completeness does not rest on that invariant.
 	OnMethod func(dex.MethodRef)
 }
 
@@ -54,10 +31,6 @@ type Result struct {
 	// SinkValues is the dataflow representation of the tracked sink
 	// parameter: every abstract value that can reach it.
 	SinkValues []Value
-	// MultiValues holds the per-node values of a MultiSinks run.
-	MultiValues map[*ssg.Unit][]Value
-	// MemoHits counts evalMethod calls answered from the Memoize cache.
-	MemoHits int64
 }
 
 // Run traverses the SSG: the special static-field track first, then the
@@ -77,15 +50,6 @@ func Run(g *ssg.Graph, prog *ir.Program, meter *simtime.Meter, opts Options) (*R
 		sink:     NewFact(),
 		thisObjs: make(map[string]*Obj),
 	}
-	if opts.Memoize {
-		a.memo = make(map[string]memoEntry)
-	}
-	if opts.MultiSinks != nil {
-		a.multi = make(map[*ssg.Unit]*Fact, len(opts.MultiSinks))
-		for u := range opts.MultiSinks {
-			a.multi[u] = NewFact()
-		}
-	}
 
 	// Static field track first, so the normal track can resolve the
 	// fields it references.
@@ -99,14 +63,7 @@ func Run(g *ssg.Graph, prog *ir.Program, meter *simtime.Meter, opts Options) (*R
 			return nil, err
 		}
 	}
-	res := &Result{SinkValues: a.sink.Values(), MemoHits: a.memoHits}
-	if a.multi != nil {
-		res.MultiValues = make(map[*ssg.Unit][]Value, len(a.multi))
-		for u, f := range a.multi {
-			res.MultiValues[u] = f.Values()
-		}
-	}
-	return res, nil
+	return &Result{SinkValues: a.sink.Values()}, nil
 }
 
 type env struct {
@@ -127,61 +84,11 @@ type analysis struct {
 	opts    Options
 	globals map[string]*Fact // static field soot sig -> fact
 	sink    *Fact
-	multi   map[*ssg.Unit]*Fact // per-node facts of a MultiSinks run
 	objSeq  int
 	// thisObjs gives every method of one class the same receiver object,
 	// so component state written in one lifecycle handler is visible in
 	// another (paper Sec. IV-E).
 	thisObjs map[string]*Obj
-
-	// Forward-pass memoization (Options.Memoize). The effect counters
-	// make caching sound: globalsSeq bumps on every static-field write,
-	// fieldSeq on every object-field or array-element write, sinkSeq on
-	// every sink-fact collection and cutSeq on every depth-bound or
-	// recursion cutoff. An evaluation is cached only when none of them
-	// (nor objSeq — fresh allocations carry identity) moved while it ran,
-	// and a cached entry is served only while the global and field
-	// counters still match the values it was recorded under, so no stale
-	// state can ever be replayed.
-	memo       map[string]memoEntry
-	memoHits   int64
-	globalsSeq int64
-	fieldSeq   int64
-	sinkSeq    int64
-	cutSeq     int64
-}
-
-// memoEntry is one cached evalMethod result together with the validity
-// snapshot it was recorded under. remaining is the depth budget the
-// evaluation had left; a reuse site must have at least as much, or the
-// original evaluation could have been cut where the reuse would not be.
-type memoEntry struct {
-	ret        *Fact
-	globalsSeq int64
-	fieldSeq   int64
-	remaining  int
-}
-
-// envKey renders the argument facts of a call deterministically: the
-// receiver fact plus every positional parameter fact, each as its sorted
-// value strings. Object values render with their allocation identity, so
-// two keys are equal only when the callee would see literally the same
-// abstract inputs.
-func envKey(env *env) string {
-	var b strings.Builder
-	if env.thisFact != nil {
-		b.WriteString(strings.Join(env.thisFact.Strings(), ","))
-	}
-	b.WriteByte(';')
-	idxs := make([]int, 0, len(env.params))
-	for i := range env.params {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		fmt.Fprintf(&b, "%d=[%s];", i, strings.Join(env.params[i].Strings(), ","))
-	}
-	return b.String()
 }
 
 // rootMethods returns tracked methods that are not callees of any recorded
@@ -283,13 +190,10 @@ func (a *analysis) runStaticTrack() error {
 
 // evalMethod evaluates the recorded units of a method under the given
 // environment, returning the fact of its recorded return values (if any).
-// With Options.Memoize set, effect-free evaluations are cached per
-// (callee, argument facts) and replayed for later call edges with the
-// same abstract inputs — the shared-callee fast path of deep chains.
 func (a *analysis) evalMethod(ref dex.MethodRef, env *env, stack []string) (*Fact, error) {
 	// Cooperative cancellation: a latched cancel aborts the forward pass
-	// at method granularity, even on paths (memo hits, empty unit lists)
-	// that charge too little to reach the meter's next checkpoint soon.
+	// at method granularity, even on paths (empty unit lists) that charge
+	// too little to reach the meter's next checkpoint soon.
 	if a.meter.Canceled() {
 		return nil, simtime.ErrCanceled
 	}
@@ -298,40 +202,14 @@ func (a *analysis) evalMethod(ref dex.MethodRef, env *env, stack []string) (*Fac
 	}
 	sig := ref.SootSignature()
 	if len(stack) > a.opts.MaxDepth {
-		a.cutSeq++
 		return NewFact(Unknown{}), nil
 	}
 	for _, s := range stack {
 		if s == sig {
-			a.cutSeq++
 			return NewFact(Unknown{}), nil // recursive SSG edge: cut
 		}
 	}
-	remaining := a.opts.MaxDepth - len(stack)
-	var key string
-	if a.memo != nil {
-		key = sig + "\x00" + envKey(env)
-		if ent, ok := a.memo[key]; ok &&
-			ent.globalsSeq == a.globalsSeq && ent.fieldSeq == a.fieldSeq &&
-			ent.remaining <= remaining {
-			a.memoHits++
-			if err := a.meter.Charge(1); err != nil {
-				return nil, err
-			}
-			return ent.ret, nil
-		}
-	}
-	g0, f0, s0, c0, o0 := a.globalsSeq, a.fieldSeq, a.sinkSeq, a.cutSeq, a.objSeq
-	ret, err := a.evalUnits(ref, a.g.UnitsOf(ref), env, append(stack, sig), 0)
-	if err != nil {
-		return nil, err
-	}
-	if a.memo != nil &&
-		g0 == a.globalsSeq && f0 == a.fieldSeq && s0 == a.sinkSeq &&
-		c0 == a.cutSeq && o0 == a.objSeq {
-		a.memo[key] = memoEntry{ret: ret, globalsSeq: a.globalsSeq, fieldSeq: a.fieldSeq, remaining: remaining}
-	}
-	return ret, nil
+	return a.evalUnits(ref, a.g.UnitsOf(ref), env, append(stack, sig), 0)
 }
 
 func (a *analysis) evalUnits(ref dex.MethodRef, units []*ssg.Unit, env *env, stack []string, _ int) (*Fact, error) {
@@ -395,7 +273,6 @@ func (a *analysis) evalAssign(ref dex.MethodRef, u *ssg.Unit, s *ir.AssignStmt, 
 	case *ir.Local:
 		env.locals[lhs.Name] = fact
 	case *ir.InstanceFieldRef:
-		a.fieldSeq++
 		base := a.evalValue(lhs.Base, env)
 		for _, v := range base.Values() {
 			if obj, ok := v.(*Obj); ok {
@@ -403,7 +280,6 @@ func (a *analysis) evalAssign(ref dex.MethodRef, u *ssg.Unit, s *ir.AssignStmt, 
 			}
 		}
 	case *ir.StaticFieldRef:
-		a.globalsSeq++
 		sig := lhs.Field.SootSignature()
 		if existing, ok := a.globals[sig]; ok {
 			existing.Merge(fact)
@@ -411,7 +287,6 @@ func (a *analysis) evalAssign(ref dex.MethodRef, u *ssg.Unit, s *ir.AssignStmt, 
 			a.globals[sig] = fact
 		}
 	case *ir.ArrayRef:
-		a.fieldSeq++
 		base := a.evalValue(lhs.Base, env)
 		idxFact := a.evalValue(lhs.Index, env)
 		for _, v := range base.Values() {
@@ -433,22 +308,8 @@ func (a *analysis) evalAssign(ref dex.MethodRef, u *ssg.Unit, s *ir.AssignStmt, 
 // into tracked callees; model framework APIs otherwise. At the sink node
 // the tracked parameter's fact is collected.
 func (a *analysis) evalInvoke(ref dex.MethodRef, u *ssg.Unit, inv *ir.InvokeExpr, env *env, stack []string) (*Fact, error) {
-	if a.multi != nil {
-		if pi, ok := a.opts.MultiSinks[u]; ok && pi < len(inv.Args) {
-			a.sinkSeq++
-			a.multi[u].Merge(a.evalValue(inv.Args[pi], env))
-		}
-	} else {
-		target := a.opts.SinkUnit
-		if target == nil {
-			target = a.g.SinkSite
-		}
-		if target == u {
-			if a.opts.SinkParamIndex < len(inv.Args) {
-				a.sinkSeq++
-				a.sink.Merge(a.evalValue(inv.Args[a.opts.SinkParamIndex], env))
-			}
-		}
+	if u == a.g.SinkSite && a.opts.SinkParamIndex < len(inv.Args) {
+		a.sink.Merge(a.evalValue(inv.Args[a.opts.SinkParamIndex], env))
 	}
 
 	for _, callee := range a.g.CallEdgesFrom(u) {

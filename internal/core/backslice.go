@@ -18,29 +18,18 @@ const retSentinel = "\x00ret"
 // records everything — raw typed statements, inter-procedural edges, the
 // hierarchical taint map — into a self-contained slicing graph. Finally it
 // adds off-path static initializers for still-unresolved static fields.
-func (e *Engine) buildSSG(call SinkCall) (*ssg.Graph, *ssg.Unit, error) {
+func (e *Engine) buildSSG(call SinkCall) (*ssg.Graph, error) {
 	g := ssg.New(call.Sink.Method)
-	if e.opts.PerAppSSG {
-		// Per-app mode (the paper's planned extension): all sinks share
-		// one graph, so slices explored for earlier sinks are reused.
-		if e.appSSG == nil {
-			e.appSSG = g
-		}
-		g = e.appSSG
-	}
 	body, err := e.prog.Body(call.Caller)
 	if err != nil {
-		return g, nil, nil // transformation failure: empty SSG
+		return g, nil // transformation failure: empty SSG
 	}
 
-	sinkUnit := g.AddUnit(call.Caller, call.UnitIndex, body.Units[call.UnitIndex])
-	if g.SinkSite == nil {
-		g.MarkSink(sinkUnit)
-	}
+	g.MarkSink(g.AddUnit(call.Caller, call.UnitIndex, body.Units[call.UnitIndex]))
 
 	inv := ir.InvokeOf(body.Units[call.UnitIndex])
 	if inv == nil || call.Sink.ParamIndex >= len(inv.Args) {
-		return g, sinkUnit, nil
+		return g, nil
 	}
 	ts := g.Taints(call.Caller)
 	if l, ok := inv.Args[call.Sink.ParamIndex].(*ir.Local); ok {
@@ -49,12 +38,12 @@ func (e *Engine) buildSSG(call SinkCall) (*ssg.Graph, *ssg.Unit, error) {
 
 	s := &slicer{engine: e, g: g}
 	if err := s.slice(call.Caller, call.UnitIndex, nil, 0, false); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := s.addOffPathClinits(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return g, sinkUnit, nil
+	return g, nil
 }
 
 // slicer carries the state of one SSG construction. The static-field
@@ -65,46 +54,6 @@ type slicer struct {
 	g      *ssg.Graph
 }
 
-// internKey builds the per-app slice-intern key for a contained-method
-// slice: the seed kind, the static-track flag and the callee signature.
-func internKey(kind string, staticTrack bool, sig string) string {
-	track := "-"
-	if staticTrack {
-		track = "s"
-	}
-	return kind + "\x00" + track + "\x00" + sig
-}
-
-// internRecord is the taint state an interned slice completed under. A
-// later identical slice request is skipped only when BOTH the callee's
-// own taint set and the global static taints are unchanged since — a
-// newly tainted static field can change what a callee slice records
-// (sput writers), even though the callee's local set never moved.
-type internRecord struct {
-	callee int // callee TaintSet.Version at completion
-	global int // GlobalTaint.Version at completion
-}
-
-// internHit reports whether the interned record still describes the
-// current taint state.
-func (s *slicer) internHit(key string, calleeTaints *ssg.TaintSet) bool {
-	rec, ok := s.engine.sliceIntern[key]
-	return ok && rec.callee == calleeTaints.Version() && rec.global == s.g.GlobalTaint.Version()
-}
-
-// internStore records a completed slice for interning — unless any
-// depth-bound or loop cutoff truncated its subtree (cutoffs moved), in
-// which case the slice is not a faithful stand-in for a re-slice from a
-// shallower context and must not be replayed.
-func (s *slicer) internStore(key string, calleeTaints *ssg.TaintSet, cutoffsBefore int64) {
-	e := s.engine
-	if e.sliceCutoffs != cutoffsBefore {
-		delete(e.sliceIntern, key)
-		return
-	}
-	e.sliceIntern[key] = internRecord{callee: calleeTaints.Version(), global: s.g.GlobalTaint.Version()}
-}
-
 // slice scans the method backward from unit fromIdx-1, consuming and
 // producing taints in the method's taint set, then propagates remaining
 // parameter taints to callers located by bytecode search. staticTrack
@@ -113,12 +62,10 @@ func (s *slicer) slice(method dex.MethodRef, fromIdx int, path []string, depth i
 	e := s.engine
 	sig := method.SootSignature()
 	if depth > e.opts.MaxDepth {
-		e.sliceCutoffs++
 		return nil
 	}
 	for _, p := range path {
 		if p == sig {
-			e.sliceCutoffs++
 			if e.opts.EnableLoopDetection {
 				e.loops[CrossBackward]++
 			}
@@ -340,7 +287,6 @@ func (s *slicer) taintInvokeResult(method dex.MethodRef, body *ir.Body, idx int,
 	if e.opts.EnableLoopDetection {
 		for _, p := range path {
 			if p == inv.Method.SootSignature() {
-				e.sliceCutoffs++
 				e.loops[InnerBackward]++
 				return nil
 			}
@@ -354,28 +300,9 @@ func (s *slicer) taintInvokeResult(method dex.MethodRef, body *ir.Body, idx int,
 	s.g.AddEdge(ssg.ReturnEdge, site, inv.Method)
 
 	calleeTaints := s.g.Taints(inv.Method)
-	key := internKey("ret", staticTrack, inv.Method.SootSignature())
-	if e.opts.PerAppSSG {
-		// Slice interning (per-app SSG tuning): when an identical
-		// return-seeded slice of this callee already ran to completion on
-		// the shared graph and neither the callee's taint set nor the
-		// global static taints have moved since, the subgraph — recorded
-		// units, edges, residual taints — is already in place. Re-slicing
-		// would re-walk the same statements to the same state, so only
-		// the call-site bookkeeping above and the residual parameter
-		// mapping below are repeated.
-		if s.internHit(key, calleeTaints) {
-			s.mapCalleeParamsBack(inv, calleeTaints, ts)
-			return nil
-		}
-	}
-	cutoffs := e.sliceCutoffs
 	calleeTaints.AddLocal(retSentinel)
 	if err := s.slice(inv.Method, -1, append(path, method.SootSignature()), depth+1, staticTrack); err != nil {
 		return err
-	}
-	if e.opts.PerAppSSG {
-		s.internStore(key, calleeTaints, cutoffs)
 	}
 	// Map the callee's residual parameter taints back to our arguments.
 	s.mapCalleeParamsBack(inv, calleeTaints, ts)
@@ -408,7 +335,6 @@ func (s *slicer) handleInvoke(method dex.MethodRef, body *ir.Body, idx int, inv 
 	if e.opts.EnableLoopDetection {
 		for _, p := range path {
 			if p == inv.Method.SootSignature() {
-				e.sliceCutoffs++
 				e.loops[InnerBackward]++
 				return nil
 			}
@@ -502,9 +428,7 @@ func (s *slicer) traceStaticFieldWriters(field dex.FieldRef, path []string, dept
 		}
 	}
 	e.writerCache[sig] = writers
-	if frame != nil {
-		e.writerFrag[sig] = frame
-	}
+	e.writerFrag[sig] = frame
 	return nil
 }
 
@@ -592,7 +516,6 @@ func (s *slicer) propagateToCallers(method dex.MethodRef, body *ir.Body, tainted
 			looped := false
 			for _, p := range path {
 				if p == site.Method.SootSignature() {
-					e.sliceCutoffs++
 					e.loops[CrossBackward]++
 					looped = true
 					break
@@ -663,22 +586,8 @@ func (s *slicer) addOffPathClinits() error {
 		if clinit == nil {
 			continue
 		}
-		key := internKey("clinit", true, clinit.Ref.SootSignature())
-		if e.opts.PerAppSSG {
-			// The clinit's static-track subgraph is shared across sinks;
-			// re-slice only when the taint state changed since it was
-			// last recorded (a later sink re-tainted a field the earlier
-			// slice consumed).
-			if s.internHit(key, s.g.Taints(clinit.Ref)) {
-				continue
-			}
-		}
-		cutoffs := e.sliceCutoffs
 		if err := s.slice(clinit.Ref, -1, nil, 0, true); err != nil {
 			return err
-		}
-		if e.opts.PerAppSSG {
-			s.internStore(key, s.g.Taints(clinit.Ref), cutoffs)
 		}
 	}
 	return nil

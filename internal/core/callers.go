@@ -66,9 +66,7 @@ func (e *Engine) findCallers(callee dex.MethodRef) (sites []callerSite, isEntry 
 	}
 	e.callerCache[sig] = sites
 	e.entryCache[sig] = isEntry
-	if frame != nil {
-		e.callerFrag[sig] = frame
-	}
+	e.callerFrag[sig] = frame
 	return sites, isEntry, nil
 }
 

@@ -122,7 +122,6 @@ func addStats(dst, src *Stats) {
 	dst.DumpLinesDisassembled += src.DumpLinesDisassembled
 	dst.BundleStoreHits += src.BundleStoreHits
 	dst.BundleStoreMisses += src.BundleStoreMisses
-	dst.ForwardMemoHits += src.ForwardMemoHits
 	dst.SettledLookups += src.SettledLookups
 	dst.CancelPolls += src.CancelPolls
 	dst.SinksReused += src.SinksReused

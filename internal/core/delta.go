@@ -74,30 +74,27 @@ func (f *fpFrame) footprint() *Footprint {
 // fpRecorder is a stack of active footprint frames. Records go to every
 // active frame, so a cache-entry fragment collected inside a sink's
 // analysis lands in both the fragment and the sink's own footprint. All
-// methods are safe on a nil recorder (recording disabled) and outside
-// any frame (e.g. the locate phase, which re-runs on every delta).
+// methods are safe outside any frame (e.g. the locate phase, which
+// re-runs on every delta).
 type fpRecorder struct {
 	frames []*fpFrame
 }
 
 func (r *fpRecorder) push() *fpFrame {
-	if r == nil {
-		return nil
-	}
 	f := &fpFrame{classes: make(map[string]bool), cmds: make(map[string]bcsearch.Command)}
 	r.frames = append(r.frames, f)
 	return f
 }
 
 func (r *fpRecorder) pop() {
-	if r == nil || len(r.frames) == 0 {
+	if len(r.frames) == 0 {
 		return
 	}
 	r.frames = r.frames[:len(r.frames)-1]
 }
 
 func (r *fpRecorder) class(name string) {
-	if r == nil || name == "" {
+	if name == "" {
 		return
 	}
 	for _, f := range r.frames {
@@ -106,9 +103,6 @@ func (r *fpRecorder) class(name string) {
 }
 
 func (r *fpRecorder) command(c bcsearch.Command) {
-	if r == nil {
-		return
-	}
 	key := c.Key()
 	for _, f := range r.frames {
 		f.cmds[key] = c
@@ -118,7 +112,7 @@ func (r *fpRecorder) command(c bcsearch.Command) {
 // merge replays a stored fragment into every active frame — the
 // cache-hit counterpart of recording the computation itself.
 func (r *fpRecorder) merge(f *fpFrame) {
-	if r == nil || f == nil || len(r.frames) == 0 {
+	if len(r.frames) == 0 {
 		return
 	}
 	for c := range f.classes {

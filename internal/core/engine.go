@@ -21,12 +21,12 @@ import (
 	"backdroid/internal/apk"
 	"backdroid/internal/bcsearch"
 	"backdroid/internal/cha"
-	"backdroid/internal/constprop"
 	"backdroid/internal/dex"
 	"backdroid/internal/dexdump"
 	"backdroid/internal/ir"
 	"backdroid/internal/simtime"
 	"backdroid/internal/ssg"
+	"backdroid/internal/vuln"
 )
 
 // Options configures the engine. The zero value is NOT usable; call
@@ -64,12 +64,6 @@ type Options struct {
 	// implementation.
 	Bundles BundleCache
 
-	// MemoizeForwardPass caches constprop method evaluations keyed by
-	// (callee, argument facts) within one forward pass, so callees shared
-	// by many call edges are evaluated once per distinct fact environment.
-	// Results are identical with the cache on or off; on by default.
-	MemoizeForwardPass bool
-
 	// EnableSinkCache caches per-method reachability so repeated sink
 	// calls in the same unreachable method are skipped (Sec. IV-F).
 	EnableSinkCache bool
@@ -90,12 +84,6 @@ type Options struct {
 	// only the methods the field-signature search matched. Exists for the
 	// ablation benchmark.
 	AnalyzeAllContained bool
-
-	// PerAppSSG shares one slicing graph across all sink calls of the app
-	// instead of building one SSG per sink — the extension the paper
-	// plans for apps with very many sinks (Secs. V-A, VI-D). Slices and
-	// taints accumulated for earlier sinks are reused by later ones.
-	PerAppSSG bool
 
 	// MaxDepth bounds inter-procedural backtracking and forward taint
 	// chains.
@@ -121,10 +109,10 @@ type Options struct {
 	Checkpoint func(units, delta int64) bool
 
 	// SinkObserver, when non-nil, receives every SinkReport as soon as its
-	// verdict is final — per sink call during the per-sink pipeline, after
-	// the shared forward pass in PerAppSSG mode. The callback runs
-	// synchronously on the analysis goroutine, in report order; the batch
-	// service streams these as events while the job is still running.
+	// verdict is final, i.e. right after the sink call's forward pass. The
+	// callback runs synchronously on the analysis goroutine, in report
+	// order; the batch service streams these as events while the job is
+	// still running.
 	SinkObserver func(*SinkReport)
 
 	// DeltaFrom, when non-nil, supplies the prior version of the app for
@@ -134,8 +122,7 @@ type Options struct {
 	// charging the cheap ChargeManifestDiff/ChargeDeltaReuse rates for the
 	// unchanged mass. The report is identical to a full re-analysis; only
 	// the charged cost shrinks. Ignored (silent full run) when the base
-	// is unusable — timed out, undecodable manifest — or when PerAppSSG
-	// is set, whose shared-graph slices have no per-sink footprint.
+	// is unusable — timed out, undecodable manifest.
 	DeltaFrom *DeltaBase
 
 	// ChunkRange, when non-nil, restricts the run to the canonical
@@ -155,22 +142,20 @@ type Options struct {
 	// holds the index build or load of the first search) and, per
 	// analyzed sink, the backward slice and the forward constprop pass,
 	// with sink carrying the canonical sink position (-1 for app-level
-	// phases, including the single shared forward pass of PerAppSSG
-	// mode). The callback runs synchronously on the
-	// analysis goroutine after the phase's last charge; it must never
+	// phases). The callback runs synchronously on the analysis goroutine
+	// after the phase's last charge; it must never
 	// charge the meter itself, so enabling it cannot move a single
 	// checkpoint — tracing is observationally free in simulated time.
 	// A phase aborted by timeout or cancellation emits no span.
 	PhaseSpan func(phase string, sink int, start, end int64)
 
 	// SinkProgress, when non-nil, is polled immediately before each
-	// sink call is analyzed (before each sink is prepared, in PerAppSSG
-	// mode), with the sink's position in the canonical list and the
-	// list's total length. Returning true stops the run before that
-	// sink — its position was fenced away by a steal — and Analyze
-	// returns the partial report of the sinks already completed, not an
-	// error. The fleet scheduler's victim hook also uses the first poll
-	// to learn the job's total sink count.
+	// sink call is analyzed, with the sink's position in the canonical
+	// list and the list's total length. Returning true stops the run
+	// before that sink — its position was fenced away by a steal — and
+	// Analyze returns the partial report of the sinks already completed,
+	// not an error. The fleet scheduler's victim hook also uses the first
+	// poll to learn the job's total sink count.
 	SinkProgress func(next, total int) bool
 }
 
@@ -183,7 +168,6 @@ func DefaultOptions() Options {
 		EnableSearchCache:   true,
 		EnableSinkCache:     true,
 		EnableLoopDetection: true,
-		MemoizeForwardPass:  true,
 		MaxDepth:            25,
 	}
 }
@@ -232,8 +216,7 @@ type SinkReport struct {
 	Reused bool
 	// Footprint records what this sink's analysis observed; a later
 	// delta run consults it to decide whether the verdict survives an
-	// update. Nil in PerAppSSG mode and on carried-over base reports
-	// that never recorded one.
+	// update. Nil on carried-over base reports that never recorded one.
 	Footprint *Footprint
 }
 
@@ -295,8 +278,9 @@ type Stats struct {
 	BundleStoreHits   int
 	BundleStoreMisses int
 
-	// ForwardMemoHits counts constprop method evaluations answered from
-	// the forward-pass memo cache (Options.MemoizeForwardPass).
+	// ForwardMemoHits is always 0: the forward pass has no memo. The
+	// field stays because the API's memo field, the bench trace probe
+	// and committed BENCH records read it.
 	ForwardMemoHits int64
 
 	// SettledLookups counts reports served whole from the settled-result
@@ -398,17 +382,8 @@ type Engine struct {
 	loops       map[LoopKind]int
 	sinkTotal   int
 	sinkCached  int
-	lastValues  []constprop.Value
 	preTimedOut bool
-	appSSG      *ssg.Graph // shared graph when PerAppSSG is set
 
-	// Per-app slice interning (PerAppSSG only): key -> taint state at the
-	// time the interned slice completed. sliceCutoffs counts every
-	// depth-bound or loop-cutoff truncation, so a slice whose subtree was
-	// truncated is never interned as if it were complete. See
-	// backslice.go.
-	sliceIntern  map[string]internRecord
-	sliceCutoffs int64
 	// Engine-wide static-field writer cache, shared across all slicers
 	// (the writer set is a pure function of the dump).
 	writerCache map[string]map[string]bool
@@ -418,14 +393,10 @@ type Engine struct {
 	dumpCacheUnits int64
 	dumpLinesCold  int64
 
-	// Forward-pass memoization accounting (see Stats).
-	memoHits int64
-
 	// Delta analysis state (Options.DeltaFrom; see delta.go). rec is the
-	// footprint recorder, non-nil whenever footprints are collected (all
-	// non-PerAppSSG runs, so any run can later serve as a delta base);
-	// callerFrag/writerFrag hold the footprint fragments of the caller
-	// and static-writer caches.
+	// footprint recorder — every run records, so any run can later serve
+	// as a delta base; callerFrag/writerFrag hold the footprint fragments
+	// of the caller and static-writer caches.
 	rec              *fpRecorder
 	callerFrag       map[string]*fpFrame
 	writerFrag       map[string]*fpFrame
@@ -483,20 +454,16 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		analyzed:    make(map[string]bool),
 		loops:       make(map[LoopKind]int),
 		writerCache: make(map[string]map[string]bool),
-		sliceIntern: make(map[string]internRecord),
 		bundle:      warm,
+		// Footprint recording (delta.go): every run records, per sink,
+		// the classes and search commands its analysis consulted, so it
+		// can later serve as a delta base.
+		rec:        &fpRecorder{},
+		callerFrag: make(map[string]*fpFrame),
+		writerFrag: make(map[string]*fpFrame),
 	}
-	if !opts.PerAppSSG {
-		// Footprint recording (delta.go): every run that can serve as a
-		// delta base records, per sink, the classes and search commands
-		// its analysis consulted. The per-app shared graph has no
-		// per-sink attribution, so PerAppSSG runs record nothing.
-		e.rec = &fpRecorder{}
-		e.callerFrag = make(map[string]*fpFrame)
-		e.writerFrag = make(map[string]*fpFrame)
-		e.prog.SetObserver(func(ref dex.MethodRef) { e.rec.class(ref.Class) })
-	}
-	if d := opts.DeltaFrom; d != nil && !opts.PerAppSSG && opts.ChunkRange == nil && d.Report != nil && !d.Report.TimedOut {
+	e.prog.SetObserver(func(ref dex.MethodRef) { e.rec.class(ref.Class) })
+	if d := opts.DeltaFrom; d != nil && opts.ChunkRange == nil && d.Report != nil && !d.Report.TimedOut {
 		// A base bundle that does not read whole (other codec version,
 		// any damage) or lacks a decodable manifest silently disables the
 		// delta path; the run is then an ordinary full analysis.
@@ -595,18 +562,16 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		EnableCache: opts.EnableSearchCache,
 		Index:       e.index,
 	})
-	if e.rec != nil {
-		e.search.SetObserver(func(cmd bcsearch.Command, hits []bcsearch.Hit) {
-			e.rec.command(cmd)
-			for _, h := range hits {
-				if h.Method.Class != "" {
-					e.rec.class(h.Method.Class)
-				} else if cls, ok := classOfLine(dump, h.Line); ok {
-					e.rec.class(cls)
-				}
+	e.search.SetObserver(func(cmd bcsearch.Command, hits []bcsearch.Hit) {
+		e.rec.command(cmd)
+		for _, h := range hits {
+			if h.Method.Class != "" {
+				e.rec.class(h.Method.Class)
+			} else if cls, ok := classOfLine(dump, h.Line); ok {
+				e.rec.class(cls)
 			}
-		})
-	}
+		}
+	})
 	return e, nil
 }
 
@@ -672,47 +637,27 @@ func (e *Engine) Analyze() (*Report, error) {
 		offset = from
 	}
 
-	if e.opts.PerAppSSG {
-		timedOut, err := e.analyzeSinksPerApp(report, calls, offset, total)
-		if err != nil {
-			return nil, err
+	rb := e.meter.Units()
+	reuse, err := e.planDeltaReuse(calls)
+	if err != nil {
+		if err == simtime.ErrTimeout {
+			report.TimedOut = true
+			e.fillStats(report, start)
+			return report, nil
 		}
-		report.TimedOut = report.TimedOut || timedOut
-		// Verdicts become final only after the shared forward pass, so
-		// the stream is delivered per app here, in report order.
-		if e.opts.SinkObserver != nil {
-			for _, sr := range report.Sinks {
-				e.opts.SinkObserver(sr)
-			}
+		return nil, err
+	}
+	e.phaseSpan("delta-reuse", -1, rb)
+	for i, call := range calls {
+		if e.opts.SinkProgress != nil && e.opts.SinkProgress(offset+i, total) {
+			// The position was fenced away by a steal: stop cleanly
+			// with the partial report of the sinks already done.
+			break
 		}
-	} else {
-		rb := e.meter.Units()
-		reuse, err := e.planDeltaReuse(calls)
-		if err == nil {
-			e.phaseSpan("delta-reuse", -1, rb)
-		}
-		if err != nil {
-			if err == simtime.ErrTimeout {
-				report.TimedOut = true
-				e.fillStats(report, start)
-				return report, nil
-			}
-			return nil, err
-		}
-		for i, call := range calls {
-			if e.opts.SinkProgress != nil && e.opts.SinkProgress(offset+i, total) {
-				// The position was fenced away by a steal: stop cleanly
-				// with the partial report of the sinks already done.
-				break
-			}
-			if sr := reuse[i]; sr != nil {
-				e.sinksReused++
-				report.Sinks = append(report.Sinks, sr)
-				if e.opts.SinkObserver != nil {
-					e.opts.SinkObserver(sr)
-				}
-				continue
-			}
+		sr := reuse[i]
+		if sr != nil {
+			e.sinksReused++
+		} else {
 			if e.deltaDiff != nil {
 				e.sinksRerun++
 			}
@@ -722,7 +667,7 @@ func (e *Engine) Analyze() (*Report, error) {
 			// never look its body up.
 			frame := e.rec.push()
 			e.rec.class(call.Caller.Class)
-			sr, err := e.analyzeSinkCall(call, offset+i)
+			sr, err = e.analyzeSinkCall(call, offset+i)
 			e.rec.pop()
 			if err != nil {
 				if err == simtime.ErrTimeout {
@@ -731,13 +676,11 @@ func (e *Engine) Analyze() (*Report, error) {
 				}
 				return nil, err
 			}
-			if frame != nil {
-				sr.Footprint = frame.footprint()
-			}
-			report.Sinks = append(report.Sinks, sr)
-			if e.opts.SinkObserver != nil {
-				e.opts.SinkObserver(sr)
-			}
+			sr.Footprint = frame.footprint()
+		}
+		report.Sinks = append(report.Sinks, sr)
+		if e.opts.SinkObserver != nil {
+			e.opts.SinkObserver(sr)
 		}
 	}
 
@@ -767,7 +710,6 @@ func (e *Engine) fillStats(report *Report, start time.Time) {
 		DumpLinesDisassembled: e.dumpLinesCold,
 		BundleStoreHits:       storeHits,
 		BundleStoreMisses:     storeMisses,
-		ForwardMemoHits:       e.memoHits,
 		CancelPolls:           e.meter.CancelPolls(),
 		SinksReused:           e.sinksReused,
 		SinksRerun:            e.sinksRerun,
@@ -775,11 +717,9 @@ func (e *Engine) fillStats(report *Report, start time.Time) {
 	}
 }
 
-// prepareSinkCall backtracks one sink call and builds (or extends, in
-// per-app mode) its SSG — everything up to but excluding the forward
-// pass. It returns the report skeleton and the recorded sink call node
-// (nil when the sink is unreachable or its caller failed translation).
-func (e *Engine) prepareSinkCall(call SinkCall) (*SinkReport, *ssg.Unit, error) {
+// prepareSinkCall backtracks one sink call and builds its SSG —
+// everything up to but excluding the forward pass.
+func (e *Engine) prepareSinkCall(call SinkCall) (*SinkReport, error) {
 	e.sinkTotal++
 	sr := &SinkReport{Call: call}
 
@@ -793,7 +733,7 @@ func (e *Engine) prepareSinkCall(call SinkCall) (*SinkReport, *ssg.Unit, error) 
 			e.rec.merge(st.frag)
 			if !st.reachable {
 				sr.Reachable = false
-				return sr, nil, nil
+				return sr, nil
 			}
 			// Reachable and cached: still slice for the values.
 		}
@@ -803,7 +743,7 @@ func (e *Engine) prepareSinkCall(call SinkCall) (*SinkReport, *ssg.Unit, error) 
 	reachable, entries, err := e.reachable(call.Caller, nil, 0)
 	e.rec.pop()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if e.opts.EnableSinkCache {
 		e.reachCache[sig] = &reachState{reachable: reachable, entries: entries, frag: frame}
@@ -811,26 +751,26 @@ func (e *Engine) prepareSinkCall(call SinkCall) (*SinkReport, *ssg.Unit, error) 
 	sr.Reachable = reachable
 	sr.Entries = entries
 	if !reachable {
-		return sr, nil, nil
+		return sr, nil
 	}
 
-	g, sinkUnit, err := e.buildSSG(call)
+	g, err := e.buildSSG(call)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sr.SSG = g
 	for _, en := range entries {
 		g.MarkEntry(en)
 	}
-	return sr, sinkUnit, nil
+	return sr, nil
 }
 
 // analyzeSinkCall backtracks one sink call, builds its SSG and runs the
-// forward pass (the per-sink pipeline). pos is the sink's canonical
-// position, attributed to the phase spans.
+// forward pass. pos is the sink's canonical position, attributed to the
+// phase spans.
 func (e *Engine) analyzeSinkCall(call SinkCall, pos int) (*SinkReport, error) {
 	b := e.meter.Units()
-	sr, sinkUnit, err := e.prepareSinkCall(call)
+	sr, err := e.prepareSinkCall(call)
 	if err != nil {
 		return nil, err
 	}
@@ -840,82 +780,15 @@ func (e *Engine) analyzeSinkCall(call SinkCall, pos int) (*SinkReport, error) {
 	}
 
 	b = e.meter.Units()
-	values, err := e.propagate(sr.SSG, sinkUnit, call)
+	values, err := e.propagate(sr.SSG, call)
 	if err != nil {
 		return nil, err
 	}
 	e.phaseSpan("constprop", pos, b)
-	sr.Values = values
-	sr.Insecure = e.judgeLast(call.Sink.Rule)
+	sr.Values = make([]string, len(values))
+	for i, v := range values {
+		sr.Values[i] = v.String()
+	}
+	sr.Insecure = vuln.Judge(call.Sink.Rule, values)
 	return sr, nil
-}
-
-// analyzeSinksPerApp is the tuned per-app SSG pipeline (Secs. V-A, VI-D):
-// every sink call is backtracked into the one shared slicing graph first —
-// with contained-method slices interned, so subgraphs shared between sinks
-// are built once — and the forward constant/points-to pass then runs a
-// single time over the accumulated graph, collecting all sink parameter
-// values in one traversal instead of once per sink. Returns whether the
-// simulated budget ran out.
-func (e *Engine) analyzeSinksPerApp(report *Report, calls []SinkCall, offset, total int) (bool, error) {
-	type pendingSink struct {
-		sr   *SinkReport
-		unit *ssg.Unit
-	}
-	var pend []pendingSink
-	for i, call := range calls {
-		if e.opts.SinkProgress != nil && e.opts.SinkProgress(offset+i, total) {
-			// Fenced mid-prepare: the forward pass below still runs over
-			// the sinks already prepared — exactly the per-chunk shared
-			// graph a thief builds for the stolen window.
-			break
-		}
-		b := e.meter.Units()
-		sr, unit, err := e.prepareSinkCall(call)
-		if err != nil {
-			if err == simtime.ErrTimeout {
-				return true, nil
-			}
-			return false, err
-		}
-		e.phaseSpan("backslice", offset+i, b)
-		report.Sinks = append(report.Sinks, sr)
-		if sr.Reachable && unit != nil {
-			pend = append(pend, pendingSink{sr: sr, unit: unit})
-		}
-	}
-	if len(pend) == 0 || e.appSSG == nil {
-		return false, nil
-	}
-
-	multi := make(map[*ssg.Unit]int, len(pend))
-	for _, p := range pend {
-		multi[p.unit] = p.sr.Call.Sink.ParamIndex
-	}
-	fb := e.meter.Units()
-	res, err := constprop.Run(e.appSSG, e.prog, e.meter, constprop.Options{
-		MaxDepth:   e.opts.MaxDepth,
-		MultiSinks: multi,
-		Memoize:    e.opts.MemoizeForwardPass,
-	})
-	if err != nil {
-		if err == simtime.ErrTimeout {
-			return true, nil
-		}
-		return false, err
-	}
-	// One shared forward pass for the whole app: sink -1 marks it
-	// app-level, like the preprocessing phases.
-	e.phaseSpan("constprop", -1, fb)
-	e.memoHits += res.MemoHits
-	for _, p := range pend {
-		vals := res.MultiValues[p.unit]
-		out := make([]string, len(vals))
-		for i, v := range vals {
-			out[i] = v.String()
-		}
-		p.sr.Values = out
-		p.sr.Insecure = judgeValues(p.sr.Call.Sink.Rule, vals)
-	}
-	return false, nil
 }

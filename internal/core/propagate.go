@@ -1,53 +1,27 @@
 package core
 
 import (
-	"backdroid/internal/android"
 	"backdroid/internal/constprop"
 	"backdroid/internal/dex"
 	"backdroid/internal/ssg"
-	"backdroid/internal/vuln"
 )
 
 // propagate runs the forward constant and points-to propagation over the
-// SSG (paper Sec. V-B) and returns the rendered dataflow representations
-// of the tracked sink parameter. The vulnerability verdict is computed on
-// the typed values.
-func (e *Engine) propagate(g *ssg.Graph, sinkUnit *ssg.Unit, call SinkCall) ([]string, error) {
-	opts := constprop.Options{
+// sink's SSG (paper Sec. V-B) and returns the typed values that reach the
+// tracked sink parameter; the caller renders them and judges the
+// vulnerability rule on them.
+func (e *Engine) propagate(g *ssg.Graph, call SinkCall) ([]constprop.Value, error) {
+	res, err := constprop.Run(g, e.prog, e.meter, constprop.Options{
 		SinkParamIndex: call.Sink.ParamIndex,
 		MaxDepth:       e.opts.MaxDepth,
-		SinkUnit:       sinkUnit,
-		Memoize:        e.opts.MemoizeForwardPass,
-	}
-	if e.rec != nil {
 		// Belt and braces for the delta footprint: the forward pass only
 		// walks SSG-recorded units and prog bodies (both already
 		// observed), but the explicit seam keeps the recording honest if
 		// constprop ever grows a direct bytecode dependency.
-		opts.OnMethod = func(ref dex.MethodRef) { e.rec.class(ref.Class) }
-	}
-	res, err := constprop.Run(g, e.prog, e.meter, opts)
+		OnMethod: func(ref dex.MethodRef) { e.rec.class(ref.Class) },
+	})
 	if err != nil {
 		return nil, err
 	}
-	e.memoHits += res.MemoHits
-	e.lastValues = res.SinkValues
-	out := make([]string, len(res.SinkValues))
-	for i, v := range res.SinkValues {
-		out[i] = v.String()
-	}
-	return out, nil
-}
-
-// judge applies the vulnerability rule to the most recent propagation
-// result.
-func (e *Engine) judgeLast(rule android.RuleKind) bool {
-	return vuln.Judge(rule, e.lastValues)
-}
-
-// judgeValues applies the vulnerability rule to typed values directly —
-// the per-app pipeline judges every sink from one propagation run, so
-// there is no meaningful "last" result.
-func judgeValues(rule android.RuleKind, values []constprop.Value) bool {
-	return vuln.Judge(rule, values)
+	return res.SinkValues, nil
 }

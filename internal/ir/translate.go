@@ -49,6 +49,11 @@ var invokeKinds = map[dex.Op]InvokeKind{
 	dex.OpInvokeSuper:     KindSuper,
 }
 
+// maxRegisters is the register-count limit of the Dalvik format, where
+// the count is a u16. The locals table is sized by the count, so a
+// decoded method claiming more is refused before anything is allocated.
+const maxRegisters = 1<<16 - 1
+
 // Translate converts a dex method body into IR. Identity statements for
 // @this/@parameters come first; each subsequent unit corresponds to one dex
 // instruction, except invoke+move-result pairs which merge into a single
@@ -56,6 +61,9 @@ var invokeKinds = map[dex.Op]InvokeKind{
 func Translate(m *dex.Method) (*Body, error) {
 	if m.IsAbstract() {
 		return nil, &TranslateError{Method: m.Ref, Reason: "abstract method has no body"}
+	}
+	if m.Registers < 0 || m.Registers > maxRegisters {
+		return nil, &TranslateError{Method: m.Ref, Reason: fmt.Sprintf("register count %d outside [0, %d]", m.Registers, maxRegisters)}
 	}
 	b := &Body{Method: m.Ref, Flags: m.Flags}
 
@@ -78,6 +86,9 @@ func Translate(m *dex.Method) (*Body, error) {
 	// Identity units.
 	reg := 0
 	if !m.IsStatic() {
+		if len(locals) == 0 {
+			return nil, &TranslateError{Method: m.Ref, Reason: "instance method without a receiver register"}
+		}
 		locals[0].Type = dex.T(m.Ref.Class)
 		b.Units = append(b.Units, &IdentityStmt{LHS: locals[0], RHS: &ThisRef{Class: m.Ref.Class}})
 		reg = 1

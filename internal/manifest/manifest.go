@@ -29,13 +29,6 @@ var kindNames = map[ComponentKind]string{
 	Provider: "provider",
 }
 
-var kindByName = map[string]ComponentKind{
-	"activity": Activity,
-	"service":  Service,
-	"receiver": Receiver,
-	"provider": Provider,
-}
-
 // String returns the manifest tag name of the kind.
 func (k ComponentKind) String() string {
 	if n, ok := kindNames[k]; ok {
@@ -217,6 +210,5 @@ func ParseXML(data []byte) (*Manifest, error) {
 	appendAll(Service, xm.Application.Services)
 	appendAll(Receiver, xm.Application.Receivers)
 	appendAll(Provider, xm.Application.Providers)
-	_ = kindByName // reserved for tag-driven parsing extensions
 	return m, nil
 }

@@ -46,85 +46,75 @@ func randomChunking(rng *rand.Rand, total int) []core.ChunkRange {
 // every chunking of the canonical sink list — random partitions, chunks
 // shuffled to arrive out of order, plus overlapping ranges — MergeReports
 // over the per-chunk partial reports is bitwise-identical (in canonical
-// settled encoding) to the single-pass run on the indexed backend, with
-// the per-app SSG on and off. All chunks run against the same
-// shared bundle store, so only the first run pays the disassembly.
+// settled encoding) to the single-pass run on the indexed backend. All
+// chunks run against the same shared bundle store, so only the first run
+// pays the disassembly.
 func TestMergeReportsChunkingParity(t *testing.T) {
 	app, _, err := appgen.Generate(chunkParitySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	configs := []struct {
-		name      string
-		perAppSSG bool
-	}{
-		{"indexed", false},
-		{"indexed-perapp", true},
-	}
-	for _, cfg := range configs {
-		t.Run(cfg.name, func(t *testing.T) {
-			store := NewBundleStore(0)
-			base := core.DefaultOptions()
-			base.PerAppSSG = cfg.perAppSSG
-			base.Bundles = store
+	t.Run("indexed", func(t *testing.T) {
+		store := NewBundleStore(0)
+		base := core.DefaultOptions()
+		base.Bundles = store
 
-			runRange := func(cr *core.ChunkRange) *core.Report {
-				t.Helper()
-				o := base
-				o.ChunkRange = cr
-				e, err := core.New(app, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := e.Analyze()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rep
+		runRange := func(cr *core.ChunkRange) *core.Report {
+			t.Helper()
+			o := base
+			o.ChunkRange = cr
+			e, err := core.New(app, o)
+			if err != nil {
+				t.Fatal(err)
 			}
+			rep, err := e.Analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
 
-			ref := runRange(nil)
-			total := len(ref.Sinks)
-			if total != 24 {
-				t.Fatalf("reference run found %d sinks, want 24", total)
-			}
-			refBytes := EncodeReport(ref)
+		ref := runRange(nil)
+		total := len(ref.Sinks)
+		if total != 24 {
+			t.Fatalf("reference run found %d sinks, want 24", total)
+		}
+		refBytes := EncodeReport(ref)
 
-			rng := rand.New(rand.NewSource(20210621))
-			for trial := 0; trial < 5; trial++ {
-				ranges := randomChunking(rng, total)
-				rng.Shuffle(len(ranges), func(i, j int) { ranges[i], ranges[j] = ranges[j], ranges[i] })
-				parts := make([]*core.Report, len(ranges))
-				for i := range ranges {
-					parts[i] = runRange(&ranges[i])
-				}
-				merged := core.MergeReports(parts...)
-				if !bytes.Equal(EncodeReport(merged), refBytes) {
-					t.Fatalf("trial %d: merge of chunking %v diverged from the single pass:\n%s\nvs\n%s",
-						trial, ranges, detectionKey(merged), detectionKey(ref))
-				}
-				if merged.Stats.SinkCallsTotal != ref.Stats.SinkCallsTotal {
-					t.Fatalf("trial %d: merged SinkCallsTotal = %d, want %d",
-						trial, merged.Stats.SinkCallsTotal, ref.Stats.SinkCallsTotal)
-				}
+		rng := rand.New(rand.NewSource(20210621))
+		for trial := 0; trial < 5; trial++ {
+			ranges := randomChunking(rng, total)
+			rng.Shuffle(len(ranges), func(i, j int) { ranges[i], ranges[j] = ranges[j], ranges[i] })
+			parts := make([]*core.Report, len(ranges))
+			for i := range ranges {
+				parts[i] = runRange(&ranges[i])
 			}
+			merged := core.MergeReports(parts...)
+			if !bytes.Equal(EncodeReport(merged), refBytes) {
+				t.Fatalf("trial %d: merge of chunking %v diverged from the single pass:\n%s\nvs\n%s",
+					trial, ranges, detectionKey(merged), detectionKey(ref))
+			}
+			if merged.Stats.SinkCallsTotal != ref.Stats.SinkCallsTotal {
+				t.Fatalf("trial %d: merged SinkCallsTotal = %d, want %d",
+					trial, merged.Stats.SinkCallsTotal, ref.Stats.SinkCallsTotal)
+			}
+		}
 
-			// Overlap tolerance: a sink finished by the victim right as it
-			// was stolen appears in two parts; the merge dedups it.
-			a := runRange(&core.ChunkRange{From: 0, To: 14})
-			b := runRange(&core.ChunkRange{From: 10, To: total})
-			if !bytes.Equal(EncodeReport(core.MergeReports(a, b)), refBytes) {
-				t.Fatal("overlapping chunk merge diverged from the single pass")
-			}
+		// Overlap tolerance: a sink finished by the victim right as it
+		// was stolen appears in two parts; the merge dedups it.
+		a := runRange(&core.ChunkRange{From: 0, To: 14})
+		b := runRange(&core.ChunkRange{From: 10, To: total})
+		if !bytes.Equal(EncodeReport(core.MergeReports(a, b)), refBytes) {
+			t.Fatal("overlapping chunk merge diverged from the single pass")
+		}
 
-			// Clamping: out-of-range bounds degrade to the valid window.
-			c := runRange(&core.ChunkRange{From: -3, To: 14})
-			d := runRange(&core.ChunkRange{From: 14, To: total + 99})
-			if !bytes.Equal(EncodeReport(core.MergeReports(d, c)), refBytes) {
-				t.Fatal("clamped chunk merge diverged from the single pass")
-			}
-		})
-	}
+		// Clamping: out-of-range bounds degrade to the valid window.
+		c := runRange(&core.ChunkRange{From: -3, To: 14})
+		d := runRange(&core.ChunkRange{From: 14, To: total + 99})
+		if !bytes.Equal(EncodeReport(core.MergeReports(d, c)), refBytes) {
+			t.Fatal("clamped chunk merge diverged from the single pass")
+		}
+	})
 }
 
 // TestMergeReportsSumsWork pins the accounting half of the merge: the

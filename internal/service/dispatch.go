@@ -226,7 +226,7 @@ func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobRes
 		}
 		if res.BackDroid == nil {
 			if store != nil {
-				if prev, ok := s.lastRun(st.tenant, res.Name); ok && prev.fp != fp && !o.PerAppSSG {
+				if prev, ok := s.lastRun(st.tenant, res.Name); ok && prev.fp != fp {
 					// Same job name, different content: an app update. When
 					// the prior version's bundle is still cached, hand it to
 					// the engine as the delta base; the engine itself falls
@@ -353,13 +353,16 @@ func (s *Scheduler) engineOptions(w *work, name string, node, attempt int, base 
 			tr.Add(sp)
 		}
 	}
+	// A partitioned fleet places bundles by consistent hashing; the node
+	// view is resolved here, since the executing node is known only at
+	// dispatch.
 	var store jobStore
-	if st.fleetStore {
+	if s.fleet != nil && s.fleet.partitioned() {
 		if v := s.fleet.view(node); v != nil {
 			store = v
 		}
-	} else if st.store != nil {
-		store = st.store
+	} else if s.cfg.Store != nil {
+		store = s.cfg.Store
 	}
 	if store != nil {
 		o.Bundles = store

@@ -13,7 +13,7 @@
 //   - ClassHashed: the field selects what is analyzed or how deep
 //     (Sinks, MaxDepth, TimeoutMinutes, ...) or switches an engine
 //     mechanism we pin conservatively even where parity tests hold
-//     (SearchBackend, caches, memoization, PerAppSSG).
+//     (SearchBackend, caches).
 //     Two options differing here hash differently — no cross-config
 //     reuse, only a missed optimization when the configs were in fact
 //     equivalent.
@@ -65,12 +65,10 @@ var OptionsFingerprintFields = map[string]FingerprintClass{
 	"Sinks":                 ClassHashed,
 	"EnableSearchCache":     ClassHashed,
 	"SearchBackend":         ClassHashed,
-	"MemoizeForwardPass":    ClassHashed,
 	"EnableSinkCache":       ClassHashed,
 	"EnableLoopDetection":   ClassHashed,
 	"ResolveSinkSubclasses": ClassHashed,
 	"AnalyzeAllContained":   ClassHashed,
-	"PerAppSSG":             ClassHashed,
 	"MaxDepth":              ClassHashed,
 	"TimeoutMinutes":        ClassHashed,
 
@@ -124,15 +122,17 @@ func OptionsFingerprint(o *core.Options) uint64 {
 	}
 	b(o.EnableSearchCache)
 	u64(uint64(o.SearchBackend))
-	// The retired index shard count: always 0, hashed so that every
-	// settled-report key written before it was removed stays valid.
+	// Retired fields keep their slots, hashed at the only value the
+	// engine still runs with, so that every settled-report key written
+	// before they were removed stays valid: the index shard count (0)
+	// here, the forward-pass memo (on) and the per-app SSG (off) below.
 	u64(0)
-	b(o.MemoizeForwardPass)
+	b(true)
 	b(o.EnableSinkCache)
 	b(o.EnableLoopDetection)
 	b(o.ResolveSinkSubclasses)
 	b(o.AnalyzeAllContained)
-	b(o.PerAppSSG)
+	b(false)
 	u64(uint64(int64(o.MaxDepth)))
 	u64(math.Float64bits(o.TimeoutMinutes))
 	return h.Sum64()

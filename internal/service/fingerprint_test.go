@@ -21,12 +21,10 @@ var fingerprintMutators = map[string]func(o *core.Options){
 	},
 	"EnableSearchCache":     func(o *core.Options) { o.EnableSearchCache = !o.EnableSearchCache },
 	"SearchBackend":         func(o *core.Options) { o.SearchBackend = bcsearch.BackendLinear },
-	"MemoizeForwardPass":    func(o *core.Options) { o.MemoizeForwardPass = !o.MemoizeForwardPass },
 	"EnableSinkCache":       func(o *core.Options) { o.EnableSinkCache = !o.EnableSinkCache },
 	"EnableLoopDetection":   func(o *core.Options) { o.EnableLoopDetection = !o.EnableLoopDetection },
 	"ResolveSinkSubclasses": func(o *core.Options) { o.ResolveSinkSubclasses = !o.ResolveSinkSubclasses },
 	"AnalyzeAllContained":   func(o *core.Options) { o.AnalyzeAllContained = !o.AnalyzeAllContained },
-	"PerAppSSG":             func(o *core.Options) { o.PerAppSSG = !o.PerAppSSG },
 	"MaxDepth":              func(o *core.Options) { o.MaxDepth += 7 },
 	"TimeoutMinutes":        func(o *core.Options) { o.TimeoutMinutes += 1.5 },
 

@@ -150,9 +150,9 @@ type Config struct {
 	// the producer). 0 defaults to 2*Workers. TenantConfig.MaxQueueDepth
 	// overrides it per tenant.
 	QueueDepth int
-	// Tenants preconfigures named tenants (weight, queue depth, store
-	// budget). Jobs for tenants absent here are admitted under the zero
-	// TenantConfig: weight 1, inherited queue depth, shared store.
+	// Tenants preconfigures named tenants (weight, queue depth). Jobs for
+	// tenants absent here are admitted under the zero TenantConfig:
+	// weight 1, inherited queue depth.
 	Tenants map[string]TenantConfig
 	// Options is the default engine configuration for jobs that carry
 	// none; nil uses core.DefaultOptions.
@@ -161,8 +161,9 @@ type Config struct {
 	// disables in-memory reuse. With a store, re-submitting an app whose
 	// fingerprint is cached performs zero disassembly, zero index builds
 	// and zero bundle disk I/O, and concurrent submissions of one
-	// fingerprint serialize so the bundle is built exactly once.
-	// TenantConfig.StoreBudget can give a tenant a private store instead.
+	// fingerprint serialize so the bundle is built exactly once. Every
+	// tenant shares it; a partitioned fleet uses its node partitions
+	// instead.
 	Store *BundleStore
 	// Journal, when non-nil, makes the queue durable: every submit,
 	// start and terminal outcome is appended as a CRC'd record, so a
@@ -187,14 +188,13 @@ type Config struct {
 	// Nodes, when > 0, runs the scheduler as a coordinator over a fleet
 	// of goroutine-backed worker nodes (Workers is overridden to Nodes).
 	// Every dispatch takes a simtime-metered lease; a node that dies or
-	// goes mute has its jobs handed off to surviving nodes, and shared-
-	// policy tenants analyze against consistent-hashed per-node bundle
-	// partitions instead of Config.Store. See DESIGN.md Sec. 12.
+	// goes mute has its jobs handed off to surviving nodes, and jobs
+	// analyze against consistent-hashed per-node bundle partitions
+	// instead of Config.Store. See DESIGN.md Sec. 12.
 	Nodes int
 	// NodeStoreBudget is each fleet node's bundle partition budget in
 	// bytes: 0 = unbounded partitions, < 0 = partitions disabled (jobs
-	// run storeless unless their tenant has a private store). Only
-	// meaningful with Nodes > 0.
+	// then analyze against Config.Store). Only meaningful with Nodes > 0.
 	NodeStoreBudget int64
 	// Faults is the deterministic chaos plan threaded through the
 	// dispatch loop (node/job kills, heartbeat drops), the journal append
@@ -294,8 +294,6 @@ type jobState struct {
 	id              JobID
 	tenant          string
 	job             Job
-	store           *BundleStore // tenant-resolved bundle store (nil = none)
-	fleetStore      bool         // analyze against the fleet's partitioned placement
 	done            chan struct{}
 	res             *JobResult
 	err             error
@@ -503,15 +501,6 @@ func (s *Scheduler) enqueue(job Job, forcedID JobID) (JobID, error) {
 		tenant: t.name,
 		job:    job,
 		done:   make(chan struct{}),
-	}
-	if s.fleet != nil && s.fleet.partitioned() && t.cfg.StoreBudget == 0 {
-		// Shared-policy tenants analyze against the fleet's consistent-
-		// hashed placement; the node view is resolved at dispatch time,
-		// since the executing node is not known yet. Private and storeless
-		// tenants keep their configured policy.
-		st.fleetStore = true
-	} else {
-		st.store = t.bundleStore(s.cfg.Store)
 	}
 	s.states[id] = st
 	t.submitted++

@@ -18,12 +18,6 @@ type TenantConfig struct {
 	// this many of its jobs are waiting, so one tenant's backpressure
 	// never stalls another's submissions. 0 inherits Config.QueueDepth.
 	MaxQueueDepth int
-	// StoreBudget selects the tenant's bundle-store policy: 0 shares the
-	// scheduler's Config.Store, > 0 gives the tenant a private
-	// content-addressed store with that byte budget (its bundles never
-	// evict another tenant's working set), < 0 disables the store for
-	// this tenant entirely.
-	StoreBudget int64
 }
 
 // tenant is the scheduler-internal queue state of one tenant.
@@ -40,8 +34,6 @@ type tenant struct {
 	requeued        int64
 	canceledQueued  int64
 	canceledRunning int64
-
-	store *BundleStore // private store when cfg.StoreBudget > 0
 }
 
 // weight resolves the tenant's WRR credit per round.
@@ -70,24 +62,10 @@ func (s *Scheduler) tenantLocked(name string) *tenant {
 		t.depth = s.cfg.QueueDepth
 	}
 	t.credits = t.weight()
-	if cfg.StoreBudget > 0 {
-		t.store = NewBundleStore(cfg.StoreBudget)
-	}
 	s.tenants[name] = t
 	s.order = append(s.order, name)
 	sort.Strings(s.order)
 	return t
-}
-
-// bundleStore resolves the store jobs of this tenant analyze against.
-func (t *tenant) bundleStore(shared *BundleStore) *BundleStore {
-	switch {
-	case t.cfg.StoreBudget > 0:
-		return t.store
-	case t.cfg.StoreBudget < 0:
-		return nil
-	}
-	return shared
 }
 
 // popWRR dispatches the next job under deterministic weighted round-robin

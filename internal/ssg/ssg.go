@@ -58,14 +58,11 @@ type Edge struct {
 }
 
 // TaintSet tracks tainted locals, object fields and static fields for one
-// scope. Every real state change bumps an internal version counter, so
-// callers can cheaply detect whether a set has been mutated since a
-// recorded point — the per-app slice interning of core relies on this.
+// scope.
 type TaintSet struct {
-	locals  map[string]bool // local name
-	fields  map[string]bool // "<localName>.<field soot sig>"
-	static  map[string]bool // field soot sig
-	version int             // bumped on every effective mutation
+	locals map[string]bool // local name
+	fields map[string]bool // "<localName>.<field soot sig>"
+	static map[string]bool // field soot sig
 }
 
 // NewTaintSet returns an empty taint set.
@@ -77,25 +74,11 @@ func NewTaintSet() *TaintSet {
 	}
 }
 
-// Version returns the mutation counter: it changes if and only if the
-// set's contents changed since a previous Version call.
-func (t *TaintSet) Version() int { return t.version }
-
 // AddLocal taints a local by name.
-func (t *TaintSet) AddLocal(name string) {
-	if !t.locals[name] {
-		t.locals[name] = true
-		t.version++
-	}
-}
+func (t *TaintSet) AddLocal(name string) { t.locals[name] = true }
 
 // RemoveLocal untaints a local.
-func (t *TaintSet) RemoveLocal(name string) {
-	if t.locals[name] {
-		delete(t.locals, name)
-		t.version++
-	}
-}
+func (t *TaintSet) RemoveLocal(name string) { delete(t.locals, name) }
 
 // HasLocal reports whether the local is tainted.
 func (t *TaintSet) HasLocal(name string) bool { return t.locals[name] }
@@ -104,22 +87,14 @@ func (t *TaintSet) HasLocal(name string) bool { return t.locals[name] }
 // tainted so the field survives aliasing and method boundaries, so the
 // caller should usually AddLocal(obj) too.
 func (t *TaintSet) AddField(obj string, field dex.FieldRef) {
-	key := obj + "." + field.SootSignature()
-	if !t.fields[key] {
-		t.fields[key] = true
-		t.version++
-	}
+	t.fields[obj+"."+field.SootSignature()] = true
 }
 
 // RemoveField untaints obj.field. Following the paper, when no other
 // tainted fields remain on the same object the object local is untainted
 // as well.
 func (t *TaintSet) RemoveField(obj string, field dex.FieldRef) {
-	key := obj + "." + field.SootSignature()
-	if t.fields[key] {
-		delete(t.fields, key)
-		t.version++
-	}
+	delete(t.fields, obj+"."+field.SootSignature())
 	prefix := obj + ".<"
 	for k := range t.fields {
 		if strings.HasPrefix(k, prefix) {
@@ -160,22 +135,10 @@ func (t *TaintSet) FieldSigsOf(obj string) []string {
 }
 
 // AddStatic taints a static field (global scope).
-func (t *TaintSet) AddStatic(field dex.FieldRef) {
-	key := field.SootSignature()
-	if !t.static[key] {
-		t.static[key] = true
-		t.version++
-	}
-}
+func (t *TaintSet) AddStatic(field dex.FieldRef) { t.static[field.SootSignature()] = true }
 
 // RemoveStatic untaints a static field.
-func (t *TaintSet) RemoveStatic(field dex.FieldRef) {
-	key := field.SootSignature()
-	if t.static[key] {
-		delete(t.static, key)
-		t.version++
-	}
-}
+func (t *TaintSet) RemoveStatic(field dex.FieldRef) { delete(t.static, field.SootSignature()) }
 
 // HasStatic reports whether the static field is tainted.
 func (t *TaintSet) HasStatic(field dex.FieldRef) bool { return t.static[field.SootSignature()] }

@@ -194,44 +194,3 @@ func TestGraphStringRendersFig6Shape(t *testing.T) {
 		}
 	}
 }
-
-// TestTaintSetVersion pins the mutation-counter contract the per-app slice
-// interning relies on: the version changes exactly when the set's contents
-// change, so idempotent re-seeding is invisible.
-func TestTaintSetVersion(t *testing.T) {
-	ts := NewTaintSet()
-	f := dex.NewFieldRef("com.a.B", "f", dex.Int)
-	v0 := ts.Version()
-	ts.AddLocal("r1")
-	if ts.Version() == v0 {
-		t.Fatal("adding a new local must bump the version")
-	}
-	v1 := ts.Version()
-	ts.AddLocal("r1") // idempotent
-	if ts.Version() != v1 {
-		t.Error("re-adding an existing local must not bump the version")
-	}
-	ts.AddField("r1", f)
-	v2 := ts.Version()
-	if v2 == v1 {
-		t.Error("adding a field must bump the version")
-	}
-	ts.AddField("r1", f)
-	if ts.Version() != v2 {
-		t.Error("re-adding an existing field must not bump the version")
-	}
-	ts.RemoveLocal("nope")
-	if ts.Version() != v2 {
-		t.Error("removing an absent local must not bump the version")
-	}
-	ts.AddStatic(f)
-	v3 := ts.Version()
-	ts.AddStatic(f)
-	if ts.Version() != v3 {
-		t.Error("re-adding an existing static must not bump the version")
-	}
-	ts.RemoveStatic(f)
-	if ts.Version() == v3 {
-		t.Error("removing a present static must bump the version")
-	}
-}
