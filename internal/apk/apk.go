@@ -80,10 +80,22 @@ func (a *App) dexName(i int) string {
 // MergedDex decodes the dex files and merges them into a single dex view
 // — the "merged, if multidex is used" preprocessing step of the paper. A
 // dex file that does not decode fails the merge with an error naming its
-// entry.
+// entry. Every method of the view has its Code filled.
 func (a *App) MergedDex() (*dex.File, error) {
+	return a.merged((*dex.File).Load)
+}
+
+// MergedTables is MergedDex for a reader that needs few bodies: each dex
+// file is loaded with dex.File.LoadTables, which checks every body as
+// MergedDex does and fails with the same error, but leaves the bodies
+// pending until Method.Instructions asks for them.
+func (a *App) MergedTables() (*dex.File, error) {
+	return a.merged((*dex.File).LoadTables)
+}
+
+func (a *App) merged(load func(*dex.File) error) (*dex.File, error) {
 	for i, d := range a.Dexes {
-		if err := d.Load(); err != nil {
+		if err := load(d); err != nil {
 			return nil, fmt.Errorf("apk: %s: %w", a.dexName(i), err)
 		}
 	}
@@ -165,6 +177,10 @@ func (a *App) Save(path string) error {
 // cannot make Read allocate without bound. Checking declared sizes is
 // enough: archive/zip fails any read past an entry's declared size.
 const maxUncompressedBytes = 256 << 20
+
+// maxDeflateRatio is deflate's expansion limit: one compressed byte
+// inflates to at most 1032 bytes (a stored entry does not expand at all).
+const maxDeflateRatio = 1032
 
 // Read parses an app container from a reader: it inflates the manifest
 // and the dex entries and checks each dex magic, but decodes no dex file
@@ -287,5 +303,28 @@ func readEntry(zf *zip.File, total *uint64) ([]byte, error) {
 		return nil, err
 	}
 	defer rc.Close()
-	return io.ReadAll(rc)
+	// io.ReadAll with the buffer sized up front, so a well-formed entry
+	// is read without growing or copying: its declared size, plus one
+	// byte for the read that sees EOF (and has zip check the CRC). No
+	// entry inflates to more than maxDeflateRatio times its compressed
+	// size, so a larger declared size is a lie the read will fail on, and
+	// the buffer is not sized by it.
+	size := zf.UncompressedSize64
+	if zf.CompressedSize64 < size/maxDeflateRatio {
+		size = zf.CompressedSize64 * maxDeflateRatio
+	}
+	b := make([]byte, 0, size+1)
+	for {
+		n, err := rc.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -249,7 +250,78 @@ func TestMergedDexNamesFailingEntry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if _, err := app.MergedDex(); err == nil || !strings.HasPrefix(err.Error(), "apk: classes3.dex: dex: ") {
-		t.Fatalf("MergedDex error = %v, want one naming classes3.dex", err)
+	_, merr := app.MergedDex()
+	if merr == nil || !strings.HasPrefix(merr.Error(), "apk: classes3.dex: dex: ") {
+		t.Fatalf("MergedDex error = %v, want one naming classes3.dex", merr)
+	}
+	again, err := ReadBytes("com.gap", zipEntries(t,
+		zipEntry{"AndroidManifest.xml", mf}, zipEntry{"classes3.dex", good[:len(good)-1]}, zipEntry{"classes.dex", good}))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if _, err := again.MergedTables(); err == nil || err.Error() != merr.Error() {
+		t.Fatalf("MergedTables error = %v, want MergedDex's %v", err, merr)
+	}
+}
+
+// TestReadEntryAllocation: an entry is read into one buffer sized up
+// front, so a well-formed 4 MiB dex entry costs about 4 MiB, not the
+// doublings of a growing buffer. The size comes from the entry's
+// declared size only up to deflate's 1032:1 ratio over its compressed
+// size, so an entry of 1 KiB that declares 200 MiB allocates about
+// 1 MiB before its read fails.
+func TestReadEntryAllocation(t *testing.T) {
+	mf, err := manifest.New("com.size").ToXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(data []byte) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBytes("com.size", data)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+
+	body := make([]byte, 4<<20)
+	rand.New(rand.NewSource(1)).Read(body) // incompressible
+	copy(body, "GDEX0001")
+	container := zipEntries(t, zipEntry{"AndroidManifest.xml", mf}, zipEntry{"classes.dex", body})
+	grew, err := read(container)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew > 5<<20 {
+		t.Errorf("reading a 4 MiB entry allocated %d bytes, want at most 5 MiB", grew)
+	}
+
+	var comp bytes.Buffer
+	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(body[:1<<10])
+	fw.Close()
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	w, err := zw.Create("AndroidManifest.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Write(mf)
+	if w, err = zw.CreateRaw(&zip.FileHeader{Name: "classes.dex", Method: zip.Deflate,
+		CompressedSize64: uint64(comp.Len()), UncompressedSize64: 200 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	w.Write(comp.Bytes())
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	grew, err = read(buf.Bytes())
+	if err == nil {
+		t.Fatal("an entry 200 MiB short of its declared size read without error")
+	}
+	if grew > 4<<20 {
+		t.Errorf("a %d-byte entry declaring 200 MiB allocated %d bytes, want at most 4 MiB", comp.Len(), grew)
 	}
 }

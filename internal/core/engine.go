@@ -433,10 +433,18 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		meter.SetCheckpoint(opts.Checkpoint)
 	}
 
-	// Warm-start probes run before any merge or disassembly work.
+	// Warm-start probes run before any merge or disassembly work. A warm
+	// start never renders the dex, and the analysis translates only the
+	// few methods a sink flow reaches, so it loads the tables and leaves
+	// each body to decode on first use; a cold start renders every body
+	// and decodes them all in one pass.
 	warm := openBundle(app, opts)
 
-	merged, err := app.MergedDex()
+	load := app.MergedDex
+	if warm.dump != nil {
+		load = app.MergedTables
+	}
+	merged, err := load()
 	if err != nil {
 		return nil, fmt.Errorf("core: preprocessing %s: %w", app.Name, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"backdroid/internal/android"
+	"backdroid/internal/apk"
 	"backdroid/internal/appgen"
 	"backdroid/internal/dexdump"
 	"backdroid/internal/testapps"
@@ -135,4 +136,66 @@ func TestWarmEngineStaleFingerprintMisses(t *testing.T) {
 	if as := again.Stats; as.DumpCacheHits != 1 {
 		t.Errorf("rewritten bundle did not warm the new app: %+v", as)
 	}
+}
+
+// TestWarmHitDecodesOnlyTranslatedBodies: a store hit loads the dex
+// tables and decodes a method body only when the analysis translates the
+// method, so after the run the decoded bodies are exactly the translated
+// ones — a small part of the app — while a cold run decodes every body.
+// The verdicts match.
+func TestWarmHitDecodesOnlyTranslatedBodies(t *testing.T) {
+	spec := deltaBaseSpec()
+	spec.MultiDex = true
+	gen, _, err := appgen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := gen.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Bundles = newMemBundles()
+	run := func() (*Engine, *Report) {
+		t.Helper()
+		app, err := apk.ReadBytes(spec.Name, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(app, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, r
+	}
+	decoded := func(e *Engine) (n, total int) {
+		for _, c := range e.dexf.Classes() {
+			for _, m := range c.Methods {
+				if m.BodyDecoded() {
+					n++
+				}
+				total++
+			}
+		}
+		return n, total
+	}
+
+	ce, cold := run()
+	if n, total := decoded(ce); n != total {
+		t.Fatalf("cold run decoded %d of %d bodies, want all", n, total)
+	}
+	we, warm := run()
+	if warm.Stats.BundleStoreHits != 1 {
+		t.Fatalf("second run was not a store hit: %+v", warm.Stats)
+	}
+	n, total := decoded(we)
+	if translated := we.prog.TranslatedCount(); n != translated || n == 0 || 4*n > total {
+		t.Errorf("store hit decoded %d of %d bodies and translated %d; want the translated ones only, a small part",
+			n, total, translated)
+	}
+	assertSameVerdicts(t, "cold vs store hit", cold, warm)
 }

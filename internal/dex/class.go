@@ -75,8 +75,62 @@ type Method struct {
 	Flags     AccessFlags
 	Registers int // total register count; inputs occupy v0..Ins-1
 	Ins       int // number of input registers (this + params)
-	Code      []Instruction
+	// Code is the bytecode body. On a file loaded with LoadTables it
+	// stays nil until Instructions decodes it, so a reader that may see
+	// such a file calls Instructions; every other load fills it.
+	Code []Instruction
+
+	body *pendingBody // set by LoadTables and never changed; nil when Code is the body
 }
+
+// pendingBody is the encoded body of a method loaded by LoadTables. The
+// load already walked it with every check the eager decode applies, so
+// decoding it later cannot fail.
+type pendingBody struct {
+	once    sync.Once
+	decoded atomic.Bool // set once Code holds the body
+	src     *bodySource // nil once decoded
+	start   int         // the body's byte range in src.data
+	end     int
+	n       int // instruction count
+}
+
+// bodySource is what the pending bodies of one file decode from: the
+// encoded bytes after the magic and the string pool.
+type bodySource struct {
+	data []byte
+	pool []string
+}
+
+// Instructions returns the bytecode body, decoding a pending one on the
+// first call. It is safe for concurrent use.
+func (m *Method) Instructions() []Instruction {
+	if b := m.body; b != nil && !b.decoded.Load() {
+		b.once.Do(func() {
+			d := &decoder{buf: b.src.data[b.start:b.end], pool: b.src.pool}
+			if err := d.code(m.Ref.Class, m, b.n, true); err != nil || len(d.buf) != 0 {
+				panic(fmt.Sprintf("dex: validated body of %s does not decode: %v", m.Ref, err))
+			}
+			b.src = nil
+			b.decoded.Store(true)
+		})
+	}
+	return m.Code
+}
+
+// InstructionCount returns the number of instructions in the body
+// without decoding a pending one.
+func (m *Method) InstructionCount() int {
+	if m.body != nil {
+		return m.body.n
+	}
+	return len(m.Code)
+}
+
+// BodyDecoded reports whether the body is decoded: always, except for a
+// method of a file loaded with LoadTables whose Instructions nobody has
+// asked for yet.
+func (m *Method) BodyDecoded() bool { return m.body == nil || m.body.decoded.Load() }
 
 // IsStatic reports whether the method is static.
 func (m *Method) IsStatic() bool { return m.Flags.Has(AccStatic) }
@@ -167,20 +221,23 @@ func (c *Class) VirtualMethods() []*Method {
 func (c *Class) InstructionCount() int {
 	n := 0
 	for _, m := range c.Methods {
-		n += len(m.Code)
+		n += m.InstructionCount()
 	}
 	return n
 }
 
 // File is a dex file: an ordered set of class definitions. A file made by
 // Open holds its encoded bytes and decodes them once, on the first call to
-// any method that reads or adds classes. Concurrent first touches are
-// safe: one goroutine decodes and the others wait for it.
+// any method that reads or adds classes. That first touch decodes every
+// body, unless it is LoadTables, which leaves the bodies pending (see
+// Method.Instructions). Concurrent first touches are safe: one goroutine
+// decodes and the others wait for it.
 type File struct {
 	pending atomic.Bool // set by Open until the first accessor decodes raw
 	once    sync.Once
-	raw     []byte // encoded bytes; dropped once decoded
-	err     error  // decode error, set once; the file is then empty
+	filled  sync.Once // Load's decode of the bodies LoadTables left pending
+	raw     []byte    // encoded bytes; dropped once decoded
+	err     error     // decode error, set once; the file is then empty
 	classes []*Class
 	byName  map[string]*Class
 }
@@ -201,27 +258,51 @@ func Open(data []byte) (*File, error) {
 	return f, nil
 }
 
-// Load decodes the file if it has not been decoded yet and returns the
-// decode error, if any. After a failed load the file is empty.
+// Load decodes the file, every body included, if it has not been
+// decoded yet and returns the decode error, if any. After a failed load
+// the file is empty. After a successful one every method's Code is
+// filled, also on a file LoadTables loaded first.
 func (f *File) Load() error {
-	f.load()
+	f.load(true)
+	if f.err == nil {
+		f.filled.Do(func() {
+			for _, c := range f.classes {
+				for _, m := range c.Methods {
+					m.Instructions()
+				}
+			}
+		})
+	}
+	return f.err
+}
+
+// LoadTables is Load for a reader that needs few bodies. On a first
+// touch it decodes the pool, the classes, the fields and the method
+// headers, and walks every body with every check Load applies, so it
+// fails exactly when Load would, with the same error; but it leaves each
+// body pending until Method.Instructions asks for it. On a file already
+// decoded it only returns the decode error.
+func (f *File) LoadTables() error {
+	f.load(false)
 	return f.err
 }
 
 // Loaded reports whether the file holds decoded classes: always for a
-// file built with NewFile, and for a file made by Open once an accessor
-// or Load has decoded it, successfully or not.
+// file built with NewFile, and for a file made by Open once an
+// accessor, Load or LoadTables has decoded it, successfully or not.
 func (f *File) Loaded() bool { return !f.pending.Load() }
 
-func (f *File) load() {
+// load decodes raw on the first touch; materialize says whether that
+// decode fills every body or leaves them pending.
+func (f *File) load(materialize bool) {
 	if f.pending.Load() {
-		f.once.Do(f.decode)
+		f.once.Do(func() { f.decode(materialize) })
 	}
 }
 
-func (f *File) decode() {
+func (f *File) decode(materialize bool) {
 	f.byName = make(map[string]*Class)
-	if f.err = decodeClasses(f, f.raw[len(dexMagic):]); f.err != nil {
+	if f.err = decodeClasses(f, f.raw[len(dexMagic):], materialize); f.err != nil {
 		f.classes = nil
 		clear(f.byName)
 	}
@@ -232,7 +313,7 @@ func (f *File) decode() {
 // AddClass appends a class definition. Adding a duplicate class name
 // returns an error (real dex files reject duplicates too).
 func (f *File) AddClass(c *Class) error {
-	f.load()
+	f.load(true)
 	return f.addClass(c)
 }
 
@@ -247,14 +328,14 @@ func (f *File) addClass(c *Class) error {
 
 // Class returns the class definition with the given dotted name, or nil.
 func (f *File) Class(name string) *Class {
-	f.load()
+	f.load(true)
 	return f.byName[name]
 }
 
 // Classes returns the class definitions in insertion order. The returned
 // slice must not be modified.
 func (f *File) Classes() []*Class {
-	f.load()
+	f.load(true)
 	return f.classes
 }
 
@@ -289,7 +370,7 @@ func (f *File) MethodCount() int {
 // BackDroid performs before disassembling). Duplicate class names are
 // rejected.
 func (f *File) Merge(other *File) error {
-	f.load()
+	f.load(true)
 	for _, c := range other.Classes() {
 		if err := f.addClass(c); err != nil {
 			return err

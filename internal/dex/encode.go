@@ -245,7 +245,9 @@ func (d *decoder) str() (string, error) {
 	return d.pool[i], nil
 }
 
-func (d *decoder) methodRef() (MethodRef, error) {
+// methodRef reads a method ref. With keep false it applies the same
+// checks but allocates nothing: the ref it returns has no Params.
+func (d *decoder) methodRef(keep bool) (MethodRef, error) {
 	var m MethodRef
 	var err error
 	if m.Class, err = d.str(); err != nil {
@@ -258,15 +260,17 @@ func (d *decoder) methodRef() (MethodRef, error) {
 	if err != nil {
 		return m, err
 	}
-	if np > 0 {
+	if keep && np > 0 {
 		m.Params = make([]TypeDesc, np)
 	}
-	for i := range m.Params {
+	for i := 0; i < np; i++ {
 		p, err := d.str()
 		if err != nil {
 			return m, err
 		}
-		m.Params[i] = TypeDesc(p)
+		if keep {
+			m.Params[i] = TypeDesc(p)
+		}
 	}
 	ret, err := d.str()
 	if err != nil {
@@ -293,79 +297,91 @@ func (d *decoder) fieldRef() (FieldRef, error) {
 	return f, nil
 }
 
-// instruction decodes one instruction into in, which must be zero.
-func (d *decoder) instruction(in *Instruction) error {
+// instruction decodes one instruction into in and reports which refs it
+// carries. With materialize false it applies the same checks but sets
+// only in's scalar operands: no refs, no args, nothing allocated.
+func (d *decoder) instruction(in *Instruction, materialize bool) (hasMethod, hasField bool, err error) {
 	op, err := d.uvarint()
 	if err != nil {
-		return err
+		return false, false, err
 	}
 	in.Op = Op(op)
 	a, err := d.varint()
 	if err != nil {
-		return err
+		return false, false, err
 	}
 	b, err := d.varint()
 	if err != nil {
-		return err
+		return false, false, err
 	}
 	c, err := d.varint()
 	if err != nil {
-		return err
+		return false, false, err
 	}
 	in.A, in.B, in.C = int(a), int(b), int(c)
 	if in.Lit, err = d.varint(); err != nil {
-		return err
+		return false, false, err
 	}
 	if in.Str, err = d.str(); err != nil {
-		return err
+		return false, false, err
 	}
 	typ, err := d.str()
 	if err != nil {
-		return err
+		return false, false, err
 	}
 	in.Type = TypeDesc(typ)
-	hasMethod, err := d.flag()
-	if err != nil {
-		return err
+	if hasMethod, err = d.flag(); err != nil {
+		return false, false, err
 	}
-	if hasMethod {
-		m, err := d.methodRef()
+	// The refs are taken in separate branches: a variable whose address
+	// is stored escapes, and would be allocated without materialize too.
+	if hasMethod && materialize {
+		m, err := d.methodRef(true)
 		if err != nil {
-			return err
+			return false, false, err
 		}
 		in.Method = &m
+	} else if hasMethod {
+		if _, err := d.methodRef(false); err != nil {
+			return false, false, err
+		}
 	}
-	hasField, err := d.flag()
-	if err != nil {
-		return err
+	if hasField, err = d.flag(); err != nil {
+		return false, false, err
 	}
-	if hasField {
+	if hasField && materialize {
 		f, err := d.fieldRef()
 		if err != nil {
-			return err
+			return false, false, err
 		}
 		in.Field = &f
+	} else if hasField {
+		if _, err := d.fieldRef(); err != nil {
+			return false, false, err
+		}
 	}
 	na, err := d.count("arg count", minVarintBytes)
 	if err != nil {
-		return err
+		return false, false, err
 	}
-	if na > 0 {
+	if materialize && na > 0 {
 		in.Args = make([]int, na)
 	}
-	for i := range in.Args {
+	for i := 0; i < na; i++ {
 		a, err := d.varint()
 		if err != nil {
-			return err
+			return false, false, err
 		}
-		in.Args[i] = int(a)
+		if materialize {
+			in.Args[i] = int(a)
+		}
 	}
 	tgt, err := d.varint()
 	if err != nil {
-		return err
+		return false, false, err
 	}
 	in.Target = int(tgt)
-	return nil
+	return hasMethod, hasField, nil
 }
 
 // flag reads a ref-presence byte, which Encode writes as 0 or 1.
@@ -383,15 +399,44 @@ func (d *decoder) flag() (bool, error) {
 
 // checkOperands rejects an instruction whose opcode needs a ref it does
 // not carry: an invoke without a method, a field access without a field.
-func (in *Instruction) checkOperands() error {
+func checkOperands(op Op, hasMethod, hasField bool) error {
 	switch {
-	case in.Op.IsInvoke() && in.Method == nil:
-		return fmt.Errorf("%s without a method ref", in.Op.Mnemonic())
-	case (in.Op == OpIGet || in.Op == OpIPut || in.Op == OpSGet || in.Op == OpSPut) && in.Field == nil:
-		return fmt.Errorf("%s without a field ref", in.Op.Mnemonic())
+	case op.IsInvoke() && !hasMethod:
+		return fmt.Errorf("%s without a method ref", op.Mnemonic())
+	case (op == OpIGet || op == OpIPut || op == OpSGet || op == OpSPut) && !hasField:
+		return fmt.Errorf("%s without a field ref", op.Mnemonic())
 	}
 	return nil
 }
+
+// code is the one walker over a method body of n instructions, behind
+// both the eager decode and LoadTables: with materialize it decodes the
+// body into m.Code, without it applies the same checks and builds
+// nothing.
+func (d *decoder) code(class string, m *Method, n int, materialize bool) error {
+	var scratch Instruction
+	if materialize {
+		m.Code = make([]Instruction, n)
+	}
+	for j := 0; j < n; j++ {
+		in := &scratch
+		if materialize {
+			in = &m.Code[j]
+		}
+		hasMethod, hasField, err := d.instruction(in, materialize)
+		if err != nil {
+			return err
+		}
+		if err := checkOperands(in.Op, hasMethod, hasField); err != nil {
+			return fmt.Errorf("dex: %s.%s instruction %d: %w", class, m.Ref.Name, j, err)
+		}
+	}
+	return nil
+}
+
+// maxU16 bounds the register and input counts, which Dalvik stores as
+// u16.
+const maxU16 = 1<<16 - 1
 
 // Decode parses a binary dex file produced by Encode: Open followed by
 // Load. Every count is bounded by the bytes left to read, and an invoke or
@@ -409,8 +454,9 @@ func Decode(data []byte) (*File, error) {
 }
 
 // decodeClasses parses the pool and class definitions that follow the
-// magic into f, which must be empty.
-func decodeClasses(f *File, data []byte) error {
+// magic into f, which must be empty. With materialize false each body is
+// walked and checked but left pending (see File.LoadTables).
+func decodeClasses(f *File, data []byte, materialize bool) error {
 	d := &decoder{buf: data}
 	np, err := d.count("pool size", minVarintBytes)
 	if err != nil {
@@ -427,6 +473,10 @@ func decodeClasses(f *File, data []byte) error {
 		}
 		d.pool[i] = string(d.buf[:slen])
 		d.buf = d.buf[slen:]
+	}
+	var src *bodySource
+	if !materialize {
+		src = &bodySource{data: data, pool: d.pool}
 	}
 
 	nc, err := d.count("class count", minClassBytes)
@@ -476,9 +526,17 @@ func decodeClasses(f *File, data []byte) error {
 		if err != nil {
 			return err
 		}
-		for i := 0; i < nm; i++ {
-			m := &Method{}
-			if m.Ref, err = d.methodRef(); err != nil {
+		if nm > 0 {
+			c.Methods = make([]*Method, 0, nm)
+		}
+		methods := make([]Method, nm)
+		var bodies []pendingBody
+		if !materialize {
+			bodies = make([]pendingBody, nm)
+		}
+		for i := range methods {
+			m := &methods[i]
+			if m.Ref, err = d.methodRef(true); err != nil {
 				return err
 			}
 			mf, err := d.uvarint()
@@ -490,24 +548,30 @@ func decodeClasses(f *File, data []byte) error {
 			if err != nil {
 				return err
 			}
+			if regs > maxU16 {
+				return fmt.Errorf("dex: %s.%s: register count %d exceeds %d", c.Name, m.Ref.Name, regs, maxU16)
+			}
 			m.Registers = int(regs)
 			ins, err := d.uvarint()
 			if err != nil {
 				return err
+			}
+			if ins > maxU16 {
+				return fmt.Errorf("dex: %s.%s: input count %d exceeds %d", c.Name, m.Ref.Name, ins, maxU16)
 			}
 			m.Ins = int(ins)
 			ncode, err := d.count("instruction count", minInstrBytes)
 			if err != nil {
 				return err
 			}
-			m.Code = make([]Instruction, ncode)
-			for j := range m.Code {
-				if err := d.instruction(&m.Code[j]); err != nil {
-					return err
-				}
-				if err := m.Code[j].checkOperands(); err != nil {
-					return fmt.Errorf("dex: %s.%s instruction %d: %w", c.Name, m.Ref.Name, j, err)
-				}
+			start := len(data) - len(d.buf)
+			if err := d.code(c.Name, m, ncode, materialize); err != nil {
+				return err
+			}
+			if !materialize {
+				b := &bodies[i]
+				b.src, b.start, b.end, b.n = src, start, len(data)-len(d.buf), ncode
+				m.body = b
 			}
 			c.Methods = append(c.Methods, m)
 		}

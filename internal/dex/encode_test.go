@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -228,9 +230,14 @@ func TestDecodeRejectsMissingRefs(t *testing.T) {
 			if err := f.AddClass(c); err != nil {
 				t.Fatal(err)
 			}
-			_, err := Decode(Encode(f))
+			data := Encode(f)
+			_, err := Decode(data)
 			if err == nil {
 				t.Fatal("Decode accepted an instruction without its ref")
+			}
+			tables, _ := Open(data)
+			if terr := tables.LoadTables(); terr == nil || terr.Error() != err.Error() {
+				t.Fatalf("LoadTables error %v, want Decode's %v", terr, err)
 			}
 			for _, want := range []string{op.Mnemonic() + " without", "com.bad.C.m", "instruction 1"} {
 				if !strings.Contains(err.Error(), want) {
@@ -319,5 +326,107 @@ func TestOpenFailedLoadIsEmpty(t *testing.T) {
 	}
 	if err := f.AddClass(&Class{Name: "com.a.A"}); err != nil || f.Class("com.a.A") == nil {
 		t.Fatalf("AddClass after a failed load: %v", err)
+	}
+}
+
+// TestDecodeRejectsWideRegisterCounts: Dalvik stores a method's register
+// and input counts as u16, so a count past 0xFFFF is a decode error naming
+// the method, for Decode and LoadTables alike, while 0xFFFF decodes.
+func TestDecodeRejectsWideRegisterCounts(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		set  func(m *Method, n int)
+	}{
+		{"register count", func(m *Method, n int) { m.Registers = n }},
+		{"input count", func(m *Method, n int) { m.Ins = n }},
+	} {
+		for _, n := range []int{1<<16 - 1, 1 << 16, 1 << 40} {
+			f := NewFile()
+			c := NewClass("com.wide.C").StaticMethod("m", Void).ReturnVoid().Done().Build()
+			tt.set(c.Methods[0], n)
+			if err := f.AddClass(c); err != nil {
+				t.Fatal(err)
+			}
+			data := Encode(f)
+			_, err := Decode(data)
+			tables, _ := Open(data)
+			terr := tables.LoadTables()
+			if n <= 1<<16-1 {
+				if err != nil || terr != nil {
+					t.Errorf("%s %d: Decode %v, LoadTables %v; want both to accept it", tt.name, n, err, terr)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), "com.wide.C.m: "+tt.name) {
+				t.Errorf("%s %d: Decode error %v, want one naming the method and the count", tt.name, n, err)
+			}
+			if terr == nil || err == nil || terr.Error() != err.Error() {
+				t.Errorf("%s %d: LoadTables error %v, want Decode's %v", tt.name, n, terr, err)
+			}
+		}
+	}
+}
+
+// TestLoadTablesDefersBodies: LoadTables decodes the classes and method
+// headers with every body pending, counts instructions without decoding,
+// and decodes a body to Decode's on its first Instructions call. A later
+// Load fills every remaining body, and concurrent Instructions and Load
+// calls on one file are safe (run under -race).
+func TestLoadTablesDefersBodies(t *testing.T) {
+	data := Encode(buildSampleFile(t))
+	want, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.LoadTables(); err != nil {
+		t.Fatal(err)
+	}
+	if f.InstructionCount() != want.InstructionCount() || f.InstructionCount() == 0 {
+		t.Fatalf("InstructionCount = %d, want %d", f.InstructionCount(), want.InstructionCount())
+	}
+	var methods, wantMethods []*Method
+	for i, c := range f.Classes() {
+		methods = append(methods, c.Methods...)
+		wantMethods = append(wantMethods, want.Classes()[i].Methods...)
+	}
+	for _, m := range methods {
+		if m.BodyDecoded() || m.Code != nil {
+			t.Fatalf("%s: body decoded by LoadTables", m.Ref)
+		}
+	}
+	first := methods[0]
+	if got := first.Instructions(); !first.BodyDecoded() || !reflect.DeepEqual(got, wantMethods[0].Code) {
+		t.Fatalf("%s: Instructions() = %+v, want %+v", first.Ref, got, wantMethods[0].Code)
+	}
+	if methods[1].BodyDecoded() {
+		t.Fatalf("%s: decoded along with %s", methods[1].Ref, first.Ref)
+	}
+
+	var wg sync.WaitGroup
+	for _, m := range methods {
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m.Instructions()
+			}()
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := f.Load(); err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Wait()
+	for i, m := range methods {
+		if !m.BodyDecoded() || !reflect.DeepEqual(m.Code, wantMethods[i].Code) {
+			t.Fatalf("%s: Code after Load = %+v, want %+v", m.Ref, m.Code, wantMethods[i].Code)
+		}
 	}
 }

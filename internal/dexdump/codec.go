@@ -673,14 +673,19 @@ func decodeIndex(buf []byte, maxLines int) (*Index, []byte, error) {
 	}
 	x.lines = int(lines)
 	x.postings = int(postings)
+	// Every list is cut from one backing array sized by the header's
+	// postings total. Each posting takes at least one byte, so the
+	// remaining bytes bound it; a header that undercounts only sends the
+	// lists past the end to their own arrays.
+	arena := make([]int32, 0, min(postings, uint64(len(buf))))
 	for _, m := range x.maps() {
-		*m, buf, err = decodeMap(buf, maxLines)
+		*m, buf, err = decodeMap(buf, maxLines, &arena)
 		if err != nil {
 			return nil, nil, err
 		}
 	}
 	for _, l := range x.sideLists() {
-		*l, buf, err = decodePostings(buf, maxLines)
+		*l, buf, err = decodePostings(buf, maxLines, &arena)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -691,7 +696,7 @@ func decodeIndex(buf []byte, maxLines int) (*Index, []byte, error) {
 // decodeMap rebuilds one postings map. Every entry takes at least two
 // bytes (a key-length varint and a postings-count varint), so a count
 // beyond half the remaining bytes is rejected before it sizes the map.
-func decodeMap(buf []byte, maxLines int) (map[string][]int32, []byte, error) {
+func decodeMap(buf []byte, maxLines int, arena *[]int32) (map[string][]int32, []byte, error) {
 	count, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, nil, err
@@ -706,7 +711,7 @@ func decodeMap(buf []byte, maxLines int) (map[string][]int32, []byte, error) {
 			return nil, nil, err
 		}
 		var p []int32
-		p, buf, err = decodePostings(buf, maxLines)
+		p, buf, err = decodePostings(buf, maxLines, arena)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -718,8 +723,12 @@ func decodeMap(buf []byte, maxLines int) (map[string][]int32, []byte, error) {
 // decodePostings rebuilds a delta-encoded postings list, rejecting any
 // line outside [0, maxLines) and any non-ascending sequence: a lookup
 // hands these lines straight to the dump text, so a CRC-colliding or
-// hand-crafted file must decode as a miss, never panic later.
-func decodePostings(buf []byte, maxLines int) ([]int32, []byte, error) {
+// hand-crafted file must decode as a miss, never panic later. The list is
+// cut from the free capacity of *arena when it fits there, with a full
+// slice expression so that appending to it cannot reach the next list;
+// an arena too small for it gives it an array of its own. The index
+// that owns the arena is job-local, so no report pins it.
+func decodePostings(buf []byte, maxLines int, arena *[]int32) ([]int32, []byte, error) {
 	count, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, nil, err
@@ -730,7 +739,14 @@ func decodePostings(buf []byte, maxLines int) ([]int32, []byte, error) {
 	if count > uint64(maxLines) {
 		return nil, nil, fmt.Errorf("%d postings for a %d-line dump", count, maxLines)
 	}
-	p := make([]int32, 0, count)
+	var p []int32
+	if a := *arena; uint64(cap(a)-len(a)) >= count {
+		n := len(a)
+		p = a[n : n : n+int(count)]
+		*arena = a[:n+int(count)]
+	} else {
+		p = make([]int32, 0, count)
+	}
 	prev := int64(-1)
 	for i := uint64(0); i < count; i++ {
 		var d uint64

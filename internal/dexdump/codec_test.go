@@ -746,17 +746,32 @@ func TestDecodePostingsRejectsMalformedLists(t *testing.T) {
 		"sum beyond dump":       enc(3, 60, 30, 30),
 	}
 	for name, buf := range cases {
-		if _, _, err := decodePostings(buf, maxLines); err == nil {
+		var none []int32
+		if _, _, err := decodePostings(buf, maxLines, &none); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
-	// A well-formed list still decodes.
-	p, rest, err := decodePostings(enc(3, 5, 2, 90), maxLines)
+	// A well-formed list still decodes, into the arena when it fits and
+	// into its own array when it does not.
+	arena := make([]int32, 0, 5)
+	p, rest, err := decodePostings(enc(3, 5, 2, 90), maxLines, &arena)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("valid list failed: %v (rest %d)", err, len(rest))
 	}
 	if !equalPostings(p, []int32{5, 7, 97}) {
 		t.Errorf("decoded %v, want [5 7 97]", p)
+	}
+	q, _, err := decodePostings(enc(2, 1, 1), maxLines, &arena)
+	if err != nil || !equalPostings(q, []int32{1, 2}) || len(arena) != 5 || &q[0] != &arena[3] {
+		t.Fatalf("second list %v (err %v) is not the arena's tail %v", q, err, arena)
+	}
+	_ = append(p, 99) // the full slice expression makes this copy
+	if !equalPostings(q, []int32{1, 2}) {
+		t.Errorf("appending to the first list overwrote the second: %v", q)
+	}
+	r, _, err := decodePostings(enc(1, 4), maxLines, &arena)
+	if err != nil || !equalPostings(r, []int32{4}) || len(arena) != 5 {
+		t.Errorf("list past a full arena: %v (err %v), arena %v", r, err, arena)
 	}
 }
 

@@ -77,7 +77,7 @@ func render(f *dex.File, limit int) (*Text, error) {
 		for _, m := range c.Methods {
 			lines += 4
 			if !m.IsAbstract() {
-				lines += 1 + len(m.Code)
+				lines += 1 + m.InstructionCount()
 			}
 		}
 		methods += len(c.Methods)
@@ -163,15 +163,16 @@ classes:
 				if m.IsAbstract() {
 					continue
 				}
-				buf = strconv.AppendInt(append(buf, "      insns size    : "...), int64(len(m.Code)), 10)
+				code := m.Instructions()
+				buf = strconv.AppendInt(append(buf, "      insns size    : "...), int64(len(code)), 10)
 				buf = append(buf, " 16-bit code units"...)
 				eol(midx)
-				for pc := range m.Code {
+				for pc := range code {
 					if len(buf) > limit {
 						break classes
 					}
 					buf = dex.AppendHex4(append(buf, "        |"...), int64(pc))
-					buf = m.Code[pc].AppendFormat(append(buf, ": "...))
+					buf = code[pc].AppendFormat(append(buf, ": "...))
 					eol(midx)
 				}
 			}

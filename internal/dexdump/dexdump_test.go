@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -240,13 +241,45 @@ func randomDex(seed int64) *dex.File {
 	return f
 }
 
+// checkTablesMatch requires a table-loaded file to have the classes and
+// instruction counts of the decoded want, every body still pending, and
+// each body, once asked for, equal to want's.
+func checkTablesMatch(t *testing.T, tables, want *dex.File) {
+	t.Helper()
+	tc, wc := tables.Classes(), want.Classes()
+	if len(tc) != len(wc) || tables.InstructionCount() != want.InstructionCount() {
+		t.Fatalf("table load: %d classes, %d instructions; Decode: %d, %d",
+			len(tc), tables.InstructionCount(), len(wc), want.InstructionCount())
+	}
+	for i, c := range tc {
+		if len(c.Methods) != len(wc[i].Methods) {
+			t.Fatalf("%s: table load has %d methods, Decode %d", c.Name, len(c.Methods), len(wc[i].Methods))
+		}
+		for j, m := range c.Methods {
+			w := wc[i].Methods[j]
+			if m.BodyDecoded() || m.Code != nil {
+				t.Fatalf("%s: body decoded by the table load", m.Ref)
+			}
+			if m.InstructionCount() != len(w.Code) {
+				t.Fatalf("%s: %d instructions counted, Decode has %d", m.Ref, m.InstructionCount(), len(w.Code))
+			}
+			if got := m.Instructions(); !m.BodyDecoded() || !reflect.DeepEqual(got, w.Code) {
+				t.Fatalf("%s: Instructions() = %+v, Decode's body %+v", m.Ref, got, w.Code)
+			}
+		}
+	}
+}
+
 // FuzzDecodeDex feeds arbitrary bytes to dex.Decode, seeded with encoded
 // random files, the sample file, the fixture app's merged dex and
 // truncations of it. Decoding must never panic or exhaust memory. The
 // old reader-based decoder (oracleDecode) must accept and reject the same
 // inputs with the same error, and what both accept must encode to the
 // same bytes. The first-touch path, dex.Open then Load, must agree with
-// Decode: the same error or none, and the same disassembly. A decoded file must disassemble and index without
+// Decode: the same error or none, and the same disassembly. So must the
+// table load, dex.Open then LoadTables, which must leave every body
+// pending, count each one's instructions right, and decode each through
+// Instructions to Decode's body. A decoded file must disassemble and index without
 // panicking, into lines that tile the text, and re-encoding it must decode
 // to a file that disassembles to the same bytes.
 func FuzzDecodeDex(f *testing.F) {
@@ -271,6 +304,21 @@ func FuzzDecodeDex(f *testing.F) {
 		f.Add(fixture[:n])
 	}
 	f.Add(append([]byte("GDEX0001"), bytes.Repeat([]byte{0xff}, 10)...))
+	// A method body with an invoke that carries no method ref.
+	_, badCode, err := testapps.BadCodeContainer()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(badCode)
+	// Register and input counts one past the u16 the format allows.
+	for _, over := range []func(*dex.Method){
+		func(m *dex.Method) { m.Registers = 1 << 16 },
+		func(m *dex.Method) { m.Ins = 1 << 16 },
+	} {
+		file := sampleFile(f)
+		over(file.Classes()[1].Methods[0])
+		f.Add(dex.Encode(file))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := dex.Decode(data)
 		ofile, oerr := oracleDecode(data)
@@ -287,9 +335,17 @@ func FuzzDecodeDex(f *testing.F) {
 		if (err == nil) != (lerr == nil) || (err != nil && err.Error() != lerr.Error()) {
 			t.Fatalf("Decode error %v, Open+Load error %v", err, lerr)
 		}
+		tables, terr := dex.Open(data)
+		if terr == nil {
+			terr = tables.LoadTables()
+		}
+		if (err == nil) != (terr == nil) || (err != nil && err.Error() != terr.Error()) {
+			t.Fatalf("Decode error %v, Open+LoadTables error %v", err, terr)
+		}
 		if err != nil {
 			return
 		}
+		checkTablesMatch(t, tables, file)
 		text := Disassemble(file)
 		if Disassemble(lazy).String() != text.String() {
 			t.Fatal("Open+Load disassembles differently from Decode")

@@ -17,7 +17,8 @@ import (
 // decoder's, with three changes that let it live outside package dex:
 // identifiers carry an "oracle" prefix, checkOperands is a function, and
 // classes go in through the exported AddClass (on a fresh file the same
-// as the unexported addClass).
+// as the unexported addClass). One rule was added since: a register or
+// input count past 0xFFFF, which Dalvik stores as a u16, is an error.
 
 // oracleDecode is dex.Decode as it was: the magic check of dex.Open,
 // then the old decoder over the rest.
@@ -219,6 +220,9 @@ func oracleCheckOperands(in *dex.Instruction) error {
 	return nil
 }
 
+// oracleMaxU16 bounds a method's register and input counts.
+const oracleMaxU16 = 1<<16 - 1
+
 // oracleDecodeClasses parses the pool and class definitions that follow
 // the magic into f, which must be empty.
 func oracleDecodeClasses(f *dex.File, data []byte) error {
@@ -304,10 +308,16 @@ func oracleDecodeClasses(f *dex.File, data []byte) error {
 			if err != nil {
 				return err
 			}
+			if regs > oracleMaxU16 {
+				return fmt.Errorf("dex: %s.%s: register count %d exceeds %d", c.Name, m.Ref.Name, regs, oracleMaxU16)
+			}
 			m.Registers = int(regs)
 			ins, err := d.uvarint()
 			if err != nil {
 				return err
+			}
+			if ins > oracleMaxU16 {
+				return fmt.Errorf("dex: %s.%s: input count %d exceeds %d", c.Name, m.Ref.Name, ins, oracleMaxU16)
 			}
 			m.Ins = int(ins)
 			ncode, err := d.count("instruction count", minInstrBytes)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"backdroid/internal/appgen"
+	"backdroid/internal/dex"
 	"backdroid/internal/testapps"
 )
 
@@ -152,12 +153,13 @@ var goldenBenchDumps = []struct {
 type benchApp struct {
 	name        string
 	text        *Text
-	fingerprint uint64 // AppFingerprint of its dex files
+	fingerprint uint64   // AppFingerprint of its dex files
+	dexes       [][]byte // its encoded dex files
 }
 
 // benchCorpus renders the wall-clock benchmark's corpus once per test
 // binary; the golden, oracle and postings tests and BenchmarkBuildIndex
-// share it.
+// share it, as do the dex load benchmarks.
 var benchCorpus = sync.OnceValues(func() ([]benchApp, error) {
 	specs := appgen.EvalCorpus(appgen.CorpusOptions{Apps: 24, SizeScale: 0.15, Seed: 20200523})
 	out := make([]benchApp, len(specs))
@@ -170,7 +172,10 @@ var benchCorpus = sync.OnceValues(func() ([]benchApp, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = benchApp{app.Name, Disassemble(merged), AppFingerprint(app.Dexes)}
+		out[i] = benchApp{app.Name, Disassemble(merged), AppFingerprint(app.Dexes), nil}
+		for _, d := range app.Dexes {
+			out[i].dexes = append(out[i].dexes, dex.Encode(d))
+		}
 	}
 	return out, nil
 })

@@ -546,6 +546,36 @@ func BenchmarkBuildIndex(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadDex times the dex decode layer over the 24-app bench
+// corpus, one op being every dex file of the corpus: "eager" is the cold
+// path's dex.Open and Load, which decodes every body, and "tables" the
+// warm path's dex.Open and LoadTables, which checks every body but
+// decodes none.
+func BenchmarkLoadDex(b *testing.B) {
+	apps := loadBenchCorpus(b)
+	for _, mode := range []struct {
+		name string
+		load func(*dex.File) error
+	}{{"eager", (*dex.File).Load}, {"tables", (*dex.File).LoadTables}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				for _, app := range apps {
+					for _, data := range app.dexes {
+						f, err := dex.Open(data)
+						if err == nil {
+							err = mode.load(f)
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDecodeBundle times the warm path's bundle load over the
 // 24-app bench corpus: per app, ReadBundle frames the bundle and checks
 // its three section CRCs, Dump rebuilds the dump text and sums it back

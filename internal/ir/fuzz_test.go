@@ -42,9 +42,10 @@ func FuzzTranslate(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bad)
-	// Register counts the decoder accepts but Translate once crashed on:
-	// one no locals table can hold, one that wraps negative, and an
-	// instance method with no register for its receiver.
+	// Register counts Translate once crashed on: one no locals table can
+	// hold and one that wraps negative, which the decoder now rejects as
+	// past the u16 Dalvik stores, and an instance method with no register
+	// for its receiver.
 	for _, regs := range []int{1 << 40, -1, 0} {
 		cb := dex.NewClass("com.fuzz.Regs")
 		mb := cb.StaticMethod("m", dex.Void)

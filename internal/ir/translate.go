@@ -104,15 +104,16 @@ func Translate(m *dex.Method) (*Body, error) {
 	idBase := len(b.Units)
 
 	// First pass: translate instructions, merging invoke+move-result.
-	dexToUnit := make([]int, len(m.Code))
+	code := m.Instructions()
+	dexToUnit := make([]int, len(code))
 	type branchFix struct {
 		unit      int
 		dexTarget int
 	}
 	var fixes []branchFix
 
-	for i := 0; i < len(m.Code); i++ {
-		in := &m.Code[i]
+	for i := 0; i < len(code); i++ {
+		in := &code[i]
 		unitIdx := len(b.Units)
 		dexToUnit[i] = unitIdx
 
@@ -192,8 +193,8 @@ func Translate(m *dex.Method) (*Body, error) {
 				return nil, err
 			}
 			// Merge a following move-result into a single AssignStmt.
-			if i+1 < len(m.Code) && m.Code[i+1].Op == dex.OpMoveResult {
-				dst, err := local(m.Code[i+1].A)
+			if i+1 < len(code) && code[i+1].Op == dex.OpMoveResult {
+				dst, err := local(code[i+1].A)
 				if err != nil {
 					return nil, err
 				}
@@ -370,7 +371,7 @@ func Translate(m *dex.Method) (*Body, error) {
 
 	// Second pass: remap dex branch targets to unit indexes.
 	for _, fx := range fixes {
-		if fx.dexTarget < 0 || fx.dexTarget >= len(m.Code) {
+		if fx.dexTarget < 0 || fx.dexTarget >= len(code) {
 			return nil, &TranslateError{Method: m.Ref, Reason: fmt.Sprintf("branch target %d out of range", fx.dexTarget)}
 		}
 		target := dexToUnit[fx.dexTarget]

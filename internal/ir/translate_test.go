@@ -342,3 +342,19 @@ func TestLocalsOf(t *testing.T) {
 		t.Errorf("LocalsOf(arrayref) = %v", got)
 	}
 }
+
+// TestTranslateRejectsOutOfRangeRegisters: the decoder refuses a register
+// count past the u16 Dalvik stores, but a method built in memory can
+// carry any count, so Translate keeps its own bound and refuses one that
+// no locals table can hold or that is negative.
+func TestTranslateRejectsOutOfRangeRegisters(t *testing.T) {
+	for _, regs := range []int{1 << 40, 1 << 16, -1} {
+		c := dex.NewClass("com.regs.C").StaticMethod("m", dex.Void).ReturnVoid().Done().Build()
+		m := c.Methods[0]
+		m.Registers = regs
+		var te *TranslateError
+		if _, err := Translate(m); !errors.As(err, &te) || !strings.Contains(te.Reason, "register count") {
+			t.Errorf("Translate with %d registers: %v, want a register-count TranslateError", regs, err)
+		}
+	}
+}

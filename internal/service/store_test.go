@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"backdroid/internal/apk"
 	"backdroid/internal/core"
+	"backdroid/internal/dex"
 	"backdroid/internal/dexdump"
 	"backdroid/internal/testapps"
 )
@@ -380,4 +382,63 @@ func TestStoreHitReportReleasesEntry(t *testing.T) {
 		t.Error("the dropped entry is still reachable from the store-hit report")
 	}
 	runtime.KeepAlive(res)
+}
+
+// TestStoreHitReportReleasesDexBytes: a store hit loads only the dex
+// tables, and each method whose body it never decodes keeps the app's
+// dex bytes to decode from. The report outlives the job (as the job
+// name's delta base and in the settled report store), so it must reach
+// neither the app nor the engine's dex view: once the garbage collector
+// has run, the dex bytes are gone.
+func TestStoreHitReportReleasesDexBytes(t *testing.T) {
+	fixture, err := testapps.Fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := fixture.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewBundleStore(0)
+	primer := New(Config{Workers: 1, Store: store})
+	runFixtureJob(t, primer, fixture)
+	primer.Close()
+
+	var gone weak.Pointer[byte]
+	s := New(Config{Workers: 1, Store: store, Reports: NewReportStore(0)})
+	defer s.Close()
+	id, err := s.Submit(Job{Name: fixture.Name, RunBackDroid: true, Source: func() (*apk.App, error) {
+		app, err := apk.ReadBytes(fixture.Name, data)
+		if err == nil {
+			gone = weak.Make(dexBytes(app.Dexes[0]))
+		}
+		return app, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.BackDroid.Stats; st.BundleStoreHits != 1 {
+		t.Fatalf("job was not a store hit: %+v", st)
+	}
+	if n := s.Reports().stats().Entries; n != 1 {
+		t.Fatalf("%d settled reports, want the store-hit report", n)
+	}
+
+	runtime.GC()
+	runtime.GC()
+	if gone.Value() != nil {
+		t.Error("the app's dex bytes are still reachable from the store-hit report")
+	}
+	runtime.KeepAlive(res)
+}
+
+// dexBytes returns the first byte of the encoded bytes a dex file made by
+// dex.Open decodes from. Nothing exports them, so it reads the file's
+// unexported raw field; the file must not be loaded yet.
+func dexBytes(f *dex.File) *byte {
+	return (*byte)(reflect.ValueOf(f).Elem().FieldByName("raw").UnsafePointer())
 }

@@ -4,6 +4,7 @@ import (
 	"archive/zip"
 	"bytes"
 
+	"backdroid/internal/apk"
 	"backdroid/internal/dex"
 )
 
@@ -18,13 +19,40 @@ func BadBodyContainer() (container, badDex []byte, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	good := dex.Encode(app.Dexes[0])
+	magic := len("GDEX0001") // the magic dex.Encode writes first
+	badDex = append(good[:magic:magic], 0xff, 0xff, 0xff, 0x7f)
+	return withSecondDex(app, good, badDex)
+}
+
+// BadCodeContainer is BadBodyContainer with the hostile part inside a
+// method body: classes2.dex has a valid pool and class table, and its one
+// class's one method is an invoke-static that carries no method ref. Only
+// a decode that walks the method bodies rejects it.
+func BadCodeContainer() (container, badDex []byte, err error) {
+	app, err := Fixture()
+	if err != nil {
+		return nil, nil, err
+	}
+	mb := dex.NewClass(Pkg+".Hostile").StaticMethod("run", dex.Void)
+	mb.ReturnVoid()
+	c := mb.Done().Build()
+	m := c.Methods[0]
+	m.Code = append([]dex.Instruction{{Op: dex.OpInvokeStatic}}, m.Code...)
+	bad := dex.NewFile()
+	if err := bad.AddClass(c); err != nil {
+		return nil, nil, err
+	}
+	return withSecondDex(app, dex.Encode(app.Dexes[0]), dex.Encode(bad))
+}
+
+// withSecondDex writes app's manifest, good as classes.dex and badDex as
+// classes2.dex into a container.
+func withSecondDex(app *apk.App, good, badDex []byte) (container, _ []byte, err error) {
 	mf, err := app.Manifest.ToXML()
 	if err != nil {
 		return nil, nil, err
 	}
-	good := dex.Encode(app.Dexes[0])
-	magic := len("GDEX0001") // the magic dex.Encode writes first
-	badDex = append(good[:magic:magic], 0xff, 0xff, 0xff, 0x7f)
 	var buf bytes.Buffer
 	zw := zip.NewWriter(&buf)
 	for _, e := range []struct {
