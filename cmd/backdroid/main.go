@@ -12,11 +12,10 @@
 // each listed app is a job, and reports print in argument order. -workers
 // sets the scheduler's worker count; -nodes N instead analyzes the corpus
 // on a fault-tolerant fleet of N worker nodes: dispatches are leased,
-// bundles are consistent-hashed across per-node partitions (budgeted by
-// -store-budget; -1 runs storeless), and nodes killed by a -faults plan
-// hand their jobs off to survivors — reports stay byte-identical to a
-// fault-free run. -faults SPEC is a deterministic fault plan (see
-// internal/faultinject) and needs -nodes, e.g.
+// and nodes killed by a -faults plan hand their jobs off to survivors —
+// reports stay byte-identical to a fault-free run. -faults SPEC is a
+// deterministic fault plan (see internal/faultinject) and needs -nodes,
+// e.g.
 //
 //	backdroid -nodes 4 -store-budget 0 -faults 'kill:node=2@50000' apps/*.apk
 //
@@ -27,12 +26,13 @@
 // persists each app's
 // dump+index bundle in DIR so re-analyses skip disassembly and
 // tokenization entirely (a fully warm start).
-// -store-budget shares an in-memory content-addressed bundle store across
-// the listed apps (listing an app twice makes the second analysis fully
-// warm with zero disk I/O); cmd/backdroidd keeps such a store alive
-// across submissions. -stats=false suppresses the cost/statistics lines,
-// leaving only the deterministic detection report (useful for diffing
-// backends against each other).
+// -store-budget shares one in-memory content-addressed bundle store
+// across the listed apps and every worker or fleet node (listing an app
+// twice makes the second analysis fully warm with zero disk I/O);
+// cmd/backdroidd keeps such a store alive across submissions.
+// -stats=false suppresses the cost/statistics lines, leaving only the
+// deterministic detection report (useful for diffing backends against
+// each other).
 //
 // -delta treats the listed containers as successive versions of one app
 // (base first) and analyzes each update incrementally against its
@@ -155,14 +155,12 @@ func run(paths []string, cfg config) error {
 	opts.TimeoutMinutes = cfg.timeout
 	opts.IndexCacheDir = cfg.indexCache
 	scfg := service.Config{Workers: cfg.workers, Options: &opts, Nodes: cfg.nodes}
-	switch {
-	case cfg.nodes > 0:
-		scfg.NodeStoreBudget = cfg.storeBudget
-		if cfg.faults != "" {
-			if scfg.Faults, err = faultinject.Parse(cfg.faults); err != nil {
-				return err
-			}
+	if cfg.faults != "" {
+		if scfg.Faults, err = faultinject.Parse(cfg.faults); err != nil {
+			return err
 		}
+	}
+	switch {
 	case cfg.storeBudget >= 0:
 		// One content-addressed store for the whole invocation: listing
 		// the same app twice makes the second analysis fully warm.
@@ -268,9 +266,9 @@ func printFleet(m obs.Snapshot) {
 		n, _ := m.Get("backdroid_fleet_" + name)
 		return n
 	}
-	fmt.Printf("fleet: %d nodes (%d live, %d killed); %d handoffs, %d expired leases; %d units lost, %d overhead; bundle gets %d local / %d remote; %d fetch faults\n",
+	fmt.Printf("fleet: %d nodes (%d live, %d killed); %d handoffs, %d expired leases; %d units lost, %d overhead\n",
 		v("nodes"), v("live"), v("killed_total"), v("handoffs_total"), v("expired_leases_total"),
-		v("lost_units"), v("overhead_units"), v("local_gets_total"), v("remote_gets_total"), v("fetch_faults_total"))
+		v("lost_units"), v("overhead_units"))
 	fmt.Printf("steal: %d chunks off %d victims, %d sinks moved, %d units charged; makespan %d units\n",
 		v("steals_total"), v("steal_victims_total"), v("stolen_sinks_total"), v("steal_units"), v("makespan_units"))
 }
@@ -282,13 +280,7 @@ func saveTrace(runErr error, path string, trace *obs.Trace) error {
 	if trace == nil {
 		return runErr
 	}
-	f, err := os.Create(path)
-	if err == nil {
-		err = obs.WriteChrome(f, trace)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
+	err := obs.WriteChromeFile(path, trace)
 	if runErr != nil {
 		return runErr
 	}

@@ -21,11 +21,11 @@
 // inverted-index lookups) or linear (the paper-faithful full-text scan).
 //
 // -nodes N runs the scheduler as a coordinator over a fault-tolerant
-// fleet of N worker nodes: every dispatch takes a lease, bundles are
-// consistent-hashed across per-node store partitions (each budgeted by
-// -store-budget), and a node that dies has its jobs handed off to
-// surviving nodes with at-most-once terminal events. -faults SPEC arms a
-// deterministic fault plan (see internal/faultinject):
+// fleet of N worker nodes: every dispatch takes a lease, every node
+// analyzes against the one bundle store (budgeted by -store-budget), and
+// a node that dies has its jobs handed off to surviving nodes with
+// at-most-once terminal events. -faults SPEC arms a deterministic fault
+// plan (see internal/faultinject):
 //
 //	backdroidd -nodes 4 -faults 'kill:node=2@50000,beat-drop:node=3@8000'
 //
@@ -131,7 +131,7 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", runtime.NumCPU(), "concurrent job analyses")
 	flag.IntVar(&cfg.queue, "queue", 0, "per-tenant job queue depth (0 = 2x workers)")
 	flag.Int64Var(&cfg.storeBudget, "store-budget", 256<<20,
-		"in-memory bundle store byte budget (0 = unlimited, -1 = store disabled)")
+		"in-memory bundle store byte budget, one store shared by every worker and\nfleet node (0 = unlimited, -1 = store disabled)")
 	flag.Int64Var(&cfg.reportBudget, "report-budget", 64<<20,
 		"settled-report store byte budget (0 = unlimited, -1 = settled tier disabled)")
 	flag.StringVar(&cfg.backend, "backend", "indexed", "search backend: indexed or linear")
@@ -216,7 +216,7 @@ func serve(in io.Reader, out io.Writer, cfg config) error {
 		}
 	}
 	var store *service.BundleStore
-	if cfg.storeBudget >= 0 && cfg.nodes == 0 {
+	if cfg.storeBudget >= 0 {
 		store = service.NewBundleStore(cfg.storeBudget)
 	}
 	var jnl *journal.Journal
@@ -243,22 +243,17 @@ func serve(in io.Reader, out io.Writer, cfg config) error {
 	if cfg.trace != "" {
 		trace = obs.NewTrace()
 	}
-	d := api.NewDispatcher(api.DispatcherConfig{
-		Scheduler: service.Config{
-			Workers:    cfg.workers,
-			QueueDepth: cfg.queue,
-			Tenants:    tenants,
-			Options:    &opts,
-			Store:      store,
-			Journal:    jnl,
-			Reports:    reports,
-			// Fleet mode: -store-budget becomes each node's partition
-			// budget (the shared store above is not built).
-			Nodes:           cfg.nodes,
-			NodeStoreBudget: cfg.storeBudget,
-			Faults:          faults,
-			Trace:           trace,
-		},
+	d := api.NewDispatcher(service.Config{
+		Workers:    cfg.workers,
+		QueueDepth: cfg.queue,
+		Tenants:    tenants,
+		Options:    &opts,
+		Store:      store,
+		Journal:    jnl,
+		Reports:    reports,
+		Nodes:      cfg.nodes,
+		Faults:     faults,
+		Trace:      trace,
 	})
 
 	// One writer goroutine serializes event lines against command
@@ -413,15 +408,7 @@ func saveTrace(path string, trace *obs.Trace) error {
 	if trace == nil || path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("-trace: %w", err)
-	}
-	if err := obs.WriteChrome(f, trace); err != nil {
-		f.Close()
-		return fmt.Errorf("-trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := obs.WriteChromeFile(path, trace); err != nil {
 		return fmt.Errorf("-trace: %w", err)
 	}
 	return nil

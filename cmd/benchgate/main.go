@@ -15,10 +15,9 @@
 //     run's per-job report union must be byte-identical to the unsplit
 //     run's, at least one chunk must be stolen, the charged makespan
 //     (the busiest node's odometer) must shrink by at least 1.5x, and
-//     the steal + remote-fetch overhead must stay under 10% of the
-//     charged analysis work. Its numbers also ride into
-//     BENCH_search.json and the baseline, so it runs before the search
-//     leg;
+//     the steal overhead must stay under 10% of the charged analysis
+//     work. Its numbers also ride into BENCH_search.json and the
+//     baseline, so it runs before the search leg;
 //   - search (BENCH_search.json): the corpus once per search backend
 //     (linear, indexed), then cold+warm against the persistent bundle
 //     cache. Every backend and the warm bundle run must reproduce the
@@ -398,8 +397,7 @@ type FleetReport struct {
 // sink tail. The gate pins three invariants: the steal run's canonical
 // per-job report union (service.EncodeReport bytes) is identical to
 // the unsplit run's, the charged makespan shrinks by at least 1.5x,
-// and the steal + remote-fetch overhead stays under 10% of the charged
-// analysis work.
+// and the steal overhead stays under 10% of the charged analysis work.
 type StealReport struct {
 	Seed            int64   `json:"seed"`
 	Nodes           int     `json:"nodes"`
@@ -412,8 +410,6 @@ type StealReport struct {
 	StealVictims    int64   `json:"steal_victims"`
 	StolenSinks     int64   `json:"stolen_sinks"`
 	StealUnits      int64   `json:"steal_units"`
-	RemoteGets      int64   `json:"remote_gets"`
-	RemoteUnits     int64   `json:"remote_units"`
 	AnalysisUnits   int64   `json:"analysis_units"`
 	OverheadRatio   float64 `json:"steal_overhead_ratio"`
 	UnionIdentical  bool    `json:"union_identical"`
@@ -1104,11 +1100,11 @@ func (b *bench) fleet() (report, error) {
 		faultinject.Fault{Kind: faultinject.KillJob, Job: "heavy:" + heavy[0].Name, AtUnit: 64},
 		faultinject.Fault{Kind: faultinject.KillJob, Job: "heavy:" + heavy[2].Name, AtUnit: 64},
 	)
-	ref, err := gatedTenantRun(service.Config{Nodes: fleetNodes}, heavy, light)
+	ref, err := gatedTenantRun(service.Config{Nodes: fleetNodes, Store: service.NewBundleStore(0)}, heavy, light)
 	if err != nil {
 		return nil, err
 	}
-	chaos, err := gatedTenantRun(service.Config{Nodes: fleetNodes, Faults: plan}, heavy, light)
+	chaos, err := gatedTenantRun(service.Config{Nodes: fleetNodes, Store: service.NewBundleStore(0), Faults: plan}, heavy, light)
 	if err != nil {
 		return nil, err
 	}
@@ -1151,6 +1147,7 @@ func stealTailRun(specs []appgen.Spec, steal bool, rec *phaseRecorder) (map[stri
 		Nodes:      fleetNodes,
 		QueueDepth: 2 * len(specs),
 		Options:    &opts,
+		Store:      service.NewBundleStore(0),
 	}
 	if !steal {
 		cfg.SinkChunk = -1 // job-level placement: the outlier is unsplittable
@@ -1201,8 +1198,6 @@ func (b *bench) steal() (report, error) {
 		StealVictims:    stats.StealVictims,
 		StolenSinks:     stats.StolenSinks,
 		StealUnits:      stats.StealUnits,
-		RemoteGets:      stats.RemoteGets,
-		RemoteUnits:     stats.RemoteUnits,
 		AnalysisUnits:   analysisUnits,
 		UnionIdentical:  maps.EqualFunc(baseUnion, union, bytes.Equal),
 		Phases:          rec.snapshot(),
@@ -1212,9 +1207,8 @@ func (b *bench) steal() (report, error) {
 	}
 	if analysisUnits > 0 {
 		// Everything stealing adds on top of the analysis itself: the
-		// per-steal coordination charge plus the stolen chunks' remote
-		// bundle fetches.
-		s.OverheadRatio = float64(s.StealUnits+s.RemoteUnits) / float64(analysisUnits)
+		// per-steal coordination charge.
+		s.OverheadRatio = float64(s.StealUnits) / float64(analysisUnits)
 	}
 	b.stealRep = &s
 	fmt.Fprintf(os.Stderr, "%-16s makespan %d -> %d units (%.2fx), %d steals off %d victims, %d sinks moved, overhead %.2f%%\n",

@@ -84,10 +84,9 @@ func (e *Engine) locateSinkCalls() ([]SinkCall, error) {
 // findCallSites returns the unit indexes in the body whose invoke matches
 // the callee reference exactly.
 func (e *Engine) findCallSites(body *ir.Body, callee dex.MethodRef) []int {
-	want := callee.SootSignature()
 	var out []int
 	for i, u := range body.Units {
-		if inv := ir.InvokeOf(u); inv != nil && inv.Method.SootSignature() == want {
+		if inv := ir.InvokeOf(u); inv != nil && inv.Method.Equal(callee) {
 			out = append(out, i)
 		}
 	}

@@ -223,6 +223,21 @@ func (m MethodRef) SubSignature() string {
 // String returns the Soot signature.
 func (m MethodRef) String() string { return m.SootSignature() }
 
+// Equal reports whether two references name the same method: the same
+// class, name, return type and parameter list. It compares the fields
+// in place, so unlike comparing signatures it allocates nothing.
+func (m MethodRef) Equal(o MethodRef) bool {
+	if m.Class != o.Class || m.Name != o.Name || m.Ret != o.Ret || len(m.Params) != len(o.Params) {
+		return false
+	}
+	for i, p := range m.Params {
+		if p != o.Params[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // IsConstructor reports whether the reference names an instance constructor.
 func (m MethodRef) IsConstructor() bool { return m.Name == "<init>" }
 

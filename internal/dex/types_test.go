@@ -88,6 +88,22 @@ func TestMethodRefSignatures(t *testing.T) {
 	if got, want := m2.SubSignature(), "void runInBackground(java.lang.Runnable,boolean)"; got != want {
 		t.Errorf("SubSignature = %q, want %q", got, want)
 	}
+
+	same := NewMethodRef("com.connectsdk.core.Util", "runInBackground", Void, T("java.lang.Runnable"), Bool)
+	if !m2.Equal(same) || !same.Equal(m2) {
+		t.Errorf("%v and an identical ref are not Equal", m2)
+	}
+	for _, other := range []MethodRef{
+		m2.WithClass("com.connectsdk.core.Other"),
+		NewMethodRef("com.connectsdk.core.Util", "runLater", Void, T("java.lang.Runnable"), Bool),
+		NewMethodRef("com.connectsdk.core.Util", "runInBackground", Int, T("java.lang.Runnable"), Bool),
+		NewMethodRef("com.connectsdk.core.Util", "runInBackground", Void, T("java.lang.Runnable")),
+		NewMethodRef("com.connectsdk.core.Util", "runInBackground", Void, T("java.lang.Runnable"), Int),
+	} {
+		if m2.Equal(other) || other.Equal(m2) {
+			t.Errorf("%v Equal %v", m2, other)
+		}
+	}
 }
 
 func TestParseDexMethodSignature(t *testing.T) {

@@ -4,9 +4,9 @@
 // attempt's charged units, a journal append ordinal — never to wall
 // clocks or goroutine timing, so a chaos run is reproducible
 // bit-for-bit: the same plan against the same corpus kills the same
-// work at the same metered instant every time. The scheduler, journal
-// and bundle store poll the plan at their natural checkpoints; a nil
-// *Plan is valid everywhere and injects nothing.
+// work at the same metered instant every time. The scheduler and
+// journal poll the plan at their natural checkpoints; a nil *Plan is
+// valid everywhere and injects nothing.
 //
 // Plans are written (and round-tripped) in a compact spec syntax, one
 // fault per comma-separated clause:
@@ -20,8 +20,6 @@
 //	                      fenced, job re-dispatched)
 //	corrupt:handoff@1     flip a byte in the 1st "handoff" journal
 //	                      record as it is written to disk
-//	fetch-fail            the next bundle-store fetch misses (fetch-failx3
-//	                      = the next three)
 package faultinject
 
 import (
@@ -55,9 +53,6 @@ const (
 	// in-memory state is untouched; the damage surfaces on the next
 	// replay, which must degrade to re-dispatch.
 	CorruptRecord
-	// FailFetch makes the next Count bundle-store fetches miss, forcing
-	// a cold rebuild. Reports must not change.
-	FailFetch
 )
 
 // Fault is one injected failure, keyed to simulated time.
@@ -67,7 +62,7 @@ type Fault struct {
 	Job    string // KillJob: job name
 	AtUnit int64  // fleet-clock / odometer / attempt-unit threshold; CorruptRecord: 1-based append ordinal
 	Record string // CorruptRecord: journal record kind name
-	Count  int    // KillJob: attempts to kill; FailFetch: fetches to fail (default 1)
+	Count  int    // KillJob: attempts to kill (default 1)
 }
 
 // Trip records one fault firing, for assertions and postmortems.
@@ -91,7 +86,6 @@ type Plan struct {
 	faults  []*fault
 	trips   []Trip
 	appends map[string]int // journal appends seen per record kind
-	fetches int            // bundle fetches seen
 }
 
 // New builds a plan from explicit faults, normalizing defaults
@@ -217,19 +211,6 @@ func parseClause(clause string) (Fault, error) {
 		}
 		f.Record = body
 	default:
-		if head == "fetch-fail" || strings.HasPrefix(clause, "fetch-fail") {
-			f.Kind = FailFetch
-			tail := strings.TrimPrefix(clause, "fetch-fail")
-			if tail != "" {
-				if _, err := cutCount(tail); err != nil {
-					return f, err
-				}
-				if f.Count == 0 {
-					return f, fmt.Errorf("faultinject: %q wants fetch-fail[xN]", clause)
-				}
-			}
-			return f, nil
-		}
 		return f, fmt.Errorf("faultinject: unknown fault %q", clause)
 	}
 	return f, nil
@@ -247,8 +228,6 @@ func (f *Fault) clause() string {
 		fmt.Fprintf(&b, "beat-drop:node=%d@%d", f.Node, f.AtUnit)
 	case CorruptRecord:
 		fmt.Fprintf(&b, "corrupt:%s@%d", f.Record, f.AtUnit)
-	case FailFetch:
-		b.WriteString("fetch-fail")
 	}
 	if f.Count > 1 {
 		fmt.Fprintf(&b, "x%d", f.Count)
@@ -421,24 +400,4 @@ func JournalCorrupter(p *Plan) func(kind string, encoded []byte) []byte {
 		damaged[len(damaged)-1] ^= 0xa5
 		return damaged
 	}
-}
-
-// FailFetch is called once per bundle-store fetch; it reports whether
-// this fetch must miss. Fires on the next Count fetches after the
-// plan's FailFetch faults are armed (they are armed from the start).
-func (p *Plan) FailFetch(fp uint64) bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fetches++
-	for _, f := range p.faults {
-		if f.Kind == FailFetch && f.fired < f.Count {
-			f.fired++
-			p.trip(f, 0, fmt.Sprintf("fp=%x", fp), int64(p.fetches))
-			return true
-		}
-	}
-	return false
 }

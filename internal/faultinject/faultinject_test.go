@@ -15,8 +15,6 @@ func TestParseStringRoundTrip(t *testing.T) {
 		"kill:job=heavy:outlier@64x2",
 		"beat-drop:node=1@0",
 		"corrupt:handoff@1",
-		"fetch-fail",
-		"fetch-failx3",
 		"kill:node=1@10,kill:node=3@20,corrupt:lease@2",
 	}
 	for _, spec := range specs {
@@ -39,7 +37,7 @@ func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"", "bogus", "kill:@5", "kill:node=zero@5", "kill:node=0@5",
 		"kill:job=@5", "beat-drop:job=x@5", "corrupt:@1", "corrupt:lease@0",
-		"fetch-failx0", "kill:node=1@-3",
+		"fetch-fail", "kill:node=1@-3",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted a malformed spec", spec)
@@ -127,23 +125,12 @@ func TestCorruptAppendOrdinal(t *testing.T) {
 	}
 }
 
-// TestFailFetchCount pins the fetch budget.
-func TestFailFetchCount(t *testing.T) {
-	p := New(Fault{Kind: FailFetch, Count: 2})
-	if !p.FailFetch(1) || !p.FailFetch(2) {
-		t.Fatal("first two fetches must fail")
-	}
-	if p.FailFetch(3) {
-		t.Fatal("third fetch failed beyond Count")
-	}
-}
-
 // TestNilPlanIsInert pins the nil-receiver contract the scheduler
 // relies on: no nil checks at the poll sites.
 func TestNilPlanIsInert(t *testing.T) {
 	var p *Plan
 	if p.KillNode(1, 1e9) || p.KillJob(1, "x", 1, 1e9) || p.DropHeartbeat(1, 1e9) ||
-		p.CorruptAppend("lease") || p.FailFetch(7) {
+		p.CorruptAppend("lease") {
 		t.Fatal("nil plan injected a fault")
 	}
 	if p.String() != "" || p.Trips() != nil {

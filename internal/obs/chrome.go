@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 )
@@ -126,6 +127,20 @@ func WriteChrome(w io.Writer, t *Trace) error {
 	b.WriteString("]}\n")
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// WriteChromeFile writes the trace as Chrome trace-event JSON to a new
+// file at path, replacing any file there.
+func WriteChromeFile(path string, t *Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChrome(f, t); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // spanLess is the canonical export order. Node is deliberately not a

@@ -24,11 +24,6 @@ import (
 // api_version. Bump it when a response shape changes incompatibly.
 const Version = 2
 
-// OptionsFingerprint re-exports the settled-tier options hash, so
-// gateway clients can compute report addresses without importing the
-// service internals.
-func OptionsFingerprint(o *core.Options) uint64 { return service.OptionsFingerprint(o) }
-
 // SubmitRequest queues one app container for analysis. Path is the
 // container on disk (opened lazily on the worker, so a bad path
 // surfaces as a failed job, not a submit error); Tenant selects the
@@ -215,17 +210,9 @@ func storeState(st core.Stats) string {
 	return "off"
 }
 
-// DispatcherConfig configures a Dispatcher.
-type DispatcherConfig struct {
-	// Scheduler configures the underlying service scheduler. The Events
-	// field is owned by the Dispatcher and must be nil — the Dispatcher
-	// creates the channel, drains it, maintains the job-status table and
-	// fans events out to subscribers.
-	Scheduler service.Config
-	// JobHistory bounds the retained terminal job statuses (oldest
-	// evicted first); 0 defaults to 4096.
-	JobHistory int
-}
+// jobHistory bounds the retained terminal job statuses (oldest evicted
+// first).
+const jobHistory = 4096
 
 // Dispatcher is the shared service core both front ends drive: it owns
 // the scheduler and its event stream, tracks per-job status for the
@@ -236,7 +223,6 @@ type Dispatcher struct {
 	sched   *service.Scheduler
 	events  chan service.Event
 	drained chan struct{}
-	history int
 
 	mu       sync.Mutex
 	jobs     map[int64]*JobStatus
@@ -246,21 +232,19 @@ type Dispatcher struct {
 	closed   bool
 }
 
-// NewDispatcher builds the scheduler and starts the event drain loop.
-func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
-	if cfg.JobHistory <= 0 {
-		cfg.JobHistory = 4096
-	}
+// NewDispatcher builds the scheduler from cfg and starts the event drain
+// loop. cfg.Events is owned by the Dispatcher and must be nil: the
+// Dispatcher creates the channel, drains it, maintains the job-status
+// table and fans events out to subscribers.
+func NewDispatcher(cfg service.Config) *Dispatcher {
 	d := &Dispatcher{
 		events:  make(chan service.Event, 64),
 		drained: make(chan struct{}),
-		history: cfg.JobHistory,
 		jobs:    make(map[int64]*JobStatus),
 		subs:    make(map[int]*Subscription),
 	}
-	sc := cfg.Scheduler
-	sc.Events = d.events
-	d.sched = service.New(sc)
+	cfg.Events = d.events
+	d.sched = service.New(cfg)
 	go d.drain()
 	return d
 }
@@ -343,7 +327,7 @@ func (d *Dispatcher) apply(ev service.Event) {
 // terminal statuses beyond the history bound.
 func (d *Dispatcher) settleLocked(st *JobStatus) {
 	d.terminal = append(d.terminal, st.ID)
-	for len(d.terminal) > d.history {
+	for len(d.terminal) > jobHistory {
 		delete(d.jobs, d.terminal[0])
 		d.terminal = d.terminal[1:]
 	}

@@ -40,11 +40,11 @@ func fixturePath(t *testing.T) string {
 // newTestDispatcher builds a dispatcher with a settled tier over the
 // given options.
 func newTestDispatcher(opts *core.Options) *Dispatcher {
-	return NewDispatcher(DispatcherConfig{Scheduler: service.Config{
+	return NewDispatcher(service.Config{
 		Workers: 2,
 		Options: opts,
 		Reports: service.NewReportStore(0),
-	}})
+	})
 }
 
 // collectJob drains the subscription until the job's terminal event and
@@ -261,7 +261,7 @@ func TestHTTPGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	appFP := dexdump.AppFingerprint(app.Dexes)
-	optFP := OptionsFingerprint(&opts)
+	optFP := service.OptionsFingerprint(&opts)
 	var rr ReportResponse
 	getJSON(fmt.Sprintf("%s/v1/reports/%016x/%016x", srv.URL, appFP, optFP), http.StatusOK, &rr)
 	if len(rr.Report.Sinks) != len(st.Report.Sinks) {

@@ -31,12 +31,12 @@ func TestMetricsSurfaceParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
-	d := NewDispatcher(DispatcherConfig{Scheduler: service.Config{
-		Nodes:           2,
-		NodeStoreBudget: 0,
-		Reports:         service.NewReportStore(0),
-		Journal:         jnl,
-	}})
+	d := NewDispatcher(service.Config{
+		Nodes:   2,
+		Store:   service.NewBundleStore(0),
+		Reports: service.NewReportStore(0),
+		Journal: jnl,
+	})
 	defer d.Close()
 	sub := d.Subscribe()
 	defer sub.Close()
@@ -52,7 +52,7 @@ func TestMetricsSurfaceParity(t *testing.T) {
 	}
 	for _, family := range []string{
 		"backdroid_dispatched_total", "backdroid_fleet_nodes",
-		"backdroid_fleetstore_hits_total", "backdroid_reports_entries",
+		"backdroid_store_hits_total", "backdroid_reports_entries",
 		"backdroid_journal_records", "backdroid_node_units",
 		"backdroid_tenant_dispatched_total", "backdroid_tenant_weight",
 		"backdroid_node_muted",

@@ -241,10 +241,8 @@ func TestJobCheckpointRunsAfterScheduler(t *testing.T) {
 
 	tr := obs.NewTrace()
 	// Stealing off: the job runs as one dispatch, so the fleet clock and
-	// the counter track are this job's alone. Partitions off: a job that
-	// lands on the node not owning its bundle would add a remote-fetch
-	// charge to the fleet clock that its meter never sees.
-	s := New(Config{Nodes: 2, NodeStoreBudget: -1, SinkChunk: -1, Trace: tr, Events: events})
+	// the counter track are this job's alone.
+	s := New(Config{Nodes: 2, Store: NewBundleStore(0), SinkChunk: -1, Trace: tr, Events: events})
 	const stopAt = 4
 	var calls int
 	var sum int64

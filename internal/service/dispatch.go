@@ -37,18 +37,6 @@ type work struct {
 	victim int  // the victim's node; it declines its own shed chunks
 }
 
-// jobStore is the bundle-store surface a job analyzes against: either a
-// plain *BundleStore or a fleet placement view routing each fingerprint
-// to its owner node's partition. Its method set covers core.BundleCache,
-// so either implementation plugs into the engine unchanged.
-type jobStore interface {
-	GetBundle(fp uint64) ([]byte, bool)
-	PutBundle(fp uint64, data []byte)
-	DropBundle(fp uint64)
-	Contains(fp uint64) bool
-	LockFingerprint(fp uint64) func()
-}
-
 // prevRun is one remembered prior analysis of a job name.
 type prevRun struct {
 	fp     uint64
@@ -160,10 +148,10 @@ func (s *Scheduler) runWork(w *work, node int) {
 }
 
 // analyze materializes the dispatch's app and runs it. A sink range is
-// one engine run restricted to that range, against the victim's store
-// routing and fingerprint. A whole job adds on top: the settled fast
-// path, the delta base, the steal-eligibility gate, settling or
-// remembering an unfenced report, and the whole-app and call-graph legs.
+// one engine run restricted to that range, against the victim's
+// fingerprint. A whole job adds on top: the settled fast path, the delta
+// base, the steal-eligibility gate, settling or remembering an unfenced
+// report, and the whole-app and call-graph legs.
 // Every dispatch builds its own engines — no analysis state crosses
 // jobs; the only shared objects are the content-addressed bundle stores,
 // which are concurrency-safe and append-only. node/attempt identify the
@@ -173,13 +161,13 @@ func (s *Scheduler) runWork(w *work, node int) {
 // that res.BackDroid is a partial report for the merge in w.cs — a chunk,
 // or a victim a steal fenced — rather than the job's result.
 func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobResult, part bool, err error) {
-	st, job := w.st, w.st.job
+	st, job, store := w.st, w.st.job, s.cfg.Store
 	app, err := job.Source()
 	if err != nil {
 		return nil, false, err
 	}
 	if cs := w.cs; cs != nil {
-		o, store := s.engineOptions(w, cs.name, node, attempt, base)
+		o := s.engineOptions(w, cs.name, node, attempt, base)
 		rep, err := runEngine(w, cs.name, app, o, store, cs.fp)
 		if err != nil {
 			return nil, false, err
@@ -192,7 +180,7 @@ func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobRes
 	}
 
 	if job.RunBackDroid {
-		o, store := s.engineOptions(w, res.Name, node, attempt, base)
+		o := s.engineOptions(w, res.Name, node, attempt, base)
 		var fp uint64
 		if store != nil || s.cfg.Reports != nil {
 			fp = app.Fingerprint()
@@ -312,12 +300,11 @@ func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobRes
 // engineOptions builds one dispatch's engine options: the job's own (or
 // the scheduler default) plus the wiring every dispatch shares — the
 // meter checkpoint (trace counter sample, fleet heartbeat, cooperative
-// cancellation), trace hooks re-anchored on the track origin base, the
-// bundle store the job analyzes against (also returned; nil when the job
-// runs storeless) and the sink-event observer. name labels the job's
-// events and heartbeats. A sink range is restricted to [from, to) and
-// never runs the delta path or the steal poll.
-func (s *Scheduler) engineOptions(w *work, name string, node, attempt int, base int64) (core.Options, jobStore) {
+// cancellation), trace hooks re-anchored on the track origin base,
+// Config.Store as the bundle cache and the sink-event observer. name
+// labels the job's events and heartbeats. A sink range is restricted to
+// [from, to) and never runs the delta path or the steal poll.
+func (s *Scheduler) engineOptions(w *work, name string, node, attempt int, base int64) core.Options {
 	st, sub := w.st, w.sub
 	id := st.id
 	o := s.jobOptions(st.job)
@@ -353,19 +340,10 @@ func (s *Scheduler) engineOptions(w *work, name string, node, attempt int, base 
 			tr.Add(sp)
 		}
 	}
-	// A partitioned fleet places bundles by consistent hashing; the node
-	// view is resolved here, since the executing node is known only at
-	// dispatch.
-	var store jobStore
-	if s.fleet != nil && s.fleet.partitioned() {
-		if v := s.fleet.view(node); v != nil {
-			store = v
-		}
-	} else if s.cfg.Store != nil {
-		store = s.cfg.Store
-	}
-	if store != nil {
-		o.Bundles = store
+	// A nil *BundleStore in the o.Bundles interface would not be a nil
+	// interface, so a storeless job leaves the field unset.
+	if s.cfg.Store != nil {
+		o.Bundles = s.cfg.Store
 	}
 	if s.cfg.Events != nil {
 		pos, traced := w.from, s.cfg.Trace != nil
@@ -385,7 +363,7 @@ func (s *Scheduler) engineOptions(w *work, name string, node, attempt int, base 
 		o.DeltaFrom = nil
 		o.SinkProgress = nil
 	}
-	return o, store
+	return o
 }
 
 // runEngine runs the BackDroid engine once. When the store lacks fp's
@@ -396,7 +374,7 @@ func (s *Scheduler) engineOptions(w *work, name string, node, attempt int, base 
 // so a panicking run can never leave the fingerprint locked for every
 // later job. A cancel passes through unwrapped; other errors name the
 // job, and the range for a chunk.
-func runEngine(w *work, name string, app *apk.App, o core.Options, store jobStore, fp uint64) (*core.Report, error) {
+func runEngine(w *work, name string, app *apk.App, o core.Options, store *BundleStore, fp uint64) (*core.Report, error) {
 	if store != nil && !store.Contains(fp) {
 		defer store.LockFingerprint(fp)()
 	}

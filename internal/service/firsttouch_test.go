@@ -106,7 +106,7 @@ func TestHostileDexBodyFailsOneJob(t *testing.T) {
 		want := "core: preprocessing " + testapps.Pkg + ": apk: classes2.dex: " + decodeErr.Error()
 		forged := forgedBundle(t, container)
 		for _, f := range []*forgedEntry{nil, forged} {
-			for _, cfg := range []Config{{Workers: 1, Store: NewBundleStore(0)}, {Nodes: 2}} {
+			for _, cfg := range []Config{{Workers: 1, Store: NewBundleStore(0)}, {Nodes: 2, Store: NewBundleStore(0)}} {
 				label := fmt.Sprintf("%s, forged hit %v, nodes %d", hostile.name, f != nil, cfg.Nodes)
 				runHostileJob(t, label, cfg, container, want, f)
 			}
@@ -175,19 +175,8 @@ func runHostileJob(t *testing.T, label string, cfg Config, container []byte, wan
 	})
 	cfg.Journal = jnl
 	s := New(cfg)
-	// The stores the job may probe: the shared store, or every node's
-	// partition of a fleet.
-	stores := []*BundleStore{cfg.Store}
-	if s.fleet != nil && s.fleet.partitioned() {
-		stores = stores[:0]
-		for _, n := range s.fleet.nodes {
-			stores = append(stores, n.store)
-		}
-	}
 	if forged != nil {
-		for _, st := range stores {
-			st.PutBundle(forged.fp, forged.bundle)
-		}
+		cfg.Store.PutBundle(forged.fp, forged.bundle)
 	}
 	bad, err := s.Submit(Job{Name: testapps.Pkg, Spec: "hostile", RunBackDroid: true,
 		Source: func() (*apk.App, error) {
@@ -216,11 +205,7 @@ func runHostileJob(t *testing.T, label string, cfg Config, container []byte, wan
 		t.Errorf("%s: backdroid_job_panics_total = %d, want 0", label, n)
 	}
 	s.Close()
-	hits := int64(0)
-	for _, st := range stores {
-		hits += st.stats().Hits
-	}
-	if forged != nil && hits == 0 {
+	if forged != nil && cfg.Store.stats().Hits == 0 {
 		t.Errorf("%s: the forged bundle was never found", label)
 	}
 	mu.Lock()

@@ -16,8 +16,8 @@ import (
 
 // This file is the scheduler's fleet layer: with Config.Nodes > 0 the
 // worker goroutines become process-shaped nodes — each with its own
-// work-unit odometer, heartbeat stream and consistent-hashed bundle
-// store partition — and the scheduler becomes their coordinator. Every
+// work-unit odometer and heartbeat stream, all analyzing against the
+// one Config.Store — and the scheduler becomes their coordinator. Every
 // dispatch takes a per-(job, chunk) lease on the fleet-global simtime
 // clock; a node renews its lease at each meter checkpoint. A node that
 // dies (by fault plan, `die node=N`, or KillNode) or goes mute stops
@@ -51,10 +51,6 @@ type FleetStats struct {
 	ExpiredLeases int64
 	LostUnits     int64 // attempt units abandoned on dead/fenced nodes
 	OverheadUnits int64 // detection latency + handoff + backoff charges
-	LocalGets     int64 // bundle fetches answered by the job's own node
-	RemoteGets    int64 // bundle fetches routed to another node's partition
-	RemoteUnits   int64 // charged placement detours (simtime.RemoteFetchUnits each)
-	FetchFaults   int64 // fetches failed by the fault plan
 	Steals        int64 // sink chunks stolen to idle nodes
 	StealVictims  int64 // jobs that had at least one chunk stolen
 	StolenSinks   int64 // sink call sites moved by steals
@@ -72,7 +68,6 @@ type fleetNode struct {
 	beats    atomic.Int64
 	dropped  atomic.Int64
 	jobs     atomic.Int64
-	store    *BundleStore // this node's bundle partition; nil when disabled
 }
 
 // leaseKey identifies one dispatched range of a job: sub 0 is the
@@ -113,33 +108,22 @@ type fleet struct {
 	expired      atomic.Int64
 	lostUnits    atomic.Int64
 	overhead     atomic.Int64
-	localGets    atomic.Int64
-	remoteGets   atomic.Int64
-	remoteUnits  atomic.Int64
-	fetchFaults  atomic.Int64
 	steals       atomic.Int64
 	stealVictims atomic.Int64
 	stolenSinks  atomic.Int64
 	stealUnits   atomic.Int64
 }
 
-// newFleet builds the node set. storeBudget >= 0 gives every node a
-// bundle partition with that byte budget; < 0 disables partitions.
-func newFleet(nodes int, storeBudget int64, plan *faultinject.Plan) *fleet {
+// newFleet builds the node set.
+func newFleet(nodes int, plan *faultinject.Plan) *fleet {
 	f := &fleet{plan: plan, leases: make(map[leaseKey]*lease)}
 	for i := 1; i <= nodes; i++ {
-		n := &fleetNode{id: i}
-		if storeBudget >= 0 {
-			n.store = NewBundleStore(storeBudget)
-		}
-		f.nodes = append(f.nodes, n)
+		f.nodes = append(f.nodes, &fleetNode{id: i})
 	}
 	return f
 }
 
 func (f *fleet) nodeDead(node int) bool { return f.nodes[node-1].dead.Load() }
-
-func (f *fleet) partitioned() bool { return f.nodes[0].store != nil }
 
 func (f *fleet) liveCount() int {
 	live := 0
@@ -508,42 +492,6 @@ func (s *Scheduler) FleetStats() *FleetStats {
 	return s.fleet.stats()
 }
 
-// owner returns the node owning fp's bundle under rendezvous
-// (highest-random-weight) hashing over the live nodes, or 0 when every
-// node is dead. Dead nodes drop out of the ring, so only the keys they
-// owned move — their bundles rebuild cold on the surviving owners,
-// which can never change a report, only re-pay a build.
-func (f *fleet) owner(fp uint64) int {
-	best, bestScore := 0, uint64(0)
-	for _, n := range f.nodes {
-		if n.dead.Load() {
-			continue
-		}
-		score := mix64(fp ^ uint64(n.id)*0x9e3779b97f4a7c15)
-		if best == 0 || score > bestScore {
-			best, bestScore = n.id, score
-		}
-	}
-	return best
-}
-
-// mix64 is the splitmix64 finalizer — the avalanche step that makes
-// per-node rendezvous scores independent.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// view returns the node's window onto the partitioned bundle store,
-// or nil when partitions are disabled.
-func (f *fleet) view(node int) *fleetView {
-	if !f.partitioned() {
-		return nil
-	}
-	return &fleetView{f: f, node: node}
-}
-
 // stats snapshots the fleet counters.
 func (f *fleet) stats() *FleetStats {
 	fs := &FleetStats{
@@ -553,10 +501,6 @@ func (f *fleet) stats() *FleetStats {
 		ExpiredLeases: f.expired.Load(),
 		LostUnits:     f.lostUnits.Load(),
 		OverheadUnits: f.overhead.Load(),
-		LocalGets:     f.localGets.Load(),
-		RemoteGets:    f.remoteGets.Load(),
-		RemoteUnits:   f.remoteUnits.Load(),
-		FetchFaults:   f.fetchFaults.Load(),
 		Steals:        f.steals.Load(),
 		StealVictims:  f.stealVictims.Load(),
 		StolenSinks:   f.stolenSinks.Load(),
@@ -590,77 +534,4 @@ func (f *fleet) stats() *FleetStats {
 		fs.PerNode = append(fs.PerNode, ns)
 	}
 	return fs
-}
-
-// fleetView is one node's window onto the fleet's consistent-hashed
-// bundle placement: every operation routes to the fingerprint's owner
-// partition, counting local vs remote traffic and charging the remote
-// placement detour. It satisfies the scheduler's jobStore surface and
-// core.BundleCache.
-type fleetView struct {
-	f    *fleet
-	node int
-}
-
-func (v *fleetView) route(fp uint64) *BundleStore {
-	owner := v.f.owner(fp)
-	if owner == 0 {
-		return nil
-	}
-	return v.f.nodes[owner-1].store
-}
-
-// GetBundle fetches from the owner partition. A plan-injected fetch
-// fault turns the probe into a miss — the engine rebuilds cold, which
-// can never change the report.
-func (v *fleetView) GetBundle(fp uint64) ([]byte, bool) {
-	if v.f.plan.FailFetch(fp) {
-		v.f.fetchFaults.Add(1)
-		return nil, false
-	}
-	owner := v.f.owner(fp)
-	if owner == 0 {
-		return nil, false
-	}
-	if owner == v.node {
-		v.f.localGets.Add(1)
-	} else {
-		v.f.remoteGets.Add(1)
-		v.f.remoteUnits.Add(simtime.RemoteFetchUnits)
-		v.f.clock.Add(simtime.RemoteFetchUnits)
-	}
-	return v.f.nodes[owner-1].store.GetBundle(fp)
-}
-
-// PutBundle publishes to the owner partition under the current live
-// set. If the owner died since a sibling's Get, the bundle simply
-// lands on the new owner — content addressing makes any copy valid.
-func (v *fleetView) PutBundle(fp uint64, data []byte) {
-	if s := v.route(fp); s != nil {
-		s.PutBundle(fp, data)
-	}
-}
-
-// DropBundle evicts a failed-validation bundle from its owner
-// partition.
-func (v *fleetView) DropBundle(fp uint64) {
-	if s := v.route(fp); s != nil {
-		s.DropBundle(fp)
-	}
-}
-
-// Contains probes the owner partition without touching counters.
-func (v *fleetView) Contains(fp uint64) bool {
-	s := v.route(fp)
-	return s != nil && s.Contains(fp)
-}
-
-// LockFingerprint serializes construction on the owner partition, so
-// the single-build guarantee holds fleet-wide, not just per node.
-func (v *fleetView) LockFingerprint(fp uint64) func() {
-	s := v.route(fp)
-	if s == nil {
-		return func() {}
-	}
-	return s.LockFingerprint(fp)
 }

@@ -91,12 +91,12 @@ func runFleetCorpus(t *testing.T, nodes, n int, plan *faultinject.Plan, jnl *jou
 		}
 	}()
 	s := New(Config{
-		Nodes:           nodes,
-		NodeStoreBudget: 0, // unbounded per-node partitions
-		Faults:          plan,
-		Journal:         jnl,
-		QueueDepth:      2 * n,
-		Events:          events,
+		Nodes:      nodes,
+		Store:      NewBundleStore(0),
+		Faults:     plan,
+		Journal:    jnl,
+		QueueDepth: 2 * n,
+		Events:     events,
 	})
 	ids := make([]JobID, n)
 	for i := 0; i < n; i++ {
@@ -266,44 +266,6 @@ func TestFleetNodeStateMetrics(t *testing.T) {
 	}
 }
 
-// TestFleetFetchFaultRebuildsCold pins the fetch-fault degrade: a
-// failed bundle fetch is a miss, the engine rebuilds cold, and the
-// report never changes. Sequential resubmissions make the fetch order
-// deterministic: get 1 (cold miss, faulted), get 2 (faulted - forced
-// cold rebuild), get 3 (plan exhausted - warm hit).
-func TestFleetFetchFaultRebuildsCold(t *testing.T) {
-	s := New(Config{Nodes: 2, NodeStoreBudget: 0, Faults: mustPlan(t, "fetch-failx2")})
-	defer s.Close()
-	spec := testSpec(0)
-	var keys []string
-	var hits []int
-	for i := 0; i < 3; i++ {
-		id, err := s.Submit(Job{Name: spec.Name, Source: sourceFor(spec), RunBackDroid: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Wait(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, detectionKey(res.BackDroid))
-		hits = append(hits, res.BackDroid.Stats.BundleStoreHits)
-	}
-	if keys[1] != keys[0] || keys[2] != keys[0] {
-		t.Fatal("fetch fault changed a detection report")
-	}
-	if hits[1] != 0 {
-		t.Fatalf("faulted resubmission ran warm (hits=%d), want forced cold rebuild", hits[1])
-	}
-	if hits[2] == 0 {
-		t.Fatal("post-fault resubmission did not run warm; placement lost the bundle")
-	}
-	fs := s.FleetStats()
-	if fs.FetchFaults != 2 {
-		t.Fatalf("fetch faults = %d, want 2", fs.FetchFaults)
-	}
-}
-
 // TestFleetCorruptHandoffDegradesToRedispatch pins satellite damage
 // semantics end to end: the fault plan corrupts the handoff record's
 // disk bytes as it is appended. The in-process run is unaffected (the
@@ -341,7 +303,7 @@ func TestFleetCorruptHandoffDegradesToRedispatch(t *testing.T) {
 			t.Fatalf("recovery resurrected an unknown job: %+v", rec)
 		}
 	}
-	s2 := New(Config{Nodes: 2, NodeStoreBudget: 0, Journal: jnl2})
+	s2 := New(Config{Nodes: 2, Store: NewBundleStore(0), Journal: jnl2})
 	if n := s2.Recover(chaosFromJournal); n != len(pending) {
 		t.Fatalf("Recover = %d, want %d", n, len(pending))
 	}
@@ -357,50 +319,11 @@ func TestFleetCorruptHandoffDegradesToRedispatch(t *testing.T) {
 	s2.Close()
 }
 
-// TestFleetPlacementDeterministic pins the rendezvous placement: owners
-// are a pure function of (fingerprint, live set); killing a node moves
-// only the keys it owned.
-func TestFleetPlacementDeterministic(t *testing.T) {
-	a := newFleet(4, 0, nil)
-	b := newFleet(4, 0, nil)
-	fps := make([]uint64, 200)
-	for i := range fps {
-		fps[i] = mix64(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-	owned := make(map[int]int)
-	for _, fp := range fps {
-		if a.owner(fp) != b.owner(fp) {
-			t.Fatalf("placement of %x diverged across identical fleets", fp)
-		}
-		owned[a.owner(fp)]++
-	}
-	for id := 1; id <= 4; id++ {
-		if owned[id] == 0 {
-			t.Fatalf("node %d owns nothing across %d keys: %v", id, len(fps), owned)
-		}
-	}
-	before := make(map[uint64]int)
-	for _, fp := range fps {
-		before[fp] = a.owner(fp)
-	}
-	a.fence(2)
-	for _, fp := range fps {
-		after := a.owner(fp)
-		if after == 2 {
-			t.Fatalf("dead node still owns %x", fp)
-		}
-		if before[fp] != 2 && after != before[fp] {
-			t.Fatalf("key %x moved from live node %d to %d after an unrelated death",
-				fp, before[fp], after)
-		}
-	}
-}
-
 // TestFleetAllNodesDeadFailsJobs pins the no-survivor edge: when the
 // plan kills every node, submitted jobs fail terminally — no hang, no
 // silent loss.
 func TestFleetAllNodesDeadFailsJobs(t *testing.T) {
-	s := New(Config{Nodes: 2, NodeStoreBudget: -1, Faults: mustPlan(t, "kill:node=1@0,kill:node=2@0")})
+	s := New(Config{Nodes: 2, Faults: mustPlan(t, "kill:node=1@0,kill:node=2@0")})
 	defer s.Close()
 	id, err := s.Submit(Job{Name: testSpec(0).Name, Source: sourceFor(testSpec(0)), RunBackDroid: true})
 	if err != nil {
@@ -439,7 +362,7 @@ func TestFleetDieNodeMidRunHandsOff(t *testing.T) {
 			}
 		}
 	}()
-	s := New(Config{Nodes: 2, NodeStoreBudget: 0, Events: events})
+	s := New(Config{Nodes: 2, Store: NewBundleStore(0), Events: events})
 	if err := s.KillNode(0); err == nil {
 		t.Fatal("KillNode(0) must reject an out-of-range node")
 	}

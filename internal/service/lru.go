@@ -121,18 +121,6 @@ func (c *lru[K, V]) snapshot() lruStats {
 	return st
 }
 
-// add sums another lru's counters into st.
-func (st *lruStats) add(o lruStats) {
-	st.Entries += o.Entries
-	st.Bytes += o.Bytes
-	st.Hits += o.Hits
-	st.Misses += o.Misses
-	st.Puts += o.Puts
-	st.Refreshes += o.Refreshes
-	st.Evictions += o.Evictions
-	st.Drops += o.Drops
-}
-
 // emit renders the counters as registry series under a prefix. Drops
 // are emitted only where the store can drop an entry.
 func (st lruStats) emit(g *obs.Gather, prefix string, drops bool) {

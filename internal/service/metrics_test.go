@@ -105,11 +105,13 @@ func TestRegistryPin(t *testing.T) {
 	}
 }
 
-// TestRegistryPinFleet checks, for a 2-node fleet with partitions, that
-// the partition aggregate and the per-node series are registered. Only
-// the ids are pinned: which node owns a bundle depends on scheduling.
+// TestRegistryPinFleet checks a 2-node fleet on one shared store. Two
+// sequential submits of one app are a cold miss and put, then a hit,
+// whichever node pulls each, so the store series are pinned by value.
+// The per-node series are pinned by id only: which node pulls a job
+// depends on scheduling.
 func TestRegistryPinFleet(t *testing.T) {
-	s := New(Config{Nodes: 2, NodeStoreBudget: 0})
+	s := New(Config{Nodes: 2, Store: NewBundleStore(0)})
 	defer s.Close()
 	spec := testSpec(0)
 	for i := 0; i < 2; i++ {
@@ -121,16 +123,30 @@ func TestRegistryPinFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	store := make(map[string]int64)
 	var ids []string
 	for _, m := range s.Metrics().Snapshot() {
-		if strings.HasPrefix(m.Name, "backdroid_fleetstore_") || strings.HasPrefix(m.Name, "backdroid_node_") {
+		switch {
+		case strings.HasPrefix(m.Name, "backdroid_store_"):
+			store[m.ID()] = m.Value
+		case strings.HasPrefix(m.Name, "backdroid_node_"):
 			ids = append(ids, m.ID())
 		}
 	}
-	var want []string
-	for _, suffix := range []string{"bytes", "drops_total", "entries", "evictions_total", "hits_total", "misses_total", "puts_total", "refreshes_total"} {
-		want = append(want, "backdroid_fleetstore_"+suffix)
+	wantStore := map[string]int64{
+		`backdroid_store_bytes`:           47117,
+		`backdroid_store_drops_total`:     0,
+		`backdroid_store_entries`:         1,
+		`backdroid_store_evictions_total`: 0,
+		`backdroid_store_hits_total`:      1,
+		`backdroid_store_misses_total`:    1,
+		`backdroid_store_puts_total`:      1,
+		`backdroid_store_refreshes_total`: 0,
 	}
+	if !reflect.DeepEqual(store, wantStore) {
+		t.Errorf("store series differ from the pin:\n%s", diffSeries(store, wantStore))
+	}
+	var want []string
 	for _, name := range []string{"beats_total", "dropped_beats_total", "jobs_total", "live", "muted", "units"} {
 		for _, node := range []string{"1", "2"} {
 			want = append(want, obs.Metric{Name: "backdroid_node_" + name, Labels: []obs.Label{obs.L("node", node)}}.ID())
@@ -139,7 +155,7 @@ func TestRegistryPinFleet(t *testing.T) {
 	sort.Strings(ids)
 	sort.Strings(want)
 	if !reflect.DeepEqual(ids, want) {
-		t.Errorf("fleet series = %v\nwant %v", ids, want)
+		t.Errorf("node series = %v\nwant %v", ids, want)
 	}
 }
 

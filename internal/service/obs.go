@@ -46,10 +46,6 @@ func (s *Scheduler) registerMetrics() {
 			g.Counter("backdroid_fleet_expired_leases_total", fs.ExpiredLeases)
 			g.Counter("backdroid_fleet_lost_units", fs.LostUnits)
 			g.Counter("backdroid_fleet_overhead_units", fs.OverheadUnits)
-			g.Counter("backdroid_fleet_local_gets_total", fs.LocalGets)
-			g.Counter("backdroid_fleet_remote_gets_total", fs.RemoteGets)
-			g.Counter("backdroid_fleet_remote_units", fs.RemoteUnits)
-			g.Counter("backdroid_fleet_fetch_faults_total", fs.FetchFaults)
 			g.Counter("backdroid_fleet_steals_total", fs.Steals)
 			g.Counter("backdroid_fleet_steal_victims_total", fs.StealVictims)
 			g.Counter("backdroid_fleet_stolen_sinks_total", fs.StolenSinks)
@@ -63,13 +59,6 @@ func (s *Scheduler) registerMetrics() {
 				g.Counter("backdroid_node_jobs_total", n.Jobs, l)
 				g.Counter("backdroid_node_beats_total", n.Beats, l)
 				g.Counter("backdroid_node_dropped_beats_total", n.Dropped, l)
-			}
-			if s.fleet.partitioned() {
-				var agg lruStats
-				for _, n := range s.fleet.nodes {
-					agg.add(n.store.stats())
-				}
-				agg.emit(g, "backdroid_fleetstore", true)
 			}
 		}
 		if s.cfg.Store != nil {

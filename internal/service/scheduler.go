@@ -162,8 +162,7 @@ type Config struct {
 	// fingerprint is cached performs zero disassembly, zero index builds
 	// and zero bundle disk I/O, and concurrent submissions of one
 	// fingerprint serialize so the bundle is built exactly once. Every
-	// tenant shares it; a partitioned fleet uses its node partitions
-	// instead.
+	// tenant and every fleet node shares it.
 	Store *BundleStore
 	// Journal, when non-nil, makes the queue durable: every submit,
 	// start and terminal outcome is appended as a CRC'd record, so a
@@ -188,18 +187,17 @@ type Config struct {
 	// Nodes, when > 0, runs the scheduler as a coordinator over a fleet
 	// of goroutine-backed worker nodes (Workers is overridden to Nodes).
 	// Every dispatch takes a simtime-metered lease; a node that dies or
-	// goes mute has its jobs handed off to surviving nodes, and jobs
-	// analyze against consistent-hashed per-node bundle partitions
-	// instead of Config.Store. See DESIGN.md Sec. 12.
+	// goes mute has its jobs handed off to surviving nodes. Every node
+	// analyzes against Config.Store. See DESIGN.md Sec. 12.
 	Nodes int
-	// NodeStoreBudget is each fleet node's bundle partition budget in
-	// bytes: 0 = unbounded partitions, < 0 = partitions disabled (jobs
-	// then analyze against Config.Store). Only meaningful with Nodes > 0.
+	// NodeStoreBudget does nothing: every dispatch, on a fleet or not,
+	// analyzes against Config.Store. It is kept because the wall-clock
+	// benchmark (cmd/backdroidbench) sets it to -1.
 	NodeStoreBudget int64
 	// Faults is the deterministic chaos plan threaded through the
-	// dispatch loop (node/job kills, heartbeat drops), the journal append
-	// path (record corruption) and the fleet bundle partitions (fetch
-	// failures); nil injects nothing. See internal/faultinject.
+	// dispatch loop (node/job kills, heartbeat drops) and the journal
+	// append path (record corruption); nil injects nothing. See
+	// internal/faultinject.
 	Faults *faultinject.Plan
 	// StealAfterUnits is how long a job must have ground (units metered
 	// against its lease) before its tail becomes stealable — a warmup
@@ -281,8 +279,7 @@ type Scheduler struct {
 	evMu     sync.Mutex
 
 	// fleet is the multi-node layer (nil when Config.Nodes == 0): node
-	// liveness, per-job leases, handoff accounting and the partitioned
-	// bundle placement.
+	// liveness, per-job leases and handoff accounting.
 	fleet *fleet
 
 	// metrics is the scheduler's registry: every subsystem's counters
@@ -355,7 +352,7 @@ func New(cfg Config) *Scheduler {
 		}
 	}
 	if cfg.Nodes > 0 {
-		s.fleet = newFleet(cfg.Nodes, cfg.NodeStoreBudget, cfg.Faults)
+		s.fleet = newFleet(cfg.Nodes, cfg.Faults)
 		s.fleet.requeue = s.requeueJob
 		s.fleet.wake = s.cond.Broadcast
 		s.fleet.allDead = s.failQueued

@@ -45,7 +45,7 @@ func runHeavyTail(t *testing.T, nodes int, plan *faultinject.Plan, steal bool) f
 	}()
 	cfg := Config{
 		Nodes:           nodes,
-		NodeStoreBudget: 0,
+		Store:           NewBundleStore(0),
 		Faults:          plan,
 		QueueDepth:      2 * len(specs),
 		Events:          events,

@@ -33,7 +33,7 @@ func traceTailRun(t *testing.T, plan *faultinject.Plan, traced bool, chunk int) 
 	}
 	s := New(Config{
 		Nodes:           4,
-		NodeStoreBudget: 0,
+		Store:           NewBundleStore(0),
 		Faults:          plan,
 		QueueDepth:      4,
 		StealAfterUnits: 64,

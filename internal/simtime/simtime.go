@@ -137,20 +137,13 @@ const (
 	// twice-lost job to yet another node.
 	RetryBackoffUnits = 16
 
-	// RemoteFetchUnits is the charged cost of fetching a bundle from
-	// another node's store partition under consistent-hash placement: a
-	// request/response hop instead of a local map probe. Flat — the
-	// bundle bytes themselves are already priced by the engine's bundle
-	// load rate; this is only the placement detour.
-	RemoteFetchUnits = 4
-
 	// StealUnits is the flat charged cost of dispatching one stolen
 	// sink chunk: the coordinator fences the victim's range, appends a
 	// steal record and hands the chunk to the idle node. Control-plane
-	// work priced like a handoff; the thief's own warm bundle load,
-	// remote fetch detour and sink location are charged separately by
-	// its engine run — together they are the steal overhead the
-	// benchgate heavy-tail leg gates under 10% of charged work.
+	// work priced like a handoff; the thief's own warm bundle load and
+	// sink location are charged by its engine run as analysis work.
+	// This charge is the steal overhead the benchgate heavy-tail leg
+	// gates under 10% of charged work.
 	StealUnits = 8
 
 	// StealMinSinks is the minimum number of unstarted sinks a running
