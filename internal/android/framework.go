@@ -69,16 +69,15 @@ func IsSystemClass(name string) bool {
 type classInfo struct {
 	super  string
 	ifaces []string
-	iface  bool // the entry itself is an interface
 }
 
 // frameworkHierarchy covers the system classes the analyses care about.
 // App classes extend these; cha merges this table with the app hierarchy.
 var frameworkHierarchy = map[string]classInfo{
 	ObjectClass:   {},
-	RunnableIface: {iface: true},
-	CallableIface: {iface: true},
-	ExecutorIface: {iface: true},
+	RunnableIface: {},
+	CallableIface: {},
+	ExecutorIface: {},
 	ThreadClass:   {super: ObjectClass, ifaces: []string{RunnableIface}},
 
 	"java.lang.String":                        {super: ObjectClass},
@@ -101,9 +100,9 @@ var frameworkHierarchy = map[string]classInfo{
 	HandlerClass:   {super: ObjectClass},
 	ViewClass:      {super: ObjectClass},
 
-	OnClickIface:       {iface: true},
-	DialogOnClickIface: {iface: true},
-	HandlerCbIface:     {iface: true},
+	OnClickIface:       {},
+	DialogOnClickIface: {},
+	HandlerCbIface:     {},
 
 	CipherClass:                      {super: ObjectClass},
 	SSLSocketFactoryClass:            {super: ObjectClass},
@@ -111,8 +110,8 @@ var frameworkHierarchy = map[string]classInfo{
 	"java.net.URLConnection":         {super: ObjectClass},
 	"java.net.HttpURLConnection":     {super: "java.net.URLConnection"},
 	HttpsURLConnClass:                {super: "java.net.HttpURLConnection"},
-	HostnameVerifierIface:            {iface: true},
-	X509VerifierIface:                {iface: true, ifaces: []string{HostnameVerifierIface}},
+	HostnameVerifierIface:            {},
+	X509VerifierIface:                {ifaces: []string{HostnameVerifierIface}},
 }
 
 // FrameworkSuper returns the framework superclass of a system class and
@@ -128,11 +127,6 @@ func FrameworkSuper(name string) (string, bool) {
 // FrameworkInterfaces returns the declared interfaces of a system class.
 func FrameworkInterfaces(name string) []string {
 	return frameworkHierarchy[name].ifaces
-}
-
-// IsFrameworkInterface reports whether the system class is an interface.
-func IsFrameworkInterface(name string) bool {
-	return frameworkHierarchy[name].iface
 }
 
 // componentBases maps component base classes to their manifest kind.
@@ -205,13 +199,6 @@ var callbackInterfaces = map[string][]string{
 	OnClickIface:       {"onClick"},
 	DialogOnClickIface: {"onClick"},
 	HandlerCbIface:     {"handleMessage"},
-}
-
-// IsCallbackInterface reports whether the class is a known callback
-// interface.
-func IsCallbackInterface(name string) bool {
-	_, ok := callbackInterfaces[name]
-	return ok
 }
 
 // CallbackMethods returns the callback method names of the interface.

@@ -19,7 +19,6 @@ package core
 
 import (
 	"sort"
-	"strconv"
 
 	"backdroid/internal/simtime"
 )
@@ -31,13 +30,6 @@ import (
 type ChunkRange struct {
 	From int
 	To   int
-}
-
-// sinkIdentity keys one located sink call site — the same identity
-// locateSinkCalls deduplicates by, extended with the sink method so two
-// sink APIs matched at one call site stay distinct.
-func sinkIdentity(c SinkCall) string {
-	return c.Caller.SootSignature() + "#" + strconv.Itoa(c.UnitIndex) + "@" + c.Sink.Method.SootSignature()
 }
 
 // MergeReports unions per-chunk partial reports into the canonical
@@ -80,7 +72,7 @@ func MergeReports(parts ...*Report) *Report {
 		}
 		merged.TimedOut = merged.TimedOut || p.TimedOut
 		for _, s := range p.Sinks {
-			k := sinkIdentity(s.Call)
+			k := sinkKey(s.Call)
 			if seen[k] {
 				continue
 			}

@@ -177,10 +177,14 @@ func componentClassOf(entry string) string {
 	return fields[1]
 }
 
-// sinkKey identifies a sink call site across versions: the sink API, the
-// containing method and the call-site unit index. Dump line numbers are
-// deliberately excluded — unchanged classes shift lines when the update
-// grows or shrinks earlier classes.
+// sinkKey identifies a sink call site: the sink API, the containing
+// method and the call-site unit index. The delta path matches a new
+// version's calls to the base report by it, and MergeReports dedups
+// overlapping chunk parts by it. Dump line numbers are deliberately
+// excluded — unchanged classes shift lines when an update grows or
+// shrinks earlier classes. Within one run locateSinkCalls already keeps
+// one call per caller and unit, so the sink API only matters across
+// versions: a call site whose sink changed never reuses the old verdict.
 func sinkKey(call SinkCall) string {
 	return call.Sink.Method.SootSignature() + "\x00" +
 		call.Caller.SootSignature() + "\x00" + strconv.Itoa(call.UnitIndex)

@@ -147,12 +147,10 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds each tenant's submit queue; Submit blocks once
 	// this many of that tenant's jobs are waiting (backpressure toward
-	// the producer). 0 defaults to 2*Workers. TenantConfig.MaxQueueDepth
-	// overrides it per tenant.
+	// the producer). 0 defaults to 2*Workers.
 	QueueDepth int
-	// Tenants preconfigures named tenants (weight, queue depth). Jobs for
-	// tenants absent here are admitted under the zero TenantConfig:
-	// weight 1, inherited queue depth.
+	// Tenants preconfigures named tenants' weights. Jobs for tenants
+	// absent here are admitted under the zero TenantConfig: weight 1.
 	Tenants map[string]TenantConfig
 	// Options is the default engine configuration for jobs that carry
 	// none; nil uses core.DefaultOptions.
@@ -199,14 +197,6 @@ type Config struct {
 	// append path (record corruption); nil injects nothing. See
 	// internal/faultinject.
 	Faults *faultinject.Plan
-	// StealAfterUnits is how long a job must have ground (units metered
-	// against its lease) before its tail becomes stealable — a warmup
-	// that keeps small apps from being split for no benefit. A value
-	// <= 0 inherits simtime.StealAfterUnits; only meaningful with
-	// Nodes > 0. The other fleet tunables (lease TTL, handoff and
-	// backoff charges, the minimum stealable tail) are the simtime
-	// constants of the same names.
-	StealAfterUnits int64
 	// SinkChunk is the grain of sink-chunk stealing: a job's located
 	// sink calls partition into chunks of this many consecutive
 	// positions of the canonical (line-ordered) sink list, and a stolen
@@ -329,9 +319,6 @@ func New(cfg Config) *Scheduler {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2 * cfg.Workers
-	}
-	if cfg.StealAfterUnits <= 0 {
-		cfg.StealAfterUnits = simtime.StealAfterUnits
 	}
 	if cfg.SinkChunk == 0 {
 		cfg.SinkChunk = 8
@@ -473,7 +460,7 @@ func (s *Scheduler) enqueue(job Job, forcedID JobID) (JobID, error) {
 	t := s.tenantLocked(job.Tenant)
 	// Per-tenant backpressure: the reservation keeps the bound exact while
 	// this submitter is between its space check and its queue append.
-	for !s.closed && len(t.queue)+t.reserved >= t.depth {
+	for !s.closed && len(t.queue)+t.reserved >= s.cfg.QueueDepth {
 		s.cond.Wait()
 	}
 	if s.closed {
@@ -712,10 +699,10 @@ func (s *Scheduler) emit(ev Event) {
 	s.evMu.Unlock()
 }
 
-// nextWork blocks until something is dispatchable: a re-pended sink
-// chunk (ahead of whole jobs — a lost range must not wait behind the
-// backlog), then a queued job under the WRR policy, then — for an
-// otherwise idle fleet node — a chunk stolen off a grinding heavy job.
+// nextWork blocks until something is dispatchable: a queued sink chunk
+// — re-pended after a lost node, or shed by a grinding heavy job's
+// progress poll — ahead of whole jobs (a lost range must not wait
+// behind the backlog), then a queued job under the WRR policy.
 // It returns nil when the scheduler is halted, closed with every queue
 // drained and every chunk-split job settled, or the pulling fleet node
 // is dead — the worker exit conditions.
@@ -735,8 +722,6 @@ func (s *Scheduler) nextWork(node int) *work {
 				// A queue slot freed: wake submitters blocked on backpressure.
 				s.cond.Broadcast()
 				w = &work{st: st}
-			} else if node > 0 {
-				w = s.trySteal(node)
 			}
 		}
 		if w != nil {
@@ -784,8 +769,7 @@ func (s *Scheduler) finish(st *jobState, res *JobResult, err error) {
 		st.chunk = nil
 	}
 	s.mu.Unlock()
-	// Wake workers idling on the chunk-split exit condition (and any
-	// stealer scanning for work that just disappeared).
+	// Wake workers idling on the chunk-split exit condition.
 	s.cond.Broadcast()
 	kind := journal.KindDone
 	ev := Event{Kind: EventDone, Job: st.id, Name: st.job.Name, Result: res}

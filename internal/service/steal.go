@@ -11,10 +11,11 @@ import (
 )
 
 // This file is the steal protocol (DESIGN.md Sec. 13): a grinding
-// victim publishes its progress through the canonical sink list, an
-// idle node fences the back half of its unstarted tail (pulled by
-// trySteal, pushed by shedChunk) and runs it as a dispatch of its own,
-// and the parts merge canonically once they cover the whole list.
+// victim publishes its progress through the canonical sink list, and
+// its own progress poll sheds the back half of its unstarted tail into
+// the chunk queue while a node is idle; that node runs the chunk as a
+// dispatch of its own, and the parts merge canonically once they cover
+// the whole list.
 
 // chunkState tracks one chunk-split job: the victim's progress through
 // the canonical sink list, the fence its range shrinks to as chunks are
@@ -86,34 +87,6 @@ func (s *Scheduler) popChunk(node int) *work {
 	return nil
 }
 
-// trySteal scans the running chunk-split jobs for a stealable tail: a
-// live victim with at least StealMinSinks unstarted sinks that has
-// ground past StealAfterUnits of charged lease time. It fences the back
-// half of the victim's remaining range (rounded up to the chunk grain,
-// so steal boundaries land on stable chunk edges) and returns it as
-// work for the idle node. Jobs are visited in ID order, so the oldest
-// heavy job is relieved first. Caller holds s.mu.
-func (s *Scheduler) trySteal(node int) *work {
-	if s.fleet == nil {
-		return nil
-	}
-	ids := make([]JobID, 0, len(s.states))
-	for id := range s.states {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		st := s.states[id]
-		if st.settled || st.chunk == nil {
-			continue
-		}
-		if w := s.stealWindow(st, st.chunk); w != nil {
-			return w
-		}
-	}
-	return nil
-}
-
 // stealWindow fences the back half of one job's remaining sink range
 // (rounded up to the chunk grain, so steal boundaries land on stable
 // chunk edges) and returns it as stealable work, or nil when the job
@@ -128,7 +101,7 @@ func (s *Scheduler) stealWindow(st *jobState, cs *chunkState) *work {
 	}
 	remaining := cs.fence - cs.started
 	if remaining < simtime.StealMinSinks ||
-		s.fleet.leaseUnits(st.id, 0) < s.cfg.StealAfterUnits {
+		s.fleet.leaseUnits(st.id, 0) < simtime.StealAfterUnits {
 		return nil
 	}
 	// Take the back half of the remaining range, rounded up to the
@@ -164,14 +137,14 @@ func (s *Scheduler) stealWindow(st *jobState, cs *chunkState) *work {
 		first: first, steal: true, victim: st.node}
 }
 
-// shedChunk is the push half of the steal protocol, driven from the
-// victim's own progress poll: when idle nodes are waiting and no queued
-// chunk is already destined for them, fence a chunk off this job's tail
-// into the chunk queue. The pull half (trySteal) needs an idle worker
-// to win the CPU while the victim grinds — on a single-core host the
-// victim never yields mid-run, so the shed path makes the steal trigger
-// independent of goroutine scheduling: the fenced range persists in the
-// queue and the idle worker picks it up whenever it next runs.
+// shedChunk is the steal trigger, driven from the victim's own progress
+// poll: when idle nodes are waiting and no queued chunk is already
+// destined for them, fence a chunk off this job's tail into the chunk
+// queue and wake the parked workers to take it. The trigger never needs
+// an idle worker to win the CPU while the victim grinds — on a
+// single-core host the victim never yields mid-run — so the fenced
+// range persists in the queue and an idle worker picks it up whenever
+// it next runs.
 func (s *Scheduler) shedChunk(st *jobState, cs *chunkState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -181,6 +154,7 @@ func (s *Scheduler) shedChunk(st *jobState, cs *chunkState) {
 	}
 	if w := s.stealWindow(st, cs); w != nil {
 		s.chunkQueue = append(s.chunkQueue, w)
+		s.cond.Broadcast()
 	}
 }
 
@@ -188,9 +162,8 @@ func (s *Scheduler) shedChunk(st *jobState, cs *chunkState) {
 // at its canonical position. It publishes the victim's progress (the
 // steal trigger's "unstarted tail" input), learns the total on the
 // first poll, and stops the victim cleanly at the fence once a steal
-// shrank its range. Each poll sheds a chunk to any idle node and wakes
-// the waiters, so the steal trigger is re-evaluated exactly as often
-// as progress is made.
+// shrank its range. Each poll offers a chunk to any idle node, so the
+// steal trigger is re-evaluated exactly as often as progress is made.
 func (s *Scheduler) chunkPoll(st *jobState, cs *chunkState, next, total int) bool {
 	cs.mu.Lock()
 	if cs.total < 0 {
@@ -204,7 +177,6 @@ func (s *Scheduler) chunkPoll(st *jobState, cs *chunkState, next, total int) boo
 	cs.mu.Unlock()
 	if !stop {
 		s.shedChunk(st, cs)
-		s.cond.Broadcast()
 	}
 	return stop
 }

@@ -19,9 +19,8 @@ func stealTailSpecs() []appgen.Spec {
 
 // runHeavyTail runs the heavy-tail corpus on a fleet, with sink-chunk
 // stealing enabled (the default grain) or disabled (SinkChunk < 0).
-// StealAfterUnits is lowered so the trigger fires early in these small
-// corpora; simtime.StealMinSinks still applies, so only the outlier's tail
-// is ever split.
+// simtime.StealMinSinks applies, so only the outlier's tail is ever
+// split.
 func runHeavyTail(t *testing.T, nodes int, plan *faultinject.Plan, steal bool) fleetRun {
 	t.Helper()
 	specs := stealTailSpecs()
@@ -44,12 +43,11 @@ func runHeavyTail(t *testing.T, nodes int, plan *faultinject.Plan, steal bool) f
 		}
 	}()
 	cfg := Config{
-		Nodes:           nodes,
-		Store:           NewBundleStore(0),
-		Faults:          plan,
-		QueueDepth:      2 * len(specs),
-		Events:          events,
-		StealAfterUnits: 64,
+		Nodes:      nodes,
+		Store:      NewBundleStore(0),
+		Faults:     plan,
+		QueueDepth: 2 * len(specs),
+		Events:     events,
 	}
 	if !steal {
 		cfg.SinkChunk = -1

@@ -14,17 +14,12 @@ type TenantConfig struct {
 	// count as 1. Idle tenants forfeit their credits — weights shape the
 	// ratio under contention, they never hold capacity idle.
 	Weight int
-	// MaxQueueDepth bounds this tenant's pending queue; Submit blocks once
-	// this many of its jobs are waiting, so one tenant's backpressure
-	// never stalls another's submissions. 0 inherits Config.QueueDepth.
-	MaxQueueDepth int
 }
 
 // tenant is the scheduler-internal queue state of one tenant.
 type tenant struct {
 	name     string
 	cfg      TenantConfig
-	depth    int         // resolved MaxQueueDepth
 	queue    []*jobState // pending jobs, FIFO
 	reserved int         // submitters between space-wait and append
 	credits  int         // remaining dispatch credits this WRR round
@@ -57,10 +52,7 @@ func (s *Scheduler) tenantLocked(name string) *tenant {
 		return t
 	}
 	cfg := s.cfg.Tenants[name]
-	t := &tenant{name: name, cfg: cfg, depth: cfg.MaxQueueDepth}
-	if t.depth <= 0 {
-		t.depth = s.cfg.QueueDepth
-	}
+	t := &tenant{name: name, cfg: cfg}
 	t.credits = t.weight()
 	s.tenants[name] = t
 	s.order = append(s.order, name)

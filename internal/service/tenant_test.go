@@ -139,8 +139,8 @@ func TestTenantDispatchDeterministic(t *testing.T) {
 func TestTenantQueueIsolation(t *testing.T) {
 	block := make(chan struct{})
 	s := New(Config{
-		Workers: 1,
-		Tenants: map[string]TenantConfig{"small": {MaxQueueDepth: 1}},
+		Workers:    1,
+		QueueDepth: 1,
 	})
 	defer s.Close()
 	if _, err := s.Submit(Job{Name: "blocker", Source: func() (*apk.App, error) {

@@ -32,13 +32,12 @@ func traceTailRun(t *testing.T, plan *faultinject.Plan, traced bool, chunk int) 
 		tr = obs.NewTrace()
 	}
 	s := New(Config{
-		Nodes:           4,
-		Store:           NewBundleStore(0),
-		Faults:          plan,
-		QueueDepth:      4,
-		StealAfterUnits: 64,
-		SinkChunk:       chunk,
-		Trace:           tr,
+		Nodes:      4,
+		Store:      NewBundleStore(0),
+		Faults:     plan,
+		QueueDepth: 4,
+		SinkChunk:  chunk,
+		Trace:      tr,
 	})
 	id, err := s.Submit(Job{Name: spec.Name, Source: sourceFor(spec), RunBackDroid: true})
 	if err != nil {

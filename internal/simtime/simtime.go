@@ -152,9 +152,8 @@ const (
 	// re-locate on a thief.
 	StealMinSinks = 8
 
-	// StealAfterUnits is the default charged-work threshold a job's
-	// current attempt must pass before it becomes a steal victim
-	// (service.Config.StealAfterUnits overrides): stealing is for the
+	// StealAfterUnits is the charged-work threshold a job's current
+	// attempt must pass before it becomes a steal victim: stealing is for the
 	// heavy tail, and a job that has charged this much while other
 	// nodes sit idle has proven itself the tail. Roughly the cost of a
 	// small bench app, so light jobs finish in place.
