@@ -262,22 +262,3 @@ func (e *Engine) FindInvocationsOfName(name string, descriptor string) ([]Hit, e
 func (e *Engine) FindInvocationsOfNamePrefix(name string) ([]Hit, error) {
 	return e.Run(InvokeNamePrefixCommand(name))
 }
-
-// CallersOf deduplicates the containing methods of a set of hits,
-// preserving dump order.
-func CallersOf(hits []Hit) []dex.MethodRef {
-	seen := make(map[string]bool, len(hits))
-	var out []dex.MethodRef
-	for _, h := range hits {
-		if h.Method.Name == "" {
-			continue
-		}
-		key := h.Method.SootSignature()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, h.Method)
-	}
-	return out
-}

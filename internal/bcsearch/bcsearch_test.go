@@ -262,23 +262,6 @@ func TestSearchTimeout(t *testing.T) {
 	}
 }
 
-func TestCallersOf(t *testing.T) {
-	m1 := dex.NewMethodRef("com.a.B", "x", dex.Void)
-	m2 := dex.NewMethodRef("com.a.C", "y", dex.Void)
-	hits := []Hit{
-		{Line: 1, Method: m1},
-		{Line: 2, Method: m1},
-		{Line: 3, Method: m2},
-		{Line: 4}, // headerless hit: no containing method
-	}
-	callers := CallersOf(hits)
-	if len(callers) != 2 ||
-		callers[0].SootSignature() != m1.SootSignature() ||
-		callers[1].SootSignature() != m2.SootSignature() {
-		t.Errorf("CallersOf = %v", callers)
-	}
-}
-
 func TestStatsRateEmpty(t *testing.T) {
 	var s Stats
 	if s.Rate() != 0 {

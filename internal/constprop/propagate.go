@@ -37,18 +37,18 @@ type Result struct {
 // normal track from its tail methods, analyzing each recorded statement's
 // semantics and propagating constant and points-to facts until the sink
 // node is reached (paper Sec. V-B).
-func Run(g *ssg.Graph, prog *ir.Program, meter *simtime.Meter, opts Options) (*Result, error) {
+func Run(g *ssg.Graph, meter *simtime.Meter, opts Options) (*Result, error) {
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = 25
 	}
 	a := &analysis{
-		g:        g,
-		prog:     prog,
-		meter:    meter,
-		opts:     opts,
-		globals:  make(map[string]*Fact),
-		sink:     NewFact(),
-		thisObjs: make(map[string]*Obj),
+		g:         g,
+		meter:     meter,
+		opts:      opts,
+		globals:   make(map[dex.FieldRef]*Fact),
+		fieldKeys: make(map[dex.FieldRef]string),
+		sink:      NewFact(),
+		thisObjs:  make(map[string]*Obj),
 	}
 
 	// Static field track first, so the normal track can resolve the
@@ -79,12 +79,13 @@ func newEnv() *env {
 
 type analysis struct {
 	g       *ssg.Graph
-	prog    *ir.Program
 	meter   *simtime.Meter
 	opts    Options
-	globals map[string]*Fact // static field soot sig -> fact
-	sink    *Fact
-	objSeq  int
+	globals map[dex.FieldRef]*Fact // static field -> fact
+	// fieldKeys memoizes each instance field's Obj.Fields key.
+	fieldKeys map[dex.FieldRef]string
+	sink      *Fact
+	objSeq    int
 	// thisObjs gives every method of one class the same receiver object,
 	// so component state written in one lifecycle handler is visible in
 	// another (paper Sec. IV-E).
@@ -94,35 +95,28 @@ type analysis struct {
 // rootMethods returns tracked methods that are not callees of any recorded
 // call edge — the tails the overall traversal starts from (entry-side
 // methods).
-func (a *analysis) rootMethods() []dex.MethodRef {
-	callees := make(map[string]bool)
+func (a *analysis) rootMethods() []ir.MethodID {
+	callees := make(map[ir.MethodID]bool)
 	for _, e := range a.g.Edges() {
 		if e.Kind == ssg.CallEdge {
-			callees[e.Callee.SootSignature()] = true
+			callees[e.Callee] = true
 		}
 	}
-	var out []dex.MethodRef
-	for _, sig := range a.g.Methods() {
-		if callees[sig] {
-			continue
+	var out []ir.MethodID
+	for _, id := range a.g.Methods() {
+		if !callees[id] && !a.isStaticTrackOnly(id) {
+			out = append(out, id)
 		}
-		ref, err := dex.ParseSootMethodSignature(sig)
-		if err != nil {
-			continue
-		}
-		if a.isStaticTrackOnly(ref) {
-			continue
-		}
-		out = append(out, ref)
 	}
 	// Lifecycle handlers of one component execute in lifecycle order;
 	// evaluating them in that order lets later handlers observe state
 	// written by earlier ones (e.g. onCreate before onResume).
 	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Class != out[j].Class {
-			return out[i].Class < out[j].Class
+		ri, rj := a.g.Ref(out[i]), a.g.Ref(out[j])
+		if ri.Class != rj.Class {
+			return ri.Class < rj.Class
 		}
-		return lifecycleRank(out[i].Name) < lifecycleRank(out[j].Name)
+		return lifecycleRank(ri.Name) < lifecycleRank(rj.Name)
 	})
 	return out
 }
@@ -143,8 +137,8 @@ func lifecycleRank(name string) int {
 	return len(order)
 }
 
-func (a *analysis) isStaticTrackOnly(ref dex.MethodRef) bool {
-	units := a.g.UnitsOf(ref)
+func (a *analysis) isStaticTrackOnly(id ir.MethodID) bool {
+	units := a.g.UnitsOf(id)
 	if len(units) == 0 {
 		return false
 	}
@@ -161,27 +155,19 @@ func (a *analysis) isStaticTrackOnly(ref dex.MethodRef) bool {
 }
 
 // runStaticTrack evaluates the off-path <clinit> units, populating the
-// global static-field fact map.
+// global static-field fact map, one method at a time in the order the
+// track first reaches each.
 func (a *analysis) runStaticTrack() error {
-	byMethod := make(map[string][]*ssg.Unit)
-	var order []string
+	seen := make(map[ir.MethodID]bool)
 	for _, u := range a.g.StaticTrack {
-		sig := u.Method.SootSignature()
-		if _, ok := byMethod[sig]; !ok {
-			order = append(order, sig)
-		}
-		byMethod[sig] = append(byMethod[sig], u)
-	}
-	for _, sig := range order {
-		ref, err := dex.ParseSootMethodSignature(sig)
-		if err != nil {
+		if seen[u.MethodID] {
 			continue
 		}
+		seen[u.MethodID] = true
 		if a.opts.OnMethod != nil {
-			a.opts.OnMethod(ref)
+			a.opts.OnMethod(u.Method)
 		}
-		env := newEnv()
-		if _, err := a.evalUnits(ref, a.g.UnitsOf(ref), env, nil, 0); err != nil {
+		if _, err := a.evalUnits(a.g.UnitsOf(u.MethodID), newEnv(), nil); err != nil {
 			return err
 		}
 	}
@@ -190,7 +176,8 @@ func (a *analysis) runStaticTrack() error {
 
 // evalMethod evaluates the recorded units of a method under the given
 // environment, returning the fact of its recorded return values (if any).
-func (a *analysis) evalMethod(ref dex.MethodRef, env *env, stack []string) (*Fact, error) {
+// stack holds the methods being evaluated above this one.
+func (a *analysis) evalMethod(id ir.MethodID, env *env, stack []ir.MethodID) (*Fact, error) {
 	// Cooperative cancellation: a latched cancel aborts the forward pass
 	// at method granularity, even on paths (empty unit lists) that charge
 	// too little to reach the meter's next checkpoint soon.
@@ -198,21 +185,20 @@ func (a *analysis) evalMethod(ref dex.MethodRef, env *env, stack []string) (*Fac
 		return nil, simtime.ErrCanceled
 	}
 	if a.opts.OnMethod != nil {
-		a.opts.OnMethod(ref)
+		a.opts.OnMethod(a.g.Ref(id))
 	}
-	sig := ref.SootSignature()
 	if len(stack) > a.opts.MaxDepth {
 		return NewFact(Unknown{}), nil
 	}
 	for _, s := range stack {
-		if s == sig {
+		if s == id {
 			return NewFact(Unknown{}), nil // recursive SSG edge: cut
 		}
 	}
-	return a.evalUnits(ref, a.g.UnitsOf(ref), env, append(stack, sig), 0)
+	return a.evalUnits(a.g.UnitsOf(id), env, append(stack, id))
 }
 
-func (a *analysis) evalUnits(ref dex.MethodRef, units []*ssg.Unit, env *env, stack []string, _ int) (*Fact, error) {
+func (a *analysis) evalUnits(units []*ssg.Unit, env *env, stack []ir.MethodID) (*Fact, error) {
 	ret := NewFact()
 	for _, u := range units {
 		if err := a.meter.Charge(1); err != nil {
@@ -236,12 +222,12 @@ func (a *analysis) evalUnits(ref dex.MethodRef, units []*ssg.Unit, env *env, sta
 			}
 
 		case *ir.AssignStmt:
-			if err := a.evalAssign(ref, u, s, env, stack); err != nil {
+			if err := a.evalAssign(u, s, env, stack); err != nil {
 				return nil, err
 			}
 
 		case *ir.InvokeStmt:
-			if _, err := a.evalInvoke(ref, u, s.Invoke, env, stack); err != nil {
+			if _, err := a.evalInvoke(u, s.Invoke, env, stack); err != nil {
 				return nil, err
 			}
 
@@ -257,10 +243,10 @@ func (a *analysis) evalUnits(ref dex.MethodRef, units []*ssg.Unit, env *env, sta
 	return ret, nil
 }
 
-func (a *analysis) evalAssign(ref dex.MethodRef, u *ssg.Unit, s *ir.AssignStmt, env *env, stack []string) error {
+func (a *analysis) evalAssign(u *ssg.Unit, s *ir.AssignStmt, env *env, stack []ir.MethodID) error {
 	var fact *Fact
 	if inv, ok := s.RHS.(*ir.InvokeExpr); ok {
-		f, err := a.evalInvoke(ref, u, inv, env, stack)
+		f, err := a.evalInvoke(u, inv, env, stack)
 		if err != nil {
 			return err
 		}
@@ -276,15 +262,14 @@ func (a *analysis) evalAssign(ref dex.MethodRef, u *ssg.Unit, s *ir.AssignStmt, 
 		base := a.evalValue(lhs.Base, env)
 		for _, v := range base.Values() {
 			if obj, ok := v.(*Obj); ok {
-				obj.Fields[lhs.Field.SootSignature()] = fact
+				obj.Fields[a.fieldKey(lhs.Field)] = fact
 			}
 		}
 	case *ir.StaticFieldRef:
-		sig := lhs.Field.SootSignature()
-		if existing, ok := a.globals[sig]; ok {
+		if existing, ok := a.globals[lhs.Field]; ok {
 			existing.Merge(fact)
 		} else {
-			a.globals[sig] = fact
+			a.globals[lhs.Field] = fact
 		}
 	case *ir.ArrayRef:
 		base := a.evalValue(lhs.Base, env)
@@ -307,7 +292,7 @@ func (a *analysis) evalAssign(ref dex.MethodRef, u *ssg.Unit, s *ir.AssignStmt, 
 // evalInvoke resolves a call node: descend through recorded call edges
 // into tracked callees; model framework APIs otherwise. At the sink node
 // the tracked parameter's fact is collected.
-func (a *analysis) evalInvoke(ref dex.MethodRef, u *ssg.Unit, inv *ir.InvokeExpr, env *env, stack []string) (*Fact, error) {
+func (a *analysis) evalInvoke(u *ssg.Unit, inv *ir.InvokeExpr, env *env, stack []ir.MethodID) (*Fact, error) {
 	if u == a.g.SinkSite && a.opts.SinkParamIndex < len(inv.Args) {
 		a.sink.Merge(a.evalValue(inv.Args[a.opts.SinkParamIndex], env))
 	}
@@ -324,7 +309,7 @@ func (a *analysis) evalInvoke(ref dex.MethodRef, u *ssg.Unit, inv *ir.InvokeExpr
 		if err != nil {
 			return nil, err
 		}
-		if callee.SootSignature() == inv.Method.SootSignature() {
+		if a.g.Ref(callee).Equal(inv.Method) {
 			return retFact, nil
 		}
 	}
@@ -352,7 +337,7 @@ func (a *analysis) evalValue(v ir.Value, env *env) *Fact {
 		out := NewFact()
 		for _, bv := range base.Values() {
 			if obj, ok := bv.(*Obj); ok {
-				if f, ok2 := obj.Fields[t.Field.SootSignature()]; ok2 {
+				if f, ok2 := obj.Fields[a.fieldKey(t.Field)]; ok2 {
 					out.Merge(f)
 				}
 			}
@@ -365,7 +350,7 @@ func (a *analysis) evalValue(v ir.Value, env *env) *Fact {
 		if android.IsSystemClass(t.Field.Class) {
 			return NewFact(Token{Sig: t.Field.SootSignature()})
 		}
-		if f, ok := a.globals[t.Field.SootSignature()]; ok {
+		if f, ok := a.globals[t.Field]; ok {
 			return f
 		}
 		return NewFact(Unknown{})

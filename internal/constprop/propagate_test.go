@@ -14,6 +14,9 @@ var (
 	sinkRef = dex.NewMethodRef("javax.crypto.Cipher", "getInstance",
 		dex.T("javax.crypto.Cipher"), dex.StringT)
 	hostM = dex.NewMethodRef("com.t.Host", "go", dex.Void)
+
+	// methods numbers the methods of the hand-built graphs.
+	methods = ir.NewProgram(dex.NewFile())
 )
 
 // buildLinearSSG records `r1 = "AES"; sink(r1)` in one method.
@@ -25,15 +28,15 @@ func buildLinearSSG() *ssg.Graph {
 		LHS: &ir.Local{Name: "r2"},
 		RHS: &ir.InvokeExpr{Kind: ir.KindStatic, Method: sinkRef, Args: []ir.Value{r1}},
 	}
-	g.AddUnit(hostM, 1, def)
-	sinkU := g.AddUnit(hostM, 2, call)
+	g.AddUnit(methods.ID(hostM), hostM, 1, def)
+	sinkU := g.AddUnit(methods.ID(hostM), hostM, 2, call)
 	g.MarkSink(sinkU)
 	return g
 }
 
 func runOn(t *testing.T, g *ssg.Graph) *Result {
 	t.Helper()
-	res, err := Run(g, ir.NewProgram(dex.NewFile()), simtime.NewMeter(), Options{SinkParamIndex: 0})
+	res, err := Run(g, simtime.NewMeter(), Options{SinkParamIndex: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +57,13 @@ func TestStaticTrackResolvesField(t *testing.T) {
 
 	// Static track: r0 = "DES"; Config.MODE = r0.
 	r0 := &ir.Local{Name: "r0", Type: dex.StringT}
-	g.AddStaticUnit(clinit, 0, &ir.AssignStmt{LHS: r0, RHS: ir.StringConst{V: "DES"}})
-	g.AddStaticUnit(clinit, 1, &ir.AssignStmt{LHS: &ir.StaticFieldRef{Field: field}, RHS: r0})
+	g.AddStaticUnit(methods.ID(clinit), clinit, 0, &ir.AssignStmt{LHS: r0, RHS: ir.StringConst{V: "DES"}})
+	g.AddStaticUnit(methods.ID(clinit), clinit, 1, &ir.AssignStmt{LHS: &ir.StaticFieldRef{Field: field}, RHS: r0})
 
 	// Main track: m = Config.MODE; sink(m).
 	m := &ir.Local{Name: "r1", Type: dex.StringT}
-	g.AddUnit(hostM, 0, &ir.AssignStmt{LHS: m, RHS: &ir.StaticFieldRef{Field: field}})
-	sinkU := g.AddUnit(hostM, 1, &ir.AssignStmt{
+	g.AddUnit(methods.ID(hostM), hostM, 0, &ir.AssignStmt{LHS: m, RHS: &ir.StaticFieldRef{Field: field}})
+	sinkU := g.AddUnit(methods.ID(hostM), hostM, 1, &ir.AssignStmt{
 		LHS: &ir.Local{Name: "r2"},
 		RHS: &ir.InvokeExpr{Kind: ir.KindStatic, Method: sinkRef, Args: []ir.Value{m}},
 	})
@@ -77,8 +80,8 @@ func TestFrameworkStaticFieldBecomesToken(t *testing.T) {
 	allowAll := dex.NewFieldRef("org.apache.http.conn.ssl.SSLSocketFactory",
 		"ALLOW_ALL_HOSTNAME_VERIFIER", dex.ObjectT)
 	v := &ir.Local{Name: "r1"}
-	g.AddUnit(hostM, 0, &ir.AssignStmt{LHS: v, RHS: &ir.StaticFieldRef{Field: allowAll}})
-	sinkU := g.AddUnit(hostM, 1, &ir.AssignStmt{
+	g.AddUnit(methods.ID(hostM), hostM, 0, &ir.AssignStmt{LHS: v, RHS: &ir.StaticFieldRef{Field: allowAll}})
+	sinkU := g.AddUnit(methods.ID(hostM), hostM, 1, &ir.AssignStmt{
 		LHS: &ir.Local{Name: "r2"},
 		RHS: &ir.InvokeExpr{Kind: ir.KindStatic, Method: sinkRef, Args: []ir.Value{v}},
 	})
@@ -99,11 +102,11 @@ func TestObjPointsToFields(t *testing.T) {
 	val := &ir.Local{Name: "r1", Type: dex.StringT}
 	out := &ir.Local{Name: "r2", Type: dex.StringT}
 
-	g.AddUnit(hostM, 0, &ir.AssignStmt{LHS: obj, RHS: &ir.NewExpr{Class: "com.t.Holder"}})
-	g.AddUnit(hostM, 1, &ir.AssignStmt{LHS: val, RHS: ir.StringConst{V: "AES/ECB/X"}})
-	g.AddUnit(hostM, 2, &ir.AssignStmt{LHS: &ir.InstanceFieldRef{Base: obj, Field: field}, RHS: val})
-	g.AddUnit(hostM, 3, &ir.AssignStmt{LHS: out, RHS: &ir.InstanceFieldRef{Base: obj, Field: field}})
-	sinkU := g.AddUnit(hostM, 4, &ir.AssignStmt{
+	g.AddUnit(methods.ID(hostM), hostM, 0, &ir.AssignStmt{LHS: obj, RHS: &ir.NewExpr{Class: "com.t.Holder"}})
+	g.AddUnit(methods.ID(hostM), hostM, 1, &ir.AssignStmt{LHS: val, RHS: ir.StringConst{V: "AES/ECB/X"}})
+	g.AddUnit(methods.ID(hostM), hostM, 2, &ir.AssignStmt{LHS: &ir.InstanceFieldRef{Base: obj, Field: field}, RHS: val})
+	g.AddUnit(methods.ID(hostM), hostM, 3, &ir.AssignStmt{LHS: out, RHS: &ir.InstanceFieldRef{Base: obj, Field: field}})
+	sinkU := g.AddUnit(methods.ID(hostM), hostM, 4, &ir.AssignStmt{
 		LHS: &ir.Local{Name: "r9"},
 		RHS: &ir.InvokeExpr{Kind: ir.KindStatic, Method: sinkRef, Args: []ir.Value{out}},
 	})
@@ -232,16 +235,16 @@ func TestStringBuilderModel(t *testing.T) {
 		dex.T("java.lang.StringBuilder"), dex.StringT)
 	toStringRef := dex.NewMethodRef("java.lang.StringBuilder", "toString", dex.StringT)
 
-	g.AddUnit(hostM, 0, &ir.AssignStmt{LHS: sb, RHS: &ir.NewExpr{Class: "java.lang.StringBuilder"}})
-	g.AddUnit(hostM, 1, &ir.AssignStmt{LHS: part, RHS: ir.StringConst{V: "AES/"}})
-	g.AddUnit(hostM, 2, &ir.InvokeStmt{Invoke: &ir.InvokeExpr{
+	g.AddUnit(methods.ID(hostM), hostM, 0, &ir.AssignStmt{LHS: sb, RHS: &ir.NewExpr{Class: "java.lang.StringBuilder"}})
+	g.AddUnit(methods.ID(hostM), hostM, 1, &ir.AssignStmt{LHS: part, RHS: ir.StringConst{V: "AES/"}})
+	g.AddUnit(methods.ID(hostM), hostM, 2, &ir.InvokeStmt{Invoke: &ir.InvokeExpr{
 		Kind: ir.KindVirtual, Base: sb, Method: appendRef, Args: []ir.Value{part}}})
-	g.AddUnit(hostM, 3, &ir.AssignStmt{LHS: part, RHS: ir.StringConst{V: "ECB/PKCS5Padding"}})
-	g.AddUnit(hostM, 4, &ir.InvokeStmt{Invoke: &ir.InvokeExpr{
+	g.AddUnit(methods.ID(hostM), hostM, 3, &ir.AssignStmt{LHS: part, RHS: ir.StringConst{V: "ECB/PKCS5Padding"}})
+	g.AddUnit(methods.ID(hostM), hostM, 4, &ir.InvokeStmt{Invoke: &ir.InvokeExpr{
 		Kind: ir.KindVirtual, Base: sb, Method: appendRef, Args: []ir.Value{part}}})
-	g.AddUnit(hostM, 5, &ir.AssignStmt{LHS: out, RHS: &ir.InvokeExpr{
+	g.AddUnit(methods.ID(hostM), hostM, 5, &ir.AssignStmt{LHS: out, RHS: &ir.InvokeExpr{
 		Kind: ir.KindVirtual, Base: sb, Method: toStringRef}})
-	sinkU := g.AddUnit(hostM, 6, &ir.AssignStmt{
+	sinkU := g.AddUnit(methods.ID(hostM), hostM, 6, &ir.AssignStmt{
 		LHS: &ir.Local{Name: "r9"},
 		RHS: &ir.InvokeExpr{Kind: ir.KindStatic, Method: sinkRef, Args: []ir.Value{out}},
 	})
@@ -257,7 +260,7 @@ func TestTimeoutPropagates(t *testing.T) {
 	meter := simtime.NewMeter()
 	meter.SetBudget(1)
 	g := buildLinearSSG()
-	if _, err := Run(g, ir.NewProgram(dex.NewFile()), meter, Options{}); err == nil {
+	if _, err := Run(g, meter, Options{}); err == nil {
 		t.Error("over-budget propagation must fail")
 	}
 }
@@ -270,7 +273,7 @@ func TestCanceledMeterAbortsForwardPass(t *testing.T) {
 	meter.SetCheckpoint(func(int64, int64) bool { return true })
 	for meter.Charge(1) == nil {
 	}
-	_, err := Run(buildLinearSSG(), ir.NewProgram(dex.NewFile()), meter, Options{SinkParamIndex: 0})
+	_, err := Run(buildLinearSSG(), meter, Options{SinkParamIndex: 0})
 	if err != simtime.ErrCanceled {
 		t.Fatalf("Run on a canceled meter = %v, want ErrCanceled", err)
 	}

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+
+	"backdroid/internal/dex"
 )
 
 // Value is one abstract value a variable may hold.
@@ -52,6 +54,17 @@ type Obj struct {
 	ID     int
 	Class  string
 	Fields map[string]*Fact // field soot signature -> fact
+}
+
+// fieldKey returns the field's key in Obj.Fields, its Soot signature,
+// spelling it once per field per pass.
+func (a *analysis) fieldKey(f dex.FieldRef) string {
+	k, ok := a.fieldKeys[f]
+	if !ok {
+		k = f.SootSignature()
+		a.fieldKeys[f] = k
+	}
+	return k
 }
 
 func (*Obj) value() {}

@@ -46,7 +46,7 @@ func (e *Engine) advancedSearch(callee dex.MethodRef, indicator string) ([]calle
 				engine:    e,
 				callee:    callee,
 				indicator: indicator,
-				visited:   make(map[string]bool),
+				visited:   make(map[visit]bool),
 			}
 			chains := ft.run(hit.Method, body, idx, inv.Base, nil)
 			for _, chain := range chains {
@@ -84,7 +84,14 @@ type forwardTaint struct {
 	engine    *Engine
 	callee    dex.MethodRef
 	indicator string
-	visited   map[string]bool // methods visited across this whole search (CrossForward)
+	visited   map[visit]bool // methods visited across this whole search (CrossForward)
+}
+
+// visit is one forward propagation: a method entered with one tainted
+// local.
+type visit struct {
+	method ir.MethodID
+	obj    string
 }
 
 // run propagates the tainted object through the body starting after unit
@@ -95,18 +102,17 @@ func (ft *forwardTaint) run(method dex.MethodRef, body *ir.Body, from int, obj *
 	if len(chain) >= e.opts.MaxDepth {
 		return nil
 	}
-	sig := method.SootSignature()
 	if e.opts.EnableLoopDetection {
 		// InnerForward: the same method repeating within one call chain.
 		for _, link := range chain {
-			if link.Method.SootSignature() == sig {
+			if link.Method.Equal(method) {
 				e.loops[InnerForward]++
 				return nil
 			}
 		}
 		// CrossForward: revisiting a method already fully propagated in
 		// this advanced search.
-		key := sig + "@" + obj.Name
+		key := visit{e.prog.ID(method), obj.Name}
 		if ft.visited[key] {
 			e.loops[CrossForward]++
 			return nil
@@ -183,7 +189,7 @@ func (ft *forwardTaint) invoke(method dex.MethodRef, body *ir.Body, idx int, inv
 	// indicator type's signature with the tainted object as receiver and
 	// the callee's own sub-signature dispatches to our callee.
 	if baseTainted && inv.Method.Name == ft.callee.Name &&
-		inv.Method.Descriptor() == ft.callee.Descriptor() &&
+		inv.Method.WithClass(ft.callee.Class).Equal(ft.callee) &&
 		(inv.Method.Class == ft.indicator || e.hier.IsSubclassOf(ft.indicator, inv.Method.Class)) {
 		return [][]chainLink{full}
 	}

@@ -20,24 +20,25 @@ const retSentinel = "\x00ret"
 // adds off-path static initializers for still-unresolved static fields.
 func (e *Engine) buildSSG(call SinkCall) (*ssg.Graph, error) {
 	g := ssg.New(call.Sink.Method)
-	body, err := e.prog.Body(call.Caller)
+	caller := e.prog.ID(call.Caller)
+	body, err := e.prog.BodyOf(caller)
 	if err != nil {
 		return g, nil // transformation failure: empty SSG
 	}
 
-	g.MarkSink(g.AddUnit(call.Caller, call.UnitIndex, body.Units[call.UnitIndex]))
+	g.MarkSink(g.AddUnit(caller, call.Caller, call.UnitIndex, body.Units[call.UnitIndex]))
 
 	inv := ir.InvokeOf(body.Units[call.UnitIndex])
 	if inv == nil || call.Sink.ParamIndex >= len(inv.Args) {
 		return g, nil
 	}
-	ts := g.Taints(call.Caller)
+	ts := g.Taints(caller)
 	if l, ok := inv.Args[call.Sink.ParamIndex].(*ir.Local); ok {
 		ts.AddLocal(l.Name)
 	}
 
-	s := &slicer{engine: e, g: g}
-	if err := s.slice(call.Caller, call.UnitIndex, nil, 0, false); err != nil {
+	s := &slicer{engine: e, g: g, onPath: make(map[ir.MethodID]bool)}
+	if err := s.slice(call.Caller, call.UnitIndex, 0, false); err != nil {
 		return nil, err
 	}
 	if err := s.addOffPathClinits(); err != nil {
@@ -52,58 +53,83 @@ func (e *Engine) buildSSG(call SinkCall) (*ssg.Graph, error) {
 type slicer struct {
 	engine *Engine
 	g      *ssg.Graph
+	// onPath holds the methods the slice descended through to reach the
+	// one in progress (not that method itself): a callee already on it
+	// closes a loop.
+	onPath map[ir.MethodID]bool
+}
+
+// frame is one method being sliced: the method, its body and taint set,
+// how deep the slice is and whether its units go to the static track.
+type frame struct {
+	method      dex.MethodRef
+	id          ir.MethodID
+	body        *ir.Body
+	ts          *ssg.TaintSet
+	depth       int
+	staticTrack bool
+	identOf     map[string]int // local -> index of the identity statement binding it
+}
+
+// record adds unit idx to the SSG, with the identity statements binding
+// the locals it references: the forward pass needs them whenever a
+// recorded statement references the local, even if the identity itself
+// never carried taint.
+func (s *slicer) record(f *frame, idx int) *ssg.Unit {
+	add := s.g.AddUnit
+	if f.staticTrack {
+		add = s.g.AddStaticUnit
+	}
+	u := add(f.id, f.method, idx, f.body.Units[idx])
+	for _, l := range localsOfUnit(f.body.Units[idx]) {
+		if ii, ok := f.identOf[l.Name]; ok && ii != idx {
+			add(f.id, f.method, ii, f.body.Units[ii])
+		}
+	}
+	return u
+}
+
+// descend slices callee from unit fromIdx-1 one level below f, with f's
+// method on the path.
+func (s *slicer) descend(f *frame, callee dex.MethodRef, fromIdx int, staticTrack bool) error {
+	s.onPath[f.id] = true
+	err := s.slice(callee, fromIdx, f.depth+1, staticTrack)
+	delete(s.onPath, f.id)
+	return err
 }
 
 // slice scans the method backward from unit fromIdx-1, consuming and
 // producing taints in the method's taint set, then propagates remaining
 // parameter taints to callers located by bytecode search. staticTrack
 // routes recorded units into the SSG's special static track.
-func (s *slicer) slice(method dex.MethodRef, fromIdx int, path []string, depth int, staticTrack bool) error {
+func (s *slicer) slice(method dex.MethodRef, fromIdx int, depth int, staticTrack bool) error {
 	e := s.engine
-	sig := method.SootSignature()
 	if depth > e.opts.MaxDepth {
 		return nil
 	}
-	for _, p := range path {
-		if p == sig {
-			if e.opts.EnableLoopDetection {
-				e.loops[CrossBackward]++
-			}
-			return nil
+	id := e.prog.ID(method)
+	if s.onPath[id] {
+		if e.opts.EnableLoopDetection {
+			e.loops[CrossBackward]++
 		}
+		return nil
 	}
-	body, err := e.prog.Body(method)
+	body, err := e.prog.BodyOf(id)
 	if err != nil {
 		return nil // transformation failure: stop this branch
 	}
-	e.analyzed[sig] = true
+	e.analyzed[id] = true
 	if fromIdx < 0 || fromIdx > len(body.Units) {
 		fromIdx = len(body.Units)
 	}
 
-	ts := s.g.Taints(method)
-
-	// Identity statements bind @this/@parameter to locals; the forward
-	// pass needs them whenever a recorded statement references the local,
-	// even if the identity itself never carried taint.
-	identOf := make(map[string]int)
+	f := &frame{method: method, id: id, body: body, ts: s.g.Taints(id), depth: depth,
+		staticTrack: staticTrack, identOf: make(map[string]int)}
+	ts := f.ts
 	for i, u := range body.Units {
-		if id, ok := u.(*ir.IdentityStmt); ok {
-			identOf[id.LHS.Name] = i
+		if st, ok := u.(*ir.IdentityStmt); ok {
+			f.identOf[st.LHS.Name] = i
 		}
-	}
-	record := func(idx int) *ssg.Unit {
-		add := s.g.AddUnit
-		if staticTrack {
-			add = s.g.AddStaticUnit
-		}
-		u := add(method, idx, body.Units[idx])
-		for _, l := range localsOfUnit(body.Units[idx]) {
-			if ii, ok := identOf[l.Name]; ok && ii != idx {
-				add(method, ii, body.Units[ii])
-			}
-		}
-		return u
 	}
 
 	// Contained-method slices arrive with a return-value sentinel: every
@@ -125,7 +151,7 @@ func (s *slicer) slice(method dex.MethodRef, fromIdx int, path []string, depth i
 			if !ts.HasLocal(u.LHS.Name) && !ts.HasAnyFieldOf(u.LHS.Name) {
 				continue
 			}
-			record(i)
+			s.record(f, i)
 			switch rhs := u.RHS.(type) {
 			case *ir.ThisRef:
 				thisTainted = true
@@ -134,19 +160,19 @@ func (s *slicer) slice(method dex.MethodRef, fromIdx int, path []string, depth i
 			}
 
 		case *ir.AssignStmt:
-			if err := s.handleAssign(method, body, i, u, ts, record, path, depth, staticTrack); err != nil {
+			if err := s.handleAssign(f, i, u); err != nil {
 				return err
 			}
 
 		case *ir.InvokeStmt:
-			if err := s.handleInvoke(method, body, i, u.Invoke, ts, record, path, depth, staticTrack); err != nil {
+			if err := s.handleInvoke(f, i, u.Invoke); err != nil {
 				return err
 			}
 
 		case *ir.ReturnStmt:
 			if l, ok := u.Val.(*ir.Local); ok && retSeeded {
 				ts.AddLocal(l.Name)
-				record(i)
+				s.record(f, i)
 			}
 		}
 	}
@@ -156,7 +182,7 @@ func (s *slicer) slice(method dex.MethodRef, fromIdx int, path []string, depth i
 	// onCreate, read here) is resolved by slicing the predecessor
 	// handlers from their ends.
 	if thisTainted && ts.HasAnyFieldOf(thisLocalName(body)) {
-		if err := s.slicePredecessorHandlers(method, path, depth); err != nil {
+		if err := s.slicePredecessorHandlers(f); err != nil {
 			return err
 		}
 	}
@@ -164,11 +190,12 @@ func (s *slicer) slice(method dex.MethodRef, fromIdx int, path []string, depth i
 	if len(taintedParams) == 0 && !thisTainted {
 		return nil // dataflow fully resolved inside this method
 	}
-	return s.propagateToCallers(method, body, taintedParams, thisTainted, path, depth)
+	return s.propagateToCallers(f, taintedParams, thisTainted)
 }
 
 // handleAssign applies the backward taint transfer of one definition.
-func (s *slicer) handleAssign(method dex.MethodRef, body *ir.Body, idx int, u *ir.AssignStmt, ts *ssg.TaintSet, record func(int) *ssg.Unit, path []string, depth int, staticTrack bool) error {
+func (s *slicer) handleAssign(f *frame, idx int, u *ir.AssignStmt) error {
+	ts := f.ts
 	switch lhs := u.LHS.(type) {
 	case *ir.Local:
 		relevant := ts.HasLocal(lhs.Name)
@@ -180,41 +207,42 @@ func (s *slicer) handleAssign(method dex.MethodRef, body *ir.Body, idx int, u *i
 		if !relevant {
 			return nil
 		}
-		record(idx)
+		s.record(f, idx)
 		if _, isNew := u.RHS.(*ir.NewExpr); !isNew {
 			ts.RemoveLocal(lhs.Name)
 		}
-		return s.taintRHS(method, body, idx, u.RHS, ts, record, path, depth, staticTrack)
+		return s.taintRHS(f, idx, u.RHS)
 
 	case *ir.InstanceFieldRef:
 		if !ts.HasField(lhs.Base.Name, lhs.Field) {
 			return nil
 		}
-		record(idx)
+		s.record(f, idx)
 		ts.RemoveField(lhs.Base.Name, lhs.Field)
-		return s.taintRHS(method, body, idx, u.RHS, ts, record, path, depth, staticTrack)
+		return s.taintRHS(f, idx, u.RHS)
 
 	case *ir.StaticFieldRef:
 		if !s.g.GlobalTaint.HasStatic(lhs.Field) {
 			return nil
 		}
-		record(idx)
+		s.record(f, idx)
 		s.g.GlobalTaint.RemoveStatic(lhs.Field)
-		return s.taintRHS(method, body, idx, u.RHS, ts, record, path, depth, staticTrack)
+		return s.taintRHS(f, idx, u.RHS)
 
 	case *ir.ArrayRef:
 		if !ts.HasLocal(lhs.Base.Name) {
 			return nil
 		}
 		// Array stores keep the array tainted: other elements may matter.
-		record(idx)
-		return s.taintRHS(method, body, idx, u.RHS, ts, record, path, depth, staticTrack)
+		s.record(f, idx)
+		return s.taintRHS(f, idx, u.RHS)
 	}
 	return nil
 }
 
 // taintRHS taints whatever the right-hand side reads.
-func (s *slicer) taintRHS(method dex.MethodRef, body *ir.Body, idx int, rhs ir.Value, ts *ssg.TaintSet, record func(int) *ssg.Unit, path []string, depth int, staticTrack bool) error {
+func (s *slicer) taintRHS(f *frame, idx int, rhs ir.Value) error {
+	ts := f.ts
 	switch v := rhs.(type) {
 	case *ir.Local:
 		ts.AddLocal(v.Name)
@@ -235,7 +263,7 @@ func (s *slicer) taintRHS(method dex.MethodRef, body *ir.Body, idx int, rhs ir.V
 			return nil
 		}
 		s.g.GlobalTaint.AddStatic(v.Field)
-		return s.traceStaticFieldWriters(v.Field, path, depth)
+		return s.traceStaticFieldWriters(v.Field)
 
 	case *ir.ArrayRef:
 		ts.AddLocal(v.Base.Name)
@@ -259,7 +287,7 @@ func (s *slicer) taintRHS(method dex.MethodRef, body *ir.Body, idx int, rhs ir.V
 		// were already handled when the backward scan passed <init>.
 
 	case *ir.InvokeExpr:
-		return s.taintInvokeResult(method, body, idx, v, ts, path, depth, staticTrack)
+		return s.taintInvokeResult(f, idx, v)
 	}
 	return nil
 }
@@ -268,8 +296,9 @@ func (s *slicer) taintRHS(method dex.MethodRef, body *ir.Body, idx int, rhs ir.V
 // into app callees from their return statements (contained methods with
 // calling and return edges); model framework callees conservatively by
 // tainting their receiver and arguments.
-func (s *slicer) taintInvokeResult(method dex.MethodRef, body *ir.Body, idx int, inv *ir.InvokeExpr, ts *ssg.TaintSet, path []string, depth int, staticTrack bool) error {
+func (s *slicer) taintInvokeResult(f *frame, idx int, inv *ir.InvokeExpr) error {
 	e := s.engine
+	ts := f.ts
 	if android.IsSystemClass(inv.Method.Class) || e.lookupMethod(inv.Method) == nil {
 		if inv.Base != nil {
 			ts.AddLocal(inv.Base.Name)
@@ -284,36 +313,34 @@ func (s *slicer) taintInvokeResult(method dex.MethodRef, body *ir.Body, idx int,
 
 	// Contained method: slice the callee from its end with the returned
 	// value tainted (the sentinel is replaced at the callee's ReturnStmt).
-	if e.opts.EnableLoopDetection {
-		for _, p := range path {
-			if p == inv.Method.SootSignature() {
-				e.loops[InnerBackward]++
-				return nil
-			}
-		}
+	callee := e.prog.ID(inv.Method)
+	if e.opts.EnableLoopDetection && s.onPath[callee] {
+		e.loops[InnerBackward]++
+		return nil
 	}
-	site, _ := s.g.Unit(method, idx)
+	site, _ := s.g.Unit(f.id, idx)
 	if site == nil {
-		site = s.g.AddUnit(method, idx, body.Units[idx])
+		site = s.g.AddUnit(f.id, f.method, idx, f.body.Units[idx])
 	}
-	s.g.AddEdge(ssg.CallEdge, site, inv.Method)
-	s.g.AddEdge(ssg.ReturnEdge, site, inv.Method)
+	s.g.AddEdge(ssg.CallEdge, site, callee, inv.Method)
+	s.g.AddEdge(ssg.ReturnEdge, site, callee, inv.Method)
 
-	calleeTaints := s.g.Taints(inv.Method)
+	calleeTaints := s.g.Taints(callee)
 	calleeTaints.AddLocal(retSentinel)
-	if err := s.slice(inv.Method, -1, append(path, method.SootSignature()), depth+1, staticTrack); err != nil {
+	if err := s.descend(f, inv.Method, -1, f.staticTrack); err != nil {
 		return err
 	}
 	// Map the callee's residual parameter taints back to our arguments.
-	s.mapCalleeParamsBack(inv, calleeTaints, ts)
+	s.mapCalleeParamsBack(inv, callee, calleeTaints, ts)
 	return nil
 }
 
 // handleInvoke processes a result-less call during the backward scan: a
 // constructor or setter may populate the tainted object or a tainted
 // static field (the contained-method analysis of Sec. V-A).
-func (s *slicer) handleInvoke(method dex.MethodRef, body *ir.Body, idx int, inv *ir.InvokeExpr, ts *ssg.TaintSet, record func(int) *ssg.Unit, path []string, depth int, staticTrack bool) error {
+func (s *slicer) handleInvoke(f *frame, idx int, inv *ir.InvokeExpr) error {
 	e := s.engine
+	ts := f.ts
 
 	objRelevant := inv.Base != nil && (ts.HasAnyFieldOf(inv.Base.Name) || (inv.Method.IsConstructor() && ts.HasLocal(inv.Base.Name)))
 	staticRelevant := false
@@ -322,53 +349,50 @@ func (s *slicer) handleInvoke(method dex.MethodRef, body *ir.Body, idx int, inv 
 		// are analyzed (Sec. V-A); the ablation analyzes every contained
 		// method, which is what the paper calls "certainly slows down the
 		// analysis".
-		staticRelevant = e.opts.AnalyzeAllContained || s.writesTaintedStatic(inv.Method)
+		staticRelevant = e.opts.AnalyzeAllContained || s.writesTaintedStatic(e.prog.ID(inv.Method))
 	}
 	if !objRelevant && !staticRelevant {
 		return nil
 	}
-	record(idx)
+	s.record(f, idx)
 
 	if android.IsSystemClass(inv.Method.Class) || e.lookupMethod(inv.Method) == nil {
 		return nil // e.g. Object.<init>: no app code to descend into
 	}
-	if e.opts.EnableLoopDetection {
-		for _, p := range path {
-			if p == inv.Method.SootSignature() {
-				e.loops[InnerBackward]++
-				return nil
-			}
-		}
+	callee := e.prog.ID(inv.Method)
+	if e.opts.EnableLoopDetection && s.onPath[callee] {
+		e.loops[InnerBackward]++
+		return nil
 	}
 
-	site := record(idx)
-	s.g.AddEdge(ssg.CallEdge, site, inv.Method)
-	s.g.AddEdge(ssg.ReturnEdge, site, inv.Method)
+	site := s.record(f, idx)
+	s.g.AddEdge(ssg.CallEdge, site, callee, inv.Method)
+	s.g.AddEdge(ssg.ReturnEdge, site, callee, inv.Method)
 
-	calleeBody, err := e.prog.Body(inv.Method)
+	calleeBody, err := e.prog.BodyOf(callee)
 	if err != nil {
 		return nil
 	}
-	calleeTaints := s.g.Taints(inv.Method)
+	calleeTaints := s.g.Taints(callee)
 	if objRelevant {
 		calleeThis := thisLocalName(calleeBody)
 		// Seed (this, field) taints matching the caller's (base, field).
-		for _, f := range taintedFieldsOf(ts, inv.Base.Name) {
-			calleeTaints.AddField(calleeThis, f)
+		for _, fld := range ts.FieldsOf(inv.Base.Name) {
+			calleeTaints.AddField(calleeThis, fld)
 		}
 		calleeTaints.AddLocal(calleeThis)
 	}
-	if err := s.slice(inv.Method, -1, append(path, method.SootSignature()), depth+1, staticTrack); err != nil {
+	if err := s.descend(f, inv.Method, -1, f.staticTrack); err != nil {
 		return err
 	}
-	s.mapCalleeParamsBack(inv, calleeTaints, ts)
+	s.mapCalleeParamsBack(inv, callee, calleeTaints, ts)
 	return nil
 }
 
 // mapCalleeParamsBack maps residual tainted parameters of a sliced callee
 // back to the caller's argument locals.
-func (s *slicer) mapCalleeParamsBack(inv *ir.InvokeExpr, calleeTaints *ssg.TaintSet, ts *ssg.TaintSet) {
-	body, err := s.engine.prog.Body(inv.Method)
+func (s *slicer) mapCalleeParamsBack(inv *ir.InvokeExpr, callee ir.MethodID, calleeTaints *ssg.TaintSet, ts *ssg.TaintSet) {
+	body, err := s.engine.prog.BodyOf(callee)
 	if err != nil {
 		return
 	}
@@ -392,27 +416,19 @@ func (s *slicer) mapCalleeParamsBack(inv *ir.InvokeExpr, calleeTaints *ssg.Taint
 // writesTaintedStatic reports whether the method is a writer of any
 // currently tainted static field, using the field-signature bytecode
 // search instead of analyzing every contained method (Sec. V-A).
-func (s *slicer) writesTaintedStatic(ref dex.MethodRef) bool {
-	for _, fieldSig := range s.g.GlobalTaint.StaticFields() {
-		writers, ok := s.staticWriters(fieldSig)
-		if !ok {
-			continue
-		}
-		if writers[ref.SootSignature()] {
-			return true
-		}
-	}
-	return false
+func (s *slicer) writesTaintedStatic(method ir.MethodID) bool {
+	return s.g.GlobalTaint.AnyStatic(func(f dex.FieldRef) bool {
+		return s.engine.writerCache[f][method]
+	})
 }
 
 // traceStaticFieldWriters launches the field-signature search when a new
 // static field becomes tainted, caching the writer set engine-wide (the
 // set depends only on the dump, never on the slice in progress).
-func (s *slicer) traceStaticFieldWriters(field dex.FieldRef, path []string, depth int) error {
+func (s *slicer) traceStaticFieldWriters(field dex.FieldRef) error {
 	e := s.engine
-	sig := field.SootSignature()
-	if _, ok := e.writerCache[sig]; ok {
-		e.rec.merge(e.writerFrag[sig])
+	if _, ok := e.writerCache[field]; ok {
+		e.rec.merge(e.writerFrag[field])
 		return nil
 	}
 	frame := e.rec.push()
@@ -421,27 +437,22 @@ func (s *slicer) traceStaticFieldWriters(field dex.FieldRef, path []string, dept
 	if err != nil {
 		return err
 	}
-	writers := make(map[string]bool)
+	writers := make(map[ir.MethodID]bool)
 	for _, h := range hits {
 		if h.Method.Name != "" {
-			writers[h.Method.SootSignature()] = true
+			writers[e.prog.ID(h.Method)] = true
 		}
 	}
-	e.writerCache[sig] = writers
-	e.writerFrag[sig] = frame
+	e.writerCache[field] = writers
+	e.writerFrag[field] = frame
 	return nil
-}
-
-// staticWriters returns the cached writer set of a static field.
-func (s *slicer) staticWriters(fieldSig string) (map[string]bool, bool) {
-	w, ok := s.engine.writerCache[fieldSig]
-	return w, ok
 }
 
 // slicePredecessorHandlers slices earlier lifecycle handlers of the same
 // component to resolve this-field taints (Sec. IV-E domain knowledge).
-func (s *slicer) slicePredecessorHandlers(method dex.MethodRef, path []string, depth int) error {
+func (s *slicer) slicePredecessorHandlers(f *frame) error {
 	e := s.engine
+	method := f.method
 	kind, isComp := e.hier.ComponentKind(method.Class)
 	if !isComp || !android.IsLifecycleMethod(kind, method.Name) {
 		return nil
@@ -471,23 +482,23 @@ func (s *slicer) slicePredecessorHandlers(method dex.MethodRef, path []string, d
 			if m.Ref.Name != pred || m.IsAbstract() {
 				continue
 			}
-			predBody, err := e.prog.Body(m.Ref)
+			predID := e.prog.ID(m.Ref)
+			predBody, err := e.prog.BodyOf(predID)
 			if err != nil {
 				continue
 			}
 			// Transfer this-field taints into the predecessor handler.
-			curBody, err := e.prog.Body(method)
+			curBody, err := e.prog.BodyOf(f.id)
 			if err != nil {
 				continue
 			}
-			src := s.g.Taints(method)
-			dst := s.g.Taints(m.Ref)
+			dst := s.g.Taints(predID)
 			predThis := thisLocalName(predBody)
-			for _, f := range taintedFieldsOf(src, thisLocalName(curBody)) {
-				dst.AddField(predThis, f)
+			for _, fld := range f.ts.FieldsOf(thisLocalName(curBody)) {
+				dst.AddField(predThis, fld)
 			}
 			dst.AddLocal(predThis)
-			if err := s.slice(m.Ref, -1, append(path, method.SootSignature()), depth+1, false); err != nil {
+			if err := s.descend(f, m.Ref, -1, false); err != nil {
 				return err
 			}
 		}
@@ -498,34 +509,24 @@ func (s *slicer) slicePredecessorHandlers(method dex.MethodRef, path []string, d
 // propagateToCallers continues the backward slice in every caller located
 // by the Sec. IV search mechanisms, mapping parameter taints through the
 // call sites.
-func (s *slicer) propagateToCallers(method dex.MethodRef, body *ir.Body, taintedParams []int, thisTainted bool, path []string, depth int) error {
+func (s *slicer) propagateToCallers(f *frame, taintedParams []int, thisTainted bool) error {
 	e := s.engine
-	sites, isEntry, err := e.findCallers(method)
+	sites, isEntry, err := e.findCallers(f.method)
 	if err != nil {
 		return err
 	}
 	if isEntry {
-		s.g.MarkEntry(method)
-		chain := make([]dex.MethodRef, 0, len(path)+1)
-		chain = append(chain, method)
-		s.g.AddChain(chain)
+		s.g.MarkEntry(f.id, f.method)
+		s.g.AddChain([]dex.MethodRef{f.method})
 	}
 
 	for _, site := range sites {
-		if e.opts.EnableLoopDetection {
-			looped := false
-			for _, p := range path {
-				if p == site.Method.SootSignature() {
-					e.loops[CrossBackward]++
-					looped = true
-					break
-				}
-			}
-			if looped {
-				continue
-			}
+		caller := e.prog.ID(site.Method)
+		if e.opts.EnableLoopDetection && s.onPath[caller] {
+			e.loops[CrossBackward]++
+			continue
 		}
-		callerBody, err := e.prog.Body(site.Method)
+		callerBody, err := e.prog.BodyOf(caller)
 		if err != nil {
 			continue
 		}
@@ -533,21 +534,22 @@ func (s *slicer) propagateToCallers(method dex.MethodRef, body *ir.Body, tainted
 		if fromIdx < 0 || fromIdx >= len(callerBody.Units) {
 			fromIdx = len(callerBody.Units)
 		} else {
-			siteUnit := s.g.AddUnit(site.Method, site.UnitIndex, callerBody.Units[site.UnitIndex])
-			s.g.AddEdge(ssg.CallEdge, siteUnit, method)
+			siteUnit := s.g.AddUnit(caller, site.Method, site.UnitIndex, callerBody.Units[site.UnitIndex])
+			s.g.AddEdge(ssg.CallEdge, siteUnit, f.id, f.method)
 			// Advanced-search chains contribute their intermediate links
 			// too (paper: use the maintained call chain, not one site).
 			for _, link := range site.Chain[1:] {
-				linkBody, err := e.prog.Body(link.Method)
+				lid := e.prog.ID(link.Method)
+				linkBody, err := e.prog.BodyOf(lid)
 				if err != nil || link.UnitIndex >= len(linkBody.Units) {
 					continue
 				}
-				linkUnit := s.g.AddUnit(link.Method, link.UnitIndex, linkBody.Units[link.UnitIndex])
-				s.g.AddEdge(ssg.CallEdge, linkUnit, method)
+				linkUnit := s.g.AddUnit(lid, link.Method, link.UnitIndex, linkBody.Units[link.UnitIndex])
+				s.g.AddEdge(ssg.CallEdge, linkUnit, f.id, f.method)
 			}
 		}
 
-		callerTaints := s.g.Taints(site.Method)
+		callerTaints := s.g.Taints(caller)
 		for _, pi := range taintedParams {
 			if site.ArgLocals != nil && pi < len(site.ArgLocals) && site.ArgLocals[pi] != nil {
 				callerTaints.AddLocal(site.ArgLocals[pi].Name)
@@ -556,11 +558,11 @@ func (s *slicer) propagateToCallers(method dex.MethodRef, body *ir.Body, tainted
 		if thisTainted && site.BaseLocal != nil {
 			callerTaints.AddLocal(site.BaseLocal.Name)
 			// this-field taints travel to the receiver object.
-			for _, f := range taintedFieldsOf(s.g.Taints(method), thisLocalName(body)) {
-				callerTaints.AddField(site.BaseLocal.Name, f)
+			for _, fld := range f.ts.FieldsOf(thisLocalName(f.body)) {
+				callerTaints.AddField(site.BaseLocal.Name, fld)
 			}
 		}
-		if err := s.slice(site.Method, fromIdx, append(path, method.SootSignature()), depth+1, false); err != nil {
+		if err := s.descend(f, site.Method, fromIdx, false); err != nil {
 			return err
 		}
 	}
@@ -573,12 +575,8 @@ func (s *slicer) propagateToCallers(method dex.MethodRef, body *ir.Body, tainted
 // demand").
 func (s *slicer) addOffPathClinits() error {
 	e := s.engine
-	for _, fieldSig := range s.g.GlobalTaint.StaticFields() {
-		ref, err := parseFieldSig(fieldSig)
-		if err != nil {
-			continue
-		}
-		cls := e.lookupClass(ref.Class)
+	for _, field := range s.g.GlobalTaint.StaticFields() {
+		cls := e.lookupClass(field.Class)
 		if cls == nil {
 			continue
 		}
@@ -586,22 +584,11 @@ func (s *slicer) addOffPathClinits() error {
 		if clinit == nil {
 			continue
 		}
-		if err := s.slice(clinit.Ref, -1, nil, 0, true); err != nil {
+		if err := s.slice(clinit.Ref, -1, 0, true); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// taintedFieldsOf lists the FieldRefs tainted on the given object local.
-func taintedFieldsOf(ts *ssg.TaintSet, obj string) []dex.FieldRef {
-	var out []dex.FieldRef
-	for _, sig := range ts.FieldSigsOf(obj) {
-		if f, err := parseFieldSig(sig); err == nil {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // localsOfUnit lists every local a statement references, on either side.
@@ -632,9 +619,4 @@ func thisLocalName(body *ir.Body) string {
 		}
 	}
 	return "r0"
-}
-
-// parseFieldSig parses a Soot field signature "<cls: type name>".
-func parseFieldSig(sig string) (dex.FieldRef, error) {
-	return dex.ParseSootFieldSignature(sig)
 }

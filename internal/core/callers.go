@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"backdroid/internal/android"
 	"backdroid/internal/bcsearch"
 	"backdroid/internal/dex"
@@ -49,10 +47,10 @@ type callerSite struct {
 // manifest-registered component), in which case the Android framework is
 // the caller.
 func (e *Engine) findCallers(callee dex.MethodRef) (sites []callerSite, isEntry bool, err error) {
-	sig := callee.SootSignature()
-	if cached, ok := e.callerCache[sig]; ok {
-		e.rec.merge(e.callerFrag[sig])
-		return cached, e.entryCache[sig], nil
+	id := e.prog.ID(callee)
+	if cached, ok := e.callerCache[id]; ok {
+		e.rec.merge(e.callerFrag[id])
+		return cached, e.entryCache[id], nil
 	}
 
 	frame := e.rec.push()
@@ -64,9 +62,9 @@ func (e *Engine) findCallers(callee dex.MethodRef) (sites []callerSite, isEntry 
 	if err != nil {
 		return nil, false, err
 	}
-	e.callerCache[sig] = sites
-	e.entryCache[sig] = isEntry
-	e.callerFrag[sig] = frame
+	e.callerCache[id] = sites
+	e.entryCache[id] = isEntry
+	e.callerFrag[id] = frame
 	return sites, isEntry, nil
 }
 
@@ -164,7 +162,7 @@ func (e *Engine) findCallersUncached(callee dex.MethodRef) ([]callerSite, bool, 
 		sites = append(sites, adv...)
 	}
 
-	return dedupSites(sites), false, nil
+	return e.dedupSites(sites), false, nil
 }
 
 // resolveBasicSites converts search hits into caller sites with precise
@@ -208,21 +206,34 @@ func (e *Engine) classUseCallers(class string) ([]callerSite, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each containing method once, in dump order.
+	seen := make(map[ir.MethodID]bool, len(hits))
 	var out []callerSite
-	for _, m := range bcsearch.CallersOf(hits) {
-		if m.Class == class {
+	for _, h := range hits {
+		m := h.Method
+		if m.Name == "" || m.Class == class {
 			continue // uses inside the class itself do not load it from outside
 		}
-		out = append(out, callerSite{Method: m, UnitIndex: -1, ViaClassUse: true})
+		if id := e.prog.ID(m); !seen[id] {
+			seen[id] = true
+			out = append(out, callerSite{Method: m, UnitIndex: -1, ViaClassUse: true})
+		}
 	}
 	return out, nil
 }
 
-func dedupSites(sites []callerSite) []callerSite {
-	seen := make(map[string]bool, len(sites))
+// siteKey identifies a statement: its method and its index in the body.
+type siteKey struct {
+	method ir.MethodID
+	index  int
+}
+
+// dedupSites drops repeated call sites, keeping the first of each.
+func (e *Engine) dedupSites(sites []callerSite) []callerSite {
+	seen := make(map[siteKey]bool, len(sites))
 	var out []callerSite
 	for _, s := range sites {
-		key := s.Method.SootSignature() + "#" + strconv.Itoa(s.UnitIndex)
+		key := siteKey{e.prog.ID(s.Method), s.UnitIndex}
 		if seen[key] {
 			continue
 		}

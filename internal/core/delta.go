@@ -185,9 +185,30 @@ func componentClassOf(entry string) string {
 // shrinks earlier classes. Within one run locateSinkCalls already keeps
 // one call per caller and unit, so the sink API only matters across
 // versions: a call site whose sink changed never reuses the old verdict.
+// The key crosses engines, so it spells the refs out rather than using
+// per-job method IDs; each field is length-prefixed, so two different
+// call sites never share a key (Soot signatures can collide).
 func sinkKey(call SinkCall) string {
-	return call.Sink.Method.SootSignature() + "\x00" +
-		call.Caller.SootSignature() + "\x00" + strconv.Itoa(call.UnitIndex)
+	b := appendRefKey(nil, call.Sink.Method)
+	b = appendRefKey(b, call.Caller)
+	return string(strconv.AppendInt(b, int64(call.UnitIndex), 10))
+}
+
+// appendRefKey appends an unambiguous encoding of the ref to b.
+func appendRefKey(b []byte, m dex.MethodRef) []byte {
+	field := func(b []byte, s string) []byte {
+		b = strconv.AppendInt(b, int64(len(s)), 10)
+		return append(append(b, ':'), s...)
+	}
+	b = field(b, m.Class)
+	b = field(b, m.Name)
+	b = field(b, string(m.Ret))
+	b = strconv.AppendInt(b, int64(len(m.Params)), 10)
+	b = append(b, ';')
+	for _, p := range m.Params {
+		b = field(b, string(p))
+	}
+	return b
 }
 
 // planDeltaReuse decides, for every freshly located sink call, whether

@@ -375,10 +375,10 @@ type Engine struct {
 	hier   *cha.Hierarchy
 	meter  *simtime.Meter
 
-	reachCache  map[string]*reachState
-	callerCache map[string][]callerSite
-	entryCache  map[string]bool
-	analyzed    map[string]bool
+	reachCache  map[ir.MethodID]*reachState
+	callerCache map[ir.MethodID][]callerSite
+	entryCache  map[ir.MethodID]bool
+	analyzed    map[ir.MethodID]bool
 	loops       map[LoopKind]int
 	sinkTotal   int
 	sinkCached  int
@@ -386,7 +386,7 @@ type Engine struct {
 
 	// Engine-wide static-field writer cache, shared across all slicers
 	// (the writer set is a pure function of the dump).
-	writerCache map[string]map[string]bool
+	writerCache map[dex.FieldRef]map[ir.MethodID]bool
 
 	// Warm-start bundle (bundle.go) and the dump accounting (see Stats).
 	bundle         *bundle
@@ -398,8 +398,8 @@ type Engine struct {
 	// as a delta base; callerFrag/writerFrag hold the footprint fragments
 	// of the caller and static-writer caches.
 	rec              *fpRecorder
-	callerFrag       map[string]*fpFrame
-	writerFrag       map[string]*fpFrame
+	callerFrag       map[ir.MethodID]*fpFrame
+	writerFrag       map[dex.FieldRef]*fpFrame
 	deltaOldReport   *Report
 	deltaOldMan      *dexdump.Manifest
 	deltaNewMan      *dexdump.Manifest
@@ -456,19 +456,19 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		prog:        ir.NewProgram(merged),
 		hier:        cha.New(merged),
 		meter:       meter,
-		reachCache:  make(map[string]*reachState),
-		callerCache: make(map[string][]callerSite),
-		entryCache:  make(map[string]bool),
-		analyzed:    make(map[string]bool),
+		reachCache:  make(map[ir.MethodID]*reachState),
+		callerCache: make(map[ir.MethodID][]callerSite),
+		entryCache:  make(map[ir.MethodID]bool),
+		analyzed:    make(map[ir.MethodID]bool),
 		loops:       make(map[LoopKind]int),
-		writerCache: make(map[string]map[string]bool),
+		writerCache: make(map[dex.FieldRef]map[ir.MethodID]bool),
 		bundle:      warm,
 		// Footprint recording (delta.go): every run records, per sink,
 		// the classes and search commands its analysis consulted, so it
 		// can later serve as a delta base.
 		rec:        &fpRecorder{},
-		callerFrag: make(map[string]*fpFrame),
-		writerFrag: make(map[string]*fpFrame),
+		callerFrag: make(map[ir.MethodID]*fpFrame),
+		writerFrag: make(map[dex.FieldRef]*fpFrame),
 	}
 	e.prog.SetObserver(func(ref dex.MethodRef) { e.rec.class(ref.Class) })
 	if d := opts.DeltaFrom; d != nil && opts.ChunkRange == nil && d.Report != nil && !d.Report.TimedOut {
@@ -731,9 +731,9 @@ func (e *Engine) prepareSinkCall(call SinkCall) (*SinkReport, error) {
 	e.sinkTotal++
 	sr := &SinkReport{Call: call}
 
-	sig := call.Caller.SootSignature()
+	caller := e.prog.ID(call.Caller)
 	if e.opts.EnableSinkCache {
-		if st, ok := e.reachCache[sig]; ok {
+		if st, ok := e.reachCache[caller]; ok {
 			e.sinkCached++
 			sr.Cached = true
 			// The cached computation's footprint fragment belongs to this
@@ -748,13 +748,13 @@ func (e *Engine) prepareSinkCall(call SinkCall) (*SinkReport, error) {
 	}
 
 	frame := e.rec.push()
-	reachable, entries, err := e.reachable(call.Caller, nil, 0)
+	reachable, entries, err := e.reachable(call.Caller)
 	e.rec.pop()
 	if err != nil {
 		return nil, err
 	}
 	if e.opts.EnableSinkCache {
-		e.reachCache[sig] = &reachState{reachable: reachable, entries: entries, frag: frame}
+		e.reachCache[caller] = &reachState{reachable: reachable, entries: entries, frag: frame}
 	}
 	sr.Reachable = reachable
 	sr.Entries = entries
@@ -768,7 +768,7 @@ func (e *Engine) prepareSinkCall(call SinkCall) (*SinkReport, error) {
 	}
 	sr.SSG = g
 	for _, en := range entries {
-		g.MarkEntry(en)
+		g.MarkEntry(e.prog.ID(en), en)
 	}
 	return sr, nil
 }

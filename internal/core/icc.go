@@ -49,14 +49,14 @@ func (e *Engine) iccSearch(component string, kind manifest.ComponentKind) ([]cal
 	}
 
 	// Second search: Intent parameters naming this component.
-	paramMethods := make(map[string]bool)
+	paramMethods := make(map[ir.MethodID]bool)
 	classHits, err := e.search.FindConstClass(component)
 	if err != nil {
 		return nil, err
 	}
 	for _, h := range classHits {
 		if h.Method.Name != "" {
-			paramMethods[h.Method.SootSignature()] = true
+			paramMethods[e.prog.ID(h.Method)] = true
 		}
 	}
 	if comp := e.app.Manifest.Component(component); comp != nil {
@@ -68,7 +68,7 @@ func (e *Engine) iccSearch(component string, kind manifest.ComponentKind) ([]cal
 				}
 				for _, h := range actionHits {
 					if h.Method.Name != "" {
-						paramMethods[h.Method.SootSignature()] = true
+						paramMethods[e.prog.ID(h.Method)] = true
 					}
 				}
 			}
@@ -78,14 +78,14 @@ func (e *Engine) iccSearch(component string, kind manifest.ComponentKind) ([]cal
 	// Merge: keep ICC calls whose containing method also sets a matching
 	// Intent parameter.
 	var sites []callerSite
-	seen := make(map[string]bool)
+	seen := make(map[ir.MethodID]bool)
 	for _, h := range callHits {
-		sig := h.Method.SootSignature()
-		if !paramMethods[sig] || seen[sig] {
+		id := e.prog.ID(h.Method)
+		if !paramMethods[id] || seen[id] {
 			continue
 		}
-		seen[sig] = true
-		body, err := e.prog.Body(h.Method)
+		seen[id] = true
+		body, err := e.prog.BodyOf(id)
 		if err != nil {
 			continue
 		}

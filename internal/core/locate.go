@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strconv"
 
 	"backdroid/internal/android"
 	"backdroid/internal/bcsearch"
@@ -15,21 +14,22 @@ import (
 // calls by performing a text search of bytecode plaintext").
 func (e *Engine) locateSinkCalls() ([]SinkCall, error) {
 	var calls []SinkCall
-	seen := make(map[string]bool)
+	seen := make(map[siteKey]bool)
 
 	record := func(sink android.Sink, hits []bcsearch.Hit, calleeClass string) error {
 		for _, hit := range hits {
 			if hit.Method.Name == "" {
 				continue
 			}
-			body, err := e.prog.Body(hit.Method)
+			caller := e.prog.ID(hit.Method)
+			body, err := e.prog.BodyOf(caller)
 			if err != nil {
 				// Bytecode-to-IR transformation failure for this method:
 				// skip the site, as the prototype does.
 				continue
 			}
 			for _, idx := range e.findCallSites(body, sink.Method.WithClass(calleeClass)) {
-				key := hit.Method.SootSignature() + "#" + strconv.Itoa(idx)
+				key := siteKey{caller, idx}
 				if seen[key] {
 					continue
 				}

@@ -11,7 +11,7 @@ import (
 // tracked sink parameter; the caller renders them and judges the
 // vulnerability rule on them.
 func (e *Engine) propagate(g *ssg.Graph, call SinkCall) ([]constprop.Value, error) {
-	res, err := constprop.Run(g, e.prog, e.meter, constprop.Options{
+	res, err := constprop.Run(g, e.meter, constprop.Options{
 		SinkParamIndex: call.Sink.ParamIndex,
 		MaxDepth:       e.opts.MaxDepth,
 		// Belt and braces for the delta footprint: the forward pass only

@@ -94,33 +94,55 @@ func (t TypeDesc) ClassName() string {
 // signatures: "V" -> "void", "Ljava/lang/String;" -> "java.lang.String",
 // "[I" -> "int[]".
 func (t TypeDesc) Human() string {
-	switch {
-	case t.IsArray():
-		return t.Elem().Human() + "[]"
-	case t.IsObject():
-		return t.ClassName()
+	var buf [64]byte
+	return string(t.AppendHuman(buf[:0]))
+}
+
+// AppendHuman appends the Human rendering to dst.
+func (t TypeDesc) AppendHuman(dst []byte) []byte {
+	dims := 0
+	for dims < len(t) && t[dims] == '[' {
+		dims++
 	}
-	switch t {
+	elem := t[dims:]
+	switch elem {
 	case Void:
-		return "void"
+		dst = append(dst, "void"...)
 	case Int:
-		return "int"
+		dst = append(dst, "int"...)
 	case Bool:
-		return "boolean"
+		dst = append(dst, "boolean"...)
 	case Long:
-		return "long"
+		dst = append(dst, "long"...)
 	case Float:
-		return "float"
+		dst = append(dst, "float"...)
 	case Double:
-		return "double"
+		dst = append(dst, "double"...)
 	case Byte:
-		return "byte"
+		dst = append(dst, "byte"...)
 	case Short:
-		return "short"
+		dst = append(dst, "short"...)
 	case Char:
-		return "char"
+		dst = append(dst, "char"...)
+	default:
+		if !elem.IsObject() {
+			dst = append(dst, elem...)
+			break
+		}
+		// The dotted class name.
+		inner := strings.TrimSuffix(string(elem[1:]), ";")
+		for i := 0; i < len(inner); i++ {
+			c := inner[i]
+			if c == '/' {
+				c = '.'
+			}
+			dst = append(dst, c)
+		}
 	}
-	return string(t)
+	for ; dims > 0; dims-- {
+		dst = append(dst, "[]"...)
+	}
+	return dst
 }
 
 // ParseHumanType parses a Java source form type name ("void", "int[]",
@@ -206,18 +228,34 @@ func (m *MethodRef) AppendDexSignature(dst []byte) []byte {
 // SootSignature renders the Soot-format full signature used in the program
 // analysis space: "<com.foo.Bar: void start(java.lang.String)>".
 func (m MethodRef) SootSignature() string {
-	return "<" + m.Class + ": " + m.SubSignature() + ">"
+	var buf [128]byte
+	return string(m.AppendSootSignature(buf[:0]))
+}
+
+// AppendSootSignature appends the SootSignature rendering to dst.
+func (m *MethodRef) AppendSootSignature(dst []byte) []byte {
+	dst = append(append(append(dst, '<'), m.Class...), ": "...)
+	return append(m.appendSubSignature(dst), '>')
 }
 
 // SubSignature renders the Soot sub-signature (no declaring class):
 // "void start(java.lang.String)". Methods with equal sub-signatures in
 // related classes override one another.
 func (m MethodRef) SubSignature() string {
-	parts := make([]string, len(m.Params))
+	var buf [96]byte
+	return string(m.appendSubSignature(buf[:0]))
+}
+
+func (m *MethodRef) appendSubSignature(dst []byte) []byte {
+	dst = append(m.Ret.AppendHuman(dst), ' ')
+	dst = append(append(dst, m.Name...), '(')
 	for i, p := range m.Params {
-		parts[i] = p.Human()
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = p.AppendHuman(dst)
 	}
-	return m.Ret.Human() + " " + m.Name + "(" + strings.Join(parts, ",") + ")"
+	return append(dst, ')')
 }
 
 // String returns the Soot signature.

@@ -1,6 +1,7 @@
 package dex
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -208,5 +209,66 @@ func TestMethodRefWithClass(t *testing.T) {
 	}
 	if m.Class != "com.a.Parent" {
 		t.Error("WithClass must not mutate the receiver")
+	}
+}
+
+// humanOracle spells a descriptor's Java form the plain, recursive way.
+func humanOracle(t TypeDesc) string {
+	switch {
+	case t.IsArray():
+		return humanOracle(t.Elem()) + "[]"
+	case t.IsObject():
+		return t.ClassName()
+	}
+	for _, p := range []struct {
+		t    TypeDesc
+		name string
+	}{{Void, "void"}, {Int, "int"}, {Bool, "boolean"}, {Long, "long"}, {Float, "float"},
+		{Double, "double"}, {Byte, "byte"}, {Short, "short"}, {Char, "char"}} {
+		if t == p.t {
+			return p.name
+		}
+	}
+	return string(t)
+}
+
+// sootOracle spells a Soot signature the plain way, part by part; the
+// appenders behind SootSignature must render exactly the same text.
+func sootOracle(m MethodRef) string {
+	parts := make([]string, len(m.Params))
+	for i, p := range m.Params {
+		parts[i] = humanOracle(p)
+	}
+	return "<" + m.Class + ": " + humanOracle(m.Ret) + " " + m.Name + "(" + strings.Join(parts, ",") + ")>"
+}
+
+func TestSootSignatureMatchesOracle(t *testing.T) {
+	types := []TypeDesc{"", "[", "[[", "L;", "Lx", "L/a/b;", "Q", "V", "I", "[I", "[[Ljava/lang/String;", StringT, "Lb(;"}
+	for _, ret := range types {
+		for _, p := range types {
+			m := NewMethodRef("com.ex.A", "a(b", ret, p, Int)
+			if got, want := m.SootSignature(), sootOracle(m); got != want {
+				t.Errorf("SootSignature(%#v) = %q, want %q", m, got, want)
+			}
+			if got, want := string(p.AppendHuman([]byte("x"))), "x"+humanOracle(p); got != want {
+				t.Errorf("AppendHuman(%q) = %q, want %q", p, got, want)
+			}
+		}
+	}
+	f := func(class, name string, ret string, params []string) bool {
+		m := MethodRef{Class: class, Name: name, Ret: TypeDesc(ret)}
+		for _, p := range params {
+			m.Params = append(m.Params, TypeDesc(p), TypeDesc("L"+p+";"), TypeDesc("["+p))
+		}
+		for _, p := range m.Params {
+			if p.Human() != humanOracle(p) {
+				return false
+			}
+		}
+		want := sootOracle(m)
+		return m.SootSignature() == want && "<"+m.Class+": "+m.SubSignature()+">" == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

@@ -493,8 +493,16 @@ func decodeDump(buf []byte) (*Text, error) {
 	for i := range t.methods {
 		var m dex.MethodRef
 		var ret string
-		if m.Class, buf, err = readString(buf); err != nil {
+		var class []byte
+		if class, buf, err = readBytes(buf); err != nil {
 			return nil, err
+		}
+		// A class's methods are consecutive: they share one copy of its
+		// name.
+		if i > 0 && t.methods[i-1].Class == string(class) {
+			m.Class = t.methods[i-1].Class
+		} else {
+			m.Class = string(class)
 		}
 		if m.Name, buf, err = readString(buf); err != nil {
 			return nil, err
@@ -596,14 +604,20 @@ func appendString(buf []byte, s string) []byte {
 // strings outlive the bundle in reports (method refs, class names), so
 // they must not pin its bytes.
 func readString(buf []byte) (string, []byte, error) {
+	b, buf, err := readBytes(buf)
+	return string(b), buf, err
+}
+
+// readBytes is readString without the copy: the bytes alias buf.
+func readBytes(buf []byte) ([]byte, []byte, error) {
 	n, buf, err := readUvarint(buf)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if n > uint64(len(buf)) {
-		return "", nil, fmt.Errorf("truncated string")
+		return nil, nil, fmt.Errorf("truncated string")
 	}
-	return string(buf[:n]), buf[n:], nil
+	return buf[:n], buf[n:], nil
 }
 
 // appendIndex encodes an index: the lines/postings counters, all nine

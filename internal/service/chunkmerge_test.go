@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"backdroid/internal/android"
+	"backdroid/internal/apk"
 	"backdroid/internal/appgen"
 	"backdroid/internal/core"
+	"backdroid/internal/dex"
+	"backdroid/internal/manifest"
 )
 
 // chunkParitySpec is a scaled-down many-sink outlier: enough sinks that
@@ -162,5 +165,86 @@ func TestMergeReportsSumsWork(t *testing.T) {
 	}
 	if got := core.MergeReports(nil, a, nil); len(got.Sinks) != half {
 		t.Fatalf("nil-tolerant merge kept %d sinks, want %d", len(got.Sinks), half)
+	}
+}
+
+// collidingCallersApp builds an app whose two sink callers share a Soot
+// signature: com.ex.A's "a(b" with no parameters and its "a" taking the
+// class "b(" both print as <com.ex.A: void a(b()>. Each calls the cipher
+// sink at unit 2 with its own transformation, and the registered
+// activity calls both.
+func collidingCallersApp(t *testing.T) *apk.App {
+	t.Helper()
+	a := dex.NewClass("com.ex.A")
+	m1 := a.StaticMethod("a(b", dex.Void)
+	pad, s1, c1 := m1.Reg(), m1.Reg(), m1.Reg()
+	first := m1.Const(pad, 0).ConstString(s1, "AES/ECB/PKCS5Padding").
+		InvokeStatic(android.CipherGetInstance, s1).MoveResult(c1).ReturnVoid().Ref()
+	m2 := a.StaticMethod("a", dex.Void, dex.TypeDesc("Lb(;"))
+	s2, c2 := m2.Reg(), m2.Reg()
+	second := m2.ConstString(s2, "AES/CBC/PKCS5Padding").
+		InvokeStatic(android.CipherGetInstance, s2).MoveResult(c2).ReturnVoid().Ref()
+
+	main := dex.NewClass("com.ex.MainActivity").Extends(android.ActivityClass)
+	oc := main.Method("onCreate", dex.Void, dex.T(android.BundleClass))
+	arg := oc.Reg()
+	oc.InvokeStatic(first).ConstNull(arg).InvokeStatic(second, arg).ReturnVoid()
+
+	f := dex.NewFile()
+	for _, cb := range []*dex.ClassBuilder{m2.Done(), oc.Done()} {
+		if err := f.AddClass(cb.Build()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := manifest.New("com.ex")
+	m.Add(manifest.Activity, "com.ex.MainActivity")
+	return apk.New("com.ex", m, f)
+}
+
+// TestMergeReportsKeepsCollidingCallers: two sinks whose callers print
+// the same signature, at the same unit index, are two sinks. The single
+// pass reports both with their own verdicts, and a chunk-split merge
+// keeps both and equals the single pass.
+func TestMergeReportsKeepsCollidingCallers(t *testing.T) {
+	app := collidingCallersApp(t)
+	run := func(cr *core.ChunkRange) *core.Report {
+		t.Helper()
+		o := core.DefaultOptions()
+		o.ChunkRange = cr
+		e, err := core.New(app, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	ref := run(nil)
+	if len(ref.Sinks) != 2 {
+		t.Fatalf("single pass found %d sinks, want 2:\n%s", len(ref.Sinks), detectionKey(ref))
+	}
+	x, y := ref.Sinks[0].Call, ref.Sinks[1].Call
+	if x.Caller.SootSignature() != y.Caller.SootSignature() || x.UnitIndex != y.UnitIndex || x.Caller.Equal(y.Caller) {
+		t.Fatalf("callers %#v#%d and %#v#%d do not collide", x.Caller, x.UnitIndex, y.Caller, y.UnitIndex)
+	}
+	insecure := 0
+	for _, s := range ref.Sinks {
+		if !s.Reachable {
+			t.Errorf("sink in %#v unreachable", s.Call.Caller)
+		}
+		if s.Insecure {
+			insecure++
+		}
+	}
+	if insecure != 1 {
+		t.Errorf("%d insecure sinks, want the ECB one only:\n%s", insecure, detectionKey(ref))
+	}
+
+	merged := core.MergeReports(run(&core.ChunkRange{From: 1, To: 2}), run(&core.ChunkRange{From: 0, To: 1}))
+	if !bytes.Equal(EncodeReport(merged), EncodeReport(ref)) {
+		t.Fatalf("chunk merge diverged from the single pass:\n%s\nvs\n%s", detectionKey(merged), detectionKey(ref))
 	}
 }

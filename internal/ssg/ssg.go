@@ -14,6 +14,7 @@
 package ssg
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -25,12 +26,14 @@ import (
 // Unit is an SSGUnit: one recorded statement with its node ID, containing
 // method and the raw typed statement (paper: "we record the node ID, the
 // signature of corresponding method, and most importantly, the typed
-// bytecode Unit statement").
+// bytecode Unit statement"). MethodID is the method's number in the
+// program the graph was built from, the key every lookup uses.
 type Unit struct {
-	ID     int
-	Method dex.MethodRef
-	Index  int // statement index within the method body
-	Stmt   ir.Unit
+	ID       int
+	Method   dex.MethodRef
+	MethodID ir.MethodID
+	Index    int // statement index within the method body
+	Stmt     ir.Unit
 }
 
 // String renders the node for SSG dumps.
@@ -54,23 +57,23 @@ const (
 type Edge struct {
 	Kind   EdgeKind
 	From   *Unit
-	Callee dex.MethodRef
+	Callee ir.MethodID
 }
 
 // TaintSet tracks tainted locals, object fields and static fields for one
 // scope.
 type TaintSet struct {
-	locals map[string]bool // local name
-	fields map[string]bool // "<localName>.<field soot sig>"
-	static map[string]bool // field soot sig
+	locals map[string]bool
+	fields map[string]map[dex.FieldRef]bool // object local -> its tainted fields, never empty
+	static map[dex.FieldRef]bool
 }
 
 // NewTaintSet returns an empty taint set.
 func NewTaintSet() *TaintSet {
 	return &TaintSet{
 		locals: make(map[string]bool),
-		fields: make(map[string]bool),
-		static: make(map[string]bool),
+		fields: make(map[string]map[dex.FieldRef]bool),
+		static: make(map[dex.FieldRef]bool),
 	}
 }
 
@@ -87,69 +90,81 @@ func (t *TaintSet) HasLocal(name string) bool { return t.locals[name] }
 // tainted so the field survives aliasing and method boundaries, so the
 // caller should usually AddLocal(obj) too.
 func (t *TaintSet) AddField(obj string, field dex.FieldRef) {
-	t.fields[obj+"."+field.SootSignature()] = true
+	set := t.fields[obj]
+	if set == nil {
+		set = make(map[dex.FieldRef]bool)
+		t.fields[obj] = set
+	}
+	set[field] = true
 }
 
 // RemoveField untaints obj.field. Following the paper, when no other
 // tainted fields remain on the same object the object local is untainted
 // as well.
 func (t *TaintSet) RemoveField(obj string, field dex.FieldRef) {
-	delete(t.fields, obj+"."+field.SootSignature())
-	prefix := obj + ".<"
-	for k := range t.fields {
-		if strings.HasPrefix(k, prefix) {
-			return // other fields of obj still tainted
-		}
+	set := t.fields[obj]
+	delete(set, field)
+	if len(set) > 0 {
+		return // other fields of obj still tainted
 	}
+	delete(t.fields, obj)
 	t.RemoveLocal(obj)
 }
 
 // HasField reports whether obj.field is tainted.
 func (t *TaintSet) HasField(obj string, field dex.FieldRef) bool {
-	return t.fields[obj+"."+field.SootSignature()]
+	return t.fields[obj][field]
 }
 
 // HasAnyFieldOf reports whether any field of the object is tainted.
-func (t *TaintSet) HasAnyFieldOf(obj string) bool {
-	prefix := obj + ".<"
-	for k := range t.fields {
-		if strings.HasPrefix(k, prefix) {
+func (t *TaintSet) HasAnyFieldOf(obj string) bool { return len(t.fields[obj]) > 0 }
+
+// FieldsOf returns the tainted fields of the object, in no particular
+// order.
+func (t *TaintSet) FieldsOf(obj string) []dex.FieldRef {
+	set := t.fields[obj]
+	out := make([]dex.FieldRef, 0, len(set))
+	for f := range set {
+		out = append(out, f)
+	}
+	return out
+}
+
+// AddStatic taints a static field (global scope).
+func (t *TaintSet) AddStatic(field dex.FieldRef) { t.static[field] = true }
+
+// RemoveStatic untaints a static field.
+func (t *TaintSet) RemoveStatic(field dex.FieldRef) { delete(t.static, field) }
+
+// HasStatic reports whether the static field is tainted.
+func (t *TaintSet) HasStatic(field dex.FieldRef) bool { return t.static[field] }
+
+// AnyStatic reports whether pred holds for some tainted static field.
+func (t *TaintSet) AnyStatic(pred func(dex.FieldRef) bool) bool {
+	for f := range t.static {
+		if pred(f) {
 			return true
 		}
 	}
 	return false
 }
 
-// FieldSigsOf returns the Soot signatures of the tainted fields of the
-// object, sorted.
-func (t *TaintSet) FieldSigsOf(obj string) []string {
-	prefix := obj + ".<"
-	var out []string
-	for k := range t.fields {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k[len(obj)+1:])
-		}
+// StaticFields returns the tainted static fields, sorted by Soot
+// signature.
+func (t *TaintSet) StaticFields() []dex.FieldRef {
+	type keyed struct {
+		sig string
+		f   dex.FieldRef
 	}
-	sort.Strings(out)
-	return out
-}
-
-// AddStatic taints a static field (global scope).
-func (t *TaintSet) AddStatic(field dex.FieldRef) { t.static[field.SootSignature()] = true }
-
-// RemoveStatic untaints a static field.
-func (t *TaintSet) RemoveStatic(field dex.FieldRef) { delete(t.static, field.SootSignature()) }
-
-// HasStatic reports whether the static field is tainted.
-func (t *TaintSet) HasStatic(field dex.FieldRef) bool { return t.static[field.SootSignature()] }
-
-// StaticFields returns the tainted static field signatures, sorted.
-func (t *TaintSet) StaticFields() []string {
-	out := make([]string, 0, len(t.static))
-	for k := range t.static {
-		out = append(out, k)
+	ks := make([]keyed, 0, len(t.static))
+	for f := range t.static {
+		ks = append(ks, keyed{f.SootSignature(), f})
 	}
-	sort.Strings(out)
+	sort.Slice(ks, func(i, j int) bool { return ks[i].sig < ks[j].sig })
+	out := make([]dex.FieldRef, len(ks))
+	for i, k := range ks {
+		out[i] = k.f
+	}
 	return out
 }
 
@@ -159,21 +174,37 @@ func (t *TaintSet) Empty() bool {
 }
 
 // Size returns the number of taint entries.
-func (t *TaintSet) Size() int { return len(t.locals) + len(t.fields) + len(t.static) }
+func (t *TaintSet) Size() int {
+	n := len(t.locals) + len(t.static)
+	for _, set := range t.fields {
+		n += len(set)
+	}
+	return n
+}
 
-// Graph is one sink API call's self-contained slicing graph.
+// unitKey identifies a statement: its method and its index in the body.
+type unitKey struct {
+	method ir.MethodID
+	index  int
+}
+
+// Graph is one sink API call's self-contained slicing graph. Its methods
+// are keyed by their IDs in the program it is built from; the graph keeps
+// the ref of each method it records, so it needs the program neither to
+// render itself nor to be traversed, and does not keep the program alive.
 type Graph struct {
 	SinkMethod dex.MethodRef // the sink API itself
 	SinkSite   *Unit         // the initial node holding the sink call
 
+	refs        map[ir.MethodID]dex.MethodRef // every method with units or an incoming edge
 	nextID      int
-	units       map[string]*Unit // keyed by method sig + "#" + index
-	methodUnits map[string][]*Unit
+	units       map[unitKey]*Unit
+	methodUnits map[ir.MethodID][]*Unit
 	edges       []Edge
 
 	// Hierarchical taint map: per tracked method, plus one global set for
 	// static fields.
-	taints      map[string]*TaintSet
+	taints      map[ir.MethodID]*TaintSet
 	GlobalTaint *TaintSet
 
 	// StaticTrack holds off-path <clinit> units, analyzed first by the
@@ -181,7 +212,7 @@ type Graph struct {
 	StaticTrack []*Unit
 
 	entries   []dex.MethodRef
-	entrySeen map[string]bool
+	entrySeen map[ir.MethodID]bool
 	chains    [][]dex.MethodRef // recorded entry call chains (entry ... sink)
 }
 
@@ -189,37 +220,38 @@ type Graph struct {
 func New(sink dex.MethodRef) *Graph {
 	return &Graph{
 		SinkMethod:  sink,
-		units:       make(map[string]*Unit),
-		methodUnits: make(map[string][]*Unit),
-		taints:      make(map[string]*TaintSet),
+		refs:        make(map[ir.MethodID]dex.MethodRef),
+		units:       make(map[unitKey]*Unit),
+		methodUnits: make(map[ir.MethodID][]*Unit),
+		taints:      make(map[ir.MethodID]*TaintSet),
 		GlobalTaint: NewTaintSet(),
-		entrySeen:   make(map[string]bool),
+		entrySeen:   make(map[ir.MethodID]bool),
 	}
 }
 
-func unitKey(m dex.MethodRef, idx int) string {
-	return m.SootSignature() + "#" + fmt.Sprint(idx)
-}
+// Ref returns the method an ID names, for any method with recorded units
+// or an incoming edge.
+func (g *Graph) Ref(m ir.MethodID) dex.MethodRef { return g.refs[m] }
 
-// AddUnit records a statement node, returning the existing node when the
-// same statement was already recorded (slices across sinks or branches may
-// revisit statements).
-func (g *Graph) AddUnit(m dex.MethodRef, idx int, stmt ir.Unit) *Unit {
-	key := unitKey(m, idx)
+// AddUnit records statement idx of method m (whose ref is ref), returning
+// the existing node when the same statement was already recorded (slices
+// across sinks or branches may revisit statements).
+func (g *Graph) AddUnit(m ir.MethodID, ref dex.MethodRef, idx int, stmt ir.Unit) *Unit {
+	key := unitKey{m, idx}
 	if u, ok := g.units[key]; ok {
 		return u
 	}
-	u := &Unit{ID: g.nextID, Method: m, Index: idx, Stmt: stmt}
+	g.refs[m] = ref
+	u := &Unit{ID: g.nextID, Method: ref, MethodID: m, Index: idx, Stmt: stmt}
 	g.nextID++
 	g.units[key] = u
-	sig := m.SootSignature()
-	g.methodUnits[sig] = append(g.methodUnits[sig], u)
+	g.methodUnits[m] = append(g.methodUnits[m], u)
 	return u
 }
 
 // Unit returns the recorded node for a statement, if present.
-func (g *Graph) Unit(m dex.MethodRef, idx int) (*Unit, bool) {
-	u, ok := g.units[unitKey(m, idx)]
+func (g *Graph) Unit(m ir.MethodID, idx int) (*Unit, bool) {
+	u, ok := g.units[unitKey{m, idx}]
 	return u, ok
 }
 
@@ -228,8 +260,8 @@ func (g *Graph) MarkSink(u *Unit) { g.SinkSite = u }
 
 // AddStaticUnit records an off-path <clinit> statement into the static
 // track.
-func (g *Graph) AddStaticUnit(m dex.MethodRef, idx int, stmt ir.Unit) *Unit {
-	u := g.AddUnit(m, idx, stmt)
+func (g *Graph) AddStaticUnit(m ir.MethodID, ref dex.MethodRef, idx int, stmt ir.Unit) *Unit {
+	u := g.AddUnit(m, ref, idx, stmt)
 	for _, existing := range g.StaticTrack {
 		if existing == u {
 			return u
@@ -239,13 +271,14 @@ func (g *Graph) AddStaticUnit(m dex.MethodRef, idx int, stmt ir.Unit) *Unit {
 	return u
 }
 
-// AddEdge records an inter-procedural edge.
-func (g *Graph) AddEdge(kind EdgeKind, from *Unit, callee dex.MethodRef) {
+// AddEdge records an inter-procedural edge to callee, whose ref is ref.
+func (g *Graph) AddEdge(kind EdgeKind, from *Unit, callee ir.MethodID, ref dex.MethodRef) {
 	for _, e := range g.edges {
-		if e.Kind == kind && e.From == from && e.Callee.SootSignature() == callee.SootSignature() {
+		if e.Kind == kind && e.From == from && e.Callee == callee {
 			return
 		}
 	}
+	g.refs[callee] = ref
 	g.edges = append(g.edges, Edge{Kind: kind, From: from, Callee: callee})
 }
 
@@ -254,8 +287,8 @@ func (g *Graph) Edges() []Edge { return g.edges }
 
 // CallEdgesFrom returns the callee methods reachable from the given node
 // through call edges.
-func (g *Graph) CallEdgesFrom(u *Unit) []dex.MethodRef {
-	var out []dex.MethodRef
+func (g *Graph) CallEdgesFrom(u *Unit) []ir.MethodID {
+	var out []ir.MethodID
 	for _, e := range g.edges {
 		if e.Kind == CallEdge && e.From == u {
 			out = append(out, e.Callee)
@@ -265,21 +298,34 @@ func (g *Graph) CallEdgesFrom(u *Unit) []dex.MethodRef {
 }
 
 // UnitsOf returns the recorded nodes of the method in statement order.
-func (g *Graph) UnitsOf(m dex.MethodRef) []*Unit {
-	us := g.methodUnits[m.SootSignature()]
+func (g *Graph) UnitsOf(m ir.MethodID) []*Unit {
+	us := g.methodUnits[m]
 	sorted := make([]*Unit, len(us))
 	copy(sorted, us)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
 	return sorted
 }
 
-// Methods returns the signatures of all tracked methods, sorted.
-func (g *Graph) Methods() []string {
-	out := make([]string, 0, len(g.methodUnits))
-	for sig := range g.methodUnits {
-		out = append(out, sig)
+// Methods returns all tracked methods, sorted by Soot signature.
+func (g *Graph) Methods() []ir.MethodID {
+	type keyed struct {
+		start, end int // the signature's span in sigs
+		id         ir.MethodID
 	}
-	sort.Strings(out)
+	var sigs []byte
+	ks := make([]keyed, 0, len(g.methodUnits))
+	for id, us := range g.methodUnits {
+		start := len(sigs)
+		sigs = us[0].Method.AppendSootSignature(sigs)
+		ks = append(ks, keyed{start, len(sigs), id})
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		return bytes.Compare(sigs[ks[i].start:ks[i].end], sigs[ks[j].start:ks[j].end]) < 0
+	})
+	out := make([]ir.MethodID, len(ks))
+	for i, k := range ks {
+		out[i] = k.id
+	}
 	return out
 }
 
@@ -288,23 +334,22 @@ func (g *Graph) NodeCount() int { return len(g.units) }
 
 // Taints returns (allocating on first use) the taint set of the method —
 // the hierarchical taint map of the paper.
-func (g *Graph) Taints(m dex.MethodRef) *TaintSet {
-	sig := m.SootSignature()
-	ts, ok := g.taints[sig]
+func (g *Graph) Taints(m ir.MethodID) *TaintSet {
+	ts, ok := g.taints[m]
 	if !ok {
 		ts = NewTaintSet()
-		g.taints[sig] = ts
+		g.taints[m] = ts
 	}
 	return ts
 }
 
-// MarkEntry records that backtracking reached a valid entry point.
-func (g *Graph) MarkEntry(m dex.MethodRef) {
-	sig := m.SootSignature()
-	if g.entrySeen[sig] {
+// MarkEntry records that backtracking reached a valid entry point: method
+// id, whose ref is m.
+func (g *Graph) MarkEntry(id ir.MethodID, m dex.MethodRef) {
+	if g.entrySeen[id] {
 		return
 	}
-	g.entrySeen[sig] = true
+	g.entrySeen[id] = true
 	g.entries = append(g.entries, m)
 }
 
@@ -335,13 +380,9 @@ func (g *Graph) String() string {
 			fmt.Fprintf(&b, "    %s\n", u)
 		}
 	}
-	for _, sig := range g.Methods() {
-		fmt.Fprintf(&b, "  [%s]\n", sig)
-		ref, err := dex.ParseSootMethodSignature(sig)
-		if err != nil {
-			continue
-		}
-		for _, u := range g.UnitsOf(ref) {
+	for _, id := range g.Methods() {
+		fmt.Fprintf(&b, "  [%s]\n", g.refs[id].SootSignature())
+		for _, u := range g.UnitsOf(id) {
 			marker := ""
 			if u == g.SinkSite {
 				marker = "  // sink"
@@ -354,7 +395,7 @@ func (g *Graph) String() string {
 		if e.Kind == ReturnEdge {
 			kind = "return"
 		}
-		fmt.Fprintf(&b, "  edge(%s): #%d -> %s\n", kind, e.From.ID, e.Callee.SootSignature())
+		fmt.Fprintf(&b, "  edge(%s): #%d -> %s\n", kind, e.From.ID, g.refs[e.Callee].SootSignature())
 	}
 	for _, m := range g.entries {
 		fmt.Fprintf(&b, "  entry: %s\n", m.SootSignature())

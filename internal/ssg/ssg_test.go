@@ -17,18 +17,24 @@ var (
 	fieldRef = dex.NewFieldRef("com.a.C", "PORT", dex.Int)
 )
 
+// newGraph returns an empty SSG for sinkRef and a function numbering
+// methods for it.
+func newGraph() (*Graph, func(dex.MethodRef) ir.MethodID) {
+	return New(sinkRef), ir.NewProgram(dex.NewFile()).ID
+}
+
 func stmt(s string) ir.Unit {
 	return &ir.AssignStmt{LHS: &ir.Local{Name: "r0"}, RHS: ir.StringConst{V: s}}
 }
 
 func TestAddUnitDedup(t *testing.T) {
-	g := New(sinkRef)
-	u1 := g.AddUnit(methodA, 3, stmt("x"))
-	u2 := g.AddUnit(methodA, 3, stmt("y"))
+	g, id := newGraph()
+	u1 := g.AddUnit(id(methodA), methodA, 3, stmt("x"))
+	u2 := g.AddUnit(id(methodA), methodA, 3, stmt("y"))
 	if u1 != u2 {
 		t.Error("same (method, index) must return the same node")
 	}
-	u3 := g.AddUnit(methodA, 4, stmt("z"))
+	u3 := g.AddUnit(id(methodA), methodA, 4, stmt("z"))
 	if u3 == u1 || u3.ID == u1.ID {
 		t.Error("different index must make a new node with a new ID")
 	}
@@ -38,35 +44,35 @@ func TestAddUnitDedup(t *testing.T) {
 }
 
 func TestUnitsOfSorted(t *testing.T) {
-	g := New(sinkRef)
-	g.AddUnit(methodA, 9, stmt("c"))
-	g.AddUnit(methodA, 1, stmt("a"))
-	g.AddUnit(methodA, 5, stmt("b"))
-	us := g.UnitsOf(methodA)
+	g, id := newGraph()
+	g.AddUnit(id(methodA), methodA, 9, stmt("c"))
+	g.AddUnit(id(methodA), methodA, 1, stmt("a"))
+	g.AddUnit(id(methodA), methodA, 5, stmt("b"))
+	us := g.UnitsOf(id(methodA))
 	if len(us) != 3 || us[0].Index != 1 || us[1].Index != 5 || us[2].Index != 9 {
 		t.Errorf("UnitsOf order = %v", us)
 	}
 }
 
 func TestEdgesAndDedup(t *testing.T) {
-	g := New(sinkRef)
-	u := g.AddUnit(methodA, 0, stmt("site"))
-	g.AddEdge(CallEdge, u, methodB)
-	g.AddEdge(CallEdge, u, methodB) // duplicate
-	g.AddEdge(ReturnEdge, u, methodB)
+	g, id := newGraph()
+	u := g.AddUnit(id(methodA), methodA, 0, stmt("site"))
+	g.AddEdge(CallEdge, u, id(methodB), methodB)
+	g.AddEdge(CallEdge, u, id(methodB), methodB) // duplicate
+	g.AddEdge(ReturnEdge, u, id(methodB), methodB)
 	if len(g.Edges()) != 2 {
 		t.Errorf("edges = %d, want 2 (call+return)", len(g.Edges()))
 	}
 	callees := g.CallEdgesFrom(u)
-	if len(callees) != 1 || callees[0].SootSignature() != methodB.SootSignature() {
+	if len(callees) != 1 || callees[0] != id(methodB) {
 		t.Errorf("CallEdgesFrom = %v", callees)
 	}
 }
 
 func TestStaticTrack(t *testing.T) {
-	g := New(sinkRef)
-	u := g.AddStaticUnit(clinitM, 0, stmt("static"))
-	g.AddStaticUnit(clinitM, 0, stmt("static")) // dedup
+	g, id := newGraph()
+	u := g.AddStaticUnit(id(clinitM), clinitM, 0, stmt("static"))
+	g.AddStaticUnit(id(clinitM), clinitM, 0, stmt("static")) // dedup
 	if len(g.StaticTrack) != 1 || g.StaticTrack[0] != u {
 		t.Errorf("StaticTrack = %v", g.StaticTrack)
 	}
@@ -76,13 +82,13 @@ func TestStaticTrack(t *testing.T) {
 }
 
 func TestEntriesAndChains(t *testing.T) {
-	g := New(sinkRef)
+	g, id := newGraph()
 	if g.Reachable() {
 		t.Error("empty SSG must be unreachable")
 	}
 	entry := dex.NewMethodRef("com.a.Main", "onCreate", dex.Void, dex.T("android.os.Bundle"))
-	g.MarkEntry(entry)
-	g.MarkEntry(entry) // dedup
+	g.MarkEntry(id(entry), entry)
+	g.MarkEntry(id(entry), entry) // dedup
 	if !g.Reachable() || len(g.Entries()) != 1 {
 		t.Errorf("entries = %v", g.Entries())
 	}
@@ -93,17 +99,17 @@ func TestEntriesAndChains(t *testing.T) {
 }
 
 func TestHierarchicalTaintMap(t *testing.T) {
-	g := New(sinkRef)
-	ta := g.Taints(methodA)
-	tb := g.Taints(methodB)
+	g, id := newGraph()
+	ta := g.Taints(id(methodA))
+	tb := g.Taints(id(methodB))
 	if ta == tb {
 		t.Fatal("taint sets must be per-method")
 	}
 	ta.AddLocal("r1")
-	if !g.Taints(methodA).HasLocal("r1") {
+	if !g.Taints(id(methodA)).HasLocal("r1") {
 		t.Error("taint set must persist per method")
 	}
-	if g.Taints(methodB).HasLocal("r1") {
+	if g.Taints(id(methodB)).HasLocal("r1") {
 		t.Error("taints must not leak across methods")
 	}
 	g.GlobalTaint.AddStatic(fieldRef)
@@ -143,7 +149,7 @@ func TestTaintSetFieldSemantics(t *testing.T) {
 func TestTaintSetStaticFields(t *testing.T) {
 	ts := NewTaintSet()
 	ts.AddStatic(fieldRef)
-	if got := ts.StaticFields(); len(got) != 1 || got[0] != fieldRef.SootSignature() {
+	if got := ts.StaticFields(); len(got) != 1 || got[0] != fieldRef {
 		t.Errorf("StaticFields = %v", got)
 	}
 	ts.RemoveStatic(fieldRef)
@@ -175,12 +181,12 @@ func TestTaintSetSizeProperty(t *testing.T) {
 }
 
 func TestGraphStringRendersFig6Shape(t *testing.T) {
-	g := New(sinkRef)
-	u := g.AddUnit(methodA, 2, stmt("block"))
+	g, id := newGraph()
+	u := g.AddUnit(id(methodA), methodA, 2, stmt("block"))
 	g.MarkSink(u)
-	g.AddEdge(CallEdge, u, methodB)
+	g.AddEdge(CallEdge, u, id(methodB), methodB)
 	entry := dex.NewMethodRef("com.a.Main", "onCreate", dex.Void)
-	g.MarkEntry(entry)
+	g.MarkEntry(id(entry), entry)
 	s := g.String()
 	for _, frag := range []string{
 		"SSG for sink <javax.crypto.Cipher:",
