@@ -322,8 +322,8 @@ func printReport(r *core.Report, cfg config) {
 	fmt.Printf("  search: %d commands, %.1f%% cache rate; sink cache %.1f%%; loops: %v\n",
 		st.Search.Commands, st.Search.Rate()*100, st.SinkCacheRate()*100, st.Loops)
 	if st.Search.IndexBuilds > 0 {
-		fmt.Printf("  index: built over %d lines; %d postings visited, %d lines scanned (raw fallbacks)\n",
-			st.Search.IndexLines, st.Search.PostingsScanned, st.Search.LinesScanned)
+		fmt.Printf("  index: built over %d lines; %d postings visited\n",
+			st.Search.IndexLines, st.Search.PostingsScanned)
 	}
 	if st.Search.IndexCacheHits > 0 || st.Search.IndexCacheMisses > 0 {
 		fmt.Printf("  index cache: %d hits, %d misses; %d postings visited\n",

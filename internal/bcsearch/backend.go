@@ -102,17 +102,13 @@ func NewLinearScanner(text *dexdump.Text, meter *simtime.Meter) *LinearScanner {
 // Kind identifies the backend.
 func (s *LinearScanner) Kind() BackendKind { return BackendLinear }
 
-// Run scans every dump line, charging the meter for the full pass.
+// Run greps every dump line, charging the meter for the full pass. The
+// charge lands before the scan so an exhausted budget kills the command
+// without producing hits.
 func (s *LinearScanner) Run(cmd Command) ([]Hit, Cost, error) {
-	return scanAll(s.text, s.meter, cmd)
-}
-
-// scanAll is the shared full-scan path (also the indexed backend's raw
-// fallback). The charge lands before the scan so an exhausted budget kills
-// the command without producing hits, exactly as before the refactor.
-func scanAll(text *dexdump.Text, meter *simtime.Meter, cmd Command) ([]Hit, Cost, error) {
+	text := s.text
 	cost := Cost{Lines: int64(text.LineCount())}
-	if err := meter.ChargeLines(text.LineCount()); err != nil {
+	if err := s.meter.ChargeLines(text.LineCount()); err != nil {
 		return nil, cost, err
 	}
 	var hits []Hit
@@ -132,10 +128,9 @@ func scanAll(text *dexdump.Text, meter *simtime.Meter, cmd Command) ([]Hit, Cost
 
 // IndexedSearcher resolves commands from an inverted index over the dump
 // text: each command touches only its postings list, O(hits) instead of
-// O(lines). The index is acquired lazily on the first indexable command —
-// from the Config.Index hook when one is set, otherwise built and charged
-// to the meter then — so apps that are never searched pay nothing. Raw
-// substring commands cannot be indexed and fall back to a full scan.
+// O(lines). The index is acquired lazily on the first command — from the
+// Config.Index hook when one is set, otherwise built and charged to the
+// meter then — so apps that are never searched pay nothing.
 //
 // An IndexedSearcher is not safe for concurrent use — like the Engine on
 // top of it, it is a per-app object (the corpus pipeline gives every
@@ -152,9 +147,6 @@ func (s *IndexedSearcher) Kind() BackendKind { return BackendIndexed }
 
 // Run resolves the command from the index, acquiring it first if needed.
 func (s *IndexedSearcher) Run(cmd Command) ([]Hit, Cost, error) {
-	if cmd.Kind == CmdRaw {
-		return scanAll(s.text, s.meter, cmd)
-	}
 	var cost Cost
 	if s.src == nil {
 		src, c, err := s.acquire()
@@ -189,15 +181,13 @@ func (s *IndexedSearcher) acquire() (*dexdump.Index, Cost, error) {
 // engine's delta replay probe (which resolves a prior run's recorded
 // commands against a partial index over just the changed classes).
 // Candidates over-approximate; callers verify each line against
-// cmd.Match. CmdRaw has no postings and returns nil.
+// cmd.Match.
 func LookupCandidates(src *dexdump.Index, cmd Command) []int32 {
 	switch cmd.Kind {
 	case CmdInvoke:
 		return src.InvokeBySig(cmd.Arg)
 	case CmdCtor:
 		return src.CtorByPrefix(cmd.Arg)
-	case CmdNewInstance:
-		return src.NewInstance(cmd.Arg)
 	case CmdConstClass:
 		return src.ConstClass(cmd.Arg)
 	case CmdConstString:
@@ -206,8 +196,6 @@ func LookupCandidates(src *dexdump.Index, cmd Command) []int32 {
 		return src.FieldBySig(cmd.Arg)
 	case CmdClassUse:
 		return src.ClassUse(cmd.Arg)
-	case CmdInvokeName:
-		return src.InvokeByName(cmd.Arg)
 	case CmdInvokeNamePrefix:
 		return src.InvokeByNamePrefix(cmd.Arg)
 	}

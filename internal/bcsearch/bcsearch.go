@@ -1,6 +1,7 @@
 // Package bcsearch is the on-the-fly bytecode search engine: it greps the
-// dexdump plaintext for invocation sites, object allocations, class
-// literals, string constants and field accesses, and maps every hit back to
+// dexdump plaintext for invocation sites, constructor calls, class
+// literals, string constants, field accesses and class uses, and maps every
+// hit back to
 // its containing method (the paper's Fig. 3 steps 1-2).
 //
 // The engine is split into a caching front-end (Engine) and a pluggable
@@ -35,8 +36,8 @@ type Stats struct {
 	CacheHits int // commands answered from the cache
 
 	// Backend work accounting. LinesScanned counts dump lines visited by
-	// full scans: every linear command, plus the indexed backend's raw
-	// fallbacks. PostingsScanned counts inverted-index postings visited.
+	// the linear backend's full scans. PostingsScanned counts
+	// inverted-index postings visited.
 	// IndexBuilds is 0 or 1 (the index is built at most once per app) and
 	// IndexLines is the dump size tokenized by that build.
 	LinesScanned    int64
@@ -73,10 +74,10 @@ type Config struct {
 	EnableCache bool
 
 	// Index, when non-nil, supplies the indexed backend's inverted index
-	// on its first indexable command. It charges the meter for whatever it
+	// on its first command. It charges the meter for whatever it
 	// does — a bundle load or a build — and reports which in the Cost flags
 	// (IndexBuilt, IndexLoaded, IndexCacheMiss), which feed Stats. An error
-	// fails that command; the next indexable command calls it again. Nil
+	// fails that command; the next command calls it again. Nil
 	// builds the index from the dump, charged at simtime.ChargeIndexBuild.
 	// The core engine's hook (internal/core/bundle.go) is the one owner of
 	// the warm-start bundle.
@@ -183,12 +184,6 @@ func (e *Engine) Run(cmd Command) ([]Hit, error) {
 	return hits, nil
 }
 
-// Search scans for a raw substring across all dump lines. Raw patterns
-// cannot be indexed, so this is a full scan on either backend.
-func (e *Engine) Search(pattern string) ([]Hit, error) {
-	return e.Run(RawCommand(pattern))
-}
-
 // FindInvocations locates all call sites of the method with the given
 // dexdump signature (e.g. "Lcom/a/B;.start:()V"). This is the basic
 // signature based search of Sec. IV-A.
@@ -200,11 +195,6 @@ func (e *Engine) FindInvocations(ref dex.MethodRef) ([]Hit, error) {
 // of the class — the entry step of the advanced search (Sec. IV-B).
 func (e *Engine) FindConstructorCalls(class string) ([]Hit, error) {
 	return e.Run(CtorCommand(class))
-}
-
-// FindNewInstance locates new-instance allocations of the class.
-func (e *Engine) FindNewInstance(class string) ([]Hit, error) {
-	return e.Run(NewInstanceCommand(class))
 }
 
 // FindConstClass locates const-class literals of the class — one half of
@@ -244,21 +234,10 @@ func (e *Engine) FindClassUses(class string) ([]Hit, error) {
 	return e.Run(ClassUseCommand(class))
 }
 
-// FindInvocationsOfName locates call sites by method name and descriptor
-// regardless of declaring class (".name:desc" suffix match). The optional
-// class-hierarchy-aware initial sink search uses it to catch sink APIs
-// invoked through app subclasses of system classes — the paper's fix for
-// its two false negatives.
-func (e *Engine) FindInvocationsOfName(name string, descriptor string) ([]Hit, error) {
-	return e.Run(InvokeNameCommand(name, descriptor))
-}
-
 // FindInvocationsOfNamePrefix locates call sites by method name alone
 // (".name:" match), regardless of declaring class and descriptor. The
 // two-time ICC search's first pass (Sec. IV-D) uses it to collect the
-// startActivity/startService/sendBroadcast call sites; unlike the raw
-// substring search it replaced, it resolves from postings on the indexed
-// backends.
+// startActivity/startService/sendBroadcast call sites.
 func (e *Engine) FindInvocationsOfNamePrefix(name string) ([]Hit, error) {
 	return e.Run(InvokeNamePrefixCommand(name))
 }

@@ -110,17 +110,6 @@ func TestFindConstructorCalls(t *testing.T) {
 	}
 }
 
-func TestFindNewInstance(t *testing.T) {
-	e := newEngine(t)
-	hits, err := e.FindNewInstance("com.connectsdk.service.netcast.NetcastHttpServer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 1 || hits[0].Method.Name != "run" {
-		t.Errorf("new-instance hits = %v", hits)
-	}
-}
-
 func TestFindConstClassAndString(t *testing.T) {
 	e := newEngine(t)
 	hits, err := e.FindConstClass("com.connectsdk.service.netcast.NetcastHttpServer")
@@ -194,7 +183,7 @@ func TestFindClassUses(t *testing.T) {
 
 func TestFindInvocationsOfName(t *testing.T) {
 	e := newEngine(t)
-	hits, err := e.FindInvocationsOfName("start", "()V")
+	hits, err := e.FindInvocationsOfNamePrefix("start")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +225,8 @@ func TestSearchCachingDisabled(t *testing.T) {
 
 func TestSearchChargesMeter(t *testing.T) {
 	meter := simtime.NewMeter()
-	e := New(searchFixture(t), meter, true)
-	if _, err := e.Search("invoke-virtual"); err != nil {
+	e := NewEngine(searchFixture(t), Config{Meter: meter, Backend: BackendLinear, EnableCache: true})
+	if _, err := e.FindClassUses("com.connectsdk.service.netcast.NetcastHttpServer"); err != nil {
 		t.Fatal(err)
 	}
 	full := meter.Units()
@@ -245,7 +234,7 @@ func TestSearchChargesMeter(t *testing.T) {
 		t.Fatal("search must charge the meter")
 	}
 	// A cached repeat charges a single unit.
-	if _, err := e.Search("invoke-virtual"); err != nil {
+	if _, err := e.FindClassUses("com.connectsdk.service.netcast.NetcastHttpServer"); err != nil {
 		t.Fatal(err)
 	}
 	if got := meter.Units() - full; got != 1 {
@@ -256,8 +245,8 @@ func TestSearchChargesMeter(t *testing.T) {
 func TestSearchTimeout(t *testing.T) {
 	meter := simtime.NewMeter()
 	meter.SetBudget(1)
-	e := New(searchFixture(t), meter, true)
-	if _, err := e.Search("anything"); err == nil {
+	e := NewEngine(searchFixture(t), Config{Meter: meter, Backend: BackendLinear, EnableCache: true})
+	if _, err := e.FindConstString("anything"); err == nil {
 		t.Error("search past budget must time out")
 	}
 }

@@ -48,7 +48,7 @@ func runFixtureQueries(t *testing.T, e *Engine) []Hit {
 	var all []Hit
 	for _, run := range []func() ([]Hit, error){
 		func() ([]Hit, error) { return e.FindInvocations(ref) },
-		func() ([]Hit, error) { return e.FindNewInstance("com.connectsdk.service.netcast.NetcastHttpServer") },
+		func() ([]Hit, error) { return e.FindConstClass("com.connectsdk.service.netcast.NetcastHttpServer") },
 		func() ([]Hit, error) { return e.FindClassUses("com.connectsdk.service.netcast.NetcastHttpServer") },
 		func() ([]Hit, error) { return e.FindInvocationsOfNamePrefix("start") },
 	} {

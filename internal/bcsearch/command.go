@@ -6,22 +6,19 @@ import (
 	"backdroid/internal/dex"
 )
 
-// CommandKind enumerates the search command families of Sec. IV. Every
-// family except CmdRaw has a dedicated postings list in the inverted index;
-// CmdRaw is an arbitrary-substring scan and always runs linearly.
+// CommandKind enumerates the search command families of Sec. IV that the
+// engine sends. Every family has a dedicated postings list in the
+// inverted index.
 type CommandKind int
 
 // Command kinds.
 const (
-	CmdRaw CommandKind = iota + 1
-	CmdInvoke
+	CmdInvoke CommandKind = iota + 1
 	CmdCtor
-	CmdNewInstance
 	CmdConstClass
 	CmdConstString
 	CmdFieldAccess
 	CmdClassUse
-	CmdInvokeName
 	CmdInvokeNamePrefix
 )
 
@@ -31,19 +28,14 @@ const (
 // hit semantics are defined in exactly one place.
 type Command struct {
 	Kind CommandKind
-	// Arg is the kind-specific operand: the raw pattern (CmdRaw), the full
-	// dexdump method signature (CmdInvoke), the "Lcls;.<init>:" prefix
-	// (CmdCtor), the class descriptor (CmdNewInstance, CmdConstClass,
-	// CmdClassUse), the string value (CmdConstString), the field signature
-	// (CmdFieldAccess) or the ".name:descriptor" needle (CmdInvokeName).
+	// Arg is the kind-specific operand: the full dexdump method signature
+	// (CmdInvoke), the "Lcls;.<init>:" prefix (CmdCtor), the class
+	// descriptor (CmdConstClass, CmdClassUse), the string value
+	// (CmdConstString), the field signature (CmdFieldAccess) or the
+	// ".name:" needle (CmdInvokeNamePrefix).
 	Arg string
 	// Field selects the access direction for CmdFieldAccess.
 	Field FieldAccessKind
-}
-
-// RawCommand searches for an arbitrary substring.
-func RawCommand(pattern string) Command {
-	return Command{Kind: CmdRaw, Arg: pattern}
 }
 
 // InvokeCommand searches for call sites of the exact method signature.
@@ -55,11 +47,6 @@ func InvokeCommand(ref dex.MethodRef) Command {
 // class.
 func CtorCommand(class string) Command {
 	return Command{Kind: CmdCtor, Arg: string(dex.T(class)) + ".<init>:"}
-}
-
-// NewInstanceCommand searches for new-instance allocations of the class.
-func NewInstanceCommand(class string) Command {
-	return Command{Kind: CmdNewInstance, Arg: string(dex.T(class))}
 }
 
 // ConstClassCommand searches for const-class literals of the class.
@@ -83,17 +70,9 @@ func ClassUseCommand(class string) Command {
 	return Command{Kind: CmdClassUse, Arg: string(dex.T(class))}
 }
 
-// InvokeNameCommand searches for call sites by method name and descriptor
-// regardless of declaring class.
-func InvokeNameCommand(name, descriptor string) Command {
-	return Command{Kind: CmdInvokeName, Arg: "." + name + ":" + descriptor}
-}
-
 // InvokeNamePrefixCommand searches for call sites by method name alone,
 // regardless of declaring class and descriptor — the ".name:" pattern of
-// the two-time ICC search's first pass (Sec. IV-D). Unlike the raw
-// substring command it replaces, it is indexable, so the indexed backends
-// answer it from postings instead of an O(lines) scan.
+// the two-time ICC search's first pass (Sec. IV-D).
 func InvokeNamePrefixCommand(name string) Command {
 	return Command{Kind: CmdInvokeNamePrefix, Arg: "." + name + ":"}
 }
@@ -102,14 +81,10 @@ func InvokeNamePrefixCommand(name string) Command {
 // string is the cache key).
 func (c Command) Key() string {
 	switch c.Kind {
-	case CmdRaw:
-		return "raw:" + c.Arg
 	case CmdInvoke:
 		return "invoke:" + c.Arg
 	case CmdCtor:
 		return "ctor:" + c.Arg
-	case CmdNewInstance:
-		return "new:" + c.Arg
 	case CmdConstClass:
 		return "const-class:" + c.Arg
 	case CmdConstString:
@@ -124,8 +99,6 @@ func (c Command) Key() string {
 		return "field:" + c.Arg
 	case CmdClassUse:
 		return "class-use:" + c.Arg
-	case CmdInvokeName:
-		return "invoke-name:" + c.Arg
 	case CmdInvokeNamePrefix:
 		return "invoke-name-prefix:" + c.Arg
 	}
@@ -138,14 +111,10 @@ func (c Command) Key() string {
 // hit means.
 func (c Command) Match(line string) bool {
 	switch c.Kind {
-	case CmdRaw:
-		return strings.Contains(line, c.Arg)
 	case CmdInvoke:
 		return strings.Contains(line, "invoke-") && strings.HasSuffix(line, ", "+c.Arg)
 	case CmdCtor:
 		return strings.Contains(line, "invoke-direct") && strings.Contains(line, c.Arg)
-	case CmdNewInstance:
-		return strings.Contains(line, "new-instance") && strings.HasSuffix(line, ", "+c.Arg)
 	case CmdConstClass:
 		return strings.Contains(line, "const-class") && strings.HasSuffix(line, ", "+c.Arg)
 	case CmdConstString:
@@ -166,8 +135,6 @@ func (c Command) Match(line string) bool {
 		}
 	case CmdClassUse:
 		return strings.Contains(line, c.Arg)
-	case CmdInvokeName:
-		return strings.Contains(line, "invoke-") && strings.HasSuffix(line, c.Arg)
 	case CmdInvokeNamePrefix:
 		return strings.Contains(line, "invoke-") && strings.Contains(line, c.Arg)
 	}

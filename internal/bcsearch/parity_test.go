@@ -29,10 +29,9 @@ func parityQueries(f *dex.File) []Command {
 
 	addMethod := func(ref dex.MethodRef) {
 		add(InvokeCommand(ref))
-		add(InvokeNameCommand(ref.Name, ref.Descriptor()))
 		add(InvokeNamePrefixCommand(ref.Name))
 		// Near misses: same name, impossible descriptor; unknown name.
-		add(InvokeNameCommand(ref.Name, "(JJJ)V"))
+		add(InvokeCommand(dex.NewMethodRef(ref.Class, ref.Name, dex.Void, dex.Long, dex.Long, dex.Long)))
 		add(InvokeNamePrefixCommand(ref.Name + "Nope"))
 	}
 	addClass := func(name string) {
@@ -40,12 +39,11 @@ func parityQueries(f *dex.File) []Command {
 			return
 		}
 		add(CtorCommand(name))
-		add(NewInstanceCommand(name))
 		add(ConstClassCommand(name))
 		add(ClassUseCommand(name))
 		// Near miss: a package-sibling class that does not exist.
 		add(ClassUseCommand(name + "Missing"))
-		add(NewInstanceCommand(name + "Missing"))
+		add(ConstClassCommand(name + "Missing"))
 	}
 
 	for _, c := range f.Classes() {
@@ -249,27 +247,5 @@ func TestBackendParityAdversarialLiterals(t *testing.T) {
 	}
 	if len(reads) < 2 {
 		t.Fatalf("spoof literal did not fire: %d read hits, want the real iget plus the literal", len(reads))
-	}
-}
-
-// TestBackendParityRawSearch pins the raw-substring escape hatch: both
-// backends answer arbitrary patterns (the indexed backend by falling back
-// to a full scan), with identical hits.
-func TestBackendParityRawSearch(t *testing.T) {
-	text := searchFixture(t)
-	linear := NewEngine(text, Config{Backend: BackendLinear})
-	indexed := NewEngine(text, Config{Backend: BackendIndexed})
-	for _, pattern := range []string{"invoke-", ".start:", "netcast", "'", "no-hit-xyz"} {
-		lh, err := linear.Search(pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ih, err := indexed.Search(pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !hitsEqual(lh, ih) {
-			t.Errorf("raw %q: linear %d hits, indexed %d hits", pattern, len(lh), len(ih))
-		}
 	}
 }

@@ -27,7 +27,7 @@ func TestIndexedStatsCacheAccounting(t *testing.T) {
 		t.Fatalf("after miss: %+v", first)
 	}
 	if first.IndexBuilds != 1 || first.IndexLines == 0 {
-		t.Errorf("index should be built on first indexable command: %+v", first)
+		t.Errorf("index should be built on the first command: %+v", first)
 	}
 	if first.LinesScanned != 0 {
 		t.Errorf("indexed invoke search scanned %d lines, want 0", first.LinesScanned)
@@ -54,7 +54,7 @@ func TestIndexedStatsCacheAccounting(t *testing.T) {
 	}
 
 	// A different command is a miss again, reusing the existing index.
-	if _, err := e.FindNewInstance("com.connectsdk.service.netcast.NetcastHttpServer"); err != nil {
+	if _, err := e.FindConstClass("com.connectsdk.service.netcast.NetcastHttpServer"); err != nil {
 		t.Fatal(err)
 	}
 	third := e.Stats()
@@ -154,10 +154,10 @@ func TestCanceledMeterStopsLookups(t *testing.T) {
 	}
 }
 
-// TestIndexHookAccounting pins the Config.Index seam: raw commands never
-// call the hook, the first indexable command calls it once and its Cost
-// flags feed the index statistics, and a hook error fails that command
-// and leaves the next indexable command to call the hook again.
+// TestIndexHookAccounting pins the Config.Index seam: the first command
+// calls it once and its Cost flags feed the index statistics, and a hook
+// error fails that command and leaves the next command to call the hook
+// again.
 func TestIndexHookAccounting(t *testing.T) {
 	text := searchFixture(t)
 	calls := 0
@@ -169,15 +169,12 @@ func TestIndexHookAccounting(t *testing.T) {
 		}
 		return dexdump.BuildIndex(text), Cost{IndexLoaded: true}, nil
 	}})
-	if _, err := e.Search("NetcastHttpServer"); err != nil || calls != 0 {
-		t.Fatalf("raw search: err %v, %d hook calls, want none", err, calls)
-	}
-	if _, err := e.FindNewInstance("com.connectsdk.service.netcast.NetcastHttpServer"); err != simtime.ErrTimeout {
+	if _, err := e.FindConstClass("com.connectsdk.service.netcast.NetcastHttpServer"); err != simtime.ErrTimeout {
 		t.Fatalf("hook error = %v, want it returned", err)
 	}
 	fail = false
 	for i := 0; i < 2; i++ {
-		if _, err := e.FindNewInstance("com.connectsdk.service.netcast.NetcastHttpServer"); err != nil {
+		if _, err := e.FindConstClass("com.connectsdk.service.netcast.NetcastHttpServer"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -67,14 +67,13 @@ func TestSearchBackendAblationSameResults(t *testing.T) {
 	}
 }
 
-// TestIndexedBackendNoRawScans pins the ROADMAP "index-aware raw search"
-// fix: with the two-time ICC first pass on a typed command, the full
-// fixture pipeline issues no raw substring command, so the indexed
-// backend never falls back to an O(lines) scan.
+// TestIndexedBackendNoRawScans pins that the indexed backend answers the
+// full fixture pipeline from postings alone: every command kind is
+// indexed, so no command costs an O(lines) scan.
 func TestIndexedBackendNoRawScans(t *testing.T) {
 	report := analyzeFixture(t, DefaultOptions())
 	if got := report.Stats.Search.LinesScanned; got != 0 {
-		t.Errorf("indexed pipeline scanned %d lines — a raw fallback survives", got)
+		t.Errorf("indexed pipeline scanned %d lines", got)
 	}
 	if report.Stats.Search.PostingsScanned == 0 {
 		t.Error("no postings visited — search did not run")

@@ -19,7 +19,7 @@ func damagedBundles(good []byte) map[string][]byte {
 		f(b)
 		return b
 	}
-	indexLen := int(binary.LittleEndian.Uint32(good[24:28]))
+	indexLen := int(binary.LittleEndian.Uint32(good[22:26]))
 	return map[string][]byte{
 		"truncated":    good[:40],
 		"empty":        {},
@@ -28,12 +28,11 @@ func damagedBundles(good []byte) map[string][]byte {
 		"version-bump": edit(func(b []byte) { binary.LittleEndian.PutUint16(b[4:6], dexdump.CodecVersion+1) }),
 		"legacy-v2":    edit(func(b []byte) { binary.LittleEndian.PutUint16(b[4:6], 2) }),
 		// Byte 40 lies inside the index payload, which starts right after
-		// the 28-byte header.
+		// the 26-byte header.
 		"payload-flip": edit(func(b []byte) { b[40] ^= 0x01 }),
-		"layout-2":     edit(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 2) }),
 		// A byte inside the dump payload, past the index payload and the
 		// 16-byte dump section header.
-		"dump-damage": edit(func(b []byte) { b[28+indexLen+16+10] ^= 0x01 }),
+		"dump-damage": edit(func(b []byte) { b[26+indexLen+16+10] ^= 0x01 }),
 		// The last byte of the manifest payload, the bundle's last byte.
 		"manifest-flip": edit(func(b []byte) { b[len(b)-1] ^= 0x01 }),
 	}

@@ -332,33 +332,7 @@ func (e *Engine) planDeltaReuse(calls []SinkCall) (map[int]*SinkReport, error) {
 		return nil, err
 	}
 	hit := make(map[string]bool)
-	rawCharged := false
 	for key, c := range cmds {
-		if c.Kind == bcsearch.CmdRaw {
-			// Raw substring commands have no postings; scan the dirty
-			// spans linearly, charged once at the line rate.
-			if !rawCharged {
-				if err := e.meter.ChargeLines(dirtyLines); err != nil {
-					return nil, err
-				}
-				rawCharged = true
-			}
-			for _, dc := range dirty {
-				sp, ok := e.dump.SpanOf(dc)
-				if !ok {
-					continue
-				}
-				for n := sp.Start; n < sp.End && !hit[key]; n++ {
-					if c.Match(e.dump.Line(n)) {
-						hit[key] = true
-					}
-				}
-				if hit[key] {
-					break
-				}
-			}
-			continue
-		}
 		for _, n := range bcsearch.LookupCandidates(pidx, c) {
 			if int(n) < e.dump.LineCount() && c.Match(e.dump.Line(int(n))) {
 				hit[key] = true

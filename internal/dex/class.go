@@ -165,7 +165,9 @@ type Class struct {
 func (c *Class) IsInterface() bool { return c.Flags.Has(AccInterface) }
 
 // FindMethod returns the method with the given name and parameter list, or
-// nil when absent.
+// nil when absent. The return type is not compared: this is Java's
+// override rule, which dispatch lookups follow. File.Method resolves a
+// whole ref instead.
 func (c *Class) FindMethod(name string, params ...TypeDesc) *Method {
 	for _, m := range c.Methods {
 		if m.Ref.Name != name || len(m.Ref.Params) != len(params) {
@@ -340,12 +342,19 @@ func (f *File) Classes() []*Class {
 }
 
 // Method resolves a MethodRef to its definition within this file, or nil.
+// The whole ref must match, return type included: a class may define
+// methods that differ only in their return type.
 func (f *File) Method(ref MethodRef) *Method {
 	c := f.Class(ref.Class)
 	if c == nil {
 		return nil
 	}
-	return c.FindMethod(ref.Name, ref.Params...)
+	for _, m := range c.Methods {
+		if m.Ref.Equal(ref) {
+			return m
+		}
+	}
+	return nil
 }
 
 // InstructionCount returns the total number of instructions in the file.

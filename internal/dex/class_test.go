@@ -185,6 +185,9 @@ func TestFileMethodResolution(t *testing.T) {
 	if f.Method(NewMethodRef("com.example.A", "m", Int, Int)) != nil {
 		t.Error("lookup with wrong params should be nil")
 	}
+	if f.Method(NewMethodRef("com.example.A", "m", Bool, Bool)) != nil {
+		t.Error("lookup with the wrong return type should be nil")
+	}
 }
 
 func TestInstructionCountAndMethodCount(t *testing.T) {

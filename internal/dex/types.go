@@ -11,10 +11,7 @@
 // between the program-analysis space and the bytecode-search space.
 package dex
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // TypeDesc is a JVM-style type descriptor: "V", "I", "Z", "J",
 // "Ljava/lang/String;", "[I", and so on.
@@ -145,42 +142,6 @@ func (t TypeDesc) AppendHuman(dst []byte) []byte {
 	return dst
 }
 
-// ParseHumanType parses a Java source form type name ("void", "int[]",
-// "java.lang.String") back into a descriptor.
-func ParseHumanType(s string) (TypeDesc, error) {
-	if strings.HasSuffix(s, "[]") {
-		elem, err := ParseHumanType(strings.TrimSuffix(s, "[]"))
-		if err != nil {
-			return "", err
-		}
-		return Array(elem), nil
-	}
-	switch s {
-	case "void":
-		return Void, nil
-	case "int":
-		return Int, nil
-	case "boolean":
-		return Bool, nil
-	case "long":
-		return Long, nil
-	case "float":
-		return Float, nil
-	case "double":
-		return Double, nil
-	case "byte":
-		return Byte, nil
-	case "short":
-		return Short, nil
-	case "char":
-		return Char, nil
-	}
-	if s == "" {
-		return "", fmt.Errorf("dex: empty type name")
-	}
-	return T(s), nil
-}
-
 // MethodRef identifies a method by declaring class, name and full
 // descriptor. It is the unit of identity used across the search and
 // analysis spaces.
@@ -291,112 +252,6 @@ func (m MethodRef) WithClass(class string) MethodRef {
 	return cp
 }
 
-// ParseDexMethodSignature parses a dexdump-format method signature
-// ("Lcom/foo/Bar;.start:(I)V") into a MethodRef. This is the
-// search-space -> analysis-space translation step of the paper's Fig. 3.
-func ParseDexMethodSignature(s string) (MethodRef, error) {
-	dot := strings.Index(s, ";.")
-	if dot < 0 {
-		return MethodRef{}, fmt.Errorf("dex: malformed method signature %q", s)
-	}
-	classDesc := TypeDesc(s[:dot+1])
-	rest := s[dot+2:]
-	colon := strings.Index(rest, ":")
-	if colon < 0 {
-		return MethodRef{}, fmt.Errorf("dex: malformed method signature %q", s)
-	}
-	name := rest[:colon]
-	desc := rest[colon+1:]
-	params, ret, err := parseMethodDescriptor(desc)
-	if err != nil {
-		return MethodRef{}, fmt.Errorf("dex: signature %q: %w", s, err)
-	}
-	return MethodRef{Class: classDesc.ClassName(), Name: name, Params: params, Ret: ret}, nil
-}
-
-// ParseSootMethodSignature parses a Soot-format full signature
-// ("<com.foo.Bar: void start(int)>") into a MethodRef. This is the
-// analysis-space -> search-space translation step of the paper's Fig. 3.
-func ParseSootMethodSignature(s string) (MethodRef, error) {
-	if !strings.HasPrefix(s, "<") || !strings.HasSuffix(s, ">") {
-		return MethodRef{}, fmt.Errorf("dex: malformed soot signature %q", s)
-	}
-	body := s[1 : len(s)-1]
-	ci := strings.Index(body, ": ")
-	if ci < 0 {
-		return MethodRef{}, fmt.Errorf("dex: malformed soot signature %q", s)
-	}
-	class := body[:ci]
-	sub := body[ci+2:]
-	sp := strings.Index(sub, " ")
-	lp := strings.Index(sub, "(")
-	if sp < 0 || lp < 0 || !strings.HasSuffix(sub, ")") {
-		return MethodRef{}, fmt.Errorf("dex: malformed soot signature %q", s)
-	}
-	ret, err := ParseHumanType(sub[:sp])
-	if err != nil {
-		return MethodRef{}, err
-	}
-	name := sub[sp+1 : lp]
-	var params []TypeDesc
-	inner := sub[lp+1 : len(sub)-1]
-	if inner != "" {
-		for _, p := range strings.Split(inner, ",") {
-			pd, err := ParseHumanType(strings.TrimSpace(p))
-			if err != nil {
-				return MethodRef{}, err
-			}
-			params = append(params, pd)
-		}
-	}
-	return MethodRef{Class: class, Name: name, Params: params, Ret: ret}, nil
-}
-
-func parseMethodDescriptor(desc string) ([]TypeDesc, TypeDesc, error) {
-	if !strings.HasPrefix(desc, "(") {
-		return nil, "", fmt.Errorf("malformed descriptor %q", desc)
-	}
-	rp := strings.Index(desc, ")")
-	if rp < 0 {
-		return nil, "", fmt.Errorf("malformed descriptor %q", desc)
-	}
-	var params []TypeDesc
-	body := desc[1:rp]
-	for len(body) > 0 {
-		td, rest, err := takeTypeDesc(body)
-		if err != nil {
-			return nil, "", err
-		}
-		params = append(params, td)
-		body = rest
-	}
-	ret := TypeDesc(desc[rp+1:])
-	if ret == "" {
-		return nil, "", fmt.Errorf("malformed descriptor %q: no return type", desc)
-	}
-	return params, ret, nil
-}
-
-func takeTypeDesc(s string) (TypeDesc, string, error) {
-	switch s[0] {
-	case '[':
-		inner, rest, err := takeTypeDesc(s[1:])
-		if err != nil {
-			return "", "", err
-		}
-		return "[" + inner, rest, nil
-	case 'L':
-		semi := strings.Index(s, ";")
-		if semi < 0 {
-			return "", "", fmt.Errorf("malformed type in %q", s)
-		}
-		return TypeDesc(s[:semi+1]), s[semi+1:], nil
-	case 'V', 'I', 'Z', 'J', 'F', 'D', 'B', 'S', 'C':
-		return TypeDesc(s[:1]), s[1:], nil
-	}
-	return "", "", fmt.Errorf("malformed type in %q", s)
-}
-
 // FieldRef identifies a field by declaring class, name and type.
 type FieldRef struct {
 	Class string // dotted Java class name
@@ -431,27 +286,3 @@ func (f FieldRef) SootSignature() string {
 
 // String returns the Soot signature.
 func (f FieldRef) String() string { return f.SootSignature() }
-
-// ParseSootFieldSignature parses a Soot-format field signature
-// ("<com.foo.Bar: int port>") into a FieldRef.
-func ParseSootFieldSignature(s string) (FieldRef, error) {
-	if !strings.HasPrefix(s, "<") || !strings.HasSuffix(s, ">") {
-		return FieldRef{}, fmt.Errorf("dex: malformed soot field signature %q", s)
-	}
-	body := s[1 : len(s)-1]
-	ci := strings.Index(body, ": ")
-	if ci < 0 {
-		return FieldRef{}, fmt.Errorf("dex: malformed soot field signature %q", s)
-	}
-	class := body[:ci]
-	rest := body[ci+2:]
-	sp := strings.LastIndex(rest, " ")
-	if sp < 0 {
-		return FieldRef{}, fmt.Errorf("dex: malformed soot field signature %q", s)
-	}
-	typ, err := ParseHumanType(rest[:sp])
-	if err != nil {
-		return FieldRef{}, err
-	}
-	return FieldRef{Class: class, Name: rest[sp+1:], Type: typ}, nil
-}

@@ -32,28 +32,6 @@ func TestTypeDescHuman(t *testing.T) {
 	}
 }
 
-func TestParseHumanTypeRoundTrip(t *testing.T) {
-	tests := []TypeDesc{
-		Void, Int, Bool, Long, Float, Double, Byte, Short, Char,
-		StringT, T("com.foo.Bar"), Array(Int), Array(T("com.foo.Bar")),
-	}
-	for _, td := range tests {
-		got, err := ParseHumanType(td.Human())
-		if err != nil {
-			t.Fatalf("ParseHumanType(%q): %v", td.Human(), err)
-		}
-		if got != td {
-			t.Errorf("ParseHumanType(%q) = %q, want %q", td.Human(), got, td)
-		}
-	}
-}
-
-func TestParseHumanTypeEmpty(t *testing.T) {
-	if _, err := ParseHumanType(""); err == nil {
-		t.Error("ParseHumanType(\"\") should fail")
-	}
-}
-
 func TestTypeDescPredicates(t *testing.T) {
 	if !StringT.IsObject() || !StringT.IsRef() || StringT.IsArray() || StringT.IsPrimitive() {
 		t.Error("StringT predicates wrong")
@@ -107,66 +85,25 @@ func TestMethodRefSignatures(t *testing.T) {
 	}
 }
 
-func TestParseDexMethodSignature(t *testing.T) {
-	tests := []string{
-		"Lcom/foo/Bar;.start:()V",
-		"Lcom/foo/Bar;.run:(Ljava/lang/String;IZ)Ljava/lang/Object;",
-		"Lcom/foo/Bar$1;.<init>:(Lcom/foo/Bar;)V",
-		"Lcom/foo/Bar;.arr:([I[[Ljava/lang/String;)[B",
+// dexOracle spells a dexdump method signature the plain way, part by
+// part.
+func dexOracle(m MethodRef) string {
+	var params strings.Builder
+	for _, p := range m.Params {
+		params.WriteString(string(p))
 	}
-	for _, sig := range tests {
-		m, err := ParseDexMethodSignature(sig)
-		if err != nil {
-			t.Fatalf("ParseDexMethodSignature(%q): %v", sig, err)
-		}
-		if got := m.DexSignature(); got != sig {
-			t.Errorf("round trip %q -> %q", sig, got)
-		}
-	}
-}
-
-func TestParseDexMethodSignatureErrors(t *testing.T) {
-	bad := []string{"", "noclass", "Lcom/foo/Bar;.name", "Lcom/foo/Bar;.m:(Q)V", "Lcom/foo/Bar;.m:()"}
-	for _, sig := range bad {
-		if _, err := ParseDexMethodSignature(sig); err == nil {
-			t.Errorf("ParseDexMethodSignature(%q) should fail", sig)
-		}
-	}
-}
-
-func TestParseSootMethodSignature(t *testing.T) {
-	tests := []string{
-		"<com.foo.Bar: void start()>",
-		"<com.foo.Bar: java.lang.Object run(java.lang.String,int,boolean)>",
-		"<com.foo.Bar$1: void <init>(com.foo.Bar)>",
-	}
-	for _, sig := range tests {
-		m, err := ParseSootMethodSignature(sig)
-		if err != nil {
-			t.Fatalf("ParseSootMethodSignature(%q): %v", sig, err)
-		}
-		if got := m.SootSignature(); got != sig {
-			t.Errorf("round trip %q -> %q", sig, got)
-		}
-	}
-}
-
-func TestParseSootMethodSignatureErrors(t *testing.T) {
-	bad := []string{"", "<nope>", "com.foo.Bar: void start()", "<com.foo.Bar: voidstart()>"}
-	for _, sig := range bad {
-		if _, err := ParseSootMethodSignature(sig); err == nil {
-			t.Errorf("ParseSootMethodSignature(%q) should fail", sig)
-		}
-	}
+	return "L" + strings.ReplaceAll(m.Class, ".", "/") + ";." + m.Name + ":(" + params.String() + ")" + string(m.Ret)
 }
 
 func TestSignatureFormatTranslationProperty(t *testing.T) {
-	// The paper's Fig. 3 translation loop: Soot format -> dex format ->
-	// parse -> Soot format must be the identity for any well-formed ref.
+	// The paper's Fig. 3 translation renders one ref in both formats:
+	// the dex format the search space greps for and the Soot format of
+	// the analysis space. Each rendering must be its oracle's, and the
+	// dex rendering tells different refs apart.
 	classNames := []string{"com.a.B", "com.a.B$1", "org.x.Y", "a.b.c.D"}
 	typePool := []TypeDesc{Int, Bool, Long, StringT, T("com.a.B"), Array(Int), Array(StringT)}
-	f := func(ci, name uint8, p1, p2, r uint8) bool {
-		ref := MethodRef{
+	ref := func(ci, name, p1, p2, r uint8) MethodRef {
+		return MethodRef{
 			Class: classNames[int(ci)%len(classNames)],
 			Name:  []string{"run", "start", "<init>", "doWork"}[int(name)%4],
 			Params: []TypeDesc{
@@ -175,16 +112,11 @@ func TestSignatureFormatTranslationProperty(t *testing.T) {
 			},
 			Ret: typePool[int(r)%len(typePool)],
 		}
-		fromDex, err := ParseDexMethodSignature(ref.DexSignature())
-		if err != nil {
-			return false
-		}
-		fromSoot, err := ParseSootMethodSignature(ref.SootSignature())
-		if err != nil {
-			return false
-		}
-		return fromDex.SootSignature() == ref.SootSignature() &&
-			fromSoot.DexSignature() == ref.DexSignature()
+	}
+	f := func(a, b [5]uint8) bool {
+		ra, rb := ref(a[0], a[1], a[2], a[3], a[4]), ref(b[0], b[1], b[2], b[3], b[4])
+		return ra.DexSignature() == dexOracle(ra) && ra.SootSignature() == sootOracle(ra) &&
+			(ra.DexSignature() == rb.DexSignature()) == ra.Equal(rb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

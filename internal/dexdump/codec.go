@@ -22,13 +22,12 @@ import (
 //	offset  size  field
 //	0       4     magic "BDIX"
 //	4       2     codec version (little endian)
-//	6       2     layout field, always 1
-//	8       8     content sum of the full dump text (see DumpHash)
-//	16      4     dump line count
-//	20      4     IEEE CRC-32 of the index payload
-//	24      4     index payload length
-//	28      ...   index payload: the Index's lines/postings counters,
-//	              nine postings maps, four side lists
+//	6       8     content sum of the full dump text (see DumpHash)
+//	14      4     dump line count
+//	18      4     IEEE CRC-32 of the index payload
+//	22      4     index payload length
+//	26      ...   index payload: the Index's lines/postings counters,
+//	              seven postings maps, four side lists
 //	...     8     app fingerprint (FNV-64a over the encoded dex files)
 //	...     4     IEEE CRC-32 of the dump payload
 //	...     4     dump payload length
@@ -37,12 +36,8 @@ import (
 //	...     4     manifest payload length
 //	...     ...   manifest payload: the serialized Manifest
 //
-// The layout field at offset 6 and the manifest's layout count and
-// per-entry column (see appendManifest) are fixed values kept from an
-// earlier multi-part index layout, so the bytes of every bundle stay as
-// they were; a file carrying any other value is a miss. Postings maps are
-// encoded with sorted keys and delta-varint line lists, so files are
-// deterministic for a given index.
+// Postings maps are encoded with sorted keys and delta-varint line
+// lists, so files are deterministic for a given index.
 //
 // ReadBundle is the one framing path; it accepts a bundle whole or not
 // at all. The Bundle's section decoders then validate against what the
@@ -54,21 +49,18 @@ import (
 // payload layout, the token families or the content sums change; a file
 // of any other version is a silent miss, rebuilt and overwritten like a
 // stale one. Version 4 replaced the FNV-64a dump hash and span
-// fingerprints of version 3 with the CRC content sum; the layout is
-// unchanged.
-const CodecVersion = 4
+// fingerprints of version 3 with the CRC content sum. Version 5 dropped
+// the two postings maps no search command reads (invoke by name and
+// descriptor, new-instance) and the fixed-value layout fields of the
+// header and the manifest.
+const CodecVersion = 5
 
 const (
 	codecMagic = "BDIX"
-	// codecLayout is the fixed value of the header's layout field and the
-	// manifest's layout count; manifestColumn is the fixed per-entry
-	// value that follows each manifest entry's line count.
-	codecLayout    = 1
-	manifestColumn = 0
 
 	// The header ends with the index section's frame: a payload's IEEE
 	// CRC-32 and its length, both u32.
-	codecHeaderSize = 28
+	codecHeaderSize = 26
 	frameSize       = 8
 )
 
@@ -151,9 +143,8 @@ func EncodeBundle(t *Text, x *Index, fingerprint uint64, m *Manifest) ([]byte, e
 		8+2*frameSize+len(dumpPayload)+len(manifestPayload))
 	copy(buf[0:4], codecMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], CodecVersion)
-	binary.LittleEndian.PutUint16(buf[6:8], codecLayout)
-	binary.LittleEndian.PutUint64(buf[8:16], dumpSum)
-	binary.LittleEndian.PutUint32(buf[16:20], uint32(t.LineCount()))
+	binary.LittleEndian.PutUint64(buf[6:14], dumpSum)
+	binary.LittleEndian.PutUint32(buf[14:18], uint32(t.LineCount()))
 	buf = appendSection(buf, indexPayload)
 	buf = binary.LittleEndian.AppendUint64(buf, fingerprint)
 	buf = appendSection(buf, dumpPayload)
@@ -176,7 +167,7 @@ type Bundle struct {
 	index, dump, manifest []byte // section payloads
 }
 
-// ReadBundle checks magic, version and layout, frames all three sections
+// ReadBundle checks magic and version, frames all three sections
 // to the exact length of data and checks their CRCs.
 //
 // Ownership of data passes to the returned Bundle and to every Text
@@ -193,15 +184,14 @@ func ReadBundle(data []byte) (*Bundle, error) {
 	if len(data) < codecHeaderSize {
 		return nil, fmt.Errorf("dexdump: bundle truncated: %d bytes", len(data))
 	}
-	v, l := binary.LittleEndian.Uint16(data[4:6]), binary.LittleEndian.Uint16(data[6:8])
-	if string(data[0:4]) != codecMagic || v != CodecVersion || l != codecLayout {
-		return nil, fmt.Errorf("dexdump: bundle %q version %d layout %d, want %q version %d layout %d",
-			data[0:4], v, l, codecMagic, CodecVersion, codecLayout)
+	if v := binary.LittleEndian.Uint16(data[4:6]); string(data[0:4]) != codecMagic || v != CodecVersion {
+		return nil, fmt.Errorf("dexdump: bundle %q version %d, want %q version %d",
+			data[0:4], v, codecMagic, CodecVersion)
 	}
 	b := &Bundle{
 		data:    data,
-		dumpSum: binary.LittleEndian.Uint64(data[8:16]),
-		lines:   int(binary.LittleEndian.Uint32(data[16:20])),
+		dumpSum: binary.LittleEndian.Uint64(data[6:14]),
+		lines:   int(binary.LittleEndian.Uint32(data[14:18])),
 	}
 	// The index section's frame is the tail of the header; the dump
 	// section's is preceded by the app fingerprint.
@@ -348,10 +338,9 @@ func WriteBundleBytes(path string, data []byte) error {
 	return nil
 }
 
-// appendManifest serializes a Manifest: the layout count, entry count,
-// then per entry name, fingerprint, line count and the fixed column.
+// appendManifest serializes a Manifest: the entry count, then per entry
+// name, fingerprint and line count.
 func appendManifest(buf []byte, m *Manifest) []byte {
-	buf = binary.AppendUvarint(buf, codecLayout)
 	buf = binary.AppendUvarint(buf, uint64(len(m.Entries)))
 	var fp [8]byte
 	for _, e := range m.Entries {
@@ -359,27 +348,19 @@ func appendManifest(buf []byte, m *Manifest) []byte {
 		binary.LittleEndian.PutUint64(fp[:], e.Fingerprint)
 		buf = append(buf, fp[:]...)
 		buf = binary.AppendUvarint(buf, uint64(e.Lines))
-		buf = binary.AppendUvarint(buf, manifestColumn)
 	}
 	return buf
 }
 
 // minManifestEntry is the size of the smallest encoded manifest entry:
-// a one-byte name length, the 8-byte fingerprint, a one-byte line count
-// and the one-byte fixed column.
-const minManifestEntry = 11
+// a one-byte name length, the 8-byte fingerprint and a one-byte line
+// count.
+const minManifestEntry = 10
 
 // decodeManifestPayload reconstructs a Manifest, bounds-checking every
 // count so a corrupt payload decodes as an error, never a panic, and
 // never sizes the entry slice beyond what the payload can hold.
 func decodeManifestPayload(buf []byte) (*Manifest, error) {
-	layout, buf, err := readUvarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	if layout != codecLayout {
-		return nil, fmt.Errorf("manifest layout %d, want %d", layout, codecLayout)
-	}
 	count, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, err
@@ -398,18 +379,12 @@ func decodeManifestPayload(buf []byte) (*Manifest, error) {
 		}
 		e.Fingerprint = binary.LittleEndian.Uint64(buf[:8])
 		buf = buf[8:]
-		var lines, column uint64
+		var lines uint64
 		if lines, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		if column, buf, err = readUvarint(buf); err != nil {
 			return nil, err
 		}
 		if lines > 1<<32 {
 			return nil, fmt.Errorf("manifest entry %d claims %d lines", i, lines)
-		}
-		if column != manifestColumn {
-			return nil, fmt.Errorf("manifest entry %d column %d, want %d", i, column, manifestColumn)
 		}
 		e.Lines = int(lines)
 		m.Entries[i] = e
@@ -620,7 +595,7 @@ func readBytes(buf []byte) ([]byte, []byte, error) {
 	return buf[:n], buf[n:], nil
 }
 
-// appendIndex encodes an index: the lines/postings counters, all nine
+// appendIndex encodes an index: the lines/postings counters, all seven
 // postings maps (sorted keys, delta-varint lists) and the four side lists.
 func appendIndex(buf []byte, x *Index) []byte {
 	buf = binary.AppendUvarint(buf, uint64(x.lines))
@@ -637,8 +612,8 @@ func appendIndex(buf []byte, x *Index) []byte {
 // maps returns the postings maps in fixed codec order.
 func (x *Index) maps() []*map[string][]int32 {
 	return []*map[string][]int32{
-		&x.invokeBySig, &x.invokeByName, &x.invokeByNameP, &x.ctorByPrefix,
-		&x.newInstance, &x.constClass, &x.constString, &x.fieldBySig, &x.classUse,
+		&x.invokeBySig, &x.invokeByNameP, &x.ctorByPrefix, &x.constClass,
+		&x.constString, &x.fieldBySig, &x.classUse,
 	}
 }
 

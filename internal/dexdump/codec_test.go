@@ -167,7 +167,7 @@ func TestAppFingerprintDeterministicAndSensitive(t *testing.T) {
 // indexPayloadBounds returns the [start,end) byte range of the index
 // payload in a bundle.
 func indexPayloadBounds(data []byte) (int, int) {
-	n := int(binary.LittleEndian.Uint32(data[24:28]))
+	n := int(binary.LittleEndian.Uint32(data[22:26]))
 	return codecHeaderSize, codecHeaderSize + n
 }
 
@@ -193,8 +193,8 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 		payload = binary.AppendUvarint(payload, 1<<22)
 		payload = append(payload, make([]byte, 200)...)
 		data := append([]byte(nil), good[:codecHeaderSize]...)
-		binary.LittleEndian.PutUint32(data[20:24], crc32.ChecksumIEEE(payload))
-		binary.LittleEndian.PutUint32(data[24:28], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(data[18:22], crc32.ChecksumIEEE(payload))
+		binary.LittleEndian.PutUint32(data[22:26], uint32(len(payload)))
 		data = append(data, payload...)
 		return append(data, good[ipEnd:]...)
 	}
@@ -213,19 +213,13 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 			binary.LittleEndian.PutUint16(d[4:6], 2)
 			return d
 		}),
-		// The layout field is always 1; a bundle claiming two index
-		// shards (the retired multi-part layout) is a miss.
-		"two shards": corrupt(func(d []byte) []byte {
-			binary.LittleEndian.PutUint16(d[6:8], 2)
-			return d
-		}),
 		"stale hash": corrupt(func(d []byte) []byte { d[9] ^= 0xff; return d }),
 		"index payload bit flip": corrupt(func(d []byte) []byte {
 			d[ipEnd-1] ^= 0x01
 			return d
 		}),
 		"index length overflow": corrupt(func(d []byte) []byte {
-			binary.LittleEndian.PutUint32(d[24:28], uint32(len(d)))
+			binary.LittleEndian.PutUint32(d[22:26], uint32(len(d)))
 			return d
 		}),
 		"map count beyond payload": hugeMap(),
@@ -370,9 +364,8 @@ func TestCodecBundleCorruptionFuzz(t *testing.T) {
 }
 
 // FuzzDecodeIndexFile feeds arbitrary bundles to the index decoder,
-// seeded with the fixture's bundle and the same bundle claiming two index
-// shards (the retired multi-part layout, which must decode as a miss).
-// Decoding must never panic, and a decoded index must answer every lookup
+// seeded with the fixture's bundle and the version-4 bundle of the
+// Fixture app (a legacy layout, which must decode as a miss). Decoding must never panic, and a decoded index must answer every lookup
 // with strictly ascending postings inside the dump. Each input is also tried
 // resealed — header hash, line count and index CRC recomputed for the
 // fixture dump — so mutations reach the payload decoders instead of
@@ -384,9 +377,7 @@ func FuzzDecodeIndexFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(data)
-	twoShards := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint16(twoShards[6:8], 2)
-	f.Add(twoShards)
+	f.Add(testapps.FixtureV4Bundle())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodedIndex(t, data, text)
 		if len(data) < codecHeaderSize {
@@ -395,9 +386,9 @@ func FuzzDecodeIndexFile(f *testing.F) {
 		if start, end := indexPayloadBounds(data); end <= len(data) {
 			payload := data[start:end]
 			sealed := append([]byte(nil), data...)
-			binary.LittleEndian.PutUint64(sealed[8:16], DumpHash(text))
-			binary.LittleEndian.PutUint32(sealed[16:20], uint32(text.LineCount()))
-			binary.LittleEndian.PutUint32(sealed[20:24], crc32.ChecksumIEEE(payload))
+			binary.LittleEndian.PutUint64(sealed[6:14], DumpHash(text))
+			binary.LittleEndian.PutUint32(sealed[14:18], uint32(text.LineCount()))
+			binary.LittleEndian.PutUint32(sealed[18:22], crc32.ChecksumIEEE(payload))
 			checkDecodedIndex(t, sealed, text)
 		}
 	})
@@ -427,9 +418,8 @@ func checkDecodedIndex(t *testing.T, data []byte, text *Text) {
 		check(name, p)
 	}
 	probes := map[string]func(string) []int32{
-		"InvokeBySig": x.InvokeBySig, "InvokeByName": x.InvokeByName,
-		"InvokeByNamePrefix": x.InvokeByNamePrefix, "CtorByPrefix": x.CtorByPrefix,
-		"NewInstance": x.NewInstance, "ConstClass": x.ConstClass,
+		"InvokeBySig": x.InvokeBySig, "InvokeByNamePrefix": x.InvokeByNamePrefix,
+		"CtorByPrefix": x.CtorByPrefix, "ConstClass": x.ConstClass,
 		"ConstString": x.ConstString, "FieldBySig": x.FieldBySig, "ClassUse": x.ClassUse,
 	}
 	for _, m := range x.maps() {
@@ -473,7 +463,7 @@ func TestDumpHashMemoKeepsIndexChecks(t *testing.T) {
 	}
 	corrupt := map[string]func(b []byte){
 		"dump hash":  func(b []byte) { b[8] ^= 0x01 },
-		"line count": func(b []byte) { binary.LittleEndian.PutUint32(b[16:20], uint32(dec.LineCount()+1)) },
+		"line count": func(b []byte) { binary.LittleEndian.PutUint32(b[14:18], uint32(dec.LineCount()+1)) },
 		"index crc":  func(b []byte) { b[20] ^= 0x01 },
 	}
 	for name, mutate := range corrupt {
@@ -566,7 +556,7 @@ func TestDumpSectionHashBack(t *testing.T) {
 	payloadLen := int(binary.LittleEndian.Uint32(good[sec+12 : sec+16]))
 
 	headerSum := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint64(headerSum[8:16], DumpHash(text)+1)
+	binary.LittleEndian.PutUint64(headerSum[6:14], DumpHash(text)+1)
 
 	// Change one letter of the dump text, keeping its length and line
 	// structure, and reseal the dump payload's CRC.
@@ -595,19 +585,12 @@ func TestDumpSectionHashBack(t *testing.T) {
 	}
 }
 
-// TestLegacyV3BundleMisses: a bundle written by codec version 3 — the
-// Fixture app's, byte for byte as that version wrote it — is a miss in
-// every section decoder, and would be one even if the version gate were
-// gone: its FNV-64a sums do not match the CRC sums of version 4.
+// TestLegacyV3BundleMisses: the bundles codec versions 3 and 4 wrote for
+// the Fixture app, byte for byte, are misses in every section decoder,
+// and would be even if the version gate were gone: the FNV-64a sums of
+// version 3 do not match the CRC sums, and both versions frame a header
+// with a layout field and an index of nine postings maps.
 func TestLegacyV3BundleMisses(t *testing.T) {
-	v3 := testapps.FixtureV3Bundle()
-	// The bundle pin TestGoldenBundles held for the fixture at version 3.
-	if got, want := fnv64a(v3), uint64(0xefbfb8ccc6a7b27d); got != want {
-		t.Fatalf("legacy bundle hashes to %#016x, version 3 wrote %#016x", got, want)
-	}
-	if v := binary.LittleEndian.Uint16(v3[4:6]); v != 3 {
-		t.Fatalf("legacy bundle is version %d", v)
-	}
 	app, err := testapps.Fixture()
 	if err != nil {
 		t.Fatal(err)
@@ -618,22 +601,39 @@ func TestLegacyV3BundleMisses(t *testing.T) {
 	}
 	text := Disassemble(merged)
 	fp := AppFingerprint(app.Dexes)
-	if binary.LittleEndian.Uint64(v3[8:16]) != fnv64a([]byte(text.String())) {
-		t.Fatal("legacy bundle does not carry the FNV-64a of today's fixture dump")
-	}
-
-	relabelled := append([]byte(nil), v3...)
-	binary.LittleEndian.PutUint16(relabelled[4:6], CodecVersion)
-	for name, data := range map[string][]byte{"v3": v3, "v3 relabelled v4": relabelled} {
-		if _, err := DecodeBundleDump(data, fp); err == nil {
-			t.Errorf("%s: dump section decoded", name)
+	for _, legacy := range []struct {
+		version uint16
+		data    []byte
+		pin     uint64 // the bundle pin TestGoldenBundles held for the fixture
+		sum     uint64 // the header's dump sum of that version
+	}{
+		{3, testapps.FixtureV3Bundle(), 0xefbfb8ccc6a7b27d, fnv64a([]byte(text.String()))},
+		{4, testapps.FixtureV4Bundle(), 0xdb5913680362905d, DumpHash(text)},
+	} {
+		name := fmt.Sprintf("v%d", legacy.version)
+		if got := fnv64a(legacy.data); got != legacy.pin {
+			t.Fatalf("%s: legacy bundle hashes to %#016x, that version wrote %#016x", name, got, legacy.pin)
 		}
-		if _, err := DecodeIndexFile(data, text); err == nil {
-			t.Errorf("%s: index section decoded", name)
+		if v := binary.LittleEndian.Uint16(legacy.data[4:6]); v != legacy.version {
+			t.Fatalf("%s: legacy bundle is version %d", name, v)
 		}
-	}
-	if _, err := ReadBundle(v3); err == nil {
-		t.Error("v3: bundle read")
+		// Versions 3 and 4 put the dump sum after the 2-byte layout field.
+		if binary.LittleEndian.Uint64(legacy.data[8:16]) != legacy.sum {
+			t.Fatalf("%s: legacy bundle does not carry the dump sum of today's fixture dump", name)
+		}
+		relabelled := bytes.Clone(legacy.data)
+		binary.LittleEndian.PutUint16(relabelled[4:6], CodecVersion)
+		for label, data := range map[string][]byte{name: legacy.data, name + " relabelled": relabelled} {
+			if _, err := DecodeBundleDump(data, fp); err == nil {
+				t.Errorf("%s: dump section decoded", label)
+			}
+			if _, err := DecodeIndexFile(data, text); err == nil {
+				t.Errorf("%s: index section decoded", label)
+			}
+			if _, err := ReadBundle(data); err == nil {
+				t.Errorf("%s: bundle read", label)
+			}
+		}
 	}
 }
 

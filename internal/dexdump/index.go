@@ -4,8 +4,9 @@ import "strings"
 
 // Index is the inverted index over the dump text. One tokenization pass
 // extracts the operand tokens that the Sec. IV search commands key on —
-// invoke target signatures, class descriptors of new-instance/const-class
-// operands, const-string values, field signatures and every embedded
+// invoke target signatures, method-name and constructor prefixes,
+// const-class operands, const-string values, field signatures and every
+// embedded
 // "L...;" class descriptor — and records, per token, the ascending list of
 // dump lines it occurs on. A search command then touches only its postings
 // instead of every dump line; candidates are still re-verified against the
@@ -14,10 +15,8 @@ import "strings"
 // construction and safe for concurrent readers.
 type Index struct {
 	invokeBySig   map[string][]int32 // full target sig -> invoke-* lines
-	invokeByName  map[string][]int32 // ".name:descriptor" -> invoke-* lines
 	invokeByNameP map[string][]int32 // ".name:" prefix -> invoke-* lines
 	ctorByPrefix  map[string][]int32 // "Lcls;.<init>:" -> invoke-direct lines
-	newInstance   map[string][]int32 // class descriptor -> new-instance lines
 	constClass    map[string][]int32 // class descriptor -> const-class lines
 	constString   map[string][]int32 // rendered literal -> const-string lines
 	fieldBySig    map[string][]int32 // field sig -> iget/iput/sget/sput lines
@@ -48,10 +47,8 @@ func BuildIndex(t *Text) *Index {
 func build(t *Text, keep func(span int) bool) *Index {
 	x := &Index{
 		invokeBySig:   make(map[string][]int32),
-		invokeByName:  make(map[string][]int32),
 		invokeByNameP: make(map[string][]int32),
 		ctorByPrefix:  make(map[string][]int32),
-		newInstance:   make(map[string][]int32),
 		constClass:    make(map[string][]int32),
 		constString:   make(map[string][]int32),
 		fieldBySig:    make(map[string][]int32),
@@ -90,12 +87,12 @@ const (
 	semiByte  // ';': closes every open descriptor
 	commaByte // ',': ", " starts the operand tail
 	quoteByte // '"': bounds a string literal
-	mnemByte  // 'i', 'n', 'c', 's': may start a family mnemonic
+	mnemByte  // 'i', 'c', 's': may start a family mnemonic
 )
 
 var byteClass = [256]uint8{
 	'L': classByte, ';': semiByte, ',': commaByte, '"': quoteByte,
-	'i': mnemByte, 'n': mnemByte, 'c': mnemByte, 's': mnemByte,
+	'i': mnemByte, 'c': mnemByte, 's': mnemByte,
 }
 
 // Mnemonic bits: the substrings whose presence anywhere on a line puts
@@ -103,7 +100,6 @@ var byteClass = [256]uint8{
 const (
 	hasInvoke      = 1 << iota // "invoke-"
 	hasDirect                  // "invoke-direct"
-	hasNewInstance             // "new-instance"
 	hasConstClass              // "const-class"
 	hasConstString             // "const-string"
 	hasField                   // "iget", "iput", "sget" or "sput"
@@ -122,10 +118,6 @@ func mnemonicsAt(s string) uint8 {
 		}
 		if strings.HasPrefix(s, "iget") || strings.HasPrefix(s, "iput") {
 			return hasField
-		}
-	case 'n':
-		if strings.HasPrefix(s, "new-instance") {
-			return hasNewInstance
 		}
 	case 'c':
 		if strings.HasPrefix(s, "const-") {
@@ -205,12 +197,11 @@ func (x *Index) addLine(s *scan, n int32, line string) {
 	// on.
 	if mnem&hasInvoke != 0 && tail != "" {
 		x.add(x.invokeBySig, tail, n)
-		// ".name:descriptor" begins at the dot after the class descriptor;
-		// the ".name:" prefix (descriptor-independent, the two-time ICC
-		// search's first pass) ends at the colon after the name.
+		// The ".name:" prefix (descriptor-independent, the two-time ICC
+		// search's first pass) begins at the dot after the class
+		// descriptor and ends at the colon after the name.
 		if p := strings.Index(tail, ";."); p >= 0 {
 			needle := tail[p+1:]
-			x.add(x.invokeByName, needle, n)
 			if c := strings.IndexByte(needle, ':'); c >= 0 {
 				x.add(x.invokeByNameP, needle[:c+1], n)
 			}
@@ -228,9 +219,6 @@ func (x *Index) addLine(s *scan, n int32, line string) {
 		if quoted {
 			x.addSide(&x.oddInvokes, n)
 		}
-	}
-	if mnem&hasNewInstance != 0 && tail != "" {
-		x.add(x.newInstance, tail, n)
 	}
 	if mnem&hasConstClass != 0 && tail != "" {
 		x.add(x.constClass, tail, n)
@@ -300,18 +288,11 @@ func (x *Index) InvokeBySig(sig string) []int32 {
 	return x.invokeBySig[sig]
 }
 
-// InvokeByName returns the invoke lines whose target ends in
-// ".name:descriptor" regardless of declaring class.
-func (x *Index) InvokeByName(needle string) []int32 {
-	return x.invokeByName[needle]
-}
-
 // InvokeByNamePrefix returns the candidate invoke lines whose target
 // method name matches the ".name:" prefix regardless of declaring class
 // and descriptor, plus any string literal mentioning an invoke mnemonic
 // (the linear Contains grep would match those too; the caller's predicate
-// filters them). This backs the two-time ICC search's first pass, which
-// previously fell back to a raw O(lines) scan.
+// filters them). This backs the two-time ICC search's first pass.
 func (x *Index) InvokeByNamePrefix(prefix string) []int32 {
 	return mergePostings(x.invokeByNameP[prefix], x.oddInvokes)
 }
@@ -322,11 +303,6 @@ func (x *Index) InvokeByNamePrefix(prefix string) []int32 {
 // those too; the caller's predicate filters them).
 func (x *Index) CtorByPrefix(prefix string) []int32 {
 	return mergePostings(x.ctorByPrefix[prefix], x.oddCtors)
-}
-
-// NewInstance returns the new-instance lines allocating the descriptor.
-func (x *Index) NewInstance(desc string) []int32 {
-	return x.newInstance[desc]
 }
 
 // ConstClass returns the const-class lines loading the descriptor.

@@ -83,7 +83,7 @@ func TestIndexCoversAllTokenFamilies(t *testing.T) {
 	if got := idx.InvokeBySig("Lcom/idx/Helper;.work:()V"); len(got) != 1 {
 		t.Errorf("invoke postings = %v", got)
 	}
-	if got := idx.InvokeByName(".work:()V"); len(got) != 1 {
+	if got := idx.InvokeByNamePrefix(".work:"); len(got) != 1 {
 		t.Errorf("invoke-by-name postings = %v", got)
 	}
 	if got := idx.CtorByPrefix("Lcom/idx/Helper;.<init>:"); len(got) != 1 {
@@ -91,9 +91,6 @@ func TestIndexCoversAllTokenFamilies(t *testing.T) {
 	}
 	if got := idx.CtorByPrefix("Ljava/lang/Object;.<init>:"); len(got) != 1 {
 		t.Errorf("object ctor postings = %v (Helper's ctor calls super)", got)
-	}
-	if got := idx.NewInstance("Lcom/idx/Helper;"); len(got) != 1 {
-		t.Errorf("new-instance postings = %v", got)
 	}
 	if got := idx.ConstClass("Lcom/idx/Helper;"); len(got) != 1 {
 		t.Errorf("const-class postings = %v", got)
@@ -122,14 +119,12 @@ func TestIndexClassUseMatchesGrep(t *testing.T) {
 	}
 }
 
-// indexMaps names the nine token maps of x.
+// indexMaps names the seven token maps of x.
 func indexMaps(x *Index) map[string]map[string][]int32 {
 	return map[string]map[string][]int32{
 		"invokeBySig":   x.invokeBySig,
-		"invokeByName":  x.invokeByName,
 		"invokeByNameP": x.invokeByNameP,
 		"ctorByPrefix":  x.ctorByPrefix,
-		"newInstance":   x.newInstance,
 		"constClass":    x.constClass,
 		"constString":   x.constString,
 		"fieldBySig":    x.fieldBySig,
@@ -203,11 +198,9 @@ func classesFixture(t testing.TB) (*dex.File, *Text) {
 func lookups(src *Index) map[string][]int32 {
 	out := make(map[string][]int32)
 	out["invoke"] = src.InvokeBySig("Ljava/lang/Object;.<init>:()V")
-	out["invoke-name"] = src.InvokeByName(".<init>:()V")
 	out["invoke-prefix"] = src.InvokeByNamePrefix(".<init>:")
 	out["invoke-prefix-miss"] = src.InvokeByNamePrefix(".nosuch:")
 	out["ctor"] = src.CtorByPrefix("Ljava/lang/Object;.<init>:")
-	out["new"] = src.NewInstance("Lcom/alpha/One;")
 	out["const-class"] = src.ConstClass("Lcom/alpha/One;")
 	out["const-string"] = src.ConstString("payload-3")
 	out["field"] = src.FieldBySig("Lcom/alpha/One;.f:I")
@@ -311,12 +304,11 @@ func addLineOracle(x *Index, n int32, line string) {
 	// hit.
 	if strings.Contains(line, "invoke-") && tail != "" {
 		oracleAdd(x, x.invokeBySig, tail, n)
-		// ".name:descriptor" begins at the dot after the class descriptor;
-		// the ".name:" prefix (descriptor-independent, the two-time ICC
-		// search's first pass) ends at the colon after the name.
+		// The ".name:" prefix (descriptor-independent, the two-time ICC
+		// search's first pass) begins at the dot after the class
+		// descriptor and ends at the colon after the name.
 		if p := strings.Index(tail, ";."); p >= 0 {
 			needle := tail[p+1:]
-			oracleAdd(x, x.invokeByName, needle, n)
 			if c := strings.IndexByte(needle, ':'); c >= 0 {
 				oracleAdd(x, x.invokeByNameP, needle[:c+1], n)
 			}
@@ -334,9 +326,6 @@ func addLineOracle(x *Index, n int32, line string) {
 		if quoted {
 			oracleAddSide(x, &x.oddInvokes, n)
 		}
-	}
-	if strings.Contains(line, "new-instance") && tail != "" {
-		oracleAdd(x, x.newInstance, tail, n)
 	}
 	if strings.Contains(line, "const-class") && tail != "" {
 		oracleAdd(x, x.constClass, tail, n)
@@ -398,10 +387,8 @@ func oracleAdd(x *Index, m map[string][]int32, token string, n int32) {
 func buildOracle(t *Text) *Index {
 	x := &Index{
 		invokeBySig:   make(map[string][]int32),
-		invokeByName:  make(map[string][]int32),
 		invokeByNameP: make(map[string][]int32),
 		ctorByPrefix:  make(map[string][]int32),
-		newInstance:   make(map[string][]int32),
 		constClass:    make(map[string][]int32),
 		constString:   make(map[string][]int32),
 		fieldBySig:    make(map[string][]int32),

@@ -177,14 +177,3 @@ func (m *Manifest) TotalLines() int {
 func BuildPartialIndex(t *Text, classes map[string]bool) *Index {
 	return build(t, func(span int) bool { return classes[t.spans[span].Name] })
 }
-
-// SpanOf returns the span of the named class (the first occurrence, for
-// the degenerate duplicate case) and whether it exists.
-func (t *Text) SpanOf(name string) (ClassSpan, bool) {
-	for _, sp := range t.spans {
-		if sp.Name == name {
-			return sp, true
-		}
-	}
-	return ClassSpan{}, false
-}

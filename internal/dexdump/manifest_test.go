@@ -30,6 +30,16 @@ func buildFixtureFile(t *testing.T, names ...string) (*dex.File, *Text) {
 	return f, Disassemble(f)
 }
 
+// spanOf returns the span of the named class and whether it exists.
+func spanOf(t *Text, name string) (ClassSpan, bool) {
+	for _, sp := range t.ClassSpans() {
+		if sp.Name == name {
+			return sp, true
+		}
+	}
+	return ClassSpan{}, false
+}
+
 // TestSpanFingerprintPositionIndependent pins the content-addressing
 // property everything above relies on: a class body fingerprints
 // identically no matter where it sits in the dump (the "Class #N" header
@@ -38,11 +48,11 @@ func TestSpanFingerprintPositionIndependent(t *testing.T) {
 	_, a := buildFixtureFile(t, "com.x.Keep", "com.x.Other")
 	_, b := buildFixtureFile(t, "com.x.First", "com.x.Second", "com.x.Keep")
 
-	spA, ok := a.SpanOf("com.x.Keep")
+	spA, ok := spanOf(a, "com.x.Keep")
 	if !ok {
 		t.Fatal("com.x.Keep missing from dump A")
 	}
-	spB, ok := b.SpanOf("com.x.Keep")
+	spB, ok := spanOf(b, "com.x.Keep")
 	if !ok {
 		t.Fatal("com.x.Keep missing from dump B")
 	}
@@ -52,7 +62,7 @@ func TestSpanFingerprintPositionIndependent(t *testing.T) {
 	if SpanFingerprint(a, spA) != SpanFingerprint(b, spB) {
 		t.Error("identical class body fingerprints differently at different positions")
 	}
-	other, _ := a.SpanOf("com.x.Other")
+	other, _ := spanOf(a, "com.x.Other")
 	if SpanFingerprint(a, spA) == SpanFingerprint(a, other) {
 		t.Error("different class bodies share a fingerprint")
 	}
@@ -63,7 +73,7 @@ func TestSpanFingerprintPositionIndependent(t *testing.T) {
 // other's; an edit to the "Class #N" header line changes none.
 func TestSpanFingerprintOneByteEdit(t *testing.T) {
 	_, text := buildFixtureFile(t, "com.x.First", "com.x.Edited", "com.x.Last")
-	sp, _ := text.SpanOf("com.x.Edited")
+	sp, _ := spanOf(text, "com.x.Edited")
 	payload := appendDump(nil, text)
 	_, k := binary.Uvarint(payload)
 	off := k
@@ -164,7 +174,7 @@ func TestBuildPartialIndexGlobalLines(t *testing.T) {
 	if !equalPostings(got, want) {
 		t.Errorf("partial postings = %v, want the full index's global lines %v", got, want)
 	}
-	sp, _ := text.SpanOf("com.b.Three")
+	sp, _ := spanOf(text, "com.b.Three")
 	for _, n := range got {
 		if int(n) < sp.Start || int(n) >= sp.End {
 			t.Errorf("line %d outside the class span [%d,%d)", n, sp.Start, sp.End)
@@ -215,7 +225,7 @@ func manifestAt(data []byte) (int, bool) {
 	if len(data) < codecHeaderSize {
 		return 0, false
 	}
-	dumpAt := codecHeaderSize + int(binary.LittleEndian.Uint32(data[24:28]))
+	dumpAt := codecHeaderSize + int(binary.LittleEndian.Uint32(data[22:26]))
 	if dumpAt < 0 || dumpAt > len(data)-dumpSectionHeaderSize {
 		return 0, false
 	}
@@ -254,28 +264,20 @@ func TestDecodeManifestRejectsHostilePayloads(t *testing.T) {
 		}
 		return b
 	}
-	// entry builds a one-entry payload for class "A" spanning the whole
-	// dump under the given layout count and column value.
-	lines := uint64(text.LineCount())
-	entry := func(layout, column uint64) []byte {
-		b := append(uv(layout, 1, 1), 'A')
-		b = append(b, make([]byte, 8)...)
-		return append(b, uv(lines, column)...)
-	}
-	if _, err := bundleManifest(withManifestPayload(good, entry(1, 0))); err != nil {
+	// entry is a one-entry payload for class "A" spanning the whole dump.
+	entry := append(uv(1, 1), 'A')
+	entry = append(entry, make([]byte, 8)...)
+	entry = append(entry, uv(uint64(text.LineCount()))...)
+	if _, err := bundleManifest(withManifestPayload(good, entry)); err != nil {
 		t.Fatalf("well-formed one-entry manifest did not decode: %v", err)
 	}
-	nonMinimal := entry(1, 0)
-	nonMinimal = append([]byte{nonMinimal[0], 0x81, 0x00}, nonMinimal[2:]...)
+	nonMinimal := append([]byte{0x81, 0x00}, entry[1:]...)
 	cases := map[string][]byte{
 		// 4 MiB claiming 4M entries: under the old count <= len(buf)
 		// bound this sized a 160 MB entry slice before failing.
-		"entry count beyond payload": append(uv(1, 4_000_000), make([]byte, 4<<20)...),
-		// The layout count is always 1 and the per-entry column always 0;
-		// a manifest of the retired multi-part layout is a miss.
-		"two shards":       entry(2, 0),
-		"entry in shard 1": entry(2, 1),
-		"column 1":         entry(1, 1),
+		"entry count beyond payload": append(uv(4_000_000), make([]byte, 4<<20)...),
+		// A trailing byte after the last entry.
+		"trailing byte": append(bytes.Clone(entry), 0),
 		// Only minimal varints decode, so a decoded manifest re-encodes
 		// to the bytes it came from.
 		"non-minimal count": nonMinimal,
@@ -324,7 +326,7 @@ func checkDecodedManifest(t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
-	if want := int(binary.LittleEndian.Uint32(data[16:20])); m.TotalLines() != want {
+	if want := int(binary.LittleEndian.Uint32(data[14:18])); m.TotalLines() != want {
 		t.Fatalf("manifest covers %d lines, header says %d", m.TotalLines(), want)
 	}
 	at, _ := manifestAt(data)

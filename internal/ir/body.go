@@ -55,22 +55,6 @@ func (b *Body) Predecessors() [][]int {
 	return preds
 }
 
-// InvokeSites returns the unit indexes containing invoke expressions,
-// optionally filtered to a callee signature (empty string matches all).
-func (b *Body) InvokeSites(calleeSootSig string) []int {
-	var out []int
-	for i, u := range b.Units {
-		inv := InvokeOf(u)
-		if inv == nil {
-			continue
-		}
-		if calleeSootSig == "" || inv.Method.SootSignature() == calleeSootSig {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // String renders the body in a Jimple-like layout, useful in reports and
 // debugging output.
 func (b *Body) String() string {

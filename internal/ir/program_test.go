@@ -166,3 +166,30 @@ func TestProgramsDoNotShareIDs(t *testing.T) {
 		t.Errorf("p2.Ref(0) = %s, want %s", got, c)
 	}
 }
+
+// TestProgramReturnTypeOverload: static int m() and String m() in one
+// class are two methods (dex allows overloading on the return type), and
+// Body gives each ref its own body.
+func TestProgramReturnTypeOverload(t *testing.T) {
+	cb := dex.NewClass("com.ex.A")
+	ib := cb.StaticMethod("m", dex.Int)
+	r := ib.Reg()
+	intRef := ib.Const(r, 7).Return(r).Ref()
+	sb := cb.StaticMethod("m", dex.StringT)
+	r = sb.Reg()
+	strRef := sb.ConstString(r, "seven").Return(r).Ref()
+	f := dex.NewFile()
+	if err := f.AddClass(sb.Done().Build()); err != nil {
+		t.Fatal(err)
+	}
+	p := NewProgram(f)
+	for _, ref := range []dex.MethodRef{intRef, strRef} {
+		b, err := p.Body(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !b.Method.Equal(ref) {
+			t.Errorf("Body(%v) returned the body of %v", ref, b.Method)
+		}
+	}
+}

@@ -267,29 +267,6 @@ func TestSuccessorsAndPredecessors(t *testing.T) {
 	}
 }
 
-func TestInvokeSites(t *testing.T) {
-	cb := dex.NewClass("com.a.B")
-	mb := cb.Method("m", dex.Void)
-	h1 := dex.NewMethodRef("com.a.B", "h1", dex.Void)
-	h2 := dex.NewMethodRef("com.a.B", "h2", dex.Int)
-	r := mb.Reg()
-	mb.InvokeVirtual(h1, mb.This()).
-		InvokeVirtual(h2, mb.This()).
-		MoveResult(r).
-		ReturnVoid().Done()
-	b := mustTranslate(t, cb.Build().FindMethod("m"))
-
-	if got := b.InvokeSites(""); len(got) != 2 {
-		t.Errorf("all invoke sites = %v", got)
-	}
-	if got := b.InvokeSites(h1.SootSignature()); len(got) != 1 {
-		t.Errorf("h1 sites = %v", got)
-	}
-	if got := b.InvokeSites("<com.a.B: void nope()>"); got != nil {
-		t.Errorf("missing callee sites = %v", got)
-	}
-}
-
 func TestProgramCache(t *testing.T) {
 	f := dex.NewFile()
 	cb := dex.NewClass("com.a.B")

@@ -77,7 +77,7 @@ func TestRegistryPin(t *testing.T) {
 		`backdroid_reports_recovered_total`:                      0,
 		`backdroid_reports_refreshes_total`:                      0,
 		`backdroid_reports_skipped_total`:                        0,
-		`backdroid_store_bytes`:                                  47117,
+		`backdroid_store_bytes`:                                  46295,
 		`backdroid_store_drops_total`:                            0,
 		`backdroid_store_entries`:                                1,
 		`backdroid_store_evictions_total`:                        0,
@@ -134,7 +134,7 @@ func TestRegistryPinFleet(t *testing.T) {
 		}
 	}
 	wantStore := map[string]int64{
-		`backdroid_store_bytes`:           47117,
+		`backdroid_store_bytes`:           46295,
 		`backdroid_store_drops_total`:     0,
 		`backdroid_store_entries`:         1,
 		`backdroid_store_evictions_total`: 0,

@@ -152,8 +152,8 @@ func TestLockFingerprintSerializes(t *testing.T) {
 	}
 }
 
-// TestLegacyBundleIsSilentMiss: a bundle of codec version 3 in the store
-// and in the disk cache is a silent miss. The job succeeds with the
+// TestLegacyBundleIsSilentMiss: a bundle of codec version 3 or 4 in the
+// store and in the disk cache is a silent miss. The job succeeds with the
 // verdicts of a cold run, the store drops the stale entry and holds a
 // current bundle instead, the disk file is rewritten at the current
 // version, and the next job is a store hit. A stale file on disk alone is
@@ -163,7 +163,6 @@ func TestLegacyBundleIsSilentMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := app.Fingerprint()
 	ref := New(Config{Workers: 1})
 	defer ref.Close()
 	cold := runFixtureJob(t, ref, app)
@@ -173,44 +172,59 @@ func TestLegacyBundleIsSilentMiss(t *testing.T) {
 		inStore bool
 	}{{"store-and-disk", true}, {"disk-only", false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := dexdump.CachePath(dir, app.Name)
-			if err := os.WriteFile(path, testapps.FixtureV3Bundle(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			store := NewBundleStore(0)
-			wantDrops := int64(0)
-			if tc.inStore {
-				store.PutBundle(fp, testapps.FixtureV3Bundle())
-				wantDrops = 1
-			}
-			opts := core.DefaultOptions()
-			opts.IndexCacheDir = dir
-			s := New(Config{Workers: 1, Store: store, Options: &opts})
-			defer s.Close()
-
-			first := runFixtureJob(t, s, app)
-			st := first.BackDroid.Stats
-			if st.BundleStoreHits != 0 || st.DumpCacheHits != 0 || st.DumpLinesDisassembled == 0 {
-				t.Errorf("stats %+v, want a cold run", st)
-			}
-			if got, want := detectionKey(first.BackDroid), detectionKey(cold.BackDroid); got != want {
-				t.Errorf("verdicts\n%s\nwant\n%s", got, want)
-			}
-			if drops := store.stats().Drops; drops != wantDrops {
-				t.Errorf("%d store drops, want %d", drops, wantDrops)
-			}
-			stored, ok := store.GetBundle(fp)
-			if !ok || binary.LittleEndian.Uint16(stored[4:6]) != dexdump.CodecVersion {
-				t.Fatal("store holds no current bundle")
-			}
-			if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, stored) {
-				t.Errorf("disk file not rewritten as the stored bundle (%v)", err)
-			}
-			if again := runFixtureJob(t, s, app); again.BackDroid.Stats.BundleStoreHits != 1 {
-				t.Errorf("next job is not a store hit: %+v", again.BackDroid.Stats)
+			for _, legacy := range []struct {
+				name   string
+				bundle func() []byte
+			}{{"v3", testapps.FixtureV3Bundle}, {"v4", testapps.FixtureV4Bundle}} {
+				t.Run(legacy.name, func(t *testing.T) {
+					legacyBundleRun(t, app, cold, legacy.bundle, tc.inStore)
+				})
 			}
 		})
+	}
+}
+
+// legacyBundleRun seeds a fresh disk cache, and the store when inStore
+// is set, with the legacy bundle and checks that the next two jobs are a
+// cold run that rewrites both at the current version and a store hit.
+func legacyBundleRun(t *testing.T, app *apk.App, cold *JobResult, legacy func() []byte, inStore bool) {
+	fp := app.Fingerprint()
+	dir := t.TempDir()
+	path := dexdump.CachePath(dir, app.Name)
+	if err := os.WriteFile(path, legacy(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := NewBundleStore(0)
+	wantDrops := int64(0)
+	if inStore {
+		store.PutBundle(fp, legacy())
+		wantDrops = 1
+	}
+	opts := core.DefaultOptions()
+	opts.IndexCacheDir = dir
+	s := New(Config{Workers: 1, Store: store, Options: &opts})
+	defer s.Close()
+
+	first := runFixtureJob(t, s, app)
+	st := first.BackDroid.Stats
+	if st.BundleStoreHits != 0 || st.DumpCacheHits != 0 || st.DumpLinesDisassembled == 0 {
+		t.Errorf("stats %+v, want a cold run", st)
+	}
+	if got, want := detectionKey(first.BackDroid), detectionKey(cold.BackDroid); got != want {
+		t.Errorf("verdicts\n%s\nwant\n%s", got, want)
+	}
+	if drops := store.stats().Drops; drops != wantDrops {
+		t.Errorf("%d store drops, want %d", drops, wantDrops)
+	}
+	stored, ok := store.GetBundle(fp)
+	if !ok || binary.LittleEndian.Uint16(stored[4:6]) != dexdump.CodecVersion {
+		t.Fatal("store holds no current bundle")
+	}
+	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, stored) {
+		t.Errorf("disk file not rewritten as the stored bundle (%v)", err)
+	}
+	if again := runFixtureJob(t, s, app); again.BackDroid.Stats.BundleStoreHits != 1 {
+		t.Errorf("next job is not a store hit: %+v", again.BackDroid.Stats)
 	}
 }
 
