@@ -107,8 +107,16 @@ type bodySource struct {
 func (m *Method) Instructions() []Instruction {
 	if b := m.body; b != nil && !b.decoded.Load() {
 		b.once.Do(func() {
-			d := &decoder{buf: b.src.data[b.start:b.end], pool: b.src.pool}
-			if err := d.code(m.Ref.Class, m, b.n, true); err != nil || len(d.buf) != 0 {
+			// A counting walk over the body sizes its operand chunks, so
+			// the few bodies a warm job decodes allocate no spare entries.
+			body := b.src.data[b.start:b.end]
+			d := &decoder{buf: body, pool: b.src.pool}
+			err := d.code(m.Ref.Class, m, b.n, false)
+			if err == nil {
+				d = &decoder{buf: body, pool: b.src.pool, ops: &operands{left: d.seen}}
+				err = d.code(m.Ref.Class, m, b.n, true)
+			}
+			if err != nil || len(d.buf) != 0 {
 				panic(fmt.Sprintf("dex: validated body of %s does not decode: %v", m.Ref, err))
 			}
 			b.src = nil

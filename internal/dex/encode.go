@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
+	"unsafe"
 )
 
 // Binary container format ("GDEX"): a compact dex-like serialization with a
@@ -161,6 +163,86 @@ func Encode(f *File) []byte {
 type decoder struct {
 	buf  []byte // the bytes not read yet
 	pool []string
+	ops  *operands     // where decoded operands go; nil allocates each ref's Params alone
+	seen operandCounts // the operands the walk has passed over without decoding them
+}
+
+// chunkBytes bounds one operand chunk: 7 method refs, 10 field refs, 32
+// parameter types or 64 argument registers. Up to 512 bytes, an object
+// needs no allocation header, so a chunk fills its size class.
+const chunkBytes = 512
+
+// operandCounts counts the operand entries of decoded instructions, by
+// kind: method refs, field refs, parameter types and argument registers.
+type operandCounts struct{ methods, fields, types, ints int }
+
+// operands hands out the refs and slices of decoded instructions from
+// chunks that many instructions share, so a decode makes one allocation
+// per chunk, not one per ref, Params or Args slice. Each hand-out is cut
+// with a full slice expression, so an append to it copies instead of
+// writing into a neighbour. A chunk holds at most chunkBytes: a report
+// that keeps one ref or slice alive pins at most that much of its
+// neighbours with it. A slice that does not fit a chunk gets an array of
+// its own.
+type operands struct {
+	methods []MethodRef
+	fields  []FieldRef
+	types   []TypeDesc
+	ints    []int
+	// left is what the decode still needs of each kind, and no chunk is
+	// larger than that. A lazily decoded body counts it with a walk over
+	// itself; the eager decode of a whole file does not know it, so its
+	// chunks are all chunkBytes long.
+	left operandCounts
+}
+
+// unsized is operands.left for a decode that does not know its needs.
+var unsized = operandCounts{math.MaxInt, math.MaxInt, math.MaxInt, math.MaxInt}
+
+// take cuts n entries off *chunk, first replacing a chunk too short for
+// them with a fresh one of at most chunkBytes and at most *left entries;
+// *left then drops by n.
+func take[T any](chunk *[]T, n int, left *int) []T {
+	var zero T
+	size := min(chunkBytes/int(unsafe.Sizeof(zero)), *left)
+	*left -= n
+	if n > len(*chunk) {
+		if n >= size {
+			return make([]T, n)
+		}
+		*chunk = make([]T, size)
+	}
+	s := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return s
+}
+
+// method stores m in a chunk and returns its address.
+func (o *operands) method(m MethodRef) *MethodRef {
+	p := &take(&o.methods, 1, &o.left.methods)[0]
+	*p = m
+	return p
+}
+
+// field stores f in a chunk and returns its address.
+func (o *operands) field(f FieldRef) *FieldRef {
+	p := &take(&o.fields, 1, &o.left.fields)[0]
+	*p = f
+	return p
+}
+
+// typeList returns a Params slice of n entries; a nil o allocates it
+// alone.
+func (o *operands) typeList(n int) []TypeDesc {
+	if o == nil {
+		return make([]TypeDesc, n)
+	}
+	return take(&o.types, n, &o.left.types)
+}
+
+// intList returns an Args slice of n entries.
+func (o *operands) intList(n int) []int {
+	return take(&o.ints, n, &o.left.ints)
 }
 
 // errOverflow is binary.ReadUvarint's error for a varint that does not
@@ -246,7 +328,8 @@ func (d *decoder) str() (string, error) {
 }
 
 // methodRef reads a method ref. With keep false it applies the same
-// checks but allocates nothing: the ref it returns has no Params.
+// checks but allocates nothing: the ref it returns has no Params, and
+// they are counted in d.seen.
 func (d *decoder) methodRef(keep bool) (MethodRef, error) {
 	var m MethodRef
 	var err error
@@ -261,7 +344,9 @@ func (d *decoder) methodRef(keep bool) (MethodRef, error) {
 		return m, err
 	}
 	if keep && np > 0 {
-		m.Params = make([]TypeDesc, np)
+		m.Params = d.ops.typeList(np)
+	} else if !keep {
+		d.seen.types += np
 	}
 	for i := 0; i < np; i++ {
 		p, err := d.str()
@@ -298,8 +383,9 @@ func (d *decoder) fieldRef() (FieldRef, error) {
 }
 
 // instruction decodes one instruction into in and reports which refs it
-// carries. With materialize false it applies the same checks but sets
-// only in's scalar operands: no refs, no args, nothing allocated.
+// carries, taking its refs and args from d.ops. With materialize false it
+// applies the same checks but sets only in's scalar operands: no refs, no
+// args, nothing allocated; it counts them in d.seen instead.
 func (d *decoder) instruction(in *Instruction, materialize bool) (hasMethod, hasField bool, err error) {
 	op, err := d.uvarint()
 	if err != nil {
@@ -333,31 +419,29 @@ func (d *decoder) instruction(in *Instruction, materialize bool) (hasMethod, has
 	if hasMethod, err = d.flag(); err != nil {
 		return false, false, err
 	}
-	// The refs are taken in separate branches: a variable whose address
-	// is stored escapes, and would be allocated without materialize too.
-	if hasMethod && materialize {
-		m, err := d.methodRef(true)
+	if hasMethod {
+		m, err := d.methodRef(materialize)
 		if err != nil {
 			return false, false, err
 		}
-		in.Method = &m
-	} else if hasMethod {
-		if _, err := d.methodRef(false); err != nil {
-			return false, false, err
+		if materialize {
+			in.Method = d.ops.method(m)
+		} else {
+			d.seen.methods++
 		}
 	}
 	if hasField, err = d.flag(); err != nil {
 		return false, false, err
 	}
-	if hasField && materialize {
+	if hasField {
 		f, err := d.fieldRef()
 		if err != nil {
 			return false, false, err
 		}
-		in.Field = &f
-	} else if hasField {
-		if _, err := d.fieldRef(); err != nil {
-			return false, false, err
+		if materialize {
+			in.Field = d.ops.field(f)
+		} else {
+			d.seen.fields++
 		}
 	}
 	na, err := d.count("arg count", minVarintBytes)
@@ -365,7 +449,9 @@ func (d *decoder) instruction(in *Instruction, materialize bool) (hasMethod, has
 		return false, false, err
 	}
 	if materialize && na > 0 {
-		in.Args = make([]int, na)
+		in.Args = d.ops.intList(na)
+	} else if !materialize {
+		d.seen.ints += na
 	}
 	for i := 0; i < na; i++ {
 		a, err := d.varint()
@@ -411,8 +497,8 @@ func checkOperands(op Op, hasMethod, hasField bool) error {
 
 // code is the one walker over a method body of n instructions, behind
 // both the eager decode and LoadTables: with materialize it decodes the
-// body into m.Code, without it applies the same checks and builds
-// nothing.
+// body into m.Code, its operands taken from d.ops, which must be set;
+// without it applies the same checks and builds nothing.
 func (d *decoder) code(class string, m *Method, n int, materialize bool) error {
 	var scratch Instruction
 	if materialize {
@@ -475,7 +561,9 @@ func decodeClasses(f *File, data []byte, materialize bool) error {
 		d.buf = d.buf[slen:]
 	}
 	var src *bodySource
-	if !materialize {
+	if materialize {
+		d.ops = &operands{left: unsized}
+	} else {
 		src = &bodySource{data: data, pool: d.pool}
 	}
 

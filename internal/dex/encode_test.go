@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // buildSampleFile constructs a file exercising every instruction shape.
@@ -428,5 +430,117 @@ func TestLoadTablesDefersBodies(t *testing.T) {
 		if !m.BodyDecoded() || !reflect.DeepEqual(m.Code, wantMethods[i].Code) {
 			t.Fatalf("%s: Code after Load = %+v, want %+v", m.Ref, m.Code, wantMethods[i].Code)
 		}
+	}
+}
+
+// operandHeavyFile has one method whose body spans several operand
+// chunks of every kind: 20 invokes with a parameter and two arguments
+// each, and 12 field reads.
+func operandHeavyFile() *File {
+	f := NewFile()
+	cb := NewClass("com.chunk.Heavy").Field("n", Int)
+	mb := cb.Method("run", Void, StringT)
+	field := NewFieldRef("com.chunk.Heavy", "n", Int)
+	r := mb.Reg()
+	for i := range 20 {
+		callee := NewMethodRef("com.chunk.Callee", fmt.Sprintf("m%d", i), Void, StringT)
+		mb.InvokeVirtual(callee, mb.This(), mb.Param(0))
+		if i < 12 {
+			mb.IGet(r, mb.This(), field)
+		}
+	}
+	mb.ReturnVoid().Done()
+	_ = f.AddClass(cb.Build())
+	return f
+}
+
+// TestOperandChunksAreIsolated requires every decoded operand slice to
+// end at its own length: appending to one must copy, never write into
+// the next instruction's operands. Both the eager decode and a lazily
+// decoded body take their operands from shared chunks.
+func TestOperandChunksAreIsolated(t *testing.T) {
+	data := Encode(operandHeavyFile())
+	eager, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := Open(data)
+	if err == nil {
+		err = lazy.LoadTables()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*File{"eager": eager, "lazy": lazy} {
+		code := f.Classes()[0].Methods[0].Instructions()
+		want := make([]Instruction, len(code))
+		for i, in := range code {
+			want[i] = in
+			if in.Method != nil {
+				m := *in.Method
+				m.Params = append([]TypeDesc(nil), m.Params...)
+				want[i].Method = &m
+				want[i].Args = append([]int(nil), in.Args...)
+			}
+		}
+		for _, in := range code {
+			if in.Method != nil {
+				_ = append(in.Method.Params, "LX;")
+				_ = append(in.Args, 99)
+			}
+		}
+		if !reflect.DeepEqual(code, want) {
+			t.Fatalf("%s: appending to decoded operands changed a neighbour", name)
+		}
+	}
+}
+
+// TestLazyBodySizesItsChunks requires a lazily decoded body to take its
+// operands from a few chunks sized to the body, not one allocation per
+// ref, Params or Args slice (61 for this body) and not whole 512-byte
+// chunks it leaves mostly empty.
+func TestLazyBodySizesItsChunks(t *testing.T) {
+	data := Encode(operandHeavyFile())
+	f, err := Open(data)
+	if err == nil {
+		err = f.LoadTables()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := f.Classes()[0].Methods[0]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code := m.Instructions()
+	runtime.ReadMemStats(&after)
+	// The operands alone need 20 method refs, 12 field refs, 20 params
+	// and 40 args; the rest is the Code slice and the decoders.
+	exact := 20*unsafe.Sizeof(MethodRef{}) + 12*unsafe.Sizeof(FieldRef{}) +
+		20*unsafe.Sizeof(TypeDesc("")) + 40*unsafe.Sizeof(0) +
+		uintptr(len(code))*unsafe.Sizeof(Instruction{})
+	if n := after.Mallocs - before.Mallocs; n > 15 {
+		t.Errorf("lazy decode made %d allocations", n)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > uint64(exact)+512 {
+		t.Errorf("lazy decode allocated %d bytes, its body needs %d", n, exact)
+	}
+}
+
+func TestTakeBoundsChunks(t *testing.T) {
+	var chunk []int
+	left := 70
+	a := take(&chunk, 3, &left)
+	if len(a) != 3 || cap(a) != 3 || len(chunk) != chunkBytes/8-3 || left != 67 {
+		t.Fatalf("first take: len %d cap %d, chunk %d left, %d still needed", len(a), cap(a), len(chunk), left)
+	}
+	big := take(&chunk, chunkBytes, &left)
+	if len(big) != chunkBytes || len(chunk) != chunkBytes/8-3 {
+		t.Fatalf("an oversized take used the chunk: len %d, chunk %d left", len(big), len(chunk))
+	}
+	left = 5
+	chunk = nil
+	take(&chunk, 2, &left)
+	if len(chunk) != 3 {
+		t.Fatalf("a sized chunk holds %d spare entries, want 3", len(chunk))
 	}
 }

@@ -123,6 +123,20 @@ func (o Op) IsInvoke() bool {
 	return false
 }
 
+// PrintsSymbol reports whether AppendFormat prints a string, type,
+// method or field operand for the opcode. Every other opcode, an unknown
+// one included, prints only its mnemonic, registers, literals and branch
+// targets.
+func (o Op) PrintsSymbol() bool {
+	switch o {
+	case OpConstString, OpConstClass, OpNewInstance, OpCheckCast, OpNewArray, OpInstanceOf,
+		OpInvokeVirtual, OpInvokeDirect, OpInvokeStatic, OpInvokeInterface, OpInvokeSuper,
+		OpIGet, OpIPut, OpSGet, OpSPut:
+		return true
+	}
+	return false
+}
+
 // IsBranch reports whether the opcode may transfer control to Target.
 func (o Op) IsBranch() bool {
 	switch o {

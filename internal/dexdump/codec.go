@@ -465,6 +465,7 @@ func decodeDump(buf []byte) (*Text, error) {
 		return nil, fmt.Errorf("method table claims %d entries, %d bytes remain", methodCount, len(buf))
 	}
 	t.methods = make([]dex.MethodRef, methodCount)
+	var params []dex.TypeDesc // the free tail of the current Params chunk
 	for i := range t.methods {
 		var m dex.MethodRef
 		var ret string
@@ -486,14 +487,25 @@ func decodeDump(buf []byte) (*Text, error) {
 			return nil, err
 		}
 		m.Ret = dex.TypeDesc(ret)
-		var params uint64
-		if params, buf, err = readUvarint(buf); err != nil {
+		var np uint64
+		if np, buf, err = readUvarint(buf); err != nil {
 			return nil, err
 		}
-		if params > uint64(len(buf)) {
-			return nil, fmt.Errorf("method %d claims %d params", i, params)
+		if np > uint64(len(buf)) {
+			return nil, fmt.Errorf("method %d claims %d params", i, np)
 		}
-		m.Params = make([]dex.TypeDesc, params)
+		// Params slices are cut from shared chunks of paramChunk
+		// entries, with a full slice expression so an append copies; a
+		// list that does not fit a chunk gets an array of its own.
+		switch n := int(np); {
+		case n == 0 || n >= paramChunk:
+			m.Params = make([]dex.TypeDesc, n)
+		default:
+			if n > len(params) {
+				params = make([]dex.TypeDesc, paramChunk)
+			}
+			m.Params, params = params[:n:n], params[n:]
+		}
 		for j := range m.Params {
 			var p string
 			if p, buf, err = readString(buf); err != nil {
@@ -548,6 +560,11 @@ func decodeDump(buf []byte) (*Text, error) {
 	}
 	return t, nil
 }
+
+// paramChunk bounds the Params entries decodeDump allocates at once, to
+// 512 bytes as the dex decode bounds its operand chunks: a report that
+// keeps one method ref alive pins at most that many parameter types.
+const paramChunk = 512 / int(unsafe.Sizeof(dex.TypeDesc("")))
 
 // lineEnds returns the offset of every newline in full, which ends in
 // one: the end of each line, its newline excluded.

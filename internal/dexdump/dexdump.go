@@ -23,6 +23,11 @@ type Text struct {
 	methodOfLine []int32 // index into methods, -1 for non-instruction lines
 	methods      []dex.MethodRef
 	spans        []ClassSpan
+	// plain has bit n%64 of word n/64 set when render knows line n holds
+	// no index token (see render); build skips those lines. A Text that
+	// was not rendered, such as a decoded bundle's, has no table, and
+	// build scans every line.
+	plain []uint64
 
 	hashOnce sync.Once // guards hash (see DumpHash)
 	hash     uint64
@@ -67,6 +72,14 @@ func Render(f *dex.File) (*Text, error) { return render(f, MaxDumpBytes) }
 // render renders f, giving up as soon as the text passes limit bytes.
 // Every line is appended once into a pooled buffer; the text is stored
 // once, as one string, and each line is a substring of it.
+//
+// As it ends each line, render marks in t.plain the lines that hold no
+// index token, from what it just wrote: the template-only header lines
+// ("Class #N", "Access flags", "Interfaces -", the two method-group
+// headers, "access" and "insns size") and every instruction whose opcode
+// prints no string, type, method or field operand (dex.Op.PrintsSymbol).
+// Such a line holds no "L...;" descriptor, no quote and no family
+// mnemonic, so addLine would post nothing for it.
 func render(f *dex.File, limit int) (*Text, error) {
 	// Exact line count: per class 5 header lines, 2 method-group headers
 	// and one line per interface; per method 4 header lines, plus the
@@ -87,10 +100,14 @@ func render(f *dex.File, limit int) (*Text, error) {
 		methodOfLine: make([]int32, 0, lines),
 		methods:      make([]dex.MethodRef, 0, methods),
 		spans:        make([]ClassSpan, 0, len(f.Classes())),
+		plain:        make([]uint64, (lines+63)/64),
 	}
 	pooled := renderPool.Get().(*[]byte)
 	buf := (*pooled)[:0]
-	eol := func(methodIdx int) {
+	eol := func(methodIdx int, plain bool) {
+		if n := len(t.ends); plain {
+			t.plain[n>>6] |= 1 << (n & 63)
+		}
 		t.ends = append(t.ends, int32(len(buf)))
 		buf = append(buf, '\n')
 		t.methodOfLine = append(t.methodOfLine, int32(methodIdx))
@@ -106,20 +123,20 @@ classes:
 		span := ClassSpan{Name: c.Name, Start: len(t.ends)}
 		buf = strconv.AppendInt(append(buf, "Class #"...), int64(ci), 10)
 		buf = append(buf, "            -"...)
-		eol(-1)
+		eol(-1, true)
 		buf = dex.AppendT(append(buf, "  Class descriptor  : '"...), c.Name)
 		buf = append(buf, '\'')
-		eol(-1)
+		eol(-1, false)
 		buf = c.Flags.AppendFlags(append(buf, "  Access flags      : "...))
-		eol(-1)
+		eol(-1, true)
 		buf = append(buf, "  Superclass        : '"...)
 		if c.Super != "" {
 			buf = dex.AppendT(buf, c.Super)
 		}
 		buf = append(buf, '\'')
-		eol(-1)
+		eol(-1, false)
 		buf = append(buf, "  Interfaces        -"...)
-		eol(-1)
+		eol(-1, true)
 		for ii, iface := range c.Interfaces {
 			if len(buf) > limit {
 				break classes
@@ -127,7 +144,7 @@ classes:
 			buf = strconv.AppendInt(append(buf, "    #"...), int64(ii), 10)
 			buf = dex.AppendT(append(buf, "              : '"...), iface)
 			buf = append(buf, '\'')
-			eol(-1)
+			eol(-1, false)
 		}
 
 		for _, direct := range [...]bool{true, false} {
@@ -136,7 +153,7 @@ classes:
 			} else {
 				buf = append(buf, "  Virtual methods   -"...)
 			}
-			eol(-1)
+			eol(-1, true)
 			mi := 0
 			for _, m := range c.Methods {
 				if m.IsDirect() != direct {
@@ -150,30 +167,30 @@ classes:
 				buf = strconv.AppendInt(append(buf, "    #"...), int64(mi), 10)
 				buf = dex.AppendT(append(buf, "              : (in "...), c.Name)
 				buf = append(buf, ')')
-				eol(-1)
+				eol(-1, false)
 				mi++
 				buf = append(append(buf, "      name          : '"...), m.Ref.Name...)
 				buf = append(buf, '\'')
-				eol(midx)
+				eol(midx, false)
 				buf = m.Ref.AppendDescriptor(append(buf, "      type          : '"...))
 				buf = append(buf, '\'')
-				eol(midx)
+				eol(midx, false)
 				buf = m.Flags.AppendFlags(append(buf, "      access        : "...))
-				eol(midx)
+				eol(midx, true)
 				if m.IsAbstract() {
 					continue
 				}
 				code := m.Instructions()
 				buf = strconv.AppendInt(append(buf, "      insns size    : "...), int64(len(code)), 10)
 				buf = append(buf, " 16-bit code units"...)
-				eol(midx)
+				eol(midx, true)
 				for pc := range code {
 					if len(buf) > limit {
 						break classes
 					}
 					buf = dex.AppendHex4(append(buf, "        |"...), int64(pc))
 					buf = code[pc].AppendFormat(append(buf, ": "...))
-					eol(midx)
+					eol(midx, !code[pc].Op.PrintsSymbol())
 				}
 			}
 		}
@@ -202,6 +219,12 @@ func (t *Text) Line(i int) string {
 		start = int(t.ends[i-1]) + 1
 	}
 	return t.full[start:t.ends[i]]
+}
+
+// isPlain reports whether render marked line n as holding no index
+// token; always false on a Text without the table.
+func (t *Text) isPlain(n int) bool {
+	return n>>6 < len(t.plain) && t.plain[n>>6]>>(n&63)&1 != 0
 }
 
 // LineCount returns the number of dump lines.

@@ -280,8 +280,9 @@ func checkTablesMatch(t *testing.T, tables, want *dex.File) {
 // table load, dex.Open then LoadTables, which must leave every body
 // pending, count each one's instructions right, and decode each through
 // Instructions to Decode's body. A decoded file must disassemble and index without
-// panicking, into lines that tile the text, and re-encoding it must decode
-// to a file that disassembles to the same bytes.
+// panicking, into lines that tile the text, into the same index with and
+// without the renderer's skip table, and re-encoding it must decode to a
+// file that disassembles to the same bytes.
 func FuzzDecodeDex(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(dex.Encode(randomDex(seed)))
@@ -350,7 +351,9 @@ func FuzzDecodeDex(f *testing.F) {
 		if Disassemble(lazy).String() != text.String() {
 			t.Fatal("Open+Load disassembles differently from Decode")
 		}
-		BuildIndex(text)
+		if !reflect.DeepEqual(BuildIndex(text), BuildIndex(withoutTable(text))) {
+			t.Fatal("the index built with the skip table differs from a full scan")
+		}
 		n := 0
 		for _, line := range textLines(text) {
 			n += len(line) + 1

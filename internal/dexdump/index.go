@@ -42,8 +42,10 @@ func BuildIndex(t *Text) *Index {
 }
 
 // build is the one tokenization loop behind every index: it tokenizes,
-// in dump order, the class spans i with keep(i). Lines() is the number
-// of lines tokenized.
+// in dump order, the class spans i with keep(i). It skips the lines
+// render marked as holding no token, which addLine would post nothing
+// for, so a rendered Text and the same text without the table index
+// alike. Lines() counts every line of the kept spans.
 func build(t *Text, keep func(span int) bool) *Index {
 	x := &Index{
 		invokeBySig:   make(map[string][]int32),
@@ -60,7 +62,9 @@ func build(t *Text, keep func(span int) bool) *Index {
 			continue
 		}
 		for n := sp.Start; n < sp.End; n++ {
-			x.addLine(&s, int32(n), t.Line(n))
+			if !t.isPlain(n) {
+				x.addLine(&s, int32(n), t.Line(n))
+			}
 		}
 		x.lines += sp.End - sp.Start
 	}

@@ -2,6 +2,7 @@ package dexdump
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -508,6 +509,80 @@ func TestTokenizerMatchesOracle(t *testing.T) {
 	}
 }
 
+// withoutTable returns t's dump with no skip table, as a decoded
+// bundle's dump has none, so build scans every line of it.
+func withoutTable(t *Text) *Text {
+	return &Text{full: t.full, ends: t.ends, methodOfLine: t.methodOfLine, methods: t.methods, spans: t.spans}
+}
+
+// TestPlainLinesPostNothing renders every opcode from 0 to two past the
+// last one, with extreme operands, in classes and methods whose access
+// flags set every bit. Each line render marks as holding no token must
+// post nothing under addLine; an instruction line must be marked exactly
+// when its opcode prints no string, type, method or field operand; and
+// the index must equal the one built with the table dropped.
+func TestPlainLinesPostNothing(t *testing.T) {
+	last := dex.OpNop
+	for !strings.HasPrefix((last + 1).Mnemonic(), "op(") {
+		last++
+	}
+	callee := dex.NewMethodRef("com.op.Callee", "call", dex.Void, dex.StringT, dex.Array(dex.Int))
+	field := dex.NewFieldRef("com.op.Callee", "f", dex.StringT)
+	args := make([]int, 300)
+	for i := range args {
+		args[i] = 0xFFFF + i
+	}
+	var code []dex.Instruction
+	for op := dex.Op(0); op <= last+2; op++ {
+		for _, v := range []int{0, -1, 0xFFFF + 1, math.MaxInt32, math.MinInt32} {
+			code = append(code, dex.Instruction{
+				Op: op, A: v, B: -v, C: v ^ 0x7FFF, Lit: math.MinInt64 + int64(v),
+				Str: `La/B; "invoke-direct" iget sput const-class`, Type: "[Lcom/op/T;",
+				Method: &callee, Field: &field, Args: args, Target: -v,
+			})
+		}
+	}
+	all := ^dex.AccessFlags(0)
+	f := dex.NewFile()
+	for _, c := range []*dex.Class{
+		{Name: "com.op.Ops", Super: "com.op.Base", Interfaces: []string{"com.op.I"}, Flags: all,
+			Methods: []*dex.Method{
+				{Ref: dex.NewMethodRef("com.op.Ops", "run", dex.Void), Flags: all &^ dex.AccAbstract, Registers: 0xFFFF, Code: code},
+				{Ref: dex.NewMethodRef("com.op.Ops", "todo", dex.Long, dex.Long), Flags: all},
+			}},
+		{Name: "com.op.Bare"},
+	} {
+		if err := f.AddClass(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text := Disassemble(f)
+
+	plain, pc := 0, 0
+	for n := range text.LineCount() {
+		line := text.Line(n)
+		if strings.HasPrefix(line, "        |") {
+			if want := !code[pc].Op.PrintsSymbol(); text.isPlain(n) != want {
+				t.Errorf("line %d %q: marked plain %v, want %v", n, line, !want, want)
+			}
+			pc++
+		}
+		if !text.isPlain(n) {
+			continue
+		}
+		plain++
+		if x := BuildIndex(linesText([]string{line})); x.Postings() != 0 {
+			t.Errorf("line %d %q is marked plain but posts %d tokens", n, line, x.Postings())
+		}
+	}
+	if pc != len(code) || plain < len(code)/2 {
+		t.Fatalf("%d instruction lines of %d, %d marked plain", pc, len(code), plain)
+	}
+	if got, want := BuildIndex(text), BuildIndex(withoutTable(text)); !reflect.DeepEqual(got, want) {
+		t.Fatal("the index built with the skip table differs from a full scan")
+	}
+}
+
 // FuzzTokenizeLine requires the byte pass to match the oracle on
 // arbitrary text, split at newlines into dump lines.
 func FuzzTokenizeLine(f *testing.F) {
@@ -529,6 +604,36 @@ func BenchmarkBuildIndex(b *testing.B) {
 	for range b.N {
 		for _, app := range apps {
 			BuildIndex(app.text)
+		}
+	}
+}
+
+// BenchmarkRender times the disassembly layer over the 24-app bench
+// corpus: each app's dex files are decoded and merged beforehand, and one
+// op renders every app. Render reuses pooled buffers, so B/op depends on
+// how many of them survive the collections between ops.
+func BenchmarkRender(b *testing.B) {
+	apps := loadBenchCorpus(b)
+	files := make([]*dex.File, len(apps))
+	for i, app := range apps {
+		files[i] = dex.NewFile()
+		for _, data := range app.dexes {
+			f, err := dex.Decode(data)
+			if err == nil {
+				err = files[i].Merge(f)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, f := range files {
+			if _, err := Render(f); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

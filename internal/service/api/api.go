@@ -339,37 +339,49 @@ func jobName(path string) string {
 	return strings.TrimSuffix(path[strings.LastIndexByte(path, '/')+1:], ".apk")
 }
 
-// Submit queues one job. The returned state is always StateQueued: the
-// job may already be running (or even settled) by the time the caller
-// reads the response, which Query reflects.
-func (d *Dispatcher) Submit(req SubmitRequest) (SubmitResponse, error) {
+// job checks a submission's fields and turns it into the job it
+// queues: a BackDroid analysis of the container at Path, journaled under
+// Path so a replay can rebuild it, labelled Name or else the path's
+// basename without ".apk".
+func (req SubmitRequest) job() (service.Job, error) {
 	if req.Path == "" {
-		return SubmitResponse{}, errors.New("submit wants a path")
+		return service.Job{}, errors.New("submit wants a path")
 	}
 	name := req.Name
 	if name == "" {
 		name = jobName(req.Path)
 	}
 	path := req.Path
-	id, err := d.sched.Submit(service.Job{
+	return service.Job{
 		Name:         name,
 		Tenant:       req.Tenant,
 		Spec:         path,
 		Source:       func() (*apk.App, error) { return apk.Load(path) },
 		RunBackDroid: true,
-	})
+	}, nil
+}
+
+// Submit queues one job. The returned state is always StateQueued: the
+// job may already be running (or even settled) by the time the caller
+// reads the response, which Query reflects.
+func (d *Dispatcher) Submit(req SubmitRequest) (SubmitResponse, error) {
+	job, err := req.job()
+	if err != nil {
+		return SubmitResponse{}, err
+	}
+	id, err := d.sched.Submit(job)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
 	d.mu.Lock()
-	st := d.statusLocked(int64(id), name)
+	st := d.statusLocked(int64(id), job.Name)
 	st.Tenant = req.Tenant
 	if st.State == "" {
 		st.State = StateQueued
 	}
 	d.mu.Unlock()
 	return SubmitResponse{
-		APIVersion: Version, ID: int64(id), App: name,
+		APIVersion: Version, ID: int64(id), App: job.Name,
 		Tenant: req.Tenant, State: StateQueued,
 	}, nil
 }

@@ -201,6 +201,73 @@ func FuzzParseLine(f *testing.F) {
 	})
 }
 
+// FuzzSubmitBody drives POST /v1/jobs with an arbitrary body against a
+// closed dispatcher, so no job ever runs and no fuzzed path is opened.
+// The gateway must not panic. A body that decodes into a request the
+// field checks accept reaches the scheduler, which answers 503; any other
+// body gets 400, or 413 past MaxRequestBytes. An accepted request turns
+// into a valid Job: a BackDroid analysis of the container at its path,
+// journaled under that path, in the request's tenant, labelled with the
+// request's name or else the path's basename without ".apk".
+func FuzzSubmitBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"path":"/a/b.apk"}`,
+		`{"tenant":"paid","path":"/a/b.apk","name":"b"}`,
+		`{"tenant":"evil\ndone id=77","path":"x.apk"}`,
+		`{"path":""}`,
+		`{"path":"/dir/"}`,
+		`{"path":"/a.apk","extra":1}`,
+		`{"path":7}`,
+		`{"path":"\u0000\ud800.apk"}`,
+		`{"path":"/a.apk"} trailing`,
+		`[]`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	d := NewDispatcher(service.Config{Workers: 1})
+	d.Close()
+	h := NewHandler(d)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if len(body) > MaxRequestBytes {
+			if c := rec.Code; c != http.StatusRequestEntityTooLarge && c != http.StatusBadRequest && c != http.StatusServiceUnavailable {
+				t.Fatalf("oversized body: status %d", c)
+			}
+			return
+		}
+		var req SubmitRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("undecodable body %q: status %d, want 400", body, rec.Code)
+			}
+			return
+		}
+		job, err := req.job()
+		if err != nil {
+			if req.Path != "" || rec.Code != http.StatusBadRequest {
+				t.Fatalf("request %+v rejected (%v) with status %d", req, err, rec.Code)
+			}
+			return
+		}
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("accepted request %+v: status %d, want 503 from the closed scheduler", req, rec.Code)
+		}
+		name := req.Name
+		if name == "" {
+			base := req.Path[strings.LastIndexByte(req.Path, '/')+1:]
+			name = strings.TrimSuffix(base, ".apk")
+		}
+		if job.Spec != req.Path || job.Tenant != req.Tenant || job.Name != name ||
+			job.Source == nil || !job.RunBackDroid || job.RunWholeApp || job.RunCallGraph ||
+			job.Options != nil || job.Done != nil {
+			t.Fatalf("request %+v became job %+v", req, job)
+		}
+	})
+}
+
 // TestHTTPGateway drives the REST surface end to end over a real
 // analysis: submit, poll status, fetch the settled report by content
 // address, read stats — plus the error statuses.
