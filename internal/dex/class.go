@@ -84,15 +84,17 @@ type Method struct {
 }
 
 // pendingBody is the encoded body of a method loaded by LoadTables. The
-// load already walked it with every check the eager decode applies, so
-// decoding it later cannot fail.
+// load already walked it with every check the eager decode applies, and
+// counted its operands on the way, so decoding it later cannot fail and
+// sizes its operand chunks without a walk of its own.
 type pendingBody struct {
 	once    sync.Once
 	decoded atomic.Bool // set once Code holds the body
 	src     *bodySource // nil once decoded
 	start   int         // the body's byte range in src.data
 	end     int
-	n       int // instruction count
+	n       int           // instruction count
+	ops     operandCounts // the operands the load's walk counted in the body
 }
 
 // bodySource is what the pending bodies of one file decode from: the
@@ -107,15 +109,10 @@ type bodySource struct {
 func (m *Method) Instructions() []Instruction {
 	if b := m.body; b != nil && !b.decoded.Load() {
 		b.once.Do(func() {
-			// A counting walk over the body sizes its operand chunks, so
-			// the few bodies a warm job decodes allocate no spare entries.
-			body := b.src.data[b.start:b.end]
-			d := &decoder{buf: body, pool: b.src.pool}
-			err := d.code(m.Ref.Class, m, b.n, false)
-			if err == nil {
-				d = &decoder{buf: body, pool: b.src.pool, ops: &operands{left: d.seen}}
-				err = d.code(m.Ref.Class, m, b.n, true)
-			}
+			// The load's operand counts size the chunks, so the few bodies
+			// a warm job decodes allocate no spare entries.
+			d := &decoder{buf: b.src.data[b.start:b.end], pool: b.src.pool, ops: &operands{left: b.ops}}
+			err := d.code(m.Ref.Class, m, b.n, true)
 			if err != nil || len(d.buf) != 0 {
 				panic(fmt.Sprintf("dex: validated body of %s does not decode: %v", m.Ref, err))
 			}

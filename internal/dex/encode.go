@@ -176,6 +176,12 @@ const chunkBytes = 512
 // kind: method refs, field refs, parameter types and argument registers.
 type operandCounts struct{ methods, fields, types, ints int }
 
+// since returns the counts c gained after it stood at before.
+func (c operandCounts) since(before operandCounts) operandCounts {
+	return operandCounts{c.methods - before.methods, c.fields - before.fields,
+		c.types - before.types, c.ints - before.ints}
+}
+
 // operands hands out the refs and slices of decoded instructions from
 // chunks that many instructions share, so a decode makes one allocation
 // per chunk, not one per ref, Params or Args slice. Each hand-out is cut
@@ -652,13 +658,14 @@ func decodeClasses(f *File, data []byte, materialize bool) error {
 			if err != nil {
 				return err
 			}
-			start := len(data) - len(d.buf)
+			start, seen := len(data)-len(d.buf), d.seen
 			if err := d.code(c.Name, m, ncode, materialize); err != nil {
 				return err
 			}
 			if !materialize {
 				b := &bodies[i]
 				b.src, b.start, b.end, b.n = src, start, len(data)-len(d.buf), ncode
+				b.ops = d.seen.since(seen)
 				m.body = b
 			}
 			c.Methods = append(c.Methods, m)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,8 +27,7 @@ import (
 //	14      4     dump line count
 //	18      4     IEEE CRC-32 of the index payload
 //	22      4     index payload length
-//	26      ...   index payload: the Index's lines/postings counters,
-//	              seven postings maps, four side lists
+//	26      ...   index payload: the postings directory
 //	...     8     app fingerprint (FNV-64a over the encoded dex files)
 //	...     4     IEEE CRC-32 of the dump payload
 //	...     4     dump payload length
@@ -36,8 +36,35 @@ import (
 //	...     4     manifest payload length
 //	...     ...   manifest payload: the serialized Manifest
 //
-// Postings maps are encoded with sorted keys and delta-varint line
-// lists, so files are deterministic for a given index.
+// Every count and length is a uvarint unless marked u32 (little endian).
+// The index payload is laid out for lookup, not for a rebuild of the
+// postings maps:
+//
+//	lines, postings   the Index's counters
+//	4 side lists      each a postings list
+//	7 token counts    one per postings family, in family order
+//	u32 per token     end offset of its key in the key blob
+//	u32 per token     end offset of its list in the list blob
+//	key blob          the keys, by family and ascending within one
+//	list blob         the postings lists, in token order
+//
+// A postings list is its count, then each line less the one before it
+// (the first less zero). A lookup binary-searches its family's keys and
+// decodes one list. The dump payload is laid out so that decoding it
+// walks neither the text nor one entry per line:
+//
+//	text              length, then the rendered dump
+//	line table        line count, then each line's length, its
+//	                  newline left out
+//	string section    length, then every method's class, name, return
+//	                  and parameter types and every span name, back to back
+//	method table      method count, parameter count, then per method the
+//	                  lengths of its strings and its line run: the gap
+//	                  since the previous run's end and its length
+//	class spans       span count, then per span its name's length and
+//	                  its line count
+//
+// Every file a given dump and index encode to is the same, byte for byte.
 //
 // ReadBundle is the one framing path; it accepts a bundle whole or not
 // at all. The Bundle's section decoders then validate against what the
@@ -52,8 +79,11 @@ import (
 // fingerprints of version 3 with the CRC content sum. Version 5 dropped
 // the two postings maps no search command reads (invoke by name and
 // descriptor, new-instance) and the fixed-value layout fields of the
-// header and the manifest.
-const CodecVersion = 5
+// header and the manifest. Version 6 laid both big sections out for
+// lookup: a postings directory in place of the key-by-key maps, and a
+// stored line table, method line runs and one string section in place of
+// the per-line method varints and the per-string copies.
+const CodecVersion = 6
 
 const (
 	codecMagic = "BDIX"
@@ -134,7 +164,10 @@ func EncodeBundle(t *Text, x *Index, fingerprint uint64, m *Manifest) ([]byte, e
 	if m == nil {
 		m = BuildManifest(t)
 	}
-	indexPayload := appendIndex(nil, x)
+	indexPayload, err := appendIndex(nil, x)
+	if err != nil {
+		return nil, err
+	}
 	dumpPayload := appendDump(nil, t)
 	manifestPayload := appendManifest(nil, m)
 	dumpSum := t.dumpSum(dumpText(dumpPayload))
@@ -176,10 +209,12 @@ type Bundle struct {
 // caller must never write to data again. Bundle bytes are immutable
 // wherever they come from — a bundle store entry, which is content
 // addressed and shared read-only, or a buffer the caller read from a file
-// and keeps no other use for. Only the text is aliased: every other
-// decoded string (method table, span names, postings keys, manifest
-// class names) is a copy, so a report that keeps one of them does not
-// keep the whole bundle alive.
+// and keeps no other use for. Of the decoded strings only the text is
+// aliased: method-table strings and span names are slices of one copy
+// of the dump's string section, and manifest class names are copies, so
+// a report that keeps one of them pins that copy, never the bundle. An
+// Index from (*Bundle).Index reads its postings where the bundle holds
+// them too, but it is job-local and its lookups return fresh slices.
 func ReadBundle(data []byte) (*Bundle, error) {
 	if len(data) < codecHeaderSize {
 		return nil, fmt.Errorf("dexdump: bundle truncated: %d bytes", len(data))
@@ -257,18 +292,15 @@ func (b *Bundle) Dump(fingerprint uint64) (*Text, error) {
 	return t, nil
 }
 
-// Index decodes the index section and validates it against the dump
-// text it will serve.
+// Index checks the index section whole against the dump text it will
+// serve and returns an Index that answers each lookup from the section.
 func (b *Bundle) Index(t *Text) (*Index, error) {
 	if b.dumpSum != DumpHash(t) || b.lines != t.LineCount() {
 		return nil, fmt.Errorf("dexdump: bundle stale: header does not match the dump")
 	}
-	x, rest, err := decodeIndex(b.index, b.lines)
+	x, err := decodeIndex(b.index, b.lines)
 	if err != nil {
 		return nil, fmt.Errorf("dexdump: index section: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("dexdump: index section has %d trailing bytes", len(rest))
 	}
 	return x, nil
 }
@@ -395,36 +427,74 @@ func decodeManifestPayload(buf []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// appendDump serializes a Text: the full rendered dump (lines are
-// recovered by splitting on '\n'), the method table, the per-line method
-// attribution and the class spans.
+// appendDump serializes a Text: the text, its line-end table, the string
+// section and the tables that slice it (see the layout above).
 func appendDump(buf []byte, t *Text) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(t.full)))
-	buf = append(buf, t.full...)
-
-	buf = binary.AppendUvarint(buf, uint64(len(t.methods)))
-	for _, m := range t.methods {
-		buf = appendString(buf, m.Class)
-		buf = appendString(buf, m.Name)
-		buf = appendString(buf, string(m.Ret))
-		buf = binary.AppendUvarint(buf, uint64(len(m.Params)))
-		for _, p := range m.Params {
-			buf = appendString(buf, string(p))
-		}
+	buf = appendString(buf, t.full)
+	buf = binary.AppendUvarint(buf, uint64(len(t.ends)))
+	start := int32(0)
+	for _, e := range t.ends {
+		buf = binary.AppendUvarint(buf, uint64(e-start))
+		start = e + 1
 	}
 
-	// methodOfLine: index+1 per line, 0 meaning "no method".
-	for _, idx := range t.methodOfLine {
-		buf = binary.AppendUvarint(buf, uint64(idx+1))
+	size, params := 0, 0
+	for s := range t.dumpStrings {
+		size += len(s)
+	}
+	buf = binary.AppendUvarint(buf, uint64(size))
+	for s := range t.dumpStrings {
+		buf = append(buf, s...)
+	}
+
+	for _, m := range t.methods {
+		params += len(m.Params)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(t.methods)))
+	buf = binary.AppendUvarint(buf, uint64(params))
+	end := int32(0)
+	for i, m := range t.methods {
+		buf = binary.AppendUvarint(buf, uint64(len(m.Class)))
+		buf = binary.AppendUvarint(buf, uint64(len(m.Name)))
+		buf = binary.AppendUvarint(buf, uint64(len(m.Ret)))
+		buf = binary.AppendUvarint(buf, uint64(len(m.Params)))
+		for _, p := range m.Params {
+			buf = binary.AppendUvarint(buf, uint64(len(p)))
+		}
+		r := t.runs[i]
+		buf = binary.AppendUvarint(buf, uint64(r.start-end))
+		buf = binary.AppendUvarint(buf, uint64(r.end-r.start))
+		end = r.end
 	}
 
 	// Class spans tile [0, LineCount()), so lengths suffice.
 	buf = binary.AppendUvarint(buf, uint64(len(t.spans)))
 	for _, sp := range t.spans {
-		buf = appendString(buf, sp.Name)
+		buf = binary.AppendUvarint(buf, uint64(len(sp.Name)))
 		buf = binary.AppendUvarint(buf, uint64(sp.End-sp.Start))
 	}
 	return buf
+}
+
+// dumpStrings yields the strings of a dump's string section in section
+// order: per method its class, name, return type and parameter types,
+// then every class span's name.
+func (t *Text) dumpStrings(yield func(string) bool) {
+	for _, m := range t.methods {
+		if !yield(m.Class) || !yield(m.Name) || !yield(string(m.Ret)) {
+			return
+		}
+		for _, p := range m.Params {
+			if !yield(string(p)) {
+				return
+			}
+		}
+	}
+	for _, sp := range t.spans {
+		if !yield(sp.Name) {
+			return
+		}
+	}
 }
 
 // dumpText returns the full-text bytes of a dump payload that appendDump
@@ -437,8 +507,10 @@ func dumpText(payload []byte) []byte {
 // decodeDump reconstructs a Text from its serialized form, bounds-checking
 // every count so a corrupt payload decodes as an error, never a panic.
 // The Text's full text is a view of buf, not a copy (see ReadBundle for
-// the ownership contract), and its line table comes from one walk over
-// the newlines.
+// the ownership contract); every other string is sliced from one copy of
+// the string section. Each table is sized by a count read before it, so
+// the decode makes the same few allocations whatever the dump's line and
+// method counts.
 func decodeDump(buf []byte) (*Text, error) {
 	fullLen, buf, err := readUvarint(buf)
 	if err != nil {
@@ -448,42 +520,50 @@ func decodeDump(buf []byte) (*Text, error) {
 		return nil, fmt.Errorf("full text claims %d bytes, %d remain", fullLen, len(buf))
 	}
 	t := &Text{full: aliasString(buf[:fullLen])}
-	buf = buf[fullLen:]
-	if t.full != "" {
-		if t.full[len(t.full)-1] != '\n' {
-			return nil, fmt.Errorf("full text does not end in a newline")
-		}
-		t.ends = lineEnds(t.full)
+	if t.ends, buf, err = readLineEnds(buf[fullLen:], t.full); err != nil {
+		return nil, err
 	}
 	lines := len(t.ends)
+
+	sectionLen, buf, err := readUvarint(buf)
+	if err != nil {
+		return nil, err
+	}
+	if sectionLen > uint64(len(buf)) {
+		return nil, fmt.Errorf("string section claims %d bytes, %d remain", sectionLen, len(buf))
+	}
+	strs := stringSection(buf[:sectionLen])
+	buf = buf[sectionLen:]
 
 	methodCount, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, err
 	}
-	if methodCount > uint64(len(buf)) {
-		return nil, fmt.Errorf("method table claims %d entries, %d bytes remain", methodCount, len(buf))
+	paramCount, buf, err := readUvarint(buf)
+	if err != nil {
+		return nil, err
+	}
+	// A method takes at least six bytes: four lengths and its line run.
+	// A parameter takes at least one, its length.
+	if methodCount > uint64(len(buf)/6) || paramCount > uint64(len(buf)) {
+		return nil, fmt.Errorf("method table claims %d entries and %d params, %d bytes remain", methodCount, paramCount, len(buf))
 	}
 	t.methods = make([]dex.MethodRef, methodCount)
-	var params []dex.TypeDesc // the free tail of the current Params chunk
+	t.runs = make([]lineRun, methodCount)
+	// Every Params slice is cut from one array, with a full slice
+	// expression so an append copies.
+	params := make([]dex.TypeDesc, paramCount)
+	end := 0
 	for i := range t.methods {
-		var m dex.MethodRef
+		m := &t.methods[i]
 		var ret string
-		var class []byte
-		if class, buf, err = readBytes(buf); err != nil {
+		if m.Class, buf, err = strs.next(buf); err != nil {
 			return nil, err
 		}
-		// A class's methods are consecutive: they share one copy of its
-		// name.
-		if i > 0 && t.methods[i-1].Class == string(class) {
-			m.Class = t.methods[i-1].Class
-		} else {
-			m.Class = string(class)
-		}
-		if m.Name, buf, err = readString(buf); err != nil {
+		if m.Name, buf, err = strs.next(buf); err != nil {
 			return nil, err
 		}
-		if ret, buf, err = readString(buf); err != nil {
+		if ret, buf, err = strs.next(buf); err != nil {
 			return nil, err
 		}
 		m.Ret = dex.TypeDesc(ret)
@@ -491,55 +571,47 @@ func decodeDump(buf []byte) (*Text, error) {
 		if np, buf, err = readUvarint(buf); err != nil {
 			return nil, err
 		}
-		if np > uint64(len(buf)) {
-			return nil, fmt.Errorf("method %d claims %d params", i, np)
+		if np > uint64(len(params)) {
+			return nil, fmt.Errorf("method %d claims %d params, %d left", i, np, len(params))
 		}
-		// Params slices are cut from shared chunks of paramChunk
-		// entries, with a full slice expression so an append copies; a
-		// list that does not fit a chunk gets an array of its own.
-		switch n := int(np); {
-		case n == 0 || n >= paramChunk:
-			m.Params = make([]dex.TypeDesc, n)
-		default:
-			if n > len(params) {
-				params = make([]dex.TypeDesc, paramChunk)
-			}
-			m.Params, params = params[:n:n], params[n:]
-		}
+		m.Params, params = params[:np:np], params[np:]
 		for j := range m.Params {
 			var p string
-			if p, buf, err = readString(buf); err != nil {
+			if p, buf, err = strs.next(buf); err != nil {
 				return nil, err
 			}
 			m.Params[j] = dex.TypeDesc(p)
 		}
-		t.methods[i] = m
-	}
-
-	t.methodOfLine = make([]int32, lines)
-	for i := range t.methodOfLine {
-		var v uint64
-		if v, buf, err = readUvarint(buf); err != nil {
+		var gap, length uint64
+		if gap, buf, err = readUvarint(buf); err != nil {
 			return nil, err
 		}
-		if v > uint64(len(t.methods)) {
-			return nil, fmt.Errorf("line %d attributed to method %d of %d", i, v, len(t.methods))
+		if length, buf, err = readUvarint(buf); err != nil {
+			return nil, err
 		}
-		t.methodOfLine[i] = int32(v) - 1
+		if gap > uint64(lines-end) || length > uint64(lines-end)-gap {
+			return nil, fmt.Errorf("method %d's lines overrun the dump", i)
+		}
+		start := end + int(gap)
+		end = start + int(length)
+		t.runs[i] = lineRun{int32(start), int32(end)}
+	}
+	if len(params) != 0 {
+		return nil, fmt.Errorf("%d of the claimed params belong to no method", len(params))
 	}
 
 	spanCount, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, err
 	}
-	if spanCount > uint64(lines)+1 {
+	if spanCount > uint64(lines)+1 || spanCount > uint64(len(buf)/2) {
 		return nil, fmt.Errorf("%d class spans for a %d-line dump", spanCount, lines)
 	}
 	t.spans = make([]ClassSpan, spanCount)
 	at := 0
 	for i := range t.spans {
 		var name string
-		if name, buf, err = readString(buf); err != nil {
+		if name, buf, err = strs.next(buf); err != nil {
 			return nil, err
 		}
 		var length uint64
@@ -555,27 +627,71 @@ func decodeDump(buf []byte) (*Text, error) {
 	if at != lines {
 		return nil, fmt.Errorf("class spans cover %d of %d lines", at, lines)
 	}
+	if len(strs) != 0 {
+		return nil, fmt.Errorf("%d bytes of the string section belong to no string", len(strs))
+	}
 	if len(buf) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes after the dump payload", len(buf))
 	}
 	return t, nil
 }
 
-// paramChunk bounds the Params entries decodeDump allocates at once, to
-// 512 bytes as the dex decode bounds its operand chunks: a report that
-// keeps one method ref alive pins at most that many parameter types.
-const paramChunk = 512 / int(unsafe.Sizeof(dex.TypeDesc("")))
-
-// lineEnds returns the offset of every newline in full, which ends in
-// one: the end of each line, its newline excluded.
-func lineEnds(full string) []int32 {
-	ends := make([]int32, 0, strings.Count(full, "\n"))
-	for at := 0; at < len(full); {
-		at += strings.IndexByte(full[at:], '\n')
-		ends = append(ends, int32(at))
-		at++
+// readLineEnds reads the line table of full into line-end offsets and
+// checks it against the text without walking it line by line: a text
+// that ends in a newline, as many lines as it holds newlines (one
+// strings.Count), and every line, starting just past the previous
+// line's newline, ending on a '\n' inside the text. Those checks admit
+// exactly one table, the lengths between the text's newlines in order,
+// which is what a walk over the text would build.
+func readLineEnds(buf []byte, full string) ([]int32, []byte, error) {
+	n, buf, err := readUvarint(buf)
+	if err != nil {
+		return nil, nil, err
 	}
-	return ends
+	// Every line takes at least one byte, its length.
+	if n > uint64(len(buf)) {
+		return nil, nil, fmt.Errorf("line table claims %d lines, %d bytes remain", n, len(buf))
+	}
+	if full != "" && full[len(full)-1] != '\n' {
+		return nil, nil, fmt.Errorf("full text does not end in a newline")
+	}
+	if newlines := strings.Count(full, "\n"); uint64(newlines) != n {
+		return nil, nil, fmt.Errorf("line table has %d lines, the text %d", n, newlines)
+	}
+	ends := make([]int32, n)
+	start := 0
+	for i := range ends {
+		var length uint64
+		if length, buf, err = readUvarint(buf); err != nil {
+			return nil, nil, err
+		}
+		if length >= uint64(len(full)-start) || full[start+int(length)] != '\n' {
+			return nil, nil, fmt.Errorf("line %d of %d bytes does not end on the next newline", i, length)
+		}
+		e := start + int(length)
+		ends[i], start = int32(e), e+1
+	}
+	return ends, buf, nil
+}
+
+// stringSection is the unread rest of a dump payload's string section:
+// one copy of its bytes, so every string sliced from it shares that copy
+// and none pins the bundle.
+type stringSection string
+
+// next reads one string length from buf and slices that many bytes off
+// the front of the section.
+func (s *stringSection) next(buf []byte) (string, []byte, error) {
+	n, buf, err := readUvarint(buf)
+	if err != nil {
+		return "", nil, err
+	}
+	if n > uint64(len(*s)) {
+		return "", nil, fmt.Errorf("a %d-byte string overruns the string section", n)
+	}
+	str := string((*s)[:n])
+	*s = (*s)[n:]
+	return str, buf, nil
 }
 
 // aliasString returns a string view of b, without a copy. b must never
@@ -593,45 +709,69 @@ func appendString(buf []byte, s string) []byte {
 }
 
 // readString reads a string appendString wrote, as a copy: decoded
-// strings outlive the bundle in reports (method refs, class names), so
-// they must not pin its bytes.
+// strings outlive the bundle in reports (manifest class names), so they
+// must not pin its bytes.
 func readString(buf []byte) (string, []byte, error) {
-	b, buf, err := readBytes(buf)
-	return string(b), buf, err
-}
-
-// readBytes is readString without the copy: the bytes alias buf.
-func readBytes(buf []byte) ([]byte, []byte, error) {
 	n, buf, err := readUvarint(buf)
 	if err != nil {
-		return nil, nil, err
+		return "", nil, err
 	}
 	if n > uint64(len(buf)) {
-		return nil, nil, fmt.Errorf("truncated string")
+		return "", nil, fmt.Errorf("truncated string")
 	}
-	return buf[:n], buf[n:], nil
+	return string(buf[:n]), buf[n:], nil
 }
 
-// appendIndex encodes an index: the lines/postings counters, all seven
-// postings maps (sorted keys, delta-varint lists) and the four side lists.
-func appendIndex(buf []byte, x *Index) []byte {
+// appendIndex encodes an index (see the layout above). A decoded index
+// re-encodes as the payload it was decoded from, which decodeIndex only
+// accepts in the form this function writes. The directory's offsets are
+// u32, so an index whose keys or lists pass 4 GiB fails to encode.
+func appendIndex(buf []byte, x *Index) ([]byte, error) {
+	if x.dir != nil {
+		return append(buf, x.dir.payload...), nil
+	}
 	buf = binary.AppendUvarint(buf, uint64(x.lines))
 	buf = binary.AppendUvarint(buf, uint64(x.postings))
-	for _, m := range x.maps() {
-		buf = appendMap(buf, *m)
-	}
 	for _, l := range x.sideLists() {
 		buf = appendPostings(buf, *l)
 	}
-	return buf
-}
-
-// maps returns the postings maps in fixed codec order.
-func (x *Index) maps() []*map[string][]int32 {
-	return []*map[string][]int32{
-		&x.invokeBySig, &x.invokeByNameP, &x.ctorByPrefix, &x.constClass,
-		&x.constString, &x.fieldBySig, &x.classUse,
+	var keys [families][]string
+	for f, m := range x.maps {
+		keys[f] = make([]string, 0, len(m))
+		for k := range m {
+			keys[f] = append(keys[f], k)
+		}
+		sort.Strings(keys[f])
+		buf = binary.AppendUvarint(buf, uint64(len(keys[f])))
 	}
+	keyEnd, listEnd := 0, 0
+	for _, ks := range keys {
+		for _, k := range ks {
+			if keyEnd += len(k); keyEnd > math.MaxUint32 {
+				return nil, fmt.Errorf("dexdump: index keys pass 4 GiB")
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(keyEnd))
+		}
+	}
+	for f, ks := range keys {
+		for _, k := range ks {
+			if listEnd += postingsSize(x.maps[f][k]); listEnd > math.MaxUint32 {
+				return nil, fmt.Errorf("dexdump: index postings pass 4 GiB")
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(listEnd))
+		}
+	}
+	for _, ks := range keys {
+		for _, k := range ks {
+			buf = append(buf, k...)
+		}
+	}
+	for f, ks := range keys {
+		for _, k := range ks {
+			buf = appendPostings(buf, x.maps[f][k])
+		}
+	}
+	return buf, nil
 }
 
 // sideLists returns the side lists in fixed codec order.
@@ -639,21 +779,8 @@ func (x *Index) sideLists() []*[]int32 {
 	return []*[]int32{&x.oddStrings, &x.oddFields, &x.oddCtors, &x.oddInvokes}
 }
 
-func appendMap(buf []byte, m map[string][]int32) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		buf = appendString(buf, k)
-		buf = appendPostings(buf, m[k])
-	}
-	return buf
-}
-
-// appendPostings delta-encodes an ascending postings list.
+// appendPostings delta-encodes an ascending postings list: its count,
+// then each line less the one before it (the first less zero).
 func appendPostings(buf []byte, p []int32) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(p)))
 	prev := int32(0)
@@ -664,119 +791,212 @@ func appendPostings(buf []byte, p []int32) []byte {
 	return buf
 }
 
-func decodeIndex(buf []byte, maxLines int) (*Index, []byte, error) {
-	x := &Index{}
-	lines, buf, err := readUvarint(buf)
+// postingsSize returns the encoded size of a postings list, the bytes
+// appendPostings writes for it.
+func postingsSize(p []int32) int {
+	n := uvarintSize(uint64(len(p)))
+	prev := int32(0)
+	for _, line := range p {
+		n += uvarintSize(uint64(line - prev))
+		prev = line
+	}
+	return n
+}
+
+// uvarintSize returns the bytes binary.AppendUvarint writes for v.
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// postingsDir is the postings directory of a decoded index section. It
+// is a view of the bundle bytes, checked whole by decodeIndex, and
+// serves each lookup with one binary search and one list decode. The
+// Index that holds it is job-local and its lookups return fresh slices,
+// so no report pins the bundle through it.
+type postingsDir struct {
+	payload  []byte            // the whole index section
+	first    [families + 1]int // the tokens of family f are [first[f], first[f+1])
+	keyEnds  []byte            // per token, the u32 end of its key in keys
+	listEnds []byte            // per token, the u32 end of its list in lists
+	keys     string            // the key blob
+	lists    []byte            // the list blob
+}
+
+// offset returns entry j of a u32 offset table; entry -1 is 0.
+func offset(ends []byte, j int) int {
+	if j < 0 {
+		return 0
+	}
+	return int(binary.LittleEndian.Uint32(ends[4*j:]))
+}
+
+func (d *postingsDir) key(j int) string {
+	return d.keys[offset(d.keyEnds, j-1):offset(d.keyEnds, j)]
+}
+
+// lookup returns the postings of one token, nil when the family has no
+// such token.
+func (d *postingsDir) lookup(f family, key string) []int32 {
+	lo, hi := d.first[f], d.first[f+1]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if d.key(mid) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == d.first[f+1] || d.key(lo) != key {
+		return nil
+	}
+	list := d.lists[offset(d.listEnds, lo-1):]
+	n, k := binary.Uvarint(list)
+	out := make([]int32, n)
+	fillPostings(list[k:], out)
+	return out
+}
+
+// fillPostings decodes the lines of a postings list decodeIndex checked,
+// from the first delta on, into out, which holds exactly its count of
+// entries. It returns the bytes after the list.
+func fillPostings(buf []byte, out []int32) []byte {
+	line := int32(0)
+	for i := range out {
+		d, k := binary.Uvarint(buf)
+		line += int32(d)
+		out[i] = line
+		buf = buf[k:]
+	}
+	return buf
+}
+
+// decodeIndex checks a whole index section and returns the Index that
+// serves it. Every count is bounds-checked before anything is sized by
+// it, and the check allocates nothing: keys are compared as views of
+// the payload, and each postings list is walked, not decoded. Only the
+// four side lists, which most lookups merge in, are decoded here, into
+// one array. The section is accepted only in the exact form appendIndex
+// writes: keys strictly ascending within each family, every token with
+// a non-empty list, each list ending at its offset, and the header's
+// postings total equal to the lists'.
+func decodeIndex(payload []byte, maxLines int) (*Index, error) {
+	lines, buf, err := readUvarint(payload)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	postings, buf, err := readUvarint(buf)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if lines > uint64(maxLines) {
-		return nil, nil, fmt.Errorf("index claims %d lines, dump has %d", lines, maxLines)
+		return nil, fmt.Errorf("index claims %d lines, dump has %d", lines, maxLines)
 	}
-	x.lines = int(lines)
-	x.postings = int(postings)
-	// Every list is cut from one backing array sized by the header's
-	// postings total. Each posting takes at least one byte, so the
-	// remaining bytes bound it; a header that undercounts only sends the
-	// lists past the end to their own arrays.
-	arena := make([]int32, 0, min(postings, uint64(len(buf))))
-	for _, m := range x.maps() {
-		*m, buf, err = decodeMap(buf, maxLines, &arena)
-		if err != nil {
-			return nil, nil, err
+	x := &Index{lines: int(lines), postings: int(postings)}
+
+	sides := buf
+	var sideTotal uint64
+	for range x.sideLists() {
+		var n uint64
+		if n, buf, err = checkPostings(buf, maxLines); err != nil {
+			return nil, err
 		}
+		sideTotal += n
 	}
+	sides = sides[:len(sides)-len(buf)]
+
+	d := &postingsDir{payload: payload}
+	tokens := uint64(0)
+	for f := range families {
+		var n uint64
+		if n, buf, err = readUvarint(buf); err != nil {
+			return nil, err
+		}
+		// Every token takes eight bytes of offsets.
+		if tokens += n; tokens > uint64(len(buf)/8) {
+			return nil, fmt.Errorf("directory claims %d tokens, %d bytes remain", tokens, len(buf))
+		}
+		d.first[f+1] = d.first[f] + int(n)
+	}
+	t := int(tokens)
+	d.keyEnds, d.listEnds, buf = buf[:4*t], buf[4*t:8*t], buf[8*t:]
+	keyLen := offset(d.keyEnds, t-1)
+	if keyLen > len(buf) {
+		return nil, fmt.Errorf("keys claim %d bytes, %d remain", keyLen, len(buf))
+	}
+	d.keys, d.lists = aliasString(buf[:keyLen]), buf[keyLen:]
+
+	total := sideTotal
+	f := 0
+	for j := range t {
+		for j == d.first[f+1] {
+			f++
+		}
+		keyStart, listStart := offset(d.keyEnds, j-1), offset(d.listEnds, j-1)
+		keyEnd, listEnd := offset(d.keyEnds, j), offset(d.listEnds, j)
+		if keyEnd < keyStart || keyEnd > len(d.keys) {
+			return nil, fmt.Errorf("token %d: key offsets out of order", j)
+		}
+		if j > d.first[f] && d.key(j-1) >= d.keys[keyStart:keyEnd] {
+			return nil, fmt.Errorf("token %d: keys not strictly ascending", j)
+		}
+		if listEnd <= listStart || listEnd > len(d.lists) {
+			return nil, fmt.Errorf("token %d: list offsets out of order", j)
+		}
+		n, rest, err := checkPostings(d.lists[listStart:listEnd], maxLines)
+		if err != nil {
+			return nil, fmt.Errorf("token %d: %w", j, err)
+		}
+		if n == 0 || len(rest) != 0 {
+			return nil, fmt.Errorf("token %d: list of %d postings does not fill its %d bytes", j, n, listEnd-listStart)
+		}
+		total += n
+	}
+	if offset(d.listEnds, t-1) != len(d.lists) {
+		return nil, fmt.Errorf("%d trailing bytes after the postings lists", len(d.lists)-offset(d.listEnds, t-1))
+	}
+	if total != postings {
+		return nil, fmt.Errorf("index claims %d postings, its lists hold %d", postings, total)
+	}
+	x.dir = d
+
+	arena := make([]int32, sideTotal)
 	for _, l := range x.sideLists() {
-		*l, buf, err = decodePostings(buf, maxLines, &arena)
-		if err != nil {
-			return nil, nil, err
+		n, k := binary.Uvarint(sides)
+		if n > 0 {
+			*l, arena = arena[:n:n], arena[n:]
 		}
+		sides = fillPostings(sides[k:], *l)
 	}
-	return x, buf, nil
+	return x, nil
 }
 
-// decodeMap rebuilds one postings map. Every entry takes at least two
-// bytes (a key-length varint and a postings-count varint), so a count
-// beyond half the remaining bytes is rejected before it sizes the map.
-func decodeMap(buf []byte, maxLines int, arena *[]int32) (map[string][]int32, []byte, error) {
+// checkPostings walks one delta-encoded postings list without decoding
+// it, rejecting any line outside [0, maxLines) and any sequence that is
+// not strictly ascending: a lookup hands these lines straight to the
+// dump text, so a CRC-colliding or hand-crafted file must decode as a
+// miss, never panic later. It returns the list's count and the bytes
+// after it.
+func checkPostings(buf []byte, maxLines int) (uint64, []byte, error) {
 	count, buf, err := readUvarint(buf)
 	if err != nil {
-		return nil, nil, err
-	}
-	if count > uint64(len(buf)/2) {
-		return nil, nil, fmt.Errorf("map claims %d keys, %d bytes remain", count, len(buf))
-	}
-	m := make(map[string][]int32, count)
-	for i := uint64(0); i < count; i++ {
-		var key string
-		if key, buf, err = readString(buf); err != nil {
-			return nil, nil, err
-		}
-		var p []int32
-		p, buf, err = decodePostings(buf, maxLines, arena)
-		if err != nil {
-			return nil, nil, err
-		}
-		m[key] = p
-	}
-	return m, buf, nil
-}
-
-// decodePostings rebuilds a delta-encoded postings list, rejecting any
-// line outside [0, maxLines) and any non-ascending sequence: a lookup
-// hands these lines straight to the dump text, so a CRC-colliding or
-// hand-crafted file must decode as a miss, never panic later. The list is
-// cut from the free capacity of *arena when it fits there, with a full
-// slice expression so that appending to it cannot reach the next list;
-// an arena too small for it gives it an array of its own. The index
-// that owns the arena is job-local, so no report pins it.
-func decodePostings(buf []byte, maxLines int, arena *[]int32) ([]int32, []byte, error) {
-	count, buf, err := readUvarint(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if count == 0 {
-		return nil, buf, nil
+		return 0, nil, err
 	}
 	if count > uint64(maxLines) {
-		return nil, nil, fmt.Errorf("%d postings for a %d-line dump", count, maxLines)
+		return 0, nil, fmt.Errorf("%d postings for a %d-line dump", count, maxLines)
 	}
-	var p []int32
-	if a := *arena; uint64(cap(a)-len(a)) >= count {
-		n := len(a)
-		p = a[n : n : n+int(count)]
-		*arena = a[:n+int(count)]
-	} else {
-		p = make([]int32, 0, count)
-	}
-	prev := int64(-1)
+	line := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		var d uint64
-		d, buf, err = readUvarint(buf)
-		if err != nil {
-			return nil, nil, err
+		if d, buf, err = readUvarint(buf); err != nil {
+			return 0, nil, err
 		}
-		if d > uint64(maxLines) {
-			return nil, nil, fmt.Errorf("posting delta %d out of range", d)
+		if i > 0 && d == 0 {
+			return 0, nil, fmt.Errorf("postings not strictly ascending")
 		}
-		if i == 0 {
-			prev = int64(d)
-		} else {
-			if d == 0 {
-				return nil, nil, fmt.Errorf("postings not strictly ascending")
-			}
-			prev += int64(d)
+		if d >= uint64(maxLines) || line+d >= uint64(maxLines) {
+			return 0, nil, fmt.Errorf("posting line %d out of range (dump has %d lines)", line+d, maxLines)
 		}
-		if prev >= int64(maxLines) {
-			return nil, nil, fmt.Errorf("posting line %d out of range (dump has %d lines)", prev, maxLines)
-		}
-		p = append(p, int32(prev))
+		line += d
 	}
-	return p, buf, nil
+	return count, buf, nil
 }
 
 // readUvarint reads one varint, accepting only the minimal encoding

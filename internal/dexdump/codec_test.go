@@ -185,18 +185,15 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 		return mutate(data)
 	}
 	// hugeMap is a bundle with a valid header, CRCs and dump hash whose
-	// first postings map claims 2^22 keys; only ~200 bytes follow it.
+	// first postings family claims 2^22 tokens; only ~200 bytes follow it.
 	hugeMap := func() []byte {
 		var payload []byte
 		payload = binary.AppendUvarint(payload, uint64(text.LineCount()))
 		payload = binary.AppendUvarint(payload, 0)
+		payload = append(payload, 0, 0, 0, 0) // four empty side lists
 		payload = binary.AppendUvarint(payload, 1<<22)
 		payload = append(payload, make([]byte, 200)...)
-		data := append([]byte(nil), good[:codecHeaderSize]...)
-		binary.LittleEndian.PutUint32(data[18:22], crc32.ChecksumIEEE(payload))
-		binary.LittleEndian.PutUint32(data[22:26], uint32(len(payload)))
-		data = append(data, payload...)
-		return append(data, good[ipEnd:]...)
+		return withIndexPayload(good, payload)
 	}
 	cases := map[string][]byte{
 		"empty":                   {},
@@ -223,7 +220,11 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 			return d
 		}),
 		"map count beyond payload": hugeMap(),
+		"key end past the keys":    withIndexPayload(good, keyEndPastKeys(text.LineCount())),
 	}
+	// Only the index decoder can tell these lie; every other case fails
+	// the whole bundle, dump section included.
+	indexOnly := map[string]bool{"map count beyond payload": true, "key end past the keys": true}
 	for name, data := range cases {
 		// A rejected section must be rejected cheaply: no count read
 		// from the file may size an allocation the payload cannot fill.
@@ -237,12 +238,42 @@ func TestCodecRejectsInvalidIndexSections(t *testing.T) {
 		if d := after.TotalAlloc - before.TotalAlloc; d >= 8<<20 {
 			t.Errorf("%s: index decode allocated %d MB before failing", name, d>>20)
 		}
-		// Only the index decoder can tell the map count is a lie; every
-		// other case fails the whole bundle, dump section included.
-		if _, err := DecodeBundleDump(data, testFingerprint); (err == nil) != (name == "map count beyond payload") {
+		if _, err := DecodeBundleDump(data, testFingerprint); (err == nil) != indexOnly[name] {
 			t.Errorf("%s: dump decode err = %v", name, err)
 		}
 	}
+}
+
+// withIndexPayload returns bundle with its index section replaced by
+// payload, the frame resealed so that only the index decoder can reject
+// it.
+func withIndexPayload(bundle, payload []byte) []byte {
+	_, ipEnd := indexPayloadBounds(bundle)
+	data := append([]byte(nil), bundle[:codecHeaderSize]...)
+	binary.LittleEndian.PutUint32(data[18:22], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(data[22:26], uint32(len(payload)))
+	data = append(data, payload...)
+	return append(data, bundle[ipEnd:]...)
+}
+
+// keyEndPastKeys returns an index payload for a dump of lines lines
+// whose first family holds three tokens with key ends 1, 100 and 5 over
+// a 5-byte key blob: the key ends are not monotone, and the second one
+// passes the blob while the last one fits it.
+func keyEndPastKeys(lines int) []byte {
+	var payload []byte
+	payload = binary.AppendUvarint(payload, uint64(lines))
+	payload = binary.AppendUvarint(payload, 3)
+	payload = append(payload, 0, 0, 0, 0) // four empty side lists
+	payload = append(payload, 3, 0, 0, 0, 0, 0, 0)
+	for _, end := range []uint32{1, 100, 5} {
+		payload = binary.LittleEndian.AppendUint32(payload, end)
+	}
+	for _, end := range []uint32{2, 4, 6} {
+		payload = binary.LittleEndian.AppendUint32(payload, end)
+	}
+	payload = append(payload, "abcde"...)
+	return append(payload, 1, 0, 1, 0, 1, 0) // three lists of line 0
 }
 
 // TestBundleDamageIsWholeMiss pins the reader's contract: a bundle is
@@ -364,12 +395,16 @@ func TestCodecBundleCorruptionFuzz(t *testing.T) {
 }
 
 // FuzzDecodeIndexFile feeds arbitrary bundles to the index decoder,
-// seeded with the fixture's bundle and the version-4 bundle of the
-// Fixture app (a legacy layout, which must decode as a miss). Decoding must never panic, and a decoded index must answer every lookup
-// with strictly ascending postings inside the dump. Each input is also tried
-// resealed — header hash, line count and index CRC recomputed for the
-// fixture dump — so mutations reach the payload decoders instead of
-// stopping at a checksum.
+// seeded with the fixture's bundle, the version-4 and version-5 bundles
+// of the Fixture app (legacy layouts, which must decode as a miss) and
+// the fixture's bundle with a directory whose key ends are not monotone
+// (keyEndPastKeys). Decoding must never panic; it must accept exactly what the
+// version 5 style full decode (decodeIndexOracle) accepts, and a decoded
+// index must answer every lookup as the oracle's maps do, with strictly
+// ascending postings inside the dump. Each input is also tried resealed —
+// header hash, line count and index CRC recomputed for the fixture
+// dump — so mutations reach the payload decoders instead of stopping at
+// a checksum.
 func FuzzDecodeIndexFile(f *testing.F) {
 	_, text := classesFixture(f)
 	data, err := EncodeBundle(text, BuildIndex(text), testFingerprint, nil)
@@ -378,6 +413,8 @@ func FuzzDecodeIndexFile(f *testing.F) {
 	}
 	f.Add(data)
 	f.Add(testapps.FixtureV4Bundle())
+	f.Add(testapps.FixtureV5Bundle())
+	f.Add(withIndexPayload(data, keyEndPastKeys(text.LineCount())))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodedIndex(t, data, text)
 		if len(data) < codecHeaderSize {
@@ -394,14 +431,35 @@ func FuzzDecodeIndexFile(f *testing.F) {
 	})
 }
 
-// checkDecodedIndex decodes data against text and, on success, probes
-// every lookup with every token the decoded index holds plus the fixture
-// tokens, requiring strictly ascending postings in [0, LineCount()).
+// checkDecodedIndex decodes data against text and against the oracle.
+// Both must accept or both reject. On accept, every token the oracle
+// holds, plus misses next to it, must look up alike through every
+// accessor, the side lists and counters must agree, the payload must be
+// the one the oracle's maps encode to, and every lookup must return
+// strictly ascending postings in [0, LineCount()).
 func checkDecodedIndex(t *testing.T, data []byte, text *Text) {
 	t.Helper()
 	x, err := DecodeIndexFile(data, text)
+	var want *Index
+	oerr := fmt.Errorf("bundle not read")
+	b, rerr := ReadBundle(data)
+	if rerr == nil && b.dumpSum == DumpHash(text) && b.lines == text.LineCount() {
+		want, oerr = decodeIndexOracle(b.index, b.lines)
+	}
+	if (err == nil) != (oerr == nil) {
+		t.Fatalf("index decode error %v, oracle error %v", err, oerr)
+	}
 	if err != nil {
 		return
+	}
+	if x.Lines() != want.Lines() || x.Postings() != want.Postings() {
+		t.Fatalf("lines/postings %d/%d, oracle %d/%d", x.Lines(), x.Postings(), want.Lines(), want.Postings())
+	}
+	if !reflect.DeepEqual(indexSides(x), indexSides(want)) {
+		t.Fatalf("side lists %v, oracle %v", indexSides(x), indexSides(want))
+	}
+	if re, err := appendIndex(nil, want); err != nil || !bytes.Equal(re, b.index) {
+		t.Fatalf("accepted index payload is not what its maps encode to (err %v)", err)
 	}
 	check := func(name string, p []int32) {
 		t.Helper()
@@ -414,18 +472,24 @@ func checkDecodedIndex(t *testing.T, data []byte, text *Text) {
 			}
 		}
 	}
-	for name, p := range lookups(x) {
-		check(name, p)
+	probes := map[string]func(*Index, string) []int32{
+		"InvokeBySig": (*Index).InvokeBySig, "InvokeByNamePrefix": (*Index).InvokeByNamePrefix,
+		"CtorByPrefix": (*Index).CtorByPrefix, "ConstClass": (*Index).ConstClass,
+		"ConstString": (*Index).ConstString, "FieldBySig": (*Index).FieldBySig, "ClassUse": (*Index).ClassUse,
 	}
-	probes := map[string]func(string) []int32{
-		"InvokeBySig": x.InvokeBySig, "InvokeByNamePrefix": x.InvokeByNamePrefix,
-		"CtorByPrefix": x.CtorByPrefix, "ConstClass": x.ConstClass,
-		"ConstString": x.ConstString, "FieldBySig": x.FieldBySig, "ClassUse": x.ClassUse,
-	}
-	for _, m := range x.maps() {
-		for tok := range *m {
-			for name, lookup := range probes {
-				check(name+"("+tok+")", lookup(tok))
+	for f, m := range want.maps {
+		for tok := range m {
+			if got := x.list(family(f), tok); !slices.Equal(got, m[tok]) {
+				t.Fatalf("family %d token %q: lookup %v, oracle %v", f, tok, got, m[tok])
+			}
+			for _, probe := range []string{tok, tok + "\x00", tok[:len(tok)/2], ""} {
+				for name, lookup := range probes {
+					got, wantP := lookup(x, probe), lookup(want, probe)
+					if !slices.Equal(got, wantP) {
+						t.Fatalf("%s(%q) = %v, oracle %v", name, probe, got, wantP)
+					}
+					check(name+"("+probe+")", got)
+				}
 			}
 		}
 	}
@@ -585,11 +649,13 @@ func TestDumpSectionHashBack(t *testing.T) {
 	}
 }
 
-// TestLegacyV3BundleMisses: the bundles codec versions 3 and 4 wrote for
-// the Fixture app, byte for byte, are misses in every section decoder,
-// and would be even if the version gate were gone: the FNV-64a sums of
-// version 3 do not match the CRC sums, and both versions frame a header
-// with a layout field and an index of nine postings maps.
+// TestLegacyV3BundleMisses: the bundles codec versions 3, 4 and 5 wrote
+// for the Fixture app, byte for byte, are misses in every section
+// decoder, and would be even if the version gate were gone: the FNV-64a
+// sums of version 3 do not match the CRC sums, versions 3 and 4 frame a
+// header with a layout field and an index of nine postings maps, and
+// version 5, framed like version 6, lays out neither big section for
+// lookup (no line table, no postings directory).
 func TestLegacyV3BundleMisses(t *testing.T) {
 	app, err := testapps.Fixture()
 	if err != nil {
@@ -606,9 +672,11 @@ func TestLegacyV3BundleMisses(t *testing.T) {
 		data    []byte
 		pin     uint64 // the bundle pin TestGoldenBundles held for the fixture
 		sum     uint64 // the header's dump sum of that version
+		sumAt   int    // where the header holds it
 	}{
-		{3, testapps.FixtureV3Bundle(), 0xefbfb8ccc6a7b27d, fnv64a([]byte(text.String()))},
-		{4, testapps.FixtureV4Bundle(), 0xdb5913680362905d, DumpHash(text)},
+		{3, testapps.FixtureV3Bundle(), 0xefbfb8ccc6a7b27d, fnv64a([]byte(text.String())), 8},
+		{4, testapps.FixtureV4Bundle(), 0xdb5913680362905d, DumpHash(text), 8},
+		{5, testapps.FixtureV5Bundle(), 0x9d0964bf90704f9a, DumpHash(text), 6},
 	} {
 		name := fmt.Sprintf("v%d", legacy.version)
 		if got := fnv64a(legacy.data); got != legacy.pin {
@@ -618,7 +686,7 @@ func TestLegacyV3BundleMisses(t *testing.T) {
 			t.Fatalf("%s: legacy bundle is version %d", name, v)
 		}
 		// Versions 3 and 4 put the dump sum after the 2-byte layout field.
-		if binary.LittleEndian.Uint64(legacy.data[8:16]) != legacy.sum {
+		if binary.LittleEndian.Uint64(legacy.data[legacy.sumAt:legacy.sumAt+8]) != legacy.sum {
 			t.Fatalf("%s: legacy bundle does not carry the dump sum of today's fixture dump", name)
 		}
 		relabelled := bytes.Clone(legacy.data)
@@ -630,7 +698,9 @@ func TestLegacyV3BundleMisses(t *testing.T) {
 			if _, err := DecodeIndexFile(data, text); err == nil {
 				t.Errorf("%s: index section decoded", label)
 			}
-			if _, err := ReadBundle(data); err == nil {
+			// A relabelled version 5 bundle frames like the current
+			// version; only its sections tell it apart.
+			if _, err := ReadBundle(data); err == nil && label != "v5 relabelled" {
 				t.Errorf("%s: bundle read", label)
 			}
 		}
@@ -750,6 +820,16 @@ func TestDecodePostingsRejectsMalformedLists(t *testing.T) {
 		if _, _, err := decodePostings(buf, maxLines, &none); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+		if _, _, err := checkPostings(buf, maxLines); err == nil {
+			t.Errorf("%s: checked without error", name)
+		}
+	}
+	if n, rest, err := checkPostings(enc(3, 5, 2, 90, 7), maxLines); err != nil || n != 3 || !bytes.Equal(rest, enc(7)) {
+		t.Errorf("valid list checked as %d postings, rest %v, err %v", n, rest, err)
+	}
+	got := make([]int32, 3)
+	if rest := fillPostings(enc(5, 2, 90, 7), got); !equalPostings(got, []int32{5, 7, 97}) || !bytes.Equal(rest, enc(7)) {
+		t.Errorf("filled %v, rest %v", got, rest)
 	}
 	// A well-formed list still decodes, into the arena when it fits and
 	// into its own array when it does not.
@@ -775,126 +855,14 @@ func TestDecodePostingsRejectsMalformedLists(t *testing.T) {
 	}
 }
 
-// oracleText is the dump as the line-splitting decoder held it: one
-// string per line and an int per line's method.
-type oracleText struct {
-	lines        []string
-	methodOfLine []int
-	methods      []dex.MethodRef
-	spans        []ClassSpan
-	full         string
-}
-
-// decodeDumpOracle is decodeDump as it read before the Text became its
-// text plus a line-offset table: it copies the text out of buf and splits
-// it into lines. It is kept as the oracle of FuzzDecodeDump. The code is
-// the old decoder's, filling an oracleText instead of a Text.
-func decodeDumpOracle(buf []byte) (*oracleText, error) {
-	fullLen, buf, err := readUvarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	if fullLen > uint64(len(buf)) {
-		return nil, fmt.Errorf("full text claims %d bytes, %d remain", fullLen, len(buf))
-	}
-	t := &oracleText{full: string(buf[:fullLen])}
-	buf = buf[fullLen:]
-	if t.full != "" {
-		if t.full[len(t.full)-1] != '\n' {
-			return nil, fmt.Errorf("full text does not end in a newline")
-		}
-		t.lines = strings.Split(t.full[:len(t.full)-1], "\n")
-	}
-
-	methodCount, buf, err := readUvarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	if methodCount > uint64(len(buf)) {
-		return nil, fmt.Errorf("method table claims %d entries, %d bytes remain", methodCount, len(buf))
-	}
-	t.methods = make([]dex.MethodRef, methodCount)
-	for i := range t.methods {
-		var m dex.MethodRef
-		var ret string
-		if m.Class, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if m.Name, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if ret, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		m.Ret = dex.TypeDesc(ret)
-		var params uint64
-		if params, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		if params > uint64(len(buf)) {
-			return nil, fmt.Errorf("method %d claims %d params", i, params)
-		}
-		m.Params = make([]dex.TypeDesc, params)
-		for j := range m.Params {
-			var p string
-			if p, buf, err = readString(buf); err != nil {
-				return nil, err
-			}
-			m.Params[j] = dex.TypeDesc(p)
-		}
-		t.methods[i] = m
-	}
-
-	t.methodOfLine = make([]int, len(t.lines))
-	for i := range t.methodOfLine {
-		var v uint64
-		if v, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		if v > uint64(len(t.methods)) {
-			return nil, fmt.Errorf("line %d attributed to method %d of %d", i, v, len(t.methods))
-		}
-		t.methodOfLine[i] = int(v) - 1
-	}
-
-	spanCount, buf, err := readUvarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	if spanCount > uint64(len(t.lines))+1 {
-		return nil, fmt.Errorf("%d class spans for a %d-line dump", spanCount, len(t.lines))
-	}
-	t.spans = make([]ClassSpan, spanCount)
-	at := 0
-	for i := range t.spans {
-		var name string
-		if name, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		var length uint64
-		if length, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		if length > uint64(len(t.lines)-at) {
-			return nil, fmt.Errorf("class span %d overruns the dump", i)
-		}
-		t.spans[i] = ClassSpan{Name: name, Start: at, End: at + int(length)}
-		at += int(length)
-	}
-	if at != len(t.lines) {
-		return nil, fmt.Errorf("class spans cover %d of %d lines", at, len(t.lines))
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after the dump payload", len(buf))
-	}
-	return t, nil
-}
-
 // FuzzDecodeDump requires decodeDump to accept and reject exactly what
 // decodeDumpOracle does, and on accept to agree with it on every line,
 // every method attribution, the method table and the class spans, and to
-// re-encode to its input. Seeds are the dump payloads of the fixture and
-// of the 24-app bench corpus, whole and truncated.
+// re-encode to its input. The oracle splits the text on its newlines, so
+// a stored line table that disagrees with them is a reject. Seeds are the
+// dump payloads of the fixture and of the 24-app bench corpus, whole and
+// truncated, then the fixture's payload with line tables that disagree
+// with its text (lineTableMismatches).
 func FuzzDecodeDump(f *testing.F) {
 	app, err := testapps.Fixture()
 	if err != nil {
@@ -916,6 +884,9 @@ func FuzzDecodeDump(f *testing.F) {
 		for _, n := range []int{k + len(text.String())/2, k + len(text.String()), (k + len(text.String()) + len(payload)) / 2, len(payload) - 1} {
 			f.Add(payload[:n])
 		}
+	}
+	for _, bad := range lineTableMismatches(texts[0]) {
+		f.Add(bad)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeDump(data)
@@ -951,6 +922,84 @@ func FuzzDecodeDump(f *testing.F) {
 	})
 }
 
+// lineTableMismatches returns text's dump payload with its line table
+// altered so that it no longer lists the lengths between the text's
+// newlines: a line one byte short, a line that swallows the next one,
+// two lines of different lengths swapped, a last line that runs past the
+// text, a length in a non-minimal varint, and a text with one newline
+// more than the table (a line edited in place, the table and length
+// kept).
+func lineTableMismatches(text *Text) [][]byte {
+	payload := appendDump(nil, text)
+	_, k := binary.Uvarint(payload)
+	textAt := k
+	tableAt := textAt + len(text.String())
+	lengths := make([]uint64, text.LineCount())
+	for i := range lengths {
+		lengths[i] = uint64(len(text.Line(i)))
+	}
+	_, k = binary.Uvarint(payload[tableAt:])
+	tail := payload[tableAt+k:]
+	for range lengths {
+		_, k = binary.Uvarint(tail)
+		tail = tail[k:]
+	}
+	// withTable re-encodes the payload with the table edit writes.
+	withTable := func(edit func(table []byte, lengths []uint64) []byte) []byte {
+		table := binary.AppendUvarint(nil, uint64(len(lengths)))
+		table = edit(table, slices.Clone(lengths))
+		p := append(bytes.Clone(payload[:tableAt]), table...)
+		return append(p, tail...)
+	}
+	appendAll := func(table []byte, lengths []uint64) []byte {
+		for _, l := range lengths {
+			table = binary.AppendUvarint(table, l)
+		}
+		return table
+	}
+	swap := 1
+	for lengths[swap] == lengths[swap+1] {
+		swap++
+	}
+	return [][]byte{
+		withTable(func(t []byte, l []uint64) []byte { l[1]--; return appendAll(t, l) }),
+		withTable(func(t []byte, l []uint64) []byte { l[1] += l[2] + 1; return appendAll(t, l) }),
+		withTable(func(t []byte, l []uint64) []byte {
+			l[swap], l[swap+1] = l[swap+1], l[swap]
+			return appendAll(t, l)
+		}),
+		withTable(func(t []byte, l []uint64) []byte { l[len(l)-1]++; return appendAll(t, l) }),
+		withTable(func(t []byte, l []uint64) []byte {
+			t = binary.AppendUvarint(appendAll(t, l[:1]), l[1])
+			t[len(t)-1] |= 0x80 // l[1] with a trailing zero byte
+			return appendAll(append(t, 0), l[2:])
+		}),
+		func() []byte {
+			p := bytes.Clone(payload)
+			p[textAt+int(text.ends[1])-1] = '\n'
+			return p
+		}(),
+	}
+}
+
+// TestDumpLineTableMustMatchNewlines: a dump payload whose line table
+// disagrees with its text's newlines is rejected, by decodeDump and by
+// the line-splitting oracle alike.
+func TestDumpLineTableMustMatchNewlines(t *testing.T) {
+	_, text := classesFixture(t)
+	if _, err := decodeDump(appendDump(nil, text)); err != nil {
+		t.Fatalf("pristine payload rejected: %v", err)
+	}
+	for i, bad := range lineTableMismatches(text) {
+		if _, err := decodeDump(bad); err == nil {
+			t.Errorf("mismatch %d: decodeDump accepted the line table", i)
+		}
+		if _, err := decodeDumpOracle(bad); err == nil {
+			t.Errorf("mismatch %d: the oracle accepted the line table", i)
+		}
+	}
+}
+
 // TestBundleDumpDoesNotCopyText: decoding a bench-corpus bundle's dump
 // section allocates less than the dump text itself, so the text is read
 // where the bundle holds it rather than copied out. Allocated bytes are
@@ -974,6 +1023,37 @@ func TestBundleDumpDoesNotCopyText(t *testing.T) {
 		}
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(len(text.String())) {
 			t.Errorf("%s: Dump allocated %d bytes for a %d-byte text", app.name, alloc, len(text.String()))
+		}
+	}
+}
+
+// TestBundleDumpAllocsFixed: decoding a bundle's dump section makes the
+// same small number of allocations for every app of the bench corpus,
+// whatever its line and method counts: every table is sized once from a
+// stored count, and every string is a slice of one string-section copy.
+func TestBundleDumpAllocsFixed(t *testing.T) {
+	const maxAllocs = 8
+	first := -1.0
+	for _, app := range loadBenchCorpus(t) {
+		data, err := EncodeBundle(app.text, BuildIndex(app.text), app.fingerprint, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadBundle(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := r.Dump(app.fingerprint); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if first < 0 {
+			first = allocs
+		}
+		if allocs != first || allocs > maxAllocs {
+			t.Errorf("%s (%d lines, %d methods): Dump made %v allocations, want %v for every app and at most %d",
+				app.name, app.text.LineCount(), len(app.text.Methods()), allocs, first, maxAllocs)
 		}
 	}
 }

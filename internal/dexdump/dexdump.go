@@ -18,11 +18,11 @@ import (
 // mapping from each text line back to the containing method so the search
 // engine can perform the paper's "identify method in bytecode text" step.
 type Text struct {
-	full         string  // every line, each followed by '\n'
-	ends         []int32 // end offset in full of each line, its newline excluded
-	methodOfLine []int32 // index into methods, -1 for non-instruction lines
-	methods      []dex.MethodRef
-	spans        []ClassSpan
+	full    string  // every line, each followed by '\n'
+	ends    []int32 // end offset in full of each line, its newline excluded
+	methods []dex.MethodRef
+	runs    []lineRun // runs[i] is the lines of methods[i]; ascending and disjoint
+	spans   []ClassSpan
 	// plain has bit n%64 of word n/64 set when render knows line n holds
 	// no index token (see render); build skips those lines. A Text that
 	// was not rendered, such as a decoded bundle's, has no table, and
@@ -32,6 +32,11 @@ type Text struct {
 	hashOnce sync.Once // guards hash (see DumpHash)
 	hash     uint64
 }
+
+// lineRun is the contiguous line range [start, end) attributed to one
+// method: its "name" line through its last instruction. The lines of a
+// class header and of each method's "(in Lcls;)" marker belong to none.
+type lineRun struct{ start, end int32 }
 
 // ClassSpan is the contiguous line range one class occupies in the dump.
 // Spans tile [0, LineCount()) in class order; they are the unit the
@@ -96,11 +101,11 @@ func render(f *dex.File, limit int) (*Text, error) {
 		methods += len(c.Methods)
 	}
 	t := &Text{
-		ends:         make([]int32, 0, lines),
-		methodOfLine: make([]int32, 0, lines),
-		methods:      make([]dex.MethodRef, 0, methods),
-		spans:        make([]ClassSpan, 0, len(f.Classes())),
-		plain:        make([]uint64, (lines+63)/64),
+		ends:    make([]int32, 0, lines),
+		methods: make([]dex.MethodRef, 0, methods),
+		runs:    make([]lineRun, 0, methods),
+		spans:   make([]ClassSpan, 0, len(f.Classes())),
+		plain:   make([]uint64, (lines+63)/64),
 	}
 	pooled := renderPool.Get().(*[]byte)
 	buf := (*pooled)[:0]
@@ -110,7 +115,9 @@ func render(f *dex.File, limit int) (*Text, error) {
 		}
 		t.ends = append(t.ends, int32(len(buf)))
 		buf = append(buf, '\n')
-		t.methodOfLine = append(t.methodOfLine, int32(methodIdx))
+		if methodIdx >= 0 {
+			t.runs[methodIdx].end = int32(len(t.ends))
+		}
 	}
 
 	// Every loop gives up once the text passes limit. A few lines may
@@ -168,6 +175,7 @@ classes:
 				buf = dex.AppendT(append(buf, "              : (in "...), c.Name)
 				buf = append(buf, ')')
 				eol(-1, false)
+				t.runs = append(t.runs, lineRun{start: int32(len(t.ends))})
 				mi++
 				buf = append(append(buf, "      name          : '"...), m.Ref.Name...)
 				buf = append(buf, '\'')
@@ -230,12 +238,22 @@ func (t *Text) isPlain(n int) bool {
 // LineCount returns the number of dump lines.
 func (t *Text) LineCount() int { return len(t.ends) }
 
-// MethodAt returns the method containing the given dump line, if any.
+// MethodAt returns the method containing the given dump line, if any:
+// a binary search for the first method run that ends past the line.
 func (t *Text) MethodAt(line int) (dex.MethodRef, bool) {
-	if line < 0 || line >= len(t.methodOfLine) || t.methodOfLine[line] < 0 {
+	lo, hi := 0, len(t.runs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(t.runs[mid].end) <= line {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(t.runs) || line < int(t.runs[lo].start) {
 		return dex.MethodRef{}, false
 	}
-	return t.methods[t.methodOfLine[line]], true
+	return t.methods[lo], true
 }
 
 // Methods returns every method that appears in the dump, in dump order.

@@ -11,16 +11,15 @@ import "strings"
 // dump lines it occurs on. A search command then touches only its postings
 // instead of every dump line; candidates are still re-verified against the
 // exact grep predicate, so the index over-approximates and never changes
-// hit semantics. See DESIGN.md Sec. 3. An Index is immutable after
+// hit semantics. See DESIGN.md Sec. 3. A built Index holds its postings
+// in maps; one decoded from a bundle reads them from the bundle's
+// postings directory, one list per lookup. An Index is immutable after
 // construction and safe for concurrent readers.
 type Index struct {
-	invokeBySig   map[string][]int32 // full target sig -> invoke-* lines
-	invokeByNameP map[string][]int32 // ".name:" prefix -> invoke-* lines
-	ctorByPrefix  map[string][]int32 // "Lcls;.<init>:" -> invoke-direct lines
-	constClass    map[string][]int32 // class descriptor -> const-class lines
-	constString   map[string][]int32 // rendered literal -> const-string lines
-	fieldBySig    map[string][]int32 // field sig -> iget/iput/sget/sput lines
-	classUse      map[string][]int32 // class descriptor -> every line using it
+	// maps holds a built index's postings, one map per family; a decoded
+	// index has none and answers from dir instead.
+	maps [families]map[string][]int32
+	dir  *postingsDir // a decoded bundle's postings directory (see codec.go); nil when built
 
 	// Side lists for lines whose string literal could satisfy a
 	// Contains-style predicate in ways token extraction cannot
@@ -33,6 +32,21 @@ type Index struct {
 	lines    int // dump lines tokenized
 	postings int // entries across the maps and side lists
 }
+
+// family names one postings map of the Index; it is also the map's
+// position in the bundle's postings directory.
+type family uint8
+
+const (
+	famInvokeBySig   family = iota // full target sig -> invoke-* lines
+	famInvokeByNameP               // ".name:" prefix -> invoke-* lines
+	famCtorByPrefix                // "Lcls;.<init>:" -> invoke-direct lines
+	famConstClass                  // class descriptor -> const-class lines
+	famConstString                 // rendered literal -> const-string lines
+	famFieldBySig                  // field sig -> iget/iput/sget/sput lines
+	famClassUse                    // class descriptor -> every line using it
+	families
+)
 
 // BuildIndex tokenizes every dump line once and returns the inverted
 // index. Cost is linear in the dump text; the caller is responsible for
@@ -47,14 +61,9 @@ func BuildIndex(t *Text) *Index {
 // for, so a rendered Text and the same text without the table index
 // alike. Lines() counts every line of the kept spans.
 func build(t *Text, keep func(span int) bool) *Index {
-	x := &Index{
-		invokeBySig:   make(map[string][]int32),
-		invokeByNameP: make(map[string][]int32),
-		ctorByPrefix:  make(map[string][]int32),
-		constClass:    make(map[string][]int32),
-		constString:   make(map[string][]int32),
-		fieldBySig:    make(map[string][]int32),
-		classUse:      make(map[string][]int32),
+	x := &Index{}
+	for f := range x.maps {
+		x.maps[f] = make(map[string][]int32)
 	}
 	s := scan{open: make([]int, 0, 16), posted: make([]string, 0, maxPosted)}
 	for i, sp := range t.spans {
@@ -200,21 +209,21 @@ func (x *Index) addLine(s *scan, n int32, line string) {
 	// hit. Each family takes at most one token per line, which add relies
 	// on.
 	if mnem&hasInvoke != 0 && tail != "" {
-		x.add(x.invokeBySig, tail, n)
+		x.add(famInvokeBySig, tail, n)
 		// The ".name:" prefix (descriptor-independent, the two-time ICC
 		// search's first pass) begins at the dot after the class
 		// descriptor and ends at the colon after the name.
 		if p := strings.Index(tail, ";."); p >= 0 {
 			needle := tail[p+1:]
 			if c := strings.IndexByte(needle, ':'); c >= 0 {
-				x.add(x.invokeByNameP, needle[:c+1], n)
+				x.add(famInvokeByNameP, needle[:c+1], n)
 			}
 		}
 		// Constructor prefix "Lcls;.<init>:" — everything up to and
 		// including the colon that separates name from descriptor.
 		if mnem&hasDirect != 0 {
 			if c := strings.IndexByte(tail, ':'); c >= 0 {
-				x.add(x.ctorByPrefix, tail[:c+1], n)
+				x.add(famCtorByPrefix, tail[:c+1], n)
 			}
 		}
 		// A quoted line "containing" invoke- is a string literal that could
@@ -225,11 +234,11 @@ func (x *Index) addLine(s *scan, n int32, line string) {
 		}
 	}
 	if mnem&hasConstClass != 0 && tail != "" {
-		x.add(x.constClass, tail, n)
+		x.add(famConstClass, tail, n)
 	}
 	if mnem&hasConstString != 0 && lastQuote > firstQuote {
 		val := line[firstQuote+1 : lastQuote]
-		x.add(x.constString, val, n)
+		x.add(famConstString, val, n)
 		// Literals rendered with escapes can satisfy quoted-substring
 		// queries that differ from the whole extracted value; keep them on
 		// a side list every const-string lookup also visits.
@@ -239,7 +248,7 @@ func (x *Index) addLine(s *scan, n int32, line string) {
 	}
 	if mnem&hasField != 0 {
 		if tail != "" {
-			x.add(x.fieldBySig, tail, n)
+			x.add(famFieldBySig, tail, n)
 		}
 		// Only string literals carry double quotes in the dump; a quoted
 		// line "containing" a field mnemonic is a literal that could also
@@ -265,17 +274,17 @@ func (x *Index) addClassUse(s *scan, token string, n int32) {
 			}
 		}
 		s.posted = append(s.posted, token)
-	} else if p := x.classUse[token]; len(p) > 0 && p[len(p)-1] == n {
+	} else if p := x.maps[famClassUse][token]; len(p) > 0 && p[len(p)-1] == n {
 		return
 	}
-	x.classUse[token] = append(x.classUse[token], n)
-	x.postings++
+	x.add(famClassUse, token, n)
 }
 
 // add posts line n under token. Lines arrive in ascending order and a
 // family takes at most one token per line, so n is never on the list
 // yet and the insert is a single map assign.
-func (x *Index) add(m map[string][]int32, token string, n int32) {
+func (x *Index) add(f family, token string, n int32) {
+	m := x.maps[f]
 	m[token] = append(m[token], n)
 	x.postings++
 }
@@ -287,9 +296,18 @@ func (x *Index) addSide(list *[]int32, n int32) {
 	x.postings++
 }
 
+// list returns the postings of one token: from the family's map on a
+// built index, by one directory lookup on a decoded one.
+func (x *Index) list(f family, token string) []int32 {
+	if x.dir != nil {
+		return x.dir.lookup(f, token)
+	}
+	return x.maps[f][token]
+}
+
 // InvokeBySig returns the invoke lines whose target is exactly sig.
 func (x *Index) InvokeBySig(sig string) []int32 {
-	return x.invokeBySig[sig]
+	return x.list(famInvokeBySig, sig)
 }
 
 // InvokeByNamePrefix returns the candidate invoke lines whose target
@@ -298,7 +316,7 @@ func (x *Index) InvokeBySig(sig string) []int32 {
 // (the linear Contains grep would match those too; the caller's predicate
 // filters them). This backs the two-time ICC search's first pass.
 func (x *Index) InvokeByNamePrefix(prefix string) []int32 {
-	return mergePostings(x.invokeByNameP[prefix], x.oddInvokes)
+	return mergePostings(x.list(famInvokeByNameP, prefix), x.oddInvokes)
 }
 
 // CtorByPrefix returns the candidate invoke-direct lines calling any
@@ -306,12 +324,12 @@ func (x *Index) InvokeByNamePrefix(prefix string) []int32 {
 // literal mentioning invoke-direct (the linear Contains grep would match
 // those too; the caller's predicate filters them).
 func (x *Index) CtorByPrefix(prefix string) []int32 {
-	return mergePostings(x.ctorByPrefix[prefix], x.oddCtors)
+	return mergePostings(x.list(famCtorByPrefix, prefix), x.oddCtors)
 }
 
 // ConstClass returns the const-class lines loading the descriptor.
 func (x *Index) ConstClass(desc string) []int32 {
-	return x.constClass[desc]
+	return x.list(famConstClass, desc)
 }
 
 // ConstString returns the candidate const-string lines for the value: the
@@ -319,7 +337,7 @@ func (x *Index) ConstClass(desc string) []int32 {
 // literal contains escapes (those can satisfy quoted-substring queries the
 // value map cannot anticipate).
 func (x *Index) ConstString(value string) []int32 {
-	return mergePostings(x.constString[value], x.oddStrings)
+	return mergePostings(x.list(famConstString, value), x.oddStrings)
 }
 
 // FieldBySig returns the candidate field access lines (reads and writes)
@@ -327,12 +345,12 @@ func (x *Index) ConstString(value string) []int32 {
 // mnemonic (those could embed the signature anywhere; the caller's
 // predicate filters them).
 func (x *Index) FieldBySig(sig string) []int32 {
-	return mergePostings(x.fieldBySig[sig], x.oddFields)
+	return mergePostings(x.list(famFieldBySig, sig), x.oddFields)
 }
 
 // ClassUse returns every line on which the class descriptor occurs.
 func (x *Index) ClassUse(desc string) []int32 {
-	return x.classUse[desc]
+	return x.list(famClassUse, desc)
 }
 
 // mergePostings merges two ascending duplicate-free postings lists into

@@ -123,13 +123,13 @@ func TestIndexClassUseMatchesGrep(t *testing.T) {
 // indexMaps names the seven token maps of x.
 func indexMaps(x *Index) map[string]map[string][]int32 {
 	return map[string]map[string][]int32{
-		"invokeBySig":   x.invokeBySig,
-		"invokeByNameP": x.invokeByNameP,
-		"ctorByPrefix":  x.ctorByPrefix,
-		"constClass":    x.constClass,
-		"constString":   x.constString,
-		"fieldBySig":    x.fieldBySig,
-		"classUse":      x.classUse,
+		"invokeBySig":   x.maps[famInvokeBySig],
+		"invokeByNameP": x.maps[famInvokeByNameP],
+		"ctorByPrefix":  x.maps[famCtorByPrefix],
+		"constClass":    x.maps[famConstClass],
+		"constString":   x.maps[famConstString],
+		"fieldBySig":    x.maps[famFieldBySig],
+		"classUse":      x.maps[famClassUse],
 	}
 }
 
@@ -282,7 +282,7 @@ func addLineOracle(x *Index, n int32, line string) {
 		if j < 0 {
 			break // no ';' remains, no further descriptor can close
 		}
-		oracleAdd(x, x.classUse, line[i:i+j+1], n)
+		oracleAdd(x, famClassUse, line[i:i+j+1], n)
 	}
 
 	// Operand tokens live after the last ", " of an instruction line
@@ -304,21 +304,21 @@ func addLineOracle(x *Index, n int32, line string) {
 	// accidentally belongs to costs a posting; missing one would cost a
 	// hit.
 	if strings.Contains(line, "invoke-") && tail != "" {
-		oracleAdd(x, x.invokeBySig, tail, n)
+		oracleAdd(x, famInvokeBySig, tail, n)
 		// The ".name:" prefix (descriptor-independent, the two-time ICC
 		// search's first pass) begins at the dot after the class
 		// descriptor and ends at the colon after the name.
 		if p := strings.Index(tail, ";."); p >= 0 {
 			needle := tail[p+1:]
 			if c := strings.IndexByte(needle, ':'); c >= 0 {
-				oracleAdd(x, x.invokeByNameP, needle[:c+1], n)
+				oracleAdd(x, famInvokeByNameP, needle[:c+1], n)
 			}
 		}
 		// Constructor prefix "Lcls;.<init>:" — everything up to and
 		// including the colon that separates name from descriptor.
 		if strings.Contains(line, "invoke-direct") {
 			if c := strings.IndexByte(tail, ':'); c >= 0 {
-				oracleAdd(x, x.ctorByPrefix, tail[:c+1], n)
+				oracleAdd(x, famCtorByPrefix, tail[:c+1], n)
 			}
 		}
 		// A quoted line "containing" invoke- is a string literal that could
@@ -329,14 +329,14 @@ func addLineOracle(x *Index, n int32, line string) {
 		}
 	}
 	if strings.Contains(line, "const-class") && tail != "" {
-		oracleAdd(x, x.constClass, tail, n)
+		oracleAdd(x, famConstClass, tail, n)
 	}
 	if strings.Contains(line, "const-string") {
 		i := strings.IndexByte(line, '"')
 		j := strings.LastIndexByte(line, '"')
 		if i >= 0 && j > i {
 			val := line[i+1 : j]
-			oracleAdd(x, x.constString, val, n)
+			oracleAdd(x, famConstString, val, n)
 			// Literals rendered with escapes can satisfy quoted-substring
 			// queries that differ from the whole extracted value; keep
 			// them on a side list every const-string lookup also visits.
@@ -348,7 +348,7 @@ func addLineOracle(x *Index, n int32, line string) {
 	if strings.Contains(line, "iget") || strings.Contains(line, "iput") ||
 		strings.Contains(line, "sget") || strings.Contains(line, "sput") {
 		if tail != "" {
-			oracleAdd(x, x.fieldBySig, tail, n)
+			oracleAdd(x, famFieldBySig, tail, n)
 		}
 		// Only string literals carry double quotes in the dump; a quoted
 		// line "containing" a field mnemonic is a literal that could also
@@ -375,7 +375,8 @@ func oracleAddSide(x *Index, list *[]int32, n int32) {
 
 // oracleAdd appends line n to the postings list of token, deduplicating
 // consecutive inserts (the same token can occur twice on one line).
-func oracleAdd(x *Index, m map[string][]int32, token string, n int32) {
+func oracleAdd(x *Index, f family, token string, n int32) {
+	m := x.maps[f]
 	p := m[token]
 	if len(p) > 0 && p[len(p)-1] == n {
 		return
@@ -386,14 +387,9 @@ func oracleAdd(x *Index, m map[string][]int32, token string, n int32) {
 
 // buildOracle indexes every line of t with addLineOracle.
 func buildOracle(t *Text) *Index {
-	x := &Index{
-		invokeBySig:   make(map[string][]int32),
-		invokeByNameP: make(map[string][]int32),
-		ctorByPrefix:  make(map[string][]int32),
-		constClass:    make(map[string][]int32),
-		constString:   make(map[string][]int32),
-		fieldBySig:    make(map[string][]int32),
-		classUse:      make(map[string][]int32),
+	x := &Index{}
+	for f := range x.maps {
+		x.maps[f] = make(map[string][]int32)
 	}
 	for n := range t.LineCount() {
 		addLineOracle(x, int32(n), t.Line(n))
@@ -512,7 +508,7 @@ func TestTokenizerMatchesOracle(t *testing.T) {
 // withoutTable returns t's dump with no skip table, as a decoded
 // bundle's dump has none, so build scans every line of it.
 func withoutTable(t *Text) *Text {
-	return &Text{full: t.full, ends: t.ends, methodOfLine: t.methodOfLine, methods: t.methods, spans: t.spans}
+	return &Text{full: t.full, ends: t.ends, methods: t.methods, runs: t.runs, spans: t.spans}
 }
 
 // TestPlainLinesPostNothing renders every opcode from 0 to two past the

@@ -440,10 +440,52 @@ func (s *Scheduler) lastRun(tenant, name string) (prevRun, bool) {
 // rememberRun records a settled analysis as the delta base for the next
 // submission of the same name. Timed-out reports are not remembered —
 // their sink list is incomplete, so they cannot seed a reuse decision.
+//
+// A base is only of use while Config.Store holds its bundle (the delta
+// path starts from store.GetBundle), so one whose bundle the store does
+// not hold replaces nothing and is forgotten, and every base whose
+// bundle the store has since evicted or dropped goes with it. The map,
+// and so each sweep of it, is bounded by the store, not by the job names
+// ever seen. The base is a copy without the per-sink SSGs (deltaBase),
+// and the caller's report is left as it is.
 func (s *Scheduler) rememberRun(tenant, name string, fp uint64, report *core.Report) {
+	store := s.cfg.Store
+	key := prevKey(tenant, name)
 	s.prevMu.Lock()
 	defer s.prevMu.Unlock()
-	s.prev[prevKey(tenant, name)] = prevRun{fp: fp, report: report}
+	if store.Contains(fp) {
+		s.prev[key] = prevRun{fp: fp, report: deltaBase(report)}
+	} else {
+		delete(s.prev, key)
+	}
+	for k, p := range s.prev {
+		if !store.Contains(p.fp) {
+			delete(s.prev, k)
+		}
+	}
+}
+
+// deltaBase copies what a later delta run reads of a report (planDeltaReuse:
+// verdicts, values, entries, footprints and the registration surface),
+// leaving out every sink's SSG, which the delta path never reads and
+// which holds most of a report's memory. A sink the delta run reuses
+// from this base therefore carries no graph.
+func deltaBase(r *core.Report) *core.Report {
+	base := *r
+	base.Sinks = make([]*core.SinkReport, len(r.Sinks))
+	for i, sr := range r.Sinks {
+		c := *sr
+		c.SSG = nil
+		base.Sinks[i] = &c
+	}
+	return &base
+}
+
+// deltaBases returns how many delta bases the scheduler remembers.
+func (s *Scheduler) deltaBases() int {
+	s.prevMu.Lock()
+	defer s.prevMu.Unlock()
+	return len(s.prev)
 }
 
 // jobOptions resolves the engine options of a job: its own, else the

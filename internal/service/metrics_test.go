@@ -55,6 +55,7 @@ func TestRegistryPin(t *testing.T) {
 		got[m.ID()] = m.Value
 	}
 	want := map[string]int64{
+		`backdroid_delta_bases`:                                  2,
 		`backdroid_dispatched_total`:                             3,
 		`backdroid_job_panics_total`:                             0,
 		`backdroid_journal_appends_total`:                        11,
@@ -77,7 +78,7 @@ func TestRegistryPin(t *testing.T) {
 		`backdroid_reports_recovered_total`:                      0,
 		`backdroid_reports_refreshes_total`:                      0,
 		`backdroid_reports_skipped_total`:                        0,
-		`backdroid_store_bytes`:                                  46295,
+		`backdroid_store_bytes`:                                  47212,
 		`backdroid_store_drops_total`:                            0,
 		`backdroid_store_entries`:                                1,
 		`backdroid_store_evictions_total`:                        0,
@@ -134,7 +135,7 @@ func TestRegistryPinFleet(t *testing.T) {
 		}
 	}
 	wantStore := map[string]int64{
-		`backdroid_store_bytes`:           46295,
+		`backdroid_store_bytes`:           47212,
 		`backdroid_store_drops_total`:     0,
 		`backdroid_store_entries`:         1,
 		`backdroid_store_evictions_total`: 0,

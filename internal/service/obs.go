@@ -63,6 +63,7 @@ func (s *Scheduler) registerMetrics() {
 		}
 		if s.cfg.Store != nil {
 			s.cfg.Store.stats().emit(g, "backdroid_store", true)
+			g.Gauge("backdroid_delta_bases", int64(s.deltaBases()))
 		}
 		if rs := s.cfg.Reports; rs != nil {
 			r := rs.stats()

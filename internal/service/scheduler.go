@@ -261,7 +261,8 @@ type Scheduler struct {
 	// version: its content fingerprint and settled report. A resubmission
 	// of the same name with a different fingerprint is an app update; when
 	// the prior bundle is still in the store, the job runs the engine's
-	// incremental delta path against it (core.Options.DeltaFrom).
+	// incremental delta path against it (core.Options.DeltaFrom). The
+	// map only holds bases whose bundle the store holds (see rememberRun).
 	prevMu sync.Mutex
 	prev   map[string]prevRun
 

@@ -152,7 +152,7 @@ func TestLockFingerprintSerializes(t *testing.T) {
 	}
 }
 
-// TestLegacyBundleIsSilentMiss: a bundle of codec version 3 or 4 in the
+// TestLegacyBundleIsSilentMiss: a bundle of codec version 3, 4 or 5 in the
 // store and in the disk cache is a silent miss. The job succeeds with the
 // verdicts of a cold run, the store drops the stale entry and holds a
 // current bundle instead, the disk file is rewritten at the current
@@ -175,7 +175,7 @@ func TestLegacyBundleIsSilentMiss(t *testing.T) {
 			for _, legacy := range []struct {
 				name   string
 				bundle func() []byte
-			}{{"v3", testapps.FixtureV3Bundle}, {"v4", testapps.FixtureV4Bundle}} {
+			}{{"v3", testapps.FixtureV3Bundle}, {"v4", testapps.FixtureV4Bundle}, {"v5", testapps.FixtureV5Bundle}} {
 				t.Run(legacy.name, func(t *testing.T) {
 					legacyBundleRun(t, app, cold, legacy.bundle, tc.inStore)
 				})

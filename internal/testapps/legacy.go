@@ -10,6 +10,8 @@ var (
 	fixtureV3Bundle []byte
 	//go:embed testdata/fixture.v4.bdx
 	fixtureV4Bundle []byte
+	//go:embed testdata/fixture.v5.bdx
+	fixtureV5Bundle []byte
 )
 
 // FixtureV3Bundle returns the bundle that codec version 3 of
@@ -27,3 +29,10 @@ func FixtureV3Bundle() []byte { return bytes.Clone(fixtureV3Bundle) }
 // whose header and manifest carry the fixed layout fields that version 5
 // dropped. Each call returns a fresh copy.
 func FixtureV4Bundle() []byte { return bytes.Clone(fixtureV4Bundle) }
+
+// FixtureV5Bundle returns the bundle that codec version 5 of
+// dexdump.EncodeBundle wrote for the Fixture app: the header and section
+// framing of version 6, but an index section of seven key-by-key postings
+// maps and a dump section with one method varint per line and no line
+// table, which version 6 replaced. Each call returns a fresh copy.
+func FixtureV5Bundle() []byte { return bytes.Clone(fixtureV5Bundle) }
