@@ -5,14 +5,13 @@ import (
 
 	"backdroid/internal/apk"
 	"backdroid/internal/appgen"
+	"backdroid/internal/simtime"
 )
 
-// BenchmarkHeavyOutlierCold measures one cold analysis of the heavy-tail
-// corpus's 121-sink outlier (seed 20200523): read the container, build
-// the engine (dex decode, disassembly) and analyze every sink. It is the
-// layer benchmark of the backward slice and the forward pass, which
-// dominate this app; allocations are the noise-free signal.
-func BenchmarkHeavyOutlierCold(b *testing.B) {
+// heavyOutlier generates heavy-tail's 121-sink outlier (seed 20200523)
+// and returns its container bytes and sink count.
+func heavyOutlier(b *testing.B) (string, []byte, int) {
+	b.Helper()
 	spec := appgen.HeavyTailCorpus(appgen.HeavyTailOptions{Seed: 20200523})[0]
 	app, _, err := appgen.Generate(spec)
 	if err != nil {
@@ -22,11 +21,20 @@ func BenchmarkHeavyOutlierCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return spec.Name, data, len(spec.Sinks)
+}
 
+// BenchmarkHeavyOutlierCold measures one cold analysis of the heavy-tail
+// corpus's 121-sink outlier (seed 20200523): read the container, build
+// the engine (dex decode, disassembly) and analyze every sink. It is the
+// layer benchmark of the backward slice and the forward pass, which
+// dominate this app; allocations are the noise-free signal.
+func BenchmarkHeavyOutlierCold(b *testing.B) {
+	name, data, sinks := heavyOutlier(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := apk.ReadBytes(spec.Name, data)
+		a, err := apk.ReadBytes(name, data)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -38,8 +46,87 @@ func BenchmarkHeavyOutlierCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(r.Sinks) != len(spec.Sinks) {
-			b.Fatalf("analyzed %d sinks, want %d", len(r.Sinks), len(spec.Sinks))
+		if len(r.Sinks) != sinks {
+			b.Fatalf("analyzed %d sinks, want %d", len(r.Sinks), sinks)
+		}
+	}
+}
+
+// locatedOutlier builds a cold engine over the outlier and locates its
+// sink calls: the state both phase benchmarks start from.
+func locatedOutlier(b *testing.B, name string, data []byte, sinks int) (*Engine, []SinkCall) {
+	b.Helper()
+	a, err := apk.ReadBytes(name, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(a, DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	calls, err := e.locateSinkCalls()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(calls) != sinks {
+		b.Fatalf("located %d sinks, want %d", len(calls), sinks)
+	}
+	return e, calls
+}
+
+// backsliceAll runs the backslice phase of every located sink as Analyze
+// does (each in its own footprint frame) and returns the sink reports.
+func backsliceAll(b *testing.B, e *Engine, calls []SinkCall) []*SinkReport {
+	out := make([]*SinkReport, len(calls))
+	for i, call := range calls {
+		e.rec.push()
+		e.rec.class(call.Caller.Class)
+		sr, err := e.prepareSinkCall(call)
+		e.rec.pop()
+		if err != nil {
+			b.Fatal(err)
+		}
+		out[i] = sr
+	}
+	return out
+}
+
+// BenchmarkBackslice times the backslice phase alone (reachability and
+// SSG construction for every sink) over the outlier, on an engine that
+// has already located its sinks. Each op starts from a fresh engine, so
+// no reachability or caller cache survives from the previous op; the
+// engine's construction is not timed. Run it with -benchtime Nx: the
+// untimed setup costs more than the op.
+func BenchmarkBackslice(b *testing.B) {
+	name, data, sinks := heavyOutlier(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, calls := locatedOutlier(b, name, data, sinks)
+		b.StartTimer()
+		backsliceAll(b, e, calls)
+	}
+}
+
+// BenchmarkConstprop times the forward pass alone over the SSGs of every
+// reachable outlier sink. The SSGs are built once, untimed; the forward
+// pass only reads them, so each op reruns it on a fresh meter.
+func BenchmarkConstprop(b *testing.B) {
+	name, data, sinks := heavyOutlier(b)
+	e, calls := locatedOutlier(b, name, data, sinks)
+	reports := backsliceAll(b, e, calls)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.meter = simtime.NewMeter()
+		for j, sr := range reports {
+			if !sr.Reachable {
+				continue
+			}
+			if _, err := e.propagate(sr.SSG, calls[j]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
