@@ -698,6 +698,29 @@ func BenchmarkDecodeBundle(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeBundle times the bundle encode over the 24-app bench
+// corpus: per app, the dump, its index and its manifest (all built
+// beforehand) serialized into one bundle. One op is the whole corpus;
+// B/op against the corpus's bundle bytes shows what the encode
+// allocates beyond its output.
+func BenchmarkEncodeBundle(b *testing.B) {
+	apps := loadBenchCorpus(b)
+	indexes := make([]*Index, len(apps))
+	manifests := make([]*Manifest, len(apps))
+	for i, app := range apps {
+		indexes[i], manifests[i] = BuildIndex(app.text), BuildManifest(app.text)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i, app := range apps {
+			if _, err := EncodeBundle(app.text, indexes[i], app.fingerprint, manifests[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkBuildManifest times the span fingerprints of the update
 // path over the 24-app bench corpus. One op is the whole corpus.
 func BenchmarkBuildManifest(b *testing.B) {
