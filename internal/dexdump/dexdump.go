@@ -6,6 +6,7 @@
 package dexdump
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strconv"
@@ -81,10 +82,11 @@ func Render(f *dex.File) (*Text, error) { return render(f, MaxDumpBytes) }
 // As it ends each line, render marks in t.plain the lines that hold no
 // index token, from what it just wrote: the template-only header lines
 // ("Class #N", "Access flags", "Interfaces -", the two method-group
-// headers, "access" and "insns size") and every instruction whose opcode
-// prints no string, type, method or field operand (dex.Op.PrintsSymbol).
-// Such a line holds no "L...;" descriptor, no quote and no family
-// mnemonic, so addLine would post nothing for it.
+// headers, "access" and "insns size"), every method "name" and "type"
+// line that cannotPost, and every instruction whose opcode prints no
+// string, type, method or field operand (dex.Op.PrintsSymbol). Such a
+// line holds no "L...;" descriptor, no quote and no family mnemonic with
+// an operand, so addLine would post nothing for it.
 func render(f *dex.File, limit int) (*Text, error) {
 	// Exact line count: per class 5 header lines, 2 method-group headers
 	// and one line per interface; per method 4 header lines, plus the
@@ -177,12 +179,14 @@ classes:
 				eol(-1, false)
 				t.runs = append(t.runs, lineRun{start: int32(len(t.ends))})
 				mi++
+				at := len(buf)
 				buf = append(append(buf, "      name          : '"...), m.Ref.Name...)
 				buf = append(buf, '\'')
-				eol(midx, false)
+				eol(midx, cannotPost(buf[at:]))
+				at = len(buf)
 				buf = m.Ref.AppendDescriptor(append(buf, "      type          : '"...))
 				buf = append(buf, '\'')
-				eol(midx, false)
+				eol(midx, cannotPost(buf[at:]))
 				buf = m.Flags.AppendFlags(append(buf, "      access        : "...))
 				eol(midx, true)
 				if m.IsAbstract() {
@@ -215,6 +219,13 @@ classes:
 	renderPool.Put(pooled)
 	return t, nil
 }
+
+// cannotPost reports whether a line holds none of ';', '"' and ','.
+// Every token addLine posts needs one of them: a class use ends at a
+// ';', a literal sits between quotes, and an operand follows a ", ".
+// render marks a method's name and type lines plain by it, since the
+// name or descriptor they print almost never holds one.
+func cannotPost(line []byte) bool { return bytes.IndexAny(line, `;",`) < 0 }
 
 // String returns the full dump text.
 func (t *Text) String() string { return t.full }

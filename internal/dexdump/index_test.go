@@ -545,6 +545,9 @@ func TestPlainLinesPostNothing(t *testing.T) {
 			Methods: []*dex.Method{
 				{Ref: dex.NewMethodRef("com.op.Ops", "run", dex.Void), Flags: all &^ dex.AccAbstract, Registers: 0xFFFF, Code: code},
 				{Ref: dex.NewMethodRef("com.op.Ops", "todo", dex.Long, dex.Long), Flags: all},
+				// A name that holds a class use and a descriptor with an
+				// object parameter: both lines post and stay unmarked.
+				{Ref: dex.NewMethodRef("com.op.Ops", "as;Lcom/op/N;", dex.Void, dex.T("com.op.T")), Flags: all},
 			}},
 		{Name: "com.op.Bare"},
 	} {
@@ -554,7 +557,7 @@ func TestPlainLinesPostNothing(t *testing.T) {
 	}
 	text := Disassemble(f)
 
-	plain, pc := 0, 0
+	plain, pc, headers := 0, 0, 0
 	for n := range text.LineCount() {
 		line := text.Line(n)
 		if strings.HasPrefix(line, "        |") {
@@ -562,6 +565,15 @@ func TestPlainLinesPostNothing(t *testing.T) {
 				t.Errorf("line %d %q: marked plain %v, want %v", n, line, !want, want)
 			}
 			pc++
+		}
+		// Method name and type lines are plain unless what they print
+		// posts: here only the third method's two lines do.
+		if strings.HasPrefix(line, "      name ") || strings.HasPrefix(line, "      type ") {
+			posts := BuildIndex(linesText([]string{line})).Postings() > 0
+			if want := headers < 4; text.isPlain(n) != want || posts == want {
+				t.Errorf("line %d %q: marked plain %v, posts %v; want plain %v", n, line, text.isPlain(n), posts, want)
+			}
+			headers++
 		}
 		if !text.isPlain(n) {
 			continue
@@ -571,8 +583,8 @@ func TestPlainLinesPostNothing(t *testing.T) {
 			t.Errorf("line %d %q is marked plain but posts %d tokens", n, line, x.Postings())
 		}
 	}
-	if pc != len(code) || plain < len(code)/2 {
-		t.Fatalf("%d instruction lines of %d, %d marked plain", pc, len(code), plain)
+	if pc != len(code) || plain < len(code)/2 || headers != 6 {
+		t.Fatalf("%d instruction lines of %d, %d method header lines, %d marked plain", pc, len(code), headers, plain)
 	}
 	if got, want := BuildIndex(text), BuildIndex(withoutTable(text)); !reflect.DeepEqual(got, want) {
 		t.Fatal("the index built with the skip table differs from a full scan")
