@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"backdroid/internal/android"
+	"backdroid/internal/dex"
 	"backdroid/internal/ir"
 )
 
@@ -80,7 +81,9 @@ func (a *analysis) modelAPI(inv *ir.InvokeExpr, env *env) *Fact {
 	return NewFact(Token{Sig: inv.Method.SootSignature() + "()"})
 }
 
-const builderField = "<java.lang.StringBuilder: java.lang.String content>"
+// builderField is the pseudo-field that holds a StringBuilder's
+// content on its Obj.
+var builderField = dex.NewFieldRef("java.lang.StringBuilder", "content", dex.StringT)
 
 func builderContent(base *Fact) *Fact {
 	out := NewFact()

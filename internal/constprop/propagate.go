@@ -42,13 +42,12 @@ func Run(g *ssg.Graph, meter *simtime.Meter, opts Options) (*Result, error) {
 		opts.MaxDepth = 25
 	}
 	a := &analysis{
-		g:         g,
-		meter:     meter,
-		opts:      opts,
-		globals:   make(map[dex.FieldRef]*Fact),
-		fieldKeys: make(map[dex.FieldRef]string),
-		sink:      NewFact(),
-		thisObjs:  make(map[string]*Obj),
+		g:        g,
+		meter:    meter,
+		opts:     opts,
+		globals:  make(map[dex.FieldRef]*Fact),
+		sink:     NewFact(),
+		thisObjs: make(map[string]*Obj),
 	}
 
 	// Static field track first, so the normal track can resolve the
@@ -58,23 +57,50 @@ func Run(g *ssg.Graph, meter *simtime.Meter, opts Options) (*Result, error) {
 	}
 
 	for _, root := range a.rootMethods() {
-		env := newEnv()
-		if _, err := a.evalMethod(root, env, nil); err != nil {
+		if _, err := a.evalMethod(root, newEnv(0), nil); err != nil {
 			return nil, err
 		}
 	}
 	return &Result{SinkValues: a.sink.Values()}, nil
 }
 
+// env is one method evaluation's facts. locals[r] is the fact of
+// register r, nil where none was bound; it grows to the highest register
+// the evaluation binds, not to the body's register count. thisFact and
+// params seed the identity statements: params[i] is the fact of
+// parameter i, nil where the caller bound none.
 type env struct {
-	locals map[string]*Fact
-	// thisFact / params seed identity statements.
+	locals   []*Fact
 	thisFact *Fact
-	params   map[int]*Fact
+	params   []*Fact
 }
 
-func newEnv() *env {
-	return &env{locals: make(map[string]*Fact), params: make(map[int]*Fact)}
+// newEnv returns an empty environment for a method with params
+// parameters.
+func newEnv(params int) *env { return &env{params: make([]*Fact, params)} }
+
+// set binds register r to fact.
+func (e *env) set(r int, fact *Fact) {
+	if r >= len(e.locals) {
+		e.locals = append(e.locals, make([]*Fact, r+1-len(e.locals))...)
+	}
+	e.locals[r] = fact
+}
+
+// local returns the fact bound to register r, or nil.
+func (e *env) local(r int) *Fact {
+	if r < len(e.locals) {
+		return e.locals[r]
+	}
+	return nil
+}
+
+// param returns the fact the caller bound to parameter i, or nil.
+func (e *env) param(i int) *Fact {
+	if i < len(e.params) {
+		return e.params[i]
+	}
+	return nil
 }
 
 type analysis struct {
@@ -82,10 +108,8 @@ type analysis struct {
 	meter   *simtime.Meter
 	opts    Options
 	globals map[dex.FieldRef]*Fact // static field -> fact
-	// fieldKeys memoizes each instance field's Obj.Fields key.
-	fieldKeys map[dex.FieldRef]string
-	sink      *Fact
-	objSeq    int
+	sink    *Fact
+	objSeq  int
 	// thisObjs gives every method of one class the same receiver object,
 	// so component state written in one lifecycle handler is visible in
 	// another (paper Sec. IV-E).
@@ -165,9 +189,9 @@ func (a *analysis) runStaticTrack() error {
 		}
 		seen[u.MethodID] = true
 		if a.opts.OnMethod != nil {
-			a.opts.OnMethod(u.Method)
+			a.opts.OnMethod(a.g.Ref(u.MethodID))
 		}
-		if _, err := a.evalUnits(a.g.UnitsOf(u.MethodID), newEnv(), nil); err != nil {
+		if _, err := a.evalUnits(a.g.UnitsOf(u.MethodID), newEnv(0), nil); err != nil {
 			return err
 		}
 	}
@@ -209,15 +233,15 @@ func (a *analysis) evalUnits(units []*ssg.Unit, env *env, stack []ir.MethodID) (
 			switch rhs := s.RHS.(type) {
 			case *ir.ThisRef:
 				if env.thisFact != nil {
-					env.locals[s.LHS.Name] = env.thisFact
+					env.set(s.LHS.Reg, env.thisFact)
 				} else {
-					env.locals[s.LHS.Name] = NewFact(a.classThis(rhs.Class))
+					env.set(s.LHS.Reg, NewFact(a.classThis(rhs.Class)))
 				}
 			case *ir.ParamRef:
-				if f, ok := env.params[rhs.Index]; ok {
-					env.locals[s.LHS.Name] = f
+				if f := env.param(rhs.Index); f != nil {
+					env.set(s.LHS.Reg, f)
 				} else {
-					env.locals[s.LHS.Name] = NewFact(Unknown{})
+					env.set(s.LHS.Reg, NewFact(Unknown{}))
 				}
 			}
 
@@ -257,12 +281,12 @@ func (a *analysis) evalAssign(u *ssg.Unit, s *ir.AssignStmt, env *env, stack []i
 
 	switch lhs := s.LHS.(type) {
 	case *ir.Local:
-		env.locals[lhs.Name] = fact
+		env.set(lhs.Reg, fact)
 	case *ir.InstanceFieldRef:
 		base := a.evalValue(lhs.Base, env)
 		for _, v := range base.Values() {
 			if obj, ok := v.(*Obj); ok {
-				obj.Fields[a.fieldKey(lhs.Field)] = fact
+				obj.Fields[lhs.Field] = fact
 			}
 		}
 	case *ir.StaticFieldRef:
@@ -298,7 +322,7 @@ func (a *analysis) evalInvoke(u *ssg.Unit, inv *ir.InvokeExpr, env *env, stack [
 	}
 
 	for _, callee := range a.g.CallEdgesFrom(u) {
-		calleeEnv := newEnv()
+		calleeEnv := newEnv(len(inv.Args))
 		if inv.Base != nil {
 			calleeEnv.thisFact = a.evalValue(inv.Base, env)
 		}
@@ -320,7 +344,7 @@ func (a *analysis) evalInvoke(u *ssg.Unit, inv *ir.InvokeExpr, env *env, stack [
 func (a *analysis) evalValue(v ir.Value, env *env) *Fact {
 	switch t := v.(type) {
 	case *ir.Local:
-		if f, ok := env.locals[t.Name]; ok {
+		if f := env.local(t.Reg); f != nil {
 			return f
 		}
 		return NewFact(Unknown{})
@@ -337,7 +361,7 @@ func (a *analysis) evalValue(v ir.Value, env *env) *Fact {
 		out := NewFact()
 		for _, bv := range base.Values() {
 			if obj, ok := bv.(*Obj); ok {
-				if f, ok2 := obj.Fields[a.fieldKey(t.Field)]; ok2 {
+				if f, ok2 := obj.Fields[t.Field]; ok2 {
 					out.Merge(f)
 				}
 			}
@@ -446,7 +470,7 @@ func applyBinop(op string, lv, rv Value) Value {
 
 func (a *analysis) freshObj(class string) *Obj {
 	a.objSeq++
-	return &Obj{ID: a.objSeq, Class: class, Fields: make(map[string]*Fact)}
+	return &Obj{ID: a.objSeq, Class: class, Fields: make(map[dex.FieldRef]*Fact)}
 }
 
 // classThis returns the canonical receiver object of a class, shared by

@@ -22,10 +22,10 @@ var (
 // buildLinearSSG records `r1 = "AES"; sink(r1)` in one method.
 func buildLinearSSG() *ssg.Graph {
 	g := ssg.New(sinkRef)
-	r1 := &ir.Local{Name: "r1", Type: dex.StringT}
+	r1 := &ir.Local{Reg: 1, Type: dex.StringT}
 	def := &ir.AssignStmt{LHS: r1, RHS: ir.StringConst{V: "AES"}}
 	call := &ir.AssignStmt{
-		LHS: &ir.Local{Name: "r2"},
+		LHS: &ir.Local{Reg: 2},
 		RHS: &ir.InvokeExpr{Kind: ir.KindStatic, Method: sinkRef, Args: []ir.Value{r1}},
 	}
 	g.AddUnit(methods.ID(hostM), hostM, 1, def)
@@ -56,15 +56,15 @@ func TestStaticTrackResolvesField(t *testing.T) {
 	clinit := dex.NewMethodRef("com.t.Config", "<clinit>", dex.Void)
 
 	// Static track: r0 = "DES"; Config.MODE = r0.
-	r0 := &ir.Local{Name: "r0", Type: dex.StringT}
+	r0 := &ir.Local{Reg: 0, Type: dex.StringT}
 	g.AddStaticUnit(methods.ID(clinit), clinit, 0, &ir.AssignStmt{LHS: r0, RHS: ir.StringConst{V: "DES"}})
 	g.AddStaticUnit(methods.ID(clinit), clinit, 1, &ir.AssignStmt{LHS: &ir.StaticFieldRef{Field: field}, RHS: r0})
 
 	// Main track: m = Config.MODE; sink(m).
-	m := &ir.Local{Name: "r1", Type: dex.StringT}
+	m := &ir.Local{Reg: 1, Type: dex.StringT}
 	g.AddUnit(methods.ID(hostM), hostM, 0, &ir.AssignStmt{LHS: m, RHS: &ir.StaticFieldRef{Field: field}})
 	sinkU := g.AddUnit(methods.ID(hostM), hostM, 1, &ir.AssignStmt{
-		LHS: &ir.Local{Name: "r2"},
+		LHS: &ir.Local{Reg: 2},
 		RHS: &ir.InvokeExpr{Kind: ir.KindStatic, Method: sinkRef, Args: []ir.Value{m}},
 	})
 	g.MarkSink(sinkU)
@@ -79,10 +79,10 @@ func TestFrameworkStaticFieldBecomesToken(t *testing.T) {
 	g := ssg.New(sinkRef)
 	allowAll := dex.NewFieldRef("org.apache.http.conn.ssl.SSLSocketFactory",
 		"ALLOW_ALL_HOSTNAME_VERIFIER", dex.ObjectT)
-	v := &ir.Local{Name: "r1"}
+	v := &ir.Local{Reg: 1}
 	g.AddUnit(methods.ID(hostM), hostM, 0, &ir.AssignStmt{LHS: v, RHS: &ir.StaticFieldRef{Field: allowAll}})
 	sinkU := g.AddUnit(methods.ID(hostM), hostM, 1, &ir.AssignStmt{
-		LHS: &ir.Local{Name: "r2"},
+		LHS: &ir.Local{Reg: 2},
 		RHS: &ir.InvokeExpr{Kind: ir.KindStatic, Method: sinkRef, Args: []ir.Value{v}},
 	})
 	g.MarkSink(sinkU)
@@ -98,16 +98,16 @@ func TestFrameworkStaticFieldBecomesToken(t *testing.T) {
 func TestObjPointsToFields(t *testing.T) {
 	g := ssg.New(sinkRef)
 	field := dex.NewFieldRef("com.t.Holder", "mode", dex.StringT)
-	obj := &ir.Local{Name: "r0", Type: dex.T("com.t.Holder")}
-	val := &ir.Local{Name: "r1", Type: dex.StringT}
-	out := &ir.Local{Name: "r2", Type: dex.StringT}
+	obj := &ir.Local{Reg: 0, Type: dex.T("com.t.Holder")}
+	val := &ir.Local{Reg: 1, Type: dex.StringT}
+	out := &ir.Local{Reg: 2, Type: dex.StringT}
 
 	g.AddUnit(methods.ID(hostM), hostM, 0, &ir.AssignStmt{LHS: obj, RHS: &ir.NewExpr{Class: "com.t.Holder"}})
 	g.AddUnit(methods.ID(hostM), hostM, 1, &ir.AssignStmt{LHS: val, RHS: ir.StringConst{V: "AES/ECB/X"}})
 	g.AddUnit(methods.ID(hostM), hostM, 2, &ir.AssignStmt{LHS: &ir.InstanceFieldRef{Base: obj, Field: field}, RHS: val})
 	g.AddUnit(methods.ID(hostM), hostM, 3, &ir.AssignStmt{LHS: out, RHS: &ir.InstanceFieldRef{Base: obj, Field: field}})
 	sinkU := g.AddUnit(methods.ID(hostM), hostM, 4, &ir.AssignStmt{
-		LHS: &ir.Local{Name: "r9"},
+		LHS: &ir.Local{Reg: 9},
 		RHS: &ir.InvokeExpr{Kind: ir.KindStatic, Method: sinkRef, Args: []ir.Value{out}},
 	})
 	g.MarkSink(sinkU)
@@ -228,9 +228,9 @@ func TestFactMergeCommutativeProperty(t *testing.T) {
 
 func TestStringBuilderModel(t *testing.T) {
 	g := ssg.New(sinkRef)
-	sb := &ir.Local{Name: "sb", Type: dex.T("java.lang.StringBuilder")}
-	part := &ir.Local{Name: "p", Type: dex.StringT}
-	out := &ir.Local{Name: "o", Type: dex.StringT}
+	sb := &ir.Local{Reg: 0, Type: dex.T("java.lang.StringBuilder")}
+	part := &ir.Local{Reg: 1, Type: dex.StringT}
+	out := &ir.Local{Reg: 2, Type: dex.StringT}
 	appendRef := dex.NewMethodRef("java.lang.StringBuilder", "append",
 		dex.T("java.lang.StringBuilder"), dex.StringT)
 	toStringRef := dex.NewMethodRef("java.lang.StringBuilder", "toString", dex.StringT)
@@ -245,7 +245,7 @@ func TestStringBuilderModel(t *testing.T) {
 	g.AddUnit(methods.ID(hostM), hostM, 5, &ir.AssignStmt{LHS: out, RHS: &ir.InvokeExpr{
 		Kind: ir.KindVirtual, Base: sb, Method: toStringRef}})
 	sinkU := g.AddUnit(methods.ID(hostM), hostM, 6, &ir.AssignStmt{
-		LHS: &ir.Local{Name: "r9"},
+		LHS: &ir.Local{Reg: 9},
 		RHS: &ir.InvokeExpr{Kind: ir.KindStatic, Method: sinkRef, Args: []ir.Value{out}},
 	})
 	g.MarkSink(sinkU)

@@ -53,18 +53,7 @@ func (v Token) String() string { return v.Sig }
 type Obj struct {
 	ID     int
 	Class  string
-	Fields map[string]*Fact // field soot signature -> fact
-}
-
-// fieldKey returns the field's key in Obj.Fields, its Soot signature,
-// spelling it once per field per pass.
-func (a *analysis) fieldKey(f dex.FieldRef) string {
-	k, ok := a.fieldKeys[f]
-	if !ok {
-		k = f.SootSignature()
-		a.fieldKeys[f] = k
-	}
-	return k
+	Fields map[dex.FieldRef]*Fact
 }
 
 func (*Obj) value() {}

@@ -88,10 +88,10 @@ type forwardTaint struct {
 }
 
 // visit is one forward propagation: a method entered with one tainted
-// local.
+// register.
 type visit struct {
 	method ir.MethodID
-	obj    string
+	obj    int
 }
 
 // run propagates the tainted object through the body starting after unit
@@ -112,7 +112,7 @@ func (ft *forwardTaint) run(method dex.MethodRef, body *ir.Body, from int, obj *
 		}
 		// CrossForward: revisiting a method already fully propagated in
 		// this advanced search.
-		key := visit{e.prog.ID(method), obj.Name}
+		key := visit{e.prog.ID(method), obj.Reg}
 		if ft.visited[key] {
 			e.loops[CrossForward]++
 			return nil
@@ -121,7 +121,8 @@ func (ft *forwardTaint) run(method dex.MethodRef, body *ir.Body, from int, obj *
 	}
 	chain = append(chain, chainLink{Method: method, UnitIndex: from})
 
-	tainted := map[string]bool{obj.Name: true}
+	var tainted ir.RegSet
+	tainted.Add(obj.Reg)
 	var chains [][]chainLink
 
 	for i := from + 1; i < len(body.Units); i++ {
@@ -133,20 +134,20 @@ func (ft *forwardTaint) run(method dex.MethodRef, body *ir.Body, from int, obj *
 			// Copy propagation through locals and casts.
 			switch rhs := s.RHS.(type) {
 			case *ir.Local:
-				ft.assign(tainted, s.LHS, tainted[rhs.Name])
+				assign(&tainted, s.LHS, tainted.Has(rhs.Reg))
 			case *ir.CastExpr:
 				if l, ok := rhs.Val.(*ir.Local); ok {
-					ft.assign(tainted, s.LHS, tainted[l.Name])
+					assign(&tainted, s.LHS, tainted.Has(l.Reg))
 				}
 			case *ir.InvokeExpr:
-				chains = append(chains, ft.invoke(method, body, i, rhs, tainted, chain)...)
+				chains = append(chains, ft.invoke(method, body, i, rhs, &tainted, chain)...)
 			}
 		case *ir.InvokeStmt:
-			chains = append(chains, ft.invoke(method, body, i, s.Invoke, tainted, chain)...)
+			chains = append(chains, ft.invoke(method, body, i, s.Invoke, &tainted, chain)...)
 		case *ir.ReturnStmt:
 			// A returned tainted object continues in the callers of this
 			// method (located by basic search to bound the recursion).
-			if l, ok := s.Val.(*ir.Local); ok && tainted[l.Name] {
+			if l, ok := s.Val.(*ir.Local); ok && tainted.Has(l.Reg) {
 				chains = append(chains, ft.returnFlow(method, chain)...)
 			}
 		}
@@ -154,28 +155,30 @@ func (ft *forwardTaint) run(method dex.MethodRef, body *ir.Body, from int, obj *
 	return chains
 }
 
-func (ft *forwardTaint) assign(tainted map[string]bool, lhs ir.Value, taint bool) {
+// assign moves the taint of a copy's source onto its destination
+// local.
+func assign(tainted *ir.RegSet, lhs ir.Value, taint bool) {
 	l, ok := lhs.(*ir.Local)
 	if !ok {
 		return
 	}
 	if taint {
-		tainted[l.Name] = true
+		tainted.Add(l.Reg)
 	} else {
-		delete(tainted, l.Name)
+		tainted.Remove(l.Reg)
 	}
 }
 
 // invoke checks an on-path call: either it is the ending method, or the
 // tainted object escapes into an app callee and propagation continues
 // there.
-func (ft *forwardTaint) invoke(method dex.MethodRef, body *ir.Body, idx int, inv *ir.InvokeExpr, tainted map[string]bool, chain []chainLink) [][]chainLink {
+func (ft *forwardTaint) invoke(method dex.MethodRef, body *ir.Body, idx int, inv *ir.InvokeExpr, tainted *ir.RegSet, chain []chainLink) [][]chainLink {
 	e := ft.engine
 
-	baseTainted := inv.Base != nil && tainted[inv.Base.Name]
+	baseTainted := inv.Base != nil && tainted.Has(inv.Base.Reg)
 	var taintedArgs []int
 	for ai, a := range inv.Args {
-		if l, ok := a.(*ir.Local); ok && tainted[l.Name] {
+		if l, ok := a.(*ir.Local); ok && tainted.Has(l.Reg) {
 			taintedArgs = append(taintedArgs, ai)
 		}
 	}

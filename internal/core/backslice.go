@@ -8,10 +8,6 @@ import (
 	"backdroid/internal/ssg"
 )
 
-// retSentinel is the pseudo-local standing for "the callee's return value"
-// when a contained method is sliced from its end.
-const retSentinel = "\x00ret"
-
 // buildSSG performs the adjusted backward slicing of paper Sec. V-A: it
 // backtracks from the sink call, tainting across locals, fields, arrays
 // and contained methods, locating callers with the Sec. IV searches, and
@@ -34,7 +30,7 @@ func (e *Engine) buildSSG(call SinkCall) (*ssg.Graph, error) {
 	}
 	ts := g.Taints(caller)
 	if l, ok := inv.Args[call.Sink.ParamIndex].(*ir.Local); ok {
-		ts.AddLocal(l.Name)
+		ts.AddLocal(l.Reg)
 	}
 
 	s := &slicer{engine: e, g: g, onPath: make(map[ir.MethodID]bool)}
@@ -68,7 +64,6 @@ type frame struct {
 	ts          *ssg.TaintSet
 	depth       int
 	staticTrack bool
-	identOf     map[string]int // local -> index of the identity statement binding it
 }
 
 // record adds unit idx to the SSG, with the identity statements binding
@@ -81,11 +76,11 @@ func (s *slicer) record(f *frame, idx int) *ssg.Unit {
 		add = s.g.AddStaticUnit
 	}
 	u := add(f.id, f.method, idx, f.body.Units[idx])
-	for _, l := range localsOfUnit(f.body.Units[idx]) {
-		if ii, ok := f.identOf[l.Name]; ok && ii != idx {
+	eachLocalOfUnit(f.body.Units[idx], func(l *ir.Local) {
+		if ii := f.body.IdentityOf(l.Reg); ii >= 0 && ii != idx {
 			add(f.id, f.method, ii, f.body.Units[ii])
 		}
-	}
+	})
 	return u
 }
 
@@ -124,20 +119,13 @@ func (s *slicer) slice(method dex.MethodRef, fromIdx int, depth int, staticTrack
 	}
 
 	f := &frame{method: method, id: id, body: body, ts: s.g.Taints(id), depth: depth,
-		staticTrack: staticTrack, identOf: make(map[string]int)}
+		staticTrack: staticTrack}
 	ts := f.ts
-	for i, u := range body.Units {
-		if st, ok := u.(*ir.IdentityStmt); ok {
-			f.identOf[st.LHS.Name] = i
-		}
-	}
 
-	// Contained-method slices arrive with a return-value sentinel: every
-	// return statement's value becomes tainted.
-	retSeeded := ts.HasLocal(retSentinel)
-	if retSeeded {
-		ts.RemoveLocal(retSentinel)
-	}
+	// Contained-method slices arrive with the return value tainted:
+	// every return statement's value becomes tainted.
+	retSeeded := ts.HasReturn()
+	ts.RemoveReturn()
 
 	thisTainted := false
 	var taintedParams []int
@@ -148,7 +136,7 @@ func (s *slicer) slice(method dex.MethodRef, fromIdx int, depth int, staticTrack
 		}
 		switch u := body.Units[i].(type) {
 		case *ir.IdentityStmt:
-			if !ts.HasLocal(u.LHS.Name) && !ts.HasAnyFieldOf(u.LHS.Name) {
+			if !ts.HasLocal(u.LHS.Reg) && !ts.HasAnyFieldOf(u.LHS.Reg) {
 				continue
 			}
 			s.record(f, i)
@@ -171,7 +159,7 @@ func (s *slicer) slice(method dex.MethodRef, fromIdx int, depth int, staticTrack
 
 		case *ir.ReturnStmt:
 			if l, ok := u.Val.(*ir.Local); ok && retSeeded {
-				ts.AddLocal(l.Name)
+				ts.AddLocal(l.Reg)
 				s.record(f, i)
 			}
 		}
@@ -181,7 +169,7 @@ func (s *slicer) slice(method dex.MethodRef, fromIdx int, depth int, staticTrack
 	// earlier handler of the same component (e.g. a field set in
 	// onCreate, read here) is resolved by slicing the predecessor
 	// handlers from their ends.
-	if thisTainted && ts.HasAnyFieldOf(thisLocalName(body)) {
+	if thisTainted && ts.HasAnyFieldOf(body.This) {
 		if err := s.slicePredecessorHandlers(f); err != nil {
 			return err
 		}
@@ -198,10 +186,10 @@ func (s *slicer) handleAssign(f *frame, idx int, u *ir.AssignStmt) error {
 	ts := f.ts
 	switch lhs := u.LHS.(type) {
 	case *ir.Local:
-		relevant := ts.HasLocal(lhs.Name)
+		relevant := ts.HasLocal(lhs.Reg)
 		// A constructor-style definition also matters when only fields of
 		// the object are tainted (the alloc site closes the object).
-		if _, isNew := u.RHS.(*ir.NewExpr); isNew && ts.HasAnyFieldOf(lhs.Name) {
+		if _, isNew := u.RHS.(*ir.NewExpr); isNew && ts.HasAnyFieldOf(lhs.Reg) {
 			relevant = true
 		}
 		if !relevant {
@@ -209,16 +197,16 @@ func (s *slicer) handleAssign(f *frame, idx int, u *ir.AssignStmt) error {
 		}
 		s.record(f, idx)
 		if _, isNew := u.RHS.(*ir.NewExpr); !isNew {
-			ts.RemoveLocal(lhs.Name)
+			ts.RemoveLocal(lhs.Reg)
 		}
 		return s.taintRHS(f, idx, u.RHS)
 
 	case *ir.InstanceFieldRef:
-		if !ts.HasField(lhs.Base.Name, lhs.Field) {
+		if !ts.HasField(lhs.Base.Reg, lhs.Field) {
 			return nil
 		}
 		s.record(f, idx)
-		ts.RemoveField(lhs.Base.Name, lhs.Field)
+		ts.RemoveField(lhs.Base.Reg, lhs.Field)
 		return s.taintRHS(f, idx, u.RHS)
 
 	case *ir.StaticFieldRef:
@@ -230,7 +218,7 @@ func (s *slicer) handleAssign(f *frame, idx int, u *ir.AssignStmt) error {
 		return s.taintRHS(f, idx, u.RHS)
 
 	case *ir.ArrayRef:
-		if !ts.HasLocal(lhs.Base.Name) {
+		if !ts.HasLocal(lhs.Base.Reg) {
 			return nil
 		}
 		// Array stores keep the array tainted: other elements may matter.
@@ -245,7 +233,7 @@ func (s *slicer) taintRHS(f *frame, idx int, rhs ir.Value) error {
 	ts := f.ts
 	switch v := rhs.(type) {
 	case *ir.Local:
-		ts.AddLocal(v.Name)
+		ts.AddLocal(v.Reg)
 
 	case ir.IntConst, ir.StringConst, ir.ClassConst, ir.NullConst:
 		// Fully resolved; nothing upstream to taint.
@@ -253,8 +241,8 @@ func (s *slicer) taintRHS(f *frame, idx int, rhs ir.Value) error {
 	case *ir.InstanceFieldRef:
 		// Taint both the field and its class object so the pair survives
 		// aliasing and method boundaries (paper Sec. V-A).
-		ts.AddField(v.Base.Name, v.Field)
-		ts.AddLocal(v.Base.Name)
+		ts.AddField(v.Base.Reg, v.Field)
+		ts.AddLocal(v.Base.Reg)
 
 	case *ir.StaticFieldRef:
 		if android.IsSystemClass(v.Field.Class) {
@@ -266,17 +254,10 @@ func (s *slicer) taintRHS(f *frame, idx int, rhs ir.Value) error {
 		return s.traceStaticFieldWriters(v.Field)
 
 	case *ir.ArrayRef:
-		ts.AddLocal(v.Base.Name)
+		ts.AddLocal(v.Base.Reg)
 
-	case *ir.BinopExpr:
-		for _, l := range ir.LocalsOf(v) {
-			ts.AddLocal(l.Name)
-		}
-
-	case *ir.CastExpr:
-		for _, l := range ir.LocalsOf(v) {
-			ts.AddLocal(l.Name)
-		}
+	case *ir.BinopExpr, *ir.CastExpr:
+		ir.EachLocal(v, func(l *ir.Local) { ts.AddLocal(l.Reg) })
 
 	case *ir.NewArrayExpr:
 		// Size is rarely security-relevant; keep contents tainted via
@@ -301,18 +282,18 @@ func (s *slicer) taintInvokeResult(f *frame, idx int, inv *ir.InvokeExpr) error 
 	ts := f.ts
 	if android.IsSystemClass(inv.Method.Class) || e.lookupMethod(inv.Method) == nil {
 		if inv.Base != nil {
-			ts.AddLocal(inv.Base.Name)
+			ts.AddLocal(inv.Base.Reg)
 		}
 		for _, a := range inv.Args {
 			if l, ok := a.(*ir.Local); ok {
-				ts.AddLocal(l.Name)
+				ts.AddLocal(l.Reg)
 			}
 		}
 		return nil
 	}
 
 	// Contained method: slice the callee from its end with the returned
-	// value tainted (the sentinel is replaced at the callee's ReturnStmt).
+	// value tainted (the flag is replaced at the callee's ReturnStmt).
 	callee := e.prog.ID(inv.Method)
 	if e.opts.EnableLoopDetection && s.onPath[callee] {
 		e.loops[InnerBackward]++
@@ -326,7 +307,7 @@ func (s *slicer) taintInvokeResult(f *frame, idx int, inv *ir.InvokeExpr) error 
 	s.g.AddEdge(ssg.ReturnEdge, site, callee, inv.Method)
 
 	calleeTaints := s.g.Taints(callee)
-	calleeTaints.AddLocal(retSentinel)
+	calleeTaints.AddReturn()
 	if err := s.descend(f, inv.Method, -1, f.staticTrack); err != nil {
 		return err
 	}
@@ -342,7 +323,7 @@ func (s *slicer) handleInvoke(f *frame, idx int, inv *ir.InvokeExpr) error {
 	e := s.engine
 	ts := f.ts
 
-	objRelevant := inv.Base != nil && (ts.HasAnyFieldOf(inv.Base.Name) || (inv.Method.IsConstructor() && ts.HasLocal(inv.Base.Name)))
+	objRelevant := inv.Base != nil && (ts.HasAnyFieldOf(inv.Base.Reg) || (inv.Method.IsConstructor() && ts.HasLocal(inv.Base.Reg)))
 	staticRelevant := false
 	if !s.g.GlobalTaint.Empty() && e.lookupMethod(inv.Method) != nil {
 		// Normally only methods matched by the static-field write search
@@ -375,12 +356,8 @@ func (s *slicer) handleInvoke(f *frame, idx int, inv *ir.InvokeExpr) error {
 	}
 	calleeTaints := s.g.Taints(callee)
 	if objRelevant {
-		calleeThis := thisLocalName(calleeBody)
 		// Seed (this, field) taints matching the caller's (base, field).
-		for _, fld := range ts.FieldsOf(inv.Base.Name) {
-			calleeTaints.AddField(calleeThis, fld)
-		}
-		calleeTaints.AddLocal(calleeThis)
+		seedThis(calleeTaints, calleeBody, ts.FieldsOf(inv.Base.Reg))
 	}
 	if err := s.descend(f, inv.Method, -1, f.staticTrack); err != nil {
 		return err
@@ -402,12 +379,12 @@ func (s *slicer) mapCalleeParamsBack(inv *ir.InvokeExpr, callee ir.MethodID, cal
 			continue
 		}
 		pr, ok := id.RHS.(*ir.ParamRef)
-		if !ok || !calleeTaints.HasLocal(id.LHS.Name) {
+		if !ok || !calleeTaints.HasLocal(id.LHS.Reg) {
 			continue
 		}
 		if pr.Index < len(inv.Args) {
 			if l, ok := inv.Args[pr.Index].(*ir.Local); ok {
-				ts.AddLocal(l.Name)
+				ts.AddLocal(l.Reg)
 			}
 		}
 	}
@@ -488,16 +465,7 @@ func (s *slicer) slicePredecessorHandlers(f *frame) error {
 				continue
 			}
 			// Transfer this-field taints into the predecessor handler.
-			curBody, err := e.prog.BodyOf(f.id)
-			if err != nil {
-				continue
-			}
-			dst := s.g.Taints(predID)
-			predThis := thisLocalName(predBody)
-			for _, fld := range f.ts.FieldsOf(thisLocalName(curBody)) {
-				dst.AddField(predThis, fld)
-			}
-			dst.AddLocal(predThis)
+			seedThis(s.g.Taints(predID), predBody, f.ts.FieldsOf(f.body.This))
 			if err := s.descend(f, m.Ref, -1, false); err != nil {
 				return err
 			}
@@ -552,14 +520,14 @@ func (s *slicer) propagateToCallers(f *frame, taintedParams []int, thisTainted b
 		callerTaints := s.g.Taints(caller)
 		for _, pi := range taintedParams {
 			if site.ArgLocals != nil && pi < len(site.ArgLocals) && site.ArgLocals[pi] != nil {
-				callerTaints.AddLocal(site.ArgLocals[pi].Name)
+				callerTaints.AddLocal(site.ArgLocals[pi].Reg)
 			}
 		}
 		if thisTainted && site.BaseLocal != nil {
-			callerTaints.AddLocal(site.BaseLocal.Name)
+			callerTaints.AddLocal(site.BaseLocal.Reg)
 			// this-field taints travel to the receiver object.
-			for _, fld := range f.ts.FieldsOf(thisLocalName(f.body)) {
-				callerTaints.AddField(site.BaseLocal.Name, fld)
+			for _, fld := range f.ts.FieldsOf(f.body.This) {
+				callerTaints.AddField(site.BaseLocal.Reg, fld)
 			}
 		}
 		if err := s.descend(f, site.Method, fromIdx, false); err != nil {
@@ -591,32 +559,37 @@ func (s *slicer) addOffPathClinits() error {
 	return nil
 }
 
-// localsOfUnit lists every local a statement references, on either side.
-func localsOfUnit(u ir.Unit) []*ir.Local {
+// eachLocalOfUnit calls fn for every local a statement references, on
+// either side; identity statements and branches reference none.
+func eachLocalOfUnit(u ir.Unit, fn func(*ir.Local)) {
 	switch st := u.(type) {
 	case *ir.AssignStmt:
-		return append(ir.LocalsOf(st.LHS), ir.LocalsOf(st.RHS)...)
+		ir.EachLocal(st.LHS, fn)
+		ir.EachLocal(st.RHS, fn)
 	case *ir.InvokeStmt:
-		return ir.LocalsOf(st.Invoke)
+		ir.EachLocal(st.Invoke, fn)
 	case *ir.ReturnStmt:
 		if st.Val != nil {
-			return ir.LocalsOf(st.Val)
+			ir.EachLocal(st.Val, fn)
 		}
 	case *ir.ThrowStmt:
-		return ir.LocalsOf(st.Val)
+		ir.EachLocal(st.Val, fn)
 	}
-	return nil
 }
 
-// thisLocalName finds the local bound to @this in a body ("r0" by
-// translation convention, but resolved robustly).
-func thisLocalName(body *ir.Body) string {
-	for _, u := range body.Units {
-		if id, ok := u.(*ir.IdentityStmt); ok {
-			if _, isThis := id.RHS.(*ir.ThisRef); isThis {
-				return id.LHS.Name
-			}
+// seedThis taints a callee's receiver and the given fields of it. A body
+// without @this has its receiver taint go to register 0 when that
+// register is an incoming argument ("r0"), and nowhere otherwise.
+func seedThis(ts *ssg.TaintSet, body *ir.Body, fields []dex.FieldRef) {
+	this := body.This
+	if this < 0 {
+		if len(body.Locals) == 0 || !body.Locals[0].In {
+			return
 		}
+		this = 0
 	}
-	return "r0"
+	for _, fld := range fields {
+		ts.AddField(this, fld)
+	}
+	ts.AddLocal(this)
 }

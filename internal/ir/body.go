@@ -11,8 +11,23 @@ import (
 type Body struct {
 	Method dex.MethodRef
 	Flags  dex.AccessFlags
-	Locals []*Local
+	Locals []Local // Locals[r] is register r
 	Units  []Unit
+
+	// This is the register bound to @this, or -1 in a static method.
+	This int
+	// identities is the number of identity statements. They lead the
+	// units, and unit r binds register r.
+	identities int
+}
+
+// IdentityOf returns the index of the identity statement that binds
+// register r, or -1 when none does.
+func (b *Body) IdentityOf(r int) int {
+	if r < 0 || r >= b.identities {
+		return -1
+	}
+	return r
 }
 
 // IsStatic reports whether the method is static.

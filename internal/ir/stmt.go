@@ -26,7 +26,7 @@ type IdentityStmt struct {
 func (*IdentityStmt) unit()            {}
 func (s *IdentityStmt) DefLHS() Value  { return s.LHS }
 func (s *IdentityStmt) DefRHS() Value  { return s.RHS }
-func (s *IdentityStmt) String() string { return s.LHS.Name + " := " + s.RHS.String() }
+func (s *IdentityStmt) String() string { return s.LHS.String() + " := " + s.RHS.String() }
 
 // AssignStmt is lhs = rhs.
 type AssignStmt struct {

@@ -65,32 +65,29 @@ func Translate(m *dex.Method) (*Body, error) {
 	if m.Registers < 0 || m.Registers > maxRegisters {
 		return nil, &TranslateError{Method: m.Ref, Reason: fmt.Sprintf("register count %d outside [0, %d]", m.Registers, maxRegisters)}
 	}
-	b := &Body{Method: m.Ref, Flags: m.Flags}
+	b := &Body{Method: m.Ref, Flags: m.Flags, This: -1}
 
-	locals := make([]*Local, m.Registers)
+	locals := make([]Local, m.Registers)
 	for i := range locals {
-		name := fmt.Sprintf("r%d", i)
-		if i >= m.Ins {
-			name = fmt.Sprintf("$r%d", i)
-		}
-		locals[i] = &Local{Name: name, Type: dex.ObjectT}
+		locals[i] = Local{Reg: i, In: i < m.Ins, Type: dex.ObjectT}
 	}
 	b.Locals = locals
 	local := func(r int) (*Local, error) {
 		if r < 0 || r >= len(locals) {
 			return nil, &TranslateError{Method: m.Ref, Reason: fmt.Sprintf("register v%d out of range", r)}
 		}
-		return locals[r], nil
+		return &locals[r], nil
 	}
 
-	// Identity units.
+	// Identity units: unit r binds register r.
 	reg := 0
 	if !m.IsStatic() {
 		if len(locals) == 0 {
 			return nil, &TranslateError{Method: m.Ref, Reason: "instance method without a receiver register"}
 		}
 		locals[0].Type = dex.T(m.Ref.Class)
-		b.Units = append(b.Units, &IdentityStmt{LHS: locals[0], RHS: &ThisRef{Class: m.Ref.Class}})
+		b.Units = append(b.Units, &IdentityStmt{LHS: &locals[0], RHS: &ThisRef{Class: m.Ref.Class}})
+		b.This = 0
 		reg = 1
 	}
 	for pi, pt := range m.Ref.Params {
@@ -98,10 +95,10 @@ func Translate(m *dex.Method) (*Body, error) {
 			return nil, &TranslateError{Method: m.Ref, Reason: "fewer registers than parameters"}
 		}
 		locals[reg].Type = pt
-		b.Units = append(b.Units, &IdentityStmt{LHS: locals[reg], RHS: &ParamRef{Index: pi, Type: pt}})
+		b.Units = append(b.Units, &IdentityStmt{LHS: &locals[reg], RHS: &ParamRef{Index: pi, Type: pt}})
 		reg++
 	}
-	idBase := len(b.Units)
+	b.identities = reg
 
 	// First pass: translate instructions, merging invoke+move-result.
 	code := m.Instructions()
@@ -382,7 +379,6 @@ func Translate(m *dex.Method) (*Body, error) {
 			s.Target = target
 		}
 	}
-	_ = idBase
 	return b, nil
 }
 

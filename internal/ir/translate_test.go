@@ -51,6 +51,44 @@ func TestTranslateStaticNoThis(t *testing.T) {
 	}
 }
 
+// TestTranslateRegisters pins the register facts a body computes once at
+// translation: the @this register, the identity statement binding each
+// register, and the spelling of registers inside and past the shared
+// name table.
+func TestTranslateRegisters(t *testing.T) {
+	cb := dex.NewClass("com.a.B")
+	cb.Method("m", dex.Void, dex.StringT).ReturnVoid().Done()
+	cb.StaticMethod("s", dex.Void, dex.Int).ReturnVoid().Done()
+	c := cb.Build()
+	inst := mustTranslate(t, c.FindMethod("m", dex.StringT))
+	static := mustTranslate(t, c.FindMethod("s", dex.Int))
+	if inst.This != 0 || static.This != -1 {
+		t.Errorf("This = %d and %d, want 0 and -1", inst.This, static.This)
+	}
+	for r, want := range []int{0, 1, -1} {
+		if got := inst.IdentityOf(r); got != want {
+			t.Errorf("instance IdentityOf(%d) = %d, want %d", r, got, want)
+		}
+	}
+	if got := static.IdentityOf(1); got != -1 {
+		t.Errorf("static IdentityOf(1) = %d, want -1", got)
+	}
+	for _, c := range []struct {
+		l    Local
+		want string
+	}{
+		{Local{Reg: 0, In: true}, "r0"},
+		{Local{Reg: 7}, "$r7"},
+		{Local{Reg: spelledRegs - 1}, "$r255"},
+		{Local{Reg: spelledRegs, In: true}, "r256"},
+		{Local{Reg: maxRegisters - 1}, "$r65534"},
+	} {
+		if got := c.l.String(); got != c.want {
+			t.Errorf("register %d (in %v) spelled %q, want %q", c.l.Reg, c.l.In, got, c.want)
+		}
+	}
+}
+
 func TestTranslateInvokeMoveResultMerge(t *testing.T) {
 	cb := dex.NewClass("com.a.B")
 	mb := cb.Method("m", dex.Void)
@@ -300,23 +338,31 @@ func TestProgramCache(t *testing.T) {
 }
 
 func TestLocalsOf(t *testing.T) {
-	a := &Local{Name: "a"}
-	b := &Local{Name: "b"}
+	a := &Local{Reg: 0, In: true}
+	b := &Local{Reg: 1}
+	localsOf := func(v Value) []*Local {
+		var out []*Local
+		EachLocal(v, func(l *Local) { out = append(out, l) })
+		return out
+	}
 	inv := &InvokeExpr{Kind: KindVirtual, Base: a, Method: dex.NewMethodRef("c.D", "m", dex.Void, dex.Int), Args: []Value{b}}
-	got := LocalsOf(inv)
+	got := localsOf(inv)
 	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Errorf("LocalsOf(invoke) = %v", got)
+		t.Errorf("locals of invoke = %v", got)
 	}
 	bin := &BinopExpr{Op: "+", Left: a, Right: b}
-	if got := LocalsOf(bin); len(got) != 2 {
-		t.Errorf("LocalsOf(binop) = %v", got)
+	if got := localsOf(bin); len(got) != 2 {
+		t.Errorf("locals of binop = %v", got)
 	}
-	if got := LocalsOf(IntConst{V: 3}); got != nil {
-		t.Errorf("LocalsOf(const) = %v", got)
+	if got := localsOf(IntConst{V: 3}); got != nil {
+		t.Errorf("locals of const = %v", got)
 	}
 	arr := &ArrayRef{Base: a, Index: b}
-	if got := LocalsOf(arr); len(got) != 2 {
-		t.Errorf("LocalsOf(arrayref) = %v", got)
+	if got := localsOf(arr); len(got) != 2 {
+		t.Errorf("locals of arrayref = %v", got)
+	}
+	if got := arr.String(); got != "r0[$r1]" {
+		t.Errorf("arrayref renders as %q, want r0[$r1]", got)
 	}
 }
 

@@ -24,14 +24,49 @@ type Value interface {
 	value()
 }
 
-// Local is a method-local variable (a translated dex register).
+// Local is a method-local variable: dex register Reg. In marks the
+// method's incoming-argument registers (the first Ins), which are
+// spelled r<Reg>; the others are spelled $r<Reg>. The engine keys
+// locals on Reg alone and spells a name only where it leaves the
+// engine: statement rendering, SSG dumps and values.
 type Local struct {
-	Name string
+	Reg  int
+	In   bool
 	Type dex.TypeDesc
 }
 
 func (l *Local) value()         {}
-func (l *Local) String() string { return l.Name }
+func (l *Local) String() string { return regName(l.Reg, l.In) }
+
+// spelledRegs is how many registers regNames spells ahead of use; the
+// rare register above it is spelled when it is printed.
+const spelledRegs = 256
+
+// regPrefixes spells the two register kinds: index 1 for In.
+var regPrefixes = [2]string{"$r", "r"}
+
+// regNames holds the spellings of the registers below spelledRegs,
+// indexed like regPrefixes and shared by every body.
+var regNames = func() (t [2][spelledRegs]string) {
+	for k, prefix := range regPrefixes {
+		for i := range spelledRegs {
+			t[k][i] = prefix + strconv.Itoa(i)
+		}
+	}
+	return t
+}()
+
+// regName spells register r: "r<r>" when in, "$r<r>" otherwise.
+func regName(r int, in bool) string {
+	k := 0
+	if in {
+		k = 1
+	}
+	if r >= 0 && r < spelledRegs {
+		return regNames[k][r]
+	}
+	return regPrefixes[k] + strconv.Itoa(r)
+}
 
 // IntConst is an integer constant.
 type IntConst struct{ V int64 }
@@ -82,7 +117,7 @@ type InstanceFieldRef struct {
 
 func (*InstanceFieldRef) value() {}
 func (f *InstanceFieldRef) String() string {
-	return f.Base.Name + "." + f.Field.SootSignature()
+	return f.Base.String() + "." + f.Field.SootSignature()
 }
 
 // StaticFieldRef is a static field access.
@@ -98,7 +133,7 @@ type ArrayRef struct {
 }
 
 func (*ArrayRef) value()           {}
-func (a *ArrayRef) String() string { return a.Base.Name + "[" + a.Index.String() + "]" }
+func (a *ArrayRef) String() string { return a.Base.String() + "[" + a.Index.String() + "]" }
 
 // BinopExpr is a binary operation (paper expression kind 1 of 6).
 type BinopExpr struct {
@@ -163,7 +198,7 @@ func (e *InvokeExpr) String() string {
 	if e.Base == nil {
 		return e.Kind.Keyword() + " " + e.Method.SootSignature() + argList
 	}
-	return e.Kind.Keyword() + " " + e.Base.Name + "." + e.Method.SootSignature() + argList
+	return e.Kind.Keyword() + " " + e.Base.String() + "." + e.Method.SootSignature() + argList
 }
 
 // NewExpr is object allocation (paper expression kind 4 of 6).
@@ -183,32 +218,32 @@ func (n *NewArrayExpr) String() string {
 	return "newarray (" + n.Elem.Human() + ")[" + n.Size.String() + "]"
 }
 
-// LocalsOf returns the locals directly referenced by a value (not
-// recursing through field bases' contents, but including them as locals).
-func LocalsOf(v Value) []*Local {
+// EachLocal calls fn for each local a value directly references, in
+// operand order: a field or array base counts, the contents of the
+// object it names do not. It builds no slice, so the slicer calls it on
+// every statement it records.
+func EachLocal(v Value, fn func(*Local)) {
 	switch t := v.(type) {
 	case *Local:
-		return []*Local{t}
+		fn(t)
 	case *InstanceFieldRef:
-		return []*Local{t.Base}
+		fn(t.Base)
 	case *ArrayRef:
-		out := []*Local{t.Base}
-		return append(out, LocalsOf(t.Index)...)
+		fn(t.Base)
+		EachLocal(t.Index, fn)
 	case *BinopExpr:
-		return append(LocalsOf(t.Left), LocalsOf(t.Right)...)
+		EachLocal(t.Left, fn)
+		EachLocal(t.Right, fn)
 	case *CastExpr:
-		return LocalsOf(t.Val)
+		EachLocal(t.Val, fn)
 	case *InvokeExpr:
-		var out []*Local
 		if t.Base != nil {
-			out = append(out, t.Base)
+			fn(t.Base)
 		}
 		for _, a := range t.Args {
-			out = append(out, LocalsOf(a)...)
+			EachLocal(a, fn)
 		}
-		return out
 	case *NewArrayExpr:
-		return LocalsOf(t.Size)
+		EachLocal(t.Size, fn)
 	}
-	return nil
 }

@@ -27,18 +27,13 @@ import (
 // method and the raw typed statement (paper: "we record the node ID, the
 // signature of corresponding method, and most importantly, the typed
 // bytecode Unit statement"). MethodID is the method's number in the
-// program the graph was built from, the key every lookup uses.
+// program the graph was built from, the key every lookup uses; the graph
+// keeps the method's ref (Graph.Ref).
 type Unit struct {
 	ID       int
-	Method   dex.MethodRef
 	MethodID ir.MethodID
 	Index    int // statement index within the method body
 	Stmt     ir.Unit
-}
-
-// String renders the node for SSG dumps.
-func (u *Unit) String() string {
-	return fmt.Sprintf("#%d [%s] %s", u.ID, u.Method.SootSignature(), u.Stmt)
 }
 
 // EdgeKind distinguishes calling from return edges; contained methods get
@@ -60,48 +55,59 @@ type Edge struct {
 	Callee ir.MethodID
 }
 
-// TaintSet tracks tainted locals, object fields and static fields for one
-// scope.
+// TaintSet tracks the taints of one scope: tainted registers of one
+// method body, as a bitset; the return flag, which stands for the
+// value the method returns while a contained method is sliced from its
+// end; tainted object fields, keyed on (register, field); and tainted
+// static fields. The field maps are made on first use, so a set that
+// only ever holds registers allocates nothing but its bitset words.
 type TaintSet struct {
-	locals map[string]bool
-	fields map[string]map[dex.FieldRef]bool // object local -> its tainted fields, never empty
-	static map[dex.FieldRef]bool
+	locals ir.RegSet
+	ret    bool
+	fields map[int]map[dex.FieldRef]struct{} // object register -> its tainted fields, never empty
+	static map[dex.FieldRef]struct{}
 }
 
 // NewTaintSet returns an empty taint set.
-func NewTaintSet() *TaintSet {
-	return &TaintSet{
-		locals: make(map[string]bool),
-		fields: make(map[string]map[dex.FieldRef]bool),
-		static: make(map[dex.FieldRef]bool),
+func NewTaintSet() *TaintSet { return &TaintSet{} }
+
+// AddLocal taints register r.
+func (t *TaintSet) AddLocal(r int) { t.locals.Add(r) }
+
+// RemoveLocal untaints register r.
+func (t *TaintSet) RemoveLocal(r int) { t.locals.Remove(r) }
+
+// HasLocal reports whether register r is tainted.
+func (t *TaintSet) HasLocal(r int) bool { return t.locals.Has(r) }
+
+// AddReturn taints the method's return value.
+func (t *TaintSet) AddReturn() { t.ret = true }
+
+// RemoveReturn untaints the method's return value.
+func (t *TaintSet) RemoveReturn() { t.ret = false }
+
+// HasReturn reports whether the method's return value is tainted.
+func (t *TaintSet) HasReturn() bool { return t.ret }
+
+// AddField taints field of the object in register obj; the paper also
+// keeps the class object itself tainted so the field survives aliasing
+// and method boundaries, so the caller should usually AddLocal(obj) too.
+func (t *TaintSet) AddField(obj int, field dex.FieldRef) {
+	if t.fields == nil {
+		t.fields = make(map[int]map[dex.FieldRef]struct{})
 	}
-}
-
-// AddLocal taints a local by name.
-func (t *TaintSet) AddLocal(name string) { t.locals[name] = true }
-
-// RemoveLocal untaints a local.
-func (t *TaintSet) RemoveLocal(name string) { delete(t.locals, name) }
-
-// HasLocal reports whether the local is tainted.
-func (t *TaintSet) HasLocal(name string) bool { return t.locals[name] }
-
-// AddField taints obj.field; the paper also keeps the class object itself
-// tainted so the field survives aliasing and method boundaries, so the
-// caller should usually AddLocal(obj) too.
-func (t *TaintSet) AddField(obj string, field dex.FieldRef) {
 	set := t.fields[obj]
 	if set == nil {
-		set = make(map[dex.FieldRef]bool)
+		set = make(map[dex.FieldRef]struct{})
 		t.fields[obj] = set
 	}
-	set[field] = true
+	set[field] = struct{}{}
 }
 
-// RemoveField untaints obj.field. Following the paper, when no other
-// tainted fields remain on the same object the object local is untainted
-// as well.
-func (t *TaintSet) RemoveField(obj string, field dex.FieldRef) {
+// RemoveField untaints field of the object in register obj. Following
+// the paper, when no other tainted fields remain on the same object the
+// object register is untainted as well.
+func (t *TaintSet) RemoveField(obj int, field dex.FieldRef) {
 	set := t.fields[obj]
 	delete(set, field)
 	if len(set) > 0 {
@@ -111,18 +117,24 @@ func (t *TaintSet) RemoveField(obj string, field dex.FieldRef) {
 	t.RemoveLocal(obj)
 }
 
-// HasField reports whether obj.field is tainted.
-func (t *TaintSet) HasField(obj string, field dex.FieldRef) bool {
-	return t.fields[obj][field]
+// HasField reports whether field of the object in register obj is
+// tainted.
+func (t *TaintSet) HasField(obj int, field dex.FieldRef) bool {
+	_, ok := t.fields[obj][field]
+	return ok
 }
 
-// HasAnyFieldOf reports whether any field of the object is tainted.
-func (t *TaintSet) HasAnyFieldOf(obj string) bool { return len(t.fields[obj]) > 0 }
+// HasAnyFieldOf reports whether any field of the object in register obj
+// is tainted.
+func (t *TaintSet) HasAnyFieldOf(obj int) bool { return len(t.fields[obj]) > 0 }
 
-// FieldsOf returns the tainted fields of the object, in no particular
-// order.
-func (t *TaintSet) FieldsOf(obj string) []dex.FieldRef {
+// FieldsOf returns the tainted fields of the object in register obj, in
+// no particular order.
+func (t *TaintSet) FieldsOf(obj int) []dex.FieldRef {
 	set := t.fields[obj]
+	if len(set) == 0 {
+		return nil
+	}
 	out := make([]dex.FieldRef, 0, len(set))
 	for f := range set {
 		out = append(out, f)
@@ -131,13 +143,21 @@ func (t *TaintSet) FieldsOf(obj string) []dex.FieldRef {
 }
 
 // AddStatic taints a static field (global scope).
-func (t *TaintSet) AddStatic(field dex.FieldRef) { t.static[field] = true }
+func (t *TaintSet) AddStatic(field dex.FieldRef) {
+	if t.static == nil {
+		t.static = make(map[dex.FieldRef]struct{})
+	}
+	t.static[field] = struct{}{}
+}
 
 // RemoveStatic untaints a static field.
 func (t *TaintSet) RemoveStatic(field dex.FieldRef) { delete(t.static, field) }
 
 // HasStatic reports whether the static field is tainted.
-func (t *TaintSet) HasStatic(field dex.FieldRef) bool { return t.static[field] }
+func (t *TaintSet) HasStatic(field dex.FieldRef) bool {
+	_, ok := t.static[field]
+	return ok
+}
 
 // AnyStatic reports whether pred holds for some tainted static field.
 func (t *TaintSet) AnyStatic(pred func(dex.FieldRef) bool) bool {
@@ -169,13 +189,15 @@ func (t *TaintSet) StaticFields() []dex.FieldRef {
 }
 
 // Empty reports whether nothing is tainted.
-func (t *TaintSet) Empty() bool {
-	return len(t.locals) == 0 && len(t.fields) == 0 && len(t.static) == 0
-}
+func (t *TaintSet) Empty() bool { return t.Size() == 0 }
 
-// Size returns the number of taint entries.
+// Size returns the number of taint entries: tainted registers, the
+// return flag, tainted object fields and tainted static fields.
 func (t *TaintSet) Size() int {
-	n := len(t.locals) + len(t.static)
+	n := t.locals.Len() + len(t.static)
+	if t.ret {
+		n++
+	}
 	for _, set := range t.fields {
 		n += len(set)
 	}
@@ -188,6 +210,15 @@ type unitKey struct {
 	index  int
 }
 
+// tracked is what a graph keeps per method: its ref, its recorded units
+// and its taint set.
+type tracked struct {
+	ref    dex.MethodRef
+	units  []*Unit // by statement index once sorted is set
+	sorted bool
+	taints *TaintSet
+}
+
 // Graph is one sink API call's self-contained slicing graph. Its methods
 // are keyed by their IDs in the program it is built from; the graph keeps
 // the ref of each method it records, so it needs the program neither to
@@ -196,15 +227,18 @@ type Graph struct {
 	SinkMethod dex.MethodRef // the sink API itself
 	SinkSite   *Unit         // the initial node holding the sink call
 
-	refs        map[ir.MethodID]dex.MethodRef // every method with units or an incoming edge
-	nextID      int
-	units       map[unitKey]*Unit
-	methodUnits map[ir.MethodID][]*Unit
-	edges       []Edge
+	// methods holds every method with units, a taint set or an incoming
+	// edge; index maps an ID to its position there.
+	methods []tracked
+	index   map[ir.MethodID]int
+	order   []ir.MethodID // Methods(), until a method gains its first unit
+	nextID  int
+	units   map[unitKey]*Unit
+	free    []Unit // allocated, not yet handed out
+	edges   []Edge
 
-	// Hierarchical taint map: per tracked method, plus one global set for
-	// static fields.
-	taints      map[ir.MethodID]*TaintSet
+	// Hierarchical taint map: per tracked method (in methods), plus one
+	// global set for static fields.
 	GlobalTaint *TaintSet
 
 	// StaticTrack holds off-path <clinit> units, analyzed first by the
@@ -220,18 +254,36 @@ type Graph struct {
 func New(sink dex.MethodRef) *Graph {
 	return &Graph{
 		SinkMethod:  sink,
-		refs:        make(map[ir.MethodID]dex.MethodRef),
+		index:       make(map[ir.MethodID]int),
 		units:       make(map[unitKey]*Unit),
-		methodUnits: make(map[ir.MethodID][]*Unit),
-		taints:      make(map[ir.MethodID]*TaintSet),
 		GlobalTaint: NewTaintSet(),
 		entrySeen:   make(map[ir.MethodID]bool),
 	}
 }
 
+// method returns the graph's record of method m, making it on first use.
+func (g *Graph) method(m ir.MethodID) *tracked {
+	i, ok := g.index[m]
+	if !ok {
+		i = len(g.methods)
+		g.index[m] = i
+		g.methods = append(g.methods, tracked{})
+	}
+	return &g.methods[i]
+}
+
 // Ref returns the method an ID names, for any method with recorded units
 // or an incoming edge.
-func (g *Graph) Ref(m ir.MethodID) dex.MethodRef { return g.refs[m] }
+func (g *Graph) Ref(m ir.MethodID) dex.MethodRef {
+	if i, ok := g.index[m]; ok {
+		return g.methods[i].ref
+	}
+	return dex.MethodRef{}
+}
+
+// unitChunk caps how many units the graph allocates at once. Chunks
+// double from 8 up to it, so a small graph wastes little.
+const unitChunk = 128
 
 // AddUnit records statement idx of method m (whose ref is ref), returning
 // the existing node when the same statement was already recorded (slices
@@ -241,11 +293,24 @@ func (g *Graph) AddUnit(m ir.MethodID, ref dex.MethodRef, idx int, stmt ir.Unit)
 	if u, ok := g.units[key]; ok {
 		return u
 	}
-	g.refs[m] = ref
-	u := &Unit{ID: g.nextID, Method: ref, MethodID: m, Index: idx, Stmt: stmt}
+	if len(g.free) == 0 {
+		g.free = make([]Unit, min(max(g.nextID, 8), unitChunk))
+	}
+	u := &g.free[0]
+	g.free = g.free[1:]
+	*u = Unit{ID: g.nextID, MethodID: m, Index: idx, Stmt: stmt}
 	g.nextID++
 	g.units[key] = u
-	g.methodUnits[m] = append(g.methodUnits[m], u)
+	mt := g.method(m)
+	mt.ref = ref
+	switch n := len(mt.units); {
+	case n == 0:
+		mt.sorted = true
+		g.order = nil
+	case mt.units[n-1].Index > idx:
+		mt.sorted = false
+	}
+	mt.units = append(mt.units, u)
 	return u
 }
 
@@ -278,7 +343,7 @@ func (g *Graph) AddEdge(kind EdgeKind, from *Unit, callee ir.MethodID, ref dex.M
 			return
 		}
 	}
-	g.refs[callee] = ref
+	g.method(callee).ref = ref
 	g.edges = append(g.edges, Edge{Kind: kind, From: from, Callee: callee})
 }
 
@@ -298,49 +363,64 @@ func (g *Graph) CallEdgesFrom(u *Unit) []ir.MethodID {
 }
 
 // UnitsOf returns the recorded nodes of the method in statement order.
+// The slice is the graph's own: the caller must not modify it, and a
+// later AddUnit may reorder it.
 func (g *Graph) UnitsOf(m ir.MethodID) []*Unit {
-	us := g.methodUnits[m]
-	sorted := make([]*Unit, len(us))
-	copy(sorted, us)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-	return sorted
+	i, ok := g.index[m]
+	if !ok {
+		return nil
+	}
+	mt := &g.methods[i]
+	if !mt.sorted {
+		sort.Slice(mt.units, func(i, j int) bool { return mt.units[i].Index < mt.units[j].Index })
+		mt.sorted = true
+	}
+	return mt.units
 }
 
-// Methods returns all tracked methods, sorted by Soot signature.
+// Methods returns all methods with recorded units, sorted by Soot
+// signature. The order is computed once and kept until a method gains
+// its first unit; the caller must not modify the slice.
 func (g *Graph) Methods() []ir.MethodID {
+	if g.order != nil {
+		return g.order
+	}
 	type keyed struct {
 		start, end int // the signature's span in sigs
 		id         ir.MethodID
 	}
 	var sigs []byte
-	ks := make([]keyed, 0, len(g.methodUnits))
-	for id, us := range g.methodUnits {
+	ks := make([]keyed, 0, len(g.methods))
+	for id, i := range g.index {
+		mt := &g.methods[i]
+		if len(mt.units) == 0 {
+			continue
+		}
 		start := len(sigs)
-		sigs = us[0].Method.AppendSootSignature(sigs)
+		sigs = mt.ref.AppendSootSignature(sigs)
 		ks = append(ks, keyed{start, len(sigs), id})
 	}
 	sort.Slice(ks, func(i, j int) bool {
 		return bytes.Compare(sigs[ks[i].start:ks[i].end], sigs[ks[j].start:ks[j].end]) < 0
 	})
-	out := make([]ir.MethodID, len(ks))
+	g.order = make([]ir.MethodID, len(ks))
 	for i, k := range ks {
-		out[i] = k.id
+		g.order[i] = k.id
 	}
-	return out
+	return g.order
 }
 
 // NodeCount returns the number of recorded SSG units.
-func (g *Graph) NodeCount() int { return len(g.units) }
+func (g *Graph) NodeCount() int { return g.nextID }
 
 // Taints returns (allocating on first use) the taint set of the method —
 // the hierarchical taint map of the paper.
 func (g *Graph) Taints(m ir.MethodID) *TaintSet {
-	ts, ok := g.taints[m]
-	if !ok {
-		ts = NewTaintSet()
-		g.taints[m] = ts
+	mt := g.method(m)
+	if mt.taints == nil {
+		mt.taints = NewTaintSet()
 	}
-	return ts
+	return mt.taints
 }
 
 // MarkEntry records that backtracking reached a valid entry point: method
@@ -377,11 +457,11 @@ func (g *Graph) String() string {
 	if len(g.StaticTrack) > 0 {
 		b.WriteString("  [static track]\n")
 		for _, u := range g.StaticTrack {
-			fmt.Fprintf(&b, "    %s\n", u)
+			fmt.Fprintf(&b, "    #%d [%s] %s\n", u.ID, g.Ref(u.MethodID).SootSignature(), u.Stmt)
 		}
 	}
 	for _, id := range g.Methods() {
-		fmt.Fprintf(&b, "  [%s]\n", g.refs[id].SootSignature())
+		fmt.Fprintf(&b, "  [%s]\n", g.Ref(id).SootSignature())
 		for _, u := range g.UnitsOf(id) {
 			marker := ""
 			if u == g.SinkSite {
@@ -395,7 +475,7 @@ func (g *Graph) String() string {
 		if e.Kind == ReturnEdge {
 			kind = "return"
 		}
-		fmt.Fprintf(&b, "  edge(%s): #%d -> %s\n", kind, e.From.ID, g.refs[e.Callee].SootSignature())
+		fmt.Fprintf(&b, "  edge(%s): #%d -> %s\n", kind, e.From.ID, g.Ref(e.Callee).SootSignature())
 	}
 	for _, m := range g.entries {
 		fmt.Fprintf(&b, "  entry: %s\n", m.SootSignature())

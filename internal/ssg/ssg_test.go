@@ -24,7 +24,7 @@ func newGraph() (*Graph, func(dex.MethodRef) ir.MethodID) {
 }
 
 func stmt(s string) ir.Unit {
-	return &ir.AssignStmt{LHS: &ir.Local{Name: "r0"}, RHS: ir.StringConst{V: s}}
+	return &ir.AssignStmt{LHS: &ir.Local{Reg: 0, In: true}, RHS: ir.StringConst{V: s}}
 }
 
 func TestAddUnitDedup(t *testing.T) {
@@ -105,11 +105,11 @@ func TestHierarchicalTaintMap(t *testing.T) {
 	if ta == tb {
 		t.Fatal("taint sets must be per-method")
 	}
-	ta.AddLocal("r1")
-	if !g.Taints(id(methodA)).HasLocal("r1") {
+	ta.AddLocal(1)
+	if !g.Taints(id(methodA)).HasLocal(1) {
 		t.Error("taint set must persist per method")
 	}
-	if g.Taints(id(methodB)).HasLocal("r1") {
+	if g.Taints(id(methodB)).HasLocal(1) {
 		t.Error("taints must not leak across methods")
 	}
 	g.GlobalTaint.AddStatic(fieldRef)
@@ -124,21 +124,21 @@ func TestTaintSetFieldSemantics(t *testing.T) {
 	f2 := dex.NewFieldRef("com.a.B", "port", dex.Int)
 
 	// Tainting a field also keeps the object local tainted (caller adds it).
-	ts.AddLocal("r0")
-	ts.AddField("r0", f1)
-	ts.AddField("r0", f2)
-	if !ts.HasField("r0", f1) || !ts.HasAnyFieldOf("r0") {
+	ts.AddLocal(0)
+	ts.AddField(0, f1)
+	ts.AddField(0, f2)
+	if !ts.HasField(0, f1) || !ts.HasAnyFieldOf(0) {
 		t.Error("field taint lost")
 	}
 
 	// Removing one field keeps the object while another field remains.
-	ts.RemoveField("r0", f1)
-	if !ts.HasLocal("r0") {
+	ts.RemoveField(0, f1)
+	if !ts.HasLocal(0) {
 		t.Error("object must stay tainted while fields remain")
 	}
-	// Removing the last field unta ints the object too (paper Sec. V-A).
-	ts.RemoveField("r0", f2)
-	if ts.HasLocal("r0") {
+	// Removing the last field untaints the object too (paper Sec. V-A).
+	ts.RemoveField(0, f2)
+	if ts.HasLocal(0) {
 		t.Error("object must be untainted when its last field is removed")
 	}
 	if !ts.Empty() {
@@ -159,11 +159,12 @@ func TestTaintSetStaticFields(t *testing.T) {
 }
 
 func TestTaintSetSizeProperty(t *testing.T) {
-	// Adding n distinct locals then removing them empties the set.
-	f := func(names []string) bool {
+	// Adding n distinct registers then removing them empties the set.
+	f := func(regs []uint16) bool {
 		ts := NewTaintSet()
-		uniq := map[string]bool{}
-		for _, n := range names {
+		uniq := map[int]bool{}
+		for _, r := range regs {
+			n := int(r)
 			ts.AddLocal(n)
 			uniq[n] = true
 		}
@@ -198,5 +199,75 @@ func TestGraphStringRendersFig6Shape(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Errorf("SSG dump missing %q:\n%s", frag, s)
 		}
+	}
+}
+
+// maxRegister is the highest register a body can have: Translate refuses
+// register counts past the u16 Dalvik stores (ir's maxRegisters, 65,535).
+const maxRegister = 1<<16 - 1
+
+// TestTaintSetRegisters covers the register bitset at its word edges and
+// at the top of the register file, the return flag, and field taints
+// keyed per register.
+func TestTaintSetRegisters(t *testing.T) {
+	regs := []int{0, 63, 64, maxRegister}
+	ts := NewTaintSet()
+	for _, r := range regs {
+		ts.AddLocal(r)
+	}
+	for _, r := range []int{1, 62, 65, 127, 128, maxRegister - 1} {
+		if ts.HasLocal(r) {
+			t.Errorf("register %d tainted, only %v were", r, regs)
+		}
+	}
+	for i, r := range regs {
+		if !ts.HasLocal(r) || ts.Size() != len(regs)-i {
+			t.Fatalf("register %d: tainted %v, size %d", r, ts.HasLocal(r), ts.Size())
+		}
+		ts.RemoveLocal(r)
+		if ts.HasLocal(r) {
+			t.Errorf("register %d still tainted after RemoveLocal", r)
+		}
+	}
+	if !ts.Empty() {
+		t.Fatalf("size %d after removing every register", ts.Size())
+	}
+	ts.RemoveLocal(maxRegister + 64) // past the words: a no-op
+
+	// The return flag is one entry of its own, apart from every register.
+	ts.AddReturn()
+	if !ts.HasReturn() || ts.HasLocal(0) || ts.Size() != 1 {
+		t.Errorf("return flag: has %v, register 0 %v, size %d", ts.HasReturn(), ts.HasLocal(0), ts.Size())
+	}
+	ts.RemoveReturn()
+	if ts.HasReturn() || !ts.Empty() {
+		t.Error("return flag survived RemoveReturn")
+	}
+
+	// Field taints belong to one register: the same field on another
+	// register, or register 64 against register 0, is a different taint.
+	host := dex.NewFieldRef("com.a.B", "host", dex.StringT)
+	port := dex.NewFieldRef("com.a.B", "port", dex.Int)
+	for _, r := range []int{0, 64, maxRegister} {
+		ts.AddLocal(r)
+		ts.AddField(r, host)
+	}
+	ts.AddField(64, port)
+	if ts.HasField(0, port) || !ts.HasField(64, port) || ts.HasAnyFieldOf(1) || ts.HasAnyFieldOf(128) {
+		t.Error("a field taint leaked across registers")
+	}
+	if got := ts.FieldsOf(64); len(got) != 2 {
+		t.Errorf("FieldsOf(64) = %v, want host and port", got)
+	}
+	ts.RemoveField(64, host)
+	if !ts.HasLocal(64) || !ts.HasField(64, port) {
+		t.Error("register 64 lost its object taint while port stays tainted")
+	}
+	ts.RemoveField(64, port)
+	if ts.HasLocal(64) || ts.HasAnyFieldOf(64) || !ts.HasField(0, host) || !ts.HasField(maxRegister, host) {
+		t.Error("removing register 64's last field must untaint it and only it")
+	}
+	if ts.Size() != 4 { // registers 0 and maxRegister, one field each
+		t.Errorf("size %d, want 4", ts.Size())
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"backdroid/internal/android"
 	"backdroid/internal/constprop"
+	"backdroid/internal/dex"
 )
 
 func TestJudgeCryptoECB(t *testing.T) {
@@ -30,9 +31,9 @@ func TestJudgeCryptoECB(t *testing.T) {
 func TestJudgeSSLAllowAll(t *testing.T) {
 	allowAllToken := constprop.Token{Sig: android.AllowAllVerifierField.SootSignature()}
 	allowAllObj := &constprop.Obj{ID: 1, Class: android.AllowAllVerifierClass,
-		Fields: map[string]*constprop.Fact{}}
+		Fields: map[dex.FieldRef]*constprop.Fact{}}
 	otherObj := &constprop.Obj{ID: 2, Class: "com.app.StrictVerifier",
-		Fields: map[string]*constprop.Fact{}}
+		Fields: map[dex.FieldRef]*constprop.Fact{}}
 
 	if !Judge(android.RuleSSLAllowAll, []constprop.Value{allowAllToken}) {
 		t.Error("ALLOW_ALL token must be insecure")

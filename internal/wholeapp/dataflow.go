@@ -77,7 +77,7 @@ func (a *Analyzer) dataflow() ([]*Finding, error) {
 // findings.
 func (a *Analyzer) evalBody(m dex.MethodRef, body *ir.Body, states map[string]*methodState, globals map[string]*constprop.Fact, findings map[string]*Finding) error {
 	st := states[m.SootSignature()]
-	env := make(map[string]*constprop.Fact, len(body.Locals))
+	env := make([]*constprop.Fact, len(body.Locals)) // by register; nil until bound
 
 	for idx, u := range body.Units {
 		if err := a.meter.Charge(1); err != nil {
@@ -87,12 +87,12 @@ func (a *Analyzer) evalBody(m dex.MethodRef, body *ir.Body, states map[string]*m
 		case *ir.IdentityStmt:
 			switch rhs := s.RHS.(type) {
 			case *ir.ThisRef:
-				env[s.LHS.Name] = constprop.NewFact(constprop.Token{Sig: "this " + rhs.Class})
+				env[s.LHS.Reg] = constprop.NewFact(constprop.Token{Sig: "this " + rhs.Class})
 			case *ir.ParamRef:
 				if f, ok := st.in[rhs.Index]; ok {
-					env[s.LHS.Name] = f
+					env[s.LHS.Reg] = f
 				} else {
-					env[s.LHS.Name] = constprop.NewFact(constprop.Unknown{})
+					env[s.LHS.Reg] = constprop.NewFact(constprop.Unknown{})
 				}
 			}
 
@@ -109,7 +109,7 @@ func (a *Analyzer) evalBody(m dex.MethodRef, body *ir.Body, states map[string]*m
 			}
 			switch lhs := s.LHS.(type) {
 			case *ir.Local:
-				env[lhs.Name] = fact
+				env[lhs.Reg] = fact
 			case *ir.StaticFieldRef:
 				sig := lhs.Field.SootSignature()
 				if g, ok := globals[sig]; ok {
@@ -126,7 +126,7 @@ func (a *Analyzer) evalBody(m dex.MethodRef, body *ir.Body, states map[string]*m
 				base := a.evalValue(lhs.Base, env, globals)
 				for _, v := range base.Values() {
 					if obj, ok := v.(*constprop.Obj); ok {
-						obj.Fields[lhs.Field.SootSignature()] = fact
+						obj.Fields[lhs.Field] = fact
 					}
 				}
 			}
@@ -151,7 +151,7 @@ func (a *Analyzer) evalBody(m dex.MethodRef, body *ir.Body, states map[string]*m
 
 // evalCall records findings at sink sites, pushes argument facts into
 // callee summaries and returns the merged return summary.
-func (a *Analyzer) evalCall(m dex.MethodRef, idx int, inv *ir.InvokeExpr, env map[string]*constprop.Fact, states map[string]*methodState, globals map[string]*constprop.Fact, findings map[string]*Finding) (*constprop.Fact, error) {
+func (a *Analyzer) evalCall(m dex.MethodRef, idx int, inv *ir.InvokeExpr, env []*constprop.Fact, states map[string]*methodState, globals map[string]*constprop.Fact, findings map[string]*Finding) (*constprop.Fact, error) {
 	if sink, ok := a.sinkMatch(inv.Method); ok {
 		key := m.SootSignature() + "#" + strconv.Itoa(idx)
 		f, exists := findings[key]
@@ -203,10 +203,10 @@ func (a *Analyzer) evalCall(m dex.MethodRef, idx int, inv *ir.InvokeExpr, env ma
 }
 
 // evalValue computes intraprocedural facts.
-func (a *Analyzer) evalValue(v ir.Value, env map[string]*constprop.Fact, globals map[string]*constprop.Fact) *constprop.Fact {
+func (a *Analyzer) evalValue(v ir.Value, env []*constprop.Fact, globals map[string]*constprop.Fact) *constprop.Fact {
 	switch t := v.(type) {
 	case *ir.Local:
-		if f, ok := env[t.Name]; ok {
+		if f := env[t.Reg]; f != nil {
 			return f
 		}
 		return constprop.NewFact(constprop.Unknown{})
@@ -231,7 +231,7 @@ func (a *Analyzer) evalValue(v ir.Value, env map[string]*constprop.Fact, globals
 		out := constprop.NewFact()
 		for _, bv := range base.Values() {
 			if obj, ok := bv.(*constprop.Obj); ok {
-				if f, ok2 := obj.Fields[t.Field.SootSignature()]; ok2 {
+				if f, ok2 := obj.Fields[t.Field]; ok2 {
 					out.Merge(f)
 				}
 			}
@@ -255,7 +255,7 @@ func (a *Analyzer) evalValue(v ir.Value, env map[string]*constprop.Fact, globals
 // evaluation below is charged per pair: this is the value-set explosion
 // that makes whole-app dataflow blow up on constant-diverse apps (the
 // Amandroid timeout mechanism).
-func (a *Analyzer) evalBinop(b *ir.BinopExpr, env map[string]*constprop.Fact, globals map[string]*constprop.Fact) *constprop.Fact {
+func (a *Analyzer) evalBinop(b *ir.BinopExpr, env []*constprop.Fact, globals map[string]*constprop.Fact) *constprop.Fact {
 	left := a.evalValue(b.Left, env, globals)
 	right := a.evalValue(b.Right, env, globals)
 	// Saturated operands short-circuit: once a set degraded to Unknown the
