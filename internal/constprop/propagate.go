@@ -126,9 +126,15 @@ func (a *analysis) rootMethods() []ir.MethodID {
 			callees[e.Callee] = true
 		}
 	}
+	// A method whose every unit is on the static track is evaluated
+	// there only.
+	inTrack := make(map[ir.MethodID]int)
+	for _, u := range a.g.StaticTrack {
+		inTrack[u.MethodID]++
+	}
 	var out []ir.MethodID
 	for _, id := range a.g.Methods() {
-		if !callees[id] && !a.isStaticTrackOnly(id) {
+		if !callees[id] && inTrack[id] != len(a.g.UnitsOf(id)) {
 			out = append(out, id)
 		}
 	}
@@ -159,23 +165,6 @@ func lifecycleRank(name string) int {
 		}
 	}
 	return len(order)
-}
-
-func (a *analysis) isStaticTrackOnly(id ir.MethodID) bool {
-	units := a.g.UnitsOf(id)
-	if len(units) == 0 {
-		return false
-	}
-	inTrack := make(map[*ssg.Unit]bool, len(a.g.StaticTrack))
-	for _, u := range a.g.StaticTrack {
-		inTrack[u] = true
-	}
-	for _, u := range units {
-		if !inTrack[u] {
-			return false
-		}
-	}
-	return true
 }
 
 // runStaticTrack evaluates the off-path <clinit> units, populating the

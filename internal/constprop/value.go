@@ -9,8 +9,9 @@ package constprop
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"backdroid/internal/dex"
 )
@@ -58,7 +59,7 @@ type Obj struct {
 
 func (*Obj) value() {}
 func (v *Obj) String() string {
-	return fmt.Sprintf("new %s#%d", v.Class, v.ID)
+	return "new " + v.Class + "#" + strconv.Itoa(v.ID)
 }
 
 // Arr is the paper's ArrayObj: points-to identity of an array plus an
@@ -70,7 +71,7 @@ type Arr struct {
 
 func (*Arr) value() {}
 func (v *Arr) String() string {
-	return fmt.Sprintf("newarray#%d", v.ID)
+	return "newarray#" + strconv.Itoa(v.ID)
 }
 
 // Unknown is the absent-information value.
@@ -100,111 +101,129 @@ func concat(x, y string) Value {
 }
 
 // Fact is the set of possible abstract values of one variable at one
-// program point; sets grow at merges (paths, phis) up to FactCap.
+// program point; sets grow at merges (paths, phis) up to FactCap. Values
+// are told apart by their rendering, and the set keeps them sorted by it.
 type Fact struct {
-	values map[string]Value
+	entries []factEntry // ascending by key, keys distinct
+	first   [1]factEntry
 }
+
+// factEntry is one value of a Fact and its rendering.
+type factEntry struct {
+	key string
+	v   Value
+}
+
+// unknownKey is the rendering of Unknown.
+const unknownKey = "unknown"
 
 // NewFact builds a fact holding the given values.
 func NewFact(vals ...Value) *Fact {
-	f := &Fact{values: make(map[string]Value, len(vals))}
+	f := &Fact{}
+	f.entries = f.first[:0]
 	for _, v := range vals {
 		f.Add(v)
 	}
 	return f
 }
 
+// find returns the position of key in f's entries, or where it would
+// go, and whether it is there.
+func (f *Fact) find(key string) (int, bool) {
+	return slices.BinarySearchFunc(f.entries, key, func(e factEntry, key string) int {
+		return strings.Compare(e.key, key)
+	})
+}
+
+// put sets key's value, inserting the entry if key is new.
+func (f *Fact) put(key string, v Value) {
+	if i, ok := f.find(key); ok {
+		f.entries[i].v = v
+	} else {
+		f.entries = slices.Insert(f.entries, i, factEntry{key, v})
+	}
+}
+
 // Add inserts a value into the set; at capacity the set degrades by
 // absorbing Unknown instead.
 func (f *Fact) Add(v Value) {
 	key := v.String()
-	if _, ok := f.values[key]; ok {
+	i, ok := f.find(key)
+	if ok {
 		return
 	}
-	if len(f.values) >= FactCap {
-		f.values[Unknown{}.String()] = Unknown{}
+	if len(f.entries) >= FactCap {
+		f.put(unknownKey, Unknown{})
 		return
 	}
-	f.values[key] = v
+	f.entries = slices.Insert(f.entries, i, factEntry{key, v})
 }
 
 // HasUnknown reports whether the set contains Unknown (it saturated or an
 // operand was unresolved).
 func (f *Fact) HasUnknown() bool {
-	_, ok := f.values[Unknown{}.String()]
+	_, ok := f.find(unknownKey)
 	return ok
 }
 
-// Merge unions another fact into this one, under Add's cap. A union
-// past FactCap keeps the FactCap smallest renderings plus Unknown, so
-// the result is the same whichever side merges into which, and never
-// depends on map iteration order.
+// Merge unions another fact into this one, under Add's cap; where both
+// hold a rendering, other's value wins. A union past FactCap keeps the
+// FactCap smallest renderings plus Unknown, so the result is the same
+// whichever side merges into which.
 func (f *Fact) Merge(other *Fact) {
 	if other == nil {
 		return
 	}
-	for k, v := range other.values {
-		f.values[k] = v
+	for _, e := range other.entries {
+		f.put(e.key, e.v)
 	}
-	unknown := Unknown{}.String()
-	n := len(f.values)
+	n := len(f.entries)
 	if f.HasUnknown() {
 		n--
 	}
 	if n <= FactCap {
 		return
 	}
-	keys := make([]string, 0, n)
-	for k := range f.values {
-		if k != unknown {
-			keys = append(keys, k)
+	kept := f.entries[:0]
+	for _, e := range f.entries {
+		if e.key != unknownKey && len(kept) < FactCap {
+			kept = append(kept, e)
 		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys[FactCap:] {
-		delete(f.values, k)
-	}
-	f.values[unknown] = Unknown{}
+	clear(f.entries[len(kept):])
+	f.entries = kept
+	f.put(unknownKey, Unknown{})
 }
 
 // Values returns the values sorted by rendering, for deterministic output.
 func (f *Fact) Values() []Value {
-	keys := make([]string, 0, len(f.values))
-	for k := range f.values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Value, len(keys))
-	for i, k := range keys {
-		out[i] = f.values[k]
+	out := make([]Value, len(f.entries))
+	for i, e := range f.entries {
+		out[i] = e.v
 	}
 	return out
 }
 
 // Strings renders the values, sorted.
 func (f *Fact) Strings() []string {
-	vals := f.Values()
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = v.String()
+	out := make([]string, len(f.entries))
+	for i, e := range f.entries {
+		out[i] = e.key
 	}
 	return out
 }
 
 // Empty reports whether the fact holds no values.
-func (f *Fact) Empty() bool { return len(f.values) == 0 }
+func (f *Fact) Empty() bool { return len(f.entries) == 0 }
 
 // Size returns the number of distinct values — the cheap change indicator
 // for fixpoint loops.
-func (f *Fact) Size() int { return len(f.values) }
+func (f *Fact) Size() int { return len(f.entries) }
 
 // Singleton returns the single value when the set has exactly one element.
 func (f *Fact) Singleton() (Value, bool) {
-	if len(f.values) != 1 {
+	if len(f.entries) != 1 {
 		return nil, false
 	}
-	for _, v := range f.values {
-		return v, true
-	}
-	return nil, false
+	return f.entries[0].v, true
 }

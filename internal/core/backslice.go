@@ -34,7 +34,7 @@ func (e *Engine) buildSSG(call SinkCall) (*ssg.Graph, error) {
 	}
 
 	s := &slicer{engine: e, g: g, onPath: make(map[ir.MethodID]bool)}
-	if err := s.slice(call.Caller, call.UnitIndex, 0, false); err != nil {
+	if err := s.slice(call.Caller, caller, call.UnitIndex, 0, false); err != nil {
 		return nil, err
 	}
 	if err := s.addOffPathClinits(); err != nil {
@@ -84,11 +84,11 @@ func (s *slicer) record(f *frame, idx int) *ssg.Unit {
 	return u
 }
 
-// descend slices callee from unit fromIdx-1 one level below f, with f's
-// method on the path.
-func (s *slicer) descend(f *frame, callee dex.MethodRef, fromIdx int, staticTrack bool) error {
+// descend slices callee (whose ID is id) from unit fromIdx-1 one level
+// below f, with f's method on the path.
+func (s *slicer) descend(f *frame, callee dex.MethodRef, id ir.MethodID, fromIdx int, staticTrack bool) error {
 	s.onPath[f.id] = true
-	err := s.slice(callee, fromIdx, f.depth+1, staticTrack)
+	err := s.slice(callee, id, fromIdx, f.depth+1, staticTrack)
 	delete(s.onPath, f.id)
 	return err
 }
@@ -96,13 +96,13 @@ func (s *slicer) descend(f *frame, callee dex.MethodRef, fromIdx int, staticTrac
 // slice scans the method backward from unit fromIdx-1, consuming and
 // producing taints in the method's taint set, then propagates remaining
 // parameter taints to callers located by bytecode search. staticTrack
-// routes recorded units into the SSG's special static track.
-func (s *slicer) slice(method dex.MethodRef, fromIdx int, depth int, staticTrack bool) error {
+// routes recorded units into the SSG's special static track. id is the
+// method's ID.
+func (s *slicer) slice(method dex.MethodRef, id ir.MethodID, fromIdx int, depth int, staticTrack bool) error {
 	e := s.engine
 	if depth > e.opts.MaxDepth {
 		return nil
 	}
-	id := e.prog.ID(method)
 	if s.onPath[id] {
 		if e.opts.EnableLoopDetection {
 			e.loops[CrossBackward]++
@@ -308,7 +308,7 @@ func (s *slicer) taintInvokeResult(f *frame, idx int, inv *ir.InvokeExpr) error 
 
 	calleeTaints := s.g.Taints(callee)
 	calleeTaints.AddReturn()
-	if err := s.descend(f, inv.Method, -1, f.staticTrack); err != nil {
+	if err := s.descend(f, inv.Method, callee, -1, f.staticTrack); err != nil {
 		return err
 	}
 	// Map the callee's residual parameter taints back to our arguments.
@@ -359,7 +359,7 @@ func (s *slicer) handleInvoke(f *frame, idx int, inv *ir.InvokeExpr) error {
 		// Seed (this, field) taints matching the caller's (base, field).
 		seedThis(calleeTaints, calleeBody, ts.FieldsOf(inv.Base.Reg))
 	}
-	if err := s.descend(f, inv.Method, -1, f.staticTrack); err != nil {
+	if err := s.descend(f, inv.Method, callee, -1, f.staticTrack); err != nil {
 		return err
 	}
 	s.mapCalleeParamsBack(inv, callee, calleeTaints, ts)
@@ -466,7 +466,7 @@ func (s *slicer) slicePredecessorHandlers(f *frame) error {
 			}
 			// Transfer this-field taints into the predecessor handler.
 			seedThis(s.g.Taints(predID), predBody, f.ts.FieldsOf(f.body.This))
-			if err := s.descend(f, m.Ref, -1, false); err != nil {
+			if err := s.descend(f, m.Ref, predID, -1, false); err != nil {
 				return err
 			}
 		}
@@ -530,7 +530,7 @@ func (s *slicer) propagateToCallers(f *frame, taintedParams []int, thisTainted b
 				callerTaints.AddField(site.BaseLocal.Reg, fld)
 			}
 		}
-		if err := s.descend(f, site.Method, fromIdx, false); err != nil {
+		if err := s.descend(f, site.Method, caller, fromIdx, false); err != nil {
 			return err
 		}
 	}
@@ -552,7 +552,7 @@ func (s *slicer) addOffPathClinits() error {
 		if clinit == nil {
 			continue
 		}
-		if err := s.slice(clinit.Ref, -1, 0, true); err != nil {
+		if err := s.slice(clinit.Ref, e.prog.ID(clinit.Ref), -1, 0, true); err != nil {
 			return err
 		}
 	}

@@ -50,6 +50,7 @@ type Footprint struct {
 type fpFrame struct {
 	classes map[string]bool
 	cmds    map[string]bcsearch.Command
+	last    string // the class recorded last: lookups repeat it in runs
 }
 
 // footprint freezes the frame into its exported form.
@@ -98,7 +99,10 @@ func (r *fpRecorder) class(name string) {
 		return
 	}
 	for _, f := range r.frames {
-		f.classes[name] = true
+		if f.last != name {
+			f.classes[name] = true
+			f.last = name
+		}
 	}
 }
 

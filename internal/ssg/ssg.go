@@ -16,6 +16,7 @@ package ssg
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -204,19 +205,23 @@ func (t *TaintSet) Size() int {
 	return n
 }
 
-// unitKey identifies a statement: its method and its index in the body.
-type unitKey struct {
-	method ir.MethodID
-	index  int
-}
-
 // tracked is what a graph keeps per method: its ref, its recorded units
-// and its taint set.
+// and its taint set. A backward scan records a method's statements from
+// its last to its first, so units holds them by descending index, where
+// a scan's next unit goes on the end; asc is the ascending copy UnitsOf
+// hands out, made on first call after a change.
 type tracked struct {
 	ref    dex.MethodRef
-	units  []*Unit // by statement index once sorted is set
-	sorted bool
+	units  []*Unit // by descending statement index
+	asc    []*Unit // units in statement order, or nil
 	taints *TaintSet
+}
+
+// find returns the position in units of the unit for statement idx, or
+// where it would go, and whether it is there.
+func (t *tracked) find(idx int) (int, bool) {
+	i := sort.Search(len(t.units), func(i int) bool { return t.units[i].Index <= idx })
+	return i, i < len(t.units) && t.units[i].Index == idx
 }
 
 // Graph is one sink API call's self-contained slicing graph. Its methods
@@ -233,7 +238,6 @@ type Graph struct {
 	index   map[ir.MethodID]int
 	order   []ir.MethodID // Methods(), until a method gains its first unit
 	nextID  int
-	units   map[unitKey]*Unit
 	free    []Unit // allocated, not yet handed out
 	edges   []Edge
 
@@ -254,8 +258,8 @@ type Graph struct {
 func New(sink dex.MethodRef) *Graph {
 	return &Graph{
 		SinkMethod:  sink,
-		index:       make(map[ir.MethodID]int),
-		units:       make(map[unitKey]*Unit),
+		methods:     make([]tracked, 0, 8),
+		index:       make(map[ir.MethodID]int, 16),
 		GlobalTaint: NewTaintSet(),
 		entrySeen:   make(map[ir.MethodID]bool),
 	}
@@ -289,9 +293,10 @@ const unitChunk = 128
 // the existing node when the same statement was already recorded (slices
 // across sinks or branches may revisit statements).
 func (g *Graph) AddUnit(m ir.MethodID, ref dex.MethodRef, idx int, stmt ir.Unit) *Unit {
-	key := unitKey{m, idx}
-	if u, ok := g.units[key]; ok {
-		return u
+	mt := g.method(m)
+	i, ok := mt.find(idx)
+	if ok {
+		return mt.units[i]
 	}
 	if len(g.free) == 0 {
 		g.free = make([]Unit, min(max(g.nextID, 8), unitChunk))
@@ -300,24 +305,27 @@ func (g *Graph) AddUnit(m ir.MethodID, ref dex.MethodRef, idx int, stmt ir.Unit)
 	g.free = g.free[1:]
 	*u = Unit{ID: g.nextID, MethodID: m, Index: idx, Stmt: stmt}
 	g.nextID++
-	g.units[key] = u
-	mt := g.method(m)
-	mt.ref = ref
-	switch n := len(mt.units); {
-	case n == 0:
-		mt.sorted = true
+	if len(mt.units) == 0 {
 		g.order = nil
-	case mt.units[n-1].Index > idx:
-		mt.sorted = false
+		mt.units = make([]*Unit, 0, 4)
 	}
-	mt.units = append(mt.units, u)
+	mt.ref = ref
+	mt.units = slices.Insert(mt.units, i, u)
+	mt.asc = nil
 	return u
 }
 
 // Unit returns the recorded node for a statement, if present.
 func (g *Graph) Unit(m ir.MethodID, idx int) (*Unit, bool) {
-	u, ok := g.units[unitKey{m, idx}]
-	return u, ok
+	j, ok := g.index[m]
+	if !ok {
+		return nil, false
+	}
+	mt := &g.methods[j]
+	if i, ok := mt.find(idx); ok {
+		return mt.units[i], true
+	}
+	return nil, false
 }
 
 // MarkSink designates the initial node that contains the sink call.
@@ -363,19 +371,21 @@ func (g *Graph) CallEdgesFrom(u *Unit) []ir.MethodID {
 }
 
 // UnitsOf returns the recorded nodes of the method in statement order.
-// The slice is the graph's own: the caller must not modify it, and a
-// later AddUnit may reorder it.
+// The slice is the graph's own, kept until the method's next AddUnit:
+// the caller must not modify it.
 func (g *Graph) UnitsOf(m ir.MethodID) []*Unit {
 	i, ok := g.index[m]
 	if !ok {
 		return nil
 	}
 	mt := &g.methods[i]
-	if !mt.sorted {
-		sort.Slice(mt.units, func(i, j int) bool { return mt.units[i].Index < mt.units[j].Index })
-		mt.sorted = true
+	if mt.asc == nil && len(mt.units) > 0 {
+		mt.asc = make([]*Unit, len(mt.units))
+		for i, u := range mt.units {
+			mt.asc[len(mt.units)-1-i] = u
+		}
 	}
-	return mt.units
+	return mt.asc
 }
 
 // Methods returns all methods with recorded units, sorted by Soot
