@@ -505,8 +505,9 @@ func (s *slicer) propagateToCallers(f *frame, taintedParams []int, thisTainted b
 			siteUnit := s.g.AddUnit(caller, site.Method, site.UnitIndex, callerBody.Units[site.UnitIndex])
 			s.g.AddEdge(ssg.CallEdge, siteUnit, f.id, f.method)
 			// Advanced-search chains contribute their intermediate links
-			// too (paper: use the maintained call chain, not one site).
-			for _, link := range site.Chain[1:] {
+			// too (paper: use the maintained call chain, not one site);
+			// a basic-search site has no chain.
+			for _, link := range site.Chain[min(1, len(site.Chain)):] {
 				lid := e.prog.ID(link.Method)
 				linkBody, err := e.prog.BodyOf(lid)
 				if err != nil || link.UnitIndex >= len(linkBody.Units) {

@@ -1,6 +1,7 @@
 package ssg
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -270,4 +271,23 @@ func TestTaintSetRegisters(t *testing.T) {
 	if ts.Size() != 4 { // registers 0 and maxRegister, one field each
 		t.Errorf("size %d, want 4", ts.Size())
 	}
+
+	// A set of a few low registers costs its struct and one bitset word,
+	// whatever the width of the register file: 65,535 registers would
+	// take 8 KiB of words.
+	const sets = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range sets {
+		keptSet = NewTaintSet()
+		keptSet.AddLocal(3)
+		keptSet.AddLocal(60)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / sets; per > 128 {
+		t.Errorf("a set of registers 3 and 60 allocates %d bytes", per)
+	}
 }
+
+// keptSet keeps the sets TestTaintSetRegisters measures on the heap.
+var keptSet *TaintSet
