@@ -23,7 +23,7 @@ func wideRegisterApp(t *testing.T, regs int) *apk.App {
 	crypt := dex.NewMethodRef(pkg+".Worker", "crypt", dex.Void, dex.StringT)
 	mode := dex.NewFieldRef(pkg+".Holder", "mode", dex.StringT)
 
-	holder := dex.NewClass(pkg + ".Holder").Field("mode", dex.StringT)
+	holder := dex.NewClass(pkg+".Holder").Field("mode", dex.StringT)
 	hc := holder.Constructor()
 	hc.InvokeDirect(objInit, hc.This()).ReturnVoid().Done()
 
