@@ -165,11 +165,10 @@ func EncodeBundle(t *Text, x *Index, fingerprint uint64, m *Manifest) ([]byte, e
 		m = BuildManifest(t)
 	}
 	// Each section's payload is appended straight into the bundle
-	// buffer and its frame filled in afterwards. The bench corpus's
-	// bundles run 7 to 11 bytes per line beyond the dump text, so the
-	// buffer is sized for 12; a larger bundle grows it once.
+	// buffer, sized exactly (a store keeps the buffer whole), and its
+	// frame filled in afterwards.
 	buf := make([]byte, codecHeaderSize-frameSize,
-		codecHeaderSize+8+2*frameSize+len(t.full)+12*t.LineCount())
+		codecHeaderSize+8+2*frameSize+indexSize(x)+dumpSize(t)+manifestSize(m))
 	copy(buf[0:4], codecMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], CodecVersion)
 	binary.LittleEndian.PutUint32(buf[14:18], uint32(t.LineCount()))
@@ -397,6 +396,15 @@ func appendManifest(buf []byte, m *Manifest) []byte {
 	return buf
 }
 
+// manifestSize returns the bytes appendManifest writes for m.
+func manifestSize(m *Manifest) int {
+	n := uvarintSize(uint64(len(m.Entries)))
+	for _, e := range m.Entries {
+		n += stringSize(e.Name) + 8 + uvarintSize(uint64(e.Lines))
+	}
+	return n
+}
+
 // minManifestEntry is the size of the smallest encoded manifest entry:
 // a one-byte name length, the 8-byte fingerprint and a one-byte line
 // count.
@@ -487,6 +495,41 @@ func appendDump(buf []byte, t *Text) []byte {
 		buf = binary.AppendUvarint(buf, uint64(sp.End-sp.Start))
 	}
 	return buf
+}
+
+// dumpSize returns the bytes appendDump writes for t.
+func dumpSize(t *Text) int {
+	n := stringSize(t.full) + uvarintSize(uint64(len(t.ends)))
+	start := int32(0)
+	for _, e := range t.ends {
+		n += uvarintSize(uint64(e - start))
+		start = e + 1
+	}
+	size, params := 0, 0
+	for s := range t.dumpStrings {
+		size += len(s)
+	}
+	n += uvarintSize(uint64(size)) + size
+	for _, m := range t.methods {
+		params += len(m.Params)
+	}
+	n += uvarintSize(uint64(len(t.methods))) + uvarintSize(uint64(params))
+	end := int32(0)
+	for i, m := range t.methods {
+		n += uvarintSize(uint64(len(m.Class))) + uvarintSize(uint64(len(m.Name))) +
+			uvarintSize(uint64(len(m.Ret))) + uvarintSize(uint64(len(m.Params)))
+		for _, p := range m.Params {
+			n += uvarintSize(uint64(len(p)))
+		}
+		r := t.runs[i]
+		n += uvarintSize(uint64(r.start-end)) + uvarintSize(uint64(r.end-r.start))
+		end = r.end
+	}
+	n += uvarintSize(uint64(len(t.spans)))
+	for _, sp := range t.spans {
+		n += uvarintSize(uint64(len(sp.Name))) + uvarintSize(uint64(sp.End-sp.Start))
+	}
+	return n
 }
 
 // dumpStrings yields the strings of a dump's string section in section
@@ -721,6 +764,9 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// stringSize returns the bytes appendString writes for s.
+func stringSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
+
 // readString reads a string appendString wrote, as a copy: decoded
 // strings outlive the bundle in reports (manifest class names), so they
 // must not pin its bytes.
@@ -785,6 +831,25 @@ func appendIndex(buf []byte, x *Index) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// indexSize returns the bytes appendIndex writes for x, when it writes
+// them.
+func indexSize(x *Index) int {
+	if x.dir != nil {
+		return len(x.dir.payload)
+	}
+	n := uvarintSize(uint64(x.lines)) + uvarintSize(uint64(x.postings))
+	for _, l := range x.sideLists() {
+		n += postingsSize(*l)
+	}
+	for _, m := range x.maps {
+		n += uvarintSize(uint64(len(m))) + 8*len(m)
+		for k, p := range m {
+			n += len(k) + postingsSize(p)
+		}
+	}
+	return n
 }
 
 // sideLists returns the side lists in fixed codec order.

@@ -1057,3 +1057,34 @@ func TestBundleDumpAllocsFixed(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeBundleSizedExactly pins that EncodeBundle sizes its buffer
+// to the bundle it writes, with a built index and with one decoded from
+// a bundle: a store keeps the buffer whole, spare capacity included.
+func TestEncodeBundleSizedExactly(t *testing.T) {
+	for _, app := range loadBenchCorpus(t) {
+		data, err := EncodeBundle(app.text, BuildIndex(app.text), app.fingerprint, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(data) != len(data) {
+			t.Errorf("%s: bundle of %d bytes in a buffer of %d", app.name, len(data), cap(data))
+		}
+		b, err := ReadBundle(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := b.Index(app.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := EncodeBundle(app.text, x, app.fingerprint, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(again) != len(again) || !bytes.Equal(again, data) {
+			t.Errorf("%s: re-encoding the decoded index gave %d bytes in a buffer of %d, equal %v",
+				app.name, len(again), cap(again), bytes.Equal(again, data))
+		}
+	}
+}

@@ -39,6 +39,3 @@ func (s *RegSet) Len() int {
 	}
 	return n
 }
-
-// Clear empties the set, keeping its words for reuse.
-func (s *RegSet) Clear() { clear(s.words) }
