@@ -101,8 +101,8 @@ func (b *bundle) dumpCounts() (hits, misses int) {
 // section decodes from the bytes already in hand, charged at the cheap
 // cache-load rate, and a disk bundle is then shared with the store as
 // read. Otherwise — a miss, or an index section that does not validate —
-// it builds the index at the plain or delta rate and publishes a fresh
-// bundle.
+// it charges the index build at the plain or delta rate, builds the index
+// or takes it from Options.Shared, and publishes a fresh bundle.
 func (e *Engine) index() (*dexdump.Index, bcsearch.Cost, error) {
 	b := e.bundle
 	var cost bcsearch.Cost
@@ -122,7 +122,7 @@ func (e *Engine) index() (*dexdump.Index, bcsearch.Cost, error) {
 	if err := e.chargeIndexBuild(); err != nil {
 		return nil, cost, err
 	}
-	x := dexdump.BuildIndex(e.dump)
+	x := e.opts.Shared.indexOver(e.dump)
 	cost.IndexBuilt = true
 	e.publish(x)
 	return x, cost, nil

@@ -2,9 +2,10 @@
 // fleet's work stealing (DESIGN.md Sec. 13). A job's located sink call
 // sites form a canonical list — sorted by (dump line, unit index), the
 // order locateSinkCalls always produces — and a ChunkRange restricts one
-// engine run to a half-open window of that list. Each chunk runs against
-// the same warm bundle as the single-pass run (no re-disassembly; the
-// chunk re-pays only the cheap bundle load and sink location), emits a
+// engine run to a half-open window of that list. Each chunk loads the
+// job's bundle when one is stored, and otherwise takes the dump and index
+// the job's first run left in Options.Shared; either way it is charged
+// its own preprocessing and sink location, like any run. It emits a
 // partial Report covering exactly its window, and MergeReports unions
 // the parts back into a report whose canonical encoding is bitwise
 // identical to the single-pass run for every chunking.

@@ -128,8 +128,9 @@ type Options struct {
 	// ChunkRange, when non-nil, restricts the run to the canonical
 	// positions [From, To) of the located sink-call list — the
 	// resumable per-sink entry point of the fleet's work stealing (see
-	// chunk.go). The chunk runs against the same warm bundle as any
-	// other run and emits a partial Report covering exactly its window;
+	// chunk.go). The chunk preprocesses the app and locates its sink
+	// calls like any other run (Shared may spare it the work, never the
+	// charge) and emits a partial Report covering exactly its window;
 	// MergeReports unions the parts back into the canonical single-pass
 	// report. A chunked run ignores DeltaFrom: a partial report must
 	// not depend on a delta base the other chunks lack.
@@ -157,6 +158,13 @@ type Options struct {
 	// not an error. The fleet scheduler's victim hook also uses the first
 	// poll to learn the job's total sink count.
 	SinkProgress func(next, total int) bool
+
+	// Shared, when non-nil, is the job's in-memory preprocessing handle
+	// (see Shared): a run over Shared.App that loads no bundle takes the
+	// dump and index an earlier run of the job left there instead of
+	// rendering and tokenizing the app again, and leaves its own for
+	// the next. The charged units and the report are a cold run's.
+	Shared *Shared
 }
 
 // DefaultOptions returns the configuration used in the paper's evaluation:
@@ -503,7 +511,7 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 			e.phaseSpan(name, -1, before)
 		}
 	} else {
-		if dump, err = dexdump.Render(merged); err != nil {
+		if dump, err = opts.Shared.text(app, merged); err != nil {
 			return nil, fmt.Errorf("core: preprocessing %s: %w", app.Name, err)
 		}
 		coldLines = dump.LineCount()

@@ -52,6 +52,57 @@ func BenchmarkHeavyOutlierCold(b *testing.B) {
 	}
 }
 
+// BenchmarkStolenChunk measures a chunk stolen off the outlier: its back
+// half, sinks [60, 121). cold is the chunk as a storeless thief without
+// the job's handle would run it — read the container, decode, render,
+// build the index, locate the sinks and analyze its range. shared runs
+// it on the victim's app through the job's core.Shared handle, which an
+// untimed victim run over the front half filled: no read, no decode, no
+// render, no index build. Both charge the same units.
+func BenchmarkStolenChunk(b *testing.B) {
+	name, data, sinks := heavyOutlier(b)
+	const from = 60
+	chunk := func(b *testing.B, app *apk.App, sh *Shared, from, to int) {
+		o := DefaultOptions()
+		o.ChunkRange = &ChunkRange{From: from, To: to}
+		o.Shared = sh
+		e, err := New(app, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := e.Analyze()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(r.Sinks) != to-from {
+			b.Fatalf("analyzed %d sinks, want %d", len(r.Sinks), to-from)
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a, err := apk.ReadBytes(name, data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			chunk(b, a, nil, from, sinks)
+		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		a, err := apk.ReadBytes(name, data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh := &Shared{App: a}
+		chunk(b, a, sh, 0, from)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			chunk(b, a, sh, from, sinks)
+		}
+	})
+}
+
 // locatedOutlier builds a cold engine over the outlier and locates its
 // sink calls: the state both phase benchmarks start from.
 func locatedOutlier(b *testing.B, name string, data []byte, sinks int) (*Engine, []SinkCall) {

@@ -148,31 +148,33 @@ func (s *Scheduler) runWork(w *work, node int) {
 }
 
 // analyze materializes the dispatch's app and runs it. A sink range is
-// one engine run restricted to that range, against the victim's
-// fingerprint. A whole job adds on top: the settled fast path, the delta
-// base, the steal-eligibility gate, settling or remembering an unfenced
-// report, and the whole-app and call-graph legs.
+// one engine run restricted to that range, on the victim's app and
+// against its fingerprint. A whole job adds on top: the settled fast
+// path, the delta base, the steal-eligibility gate, settling or
+// remembering an unfenced report, and the whole-app and call-graph legs.
 // Every dispatch builds its own engines — no analysis state crosses
-// jobs; the only shared objects are the content-addressed bundle stores,
-// which are concurrency-safe and append-only. node/attempt identify the
-// fleet dispatch (0/1 without a fleet); they are passed as values
-// because a handed-off job's jobState fields may be rewritten by the
-// re-dispatch while the abandoned attempt is still in here. part reports
+// jobs; the only objects shared across jobs are the content-addressed
+// bundle stores, which are concurrency-safe and append-only, and the
+// ranges of one split job share its core.Shared handle. node/attempt
+// identify the fleet dispatch (0/1 without a fleet); they are passed as
+// values because a handed-off job's jobState fields may be rewritten by
+// the re-dispatch while the abandoned attempt is still in here. part reports
 // that res.BackDroid is a partial report for the merge in w.cs — a chunk,
 // or a victim a steal fenced — rather than the job's result.
 func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobResult, part bool, err error) {
 	st, job, store := w.st, w.st.job, s.cfg.Store
-	app, err := job.Source()
-	if err != nil {
-		return nil, false, err
-	}
 	if cs := w.cs; cs != nil {
+		// A sink range runs on the victim's app, not a fresh Source.
 		o := s.engineOptions(w, cs.name, node, attempt, base)
-		rep, err := runEngine(w, cs.name, app, o, store, cs.fp)
+		rep, err := runEngine(w, cs.name, cs.shared.App, o, store, cs.fp)
 		if err != nil {
 			return nil, false, err
 		}
 		return &JobResult{ID: st.id, Name: cs.name, BackDroid: rep}, true, nil
+	}
+	app, err := job.Source()
+	if err != nil {
+		return nil, false, err
 	}
 	res = &JobResult{ID: st.id, Name: job.Name}
 	if res.Name == "" {
@@ -231,8 +233,10 @@ func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobRes
 				// runs stay unsplit (a chunk must not depend on a delta base
 				// the other chunks lack, and the simulated timeout is a
 				// whole-run budget); multi-analyzer jobs settle a composite
-				// result the merge path does not carry.
+				// result the merge path does not carry. Every range of the
+				// job runs on this app and shares its preprocessing.
 				cs := &chunkState{
+					shared:     &core.Shared{App: app},
 					grain:      s.cfg.SinkChunk,
 					total:      -1,
 					victimLive: true,
@@ -255,6 +259,7 @@ func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobRes
 				}
 				s.mu.Unlock()
 				w.cs = cs
+				o.Shared = cs.shared
 				o.SinkProgress = func(next, total int) bool {
 					return s.chunkPoll(st, cs, next, total)
 				}
@@ -303,7 +308,8 @@ func (s *Scheduler) analyze(w *work, node, attempt int, base int64) (res *JobRes
 // cancellation), trace hooks re-anchored on the track origin base,
 // Config.Store as the bundle cache and the sink-event observer. name
 // labels the job's events and heartbeats. A sink range is restricted to
-// [from, to) and never runs the delta path or the steal poll.
+// [from, to), never runs the delta path or the steal poll, and shares
+// the job's preprocessing handle.
 func (s *Scheduler) engineOptions(w *work, name string, node, attempt int, base int64) core.Options {
 	st, sub := w.st, w.sub
 	id := st.id
@@ -362,6 +368,7 @@ func (s *Scheduler) engineOptions(w *work, name string, node, attempt int, base 
 		o.ChunkRange = &core.ChunkRange{From: w.from, To: w.to}
 		o.DeltaFrom = nil
 		o.SinkProgress = nil
+		o.Shared = w.cs.shared
 	}
 	return o
 }

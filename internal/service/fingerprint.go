@@ -79,6 +79,10 @@ var OptionsFingerprintFields = map[string]FingerprintClass{
 	"DeltaFrom":     ClassNeutral,
 	"ChunkRange":    ClassNeutral,
 	"SinkProgress":  ClassNeutral,
+	// The preprocessing handle only spares a run work whose result and
+	// charge are a cold run's: core's TestSharedChunkMatchesColdChunk
+	// pins the report bytes and Stats identical with and without it.
+	"Shared": ClassNeutral,
 	// Observability hooks only watch charged-unit boundaries the engine
 	// reaches anyway; they never charge and never touch a verdict — the
 	// trace-parity test pins a traced run's report bitwise-identical to

@@ -35,6 +35,7 @@ var fingerprintMutators = map[string]func(o *core.Options){
 	"DeltaFrom":     func(o *core.Options) { o.DeltaFrom = &core.DeltaBase{Bundle: []byte("base")} },
 	"ChunkRange":    func(o *core.Options) { o.ChunkRange = &core.ChunkRange{From: 0, To: 3} },
 	"SinkProgress":  func(o *core.Options) { o.SinkProgress = func(int, int) bool { return false } },
+	"Shared":        func(o *core.Options) { o.Shared = &core.Shared{} },
 	"PhaseSpan":     func(o *core.Options) { o.PhaseSpan = func(string, int, int64, int64) {} },
 }
 

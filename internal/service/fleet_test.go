@@ -63,6 +63,7 @@ type fleetRun struct {
 	keys      map[string]string // app name -> detection key
 	terminals map[JobID]int     // terminal events observed per job
 	started   map[JobID]int     // started events per job (attempts)
+	sources   map[string]int    // Source calls per app (runHeavyTail only)
 	stats     *FleetStats
 }
 

@@ -33,6 +33,7 @@ type chunkState struct {
 	steals     int  // chunks stolen off this job
 	parts      []chunkPart
 	active     map[int]core.ChunkRange // sub -> in-flight stolen/re-pended range
+	shared     *core.Shared            // the victim's app and its cold preprocessing
 	fp         uint64
 	key        ReportKey
 	haveKey    bool
