@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"backdroid/internal/apk"
@@ -21,25 +22,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: dexdump app.apk")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0)); err != nil {
+	if err := run(os.Stdout, flag.Arg(0)); err != nil {
 		fmt.Fprintln(os.Stderr, "dexdump:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string) error {
+func run(w io.Writer, path string) error {
 	app, err := apk.Load(path)
 	if err != nil {
 		return err
 	}
-	merged, err := app.MergedDex()
+	_, text, err := dexdump.RenderApp(app)
 	if err != nil {
 		return err
 	}
-	text, err := dexdump.Render(merged)
-	if err != nil {
-		return err
-	}
-	fmt.Print(text.String())
-	return nil
+	_, err = io.WriteString(w, text.String())
+	return err
 }

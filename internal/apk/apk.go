@@ -93,6 +93,26 @@ func (a *App) MergedTables() (*dex.File, error) {
 	return a.merged((*dex.File).LoadTables)
 }
 
+// MergedVisiting is MergedTables for a reader that needs every body
+// once, such as the cold path's renderer: each dex file is loaded with
+// dex.File.LoadVisiting, which hands v every class and body as its walk
+// checks them, in multidex order, and leaves the bodies pending. visited
+// reports whether v was handed every file; it is false when some file
+// was loaded before, and the files after it are then loaded with
+// LoadTables. The errors are MergedTables'.
+func (a *App) MergedVisiting(v dex.Visitor) (merged *dex.File, visited bool, err error) {
+	visited = true
+	merged, err = a.merged(func(d *dex.File) error {
+		if !visited {
+			return d.LoadTables()
+		}
+		var err error
+		visited, err = d.LoadVisiting(v)
+		return err
+	})
+	return merged, visited, err
+}
+
 func (a *App) merged(load func(*dex.File) error) (*dex.File, error) {
 	for i, d := range a.Dexes {
 		if err := load(d); err != nil {

@@ -441,18 +441,21 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 		meter.SetCheckpoint(opts.Checkpoint)
 	}
 
-	// Warm-start probes run before any merge or disassembly work. A warm
-	// start never renders the dex, and the analysis translates only the
-	// few methods a sink flow reaches, so it loads the tables and leaves
-	// each body to decode on first use; a cold start renders every body
-	// and decodes them all in one pass.
+	// Warm-start probes run before any merge or disassembly work. The
+	// analysis translates only the few methods a sink flow reaches, so
+	// both paths load the dex tables and leave each body to decode on
+	// first use: a warm start never renders the dex, and a cold start
+	// renders each body in the walk that checks it (dexdump.RenderApp).
 	warm := openBundle(app, opts)
 
-	load := app.MergedDex
-	if warm.dump != nil {
-		load = app.MergedTables
+	var merged *dex.File
+	var dump *dexdump.Text
+	var err error
+	if dump = warm.dump; dump != nil {
+		merged, err = app.MergedTables()
+	} else {
+		merged, dump, err = opts.Shared.cold(app)
 	}
-	merged, err := load()
 	if err != nil {
 		return nil, fmt.Errorf("core: preprocessing %s: %w", app.Name, err)
 	}
@@ -493,8 +496,7 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 
 	var preErr error
 	coldLines := 0
-	dump := warm.dump
-	if dump != nil {
+	if warm.dump != nil {
 		// Warm path: the cached dump replaces disassembly entirely;
 		// reading it back is charged at the flat cache-load rate — the
 		// cheaper in-memory rate when the bundle came from the store.
@@ -511,9 +513,6 @@ func New(app *apk.App, opts Options) (*Engine, error) {
 			e.phaseSpan(name, -1, before)
 		}
 	} else {
-		if dump, err = opts.Shared.text(app, merged); err != nil {
-			return nil, fmt.Errorf("core: preprocessing %s: %w", app.Name, err)
-		}
 		coldLines = dump.LineCount()
 	}
 	e.dump = dump

@@ -26,22 +26,25 @@ type Shared struct {
 	index *dexdump.Index // built over dump
 }
 
-// text returns app's rendered dump: the handle's when it serves app,
-// else a render of merged, which a handle serving app keeps.
-func (s *Shared) text(app *apk.App, merged *dex.File) (*dexdump.Text, error) {
+// cold returns app's merged dex file, tables loaded, and its rendered
+// dump: the handle's dump when it serves app, else one fused walk
+// (dexdump.RenderApp), whose dump a handle serving app keeps.
+func (s *Shared) cold(app *apk.App) (*dex.File, *dexdump.Text, error) {
 	if s == nil || s.App != app {
-		return dexdump.Render(merged)
+		return dexdump.RenderApp(app)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dump == nil {
-		d, err := dexdump.Render(merged)
+		merged, d, err := dexdump.RenderApp(app)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s.dump = d
+		return merged, d, nil
 	}
-	return s.dump, nil
+	merged, err := app.MergedTables()
+	return merged, s.dump, err
 }
 
 // indexOver returns the index over dump: the handle's when dump is the

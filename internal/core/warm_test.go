@@ -141,8 +141,9 @@ func TestWarmEngineStaleFingerprintMisses(t *testing.T) {
 // TestWarmHitDecodesOnlyTranslatedBodies: a store hit loads the dex
 // tables and decodes a method body only when the analysis translates the
 // method, so after the run the decoded bodies are exactly the translated
-// ones — a small part of the app — while a cold run decodes every body.
-// The verdicts match.
+// ones — a small part of the app. The verdicts match the cold run's that
+// primed the store (TestColdJobDecodesOnlyTranslatedBodies is the cold
+// twin).
 func TestWarmHitDecodesOnlyTranslatedBodies(t *testing.T) {
 	spec := deltaBaseSpec()
 	spec.MultiDex = true
@@ -172,30 +173,96 @@ func TestWarmHitDecodesOnlyTranslatedBodies(t *testing.T) {
 		}
 		return e, r
 	}
-	decoded := func(e *Engine) (n, total int) {
-		for _, c := range e.dexf.Classes() {
-			for _, m := range c.Methods {
-				if m.BodyDecoded() {
-					n++
-				}
-				total++
-			}
-		}
-		return n, total
-	}
-
-	ce, cold := run()
-	if n, total := decoded(ce); n != total {
-		t.Fatalf("cold run decoded %d of %d bodies, want all", n, total)
-	}
+	_, cold := run()
 	we, warm := run()
 	if warm.Stats.BundleStoreHits != 1 {
 		t.Fatalf("second run was not a store hit: %+v", warm.Stats)
 	}
-	n, total := decoded(we)
+	n, total := decodedBodies(we)
 	if translated := we.prog.TranslatedCount(); n != translated || n == 0 || 4*n > total {
 		t.Errorf("store hit decoded %d of %d bodies and translated %d; want the translated ones only, a small part",
 			n, total, translated)
 	}
 	assertSameVerdicts(t, "cold vs store hit", cold, warm)
+}
+
+// decodedBodies counts the decoded bodies of an engine's dex view and
+// all its methods.
+func decodedBodies(e *Engine) (n, total int) {
+	for _, c := range e.dexf.Classes() {
+		for _, m := range c.Methods {
+			if m.BodyDecoded() {
+				n++
+			}
+			total++
+		}
+	}
+	return n, total
+}
+
+// TestColdJobDecodesOnlyTranslatedBodies: a cold job renders each body
+// in the walk that checks it and leaves it pending, so after the run the
+// decoded bodies are exactly the ones the analysis translated, as on a
+// store hit. The dump is the one Render makes of the eagerly decoded
+// app, and the verdicts are those of an engine over that dump.
+func TestColdJobDecodesOnlyTranslatedBodies(t *testing.T) {
+	spec := deltaBaseSpec()
+	spec.MultiDex = true
+	gen, _, err := appgen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := gen.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() *apk.App {
+		t.Helper()
+		app, err := apk.ReadBytes(spec.Name, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return app
+	}
+	app := read()
+	e, err := New(app, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := e.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, total := decodedBodies(e)
+	if translated := e.prog.TranslatedCount(); n != translated || n == 0 || 4*n > total {
+		t.Errorf("cold job decoded %d of %d bodies and translated %d; want the translated ones only, a small part",
+			n, total, translated)
+	}
+
+	// The same app decoded eagerly, merged and rendered; the engine over
+	// it must find the same verdicts.
+	eager := read()
+	merged, err := eager.MergedDex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dexdump.Render(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.dump.String() != want.String() {
+		t.Fatal("the cold job's dump differs from Render of the eagerly decoded app")
+	}
+	ee, err := New(eager, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ee.dump.String() != want.String() {
+		t.Fatal("the engine over an eagerly decoded app renders a different dump")
+	}
+	ref, err := ee.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameVerdicts(t, "cold vs eagerly decoded", cold, ref)
 }

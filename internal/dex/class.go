@@ -75,16 +75,18 @@ type Method struct {
 	Flags     AccessFlags
 	Registers int // total register count; inputs occupy v0..Ins-1
 	Ins       int // number of input registers (this + params)
-	// Code is the bytecode body. On a file loaded with LoadTables it
-	// stays nil until Instructions decodes it, so a reader that may see
-	// such a file calls Instructions; every other load fills it.
+	// Code is the bytecode body. On a file loaded with LoadTables or
+	// LoadVisiting it stays nil until Instructions decodes it, so a reader
+	// that may see such a file calls Instructions; every other load fills
+	// it.
 	Code []Instruction
 
-	body *pendingBody // set by LoadTables and never changed; nil when Code is the body
+	body *pendingBody // set by LoadTables or LoadVisiting and never changed; nil when Code is the body
 }
 
-// pendingBody is the encoded body of a method loaded by LoadTables. The
-// load already walked it with every check the eager decode applies, and
+// pendingBody is the encoded body of a method loaded by LoadTables or
+// LoadVisiting. The load already walked it with every check the eager
+// decode applies, and
 // counted its operands on the way, so decoding it later cannot fail and
 // sizes its operand chunks without a walk of its own.
 type pendingBody struct {
@@ -112,7 +114,7 @@ func (m *Method) Instructions() []Instruction {
 			// The load's operand counts size the chunks, so the few bodies
 			// a warm job decodes allocate no spare entries.
 			d := &decoder{buf: b.src.data[b.start:b.end], pool: b.src.pool, ops: &operands{left: b.ops}}
-			err := d.code(m.Ref.Class, m, b.n, true)
+			_, err := d.code(m.Ref.Class, m, b.n, fillBody)
 			if err != nil || len(d.buf) != 0 {
 				panic(fmt.Sprintf("dex: validated body of %s does not decode: %v", m.Ref, err))
 			}
@@ -133,8 +135,8 @@ func (m *Method) InstructionCount() int {
 }
 
 // BodyDecoded reports whether the body is decoded: always, except for a
-// method of a file loaded with LoadTables whose Instructions nobody has
-// asked for yet.
+// method of a file loaded with LoadTables or LoadVisiting whose
+// Instructions nobody has asked for yet.
 func (m *Method) BodyDecoded() bool { return m.body == nil || m.body.decoded.Load() }
 
 // IsStatic reports whether the method is static.
@@ -236,8 +238,8 @@ func (c *Class) InstructionCount() int {
 // File is a dex file: an ordered set of class definitions. A file made by
 // Open holds its encoded bytes and decodes them once, on the first call to
 // any method that reads or adds classes. That first touch decodes every
-// body, unless it is LoadTables, which leaves the bodies pending (see
-// Method.Instructions). Concurrent first touches are safe: one goroutine
+// body, unless it is LoadTables or LoadVisiting, which leave the bodies
+// pending (see Method.Instructions). Concurrent first touches are safe: one goroutine
 // decodes and the others wait for it.
 type File struct {
 	pending atomic.Bool // set by Open until the first accessor decodes raw
@@ -270,7 +272,7 @@ func Open(data []byte) (*File, error) {
 // the file is empty. After a successful one every method's Code is
 // filled, also on a file LoadTables loaded first.
 func (f *File) Load() error {
-	f.load(true)
+	f.load(fillBody)
 	if f.err == nil {
 		f.filled.Do(func() {
 			for _, c := range f.classes {
@@ -290,26 +292,62 @@ func (f *File) Load() error {
 // body pending until Method.Instructions asks for it. On a file already
 // decoded it only returns the decode error.
 func (f *File) LoadTables() error {
-	f.load(false)
+	f.load(skipBody)
 	return f.err
+}
+
+// A Visitor is handed a file's classes and method bodies by the walk of
+// LoadVisiting, in the order the file encodes them: for each class,
+// Class, then Method for each of its methods, then EndClass.
+type Visitor interface {
+	// Class is called when c's name, super, interfaces, flags and fields
+	// are decoded; c.Methods is still empty.
+	Class(c *Class)
+	// Method is called when m's header is decoded and its body checked;
+	// m is then the last of its class's Methods. code is the body,
+	// decoded into scratch that the walk reuses: it and the refs and
+	// Args of its instructions are valid only until Method returns.
+	Method(m *Method, code []Instruction)
+	// EndClass is called when the class's last method is done and the
+	// class is added to the file.
+	EndClass()
+}
+
+// LoadVisiting is LoadTables for a reader that needs every body once,
+// such as a renderer: on a first touch its walk decodes each body into
+// scratch and hands it to v (see Visitor), and still leaves every body
+// pending, as LoadTables does. It fails exactly when Load would, with the
+// same error. It reports whether v was handed the file: false when the
+// file was decoded before, by this goroutine or a concurrent first touch,
+// and then v saw nothing. A walk that fails may have handed v part of
+// the file.
+func (f *File) LoadVisiting(v Visitor) (visited bool, err error) {
+	if f.pending.Load() {
+		f.once.Do(func() {
+			f.decode(scratchBody, v)
+			visited = true
+		})
+	}
+	return visited, f.err
 }
 
 // Loaded reports whether the file holds decoded classes: always for a
 // file built with NewFile, and for a file made by Open once an
-// accessor, Load or LoadTables has decoded it, successfully or not.
+// accessor, Load, LoadTables or LoadVisiting has decoded it,
+// successfully or not.
 func (f *File) Loaded() bool { return !f.pending.Load() }
 
-// load decodes raw on the first touch; materialize says whether that
-// decode fills every body or leaves them pending.
-func (f *File) load(materialize bool) {
+// load decodes raw on the first touch; mode says whether that decode
+// fills every body (fillBody) or leaves them pending (skipBody).
+func (f *File) load(mode bodyMode) {
 	if f.pending.Load() {
-		f.once.Do(func() { f.decode(materialize) })
+		f.once.Do(func() { f.decode(mode, nil) })
 	}
 }
 
-func (f *File) decode(materialize bool) {
+func (f *File) decode(mode bodyMode, v Visitor) {
 	f.byName = make(map[string]*Class)
-	if f.err = decodeClasses(f, f.raw[len(dexMagic):], materialize); f.err != nil {
+	if f.err = decodeClasses(f, f.raw[len(dexMagic):], mode, v); f.err != nil {
 		f.classes = nil
 		clear(f.byName)
 	}
@@ -320,7 +358,7 @@ func (f *File) decode(materialize bool) {
 // AddClass appends a class definition. Adding a duplicate class name
 // returns an error (real dex files reject duplicates too).
 func (f *File) AddClass(c *Class) error {
-	f.load(true)
+	f.load(fillBody)
 	return f.addClass(c)
 }
 
@@ -335,14 +373,14 @@ func (f *File) addClass(c *Class) error {
 
 // Class returns the class definition with the given dotted name, or nil.
 func (f *File) Class(name string) *Class {
-	f.load(true)
+	f.load(fillBody)
 	return f.byName[name]
 }
 
 // Classes returns the class definitions in insertion order. The returned
 // slice must not be modified.
 func (f *File) Classes() []*Class {
-	f.load(true)
+	f.load(fillBody)
 	return f.classes
 }
 
@@ -384,7 +422,7 @@ func (f *File) MethodCount() int {
 // BackDroid performs before disassembling). Duplicate class names are
 // rejected.
 func (f *File) Merge(other *File) error {
-	f.load(true)
+	f.load(fillBody)
 	for _, c := range other.Classes() {
 		if err := f.addClass(c); err != nil {
 			return err

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -161,11 +162,26 @@ func Encode(f *File) []byte {
 
 // decoder reads an encoded dex file front to back out of one byte slice.
 type decoder struct {
-	buf  []byte // the bytes not read yet
-	pool []string
-	ops  *operands     // where decoded operands go; nil allocates each ref's Params alone
-	seen operandCounts // the operands the walk has passed over without decoding them
+	buf     []byte // the bytes not read yet
+	pool    []string
+	ops     *operands     // where decoded body operands go
+	seen    operandCounts // the operands of every instruction walked so far
+	scratch []Instruction // the reused body of a scratchBody walk
 }
+
+// bodyMode says what decoder.code builds from a body it walks. Every
+// mode applies the same checks.
+type bodyMode uint8
+
+const (
+	// skipBody builds nothing (LoadTables).
+	skipBody bodyMode = iota
+	// fillBody decodes the body into Method.Code (Load, Instructions).
+	fillBody
+	// scratchBody decodes the body into decoder.scratch, its operands
+	// into reused ones, for a Visitor (LoadVisiting).
+	scratchBody
+)
 
 // chunkBytes bounds one operand chunk: 7 method refs, 10 field refs, 32
 // parameter types or 64 argument registers. Up to 512 bytes, an object
@@ -200,6 +216,11 @@ type operands struct {
 	// itself; the eager decode of a whole file does not know it, so its
 	// chunks are all chunkBytes long.
 	left operandCounts
+	// reuse makes the operands scratch for one body at a time: a kind's
+	// hand-outs extend one slice, which reset empties for the next body,
+	// so a walk allocates only while its largest body grows them. A
+	// hand-out may outlive a growth of its slice, never a reset.
+	reuse bool
 }
 
 // unsized is operands.left for a decode that does not know its needs.
@@ -223,16 +244,38 @@ func take[T any](chunk *[]T, n int, left *int) []T {
 	return s
 }
 
+// extend cuts n entries off the end of *s, growing it when its capacity
+// is short; the entries handed out before a growth keep the old array.
+func extend[T any](s *[]T, n int) []T {
+	l := len(*s)
+	*s = slices.Grow(*s, n)[:l+n]
+	return (*s)[l : l+n : l+n]
+}
+
+// cut hands out n entries of one kind: off *chunk by take, or, for
+// reused operands, off the end of *chunk by extend.
+func cut[T any](o *operands, chunk *[]T, n int, left *int) []T {
+	if o.reuse {
+		return extend(chunk, n)
+	}
+	return take(chunk, n, left)
+}
+
+// reset empties reused operands for the next body.
+func (o *operands) reset() {
+	o.methods, o.fields, o.types, o.ints = o.methods[:0], o.fields[:0], o.types[:0], o.ints[:0]
+}
+
 // method stores m in a chunk and returns its address.
 func (o *operands) method(m MethodRef) *MethodRef {
-	p := &take(&o.methods, 1, &o.left.methods)[0]
+	p := &cut(o, &o.methods, 1, &o.left.methods)[0]
 	*p = m
 	return p
 }
 
 // field stores f in a chunk and returns its address.
 func (o *operands) field(f FieldRef) *FieldRef {
-	p := &take(&o.fields, 1, &o.left.fields)[0]
+	p := &cut(o, &o.fields, 1, &o.left.fields)[0]
 	*p = f
 	return p
 }
@@ -243,12 +286,12 @@ func (o *operands) typeList(n int) []TypeDesc {
 	if o == nil {
 		return make([]TypeDesc, n)
 	}
-	return take(&o.types, n, &o.left.types)
+	return cut(o, &o.types, n, &o.left.types)
 }
 
 // intList returns an Args slice of n entries.
 func (o *operands) intList(n int) []int {
-	return take(&o.ints, n, &o.left.ints)
+	return cut(o, &o.ints, n, &o.left.ints)
 }
 
 // errOverflow is binary.ReadUvarint's error for a varint that does not
@@ -333,10 +376,10 @@ func (d *decoder) str() (string, error) {
 	return d.pool[i], nil
 }
 
-// methodRef reads a method ref. With keep false it applies the same
-// checks but allocates nothing: the ref it returns has no Params, and
-// they are counted in d.seen.
-func (d *decoder) methodRef(keep bool) (MethodRef, error) {
+// methodRef reads a method ref, its Params taken from ops. With keep
+// false it applies the same checks but allocates nothing: the ref it
+// returns has no Params.
+func (d *decoder) methodRef(ops *operands, keep bool) (MethodRef, error) {
 	var m MethodRef
 	var err error
 	if m.Class, err = d.str(); err != nil {
@@ -349,10 +392,9 @@ func (d *decoder) methodRef(keep bool) (MethodRef, error) {
 	if err != nil {
 		return m, err
 	}
+	d.seen.types += np
 	if keep && np > 0 {
-		m.Params = d.ops.typeList(np)
-	} else if !keep {
-		d.seen.types += np
+		m.Params = ops.typeList(np)
 	}
 	for i := 0; i < np; i++ {
 		p, err := d.str()
@@ -389,15 +431,19 @@ func (d *decoder) fieldRef() (FieldRef, error) {
 }
 
 // instruction decodes one instruction into in and reports which refs it
-// carries, taking its refs and args from d.ops. With materialize false it
-// applies the same checks but sets only in's scalar operands: no refs, no
-// args, nothing allocated; it counts them in d.seen instead.
+// carries, taking its refs and args from d.ops and counting them in
+// d.seen. With materialize false it applies the same checks but sets only
+// in's scalar operands: no refs, no args, nothing allocated.
 func (d *decoder) instruction(in *Instruction, materialize bool) (hasMethod, hasField bool, err error) {
 	op, err := d.uvarint()
 	if err != nil {
 		return false, false, err
 	}
 	in.Op = Op(op)
+	if materialize {
+		// A reused scratch instruction must not keep an earlier body's refs.
+		in.Method, in.Field, in.Args = nil, nil, nil
+	}
 	a, err := d.varint()
 	if err != nil {
 		return false, false, err
@@ -426,14 +472,13 @@ func (d *decoder) instruction(in *Instruction, materialize bool) (hasMethod, has
 		return false, false, err
 	}
 	if hasMethod {
-		m, err := d.methodRef(materialize)
+		m, err := d.methodRef(d.ops, materialize)
 		if err != nil {
 			return false, false, err
 		}
+		d.seen.methods++
 		if materialize {
 			in.Method = d.ops.method(m)
-		} else {
-			d.seen.methods++
 		}
 	}
 	if hasField, err = d.flag(); err != nil {
@@ -444,20 +489,18 @@ func (d *decoder) instruction(in *Instruction, materialize bool) (hasMethod, has
 		if err != nil {
 			return false, false, err
 		}
+		d.seen.fields++
 		if materialize {
 			in.Field = d.ops.field(f)
-		} else {
-			d.seen.fields++
 		}
 	}
 	na, err := d.count("arg count", minVarintBytes)
 	if err != nil {
 		return false, false, err
 	}
+	d.seen.ints += na
 	if materialize && na > 0 {
 		in.Args = d.ops.intList(na)
-	} else if !materialize {
-		d.seen.ints += na
 	}
 	for i := 0; i < na; i++ {
 		a, err := d.varint()
@@ -502,28 +545,36 @@ func checkOperands(op Op, hasMethod, hasField bool) error {
 }
 
 // code is the one walker over a method body of n instructions, behind
-// both the eager decode and LoadTables: with materialize it decodes the
-// body into m.Code, its operands taken from d.ops, which must be set;
-// without it applies the same checks and builds nothing.
-func (d *decoder) code(class string, m *Method, n int, materialize bool) error {
-	var scratch Instruction
-	if materialize {
+// every load mode (see bodyMode): fillBody decodes the body into m.Code,
+// its operands taken from d.ops; scratchBody decodes it into d.scratch,
+// its operands taken from d.ops, which must reuse them; skipBody only
+// checks it. It returns the decoded body: m.Code, the scratch, or nil.
+func (d *decoder) code(class string, m *Method, n int, mode bodyMode) ([]Instruction, error) {
+	var code []Instruction
+	switch mode {
+	case fillBody:
 		m.Code = make([]Instruction, n)
+		code = m.Code
+	case scratchBody:
+		d.ops.reset()
+		d.scratch = slices.Grow(d.scratch[:0], n)[:n]
+		code = d.scratch
 	}
+	var skipped Instruction
 	for j := 0; j < n; j++ {
-		in := &scratch
-		if materialize {
-			in = &m.Code[j]
+		in := &skipped
+		if code != nil {
+			in = &code[j]
 		}
-		hasMethod, hasField, err := d.instruction(in, materialize)
+		hasMethod, hasField, err := d.instruction(in, mode != skipBody)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := checkOperands(in.Op, hasMethod, hasField); err != nil {
-			return fmt.Errorf("dex: %s.%s instruction %d: %w", class, m.Ref.Name, j, err)
+			return nil, fmt.Errorf("dex: %s.%s instruction %d: %w", class, m.Ref.Name, j, err)
 		}
 	}
-	return nil
+	return code, nil
 }
 
 // maxU16 bounds the register and input counts, which Dalvik stores as
@@ -546,9 +597,11 @@ func Decode(data []byte) (*File, error) {
 }
 
 // decodeClasses parses the pool and class definitions that follow the
-// magic into f, which must be empty. With materialize false each body is
-// walked and checked but left pending (see File.LoadTables).
-func decodeClasses(f *File, data []byte, materialize bool) error {
+// magic into f, which must be empty, walking each body in the given mode.
+// Unless that is fillBody each body is left pending (see File.LoadTables);
+// with scratchBody v is handed every class and decoded body as the walk
+// meets them (see File.LoadVisiting).
+func decodeClasses(f *File, data []byte, mode bodyMode, v Visitor) error {
 	d := &decoder{buf: data}
 	np, err := d.count("pool size", minVarintBytes)
 	if err != nil {
@@ -567,9 +620,16 @@ func decodeClasses(f *File, data []byte, materialize bool) error {
 		d.buf = d.buf[slen:]
 	}
 	var src *bodySource
-	if materialize {
-		d.ops = &operands{left: unsized}
-	} else {
+	// Method header Params come from chunks in every mode; a body's
+	// operands share them only when the body is filled too.
+	hdrOps := &operands{left: unsized}
+	switch mode {
+	case fillBody:
+		d.ops = hdrOps
+	case scratchBody:
+		d.ops = &operands{reuse: true}
+	}
+	if mode != fillBody {
 		src = &bodySource{data: data, pool: d.pool}
 	}
 
@@ -623,14 +683,17 @@ func decodeClasses(f *File, data []byte, materialize bool) error {
 		if nm > 0 {
 			c.Methods = make([]*Method, 0, nm)
 		}
+		if v != nil {
+			v.Class(c)
+		}
 		methods := make([]Method, nm)
 		var bodies []pendingBody
-		if !materialize {
+		if mode != fillBody {
 			bodies = make([]pendingBody, nm)
 		}
 		for i := range methods {
 			m := &methods[i]
-			if m.Ref, err = d.methodRef(true); err != nil {
+			if m.Ref, err = d.methodRef(hdrOps, true); err != nil {
 				return err
 			}
 			mf, err := d.uvarint()
@@ -659,19 +722,26 @@ func decodeClasses(f *File, data []byte, materialize bool) error {
 				return err
 			}
 			start, seen := len(data)-len(d.buf), d.seen
-			if err := d.code(c.Name, m, ncode, materialize); err != nil {
+			code, err := d.code(c.Name, m, ncode, mode)
+			if err != nil {
 				return err
 			}
-			if !materialize {
+			if mode != fillBody {
 				b := &bodies[i]
 				b.src, b.start, b.end, b.n = src, start, len(data)-len(d.buf), ncode
 				b.ops = d.seen.since(seen)
 				m.body = b
 			}
 			c.Methods = append(c.Methods, m)
+			if v != nil {
+				v.Method(m, code)
+			}
 		}
 		if err := f.addClass(c); err != nil {
 			return err
+		}
+		if v != nil {
+			v.EndClass()
 		}
 	}
 	return nil

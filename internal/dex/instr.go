@@ -268,9 +268,17 @@ func appendRegs(dst []byte, regs ...int) []byte {
 	return dst
 }
 
+// hexDigits are the lower-case hex digits.
+const hexDigits = "0123456789abcdef"
+
 // AppendHex4 appends v the way fmt's %04x renders it: lower-case hex,
 // zero-padded to a width of four that counts a leading minus sign.
 func AppendHex4(dst []byte, v int64) []byte {
+	if v >= 0 && v < 1<<16 {
+		// Exactly four digits: every pc, branch target and access flag
+		// word of an ordinary body.
+		return append(dst, hexDigits[v>>12], hexDigits[v>>8&15], hexDigits[v>>4&15], hexDigits[v&15])
+	}
 	u, width := uint64(v), 4
 	if v < 0 {
 		dst = append(dst, '-')

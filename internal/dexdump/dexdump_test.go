@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"backdroid/internal/apk"
 	"backdroid/internal/dex"
 	"backdroid/internal/testapps"
 )
@@ -279,7 +280,10 @@ func checkTablesMatch(t *testing.T, tables, want *dex.File) {
 // Decode: the same error or none, and the same disassembly. So must the
 // table load, dex.Open then LoadTables, which must leave every body
 // pending, count each one's instructions right, and decode each through
-// Instructions to Decode's body. A decoded file must disassemble and index without
+// Instructions to Decode's body, and the fused load, RenderApp over the
+// opened file, which must fail with Decode's error under the container's
+// entry name, disassemble to the same Text field by field, and leave
+// its file as the table load does. A decoded file must disassemble and index without
 // panicking, into lines that tile the text, into the same index with and
 // without the renderer's skip table, and re-encoding it must decode to a
 // file that disassembles to the same bytes.
@@ -320,6 +324,7 @@ func FuzzDecodeDex(f *testing.F) {
 		over(file.Classes()[1].Methods[0])
 		f.Add(dex.Encode(file))
 	}
+	f.Add(dex.Encode(disorderedFile(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := dex.Decode(data)
 		ofile, oerr := oracleDecode(data)
@@ -343,11 +348,25 @@ func FuzzDecodeDex(f *testing.F) {
 		if (err == nil) != (terr == nil) || (err != nil && err.Error() != terr.Error()) {
 			t.Fatalf("Decode error %v, Open+LoadTables error %v", err, terr)
 		}
+		var fused *dex.File
+		var ftext *Text
+		ferr := err
+		if opened, oerr := dex.Open(data); oerr == nil {
+			fused, ftext, ferr = RenderApp(apk.New("fuzz", nil, opened))
+			if err != nil && (ferr == nil || ferr.Error() != "apk: classes.dex: "+err.Error()) {
+				t.Fatalf("Decode error %v, RenderApp error %v", err, ferr)
+			}
+		}
+		if (err == nil) != (ferr == nil) {
+			t.Fatalf("Decode error %v, RenderApp error %v", err, ferr)
+		}
 		if err != nil {
 			return
 		}
 		checkTablesMatch(t, tables, file)
+		checkTablesMatch(t, fused, file)
 		text := Disassemble(file)
+		checkSameText(t, "RenderApp", ftext, text)
 		if Disassemble(lazy).String() != text.String() {
 			t.Fatal("Open+Load disassembles differently from Decode")
 		}

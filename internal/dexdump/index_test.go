@@ -647,28 +647,44 @@ func BenchmarkRender(b *testing.B) {
 }
 
 // BenchmarkLoadDex times the dex decode layer over the 24-app bench
-// corpus, one op being every dex file of the corpus: "eager" is the cold
-// path's dex.Open and Load, which decodes every body, and "tables" the
-// warm path's dex.Open and LoadTables, which checks every body but
-// decodes none.
+// corpus, one op being every dex file of the corpus: "eager" is dex.Open
+// and Load, which decodes every body; "tables" the warm path's dex.Open
+// and LoadTables, which checks every body but decodes none; and "fused"
+// the cold path's RenderApp over the opened files, whose one walk per
+// body checks it, renders it into the app's dump and leaves it pending.
 func BenchmarkLoadDex(b *testing.B) {
 	apps := loadBenchCorpus(b)
+	each := func(load func(*dex.File) error) func([][]byte) error {
+		return func(dexes [][]byte) error {
+			for _, data := range dexes {
+				f, err := dex.Open(data)
+				if err == nil {
+					err = load(f)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
 	for _, mode := range []struct {
 		name string
-		load func(*dex.File) error
-	}{{"eager", (*dex.File).Load}, {"tables", (*dex.File).LoadTables}} {
+		load func(dexes [][]byte) error
+	}{
+		{"eager", each((*dex.File).Load)},
+		{"tables", each((*dex.File).LoadTables)},
+		{"fused", func(dexes [][]byte) error {
+			_, _, err := RenderApp(openApp(b, dexes...))
+			return err
+		}},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
 				for _, app := range apps {
-					for _, data := range app.dexes {
-						f, err := dex.Open(data)
-						if err == nil {
-							err = mode.load(f)
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
+					if err := mode.load(app.dexes); err != nil {
+						b.Fatal(err)
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -226,10 +227,13 @@ func runHostileJob(t *testing.T, label string, cfg Config, container []byte, wan
 
 // TestSharedAppWarmAndColdJobs: one *apk.App read from a container serves
 // store-hit jobs, which load its dex tables and decode bodies on demand,
-// and cold jobs, which decode every body, at the same time. Under -race
-// this checks that the two load modes share the dex files safely; every
-// job must report the cold verdicts. A store hit on a fresh app that a
-// cold job then reuses must leave every body decoded.
+// and cold jobs, which render each body in the walk that loads the
+// tables, at the same time. Under -race this checks that the load modes
+// share the dex files safely; every job must report the cold verdicts.
+// A cold job on a fresh app must decode exactly the bodies a store hit
+// on another fresh app decodes: the ones the analysis translates. A
+// cold job on an app a store hit loaded first renders through Render,
+// which must leave every concrete body decoded.
 func TestSharedAppWarmAndColdJobs(t *testing.T) {
 	spec := testSpec(1)
 	spec.MultiDex = true
@@ -256,17 +260,22 @@ func TestSharedAppWarmAndColdJobs(t *testing.T) {
 	ref := runFixtureJob(t, warmS, read()) // primes the store
 	want := detectionKey(ref.BackDroid)
 
-	pending := func(app *apk.App) (n int) {
+	// decoded lists the methods whose bodies are decoded, and pending
+	// counts the concrete ones whose bodies are not.
+	decoded := func(app *apk.App) (refs []string, pending int) {
 		for _, d := range app.Dexes {
 			for _, c := range d.Classes() {
 				for _, m := range c.Methods {
-					if !m.BodyDecoded() {
-						n++
+					switch {
+					case m.BodyDecoded():
+						refs = append(refs, m.Ref.SootSignature())
+					case !m.IsAbstract():
+						pending++
 					}
 				}
 			}
 		}
-		return n
+		return refs, pending
 	}
 	check := func(label string, res *JobResult, hit bool) {
 		t.Helper()
@@ -281,12 +290,20 @@ func TestSharedAppWarmAndColdJobs(t *testing.T) {
 	// Store hit first, then a cold job on the same app.
 	app := read()
 	check("store hit", runFixtureJob(t, warmS, app), true)
-	if pending(app) == 0 {
-		t.Fatal("the store hit decoded every body")
+	hitDecoded, pending := decoded(app)
+	if pending == 0 || len(hitDecoded) == 0 {
+		t.Fatalf("the store hit decoded %d bodies and left %d concrete ones pending", len(hitDecoded), pending)
 	}
 	check("cold after store hit", runFixtureJob(t, coldS, app), false)
-	if n := pending(app); n != 0 {
-		t.Fatalf("%d bodies pending after a cold job", n)
+	if _, n := decoded(app); n != 0 {
+		t.Fatalf("%d concrete bodies pending after a cold job rendered a table-loaded app", n)
+	}
+
+	// A cold job on a fresh app decodes what a store hit decodes.
+	app = read()
+	check("cold on a fresh app", runFixtureJob(t, coldS, app), false)
+	if got, _ := decoded(app); !slices.Equal(got, hitDecoded) {
+		t.Fatalf("cold job decoded the bodies of\n%v\nwant those the store hit decoded\n%v", got, hitDecoded)
 	}
 
 	// Both kinds at once, several times over each of a few fresh apps.

@@ -450,6 +450,56 @@ func TestStoreHitReportReleasesDexBytes(t *testing.T) {
 	runtime.KeepAlive(res)
 }
 
+// TestColdReportReleasesDexBytes is the cold twin of
+// TestStoreHitReportReleasesDexBytes: a cold job renders each body in
+// the walk that loads the dex tables and leaves it pending, so each
+// method it never translates keeps the dex bytes to decode from. The
+// report, kept as the job name's delta base and in the settled report
+// store, must reach neither the app nor the engine's dex view.
+func TestColdReportReleasesDexBytes(t *testing.T) {
+	fixture, err := testapps.Fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := fixture.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gone weak.Pointer[byte]
+	s := New(Config{Workers: 1, Store: NewBundleStore(0), Reports: NewReportStore(0)})
+	defer s.Close()
+	id, err := s.Submit(Job{Name: fixture.Name, RunBackDroid: true, Source: func() (*apk.App, error) {
+		app, err := apk.ReadBytes(fixture.Name, data)
+		if err == nil {
+			gone = weak.Make(dexBytes(app.Dexes[0]))
+		}
+		return app, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.BackDroid.Stats; st.BundleStoreHits != 0 || st.DumpLinesDisassembled == 0 {
+		t.Fatalf("job was not cold: %+v", st)
+	}
+	if n := s.Reports().stats().Entries; n != 1 {
+		t.Fatalf("%d settled reports, want the cold report", n)
+	}
+	if n := s.deltaBases(); n != 1 {
+		t.Fatalf("%d delta bases, want the cold report", n)
+	}
+
+	runtime.GC()
+	runtime.GC()
+	if gone.Value() != nil {
+		t.Error("the app's dex bytes are still reachable from the cold report")
+	}
+	runtime.KeepAlive(res)
+}
+
 // dexBytes returns the first byte of the encoded bytes a dex file made by
 // dex.Open decodes from. Nothing exports them, so it reads the file's
 // unexported raw field; the file must not be loaded yet.
