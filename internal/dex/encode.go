@@ -280,12 +280,8 @@ func (o *operands) field(f FieldRef) *FieldRef {
 	return p
 }
 
-// typeList returns a Params slice of n entries; a nil o allocates it
-// alone.
+// typeList returns a Params slice of n entries.
 func (o *operands) typeList(n int) []TypeDesc {
-	if o == nil {
-		return make([]TypeDesc, n)
-	}
 	return cut(o, &o.types, n, &o.left.types)
 }
 
